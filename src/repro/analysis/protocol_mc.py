@@ -30,7 +30,8 @@ Verdict statuses, strongest problem first::
                      (socket-fabric backpressure starvation)
     ORPHANS          deadlock-free, but some signal tokens leak
                      (leftover beyond the primed rest state)
-    INCONCLUSIVE     a pass hit the state/deadline cap
+    INCONCLUSIVE     a pass hit the state cap, or the verdict its
+                     deadline (one budget for all passes)
     VERIFIED         deadlock-free, orphan-free, mailboxes bounded
 
 ``mc_diagnostics`` renders a result as a :class:`DiagnosticReport` for
@@ -41,6 +42,7 @@ is the tightly-capped variant the fabrics quote inside
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ..navp import ir
@@ -49,6 +51,7 @@ from .statespace import (
     AbstractionError,
     Explorer,
     Schedule,
+    TraceSystem,
     extract_system,
     signal_totals,
 )
@@ -204,8 +207,11 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
     several externally injected roots.  ``initial_signals`` follows
     :func:`initial_pending`.  ``window=None`` models fabrics without
     credit gating (sim/thread/process): mailbox bounds are still
-    reported, but no gated pass runs.
+    reported, but no gated pass runs.  ``deadline_s`` budgets the whole
+    verdict, not each pass.
     """
+    deadline = None if deadline_s is None \
+        else time.monotonic() + deadline_s
     if registry is None:
         registry = ir.REGISTRY
     if isinstance(roots, (str, ir.Program)):
@@ -235,10 +241,11 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
     if classes is not None:
         stats["thread_classes"] = classes
 
-    def explorer(**kw):
-        return Explorer(traces, roots=tuple(root_indices),
-                        initial_pending=pending0, max_states=max_states,
-                        deadline_s=deadline_s, **kw)
+    system = TraceSystem(traces, root_indices, pending0)
+
+    def explore(**kw):
+        return Explorer(system, max_states=max_states, deadline=deadline,
+                        **kw).explore()
 
     def result(status, detail="", **kw):
         base = dict(
@@ -252,7 +259,7 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
         return ModelCheckResult(**base)
 
     # -- Pass A: ungated interleavings (deadlock + orphan oracle) ----------
-    res_a = explorer().explore()
+    res_a = explore()
     _merge_stats(stats, res_a, "interleave")
     stats["states"] = res_a.states
     stats["transitions"] = res_a.transitions
@@ -294,9 +301,9 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
                         if op[0] == "hop"})
     peaks: dict = dict(res_a.peaks)
     inflight: dict = dict(res_a.inflight_peaks)
-    mailbox_exact = True
+    capped = ""      # the first pass that ran out, and of what
     for host in dst_hosts:
-        res_b = explorer(lazy_hosts=frozenset([host])).explore()
+        res_b = explore(lazy_hosts=frozenset([host]))
         _merge_stats(stats, res_b, "mailbox@%s" % (host,))
         if res_b.deadlock is not None:   # cannot happen: lazy ⊆ ungated
             return result(
@@ -306,11 +313,13 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
                 detail="reachable deadlock (mailbox pass); schedule:\n%s"
                        % res_b.deadlock.describe(limit=24))
         if not res_b.complete:
-            mailbox_exact = False
+            capped = capped or "mailbox@%s pass capped: %s" % (
+                host, res_b.reason)
             continue
         peaks[host] = max(peaks.get(host, 0), res_b.peaks.get(host, 0))
         for edge, v in res_b.inflight_peaks.items():
             inflight[edge] = max(inflight.get(edge, 0), v)
+    mailbox_exact = not capped
     max_depth = max(peaks.values(), default=0) if mailbox_exact else None
     bounded = None
     if window is not None and max_depth is not None:
@@ -326,12 +335,11 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
 
     # -- Pass C: gated semantics, only when the gate can engage ------------
     gated_free: bool | None = True if window is None else None
-    gated_detail = ""
     if window is not None:
         if transparent:
             gated_free = True       # gate never engages: Pass A transfers
         elif check_gated:
-            res_c = explorer(window=window, gated=True).explore()
+            res_c = explore(window=window, gated=True)
             _merge_stats(stats, res_c, "gated")
             if res_c.deadlock is not None:
                 return result(
@@ -346,7 +354,7 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
                     **mail)
             gated_free = True if res_c.complete else None
             if not res_c.complete:
-                gated_detail = "gated pass capped: %s" % res_c.reason
+                capped = capped or "gated pass capped: %s" % res_c.reason
 
     if leaks:
         msg = ", ".join("%s leaks %d token(s) beyond its primed %d"
@@ -356,10 +364,9 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
                       gated_deadlock_free=gated_free,
                       detail="signals never consumed: %s" % msg, **mail)
     if not mailbox_exact or gated_free is None:
-        why = gated_detail or "a mailbox pass hit the state/deadline cap"
         return result("INCONCLUSIVE", deadlock_free=True,
                       gated_deadlock_free=gated_free,
-                      detail=why, **mail)
+                      detail=capped or "gated pass not run", **mail)
     return result("VERIFIED", deadlock_free=True,
                   gated_deadlock_free=gated_free, **mail)
 

@@ -42,7 +42,10 @@ every eager move satisfies the stubborn-set conditions: it is enabled,
 cannot be disabled by others, and commutes (signals/sends only add
 tokens or counters; a single-waiter consume has no competitor). The
 state space is a DAG (every transition strictly advances some thread),
-so the ignoring problem of cycle-closing POR does not arise.
+so the ignoring problem of cycle-closing POR does not arise. The
+closure is a worklist: a step can make only its own thread, a spawned
+child or the sole waiter of the key it signals eager, so only those
+are probed again — work proportional to steps, not steps × threads.
 
 Symmetric replicated instances — threads whose extracted traces are
 byte-identical, the concrete image of an
@@ -83,7 +86,7 @@ from ..navp import ir
 
 __all__ = [
     "AbstractionError", "ThreadTrace", "Schedule", "ExploreResult",
-    "Explorer", "extract_system", "extract_traces", "OPAQUE",
+    "TraceSystem", "Explorer", "extract_system", "extract_traces", "OPAQUE",
 ]
 
 
@@ -108,11 +111,16 @@ OPAQUE = _Opaque()
 _NOT_SPAWNED, _READY, _TRANSIT, _BLOCKED, _DONE = range(5)
 _PHASES = 5
 
+# compiled ops are ``(kind, a, host, b)``, ``host`` being where the op
+# executes: hop (edge, src, dst), wait (key, host, 0), signal (key,
+# host, count), spawn (child, host, 0) -- all interned ids
+_HOP, _WAIT, _SIGNAL, _SPAWN = range(4)
+
 # transition kinds
 _SEND, _RETIRE, _BLOCK, _UNBLOCK, _CONSUME, _STEP = range(6)
 
-_KIND_NAMES = {_SEND: "send", _RETIRE: "retire", _BLOCK: "block",
-               _UNBLOCK: "unblock", _CONSUME: "wait", _STEP: "step"}
+_HOP_ACTIONS = {_SEND: "send", _RETIRE: "retire", _BLOCK: "block",
+                _UNBLOCK: "unblock"}
 
 
 @dataclass(frozen=True)
@@ -378,6 +386,7 @@ class ExploreResult:
     peaks: dict                # host -> max mailbox depth reached
     inflight_peaks: dict       # (src, dst) -> max in-flight hops
     reason: str = ""           # why the pass stopped early, if it did
+    closure_visits: int = 0    # thread probes made by the eager closure
 
     @property
     def reduction_factor(self) -> float:
@@ -385,54 +394,50 @@ class ExploreResult:
         return self.naive_transitions / max(1, self.transitions)
 
 
-class Explorer:
-    """Memoized DFS over the interleavings of a trace system.
+class TraceSystem:
+    """A system of traces compiled for exploration, once per verdict.
 
-    ``window=None`` explores the ungated (infinite-credit) semantics
-    with eager singleton-stubborn moves; ``gated=True`` (requires a
-    finite ``window``) explores the socket credit semantics with full
-    branching. ``lazy_hosts`` makes retirement into those hosts a
-    branch point (the exact-mailbox-peak passes).
+    Keys, hosts and ``(src, dst)`` edges are interned to list indices
+    and every op becomes ``(kind, a, host, b)`` (see ``_HOP`` ..
+    ``_SPAWN``), so every pass's explorer indexes lists instead of
+    hashing tuple keys. ``waiter_of[key]`` is the one thread that ever
+    waits on the key — the eager-wait rule — or -1 when the key is
+    contended (or never waited on).
     """
 
-    def __init__(self, traces, roots, initial_pending=None, *,
-                 window: int | None = None, gated: bool = False,
-                 lazy_hosts: frozenset = frozenset(),
-                 max_states: int = 1_000_000,
-                 deadline_s: float | None = None,
-                 stop_on_deadlock: bool = True):
-        if gated and window is None:
-            raise ValueError("gated exploration needs a finite window")
-        self.traces = list(traces)
-        self.roots = list(roots)
-        self.window = window
-        self.gated = gated
-        self.lazy_hosts = frozenset(lazy_hosts)
-        self.max_states = max_states
-        self.deadline_s = deadline_s
-        self.stop_on_deadlock = stop_on_deadlock
-        self.initial_pending = dict(initial_pending or {})
+    def __init__(self, traces, roots, initial_pending=None):
+        self.traces = tuple(traces)
+        self.roots = tuple(roots)
+        keys, hosts, edges, waiters = {}, {}, {}, {}
 
-        n = len(self.traces)
-        self.codes = [_NOT_SPAWNED] * n
-        self.live = 0
-        for i in self.roots:
-            self.codes[i] = self._entry_code(i)
-        self.pending = dict(self.initial_pending)
-        self.inflight: dict = {}
-        self.depth: dict = {}
-        self.blocked: dict = {}
-        self.peaks: dict = {}
-        self.inflight_peaks: dict = {}
+        def intern(table, item):
+            return table.setdefault(item, len(table))
 
-        # key -> thread indices that ever wait on it (eager-wait rule)
-        waiters: dict = {}
+        ops = []
         for i, t in enumerate(self.traces):
+            row = []
             for op in t.ops:
-                if op[0] == "wait":
-                    waiters.setdefault(op[1], set()).add(i)
-        self.single_waiter = {k: len(v) == 1 for k, v in waiters.items()}
-
+                if op[0] == "hop":
+                    row.append((_HOP, intern(edges, op[1:3]),
+                                intern(hosts, op[1]), intern(hosts, op[2])))
+                elif op[0] == "spawn":
+                    row.append((_SPAWN, op[1], intern(hosts, op[2]), 0))
+                elif op[0] == "wait":
+                    key = intern(keys, op[1])
+                    waiters.setdefault(key, set()).add(i)
+                    row.append((_WAIT, key, intern(hosts, op[1][0]), 0))
+                else:
+                    row.append((_SIGNAL, intern(keys, op[1]),
+                                intern(hosts, op[1][0]), op[2]))
+            ops.append(tuple(row))
+        self.ops = tuple(ops)
+        self.hosts, self.edges = tuple(hosts), tuple(edges)
+        pending = initial_pending or {}
+        self.pending0 = [pending.get(key, 0) for key in keys]
+        self.waiter_of = [-1] * len(keys)
+        for key, threads in waiters.items():
+            if len(threads) == 1:
+                (self.waiter_of[key],) = threads
         # symmetry groups: byte-identical traces are interchangeable
         by_ops: dict = {}
         for i, t in enumerate(self.traces):
@@ -440,35 +445,62 @@ class Explorer:
         self.sym_groups = tuple(tuple(g) for g in by_ops.values()
                                 if len(g) > 1)
 
+
+class Explorer:
+    """Memoized DFS over the interleavings of a :class:`TraceSystem`.
+
+    ``window=None`` explores the ungated (infinite-credit) semantics
+    with eager singleton-stubborn moves; ``gated=True`` (requires a
+    finite ``window``) explores the socket credit semantics with full
+    branching. ``lazy_hosts`` makes retirement into those hosts a
+    branch point (the exact-mailbox-peak passes). ``deadline`` is an
+    absolute ``time.monotonic()`` instant: one budget for all the
+    passes of a verdict.
+    """
+
+    def __init__(self, system: TraceSystem, *,
+                 window: int | None = None, gated: bool = False,
+                 lazy_hosts: frozenset = frozenset(),
+                 max_states: int = 1_000_000,
+                 deadline: float | None = None,
+                 stop_on_deadlock: bool = True):
+        if gated and window is None:
+            raise ValueError("gated exploration needs a finite window")
+        self.system = system
+        self.ops = system.ops
+        self.window = window
+        self.gated = gated
+        self.lazy_hosts = frozenset(lazy_hosts)
+        self.lazy = [host in self.lazy_hosts for host in system.hosts]
+        self.max_states = max_states
+        self.deadline = deadline
+        self.stop_on_deadlock = stop_on_deadlock
+
+        self.codes = [_NOT_SPAWNED] * len(self.ops)
+        self.live = 0
+        for i in system.roots:
+            self.codes[i] = self._entry_code(i)
+        self.pending = list(system.pending0)
+        self.inflight = [0] * len(system.edges)
+        self.depth = [0] * len(system.hosts)
+        self.blocked = [0] * len(system.hosts)
+        self.peaks = [0] * len(system.hosts)
+        self.inflight_peaks = [0] * len(system.edges)
+
     # -- state helpers -----------------------------------------------------
 
     def _entry_code(self, i: int) -> int:
-        if self.traces[i].ops:
+        if self.ops[i]:
             self.live += 1
             return _READY  # pc 0
         return _DONE       # empty program: born finished
 
-    def _advance_code(self, i: int, pc: int) -> int:
-        if pc >= len(self.traces[i].ops):
-            self.live -= 1
-            return pc * _PHASES + _DONE
-        return pc * _PHASES + _READY
-
-    def _host_of(self, i: int, pc: int):
-        op = self.traces[i].ops[pc]
-        kind = op[0]
-        if kind == "hop":
-            return op[1]
-        if kind == "spawn":
-            return op[2]
-        return op[1][0]  # wait/signal: key host
-
     def _canonical(self):
         codes = self.codes
-        if not self.sym_groups:
+        if not self.system.sym_groups:
             return tuple(codes)
         arr = list(codes)
-        for group in self.sym_groups:
+        for group in self.system.sym_groups:
             vals = sorted(arr[j] for j in group)
             for j, v in zip(group, vals):
                 arr[j] = v
@@ -482,140 +514,102 @@ class Explorer:
         phase = code % _PHASES
         if phase == _NOT_SPAWNED or phase == _DONE:
             return None
-        pc = code // _PHASES
-        op = self.traces[i].ops[pc]
+        op = self.ops[i][code // _PHASES]
         if phase == _TRANSIT:
-            if self.gated and self.blocked.get(op[2], 0):
+            if self.gated and self.blocked[op[3]]:
                 return None  # destination worker is stuck in emit_hop
             return _RETIRE
         if phase == _BLOCKED:
-            if self.inflight.get((op[1], op[2]), 0) < self.window:
-                return _UNBLOCK
-            return None
+            return _UNBLOCK if self.inflight[op[1]] < self.window else None
         # READY
-        host = self._host_of(i, pc)
-        if self.gated and self.blocked.get(host, 0):
+        if self.gated and self.blocked[op[2]]:
             return None  # a co-located messenger blocked the worker
         kind = op[0]
-        if kind == "hop":
-            if self.window is None or \
-                    self.inflight.get((op[1], op[2]), 0) < self.window:
+        if kind == _HOP:
+            if self.window is None or self.inflight[op[1]] < self.window:
                 return _SEND
             return _BLOCK if self.gated else None
-        if kind == "wait":
-            return _CONSUME if self.pending.get(op[1], 0) > 0 else None
+        if kind == _WAIT:
+            return _CONSUME if self.pending[op[1]] > 0 else None
         return _STEP  # signal / spawn
 
-    def _apply(self, i: int, kind: int):
-        """Execute a transition; return its undo record."""
-        old = self.codes[i]
+    def _apply(self, i: int, kind: int, old: int, op: tuple):
+        """Execute a transition of thread ``i`` (at code ``old``, on
+        compiled op ``op``); return its undo record."""
+        undo = (i, old, kind, op, self.live)
         pc = old // _PHASES
-        op = self.traces[i].ops[pc]
-        old_live = self.live
-        child_old = None
-        if kind == _SEND or kind == _UNBLOCK:
-            sd = (op[1], op[2])
-            self.inflight[sd] = n = self.inflight.get(sd, 0) + 1
-            if n > self.inflight_peaks.get(sd, 0):
-                self.inflight_peaks[sd] = n
-            self.depth[op[2]] = d = self.depth.get(op[2], 0) + 1
-            if d > self.peaks.get(op[2], 0):
-                self.peaks[op[2]] = d
-            if kind == _UNBLOCK:
-                self.blocked[op[1]] -= 1
-            self.codes[i] = pc * _PHASES + _TRANSIT
-        elif kind == _RETIRE:
-            sd = (op[1], op[2])
-            self.inflight[sd] -= 1
-            self.depth[op[2]] -= 1
-            self.codes[i] = self._advance_code(i, pc + 1)
-        elif kind == _BLOCK:
-            self.blocked[op[1]] = self.blocked.get(op[1], 0) + 1
+        if kind == _BLOCK:
+            self.blocked[op[2]] += 1
             self.codes[i] = pc * _PHASES + _BLOCKED
-        elif kind == _CONSUME:
-            self.pending[op[1]] -= 1
-            self.codes[i] = self._advance_code(i, pc + 1)
-        else:  # _STEP: signal or spawn
-            if op[0] == "signal":
-                key = op[1]
-                self.pending[key] = self.pending.get(key, 0) + op[2]
+        elif kind == _SEND or kind == _UNBLOCK:
+            edge, dst = op[1], op[3]
+            self.inflight[edge] = n = self.inflight[edge] + 1
+            if n > self.inflight_peaks[edge]:
+                self.inflight_peaks[edge] = n
+            self.depth[dst] = d = self.depth[dst] + 1
+            if d > self.peaks[dst]:
+                self.peaks[dst] = d
+            if kind == _UNBLOCK:
+                self.blocked[op[2]] -= 1
+            self.codes[i] = pc * _PHASES + _TRANSIT
+        else:  # the op completes: retire, consume, signal or spawn
+            if kind == _RETIRE:
+                self.inflight[op[1]] -= 1
+                self.depth[op[3]] -= 1
+            elif kind == _CONSUME:
+                self.pending[op[1]] -= 1
+            elif op[0] == _SIGNAL:
+                self.pending[op[1]] += op[3]
             else:
-                child = op[1]
-                child_old = self.codes[child]
-                self.codes[child] = self._entry_code(child)
-            self.codes[i] = self._advance_code(i, pc + 1)
-        return (i, old, kind, op, old_live, child_old)
+                self.codes[op[1]] = self._entry_code(op[1])
+            pc += 1
+            if pc < len(self.ops[i]):
+                self.codes[i] = pc * _PHASES + _READY
+            else:
+                self.live -= 1
+                self.codes[i] = pc * _PHASES + _DONE
+        return undo
 
     def _revert(self, undo) -> None:
-        i, old, kind, op, old_live, child_old = undo
-        if kind == _SEND or kind == _UNBLOCK:
-            sd = (op[1], op[2])
-            self.inflight[sd] -= 1
-            self.depth[op[2]] -= 1
+        i, old, kind, op, self.live = undo
+        if kind == _BLOCK:
+            self.blocked[op[2]] -= 1
+        elif kind == _SEND or kind == _UNBLOCK:
+            self.inflight[op[1]] -= 1
+            self.depth[op[3]] -= 1
             if kind == _UNBLOCK:
-                self.blocked[op[1]] += 1
+                self.blocked[op[2]] += 1
         elif kind == _RETIRE:
-            sd = (op[1], op[2])
-            self.inflight[sd] += 1
-            self.depth[op[2]] += 1
-        elif kind == _BLOCK:
-            self.blocked[op[1]] -= 1
+            self.inflight[op[1]] += 1
+            self.depth[op[3]] += 1
         elif kind == _CONSUME:
             self.pending[op[1]] += 1
+        elif op[0] == _SIGNAL:
+            self.pending[op[1]] -= op[3]
         else:
-            if op[0] == "signal":
-                self.pending[op[1]] -= op[2]
-            else:
-                self.codes[op[1]] = child_old
+            self.codes[op[1]] = _NOT_SPAWNED
         self.codes[i] = old
-        self.live = old_live
-
-    def _eager(self, i: int):
-        """Singleton-stubborn transition of thread ``i``, if any.
-
-        Only meaningful in ungated mode: host blocking couples
-        co-located transitions, so gated exploration branches fully.
-        """
-        code = self.codes[i]
-        phase = code % _PHASES
-        if phase == _TRANSIT:
-            pc = code // _PHASES
-            if self.traces[i].ops[pc][2] not in self.lazy_hosts:
-                return _RETIRE
-            return None
-        if phase != _READY:
-            return None
-        pc = code // _PHASES
-        op = self.traces[i].ops[pc]
-        kind = op[0]
-        if kind == "hop" or kind == "signal" or kind == "spawn":
-            return _SEND if kind == "hop" else _STEP
-        # wait: eager only when this thread owns the key outright
-        if self.pending.get(op[1], 0) > 0 and self.single_waiter[op[1]]:
-            return _CONSUME
-        return None
 
     # -- the DFS -----------------------------------------------------------
 
-    def _describe(self, i: int, kind: int) -> tuple:
-        t = self.traces[i]
-        pc = self.codes[i] // _PHASES
-        op = t.ops[min(pc, len(t.ops) - 1)]
-        if op[0] == "hop":
-            detail = f"{op[1]!r} -> {op[2]!r}"
-            action = _KIND_NAMES[kind] if kind in (
-                _SEND, _RETIRE, _BLOCK, _UNBLOCK) else "hop"
-        elif op[0] == "wait":
-            action, detail = "wait", _key_repr(op[1])
-        elif op[0] == "signal":
-            action, detail = "signal", _key_repr(op[1])
-        else:
-            action, detail = "inject", self.traces[op[1]].label
-        return (t.label, action, detail)
+    def _schedule(self, undo_log) -> Schedule:
+        """Render the applied steps; only a deadlock ever reads them."""
+        traces = self.system.traces
+        steps = []
+        for i, old, kind, _op, _live in undo_log:
+            op = traces[i].ops[old // _PHASES]
+            if op[0] == "hop":
+                action, detail = _HOP_ACTIONS[kind], f"{op[1]!r} -> {op[2]!r}"
+            elif op[0] == "spawn":
+                action, detail = "inject", traces[op[1]].label
+            else:
+                action, detail = op[0], _key_repr(op[1])
+            steps.append((traces[i].label, action, detail))
+        return Schedule(tuple(steps), self._stuck_report())
 
     def _stuck_report(self) -> tuple:
         out = []
-        for i, t in enumerate(self.traces):
+        for i, t in enumerate(self.system.traces):
             code = self.codes[i]
             phase = code % _PHASES
             if phase in (_NOT_SPAWNED, _DONE):
@@ -638,109 +632,152 @@ class Explorer:
         return tuple(out)
 
     def explore(self) -> ExploreResult:
+        ops, codes, pending = self.ops, self.codes, self.pending
+        waiter_of, lazy = self.system.waiter_of, self.lazy
+        apply, transition = self._apply, self._transition
+        bit = [1 << i for i in range(len(codes))]
         seen: set = set()
-        states = transitions = eager_steps = naive = terminals = 0
+        states = branch_steps = eager_steps = naive = terminals = visits = 0
         deadlock = None
-        reason = ""
-        t0 = time.monotonic()
-        path: list = []          # (label, action, detail) applied steps
-        undo_log: list = []      # undo records, parallel to path
-
-        def apply_step(i, kind):
-            nonlocal transitions
-            path.append(self._describe(i, kind))
-            undo_log.append(self._apply(i, kind))
-            transitions += 1
+        undo_log: list = []      # undo records of the applied steps
 
         def unwind(to_len):
             while len(undo_log) > to_len:
                 self._revert(undo_log.pop())
-                path.pop()
 
-        # DFS frames: (undo_log length at entry, iterator of threads)
-        frames: list = []
+        def enter(wake, parked):
+            """Eager-close, memoize, enumerate.
 
-        def enter():
-            """Eager-close, memoize, enumerate. Returns branch list or
-            None when the state was already visited / is settled."""
-            nonlocal states, eager_steps, naive, terminals, deadlock
-            if not self.gated:
-                progress = True
-                while progress:
-                    progress = False
-                    for i in range(len(self.traces)):
-                        kind = self._eager(i)
-                        if kind is not None:
-                            naive += self.live
-                            apply_step(i, kind)
-                            eager_steps += 1
-                            progress = True
+            ``wake`` and ``parked`` are thread bitmasks: the threads
+            whose eagerness can have changed, and the threads sitting
+            at a branch point (a contended wait, a lazy retire). A step
+            can make only its own thread, a spawned child or the sole
+            waiter of the signalled key eager, so the closure probes
+            just those, in sweeps by ascending index — a woken thread
+            joins this sweep if it is still ahead, the next if not —
+            which is the order rescanning every thread until none
+            moves would take. Returns ``(parked, branches)``, or None
+            when the state was already visited / is settled.
+            """
+            nonlocal states, eager_steps, naive, terminals, visits, deadlock
+            while wake:
+                sweep, wake = wake, 0
+                while sweep:
+                    low = sweep & -sweep
+                    sweep ^= low
+                    i = low.bit_length() - 1
+                    visits += 1
+                    code = codes[i]
+                    phase = code % _PHASES
+                    if phase != _READY and phase != _TRANSIT:
+                        continue
+                    op = ops[i][code // _PHASES]
+                    woken = -1
+                    if phase == _TRANSIT:
+                        if lazy[op[3]]:
+                            parked |= low
+                            continue
+                        kind = _RETIRE
+                    elif op[0] == _HOP:
+                        kind = _SEND
+                    elif op[0] == _WAIT:
+                        # eager only when this thread owns the key
+                        if waiter_of[op[1]] < 0:
+                            parked |= low
+                            continue
+                        if not pending[op[1]]:
+                            continue
+                        kind = _CONSUME
+                    else:
+                        kind = _STEP
+                        woken = op[1] if op[0] == _SPAWN \
+                            else waiter_of[op[1]]
+                    naive += self.live
+                    undo_log.append(apply(i, kind, code, op))
+                    eager_steps += 1
+                    wake |= low
+                    if woken > i:
+                        sweep |= bit[woken]
+                    elif woken >= 0:
+                        wake |= bit[woken]
             key = self._canonical()
             if key in seen:
                 return None
             seen.add(key)
             states += 1
-            branches = [i for i in range(len(self.traces))
-                        if self._transition(i) is not None]
+            branches = []
+            rest = parked
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                if transition(i) is not None:
+                    branches.append(i)
             naive += len(branches)
             if not branches:
                 if self.live > 0:
                     if deadlock is None:
-                        deadlock = Schedule(tuple(path),
-                                            self._stuck_report())
+                        deadlock = self._schedule(undo_log)
                 else:
                     terminals += 1
                 return None
-            return branches
+            return parked, iter(branches)
 
-        # A frame's ``base`` is the undo-log length at its state's
-        # entry (post eager closure); the invariant is that the mutable
-        # state equals the frame's state whenever its next branch is
-        # taken, and subtrees unwind back to ``base`` when they return.
-        branches = enter()
-        if branches is not None:
-            frames.append((len(undo_log), iter(branches)))
-        ok = True
+        # A frame is ``(base, parked, branches)``: the undo-log length
+        # and parked set at its state's entry (post eager closure) and
+        # the branches still to take. The mutable state equals the
+        # frame's state whenever its next branch is taken, and subtrees
+        # unwind back to ``base`` when they return. Gated exploration
+        # never closes eagerly and treats every thread as parked.
+        everyone = (1 << len(codes)) - 1
+        first = enter(0, everyone) if self.gated else enter(everyone, 0)
+        frames = [] if first is None else [(len(undo_log), *first)]
+        reason = ""
         ticks = 0
         while frames:
             if deadlock is not None and self.stop_on_deadlock:
                 break
             if states > self.max_states:
-                ok, reason = False, (
-                    f"state cap {self.max_states} exceeded")
+                reason = f"state cap {self.max_states} exceeded"
+                break
+            if self.deadline is not None and (ticks & 0x3FF) == 0 and \
+                    time.monotonic() > self.deadline:
+                reason = "verdict deadline exceeded"
                 break
             ticks += 1
-            if self.deadline_s is not None and \
-                    (ticks & 0x3FF) == 0 and \
-                    time.monotonic() - t0 > self.deadline_s:
-                ok, reason = False, (
-                    f"deadline {self.deadline_s:.1f}s exceeded")
-                break
-            base, it = frames[-1]
+            base, parked, it = frames[-1]
             i = next(it, None)
             if i is None:
                 frames.pop()
                 unwind(frames[-1][0] if frames else 0)
                 continue
-            kind = self._transition(i)
-            if kind is None:  # unreachable: state is restored to the
-                continue      # frame's own before every branch
-            apply_step(i, kind)
-            sub = enter()
+            kind = transition(i)
+            if kind is None:
+                raise AnalysisError(
+                    f"internal error: backtracking did not restore the "
+                    f"enabled transition of thread {i}")
+            code = codes[i]
+            undo_log.append(apply(i, kind, code, ops[i][code // _PHASES]))
+            branch_steps += 1
+            wake = 0 if self.gated else bit[i]
+            sub = enter(wake, parked & ~wake)
             if sub is None:
                 unwind(base)
             else:
-                frames.append((len(undo_log), iter(sub)))
+                frames.append((len(undo_log), *sub))
         # fully unwind so the explorer can be reused
         unwind(0)
+        hosts, edges = self.system.hosts, self.system.edges
         return ExploreResult(
-            complete=ok and (deadlock is None or self.stop_on_deadlock),
-            states=states, transitions=transitions,
+            complete=not reason and (
+                deadlock is None or self.stop_on_deadlock),
+            states=states, transitions=eager_steps + branch_steps,
             eager_steps=eager_steps, naive_transitions=naive,
             deadlock=deadlock, terminals=terminals,
-            peaks=dict(self.peaks),
-            inflight_peaks=dict(self.inflight_peaks),
-            reason=reason)
+            peaks={h: v for h, v in zip(hosts, self.peaks) if v},
+            inflight_peaks={e: v for e, v in
+                            zip(edges, self.inflight_peaks) if v},
+            reason=reason, closure_visits=visits)
 
 
 def signal_totals(traces, initial_pending=None) -> dict:

@@ -78,8 +78,8 @@ def configure(sub) -> None:
                         help="state cap per model-checking pass "
                              "(default 200000)")
     lint_p.add_argument("--mc-deadline", type=float, default=5.0,
-                        help="wall-clock cap in seconds per "
-                             "model-checking pass (default 5.0)")
+                        help="wall-clock budget in seconds per root, "
+                             "all model-checking passes (default 5.0)")
     lint_p.add_argument("--strict", action="store_true",
                         help="treat warnings as errors for the exit "
                              "status")

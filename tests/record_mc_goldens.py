@@ -1,0 +1,113 @@
+"""Re-record tests/goldens/mc_explore.json from the current explorer.
+
+Every exploration pass the model checker runs for the listed systems,
+field for field: the counters, the peaks and the full counterexample
+schedule. Run only after a *deliberate* change to the abstraction or
+the reduction; for pure performance work the goldens must not move
+(``tests/test_analysis_statespace.py`` compares them byte for byte).
+Usage::
+
+    PYTHONPATH=src python tests/record_mc_goldens.py
+"""
+
+import json
+from pathlib import Path
+
+from repro.analysis import statespace
+from repro.analysis.corpus import LIVENESS_CORPUS
+from repro.analysis.lint import (
+    paper_mc_contexts,
+    root_entry_coord,
+    seed_paper_programs,
+)
+from repro.analysis.protocol_mc import DEFAULT_WINDOW, model_check
+from repro.navp import ir
+
+PATH = Path(__file__).parent / "goldens" / "mc_explore.json"
+
+PAPER_ROOTS = ("mm-seq-3-dsc-phase", "wf-pipe-3x4b4", "gent-main-3",
+               "fig11-main-3", "fig15-main-3")
+#: the admission verdicts one ``analysis_gate`` benchmark pass computes
+VERDICT_SHAPES = (("navp-2d-dsc", 2), ("navp-2d-dsc", 3),
+                  ("navp-2d-pipeline", 2), ("mpi-gentleman", 2),
+                  ("mpi-gentleman", 3), ("navp-2d-phase", 3))
+
+
+def _pass_name(explorer) -> str:
+    if explorer.gated:
+        return "gated"
+    if explorer.lazy_hosts:
+        (host,) = explorer.lazy_hosts
+        return "mailbox@%s" % (host,)
+    return "interleave"
+
+
+def _peaks(peaks: dict) -> dict:
+    return {repr(k): v for k, v in sorted(peaks.items())}
+
+
+def _passes(check) -> dict:
+    """Run ``check()`` and return every pass it explored, by name."""
+    passes: dict = {}
+    inner = statespace.Explorer.explore
+
+    def explore(self):
+        res = inner(self)
+        passes[_pass_name(self)] = {
+            "complete": res.complete,
+            "states": res.states,
+            "transitions": res.transitions,
+            "eager_steps": res.eager_steps,
+            "naive_transitions": res.naive_transitions,
+            "terminals": res.terminals,
+            "peaks": _peaks(res.peaks),
+            "inflight_peaks": _peaks(res.inflight_peaks),
+            "deadlock": (None if res.deadlock is None
+                         else res.deadlock.to_json()),
+        }
+        return res
+
+    statespace.Explorer.explore = explore
+    try:
+        status = check().status
+    finally:
+        statespace.Explorer.explore = inner
+    return {"status": status, "passes": passes}
+
+
+def record() -> dict:
+    from repro.matmul.irgentleman import build_gentleman_ir
+    from repro.serve.catalog import admission_verdict
+
+    seed_paper_programs(3)
+    build_gentleman_ir(3)
+    contexts = paper_mc_contexts(3)
+    out: dict = {}
+    for name in PAPER_ROOTS:
+        ctx = contexts.get(name, {})
+        entry = ctx.get("entry", root_entry_coord(ir.get_program(name)))
+        out["paper/" + name] = _passes(lambda: model_check(
+            name, entry=entry,
+            initial_signals=ctx.get("initial_signals", ())))
+    for program, g in VERDICT_SHAPES:   # uncached: every pass must run
+        out["verdict/%s/g%d" % (program, g)] = _passes(
+            lambda: admission_verdict.__wrapped__(program, g))
+    for case in LIVENESS_CORPUS:
+        out["corpus/" + case.name] = _passes(lambda: model_check(
+            case.root, case.registry, entry=case.entry,
+            places=case.places, initial_signals=case.initial_signals,
+            window=case.window if case.window is not None
+            else DEFAULT_WINDOW))
+    return out
+
+
+def render(goldens: dict) -> str:
+    return json.dumps(goldens, indent=1, sort_keys=True) + "\n"
+
+
+if __name__ == "__main__":
+    goldens = record()
+    PATH.parent.mkdir(parents=True, exist_ok=True)
+    PATH.write_text(render(goldens))
+    n = sum(len(v["passes"]) for v in goldens.values())
+    print(f"recorded {n} passes of {len(goldens)} systems -> {PATH}")

@@ -1,11 +1,15 @@
 """The explicit-state engine: trace extraction and exploration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.statespace import (
     OPAQUE,
     AbstractionError,
     Explorer,
+    ThreadTrace,
+    TraceSystem,
     extract_system,
     extract_traces,
     signal_totals,
@@ -104,7 +108,7 @@ class TestExtraction:
 def _explore(registry, roots, **kw):
     traces, indices = extract_system(roots, registry)
     pending = kw.pop("initial_pending", None)
-    return Explorer(traces, indices, pending, **kw).explore()
+    return Explorer(TraceSystem(traces, indices, pending), **kw).explore()
 
 
 class TestExplorer:
@@ -189,7 +193,8 @@ class TestExplorer:
         reg = _reg(*progs)
         traces, indices = extract_system(
             [(p.name, (1,), {}) for p in progs], reg)
-        res = Explorer(traces, indices, lazy_hosts=frozenset({(0,)}),
+        res = Explorer(TraceSystem(traces, indices),
+                       lazy_hosts=frozenset({(0,)}),
                        max_states=1).explore()
         assert not res.complete
         assert res.reason
@@ -205,3 +210,156 @@ class TestSignalTotals:
                                    reg)
         totals = signal_totals(traces)
         assert totals[((0,), "E", ())] == 1
+
+
+class TestParentGoldens:
+    def test_every_pass_reproduces_byte_for_byte(self):
+        # recorded at the commit before the worklist closure landed:
+        # counters, peaks and full counterexample schedules per pass
+        from . import record_mc_goldens as rec
+
+        assert rec.render(rec.record()) == rec.PATH.read_text()
+
+
+# -- the worklist closure against a rescan-everything oracle -----------------
+
+_HOSTS = ((0,), (1,), (2,))
+_KEYS = tuple((host, f"K{k}", ()) for k, host in enumerate(_HOSTS + _HOSTS[:1]))
+_STUCK = ThreadTrace("stuck", "stuck", (("wait", ((0,), "NEVER", ()), ()),))
+
+_op = st.one_of(
+    st.tuples(st.just("hop"), st.sampled_from(_HOSTS)),
+    st.tuples(st.just("wait"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("signal"), st.sampled_from(_KEYS),
+              st.integers(1, 2)))
+# per thread: its ops, and (if it is a spawned child) who injects it where
+_thread = st.tuples(st.lists(_op, max_size=5),
+                    st.one_of(st.none(), st.integers(0, 4)),
+                    st.integers(0, 5))
+
+
+def _build_system(threads):
+    """ThreadTraces from drawn skeletons; a child's parent has a lower
+    index, so its start place is known by the time it is built."""
+    n = len(threads)
+    parent = [p if p is not None and p < j else None
+              for j, (_ops, p, _at) in enumerate(threads)]
+    start = [(0,)] * n
+    traces = []
+    for i, (skeleton, _p, _at) in enumerate(threads):
+        spawns = {}
+        for j in range(i + 1, n):
+            if parent[j] == i:
+                spawns.setdefault(min(threads[j][2], len(skeleton)),
+                                  []).append(j)
+        place, ops = start[i], []
+        for at, op in enumerate(skeleton + [None]):
+            for child in spawns.get(at, ()):
+                start[child] = place
+                ops.append(("spawn", child, place, ()))
+            if op is None:
+                break
+            if op[0] == "hop":
+                ops.append(("hop", place, op[1], ()))
+                place = op[1]
+            else:
+                ops.append(op + ((),))
+        traces.append(ThreadTrace(f"t{i}", "p", tuple(ops), parent[i]))
+    roots = [i for i in range(n) if parent[i] is None]
+    return traces + [_STUCK], roots + [n]
+
+
+def _first_descent(traces, roots, lazy):
+    """The oracle: close eagerly by rescanning every thread until none
+    moves, take the lowest enabled branch, repeat until stuck."""
+    n = len(traces)
+    waiters: dict = {}
+    for i, t in enumerate(traces):
+        for op in t.ops:
+            if op[0] == "wait":
+                waiters.setdefault(op[1], set()).add(i)
+    pc, transit = [0] * n, [False] * n
+    spawned = [i in roots for i in range(n)]
+    pending: dict = {}
+    steps = []
+
+    def op_of(i):
+        return traces[i].ops[pc[i]] \
+            if spawned[i] and pc[i] < len(traces[i].ops) else None
+
+    def eager(i):
+        op = op_of(i)
+        if op is None:
+            return False
+        if op[0] == "hop":
+            return not transit[i] or op[2] != lazy
+        if op[0] == "wait":
+            return pending.get(op[1], 0) > 0 and len(waiters[op[1]]) == 1
+        return True
+
+    def enabled(i):     # at a closed state
+        op = op_of(i)
+        return op is not None and (
+            transit[i] or (op[0] == "wait" and pending.get(op[1], 0) > 0))
+
+    def step(i):
+        op = op_of(i)
+        action = {"spawn": "inject"}.get(op[0], op[0])
+        if op[0] == "hop":
+            action = "retire" if transit[i] else "send"
+            transit[i] = not transit[i]
+        elif op[0] == "wait":
+            pending[op[1]] -= 1
+        elif op[0] == "signal":
+            pending[op[1]] = pending.get(op[1], 0) + op[2]
+        else:
+            spawned[op[1]] = True
+        if not transit[i]:
+            pc[i] += 1
+        steps.append((traces[i].label, action))
+
+    while True:
+        progress = True
+        while progress:
+            progress = False
+            for i in range(n):
+                if eager(i):
+                    step(i)
+                    progress = True
+        branch = next((i for i in range(n) if enabled(i)), None)
+        if branch is None:
+            return steps
+        step(branch)
+
+
+class TestWorklistClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_thread, min_size=1, max_size=5),
+           st.sampled_from((None,) + _HOSTS))
+    def test_takes_the_rescan_oracles_steps_in_order(self, threads, lazy):
+        # the sentinel thread never finishes, so the first DFS descent
+        # ends in a recorded deadlock whose schedule is every step taken
+        traces, roots = _build_system(threads)
+        res = Explorer(TraceSystem(traces, roots),
+                       lazy_hosts=frozenset([lazy])).explore()
+        assert [(label, action) for label, action, _detail
+                in res.deadlock.steps] == _first_descent(traces, roots, lazy)
+        assert res.closure_visits <= len(traces) + 2 * res.transitions
+
+    @pytest.mark.parametrize("program, g", [("mpi-gentleman", 3),
+                                            ("navp-2d-pipeline", 2)])
+    def test_closure_work_is_linear_in_steps(self, program, g):
+        # rescanning every thread cost ~13 probes per step on these
+        from repro.analysis.protocol_mc import initial_pending
+        from repro.serve.catalog import build_job_suite
+
+        suite, _a, _b = build_job_suite(program, g, seed=0, ab=1)
+        traces, roots = extract_system(
+            [(suite.entry.name, (0, 0), {})],
+            {p.name: p for p in suite.programs})
+        system = TraceSystem(traces, roots,
+                             initial_pending(suite.initial_signals))
+        for lazy in (frozenset(), frozenset([(0, 0)])):
+            res = Explorer(system, lazy_hosts=lazy).explore()
+            assert res.complete
+            assert 0 < res.closure_visits <= 3 * res.transitions

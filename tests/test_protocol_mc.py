@@ -129,6 +129,48 @@ class TestPaperProgramsVerified:
         assert res.stats["reduction_factor"] > 2.0
 
 
+class TestVerdictDeadline:
+    def test_deadline_budgets_the_whole_verdict(self, monkeypatch):
+        # mpi-gentleman g=3 runs pass A plus nine mailbox passes. On a
+        # clock that jumps 2 s per reading, no single pass outlives
+        # 10 s, but the verdict as a whole does
+        from types import SimpleNamespace
+
+        from repro.analysis import protocol_mc, statespace
+        from repro.serve.catalog import admission_verdict
+
+        now = [0.0]
+
+        def monotonic():
+            now[0] += 2.0
+            return now[0]
+
+        clock = SimpleNamespace(monotonic=monotonic)
+        monkeypatch.setattr(protocol_mc, "time", clock)
+        monkeypatch.setattr(statespace, "time", clock)
+        res = admission_verdict.__wrapped__("mpi-gentleman", 3,
+                                            deadline_s=10.0)
+        assert res.status == "INCONCLUSIVE"
+        assert res.detail == ("mailbox@(1, 2) pass capped: "
+                              "verdict deadline exceeded")
+        done = [name for name, p in res.stats["passes"].items()
+                if p["complete"]]
+        assert done == ["interleave", "mailbox@(0, 0)", "mailbox@(0, 1)",
+                        "mailbox@(0, 2)", "mailbox@(1, 0)",
+                        "mailbox@(1, 1)"]
+        # the passes after the one that ran out gave up on entry
+        assert now[0] <= 10.0 + 2.0 * len(res.stats["passes"])
+
+    def test_probe_shape_reads_inconclusive_from_pass_a(self):
+        from repro.serve.catalog import admission_verdict
+
+        res = admission_verdict.__wrapped__("navp-2d-pipeline", 3,
+                                            deadline_s=0.2)
+        assert res.status == "INCONCLUSIVE"
+        assert res.detail.startswith("interleaving pass capped: ")
+        assert list(res.stats["passes"]) == ["interleave"]
+
+
 class TestFig15Finding:
     """The checker's headline: Figure 15 is only deadlock-free by luck.
 
