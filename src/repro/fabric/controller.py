@@ -1,19 +1,32 @@
-"""Controller-side machinery shared by the distributed fabrics.
+"""The controller: one driver loop over a four-verb transport link.
 
-Both :class:`~repro.fabric.process.ProcessFabric` (workers are OS
-processes wired by multiprocessing queues) and
-:class:`~repro.fabric.socket.SocketFabric` (workers are OS processes
-reachable over real TCP) are *controller fabrics*: a supervisor process
-injects IR messengers, routes or observes cross-host hops, journals
-traffic for replay, and collects the final node variables. The pieces
-that do not care which transport carries the bytes live here:
+:class:`~repro.fabric.process.ProcessFabric` (workers behind
+multiprocessing queues), :class:`~repro.fabric.socket.SocketFabric`
+(workers behind real TCP) and the job service's
+:class:`~repro.serve.scheduler.JobRun` (leased warm-pool workers) are
+all *controller fabrics*: a supervisor injects IR messengers, routes
+cross-host hops, journals traffic for replay, and collects the final
+node variables. Like the MESSENGERS daemon, there is exactly one such
+loop, and the network underneath is a detail:
+
+:class:`Controller`
+    The loop itself — seeding (or resuming from a cut bundle), the
+    ``known <= done`` termination wait, journal + credit-gate routing
+    of forwarded hops, fault verdicts, checkpoint cadence and commit,
+    the recovery sequence, and the collect phase. Plain
+    (unsupervised) mode is the same loop run without a
+    :class:`Supervisor`.
+
+:class:`Link`
+    The loop's only view of the transport: *send* a command, *receive*
+    the next event, *replace* a host's worker, *crash* a host.
 
 :class:`ControllerFabric`
-    The setup-side base class — host resolution, fault-plan wiring,
-    ``load``/``signal_initial`` collection, and the IR-only
-    :meth:`~ControllerFabric.inject` capability check (a live generator
-    frame cannot be pickled; an IR continuation can). Both fabrics
-    inherit this instead of duplicating it.
+    The setup-side base class of the two fabrics — host resolution,
+    fault-plan wiring, ``load``/``signal_initial``/``inject``
+    collection (IR messengers only: a live generator frame cannot be
+    pickled; an IR continuation can) and the thin ``run()`` that opens
+    the link, drives the loop and wraps the result.
 
 :class:`WorkerCore`
     The execution engine of one worker host: node variables, event
@@ -23,43 +36,47 @@ that do not care which transport carries the bytes live here:
     host) and ``emit_report`` (a control message for the controller) —
     and feeds commands in through :meth:`~WorkerCore.handle`.
 
-:class:`Supervisor`
-    The resilient controller's bookkeeping: the per-host
+:class:`Supervisor`, :class:`CreditGate`, :func:`hop_fault_verdict`
+    The loop's bookkeeping: the per-host
     :class:`~repro.resilience.recovery.ReplayLedger`, committed
-    checkpoint states, checkpoint marks (journal truncation points),
-    and the respawn budget.
+    checkpoint states and marks, the respawn budget; per-destination
+    credit windows with hop coalescing; and one shared interpretation
+    of message faults, so a plan's drop/duplicate/delay specs mean the
+    same thing on a multiprocessing queue and on a TCP frame.
 
-:func:`hop_fault_verdict`
-    One shared interpretation of message faults at the wire layer, so a
-    fault plan's drop/duplicate/delay specs mean the same thing on a
-    multiprocessing queue and on a TCP frame.
-
-The command vocabulary between controller and worker is also shared
-(``register`` / ``load`` / ``signal0`` / ``run`` / ``ckpt`` /
-``restore`` / ``collect`` / ``stop``), which is what lets the journal
-and checkpoint machinery replay identically over either transport.
+The command vocabulary between controller and worker is shared too
+(``register`` / ``load`` / ``signal0`` / ``run`` / ``runs`` / ``ckpt``
+/ ``restore`` / ``collect`` / ``stop``), which is what lets the journal
+and checkpoint machinery replay identically over every transport.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from collections import defaultdict, deque
 
-from ..errors import (ConfigurationError, FabricError, MigrationError,
-                      ResilienceError)
+from ..errors import (ConfigurationError, DeadlockError, FabricError,
+                      MigrationError, ResilienceError)
 from ..machine.presets import SUN_BLADE_100
 from ..navp import ir
 from ..navp.interp import Interp
 from ..navp.kernels import get_kernel
 from ..navp.messenger import Messenger
-from ..resilience.faults import FaultPlan
+from ..resilience.faults import STATS as FAULT_STATS
+from ..resilience.faults import FaultPlan, PlanRuntime
 from ..resilience.faults import ambient as ambient_faults
 from ..resilience.recovery import RecoveryPolicy, ReplayLedger
+from . import payload as payload_mod
 from .hosts import host_count, resolve_hosts
+from .sim import FabricResult
 from .trace import TraceLog
 
 __all__ = [
+    "Controller",
     "ControllerFabric",
     "CreditGate",
+    "Link",
     "WorkerCore",
     "Supervisor",
     "hop_fault_verdict",
@@ -331,13 +348,14 @@ class Supervisor:
 
     Owns the replay journal, the last committed checkpoint state per
     host, the checkpoint marks (how much journal a committed checkpoint
-    retires), and the respawn budget. The controller loop stays in the
-    fabric — it is transport-specific — but every decision about *what*
-    to replay and *whether* a respawn is allowed lives here.
+    retires), and the respawn budget: every decision about *what* to
+    replay and *whether* a respawn is allowed lives here, and
+    :class:`Controller` — the one loop, whatever the transport — acts
+    on it.
     """
 
     __slots__ = ("ledger", "recovery", "max_restarts", "restarts",
-                 "ckpt_state", "_ckpt_marks", "_ckpt_seq",
+                 "ckpt_state", "_ckpt_marks", "_ckpt_seq", "_retired",
                  "forwards_since_ckpt")
 
     def __init__(self, recovery: RecoveryPolicy, max_restarts: int):
@@ -346,8 +364,9 @@ class Supervisor:
         self.max_restarts = max_restarts
         self.restarts: dict = defaultdict(int)   # host -> respawn count
         self.ckpt_state: dict = {}               # host -> committed state
-        self._ckpt_marks: dict = {}              # ckpt id -> {host: length}
+        self._ckpt_marks: dict = {}              # ckpt id -> {host: position}
         self._ckpt_seq = 0
+        self._retired: dict = defaultdict(int)   # host -> entries truncated
         self.forwards_since_ckpt = 0
 
     def journal(self, host, cmd) -> None:
@@ -360,18 +379,26 @@ class Supervisor:
         """Open a coordinated checkpoint; returns its id. The caller
         sends the ``("ckpt", id)`` marker to every host."""
         self._ckpt_seq += 1
+        # marks are positions in the host's whole journal, not lengths
+        # of what is left of it: a cut may open before an earlier one
+        # has committed (and truncated)
         self._ckpt_marks[self._ckpt_seq] = {
-            h: len(self.ledger.entries(h)) for h in hosts}
+            h: self._retired[h] + len(self.ledger.entries(h))
+            for h in hosts}
         self.forwards_since_ckpt = 0
         return self._ckpt_seq
 
     def commit_checkpoint(self, host, ckpt_id, state) -> None:
         """A host answered a marker: keep its state, retire the journal
         entries the checkpoint now covers."""
-        self.ckpt_state[host] = state
         marks = self._ckpt_marks.get(ckpt_id)
         if marks is not None and host in marks:
-            self.ledger.truncate(host, marks.pop(host))
+            covered = marks.pop(host) - self._retired[host]
+            if covered < 0:
+                return  # older than a cut this host already committed
+            self.ledger.truncate(host, covered)
+            self._retired[host] += covered
+        self.ckpt_state[host] = state
 
     def authorize_respawn(self, host) -> int:
         """Check policy and budget; returns the restart ordinal."""
@@ -419,7 +446,335 @@ def hop_fault_verdict(runtime, dst_host, recovery_enabled: bool):
     return "delay", spec
 
 
-class ControllerFabric:
+class Link:
+    """The controller loop's only view of the transport: four verbs.
+
+    Hosts are the job-local indices ``0 .. n_hosts-1``. Liveness and
+    the poll interval belong to the link — ``Process.is_alive()`` on
+    multiprocessing queues, phi-accrual heartbeats + EOF + generation
+    fencing on fabric-owned sockets, the service monitor's
+    ``respawned`` post on leased pool connections. A report the loop
+    does not own (transport stats, hop logs, barrier acks) never
+    leaves the link: it is consumed inside :meth:`receive`.
+    """
+
+    def send(self, host, cmd: tuple) -> None:
+        """Deliver one command to ``host`` — FIFO per host, silently
+        dropped toward a dead worker (the journal owns redelivery)."""
+        raise NotImplementedError
+
+    def receive(self, timeout: float):
+        """Block for the next event, at most one poll interval and
+        never past ``timeout``: a worker report tuple, ``("lost",
+        host)`` once the host's worker is gone, or None for a tick."""
+        raise NotImplementedError
+
+    def replace(self, host) -> None:
+        """Put a fresh worker — programs registered, node state empty
+        — behind ``host``; whatever the old one still sends is fenced
+        off."""
+        raise NotImplementedError
+
+    def crash(self, host) -> bool:
+        """SIGKILL ``host``'s worker for a ``Crash`` spec (fabrics
+        only); False when it is already dead."""
+        raise NotImplementedError
+
+
+class Controller:
+    """The controller loop: inject, route a hop, account for children,
+    recover, collect — over any :class:`Link`.
+
+    Termination uses parental accounting: every completion report
+    names the children the messenger injected, so the run is over when
+    ``known <= done`` — correct under arbitrary report reordering,
+    since a parent's report both introduces and is required for its
+    children.
+
+    With a :class:`Supervisor` every command is journaled per host,
+    forwarded hops pass the fault plan and the credit gate, a cut is
+    taken every ``checkpoint_every`` forwards, and a lost host is
+    recovered — in the run *and* the collect phase — by authorize →
+    replace → restore → gate reset → journal replay → pump; the
+    workers' ``(mid, hops)`` dedup makes the at-least-once replay
+    exactly-once. Without one (plain mode) it is the same loop:
+    nothing is journaled, workers ship hops peer to peer so none
+    arrives here, and a lost host is a :class:`FabricError`.
+
+    ``note(place, actor, kind, text, src_place, nbytes)`` records a
+    trace event; ``hint()`` is appended to a timeout message;
+    ``on_cut(cid, bundle)`` receives, once every host has committed
+    checkpoint ``cid``, the bundle a fresh controller can ``resume``
+    from: per-host states, each host's journal suffix (the
+    controller→worker channel state the cut does not cover) and
+    ``known``/``done`` — consistent because reports are FIFO per
+    worker, so every ``done`` a host sent before answering the marker
+    is already folded in.
+    """
+
+    def __init__(self, link: Link, name: str, n_hosts: int, host_of,
+                 timeout: float, *, sup: Supervisor | None = None,
+                 runtime: PlanRuntime | None = None,
+                 window=math.inf, coalesce: int = 1,
+                 checkpoint_every: int | None = None,
+                 note=None, hint=None, on_cut=None):
+        self.link = link
+        self.name = name
+        self.n_hosts = n_hosts
+        self.host_of = host_of
+        self.timeout = timeout
+        self.sup = sup
+        self.runtime = runtime
+
+        def emit(h, batch):
+            link.send(h, ("run", batch[0]) if len(batch) == 1
+                      else ("runs", batch))
+
+        # `emit` closes over the link only: a bound method here would
+        # tie controller and gate into a reference cycle, and the
+        # journal and collected blocks they hold would outlive the run
+        # until the cyclic collector got round to them
+        self.gate = CreditGate(window, coalesce, emit)
+        self.checkpoint_every = checkpoint_every
+        self.note = note
+        self.hint = hint
+        self.on_cut = on_cut
+        self.known: set = set()
+        self.done: set = set()
+        self.places: dict = {}
+        self.lost: list = []            # casualties (drops, no recovery)
+        self._collected: set = set()    # hosts whose vars are in
+        self._collect_due: set = set()  # collect held behind a replay
+        self._collecting = False
+        self._commits: dict = {}        # ckpt id -> hosts committed
+
+    # -- outbound ------------------------------------------------------
+    def _send(self, h, cmd) -> None:
+        """Journal + deliver one setup command."""
+        if self.sup is not None:
+            self.sup.journal(h, cmd)
+        self.link.send(h, cmd)
+
+    def _forward(self, h, task) -> None:
+        """Journal one continuation, then queue it at the gate."""
+        if self.sup is not None:
+            self.sup.journal(h, ("run", task))
+        self.gate.push(h, task)
+
+    def _replay(self, h, cmds, journal: bool) -> None:
+        """Re-deliver journaled commands; hops re-coalesce at the gate
+        exactly as they first did."""
+        for cmd in cmds:
+            if journal:
+                self.sup.journal(h, cmd)
+            if cmd[0] == "run":
+                self.gate.push(h, cmd[1], flush=False)
+            else:
+                self.link.send(h, cmd)
+        self.gate.pump(h)
+
+    def _ask_collect(self, h) -> None:
+        # a replay longer than the credit window is still draining
+        # through the gate: `collect` must not overtake it
+        if self.gate.pending[h]:
+            self._collect_due.add(h)    # asked again as credits return
+        else:
+            self._collect_due.discard(h)
+            self.link.send(h, ("collect",))
+
+    # -- the run -------------------------------------------------------
+    def run(self, loads=(), signals=(), entries=(), resume=None) -> dict:
+        """Seed the hosts — ``loads`` ``(coord, vars)``, ``signals``
+        ``(coord, name, args, count)``, ``entries`` ``(mid, coord,
+        program, env)``, or a ``resume`` bundle instead of all three —
+        and drive to completion; returns ``{coord: node vars}``."""
+        host_of = self.host_of
+        self._t0 = time.perf_counter()
+        self._deadline = time.monotonic() + self.timeout
+        if resume is not None:
+            # restore every host to the bundled cut and re-journal +
+            # replay each suffix; the cores' dedup absorbs whatever
+            # the replay re-delivers
+            self.known.update(resume["known"])
+            self.done.update(resume["done"])
+            for h, state in resume["states"].items():
+                if state is not None:
+                    self.sup.ckpt_state[h] = state
+                    self.link.send(h, ("restore", state))
+            for h, cmds in resume["journal"].items():
+                self._replay(h, cmds, journal=True)
+        else:
+            for coord, node_vars in loads:
+                self._send(host_of[coord], ("load", coord, node_vars))
+            for signal in signals:
+                self._send(host_of[signal[0]], ("signal0", signal))
+            for mid, coord, program, env in entries:
+                self.known.add(mid)
+                self._forward(host_of[coord], (
+                    mid, [], 0, coord,
+                    Interp(program, env).agent_snapshot(), 0))
+        known, done = self.known, self.done
+        while not known <= done:
+            self._step()
+        self._collecting = True
+        for h in range(self.n_hosts):
+            self._ask_collect(h)
+        while len(self._collected) < self.n_hosts:
+            self._step()
+        return self.places
+
+    def _step(self) -> None:
+        """Wait for one event and act on it."""
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise self._timed_out()
+        runtime = self.runtime
+        if runtime is not None and runtime.pending_crashes():
+            # fire due crash specs: a crash is a real SIGKILL
+            for _spec, h in runtime.due_crashes(
+                    time.perf_counter() - self._t0):
+                if self.link.crash(h):
+                    FAULT_STATS["fired"] += 1
+                    self._note(h, "fault-injector", "fault",
+                               f"worker {h} SIGKILLed")
+        msg = self.link.receive(remaining)
+        if msg is None:
+            return
+        op = msg[0]
+        if op == "credit":
+            self.gate.credit(msg[1])
+            if msg[1] in self._collect_due:
+                self._ask_collect(msg[1])
+        elif op == "hop":
+            self._route(msg[1], msg[2], msg[3])
+        elif op == "done":
+            # sets: a replayed messenger's repeated report is absorbed
+            self.done.add(msg[1])
+            self.known.update(msg[2])
+        elif op == "ckpt":
+            # a cut that only commits after the last `done` guards no
+            # work: not worth a truncation, let alone a saved bundle
+            if not self._collecting:
+                self._commit(msg[1], msg[2], msg[3])
+        elif op == "vars":
+            self._collected.add(msg[1])
+            self.places.update(msg[2])
+        elif op == "lost":
+            self._recover(msg[1])
+        elif op == "error":
+            raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
+        else:  # pragma: no cover - protocol is closed
+            raise FabricError(f"unknown worker report {op!r}")
+
+    def _timed_out(self) -> DeadlockError:
+        if self._collecting:
+            missing = sorted(set(range(self.n_hosts)) - self._collected)
+            what = f"collecting results, host(s) {missing} missing"
+        else:
+            what = f"{len(self.known - self.done)} messenger(s) unaccounted"
+        respawns = sum(self.sup.restarts.values()) if self.sup else 0
+        casualties = (
+            "; fault injection destroyed messenger(s) with recovery "
+            "disabled: " + ", ".join(self.lost) if self.lost else "")
+        return DeadlockError(
+            f"{self.name} timed out; {what} ({respawns} respawn(s))"
+            f"{casualties}{self.hint() if self.hint else ''}")
+
+    def _note(self, place, actor, kind, text, src=None, nbytes=0) -> None:
+        if self.note is not None:
+            self.note(place, actor, kind, text, src, nbytes)
+
+    # -- hops, faults, checkpoints -------------------------------------
+    def _route(self, src, dst, task) -> None:
+        """Forward one cross-host hop a worker handed up."""
+        sup = self.sup
+        if self.runtime is not None:
+            verdict, spec = hop_fault_verdict(self.runtime, dst,
+                                              sup.recovery.enabled)
+            if verdict != "deliver" and not self._inject_fault(
+                    verdict, spec, src, dst, task):
+                return
+        self._forward(dst, task)
+        if self.note is not None:
+            self.note(dst, task[0], "hop", "hop", src,
+                      payload_mod.encoded_nbytes(task))
+        sup.note_forward()
+        if (self.checkpoint_every is not None
+                and sup.forwards_since_ckpt >= self.checkpoint_every):
+            cid = sup.begin_checkpoint(range(self.n_hosts))
+            for h in range(self.n_hosts):
+                self.link.send(h, ("ckpt", cid))
+
+    def _inject_fault(self, verdict, spec, src, dst, task) -> bool:
+        """Act out a non-deliver verdict; False: the hop is gone."""
+        mid = task[0]
+        FAULT_STATS["fired"] += 1
+        if verdict == "lost":
+            FAULT_STATS["lost"] += 1
+            self.lost.append(mid)
+            if self.note is not None:
+                self.note(dst, mid, "fault", "hop dropped (lost)", src,
+                          payload_mod.encoded_nbytes(task))
+            return False  # the continuation in it was the only copy
+        FAULT_STATS["masked"] += 1
+        if verdict == "retransmit":
+            self._note(dst, mid, "fault", "hop dropped (retransmitting)",
+                       src)
+            self._note(dst, mid, "retry", "hop redelivered", src)
+        elif verdict == "duplicate":
+            self._note(dst, mid, "fault", "hop duplicated (dedup masks)",
+                       src)
+            self._forward(dst, task)  # the extra copy
+        else:
+            self._note(dst, mid, "fault", f"hop delayed {spec.seconds}s",
+                       src)
+            time.sleep(min(spec.seconds, 0.1))
+        return True
+
+    def _commit(self, h, cid, state) -> None:
+        self.sup.commit_checkpoint(h, cid, state)
+        self._note(h, "supervisor", "checkpoint", f"ckpt {cid}")
+        if self.on_cut is None:
+            return
+        committed = self._commits.setdefault(cid, set())
+        committed.add(h)
+        if len(committed) == self.n_hosts:
+            del self._commits[cid]
+            hosts = range(self.n_hosts)
+            self.on_cut(cid, {
+                "cid": cid,
+                "states": {x: self.sup.ckpt_state.get(x) for x in hosts},
+                "journal": {x: self.sup.ledger.entries(x) for x in hosts},
+                "known": set(self.known),
+                "done": set(self.done),
+            })
+
+    # -- recovery ------------------------------------------------------
+    def _recover(self, h) -> None:
+        """Bring ``h`` back: a fresh worker, its last committed state,
+        then everything journaled since."""
+        sup = self.sup
+        if sup is None:
+            raise FabricError(
+                f"{self.name}: worker {h} lost and this run has no "
+                f"supervision; pass supervise=True or a fault plan for "
+                f"recovery")
+        ordinal = sup.authorize_respawn(h)
+        FAULT_STATS["masked"] += 1
+        self.link.replace(h)
+        state, replay = sup.recovery_script(h)
+        if state is not None:
+            self.link.send(h, ("restore", state))
+        self.gate.reset(h)  # every queued payload is in the journal
+        self._replay(h, replay, journal=False)
+        if self._collecting:
+            self._ask_collect(h)
+        self._note(h, "supervisor", "respawn",
+                   f"worker {h} respawned (restart {ordinal}, replay "
+                   f"{len(replay)} cmd(s))")
+
+
+class ControllerFabric(Link):
     """Setup-side base class of the process and socket fabrics.
 
     Collects loads, initial signals, and injected IR programs until
@@ -427,8 +782,15 @@ class ControllerFabric:
     the one capability check both fabrics need: only IR messengers may
     be injected, because these fabrics ship continuations between
     address spaces on every hop and a live generator frame cannot be
-    pickled.
+    pickled. A subclass is the :class:`Link` of its own runs: it adds
+    the four verbs plus ``_open`` / ``_close`` (fork and reap the
+    workers), and :meth:`run` drives the shared :class:`Controller`
+    over it.
     """
+
+    #: flow control toward a worker (the socket fabric overrides both)
+    window: int | None = None
+    coalesce = 1
 
     def __init__(
         self,
@@ -465,6 +827,56 @@ class ControllerFabric:
         self.resilient = bool(self._plan) or bool(supervise) or (
             checkpoint_every is not None)
         self._sup = Supervisor(self._recovery, max_restarts)
+        self.lost: list = []   # messengers destroyed by drops, no recovery
+        self._t0 = 0.0
+
+    # -- execution -----------------------------------------------------
+    def run(self) -> FabricResult:
+        if not self._initial:
+            raise FabricError("no messengers injected")
+        self._t0 = time.perf_counter()
+        ctl = Controller(
+            self, f"{self.kind} fabric", self.n_hosts, self._host_of,
+            self.timeout,
+            sup=self._sup if self.resilient else None,
+            runtime=(PlanRuntime(self._plan, self._resolve_host)
+                     if self.resilient else None),
+            window=self.window or math.inf, coalesce=self.coalesce,
+            checkpoint_every=self._checkpoint_every,
+            note=self._note if self.trace.enabled else None,
+            hint=lambda: self._mc_hint(self.window))
+        self.lost = ctl.lost
+        entries = []
+        for coord, name, env in self._initial:
+            entries.append((f"m{self._counter}", coord, name, env))
+            self._counter += 1
+        try:
+            # opening inside the try: a spawn failure midway must not
+            # leave the already-started workers orphaned
+            self._open()
+            places = ctl.run(
+                [(c, self._loads[c]) for c in self.topology.coords
+                 if self._loads[c]],
+                self._signals, entries)
+        finally:
+            self._close()
+        return FabricResult(time=time.perf_counter() - self._t0,
+                            trace=self.trace, places=places)
+
+    def _coords_of(self, host) -> list:
+        return [c for c in self.topology.coords if self._host_of[c] == host]
+
+    def _note(self, place, actor, kind, text, src=None, nbytes=0) -> None:
+        now = time.perf_counter() - self._t0
+        self.trace.record(t0=now, t1=now, place=place, actor=actor,
+                          kind=kind, note=text, src_place=src,
+                          nbytes=nbytes)
+
+    def _note_hops(self, hop_log) -> None:
+        """A plain-mode worker's ``(src, dst, nbytes, mid)`` hop log,
+        shipped with its collect reply."""
+        for src, dst, nbytes, mid in hop_log:
+            self._note(dst, mid, "hop", "hop", src, nbytes)
 
     @property
     def restarts(self) -> dict:

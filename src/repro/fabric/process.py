@@ -12,15 +12,15 @@ start-up, like compiled messenger code loaded by each daemon.
 Only IR messengers run here: CPython cannot pickle a live generator
 frame, and the IR interpreter's explicit continuation is the honest
 equivalent of MESSENGERS' compiled resumption points (see DESIGN.md).
-The worker execution engine and the setup-side API are shared with the
-TCP-transport :class:`~repro.fabric.socket.SocketFabric` — see
-:mod:`repro.fabric.controller`.
-
-Termination uses parental accounting: every messenger's completion
-report names the children it injected; the controller is done when the
-set of known messengers equals the set of completed ones — correct
-under arbitrary report reordering across queues, since a parent's
-report both introduces and is required for its children.
+The worker execution engine, the setup-side API and the controller
+loop itself (:class:`~repro.fabric.controller.Controller`) are shared
+with the TCP-transport :class:`~repro.fabric.socket.SocketFabric` —
+this module is only the multiprocessing :class:`~repro.fabric.
+controller.Link`: one inbound queue per worker, one shared report
+queue, ``Process.is_alive()`` for liveness (checked whenever the
+report queue runs dry, so a dying worker's last reports — its error,
+above all — are read first), a fresh queue + fork + ``register`` to
+replace a worker, ``SIGKILL`` to crash one.
 
 Resilient mode
 --------------
@@ -59,16 +59,9 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import signal
-import time
 
-from ..errors import DeadlockError, FabricError
-from ..resilience.faults import STATS as FAULT_STATS
-from ..resilience.faults import PlanRuntime
-from ..navp.interp import Interp
 from . import payload as payload_mod
-from .controller import (ControllerFabric, WorkerCore, hop_fault_verdict,
-                         reap_workers)
-from .sim import FabricResult
+from .controller import ControllerFabric, WorkerCore, reap_workers
 
 __all__ = ["ProcessFabric"]
 
@@ -95,7 +88,7 @@ def _worker(host, coords, host_of, in_queue, host_queues, report_queue,
         host_queues[dst_host].put(("run", payload))
 
     def emit_report(msg):
-        if tracing and msg[0] == "vars":
+        if hop_log and msg[0] == "vars":
             report_queue.put(("hoplog", host, hop_log))
         report_queue.put(msg)
 
@@ -120,326 +113,66 @@ class ProcessFabric(ControllerFabric):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._ctx = mp.get_context("fork")
+        self._reports = None
+        self._queues: dict = {}     # host -> its worker's inbound queue
+        self._workers: dict = {}    # host -> Process
 
-    # -- execution --------------------------------------------------------
-    def run(self) -> FabricResult:
-        if not self._initial:
-            raise FabricError("no messengers injected")
-        if self.resilient:
-            return self._run_resilient()
-        return self._run_plain()
+    def _open(self) -> None:
+        hosts = range(self.n_hosts)
+        self._reports = self._ctx.Queue()
+        # every queue exists before the first fork: plain-mode workers
+        # inherit the whole table and write their peers directly
+        self._queues = {h: self._ctx.Queue() for h in hosts}
+        for h in hosts:
+            self._spawn(h)
 
-    def _record_hop(self, now, src, dst, nbytes, mid) -> None:
-        self.trace.record(t0=now, t1=now, place=dst, actor=mid,
-                          kind="hop", note="hop", src_place=src,
-                          nbytes=nbytes)
+    def _spawn(self, h) -> None:
+        worker = self._ctx.Process(
+            target=_worker,
+            args=(h, self._coords_of(h), self._host_of, self._queues[h],
+                  None if self.resilient else self._queues, self._reports,
+                  self.resilient, self.trace.enabled),
+            daemon=True, name=f"host{h}")
+        worker.start()
+        self._workers[h] = worker
+        self.send(h, ("register", list(self._programs.values())))
 
-    def _run_plain(self) -> FabricResult:
-        t0 = time.perf_counter()
-        tracing = self.trace.enabled
-        coords = list(self.topology.coords)
-        host_queues = {h: self._ctx.Queue() for h in range(self.n_hosts)}
-        report_queue = self._ctx.Queue()
-        coords_of_host = {
-            h: [c for c in coords if self._host_of[c] == h]
-            for h in range(self.n_hosts)
-        }
-        workers = [
-            self._ctx.Process(
-                target=_worker,
-                args=(h, coords_of_host[h], self._host_of, host_queues[h],
-                      host_queues, report_queue, False, tracing),
-                daemon=True,
-                name=f"host{h}",
-            )
-            for h in range(self.n_hosts)
-        ]
-        for w in workers:
-            w.start()
+    def _close(self) -> None:
+        for h in self._workers:
+            try:
+                self.send(h, ("stop",))
+            except Exception:  # pragma: no cover - shutdown races
+                pass
+        reap_workers(self._workers.values())
+
+    # -- the link verbs ------------------------------------------------
+    def send(self, host, cmd) -> None:
+        self._queues[host].put(cmd)
+
+    def receive(self, timeout):
         try:
-            programs = list(self._programs.values())
-            for h in range(self.n_hosts):
-                host_queues[h].put(("register", programs))
-            for c in coords:
-                if self._loads[c]:
-                    host_queues[self._host_of[c]].put(
-                        ("load", c, self._loads[c]))
-            for coord, name, args, count in self._signals:
-                host_queues[self._host_of[coord]].put(
-                    ("signal0", (coord, name, args, count)))
+            msg = self._reports.get(timeout=min(timeout, 0.2))
+        except queue_mod.Empty:
+            for h, worker in self._workers.items():
+                if not worker.is_alive():
+                    return ("lost", h)
+            return None
+        if msg[0] == "hoplog":
+            self._note_hops(msg[2])
+            return None
+        return msg
 
-            known: set = set()
-            done: set = set()
-            for coord, name, env in self._initial:
-                mid = f"m{self._counter}"
-                self._counter += 1
-                known.add(mid)
-                host_queues[self._host_of[coord]].put(("run", (
-                    mid, [], 0, coord,
-                    Interp(name, env).agent_snapshot(), 0,
-                )))
+    def replace(self, host) -> None:
+        old = self._workers[host]
+        if old.is_alive():  # pragma: no cover - defensive
+            old.terminate()
+        old.join(timeout=5.0)
+        self._queues[host] = self._ctx.Queue()
+        self._spawn(host)
 
-            deadline = time.monotonic() + self.timeout
-            while not known <= done:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"process fabric timed out; "
-                        f"{len(known - done)} messenger(s) unaccounted"
-                        f"{self._mc_hint()}"
-                    )
-                try:
-                    msg = report_queue.get(timeout=min(remaining, 1.0))
-                except queue_mod.Empty:
-                    continue
-                if msg[0] == "error":
-                    raise FabricError(
-                        f"worker {msg[1]} failed: {msg[2]}")
-                if msg[0] == "done":
-                    done.add(msg[1])
-                    known.update(msg[2])
-
-            for h in range(self.n_hosts):
-                host_queues[h].put(("collect",))
-            places: dict = {}
-            hosts_seen: set = set()
-            while len(hosts_seen) < self.n_hosts:
-                msg = report_queue.get(timeout=self.timeout)
-                if msg[0] == "error":
-                    raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
-                if msg[0] == "hoplog":
-                    now = time.perf_counter() - t0
-                    for src, dst, nbytes, mid in msg[2]:
-                        self._record_hop(now, src, dst, nbytes, mid)
-                elif msg[0] == "vars":
-                    hosts_seen.add(msg[1])
-                    places.update(msg[2])
-        finally:
-            for h in range(self.n_hosts):
-                try:
-                    host_queues[h].put(("stop",))
-                except Exception:  # pragma: no cover - shutdown races
-                    pass
-            reap_workers(workers)
-        return FabricResult(
-            time=time.perf_counter() - t0,
-            trace=self.trace,
-            places=places,
-        )
-
-    def _run_resilient(self) -> FabricResult:
-        """The supervised twin of :meth:`_run_plain` (see the module
-        docstring for the protocol)."""
-        t0 = time.perf_counter()
-        runtime = PlanRuntime(self._plan, self._resolve_host)
-        sup = self._sup
-        tracing = self.trace.enabled
-        coords = list(self.topology.coords)
-        report_queue = self._ctx.Queue()
-        coords_of_host = {
-            h: [c for c in coords if self._host_of[c] == h]
-            for h in range(self.n_hosts)
-        }
-        programs = list(self._programs.values())
-        workers: dict = {}
-        host_queues: dict = {}
-
-        def spawn(h):
-            q = self._ctx.Queue()
-            w = self._ctx.Process(
-                target=_worker,
-                args=(h, coords_of_host[h], self._host_of, q, None,
-                      report_queue, True),
-                daemon=True, name=f"host{h}",
-            )
-            w.start()
-            workers[h] = w
-            host_queues[h] = q
-            q.put(("register", programs))
-            return w
-
-        def send(h, cmd):
-            sup.journal(h, cmd)
-            host_queues[h].put(cmd)
-
-        def respawn(h):
-            sup.authorize_respawn(h)
-            FAULT_STATS["masked"] += 1
-            old = workers[h]
-            if old.is_alive():  # pragma: no cover - defensive
-                old.terminate()
-            old.join(timeout=5.0)
-            spawn(h)
-            state, replay = sup.recovery_script(h)
-            if state is not None:
-                host_queues[h].put(("restore", state))
-            for cmd in replay:
-                host_queues[h].put(cmd)
-            if tracing:
-                now = time.perf_counter() - t0
-                self.trace.record(
-                    t0=now, t1=now, place=h, actor="supervisor",
-                    kind="respawn",
-                    note=f"worker {h} respawned "
-                         f"(restart {self.restarts[h]}, replay "
-                         f"{len(replay)} cmd(s))")
-
-        def checkpoint_all():
-            cid = sup.begin_checkpoint(range(self.n_hosts))
-            for h in range(self.n_hosts):
-                host_queues[h].put(("ckpt", cid))
-
-        try:
-            # spawning inside the try: a spawn failure midway must not
-            # leave the already-started workers orphaned
-            for h in range(self.n_hosts):
-                spawn(h)
-            for c in coords:
-                if self._loads[c]:
-                    send(self._host_of[c], ("load", c, self._loads[c]))
-            for coord, name, args, count in self._signals:
-                send(self._host_of[coord],
-                     ("signal0", (coord, name, args, count)))
-            known: set = set()
-            done: set = set()
-            for coord, name, env in self._initial:
-                mid = f"m{self._counter}"
-                self._counter += 1
-                known.add(mid)
-                send(self._host_of[coord], ("run", (
-                    mid, [], 0, coord,
-                    Interp(name, env).agent_snapshot(), 0,
-                )))
-
-            deadline = time.monotonic() + self.timeout
-            while not known <= done:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"process fabric timed out; "
-                        f"{len(known - done)} messenger(s) unaccounted "
-                        f"({sum(self.restarts.values())} respawn(s))"
-                        f"{self._mc_hint()}"
-                    )
-                # fire due crash specs: a crash is a real SIGKILL
-                if runtime.pending_crashes():
-                    now = time.perf_counter() - t0
-                    for spec, h in runtime.due_crashes(now):
-                        w = workers[h]
-                        if w.is_alive():
-                            FAULT_STATS["fired"] += 1
-                            os.kill(w.pid, signal.SIGKILL)
-                            if tracing:
-                                self.trace.record(
-                                    t0=now, t1=now, place=h,
-                                    actor="fault-injector", kind="fault",
-                                    note=f"worker {h} SIGKILLed")
-                # supervise: any dead worker is respawned and replayed
-                for h, w in list(workers.items()):
-                    if not w.is_alive():
-                        respawn(h)
-                try:
-                    msg = report_queue.get(timeout=min(remaining, 0.2))
-                except queue_mod.Empty:
-                    continue
-                op = msg[0]
-                if op == "error":
-                    raise FabricError(
-                        f"worker {msg[1]} failed: {msg[2]}")
-                if op == "done":
-                    done.add(msg[1])
-                    known.update(msg[2])
-                elif op == "hop":
-                    _, src_host, dst_host, payload = msg
-                    verdict, spec = hop_fault_verdict(
-                        runtime, dst_host, self._recovery.enabled)
-                    now = time.perf_counter() - t0
-                    if verdict == "lost":
-                        FAULT_STATS["fired"] += 1
-                        FAULT_STATS["lost"] += 1
-                        if tracing:
-                            self.trace.record(
-                                t0=now, t1=now, place=dst_host,
-                                actor=payload[0], kind="fault",
-                                note="hop dropped (lost)",
-                                src_place=src_host,
-                                nbytes=payload_mod.encoded_nbytes(
-                                    payload))
-                        continue  # the continuation is gone
-                    if verdict == "retransmit":
-                        FAULT_STATS["fired"] += 1
-                        FAULT_STATS["masked"] += 1
-                        if tracing:
-                            self.trace.record(
-                                t0=now, t1=now, place=dst_host,
-                                actor=payload[0], kind="fault",
-                                note="hop dropped (retransmitting)",
-                                src_place=src_host)
-                            self.trace.record(
-                                t0=now, t1=now, place=dst_host,
-                                actor=payload[0], kind="retry",
-                                note="hop redelivered",
-                                src_place=src_host)
-                    elif verdict == "duplicate":
-                        FAULT_STATS["fired"] += 1
-                        FAULT_STATS["masked"] += 1
-                        if tracing:
-                            self.trace.record(
-                                t0=now, t1=now, place=dst_host,
-                                actor=payload[0], kind="fault",
-                                note="hop duplicated (dedup masks)",
-                                src_place=src_host)
-                        send(dst_host, ("run", payload))  # the extra copy
-                    elif verdict == "delay":
-                        FAULT_STATS["fired"] += 1
-                        FAULT_STATS["masked"] += 1
-                        if tracing:
-                            self.trace.record(
-                                t0=now, t1=now, place=dst_host,
-                                actor=payload[0], kind="fault",
-                                note=f"hop delayed {spec.seconds}s",
-                                src_place=src_host)
-                        time.sleep(min(spec.seconds, 0.1))
-                    send(dst_host, ("run", payload))
-                    if tracing:
-                        self._record_hop(
-                            now, src_host, dst_host,
-                            payload_mod.encoded_nbytes(payload),
-                            payload[0])
-                    sup.note_forward()
-                    if (self._checkpoint_every is not None
-                            and sup.forwards_since_ckpt
-                            >= self._checkpoint_every):
-                        checkpoint_all()
-                elif op == "ckpt":
-                    _, h, cid, state = msg
-                    sup.commit_checkpoint(h, cid, state)
-                    if tracing:
-                        now = time.perf_counter() - t0
-                        self.trace.record(
-                            t0=now, t1=now, place=h, actor="supervisor",
-                            kind="checkpoint", note=f"ckpt {cid}")
-
-            for h in range(self.n_hosts):
-                host_queues[h].put(("collect",))
-            places: dict = {}
-            hosts_seen: set = set()
-            while len(hosts_seen) < self.n_hosts:
-                msg = report_queue.get(timeout=self.timeout)
-                if msg[0] == "error":
-                    raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
-                if msg[0] == "vars":
-                    hosts_seen.add(msg[1])
-                    places.update(msg[2])
-        finally:
-            for h, q in host_queues.items():
-                try:
-                    q.put(("stop",))
-                except Exception:  # pragma: no cover - shutdown races
-                    pass
-            reap_workers(workers.values())
-        return FabricResult(
-            time=time.perf_counter() - t0,
-            trace=self.trace,
-            places=places,
-        )
+    def crash(self, host) -> bool:
+        worker = self._workers[host]
+        if not worker.is_alive():
+            return False
+        os.kill(worker.pid, signal.SIGKILL)
+        return True

@@ -56,20 +56,30 @@ arrivals per hop (soft deadlines: the frame is still delivered),
 surfaced via :meth:`~repro.fabric.trace.TraceLog.deadline_misses`.
 
 **Recovery.** In resilient mode (a fault plan, ``supervise=True`` or
-``checkpoint_every``), hops route through the controller, which
-journals them per destination in the shared
-:class:`~repro.resilience.recovery.ReplayLedger`, takes quiescent
-per-host checkpoints, and — on heartbeat loss — respawns the worker,
-restores its last checkpoint, and replays the journal; ``(messenger
-id, hop count)`` dedup in the worker makes the at-least-once replay
-exactly-once. ``FaultPlan`` message faults act at the wire layer
-(frames are really dropped, duplicated, delayed) and crashes are real
-``SIGKILL``\\ s. Drops with recovery disabled are casualties, reported
-in the :class:`~repro.errors.DeadlockError` like ThreadFabric's.
+``checkpoint_every``), hops route through the shared controller loop
+(:class:`~repro.fabric.controller.Controller`), which journals them
+per destination, takes quiescent per-host checkpoints, and — on
+heartbeat loss — has this fabric replace the worker (generation bump,
+fork, hello, ``register``), restores its last checkpoint, and replays
+the journal; ``(messenger id, hop count)`` dedup in the worker makes
+the at-least-once replay exactly-once. ``FaultPlan`` message faults
+act on the frames the controller forwards (really dropped,
+duplicated, delayed) and crashes are real ``SIGKILL``\\ s. Drops with
+recovery disabled are casualties, reported in the
+:class:`~repro.errors.DeadlockError` like ThreadFabric's.
 
 Plain mode (no plan, no supervision) skips the controller detour:
 workers learn each other's addresses at start-up and ship hops
 peer-to-peer, with the same credit-based flow control per connection.
+It is the same loop over the same link; only a setup barrier is added
+(see :meth:`SocketFabric.send`), because peer connections are not
+ordered against the controller's.
+
+This module is the fabric's side of that loop — the
+:class:`~repro.fabric.controller.Link` verbs on
+:class:`SocketFabric` — plus the worker process and
+:class:`WorkerSession`, the worker end of a control connection that
+the job service's pool workers share.
 """
 
 from __future__ import annotations
@@ -84,49 +94,16 @@ import threading
 import time
 from collections import defaultdict
 
-from ..errors import DeadlockError, FabricError
-from ..navp.interp import Interp
-from ..resilience.faults import STATS as FAULT_STATS
-from ..resilience.faults import PlanRuntime
-from ..resilience.recovery import RecoveryPolicy
+from ..errors import FabricError
 from . import payload as payload_mod
-from .controller import (ControllerFabric, CreditGate, WorkerCore,
-                         hop_fault_verdict, reap_workers)
-from .sim import FabricResult
+from .controller import ControllerFabric, WorkerCore, reap_workers
 from .wire import (FRAME_CMD, FRAME_CREDIT, FRAME_HEARTBEAT, FRAME_HELLO,
-                   FRAME_REPORT, FRAME_RUN, FrameSocket, WireClosed,
-                   WireError, frame_nbytes)
+                   FRAME_REPORT, FRAME_RUN, FrameSocket, WireError,
+                   connect_with_backoff, frame_nbytes, load_obj, send_obj)
 
-__all__ = ["SocketFabric", "PhiAccrualDetector"]
+__all__ = ["SocketFabric", "PhiAccrualDetector", "WorkerSession"]
 
-
-def _connect_with_backoff(addr, seed=None) -> socket_mod.socket:
-    """Dial ``addr``, retrying with jittered exponential backoff."""
-    policy = RecoveryPolicy(max_retries=6, backoff_s=0.02)
-    last = None
-    for delay in [0.0] + policy.jittered_delays(seed):
-        if delay:
-            time.sleep(delay)
-        try:
-            sock = socket_mod.create_connection(tuple(addr), timeout=5.0)
-            sock.settimeout(None)
-            return sock
-        except OSError as exc:
-            last = exc
-    raise WireClosed(f"cannot connect to {addr}: {last}")
-
-
-def _send_obj(fs: FrameSocket, kind: int, obj, gen: int = 0,
-              deadline: float = 0.0) -> int:
-    """Codec-encode ``obj`` and send it as one multi-buffer frame."""
-    frame, buffers = payload_mod.encode(obj)
-    return fs.send(kind, frame, gen=gen, deadline=deadline,
-                   buffers=buffers)
-
-
-def _load_obj(frame):
-    """Decode a received frame's object over its out-of-band buffers."""
-    return payload_mod.decode(frame.payload, frame.buffers)
+_POLL_S = 0.05  # the controller's wait for the next report
 
 
 class PhiAccrualDetector:
@@ -136,19 +113,23 @@ class PhiAccrualDetector:
     that a live peer stays silent for ``t`` seconds is ``exp(-t/m)``,
     so ``phi = t / (m ln 10)`` is ``-log10`` of that probability —
     phi 1 means "90% dead", phi 8 "dead to 8 nines". The mean is an
-    EWMA so the detector adapts to the observed beat cadence.
+    EWMA so the detector adapts to a slower observed cadence; it never
+    drops below the configured one — beats cannot be *sent* faster, so
+    shorter intervals only mean the reader caught up on a backlog, and
+    learning from that burst would make the next ordinary gap look
+    fatal.
     """
 
-    __slots__ = ("mean", "last")
+    __slots__ = ("mean", "last", "floor")
 
     def __init__(self, now: float, expected: float):
-        self.mean = max(expected, 1e-3)
+        self.floor = self.mean = max(expected, 1e-3)
         self.last = now
 
     def beat(self, now: float) -> None:
         interval = now - self.last
         self.last = now
-        self.mean = max(0.8 * self.mean + 0.2 * interval, 1e-3)
+        self.mean = max(0.8 * self.mean + 0.2 * interval, self.floor)
 
     def phi(self, now: float) -> float:
         return (now - self.last) / (self.mean * math.log(10.0))
@@ -157,6 +138,70 @@ class PhiAccrualDetector:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
+
+class WorkerSession:
+    """The worker end of a control connection.
+
+    Dials the controller with jittered backoff and says ``hello``.
+    Entered as a context manager around the worker's main loop, it
+    runs the two threads every socket worker needs — a reader that
+    hands each decoded CMD frame to ``on_cmd(cmd, frame)`` (default:
+    queue it on :attr:`inbox`) and queues ``("eof",)`` when the
+    controller goes away, and a heartbeat — then forwards an exception
+    escaping the loop as ``error_report(text)`` and closes the
+    connection.
+    """
+
+    def __init__(self, ctl_addr, gen, hello, heartbeat_s, backoff_seed,
+                 error_report, on_cmd=None):
+        self.gen = gen
+        self.inbox: queue.Queue = queue.Queue()
+        self.error_report = error_report
+        self._on_cmd = on_cmd or (lambda cmd, frame: self.inbox.put(cmd))
+        self._heartbeat_s = heartbeat_s
+        self._stop = threading.Event()
+        self.ctl = FrameSocket(connect_with_backoff(ctl_addr, backoff_seed))
+        send_obj(self.ctl, FRAME_HELLO, hello, gen=gen)
+
+    def report(self, msg) -> int:
+        """Send one report to the controller; returns its wire size."""
+        return send_obj(self.ctl, FRAME_REPORT, msg, gen=self.gen)
+
+    def _read(self) -> None:
+        while True:
+            try:
+                frame = self.ctl.recv()
+            except WireError:
+                self.inbox.put(("eof",))
+                return
+            if frame.kind == FRAME_CMD:
+                self._on_cmd(load_obj(frame), frame)
+
+    def _beat(self) -> None:
+        while not self._stop.wait(self._heartbeat_s):
+            try:
+                self.ctl.send(FRAME_HEARTBEAT, b"", gen=self.gen)
+            except WireError:
+                return
+
+    def __enter__(self):
+        threading.Thread(target=self._read, daemon=True).start()
+        threading.Thread(target=self._beat, daemon=True).start()
+        return self
+
+    def __exit__(self, exc_type, exc, _tb) -> bool:
+        if exc is not None:
+            try:
+                self.report(self.error_report(
+                    f"{exc_type.__name__}: {exc}"))
+            except WireError:  # pragma: no cover - controller also gone
+                pass
+        self._stop.set()
+        self.ctl.close()
+        # a forwarded failure ends the worker quietly; interrupts and
+        # exits keep propagating
+        return isinstance(exc, Exception)
+
 
 def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
                  window, heartbeat_s, hop_deadline_s, backoff_seed,
@@ -173,14 +218,11 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
              "bytes_in": 0, "frames_out": 0, "bytes_out": 0,
              "hops_out": 0, "max_batch": 0,
              "late": 0, "credit_waits": 0}
-    inbox: queue.Queue = queue.Queue()
-    stop_evt = threading.Event()
     peers_ready = threading.Event()
     depth_lock = threading.Lock()
     depth = [0]
     hop_log: list = []
 
-    ctl = FrameSocket(_connect_with_backoff(ctl_addr, backoff_seed))
     peer_listener = None
     my_addr = None
     peer_table: dict = {}     # host -> (ip, port), from the controller
@@ -194,56 +236,42 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
         peer_listener.listen(16)
         my_addr = peer_listener.getsockname()
 
-    _send_obj(ctl, FRAME_HELLO, ("hello", host, my_addr), gen=gen)
-
-    def note_frame(nbytes: int, deadline: float, hops: int) -> None:
+    def enqueue(frame, tasks, wrap) -> None:
+        """Count one inbound hop frame, then give each of its hops its
+        own mailbox entry so each pays its own credit back on dequeue."""
         stats["frames_in"] += 1
-        stats["bytes_in"] += nbytes
-        if deadline and time.time() > deadline:
-            stats["late"] += hops  # every hop in a late frame is late
-
-    def note_enqueued() -> None:
-        with depth_lock:
-            depth[0] += 1
-            if depth[0] > stats["inbox_hwm"]:
-                stats["inbox_hwm"] = depth[0]
+        stats["bytes_in"] += frame_nbytes(frame.payload, frame.buffers)
+        if frame.deadline and time.time() > frame.deadline:
+            stats["late"] += len(tasks)  # every hop in a late frame is late
+        for task in tasks:
+            with depth_lock:
+                depth[0] += 1
+                if depth[0] > stats["inbox_hwm"]:
+                    stats["inbox_hwm"] = depth[0]
+            inbox.put(wrap(task))
 
     def took_from_mailbox() -> None:
         with depth_lock:
             depth[0] -= 1
 
-    def ctl_reader():
-        while True:
-            try:
-                frame = ctl.recv()
-            except WireError:
-                inbox.put(("eof",))
-                return
-            if frame.kind != FRAME_CMD:
-                continue
-            cmd = _load_obj(frame)
-            op = cmd[0]
-            if op == "run":
-                note_frame(frame_nbytes(frame.payload, frame.buffers),
-                           frame.deadline, 1)
-                note_enqueued()
-                inbox.put(("crun", cmd))
-            elif op == "runs":
-                # a coalesced frame: unpack to per-hop mailbox entries
-                # so each one pays its own credit back on dequeue
-                note_frame(frame_nbytes(frame.payload, frame.buffers),
-                           frame.deadline, len(cmd[1]))
-                for task in cmd[1]:
-                    note_enqueued()
-                    inbox.put(("crun", ("run", task)))
-            elif op == "peers":
-                # applied here, not in the main loop: a peer's first RUN
-                # frame can arrive while the main loop is busy, and its
-                # onward hop must not find an empty routing table
-                peer_table.update(cmd[1])
-                peers_ready.set()
-            else:
-                inbox.put(("cmd", cmd))
+    def on_cmd(cmd, frame):
+        op = cmd[0]
+        if op == "run" or op == "runs":
+            enqueue(frame, [cmd[1]] if op == "run" else cmd[1],
+                    lambda task: ("crun", ("run", task)))
+        elif op == "peers":
+            # applied here, not in the main loop: a peer's first RUN
+            # frame can arrive while the main loop is busy, and its
+            # onward hop must not find an empty routing table
+            peer_table.update(cmd[1])
+            peers_ready.set()
+        else:
+            inbox.put(("cmd", cmd))
+
+    session = WorkerSession(
+        ctl_addr, gen, ("hello", host, my_addr), heartbeat_s, backoff_seed,
+        lambda text: ("error", host, text), on_cmd)
+    inbox = session.inbox
 
     def peer_reader(fs: FrameSocket):
         src = None
@@ -253,15 +281,11 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
             except WireError:
                 return
             if frame.kind == FRAME_HELLO:
-                src = _load_obj(frame)[1]
+                src = load_obj(frame)[1]
                 credit_back[src] = fs
             elif frame.kind == FRAME_RUN:
-                batch = _load_obj(frame)
-                note_frame(frame_nbytes(frame.payload, frame.buffers),
-                           frame.deadline, len(batch))
-                for task in batch:
-                    note_enqueued()
-                    inbox.put(("prun", task, src))
+                enqueue(frame, load_obj(frame),
+                        lambda task: ("prun", task, src))
 
     def out_reader(fs: FrameSocket, credits: threading.Semaphore):
         while True:
@@ -282,17 +306,8 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
                              args=(FrameSocket(conn),),
                              daemon=True).start()
 
-    def heartbeat_loop():
-        while not stop_evt.wait(heartbeat_s):
-            try:
-                ctl.send(FRAME_HEARTBEAT, b"", gen=gen)
-            except WireError:
-                return
-
-    threading.Thread(target=ctl_reader, daemon=True).start()
     if peer_listener is not None:
         threading.Thread(target=accept_loop, daemon=True).start()
-    threading.Thread(target=heartbeat_loop, daemon=True).start()
 
     def get_peer(dst):
         entry = peers_out.get(dst)
@@ -300,8 +315,8 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
             if not peers_ready.wait(timeout=20.0):
                 raise WireError(f"host {host}: no peer table within 20s")
             fs = FrameSocket(
-                _connect_with_backoff(peer_table[dst], backoff_seed))
-            _send_obj(fs, FRAME_HELLO, ("hello", host, None), gen=gen)
+                connect_with_backoff(peer_table[dst], backoff_seed))
+            send_obj(fs, FRAME_HELLO, ("hello", host, None), gen=gen)
             credits = threading.Semaphore(window)
             threading.Thread(target=out_reader, args=(fs, credits),
                              daemon=True).start()
@@ -310,12 +325,10 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
 
     def emit_report(msg):
         if msg[0] == "vars":
-            _send_obj(ctl, FRAME_REPORT, ("stats", host, dict(stats)),
-                      gen=gen)
-            if tracing and hop_log:
-                _send_obj(ctl, FRAME_REPORT, ("hoplog", host, hop_log),
-                          gen=gen)
-        n = _send_obj(ctl, FRAME_REPORT, msg, gen=gen)
+            session.report(("stats", host, dict(stats)))
+            if hop_log:
+                session.report(("hoplog", host, hop_log))
+        n = session.report(msg)
         if msg[0] == "hop":
             stats["frames_out"] += 1
             stats["bytes_out"] += n
@@ -337,8 +350,7 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
             fs, _credits = peers_out[dst]
             deadline = (time.time() + hop_deadline_s
                         if hop_deadline_s else 0.0)
-            n = _send_obj(fs, FRAME_RUN, batch, gen=gen,
-                          deadline=deadline)
+            n = send_obj(fs, FRAME_RUN, batch, gen=gen, deadline=deadline)
             stats["frames_out"] += 1
             stats["bytes_out"] += n
             if len(batch) > stats["max_batch"]:
@@ -374,57 +386,48 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
     core = WorkerCore(host, coords, host_of, emit_hop, emit_report,
                       dedup=resilient)
     try:
-        while True:
-            if core.ready:
-                core.step()
-                if flush_due[0] and time.monotonic() >= flush_due[0]:
-                    flush_hops()  # deadline flush: sender is busy but
-                    #               the batch has waited long enough
-                continue
-            flush_hops()  # barrier flush: never block with hops buffered
-            item = inbox.get()
-            tag = item[0]
-            if tag == "cmd":
-                if item[1][0] == "sync":
-                    # setup barrier: by per-connection FIFO, every
-                    # earlier controller command is already applied
-                    _send_obj(ctl, FRAME_REPORT, ("synced", host),
-                              gen=gen)
-                elif core.handle(item[1]) == "stop":
-                    break
-            elif tag == "crun":
-                took_from_mailbox()
-                _send_obj(ctl, FRAME_REPORT, ("credit", host), gen=gen)
-                core.handle(item[1])
-            elif tag == "prun":
-                took_from_mailbox()
-                back = credit_back.get(item[2])
-                if back is not None:
-                    try:
-                        back.send(FRAME_CREDIT, b"", gen=gen)
-                    except WireError:  # pragma: no cover - peer gone
-                        pass
-                core.handle(("run", item[1]))
-            elif tag == "eof":
-                break  # controller went away; nothing left to serve
-    except BaseException as exc:  # noqa: BLE001 - forwarded to controller
-        try:
-            _send_obj(ctl, FRAME_REPORT,
-                      ("error", host, f"{type(exc).__name__}: {exc}"),
-                      gen=gen)
-        except WireError:  # pragma: no cover - controller also gone
-            pass
+        with session:
+            while True:
+                if core.ready:
+                    core.step()
+                    if flush_due[0] and time.monotonic() >= flush_due[0]:
+                        flush_hops()  # deadline flush: sender is busy but
+                        #               the batch has waited long enough
+                    continue
+                flush_hops()  # barrier flush: never block with hops buffered
+                item = inbox.get()
+                tag = item[0]
+                if tag == "cmd":
+                    if item[1][0] == "sync":
+                        # setup barrier: by per-connection FIFO, every
+                        # earlier controller command is already applied
+                        session.report(("synced", host))
+                    elif core.handle(item[1]) == "stop":
+                        break
+                elif tag == "crun":
+                    took_from_mailbox()
+                    session.report(("credit", host))
+                    core.handle(item[1])
+                elif tag == "prun":
+                    took_from_mailbox()
+                    back = credit_back.get(item[2])
+                    if back is not None:
+                        try:
+                            back.send(FRAME_CREDIT, b"", gen=gen)
+                        except WireError:  # pragma: no cover - peer gone
+                            pass
+                    core.handle(("run", item[1]))
+                elif tag == "eof":
+                    break  # controller went away; nothing left to serve
     finally:
-        stop_evt.set()
         if peer_listener is not None:
             peer_listener.close()
         for fs, _credits in peers_out.values():
             fs.close()
-        ctl.close()
 
 
 # ----------------------------------------------------------------------
-# Controller
+# Controller side: the link
 # ----------------------------------------------------------------------
 
 class SocketFabric(ControllerFabric):
@@ -454,7 +457,6 @@ class SocketFabric(ControllerFabric):
         self.hop_deadline_s = hop_deadline_s
         self.coalesce = min(coalesce, window)
         self.coalesce_delay_s = coalesce_delay_s
-        self.lost: list = []            # casualties (drops, no recovery)
         self.stale_frames = 0           # dropped stale-generation frames
         self._gens: dict = defaultdict(int)     # host -> generation
         self._conns: dict = {}                  # host -> FrameSocket
@@ -466,6 +468,10 @@ class SocketFabric(ControllerFabric):
         self._reg_lock = threading.Lock()
         self._listener = None
         self._addr = None
+        # plain mode: entry runs held until every host acks the setup
+        # barrier (None once released, and always in resilient mode)
+        self._held: list | None = None
+        self._unsynced: set = set()
 
     # -- connection plumbing ------------------------------------------
     def _serve_conn(self, fs: FrameSocket) -> None:
@@ -478,7 +484,7 @@ class SocketFabric(ControllerFabric):
         if hello.kind != FRAME_HELLO:
             fs.close()
             return
-        _tag, host, peer_addr = _load_obj(hello)
+        _tag, host, peer_addr = load_obj(hello)
         with self._reg_lock:
             if hello.gen != self._gens[host]:
                 self.stale_frames += 1  # a replaced worker's socket
@@ -506,7 +512,7 @@ class SocketFabric(ControllerFabric):
                 if det is not None:
                     det.beat(time.monotonic())
             elif frame.kind == FRAME_REPORT:
-                self._reports.put(("report", host, _load_obj(frame)))
+                self._reports.put(load_obj(frame))
 
     def _accept_loop(self) -> None:
         while True:
@@ -518,29 +524,13 @@ class SocketFabric(ControllerFabric):
                              args=(FrameSocket(conn),),
                              daemon=True).start()
 
-    def _send_cmd(self, host, cmd, deadline: float = 0.0) -> int:
-        """Frame one command to a worker; returns the on-wire size.
-
-        A dead worker's connection may already be broken — that is not
-        an error here (the heartbeat detector owns failure handling and
-        the journal owns redelivery), so failed sends report size 0.
-        """
-        fs = self._conns.get(host)
-        if fs is None:
-            return 0
-        try:
-            return _send_obj(fs, FRAME_CMD, cmd,
-                             gen=self._gens[host], deadline=deadline)
-        except WireError:
-            return 0
-
-    def _spawn(self, host, coords_of_host, programs) -> None:
+    def _spawn(self, host) -> None:
         gen = self._gens[host]
         evt = threading.Event()
         self._hello_evts[(host, gen)] = evt
         proc = self._ctx.Process(
             target=_sock_worker,
-            args=(host, coords_of_host[host], self._host_of, self._addr,
+            args=(host, self._coords_of(host), self._host_of, self._addr,
                   gen, self.resilient, self.trace.enabled, self.window,
                   self.heartbeat_s, self.hop_deadline_s,
                   (self._plan.seed or 0) * 31 + host,
@@ -552,32 +542,32 @@ class SocketFabric(ControllerFabric):
         if not evt.wait(timeout=20.0):
             raise FabricError(
                 f"socket worker {host} did not say hello within 20s")
-        self._send_cmd(host, ("register", programs))
+        self.send(host, ("register", list(self._programs.values())))
 
-    # -- execution -----------------------------------------------------
-    def run(self) -> FabricResult:
-        if not self._initial:
-            raise FabricError("no messengers injected")
+    def _open(self) -> None:
         self._listener = socket_mod.socket(
             socket_mod.AF_INET, socket_mod.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(self.n_hosts + 4)
         self._addr = self._listener.getsockname()
         threading.Thread(target=self._accept_loop, daemon=True).start()
-        try:
-            if self.resilient:
-                return self._run_resilient()
-            return self._run_plain()
-        finally:
-            self._shutdown()
+        hosts = range(self.n_hosts)
+        for h in hosts:
+            self._spawn(h)
+        if not self.resilient:
+            peer_table = {h: self._peer_addrs[h] for h in hosts}
+            for h in hosts:
+                self.send(h, ("peers", peer_table))
+            self._held = []
+            self._unsynced = set(hosts)
 
-    def _shutdown(self) -> None:
+    def _close(self) -> None:
         """Tear the world down — also on exception paths, where a
         worker may be wedged mid-protocol: every process must exit and
         every 127.0.0.1 socket must close, or a failed run would leak
         orphans into the caller's process table."""
         for host in list(self._conns):
-            self._send_cmd(host, ("stop",))
+            self.send(host, ("stop",))
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -589,397 +579,92 @@ class SocketFabric(ControllerFabric):
         self._conns.clear()
         self._procs.clear()
 
-    def _record_hop(self, now, src, dst, nbytes, mid) -> None:
-        self.trace.record(t0=now, t1=now, place=dst, actor=mid,
-                          kind="hop", note="hop", src_place=src,
-                          nbytes=nbytes)
+    # -- the link verbs ------------------------------------------------
+    def send(self, host, cmd) -> None:
+        """Frame one command to a worker.
 
-    def _record_transport(self, now, host, stats) -> None:
-        note = " ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-        self.trace.record(t0=now, t1=now, place=host, actor="transport",
-                          kind="transport", note=note)
+        A dead worker's connection may already be broken — that is not
+        an error here (the heartbeat detector owns failure handling and
+        the journal owns redelivery).
 
-    def _check_heartbeats(self, dead_gens: set) -> list:
-        """Hosts currently suspected dead (heartbeat loss or EOF)."""
-        now = time.monotonic()
-        suspects = []
-        for host, det in list(self._detectors.items()):
-            if (host, self._gens[host]) in dead_gens:
-                suspects.append((host, float("inf")))
-            elif det.phi(now) > self.phi_threshold:
-                suspects.append((host, det.phi(now)))
-        return suspects
-
-    def _run_plain(self) -> FabricResult:
-        t0 = time.perf_counter()
-        tracing = self.trace.enabled
-        coords = list(self.topology.coords)
-        coords_of_host = {
-            h: [c for c in coords if self._host_of[c] == h]
-            for h in range(self.n_hosts)
-        }
-        programs = list(self._programs.values())
-        for h in range(self.n_hosts):
-            self._spawn(h, coords_of_host, programs)
-        peer_table = {h: self._peer_addrs[h] for h in range(self.n_hosts)}
-        for h in range(self.n_hosts):
-            self._send_cmd(h, ("peers", peer_table))
-        for c in coords:
-            if self._loads[c]:
-                self._send_cmd(self._host_of[c], ("load", c, self._loads[c]))
-        for coord, name, args, count in self._signals:
-            self._send_cmd(self._host_of[coord],
-                           ("signal0", (coord, name, args, count)))
-
-        # Setup barrier: peer-to-peer RUN frames ride separate
-        # connections from controller commands, so without this a hop
-        # could execute at a worker before its loads arrived.
-        for h in range(self.n_hosts):
-            self._send_cmd(h, ("sync",))
-        synced: set = set()
-        sync_deadline = time.monotonic() + self.timeout
-        while len(synced) < self.n_hosts:
-            remaining = sync_deadline - time.monotonic()
-            if remaining <= 0:
-                raise FabricError(
-                    f"socket fabric setup barrier timed out "
-                    f"({self.n_hosts - len(synced)} host(s) silent)")
+        Plain mode holds the entry ``run`` commands back behind a setup
+        barrier: peer-to-peer RUN frames ride separate connections from
+        controller commands, so without it a hop could execute at a
+        worker before its loads arrived. The first held run sends
+        ``sync`` to every host (FIFO behind all their loads); the last
+        ``synced`` ack, seen by :meth:`receive`, releases the runs.
+        """
+        deadline = 0.0
+        if cmd[0] == "run" or cmd[0] == "runs":
+            if self._held is not None:
+                if not self._held:
+                    for h in range(self.n_hosts):
+                        self.send(h, ("sync",))
+                self._held.append((host, cmd))
+                return
+            if self.resilient and self.hop_deadline_s:
+                deadline = time.time() + self.hop_deadline_s
+        fs = self._conns.get(host)
+        if fs is not None:
             try:
-                kind, host, msg = self._reports.get(
-                    timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
-            if kind == "report" and msg[0] == "synced":
-                synced.add(msg[1])
-            elif kind == "report" and msg[0] == "error":
-                raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
+                send_obj(fs, FRAME_CMD, cmd, gen=self._gens[host],
+                         deadline=deadline)
+            except WireError:
+                pass
 
-        known: set = set()
-        done: set = set()
-        for coord, name, env in self._initial:
-            mid = f"m{self._counter}"
-            self._counter += 1
-            known.add(mid)
-            self._send_cmd(self._host_of[coord], ("run", (
-                mid, [], 0, coord,
-                Interp(name, env).agent_snapshot(), 0,
-            )))
+    def receive(self, timeout):
+        """Failure detection is heartbeat-based, and EOF counts as
+        loss. Silence is judged only on an idle poll — whatever a
+        dying worker managed to report is read first — and never on a
+        poll this process itself overslept: after a stall on this side
+        the beats sit unread in the sockets and ``now`` is ahead of
+        them."""
+        began = time.monotonic()
+        try:
+            msg = self._reports.get(timeout=min(timeout, _POLL_S))
+        except queue.Empty:
+            now = time.monotonic()
+            if now - began < 4 * _POLL_S:
+                for host, det in list(self._detectors.items()):
+                    if det.phi(now) > self.phi_threshold:
+                        return ("lost", host)
+            return None
+        op = msg[0]
+        if op == "gone":
+            if msg[2] == self._gens[msg[1]]:    # not a replaced worker's
+                return ("lost", msg[1])
+        elif op == "stats":
+            if self.trace.enabled:
+                self._note(msg[1], "transport", "transport", " ".join(
+                    f"{k}={v}" for k, v in sorted(msg[2].items())))
+        elif op == "hoplog":
+            self._note_hops(msg[2])
+        elif op == "synced":
+            self._unsynced.discard(msg[1])
+            if not self._unsynced and self._held is not None:
+                held, self._held = self._held, None
+                for host, cmd in held:
+                    self.send(host, cmd)
+        else:
+            return msg
+        return None
 
-        dead_gens: set = set()
-        deadline = time.monotonic() + self.timeout
-        while not known <= done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"socket fabric timed out; "
-                    f"{len(known - done)} messenger(s) unaccounted"
-                    f"{self._mc_hint(window=self.window)}")
-            suspects = self._check_heartbeats(dead_gens)
-            if suspects:
-                host, phi = suspects[0]
-                raise FabricError(
-                    f"socket worker {host} lost (heartbeat silence, "
-                    f"phi={phi:.1f}) and this run has no supervision; "
-                    f"pass supervise=True or a fault plan for recovery")
-            try:
-                kind, host, msg = self._reports.get(
-                    timeout=min(remaining, 0.1))
-            except queue.Empty:
-                continue
-            if kind == "gone":
-                dead_gens.add((host, msg))
-                continue
-            if msg[0] == "error":
-                raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
-            if msg[0] == "done":
-                done.add(msg[1])
-                known.update(msg[2])
+    def replace(self, host) -> None:
+        old = self._procs.get(host)
+        self._gens[host] += 1  # stale sockets can't deliver from here on
+        conn = self._conns.pop(host, None)
+        if conn is not None:
+            conn.close()
+        self._detectors.pop(host, None)
+        if old is not None:
+            if old.is_alive():
+                old.terminate()
+            old.join(timeout=5.0)
+        self._spawn(host)
 
-        for h in range(self.n_hosts):
-            self._send_cmd(h, ("collect",))
-        places = self._collect(tracing, t0)
-        return FabricResult(time=time.perf_counter() - t0,
-                            trace=self.trace, places=places)
-
-    def _collect(self, tracing, t0) -> dict:
-        """Gather vars (+ transport stats and plain-mode hop logs)."""
-        places: dict = {}
-        hosts_seen: set = set()
-        deadline = time.monotonic() + self.timeout
-        while len(hosts_seen) < self.n_hosts:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"socket fabric timed out collecting results "
-                    f"({self.n_hosts - len(hosts_seen)} host(s) missing)")
-            try:
-                kind, host, msg = self._reports.get(
-                    timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
-            if kind == "gone":
-                continue
-            now = time.perf_counter() - t0
-            if msg[0] == "error":
-                raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
-            if msg[0] == "stats":
-                if tracing:
-                    self._record_transport(now, msg[1], msg[2])
-            elif msg[0] == "hoplog":
-                if tracing:
-                    for src, dst, nbytes, mid in msg[2]:
-                        self._record_hop(now, src, dst, nbytes, mid)
-            elif msg[0] == "vars":
-                hosts_seen.add(msg[1])
-                places.update(msg[2])
-        return places
-
-    def _run_resilient(self) -> FabricResult:
-        t0 = time.perf_counter()
-        runtime = PlanRuntime(self._plan, self._resolve_host)
-        sup = self._sup
-        tracing = self.trace.enabled
-        coords = list(self.topology.coords)
-        coords_of_host = {
-            h: [c for c in coords if self._host_of[c] == h]
-            for h in range(self.n_hosts)
-        }
-        programs = list(self._programs.values())
-
-        # Credit gate: at most `window` un-credited hops toward each
-        # worker; excess queues in the gate and drains in coalesced
-        # multi-run frames as credits return. The worker returns one
-        # credit per hop leaving its mailbox.
-        def emit_batch(h, batch):
-            dl = (time.time() + self.hop_deadline_s
-                  if self.hop_deadline_s else 0.0)
-            cmd = ("run", batch[0]) if len(batch) == 1 \
-                else ("runs", batch)
-            self._send_cmd(h, cmd, deadline=dl)
-
-        gate = CreditGate(self.window, self.coalesce, emit_batch)
-
-        def gate_send(h, cmd, journal=True, flush=True):
-            if journal:
-                sup.journal(h, cmd)
-            gate.push(h, cmd[1], flush=flush)
-
-        def on_credit(h):
-            gate.credit(h)
-
-        def send(h, cmd):
-            """Journal + deliver a non-run setup command."""
-            sup.journal(h, cmd)
-            self._send_cmd(h, cmd)
-
-        dead_gens: set = set()
-
-        def respawn(h):
-            sup.authorize_respawn(h)
-            FAULT_STATS["masked"] += 1
-            old = self._procs.get(h)
-            self._gens[h] += 1  # stale sockets can't deliver from here on
-            conn = self._conns.pop(h, None)
-            if conn is not None:
-                conn.close()
-            self._detectors.pop(h, None)
-            if old is not None:
-                if old.is_alive():
-                    old.terminate()
-                old.join(timeout=5.0)
-            self._spawn(h, coords_of_host, programs)
-            state, replay = sup.recovery_script(h)
-            if state is not None:
-                self._send_cmd(h, ("restore", state))
-            gate.reset(h)  # every queued payload is in the journal
-            for cmd in replay:
-                if cmd[0] == "run":
-                    gate_send(h, cmd, journal=False, flush=False)
-                else:
-                    self._send_cmd(h, cmd)
-            gate.pump(h)  # replayed hops drain as coalesced frames
-            if tracing:
-                now = time.perf_counter() - t0
-                self.trace.record(
-                    t0=now, t1=now, place=h, actor="supervisor",
-                    kind="respawn",
-                    note=f"worker {h} respawned "
-                         f"(restart {self.restarts[h]}, gen "
-                         f"{self._gens[h]}, replay {len(replay)} cmd(s))")
-
-        def checkpoint_all():
-            cid = sup.begin_checkpoint(range(self.n_hosts))
-            for h in range(self.n_hosts):
-                self._send_cmd(h, ("ckpt", cid))
-
-        for h in range(self.n_hosts):
-            self._spawn(h, coords_of_host, programs)
-        for c in coords:
-            if self._loads[c]:
-                send(self._host_of[c], ("load", c, self._loads[c]))
-        for coord, name, args, count in self._signals:
-            send(self._host_of[coord],
-                 ("signal0", (coord, name, args, count)))
-        known: set = set()
-        done: set = set()
-        for coord, name, env in self._initial:
-            mid = f"m{self._counter}"
-            self._counter += 1
-            known.add(mid)
-            gate_send(self._host_of[coord], ("run", (
-                mid, [], 0, coord,
-                Interp(name, env).agent_snapshot(), 0,
-            )))
-
-        deadline = time.monotonic() + self.timeout
-        while not known <= done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                casualties = (
-                    "; fault injection destroyed messenger(s) with "
-                    "recovery disabled: " + ", ".join(self.lost)
-                    if self.lost else ""
-                )
-                raise DeadlockError(
-                    f"socket fabric timed out; "
-                    f"{len(known - done)} messenger(s) unaccounted "
-                    f"({sum(self.restarts.values())} respawn(s))"
-                    f"{casualties}"
-                    f"{self._mc_hint(window=self.window)}")
-            # fire due crash specs: a crash is a real SIGKILL
-            if runtime.pending_crashes():
-                now = time.perf_counter() - t0
-                for spec, h in runtime.due_crashes(now):
-                    proc = self._procs[h]
-                    if proc.is_alive():
-                        FAULT_STATS["fired"] += 1
-                        os.kill(proc.pid, signal.SIGKILL)
-                        if tracing:
-                            self.trace.record(
-                                t0=now, t1=now, place=h,
-                                actor="fault-injector", kind="fault",
-                                note=f"worker {h} SIGKILLed")
-            # failure detection is heartbeat-based: respawn suspects
-            for h, _phi in self._check_heartbeats(dead_gens):
-                respawn(h)
-            try:
-                kind, host, msg = self._reports.get(
-                    timeout=min(remaining, 0.05))
-            except queue.Empty:
-                continue
-            if kind == "gone":
-                dead_gens.add((host, msg))
-                continue
-            op = msg[0]
-            if op == "error":
-                raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
-            if op == "done":
-                done.add(msg[1])
-                known.update(msg[2])
-            elif op == "credit":
-                on_credit(msg[1])
-            elif op == "hop":
-                _, src_host, dst_host, task = msg
-                verdict, spec = hop_fault_verdict(
-                    runtime, dst_host, self._recovery.enabled)
-                now = time.perf_counter() - t0
-                if verdict == "lost":
-                    FAULT_STATS["fired"] += 1
-                    FAULT_STATS["lost"] += 1
-                    self.lost.append(task[0])
-                    if tracing:
-                        self.trace.record(
-                            t0=now, t1=now, place=dst_host,
-                            actor=task[0], kind="fault",
-                            note="hop frame dropped (lost)",
-                            src_place=src_host,
-                            nbytes=payload_mod.encoded_nbytes(task))
-                    continue  # the continuation is gone
-                if verdict == "retransmit":
-                    FAULT_STATS["fired"] += 1
-                    FAULT_STATS["masked"] += 1
-                    if tracing:
-                        self.trace.record(
-                            t0=now, t1=now, place=dst_host,
-                            actor=task[0], kind="fault",
-                            note="hop frame dropped (retransmitting)",
-                            src_place=src_host)
-                        self.trace.record(
-                            t0=now, t1=now, place=dst_host,
-                            actor=task[0], kind="retry",
-                            note="hop frame redelivered",
-                            src_place=src_host)
-                elif verdict == "duplicate":
-                    FAULT_STATS["fired"] += 1
-                    FAULT_STATS["masked"] += 1
-                    if tracing:
-                        self.trace.record(
-                            t0=now, t1=now, place=dst_host,
-                            actor=task[0], kind="fault",
-                            note="hop frame duplicated (dedup masks)",
-                            src_place=src_host)
-                    gate_send(dst_host, ("run", task))  # extra copy
-                elif verdict == "delay":
-                    FAULT_STATS["fired"] += 1
-                    FAULT_STATS["masked"] += 1
-                    if tracing:
-                        self.trace.record(
-                            t0=now, t1=now, place=dst_host,
-                            actor=task[0], kind="fault",
-                            note=f"hop frame delayed {spec.seconds}s",
-                            src_place=src_host)
-                    time.sleep(min(spec.seconds, 0.1))
-                gate_send(dst_host, ("run", task))
-                if tracing:
-                    self._record_hop(
-                        now, src_host, dst_host,
-                        payload_mod.encoded_nbytes(task), task[0])
-                sup.note_forward()
-                if (self._checkpoint_every is not None
-                        and sup.forwards_since_ckpt
-                        >= self._checkpoint_every):
-                    checkpoint_all()
-            elif op == "ckpt":
-                _, h, cid, state = msg
-                sup.commit_checkpoint(h, cid, state)
-                if tracing:
-                    now = time.perf_counter() - t0
-                    self.trace.record(
-                        t0=now, t1=now, place=h, actor="supervisor",
-                        kind="checkpoint", note=f"ckpt {cid}")
-
-        for h in range(self.n_hosts):
-            self._send_cmd(h, ("collect",))
-        places = self._collect_resilient(tracing, t0, on_credit)
-        return FabricResult(time=time.perf_counter() - t0,
-                            trace=self.trace, places=places)
-
-    def _collect_resilient(self, tracing, t0, on_credit) -> dict:
-        places: dict = {}
-        hosts_seen: set = set()
-        deadline = time.monotonic() + self.timeout
-        while len(hosts_seen) < self.n_hosts:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"socket fabric timed out collecting results "
-                    f"({self.n_hosts - len(hosts_seen)} host(s) missing)")
-            try:
-                kind, host, msg = self._reports.get(
-                    timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
-            if kind == "gone":
-                continue
-            now = time.perf_counter() - t0
-            if msg[0] == "error":
-                raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
-            if msg[0] == "credit":
-                on_credit(msg[1])
-            elif msg[0] == "stats":
-                if tracing:
-                    self._record_transport(now, msg[1], msg[2])
-            elif msg[0] == "vars":
-                hosts_seen.add(msg[1])
-                places.update(msg[2])
-        return places
+    def crash(self, host) -> bool:
+        proc = self._procs[host]
+        if not proc.is_alive():
+            return False
+        os.kill(proc.pid, signal.SIGKILL)
+        return True

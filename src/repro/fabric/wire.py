@@ -44,9 +44,11 @@ freshly allocated storage via ``recv_into``, handing the payload codec
 
 :class:`FrameSocket` wraps a connected socket with locked sends (many
 threads may share one outbound connection) and an incremental receive
-buffer. It never interprets payloads — pickling happens at the fabric
-layer, where the controller also measures the frame for the trace's
-data-movement ledger.
+buffer. It never interprets payloads; the codec glue every endpoint
+shares sits next to it: :func:`send_obj` / :func:`load_obj` run one
+object through :mod:`repro.fabric.payload` into / out of one
+multi-buffer frame, and :func:`connect_with_backoff` dials with
+jittered retries.
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 from ..errors import FabricError
+from ..resilience.recovery import RecoveryPolicy
+from . import payload as payload_mod
 
 __all__ = [
     "Frame",
@@ -64,6 +69,9 @@ __all__ = [
     "WireClosed",
     "encode_frame",
     "frame_nbytes",
+    "connect_with_backoff",
+    "send_obj",
+    "load_obj",
     "FRAME_CMD",
     "FRAME_REPORT",
     "FRAME_RUN",
@@ -333,3 +341,32 @@ class FrameSocket:
             self.sock.close()
         except OSError:
             pass
+
+
+def connect_with_backoff(addr, seed=None) -> socket.socket:
+    """Dial ``addr``, retrying with jittered exponential backoff."""
+    policy = RecoveryPolicy(max_retries=6, backoff_s=0.02)
+    last = None
+    for delay in [0.0] + policy.jittered_delays(seed):
+        if delay:
+            time.sleep(delay)
+        try:
+            sock = socket.create_connection(tuple(addr), timeout=5.0)
+            sock.settimeout(None)
+            return sock
+        except OSError as exc:
+            last = exc
+    raise WireClosed(f"cannot connect to {addr}: {last}")
+
+
+def send_obj(fs: FrameSocket, kind: int, obj, gen: int = 0,
+             deadline: float = 0.0) -> int:
+    """Codec-encode ``obj`` and send it as one multi-buffer frame."""
+    frame, buffers = payload_mod.encode(obj)
+    return fs.send(kind, frame, gen=gen, deadline=deadline,
+                   buffers=buffers)
+
+
+def load_obj(frame: Frame):
+    """Decode a received frame's object over its out-of-band buffers."""
+    return payload_mod.decode(frame.payload, frame.buffers)

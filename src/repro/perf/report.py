@@ -8,6 +8,7 @@ A snapshot is a ``BENCH_<date>.json`` file::
       "label": "post slotted-DES",
       "smoke": false,
       "python": "3.11.9",
+      "source_loc": {"analysis": ..., "fabric": ..., ..., "total": ...},
       "results": {
         "des_micro": {"wall_s": ..., "events": ..., "events_per_sec": ...,
                       "meta": {...}},
@@ -20,9 +21,14 @@ A snapshot is a ``BENCH_<date>.json`` file::
           "des_micro": {"events_per_sec": 1.71, "wall_speedup": 1.69},
           ...
         },
-        "regressions": ["table3_shadow: wall_speedup 0.71 < 0.85"]
+        "regressions": ["table3_shadow: wall_speedup 0.71 < 0.85"],
+        "source_loc_delta": {"fabric": -294, "serve": -144, "total": -438}
       }
     }
+
+``source_loc`` is the economy trend ROADMAP item 2 asks for: code
+lines — physical lines holding at least one token that is neither a
+comment nor part of a docstring — per top-level package of ``repro``.
 
 Ratios are oriented so that **bigger is better** for both metrics:
 ``events_per_sec`` is current/previous throughput, ``wall_speedup`` is
@@ -33,9 +39,13 @@ the threshold.
 
 from __future__ import annotations
 
+import ast
+import functools
+import io
 import json
 import platform
 import time
+import tokenize
 from pathlib import Path
 
 from ..util.texttable import render_table
@@ -46,10 +56,54 @@ __all__ = [
     "find_previous",
     "load_bench",
     "render_report",
+    "source_loc",
     "write_bench",
 ]
 
 SCHEMA = "repro-bench/1"
+
+
+_NOT_CODE = frozenset({
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER})
+
+
+def _code_lines(source: str) -> int:
+    """Lines of ``source`` that hold code: not blank, not a comment,
+    not (part of) a module/class/function docstring."""
+    docstrings: set = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno,
+                                        first.end_lineno + 1))
+    lines: set = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def source_loc() -> dict:
+    """Code lines per top-level package of ``repro``, plus ``total``."""
+    return dict(_count_source())
+
+
+@functools.lru_cache(maxsize=1)
+def _count_source() -> dict:
+    # the tree does not change under a running process: parse it once
+    root = Path(__file__).resolve().parents[1]
+    out: dict = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).parts
+        package = parts[0] if len(parts) > 1 else "(top level)"
+        out[package] = out.get(package, 0) + _code_lines(path.read_text())
+    out["total"] = sum(out.values())
+    return out
 
 
 def make_snapshot(results: dict, label: str = "", smoke: bool = False) -> dict:
@@ -59,6 +113,7 @@ def make_snapshot(results: dict, label: str = "", smoke: bool = False) -> dict:
         "label": label,
         "smoke": smoke,
         "python": platform.python_version(),
+        "source_loc": source_loc(),
         "results": results,
     }
 
@@ -108,6 +163,13 @@ def compare_benches(current: dict, previous: dict,
     yield an empty comparison with an explanatory note.
     """
     out: dict = {"threshold": threshold, "ratios": {}, "regressions": []}
+    # lines of code do not depend on the run size: compared either way
+    loc, prev_loc = current.get("source_loc"), previous.get("source_loc")
+    if loc and prev_loc:
+        out["source_loc_delta"] = {
+            name: loc.get(name, 0) - prev_loc.get(name, 0)
+            for name in sorted(set(loc) | set(prev_loc))
+            if loc.get(name, 0) != prev_loc.get(name, 0)}
     if bool(current.get("smoke")) != bool(previous.get("smoke")):
         out["note"] = (
             "smoke/full snapshots are not comparable; no ratios computed"
@@ -158,6 +220,18 @@ def render_report(snapshot: dict) -> str:
     if snapshot.get("smoke"):
         title += " (smoke)"
     lines = [render_table(headers, rows, title=title)]
+    loc = snapshot.get("source_loc")
+    if loc:
+        delta = comparison.get("source_loc_delta")
+        if delta is None:
+            trend = "no previous count"
+        elif not delta:
+            trend = "unchanged"
+        else:
+            trend = ", ".join(f"{name} {change:+d}" for name, change
+                              in delta.items() if name != "total")
+            trend = f"{delta.get('total', 0):+d} vs previous: {trend}"
+        lines.append(f"\nsource code lines: {loc['total']} ({trend})")
     if comparison:
         against = comparison.get("against", "")
         lines.append(f"\ncompared against: {against}")

@@ -7,8 +7,8 @@ method; an error reply raises :class:`~repro.errors.ServeError` (or
 :class:`~repro.errors.AdmissionError` for rejections, so callers can
 tell "the daemon said no" from "the daemon broke"). Errors arrive
 structured as ``("err", code, reason)`` and are classified by code;
-the legacy ``("err", reason)`` 2-tuple from older daemons is still
-parsed by sniffing the reason string.
+any other reply shape is a protocol violation and raises
+:class:`~repro.errors.ServeError`.
 
 Two properties make a daemon bounce a transparent retry instead of a
 lost request:
@@ -33,9 +33,9 @@ import time
 import uuid
 
 from ..errors import AdmissionError, ServeError
-from ..fabric.socket import _connect_with_backoff, _load_obj, _send_obj
 from ..fabric.wire import (FRAME_CMD, FRAME_HELLO, FRAME_REPORT,
-                           FrameSocket, WireError)
+                           FrameSocket, WireError, connect_with_backoff,
+                           load_obj, send_obj)
 from ..resilience.recovery import RecoveryPolicy
 
 __all__ = ["ServeClient", "resolve_addr"]
@@ -60,8 +60,7 @@ def resolve_addr(addr: str | None, addr_file: str | None) -> tuple:
     address tuple. The file form is what scripts use: the daemon
     writes ``pid:host:port`` there once listening, and resolution
     probes the pid so a stale file from a killed daemon is an
-    immediate, explained error instead of a connect hang. Legacy
-    ``host:port`` files resolve without the liveness probe."""
+    immediate, explained error instead of a connect hang."""
     if addr:
         host, _, port = addr.rpartition(":")
         if not host or not port.isdigit():
@@ -74,31 +73,24 @@ def resolve_addr(addr: str | None, addr_file: str | None) -> tuple:
         except OSError as exc:
             raise ServeError(f"cannot read --addr-file: {exc}") from exc
         parts = text.split(":")
-        if len(parts) == 3 and parts[0].isdigit() and parts[2].isdigit():
-            _probe_pid(int(parts[0]), addr_file)
-            return (parts[1], int(parts[2]))
-        return resolve_addr(text, None)
+        if not (len(parts) == 3 and parts[0].isdigit()
+                and parts[2].isdigit()):
+            raise ServeError(
+                f"malformed addr file {addr_file}: expected "
+                f"pid:host:port, found {text!r}")
+        _probe_pid(int(parts[0]), addr_file)
+        return (parts[1], int(parts[2]))
     raise ServeError("need --addr host:port or --addr-file PATH "
                      "(repro serve prints and writes its address)")
 
-#: Legacy-reply classification: reasons that are admission decisions,
-#: matched on the old daemon's reason strings. Structured replies
-#: carry an explicit code and never consult this.
-_ADMISSION_MARKERS = ("queue full", "tenant ", "statically rejected",
-                      "unknown program", "daemon is shutting down",
-                      "job wants ")
-
 
 def _classify(reply) -> Exception:
-    """The exception for an ``("err", ...)`` reply tuple."""
-    if len(reply) >= 3:   # structured: ("err", code, reason)
-        code, reason = reply[1], reply[2]
-        if code == "admission":
-            return AdmissionError(reason)
-        return ServeError(reason)
-    reason = reply[1]     # legacy 2-tuple: sniff the reason string
-    if any(reason.startswith(m) or m in reason
-           for m in _ADMISSION_MARKERS):
+    """The exception for an ``("err", code, reason)`` reply tuple."""
+    if not (isinstance(reply, tuple) and len(reply) == 3
+            and reply[0] == "err"):
+        return ServeError(f"malformed reply from the daemon: {reply!r}")
+    _err, code, reason = reply
+    if code == "admission":
         return AdmissionError(reason)
     return ServeError(reason)
 
@@ -118,10 +110,10 @@ class ServeClient:
 
     # -- plumbing ------------------------------------------------------
     def _dial(self) -> None:
-        sock = _connect_with_backoff(self.addr, seed=self._seed)
+        sock = connect_with_backoff(self.addr, seed=self._seed)
         sock.settimeout(self.timeout)
         self._fs = FrameSocket(sock)
-        _send_obj(self._fs, FRAME_HELLO, ("hello-client", None, None))
+        send_obj(self._fs, FRAME_HELLO, ("hello-client", None, None))
 
     def _drop(self) -> None:
         if self._fs is not None:
@@ -144,7 +136,7 @@ class ServeClient:
                     if self._fs is None:
                         self._dial()
                         self.reconnects += 1
-                    _send_obj(self._fs, FRAME_CMD, req)
+                    send_obj(self._fs, FRAME_CMD, req)
                     while True:
                         frame = self._fs.recv()
                         if frame.kind == FRAME_REPORT:
@@ -165,8 +157,9 @@ class ServeClient:
                             f"not get an answer before the deadline: "
                             f"{exc}") from exc
                     time.sleep(delay)
-        reply = _load_obj(frame)
-        if reply[0] == "ok":
+        reply = load_obj(frame)
+        if (isinstance(reply, tuple) and len(reply) == 2
+                and reply[0] == "ok"):
             return reply[1]
         raise _classify(reply)
 

@@ -27,8 +27,8 @@ import time
 
 from ..errors import ServeError
 from ..fabric.controller import reap_workers
-from ..fabric.socket import PhiAccrualDetector, _send_obj
-from ..fabric.wire import FRAME_CMD, WireError
+from ..fabric.socket import PhiAccrualDetector
+from ..fabric.wire import FRAME_CMD, WireError, send_obj
 
 __all__ = ["PoolWorker", "WorkerPool"]
 
@@ -120,7 +120,7 @@ class WorkerPool:
         if fs is None:
             return 0
         try:
-            return _send_obj(fs, FRAME_CMD, cmd, gen=gen)
+            return send_obj(fs, FRAME_CMD, cmd, gen=gen)
         except WireError:
             return 0
 
@@ -251,7 +251,7 @@ class WorkerPool:
         for w in workers:
             if w.conn is not None:
                 try:
-                    _send_obj(w.conn, FRAME_CMD, ("stop",), gen=w.gen)
+                    send_obj(w.conn, FRAME_CMD, ("stop",), gen=w.gen)
                 except WireError:
                     pass
         reap_workers([w.proc for w in workers])

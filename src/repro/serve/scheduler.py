@@ -1,39 +1,33 @@
-"""JobRun: the per-job resilient controller over leased pool workers.
+"""JobRun: one job's controller over leased pool workers.
 
-One thread per running job. It is the serve-mode restatement of
-``SocketFabric._run_resilient`` with the world construction removed:
-instead of forking workers and binding a listener, it sends job
-headers over the pool's warm connections and tears down with
-``endjob`` frames. Everything stateful is per-job and lives here —
-the :class:`~repro.fabric.controller.Supervisor` (journal, quiescent
-checkpoints, respawn budget) and the
-:class:`~repro.fabric.controller.CreditGate` (per-host windows, hop
-coalescing) — so concurrent jobs are isolated: one job's SIGKILLed
-worker, exhausted budget, or timeout never touches another's.
+One thread per running job, driving the shared controller loop
+(:class:`~repro.fabric.controller.Controller` — the same one the
+process and socket fabrics run) over the pool's warm connections.
+``JobRun`` is that loop's :class:`~repro.fabric.controller.Link`:
 
-Recovery protocol when the monitor reports a replaced worker:
+* *send* tags the command with the job id — ``(op, jid, *rest)`` —
+  and hands it to :meth:`WorkerPool.send` for the leased worker;
+* *receive* waits on the queue the service routes this job's reports
+  into; the failure monitor's ``("respawned", wid)`` post — the pool
+  has already forked the replacement — is the "host lost" event;
+* *replace* re-sends the job header and programs (the fresh worker's
+  cache is empty); the loop then restores the last committed
+  checkpoint and replays the journal.
 
-1. ``Supervisor.authorize_respawn`` — budget exhausted means *this
-   job* fails (the pool already replaced the process regardless);
-2. re-send the job header and programs (the fresh worker's cache is
-   empty), then the last committed checkpoint state;
-3. ``CreditGate.reset`` + journal replay + ``pump`` — exactly the
-   socket fabric's replay, re-coalescing deterministically;
-4. ``(messenger id, hop count)`` dedup in the core makes the
-   at-least-once replay exactly-once.
+Everything stateful is per-job — the
+:class:`~repro.fabric.controller.Supervisor` (journal, quiescent
+checkpoints, respawn budget) and the loop's credit gate — so
+concurrent jobs are isolated: one job's SIGKILLed worker, exhausted
+budget (*that job* fails; the pool replaced the process regardless),
+or timeout never touches another's.
 
 Durable daemons extend the same machinery across a *daemon* crash:
-every fully-committed coordinated checkpoint is persisted as a resume
-bundle — the per-host states, each host's journal suffix (the
-controller→worker channel state the cut does not cover), and the
-controller's ``known``/``done`` sets — to the service's checkpoint
-store under ``cut:{jid}``. A restarted daemon hands the bundle back
-via ``bundle=`` and :meth:`JobRun._execute` restores every host and
-replays the suffixes instead of running setup; the same (mid, hops)
-dedup makes the cross-restart replay exactly-once too. The bundle is
-consistent because reports arrive FIFO per worker: every ``done`` a
-host sent before answering the marker is folded into ``known``/
-``done`` before the commit that persists them.
+every fully-committed coordinated checkpoint reaches
+:meth:`JobRun._persist_cut` as the loop's resume bundle and is saved
+to the service's checkpoint store under ``cut:{jid}``. A restarted
+daemon hands the bundle back via ``bundle=`` and the loop resumes
+from it instead of seeding; the workers' (mid, hops) dedup makes the
+cross-restart replay exactly-once too.
 """
 
 from __future__ import annotations
@@ -45,11 +39,9 @@ import time
 
 import numpy as np
 
-from ..errors import ResilienceError, ServeError
-from ..fabric.controller import CreditGate, Supervisor
+from ..fabric.controller import Controller, Link, Supervisor
 from ..fabric.hosts import cyclic_hosts, resolve_hosts
 from ..fabric.topology import Grid2D
-from ..navp.interp import Interp
 from ..resilience.recovery import RecoveryPolicy
 from .catalog import build_job_suite
 from .jobs import JobRecord, STATE_COMPLETED, STATE_FAILED
@@ -57,7 +49,7 @@ from .jobs import JobRecord, STATE_COMPLETED, STATE_FAILED
 __all__ = ["JobRun"]
 
 
-class JobRun(threading.Thread):
+class JobRun(threading.Thread, Link):
     """Drive one leased job to completion (or failure)."""
 
     def __init__(self, service, record: JobRecord, wids: list,
@@ -69,6 +61,8 @@ class JobRun(threading.Thread):
         self.store = store              # CheckpointStore for cut bundles
         self.bundle = bundle            # resume bundle from a prior daemon
         self.reports: queue.Queue = queue.Queue()
+        self._headers: dict = {}        # host -> its ("job", ...) header
+        self._programs = ()
 
     def post(self, msg) -> None:
         self.reports.put(msg)
@@ -89,175 +83,62 @@ class JobRun(threading.Thread):
         finally:
             self.service.on_job_done(self, recycle=failed)
 
+    # -- the link verbs ------------------------------------------------
+    def send(self, host, cmd) -> None:
+        self.service.pool.send(self.wids[host],
+                               (cmd[0], self.record.jid) + cmd[1:])
+
+    def receive(self, timeout):
+        try:
+            msg = self.reports.get(timeout=min(timeout, 0.1))
+        except queue.Empty:
+            return None
+        if msg[0] == "respawned":
+            return ("lost", self.wids.index(msg[1]))
+        return msg
+
+    def replace(self, host) -> None:
+        self.record.restarts += 1
+        self._send_header(host)
+
+    def _send_header(self, host) -> None:
+        # One FIFO connection per worker carries header, programs,
+        # loads and runs in order, and cross-host hops all detour
+        # through the controller — so no setup barrier is needed.
+        pool = self.service.pool
+        pool.send(self.wids[host], self._headers[host])
+        pool.ship(self.wids[host], self._programs)
+
     # -- the run -------------------------------------------------------
     def _execute(self):
         service = self.service
-        pool = service.pool
-        record = self.record
-        spec = record.spec
-        jid = record.jid
-        nh = len(self.wids)
+        spec = self.record.spec
+        jid = self.record.jid
+        hosts = range(len(self.wids))
 
         suite, a, b = build_job_suite(spec.program, spec.g, spec.seed,
                                       spec.ab)
         topology = Grid2D(spec.g)
-        host_of = resolve_hosts(topology, cyclic_hosts(topology, nh))
-        coords = list(topology.coords)
-        coords_of_host = {
-            h: [c for c in coords if host_of[c] == h] for h in range(nh)
-        }
+        host_of = resolve_hosts(topology, cyclic_hosts(topology, len(hosts)))
+        self._programs = suite.programs
+        for h in hosts:
+            self._headers[h] = (
+                "job", jid, h,
+                [c for c in topology.coords if host_of[c] == h],
+                dict(host_of))
+            self._send_header(h)
 
-        sup = Supervisor(RecoveryPolicy(), service.max_restarts)
-
-        def wid_of(h):
-            return self.wids[h]
-
-        def send_header(h):
-            pool.send(wid_of(h), ("job", jid, h, coords_of_host[h],
-                                  dict(host_of)))
-            pool.ship(wid_of(h), suite.programs)
-
-        def emit_batch(h, batch):
-            cmd = (("run", jid, batch[0]) if len(batch) == 1
-                   else ("runs", jid, batch))
-            pool.send(wid_of(h), cmd)
-
-        gate = CreditGate(service.window, service.coalesce, emit_batch)
-
-        def send(h, cmd):
-            """Journal + deliver one non-run, job-local command."""
-            sup.journal(h, cmd)
-            pool.send(wid_of(h), (cmd[0], jid) + tuple(cmd[1:]))
-
-        def gate_send(h, payload, journal=True, flush=True):
-            if journal:
-                sup.journal(h, ("run", payload))
-            gate.push(h, payload, flush=flush)
-
-        def recover(h):
-            """Bring this job back onto the replacement worker for
-            job-local host ``h`` (the pool already forked it)."""
-            try:
-                sup.authorize_respawn(h)
-            except ResilienceError as exc:
-                raise ServeError(str(exc)) from exc
-            record.restarts += 1
-            send_header(h)
-            state, replay = sup.recovery_script(h)
-            if state is not None:
-                pool.send(wid_of(h), ("restore", jid, state))
-            gate.reset(h)   # every queued payload is in the journal
-            for cmd in replay:
-                if cmd[0] == "run":
-                    gate_send(h, cmd[1], journal=False, flush=False)
-                else:
-                    pool.send(wid_of(h), (cmd[0], jid) + tuple(cmd[1:]))
-            gate.pump(h)
-
-        def checkpoint_all():
-            cid = sup.begin_checkpoint(range(nh))
-            for h in range(nh):
-                pool.send(wid_of(h), ("ckpt", jid, cid))
-
-        # -- setup: headers, programs, layout, initial events ----------
-        # One FIFO connection per worker carries header, programs,
-        # loads and runs in order, and cross-host hops all detour
-        # through this controller — so no setup barrier is needed.
-        for h in range(nh):
-            send_header(h)
-
-        known: set = set()
-        done: set = set()
-        if self.bundle is not None:
-            # Resume a job a previous daemon session left mid-flight:
-            # restore every host to the bundled cut, re-journal + replay
-            # each journal suffix (the in-flight controller->worker
-            # payloads the cut did not cover), and seed known/done from
-            # the cut instead of injecting the entry messenger. The
-            # (mid, hops) dedup in the worker core absorbs anything the
-            # replay re-delivers.
-            known.update(self.bundle.get("known", ()))
-            done.update(self.bundle.get("done", ()))
-            for h in range(nh):
-                state = self.bundle.get("states", {}).get(h)
-                if state is not None:
-                    sup.ckpt_state[h] = state
-                    pool.send(wid_of(h), ("restore", jid, state))
-            for h in range(nh):
-                for cmd in self.bundle.get("journal", {}).get(h, ()):
-                    if cmd[0] == "run":
-                        gate_send(h, cmd[1], journal=True, flush=False)
-                    else:
-                        send(h, cmd)
-                gate.pump(h)
-        else:
-            for coord, node_vars in suite.layout.items():
-                send(host_of[coord], ("load", coord, node_vars))
-            for coord, name, args, count in suite.initial_signals:
-                send(host_of[coord], ("signal0", (coord, name, args, count)))
-            mid = f"{jid}/m0"
-            known.add(mid)
-            gate_send(host_of[(0, 0)], (
-                mid, [], 0, (0, 0),
-                Interp(suite.entry.name, {}).agent_snapshot(), 0,
-            ))
-
-        # -- event loop ------------------------------------------------
-        commits: dict = {}   # ckpt id -> hosts that have committed
-        deadline = time.monotonic() + service.job_timeout_s
-        while not known <= done:
-            msg = self._next_report(deadline, done, known)
-            tag = msg[0]
-            if tag == "respawned":
-                recover(self.wids.index(msg[1]))
-                continue
-            op, body = msg[1], msg[2]
-            if op == "done":
-                done.add(body[1])
-                known.update(body[2])
-            elif op == "credit":
-                gate.credit(body[1])
-            elif op == "hop":
-                _, _src, dst, task = body
-                gate_send(dst, task)
-                sup.note_forward()
-                if (service.checkpoint_every is not None
-                        and sup.forwards_since_ckpt
-                        >= service.checkpoint_every):
-                    checkpoint_all()
-            elif op == "ckpt":
-                sup.commit_checkpoint(body[1], body[2], body[3])
-                committed = commits.setdefault(body[2], set())
-                committed.add(body[1])
-                if len(committed) == nh and self.store is not None:
-                    self._persist_cut(sup, body[2], nh, known, done)
-            elif op == "error":
-                raise ServeError(f"worker host {body[1]}: {body[2]}")
-
-        # -- collect ---------------------------------------------------
-        for h in range(nh):
-            pool.send(wid_of(h), ("collect", jid))
-        places: dict = {}
-        hosts_seen: set = set()
-        while len(hosts_seen) < nh:
-            msg = self._next_report(deadline, hosts_seen, range(nh),
-                                    phase="collect")
-            if msg[0] == "respawned":
-                h = self.wids.index(msg[1])
-                recover(h)
-                pool.send(wid_of(h), ("collect", jid))
-                continue
-            op, body = msg[1], msg[2]
-            if op == "vars":
-                hosts_seen.add(body[1])
-                places.update(body[2])
-            elif op == "credit":
-                gate.credit(body[1])
-            elif op == "error":
-                raise ServeError(f"worker host {body[1]}: {body[2]}")
-
-        for h in range(nh):
-            pool.send(wid_of(h), ("endjob", jid))
+        places = Controller(
+            self, f"job {jid}", len(hosts), host_of, service.job_timeout_s,
+            sup=Supervisor(RecoveryPolicy(), service.max_restarts),
+            window=service.window, coalesce=service.coalesce,
+            checkpoint_every=service.checkpoint_every,
+            on_cut=self._persist_cut if self.store is not None else None,
+        ).run(suite.layout.items(), suite.initial_signals,
+              [(f"{jid}/m0", (0, 0), suite.entry.name, {})],
+              resume=self.bundle)
+        for h in hosts:
+            self.send(h, ("endjob",))
 
         # -- assemble + verify -----------------------------------------
         sample = next(iter(suite.layout.values()))["C"]
@@ -269,39 +150,8 @@ class JobRun(threading.Thread):
         digest = hashlib.sha256(c.tobytes()).hexdigest()
         return digest, bool(np.allclose(c, a @ b))
 
-    def _persist_cut(self, sup, cid, nh, known, done):
+    def _persist_cut(self, cid, bundle) -> None:
         """Every host committed checkpoint ``cid``: persist the resume
-        bundle a restarted daemon needs to continue this job.
-
-        The journal suffix per host is the controller->worker channel
-        state — payloads forwarded after the cut that a restored worker
-        has not seen. ``known``/``done`` are captured *now* (all
-        commits arrived), which is consistent because reports are FIFO
-        per connection: any ``done`` sent before a host's commit is
-        already folded in, and over-delivery into sets is idempotent.
-        """
-        bundle = {
-            "cid": cid,
-            "states": {h: sup.ckpt_state.get(h) for h in range(nh)},
-            "journal": {h: sup.ledger.entries(h) for h in range(nh)},
-            "known": set(known),
-            "done": set(done),
-        }
+        bundle a restarted daemon needs to continue this job."""
         self.store.save(f"cut:{self.record.jid}", bundle)
         self.service.on_job_checkpoint(self.record, cid)
-
-    def _next_report(self, deadline, have, want, phase="run"):
-        """Block for the next report, enforcing the job deadline."""
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                missing = len(set(want) - set(have))
-                raise ServeError(
-                    f"job timed out after "
-                    f"{self.service.job_timeout_s:.0f}s "
-                    f"({phase}: {missing} outstanding, "
-                    f"{self.record.restarts} respawn(s))")
-            try:
-                return self.reports.get(timeout=min(remaining, 0.1))
-            except queue.Empty:
-                continue

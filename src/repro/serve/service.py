@@ -4,7 +4,7 @@ One TCP listener serves both populations: pool workers connect with a
 ``("hello-worker", wid, _)`` frame and stream heartbeats + job
 reports; clients connect with ``("hello-client", _, _)`` and speak a
 request/response protocol of CMD frames answered by REPORT frames —
-``("ok", payload)`` or ``("err", reason)``. Both ride the same
+``("ok", payload)`` or ``("err", code, reason)``. Both ride the same
 :mod:`repro.fabric.wire` VERSION-2 multi-buffer framing as every hop
 in the system.
 
@@ -19,7 +19,8 @@ Threads, and what each owns:
 * **dispatcher** — admission queue -> pool leases, woken by submits,
   completions, respawns and resizes;
 * **monitor** — phi-accrual suspicion + EOF events -> pool respawn,
-  then the leasing job's recovery (or its failure, if the respawn
+  then a ``respawned`` post to the leasing job, whose controller loop
+  recovers onto the replacement (or fails the job, if its respawn
   budget is spent).
 
 Admission control answers at submit time (see
@@ -38,9 +39,9 @@ import time
 
 from ..errors import AdmissionError, ServeError
 from ..fabric.factory import fabric_capabilities
-from ..fabric.socket import _load_obj, _send_obj
 from ..fabric.wire import (FRAME_CMD, FRAME_HEARTBEAT, FRAME_HELLO,
-                           FRAME_REPORT, FrameSocket, WireError)
+                           FRAME_REPORT, FrameSocket, WireError, load_obj,
+                           send_obj)
 from ..resilience.checkpoint import DiskStore, MemoryStore
 from .catalog import REJECT_STATUSES, admission_verdict, program_names
 from .jobs import JobRecord, JobSpec, STATE_FAILED, STATE_RUNNING
@@ -505,8 +506,7 @@ class ServeService:
                     if jid is not None:
                         run = self.runs.get(jid)
                         if run is not None:
-                            run.post(("jr", "error",
-                                      ("error", wid, str(exc))))
+                            run.post(("error", wid, str(exc)))
                     continue
                 if jid is not None:
                     run = self.runs.get(jid)
@@ -534,7 +534,7 @@ class ServeService:
         if hello.kind != FRAME_HELLO:
             fs.close()
             return
-        tag = _load_obj(hello)
+        tag = load_obj(hello)
         if tag[0] == "hello-worker":
             self._serve_worker(fs, tag[1], hello.gen)
         elif tag[0] == "hello-client":
@@ -558,7 +558,7 @@ class ServeService:
             if frame.kind == FRAME_HEARTBEAT:
                 self.pool.beat(wid, gen)
             elif frame.kind == FRAME_REPORT:
-                _tag, jid, msg = _load_obj(frame)
+                _tag, jid, msg = load_obj(frame)
                 self._route(wid, jid, msg)
 
     def _route(self, wid: int, jid, msg) -> None:
@@ -568,7 +568,7 @@ class ServeService:
             return   # report for a finished/failed job: drop
         if wid not in run.wids:
             return   # lease moved on; a zombie's late report
-        run.post(("jr", msg[0], msg))
+        run.post(msg)
 
     # -- the client protocol -------------------------------------------
     def _serve_client(self, fs: FrameSocket) -> None:
@@ -583,7 +583,7 @@ class ServeService:
             # errors travel structured — ("err", code, reason) — so the
             # client classifies by code, not by sniffing reason strings
             try:
-                reply = ("ok", self._handle(_load_obj(frame)))
+                reply = ("ok", self._handle(load_obj(frame)))
             except AdmissionError as exc:
                 reply = ("err", "admission", str(exc))
             except ServeError as exc:
@@ -591,7 +591,7 @@ class ServeService:
             except Exception as exc:  # noqa: BLE001 - protocol-level
                 reply = ("err", "internal", f"{type(exc).__name__}: {exc}")
             try:
-                _send_obj(fs, FRAME_REPORT, reply)
+                send_obj(fs, FRAME_REPORT, reply)
             except WireError:
                 fs.close()
                 return

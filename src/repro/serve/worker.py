@@ -2,11 +2,13 @@
 
 A pool worker is the serve-mode sibling of the socket fabric's
 ``_sock_worker``: the same :class:`~repro.fabric.controller.WorkerCore`
-execution engine behind the same wire.py frames, but the *process*
-outlives any one job. What stays warm across jobs — the whole point of
-the pool — is the fork, the TCP connection + handshake, the numpy
-import, and the cache of registered IR programs, so a job lease costs
-a few small frames instead of world construction.
+execution engine behind the same
+:class:`~repro.fabric.socket.WorkerSession` (dial, hello, control
+reader, heartbeat, error forwarding), but the *process* outlives any
+one job — this module adds only the job table. What stays warm across
+jobs — the whole point of the pool — is the fork, the TCP connection +
+handshake, the numpy import, and the cache of registered IR programs,
+so a job lease costs a few small frames instead of world construction.
 
 Commands are job-tagged: a ``("job", jid, ...)`` header creates a
 fresh core for that job (node variables, event tables, dedup set —
@@ -27,74 +29,48 @@ bounds this worker's backlog.
 
 from __future__ import annotations
 
-import queue
-import threading
-
 from ..fabric.controller import WorkerCore
-from ..fabric.socket import _connect_with_backoff, _load_obj, _send_obj
-from ..fabric.wire import (FRAME_CMD, FRAME_HEARTBEAT, FRAME_HELLO,
-                           FRAME_REPORT, FrameSocket, WireError)
+from ..fabric.socket import WorkerSession
+from ..fabric.wire import WireError
+from ..navp import ir
 
 __all__ = ["pool_worker_main"]
 
 
 def pool_worker_main(wid, ctl_addr, gen, heartbeat_s, backoff_seed):
     """Entry point of one pool worker process."""
-    inbox: queue.Queue = queue.Queue()
-    stop_evt = threading.Event()
-    stats = {"jobs": 0, "frames_in": 0}
-
-    ctl = FrameSocket(_connect_with_backoff(ctl_addr, backoff_seed))
-    _send_obj(ctl, FRAME_HELLO, ("hello-worker", wid, None), gen=gen)
-
-    def ctl_reader():
-        while True:
-            try:
-                frame = ctl.recv()
-            except WireError:
-                inbox.put(("stop",))
-                return
-            if frame.kind != FRAME_CMD:
-                continue
-            stats["frames_in"] += 1
-            inbox.put(_load_obj(frame))
-
-    def heartbeat_loop():
-        while not stop_evt.wait(heartbeat_s):
-            try:
-                ctl.send(FRAME_HEARTBEAT, b"", gen=gen)
-            except WireError:
-                return
-
-    threading.Thread(target=ctl_reader, daemon=True).start()
-    threading.Thread(target=heartbeat_loop, daemon=True).start()
-
     current = {"jid": None, "core": None, "host": None}
+
+    def tagged(msg):
+        return ("jr", current["jid"], msg)
+
+    session = WorkerSession(
+        ctl_addr, gen, ("hello-worker", wid, None), heartbeat_s,
+        backoff_seed,
+        lambda text: tagged(("error", current["host"], text)))
 
     def emit_report(msg):
         try:
-            _send_obj(ctl, FRAME_REPORT, ("jr", current["jid"], msg),
-                      gen=gen)
+            session.report(tagged(msg))
         except WireError:
-            pass  # daemon gone; the main loop will see the stop
+            pass  # daemon gone; the main loop will see the eof
 
     def emit_hop(dst_host, payload):
         emit_report(("hop", current["host"], dst_host, payload))
 
-    try:
+    with session:
         while True:
             core = current["core"]
             if core is not None and core.ready:
                 core.step()
                 continue
-            cmd = inbox.get()
+            cmd = session.inbox.get()
             op = cmd[0]
-            if op == "stop":
+            if op == "stop" or op == "eof":
                 break
             if op == "register":
                 # worker-lifetime program cache — the daemon tracks what
                 # it shipped here and skips re-sending across jobs
-                from ..navp import ir
                 for program in cmd[1]:
                     ir.register_program(program, replace=True)
                 continue
@@ -105,41 +81,18 @@ def pool_worker_main(wid, ctl_addr, gen, heartbeat_s, backoff_seed):
                 current["core"] = WorkerCore(
                     host, [tuple(c) for c in coords], dict(host_of),
                     emit_hop, emit_report, dedup=True)
-                stats["jobs"] += 1
                 continue
             # everything below is job-tagged: (op, jid, ...)
-            jid = cmd[1]
-            if jid != current["jid"] or current["core"] is None:
+            if cmd[1] != current["jid"] or core is None:
                 continue  # stale frame of a finished/abandoned job
-            core = current["core"]
             if op == "endjob":
-                current["jid"] = None
-                current["core"] = None
-                current["host"] = None
-            elif op in ("run", "runs"):
-                tasks = [cmd[2]] if op == "run" else cmd[2]
-                for task in tasks:
+                current["jid"] = current["core"] = current["host"] = None
+                continue
+            if op == "run" or op == "runs":
+                for task in ([cmd[2]] if op == "run" else cmd[2]):
                     emit_report(("credit", current["host"]))
                     core.handle(("run", task))
-            elif op == "load":
-                core.handle(("load", tuple(cmd[2]), cmd[3]))
-            elif op == "signal0":
-                core.handle(("signal0", cmd[2]))
-            elif op == "ckpt":
-                core.handle(("ckpt", cmd[2]))
-            elif op == "restore":
-                core.handle(("restore", cmd[2]))
-            elif op == "collect":
-                core.handle(("collect",))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to daemon
-        try:
-            _send_obj(ctl, FRAME_REPORT,
-                      ("jr", current["jid"],
-                       ("error", current["host"],
-                        f"{type(exc).__name__}: {exc}")),
-                      gen=gen)
-        except WireError:
-            pass
-    finally:
-        stop_evt.set()
-        ctl.close()
+            else:
+                # load / signal0 / ckpt / restore / collect: the core's
+                # own command once the job tag is stripped
+                core.handle((op,) + cmd[2:])

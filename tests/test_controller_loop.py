@@ -1,0 +1,268 @@
+"""The one controller loop, driven in-process over a scripted link.
+
+:class:`~repro.fabric.controller.Controller` talks to the world
+through a four-verb :class:`~repro.fabric.controller.Link`, so a test
+can be the transport: :class:`ScriptedLink` keeps the
+:class:`~repro.fabric.controller.WorkerCore` hosts in this process,
+delivers their reports in one deterministic order, and "loses" host
+*h* when the *k*-th event is received. That turns crash testing from
+sampling (SIGKILL and see which interleaving the OS picks) into
+enumeration: every (*h*, *k*) of the run and collect phases, and a
+resume from every cut bundle.
+
+Also here: the structural test that keeps it *one* loop.
+"""
+
+import ast
+import hashlib
+import pickle
+from collections import deque
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.fabric.controller import (Controller, Link, Supervisor,
+                                     WorkerCore)
+from repro.fabric.hosts import cyclic_hosts, resolve_hosts
+from repro.fabric.topology import Grid2D
+from repro.resilience.recovery import RecoveryPolicy
+from repro.serve import build_job_suite
+
+AB = 4
+#: (program, g, hosts): the shape ISSUE 13 names, then a denser one
+SHAPES = [("navp-2d-pipeline", 2, 2), ("navp-2d-dsc", 3, 3)]
+
+
+def wire(obj):
+    """What crossing a process boundary does to a message."""
+    return pickle.loads(pickle.dumps(obj))
+
+
+class ScriptedLink(Link):
+    """In-process workers behind the four verbs.
+
+    ``receive`` first runs every live host to quiescence (ready tasks,
+    then queued commands, like a real worker's main loop), then hands
+    out the oldest report. When the ``lose=(h, k)``-th event is due,
+    host ``h`` is destroyed instead — core and inbox gone — and
+    ``("lost", h)`` is delivered; with ``stale="dropped"`` the reports
+    it had already emitted vanish too (a fenced-off socket), with
+    ``"kept"`` they still arrive (a shared report queue).
+    """
+
+    def __init__(self, host_of, lose=None, stale="kept"):
+        self.host_of = host_of
+        self.lose = lose
+        self.stale = stale
+        self.reports: deque = deque()   # (host, report), emission order
+        self.cores: dict = {}
+        self.inboxes: dict = {}
+        self.received = 0
+        self.collect_at = None          # events received before `collect`
+        for h in sorted(set(host_of.values())):
+            self.replace(h)
+
+    def send(self, host, cmd):
+        if cmd[0] == "collect" and self.collect_at is None:
+            self.collect_at = self.received
+        if host in self.cores:          # silently dropped toward a dead one
+            self.inboxes[host].append(wire(cmd))
+
+    def replace(self, host):
+        def emit(msg):
+            self.reports.append((host, wire(msg)))
+
+        coords = [c for c, h in self.host_of.items() if h == host]
+        self.cores[host] = WorkerCore(
+            host, coords, self.host_of,
+            lambda dst, task: emit(("hop", host, dst, task)), emit,
+            dedup=True)
+        self.inboxes[host] = deque()
+
+    def _work(self):
+        for host, core in self.cores.items():
+            inbox = self.inboxes[host]
+            while core.ready or inbox:
+                if core.ready:
+                    core.step()
+                    continue
+                cmd = inbox.popleft()
+                if cmd[0] not in ("run", "runs"):
+                    core.handle(cmd)
+                    continue
+                for task in [cmd[1]] if cmd[0] == "run" else cmd[1]:
+                    core.emit_report(("credit", host))
+                    core.handle(("run", task))
+
+    def receive(self, timeout):
+        self._work()
+        if not self.reports:
+            return None
+        self.received += 1
+        if self.lose is not None and self.lose[1] == self.received:
+            host = self.lose[0]
+            del self.cores[host], self.inboxes[host]
+            if self.stale == "dropped":
+                self.reports = deque(
+                    r for r in self.reports if r[0] != host)
+            return ("lost", host)
+        return self.reports.popleft()[1]
+
+
+def assemble(places, g):
+    c = np.empty((g * AB, g * AB))
+    for (i, j), node_vars in places.items():
+        c[i * AB:(i + 1) * AB, j * AB:(j + 1) * AB] = node_vars["C"]
+    return c
+
+
+class Job:
+    """One catalog job and the pieces a drive needs."""
+
+    def __init__(self, program, g, hosts):
+        self.shape = (program, g, 3, AB)
+        self.g, self.hosts = g, hosts
+        self.suite, self.a, self.b = build_job_suite(*self.shape)
+        topology = Grid2D(g)
+        self.host_of = resolve_hosts(topology,
+                                     cyclic_hosts(topology, hosts))
+
+    def controller(self, link, max_restarts=2, every=2, on_cut=None):
+        return Controller(
+            link, "scripted", self.hosts, self.host_of, 5.0,
+            sup=Supervisor(RecoveryPolicy(), max_restarts),
+            window=2, coalesce=2, checkpoint_every=every, on_cut=on_cut)
+
+    def drive(self, lose=None, stale="kept", resume=None, every=2,
+              on_cut=None):
+        link = ScriptedLink(self.host_of, lose, stale)
+        ctl = self.controller(link, every=every, on_cut=on_cut)
+        places = ctl.run(self.suite.layout.items(),
+                         self.suite.initial_signals,
+                         [("m0", (0, 0), self.suite.entry.name, {})],
+                         resume=resume)
+        digest = hashlib.sha256(
+            assemble(places, self.g).tobytes()).hexdigest()
+        return digest, ctl, link
+
+
+@pytest.fixture(scope="module", params=SHAPES,
+                ids=lambda shape: f"{shape[0]}-g{shape[1]}")
+def job(request):
+    return Job(*request.param)
+
+
+@pytest.fixture(scope="module")
+def clean(job):
+    """The fault-free drive: its digest, event count, and cut bundles."""
+    cuts = []
+    digest, ctl, link = job.drive(
+        on_cut=lambda cid, bundle: cuts.append(wire(bundle)))
+    assert ctl.known == ctl.done and len(ctl.known) > 1
+    assert sum(ctl.sup.restarts.values()) == 0
+    return {"digest": digest, "events": link.received, "cuts": cuts,
+            "collect_at": link.collect_at}
+
+
+def test_clean_drive_matches_the_sim_golden(job, clean):
+    from repro.fabric.sim import SimFabric
+    from repro.navp.interp import IRMessenger
+
+    suite, a, b = build_job_suite(*job.shape)
+    fabric = SimFabric(Grid2D(job.g), trace=False)
+    for coord, node_vars in suite.layout.items():
+        fabric.load(coord, **node_vars)
+    for coord, event, args, count in suite.initial_signals:
+        fabric.signal_initial(coord, event, *args, count=count)
+    fabric.inject((0, 0), IRMessenger(suite.entry.name))
+    c = assemble(fabric.run().places, job.g)
+    assert np.allclose(c, a @ b)
+    assert hashlib.sha256(c.tobytes()).hexdigest() == clean["digest"]
+
+
+@pytest.mark.parametrize("every", [2, None], ids=["ckpt2", "nockpt"])
+@pytest.mark.parametrize("stale", ["kept", "dropped"])
+def test_every_crash_point_recovers_bit_identical(job, clean, stale, every):
+    """Lose each host at each event index of the whole drive — run
+    phase and collect phase — and recover to the same bits. Without
+    checkpoints the journal reaches back to start-up, so a late
+    replay is longer than the credit window (2) and `collect` has to
+    wait for it to drain."""
+    _digest, _ctl, link = job.drive(every=every)
+    events, collect_at = link.received, link.collect_at
+    # the enumeration is not vacuous, and reaches into the collect phase
+    assert 15 < collect_at < events
+    for k in range(1, events + 1):
+        for h in range(job.hosts):
+            digest, ctl, _link = job.drive(lose=(h, k), stale=stale,
+                                           every=every)
+            where = f"host {h} lost at event {k} ({stale}, ckpt {every})"
+            # bit-identical C blocks: no replayed delivery and no
+            # repeated `done` was applied to node variables twice
+            assert digest == clean["digest"], where
+            assert dict(ctl.sup.restarts) == {h: 1}, where
+            assert ctl.known == ctl.done, where
+
+
+def test_resume_from_every_cut(job, clean):
+    """A fresh controller over fresh workers, started from any
+    committed cut bundle, finishes with the same digest."""
+    assert len(clean["cuts"]) >= 2
+    for bundle in clean["cuts"]:
+        digest, ctl, _link = job.drive(resume=bundle)
+        assert digest == clean["digest"], f"resume from cut {bundle['cid']}"
+        assert ctl.known == ctl.done
+
+
+def test_exhausted_budget_fails_the_drive(job):
+    from repro.errors import ResilienceError
+
+    ctl = job.controller(ScriptedLink(job.host_of, lose=(1, 5)),
+                         max_restarts=0)
+    with pytest.raises(ResilienceError, match="respawn budget"):
+        ctl.run(job.suite.layout.items(), job.suite.initial_signals,
+                [("m0", (0, 0), job.suite.entry.name, {})])
+
+
+# -- keep it one loop --------------------------------------------------------------
+
+def _callers(name: str) -> set:
+    """Modules under src/repro that *call* ``name`` (any receiver)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    out = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = (fn.attr if isinstance(fn, ast.Attribute)
+                          else getattr(fn, "id", None))
+                if called == name:
+                    out.add(path.relative_to(src).as_posix())
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    "authorize_respawn", "recovery_script", "begin_checkpoint",
+    "commit_checkpoint", "hop_fault_verdict"])
+def test_the_loop_exists_once(name):
+    """A second restatement of the controller loop has to call these;
+    only fabric/controller.py may."""
+    assert _callers(name) == {"fabric/controller.py"}
+
+
+def test_a_finished_controller_is_freed_without_the_cycle_collector(job):
+    """The journal and the collected blocks die with the drive: a
+    controller <-> gate cycle would park them (megabytes per serve job)
+    until a full collection."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        _digest, ctl, _link = job.drive()
+        ref = weakref.ref(ctl)
+        del ctl
+        assert ref() is None
+    finally:
+        gc.enable()

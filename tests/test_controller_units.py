@@ -119,3 +119,30 @@ class TestRespawnBudget:
         state, replay = sup.recovery_script(0)
         assert state == {"state": 1}
         assert replay == [("run", "new")]
+
+    def test_overlapping_cuts_truncate_by_position(self):
+        """A cut may open before the previous one commits (a fast
+        forwarder, a slow worker). Its mark is a position in the whole
+        journal: committing the older cut first must not make the
+        newer one retire entries forwarded after its marker."""
+        sup = Supervisor(RecoveryPolicy(), max_restarts=1)
+        sup.journal(0, ("run", "a"))
+        first = sup.begin_checkpoint([0])
+        sup.journal(0, ("run", "b"))
+        second = sup.begin_checkpoint([0])
+        sup.journal(0, ("run", "c"))
+        sup.commit_checkpoint(0, first, "s1")
+        assert sup.recovery_script(0) == ("s1", [("run", "b"),
+                                                 ("run", "c")])
+        sup.commit_checkpoint(0, second, "s2")
+        assert sup.recovery_script(0) == ("s2", [("run", "c")])
+
+    def test_a_stale_commit_is_ignored(self):
+        sup = Supervisor(RecoveryPolicy(), max_restarts=1)
+        sup.journal(0, ("run", "a"))
+        first = sup.begin_checkpoint([0])
+        sup.journal(0, ("run", "b"))
+        second = sup.begin_checkpoint([0])
+        sup.commit_checkpoint(0, second, "s2")
+        sup.commit_checkpoint(0, first, "s1")    # older state, too late
+        assert sup.recovery_script(0) == ("s2", [])

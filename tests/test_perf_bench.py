@@ -22,6 +22,7 @@ from repro.perf.report import (
     find_previous,
     load_bench,
     make_snapshot,
+    render_report,
     write_bench,
 )
 from repro.perf.suite import BENCHES, run_suite
@@ -191,3 +192,44 @@ class TestLintGate:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 error(s)" in proc.stdout
+
+
+class TestSourceLoc:
+    def test_counts_code_not_prose(self):
+        from repro.perf.report import _code_lines
+        assert _code_lines(
+            '"""Module docstring,\n'
+            'two lines."""\n'
+            '\n'
+            '# a comment\n'
+            'def f(x):  # trailing comments do not hide code\n'
+            '    """Docstring."""\n'
+            '    return (x +\n'
+            '            1)\n'
+            'TEXT = """a string that is data,\n'
+            'not documentation"""\n') == 5
+
+    def test_snapshot_records_packages_and_total(self):
+        loc = make_snapshot({})["source_loc"]
+        assert {"fabric", "serve", "analysis"} <= set(loc)
+        assert loc["total"] == sum(
+            n for name, n in loc.items() if name != "total")
+        assert loc["fabric"] > loc["serve"] > 500
+
+    def test_delta_is_reported_across_smoke_and_full(self):
+        prev = make_snapshot({}, smoke=False)
+        cur = make_snapshot({}, smoke=True)
+        prev["source_loc"]["fabric"] += 294
+        prev["source_loc"]["total"] += 294
+        cur["vs_baseline"] = compare_benches(cur, prev)
+        assert cur["vs_baseline"]["source_loc_delta"] == {
+            "fabric": -294, "total": -294}
+        assert "(-294 vs previous: fabric -294)" in render_report(cur)
+
+    def test_snapshots_without_a_count_still_compare(self):
+        prev = make_snapshot({})
+        del prev["source_loc"]
+        cur = make_snapshot({})
+        cur["vs_baseline"] = compare_benches(cur, prev)
+        assert "source_loc_delta" not in cur["vs_baseline"]
+        assert "no previous count" in render_report(cur)

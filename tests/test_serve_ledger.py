@@ -1,6 +1,6 @@
 """The durable control plane, unit level: ledger edge cases (torn
 tails, rotation, compaction, group commit), replay semantics, the
-structured/legacy error-reply classification, the stale addr-file
+structured error-reply classification, the stale addr-file
 probe, and in-process daemon restarts on one state dir (terminal
 history recovered, idempotent submit deduped across the restart,
 abandoned jobs re-run to the same golden digest).
@@ -296,13 +296,13 @@ class TestReplyClassification:
         assert isinstance(_classify(("err", "admission", "nope")),
                           AdmissionError)
 
-    def test_legacy_two_tuples_still_parse(self):
-        assert isinstance(_classify(("err", "queue full (64)")),
-                          AdmissionError)
-        assert isinstance(_classify(("err", "tenant 'a' at its cap")),
-                          AdmissionError)
-        assert isinstance(_classify(("err", "lost the plot")),
-                          ServeError)
+    @pytest.mark.parametrize("reply", [
+        ("err", "queue full (64)"),     # the pre-structured 2-tuple
+        ("err",), ("okay", 1), None, "err"])
+    def test_malformed_replies_are_loud(self, reply):
+        exc = _classify(reply)
+        assert type(exc) is ServeError
+        assert "malformed reply" in str(exc)
 
 
 class TestAddrFile:
@@ -319,10 +319,13 @@ class TestAddrFile:
         path.write_text(f"{os.getpid()}:127.0.0.1:45678\n")
         assert resolve_addr(None, str(path)) == ("127.0.0.1", 45678)
 
-    def test_legacy_format_resolves_without_probe(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "127.0.0.1:45678", "", "pid:127.0.0.1:45678", "1:2:3:4"])
+    def test_malformed_file_is_rejected(self, tmp_path, text):
         path = tmp_path / "addr"
-        path.write_text("127.0.0.1:45678\n")
-        assert resolve_addr(None, str(path)) == ("127.0.0.1", 45678)
+        path.write_text(text + "\n")
+        with pytest.raises(ServeError, match="malformed addr file"):
+            resolve_addr(None, str(path))
 
 
 class TestSpecKey:
