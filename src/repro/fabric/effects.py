@@ -29,7 +29,7 @@ Effects and their NavP reading:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = [
@@ -57,7 +57,7 @@ class Effect:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Hop(Effect):
     """Migrate the yielding messenger to ``coord``.
 
@@ -72,22 +72,25 @@ class Hop(Effect):
     nbytes: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Inject(Effect):
     """Spawn ``messenger`` at the current place (injection is local)."""
 
     messenger: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute(Effect):
     """Execute ``fn`` and charge ``flops`` of CPU time.
 
     The generator receives ``fn()``'s return value when resumed. ``fn``
-    always runs (numerics are real whenever real arrays were loaded;
-    with :class:`~repro.util.shadow.ShadowArray` data it costs almost
-    nothing), while the *charged* time is ``flops`` at the machine's
-    calibrated rate times the cache factor for ``kind`` (one of
+    always runs: numerics are real whenever real arrays were loaded,
+    and with :class:`~repro.util.shadow.ShadowArray` data it still
+    performs every shape check, so its host cost is whatever Python
+    work ``fn`` does per call — keep that independent of the number of
+    blocks touched (:func:`repro.util.blocks.tile_gemm_acc`). The
+    *charged* time is ``flops`` at the machine's calibrated rate times
+    the cache factor for ``kind`` (one of
     ``"sequential" | "navp" | "mpi"`` or None).
     """
 
@@ -97,7 +100,7 @@ class Compute(Effect):
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaitEvent(Effect):
     """``waitEvent`` on the *current place's* event table (counting)."""
 
@@ -105,7 +108,7 @@ class WaitEvent(Effect):
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SignalEvent(Effect):
     """``signalEvent`` on the current place's event table.
 
@@ -119,7 +122,7 @@ class SignalEvent(Effect):
     count: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send(Effect):
     """Buffered point-to-point send to ``dst``.
 
@@ -136,7 +139,7 @@ class Send(Effect):
     blocking: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Recv(Effect):
     """Blocking receive matching ``(src, tag)``; resumes with the payload."""
 
@@ -144,7 +147,7 @@ class Recv(Effect):
     tag: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IRecv(Effect):
     """Non-blocking receive; resumes immediately with a request handle."""
 
@@ -152,14 +155,14 @@ class IRecv(Effect):
     tag: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaitRequest(Effect):
     """Block until ``request`` completes; resumes with the payload."""
 
     request: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delay(Effect):
     """Advance local time without holding the CPU (think time)."""
 

@@ -27,11 +27,13 @@ triplets; Section 5 item 2).
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..fabric.topology import Grid2D
 from ..machine.presets import SUN_BLADE_100
 from ..machine.spec import MachineSpec
 from ..mpi.comm import Comm, run_spmd
-from ..util.blocks import check_divides, to_block_grid
+from ..util.blocks import check_divides, tile_gemm_acc, to_block_grid
 from .kinds import MatmulCase, RunResult
 from .layouts import gather_c_2d, layout_2d_natural
 
@@ -106,9 +108,7 @@ def gentleman_rank(case: MatmulCase, g: int):
         south = ((i + 1) % g, j)
 
         def round_update():
-            for x in range(a):
-                for y in range(a):
-                    cblocks[x][y] += ablocks[x][y] @ bblocks[x][y]
+            tile_gemm_acc(cblocks, ablocks, bblocks)
 
         # first multiply (Figure 16 lines 11-13)
         yield comm.compute(round_update, flops=flops_round, kind="mpi",
@@ -169,14 +169,10 @@ def gentleman_tuned_rank(case: MatmulCase, g: int):
         south = ((i + 1) % g, j)
 
         def update(cells):
-            def fn(cells=cells, A=ablocks, B=bblocks, C=cblocks):
-                for x, y in cells:
-                    C[x][y] += A[x][y] @ B[x][y]
-            return fn
+            # binds this round's grids: ``bblocks`` is rebound below
+            return partial(tile_gemm_acc, cblocks, ablocks, bblocks, cells)
 
-        all_cells = [(x, y) for x in range(a) for y in range(a)]
-        yield comm.compute(update(all_cells),
-                           flops=len(all_cells) * block_flops,
+        yield comm.compute(update(None), flops=a * a * block_flops,
                            kind="mpi", note="round 0")
 
         interior = [(x, y) for x in range(a) for y in range(a)

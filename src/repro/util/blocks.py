@@ -18,8 +18,10 @@ scientific-Python guidance to prefer views over copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from ..errors import PartitionError
+from .shadow import ShadowArray
 
 __all__ = [
     "Blocking",
@@ -30,6 +32,7 @@ __all__ = [
     "strip_cols",
     "to_block_grid",
     "from_block_grid",
+    "tile_gemm_acc",
 ]
 
 
@@ -76,6 +79,11 @@ def to_block_grid(a, b: int) -> list:
     rows, cols = a.shape
     check_divides(rows, b)
     check_divides(cols, b)
+    if a.__class__ is ShadowArray:
+        # every b x b view of a shadow is the same value object: take
+        # one, share it, but keep the row lists distinct (they rotate)
+        blk = block_view(a, 0, 0, b)
+        return [[blk] * (cols // b) for _ in range(rows // b)]
     return [
         [block_view(a, i, j, b) for j in range(cols // b)]
         for i in range(rows // b)
@@ -90,6 +98,39 @@ def from_block_grid(grid: list, out) -> None:
     for i, row in enumerate(grid):
         for j, blk in enumerate(row):
             out[i * b : (i + 1) * b, j * b : (j + 1) * b] = blk
+
+
+def tile_gemm_acc(c: list, a: list, b: list, cells=None) -> None:
+    """``C[x][y] += A[x][y] @ B[x][y]`` over three block grids.
+
+    Covers the whole grid in row-major order, or the ``(x, y)`` pairs of
+    ``cells`` in the order given; blocks accumulate in place. Real
+    arrays see exactly those products in exactly that order. Shadow
+    blocks are immutable value objects whose ``@`` / ``+=`` only check
+    shapes, so each *distinct* ``(C, A, B)`` triple is checked once:
+    interned blocks make that one triple per tile, and blocks the full
+    intern pool no longer shares are all distinct, hence all checked.
+    """
+    if cells is None:
+        widths = list(map(len, c))
+        if list(map(len, a)) != widths or list(map(len, b)) != widths:
+            raise PartitionError("block grids differ in shape")
+
+    def triples():
+        if cells is None:
+            return chain.from_iterable(map(zip, c, a, b))
+        return ((c[x][y], a[x][y], b[x][y]) for x, y in cells)
+
+    try:
+        todo = set(triples())
+        shadows = all(blk.__class__ is ShadowArray
+                      for triple in todo for blk in triple)
+    except TypeError:  # ndarrays do not hash: real blocks share nothing
+        shadows = False
+    if not shadows:
+        todo = triples()
+    for cblk, ablk, bblk in todo:
+        cblk += ablk @ bblk
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,14 @@ class ShadowArray:
     """An array that knows its shape and dtype but holds no data.
 
     Instances are immutable value objects, so derived arrays (slices,
-    binop results, transposes) are *interned*: the fabric's inner loops
-    slice the same blocks millions of times per table sweep, and
-    handing back a pooled instance turns each of those into a dict hit.
-    ``size``/``nbytes`` are precomputed at construction for the same
-    reason (they feed every flop/byte cost estimate).
+    binop results, transposes) are *interned*: equal ``(shape, dtype)``
+    results are one pooled instance while the pool has room, which is
+    what lets :func:`repro.util.blocks.tile_gemm_acc` check a whole tile
+    of identical blocks once. Indexing is additionally memoized per
+    ``(shape, dtype, index)`` — slices by their ``start, stop, step`` —
+    so a repeated block or strip access is a dict hit, validated the
+    first time only. ``size``/``nbytes`` are precomputed at construction
+    (they feed every flop/byte cost estimate).
     """
 
     __slots__ = ("shape", "dtype", "size", "nbytes")
@@ -98,16 +101,20 @@ class ShadowArray:
 
     # -- indexing -----------------------------------------------------
     def __getitem__(self, key) -> "ShadowArray":
-        memo_key = None
-        try:  # int/tuple-of-int keys (the hot case) memoize directly
-            memo_key = (self.shape, self.dtype, key)
+        if not isinstance(key, tuple):
+            key = (key,)
+        try:
+            # slices enter the memo key as their fields: slice objects
+            # hash on Python 3.12 but not on 3.11, and the hot block and
+            # strip accesses must memoize on both
+            memo_key = (self.shape, self.dtype, tuple([
+                (_SLICE, k.start, k.stop, k.step) if k.__class__ is slice
+                else k for k in key]))
             cached = _GETITEM_CACHE.get(memo_key)
             if cached is not None:
                 return cached
-        except TypeError:  # slices are unhashable on this Python
+        except TypeError:  # an unhashable index; rejected below
             memo_key = None
-        if not isinstance(key, tuple):
-            key = (key,)
         ndim = len(self.shape)
         if len(key) > ndim:
             raise IndexError(
@@ -176,6 +183,7 @@ class ShadowArray:
 _POOL_CAP = 4096
 _INTERN: dict = {}
 _GETITEM_CACHE: dict = {}
+_SLICE = object()  # tags slice fields so no tuple index can alias them
 
 
 def _make(shape: tuple, dtype) -> ShadowArray:

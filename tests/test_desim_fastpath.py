@@ -299,3 +299,45 @@ class TestZeroCostTracing:
         log = TraceLog(enabled=False)
         log.record(t0=0.0, t1=1.0, place=0, actor="x", kind="compute")
         assert len(log) == 0
+
+
+class TestShadowComputeIsPerEffect:
+    """A shadow ``Compute`` still runs its ``fn`` — every shape check —
+    but pays per *effect*, not per algorithmic block it covers."""
+
+    G, A, AB = 2, 8, 4          # 4 ranks, 8x8 blocks a rank, 16 rounds
+
+    def _run(self, variant, monkeypatch, budget):
+        from repro.util.shadow import ShadowArray
+
+        calls = []
+        real = ShadowArray.__matmul__
+
+        def counted(self, other):
+            calls.append(1)
+            if len(calls) > budget:
+                raise AssertionError(
+                    f"more than {budget} ShadowArray.__matmul__ calls: "
+                    "shadow compute is O(blocks) per effect again")
+            return real(self, other)
+
+        monkeypatch.setattr(ShadowArray, "__matmul__", counted)
+        case = MatmulCase(n=self.G * self.A * self.AB, ab=self.AB,
+                          shadow=True)
+        result = run_variant(variant, case, geometry=self.G, trace=True)
+        return len(calls), len(result.trace.of_kind("compute"))
+
+    def test_gentleman_checks_one_triple_per_compute(self, monkeypatch):
+        ranks, rounds = self.G ** 2, self.G * self.A
+        matmuls, computes = self._run("mpi-gentleman", monkeypatch,
+                                      budget=ranks * rounds)
+        assert computes == ranks * rounds
+        # not zero either: fn ran for every compute effect
+        assert matmuls == computes      # the block loop made it x A*A
+
+    def test_tuned_gentleman_too(self, monkeypatch):
+        ranks, rounds = self.G ** 2, self.G * self.A
+        matmuls, computes = self._run("mpi-gentleman-tuned", monkeypatch,
+                                      budget=2 * ranks * rounds)
+        assert computes == ranks * (1 + 2 * (rounds - 1))
+        assert matmuls == computes

@@ -1,7 +1,11 @@
 """Payload size modeling and trace bookkeeping."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.fabric.sizes import agent_nbytes, codec_nbytes, model_nbytes
 from repro.fabric.trace import TraceEvent, TraceLog
@@ -88,6 +92,90 @@ class TestAgentNbytes:
         total = agent_nbytes(messenger, SUN_BLADE_100)
         expected = SUN_BLADE_100.hop_state_bytes + 400 * 4 + 16
         assert total == expected
+
+
+def _reference_nbytes(obj, machine) -> int:
+    """The ``isinstance`` chain as it stood before ``model_nbytes`` grew
+    its exact-class fast path — the ruler the fast path must match."""
+    if obj is None:
+        return 0
+    if isinstance(obj, (np.ndarray, ShadowArray)):
+        return obj.size * machine.elem_size
+    if isinstance(obj, memoryview):
+        return obj.nbytes
+    if isinstance(obj, (bytes, bytearray)):
+        return len(obj)
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sum(_reference_nbytes(x, machine) for x in obj)
+    if isinstance(obj, dict):
+        return sum(
+            _reference_nbytes(k, machine) + _reference_nbytes(v, machine)
+            for k, v in obj.items()
+        )
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8"))
+    return 16
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass: must take the fallback chain, same size."""
+
+
+_Pair = namedtuple("_Pair", "pos blk")
+
+_small_dims = st.tuples(st.integers(0, 5), st.integers(1, 5))
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=False),
+    st.text(max_size=6), st.binary(max_size=6),
+    st.builds(np.float32, st.integers(0, 3)),
+    _small_dims.map(ShadowArray),
+    _small_dims.map(lambda d: np.zeros(d, dtype=np.float64)),
+    _small_dims.map(lambda d: np.zeros((6, 6))[:d[0], :d[1]]),
+    _small_dims.map(lambda d: np.zeros(d).view(_Tagged)),
+    _small_dims.map(lambda d: memoryview(np.zeros(d))),
+    # the stagger payload: [(pos, blk), ...]
+    st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       _small_dims.map(ShadowArray)), max_size=4),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.tuples(inner, inner).map(lambda t: _Pair(*t)),
+        st.dictionaries(st.one_of(st.integers(0, 9), st.text(max_size=3)),
+                        inner, max_size=3),
+        st.frozensets(st.integers(0, 9), max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestFastPathChargesTheSameBytes:
+    @given(_payloads)
+    def test_model_nbytes_matches_the_isinstance_chain(self, payload):
+        assert model_nbytes(payload, SUN_BLADE_100) == \
+            _reference_nbytes(payload, SUN_BLADE_100)
+
+    @given(st.dictionaries(
+        st.sampled_from(["mA", "mB", "mi", "blocks", "_private", "_gen"]),
+        _payloads, max_size=5))
+    def test_agent_nbytes_matches_the_isinstance_chain(self, attrs):
+        messenger = _Carrier()
+        vars(messenger).clear()
+        vars(messenger).update(attrs)
+        want = SUN_BLADE_100.hop_state_bytes + sum(
+            _reference_nbytes(v, SUN_BLADE_100)
+            for k, v in attrs.items() if not k.startswith("_"))
+        assert agent_nbytes(messenger, SUN_BLADE_100) == want
+
+    def test_model_element_size_is_the_machines(self):
+        from dataclasses import replace
+        wide = replace(SUN_BLADE_100, elem_size=8)
+        blocks = [ShadowArray((4, 4)), np.zeros((2, 2), dtype=np.float32)]
+        assert model_nbytes(blocks, wide) == 8 * (16 + 4)
+        assert model_nbytes(tuple(blocks), wide) == \
+            _reference_nbytes(blocks, wide)
 
 
 class TestTraceLog:

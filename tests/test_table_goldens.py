@@ -53,3 +53,44 @@ def test_goldens_cover_all_tables(goldens):
     # 98 cells were pinned at record time; a shrinking golden file means
     # someone regenerated it against a smaller sweep.
     assert sum(len(v) for v in goldens.values()) == 98
+
+
+# -- the simulated event structure ------------------------------------------
+# The goldens pin what each cell's clock reads; these pin *what was
+# simulated* to get there. An engine change that spawns, batches or
+# skips processes/effects moves one of them even if every time survives.
+
+SWEEP_EVENTS = 127_755
+SWEEP_HOPS = 10_480
+SWEEP_COMPUTES = 10_692
+SWEEP_BYTES = 20_230_278_208
+
+
+def test_one_sweep_executes_the_pinned_number_of_des_events():
+    from repro.fabric import desim
+
+    before = desim.PERF_STATS["events"]
+    for build in _BUILDERS.values():
+        build()
+    assert desim.PERF_STATS["events"] - before == SWEEP_EVENTS
+
+
+def test_traced_twins_count_the_pinned_hops_computes_and_bytes():
+    """Every cell again with ``trace=True`` (the sweep never traces)."""
+    from repro.matmul.kinds import MatmulCase
+    from repro.matmul.runner import run_variant
+    from repro.perfmodel import paperdata
+
+    hops = computes = nbytes = 0
+    for paper in (paperdata.TABLE1, paperdata.TABLE2, paperdata.TABLE3,
+                  paperdata.TABLE4):
+        for row in paper.rows:
+            case = MatmulCase(n=row.n, ab=row.ab, shadow=True)
+            for variant in row.variants:
+                trace = run_variant(variant, case, geometry=paper.geometry,
+                                    trace=True).trace
+                hops += len(trace.of_kind("hop"))
+                computes += len(trace.of_kind("compute"))
+                nbytes += trace.bytes_moved()
+    assert (hops, computes, nbytes) == (SWEEP_HOPS, SWEEP_COMPUTES,
+                                        SWEEP_BYTES)

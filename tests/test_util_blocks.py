@@ -14,8 +14,10 @@ from repro.util.blocks import (
     from_block_grid,
     strip_cols,
     strip_rows,
+    tile_gemm_acc,
     to_block_grid,
 )
+from repro.util.shadow import ShadowArray
 
 
 class TestCheckDivides:
@@ -120,3 +122,147 @@ class TestBlocking:
             blocking.global_index(3, 0)
         with pytest.raises(PartitionError):
             blocking.global_index(0, 2)
+
+
+def _loop_gemm_acc(c, a, b, cells):
+    """The nested loop ``tile_gemm_acc`` replaced (the reference)."""
+    for x, y in cells:
+        c[x][y] += a[x][y] @ b[x][y]
+
+
+def _cell_sets(n):
+    full = [(x, y) for x in range(n) for y in range(n)]
+    interior = [(x, y) for x, y in full if x < n - 1 and y < n - 1]
+    boundary = [(x, y) for x, y in full if x == n - 1 or y == n - 1]
+    return {"full": None, "interior": interior, "boundary": boundary,
+            "all-as-cells": full}
+
+
+def _shadow_tile(n, b=4):
+    return [to_block_grid(ShadowArray((n * b, n * b)), b) for _ in range(3)]
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """One entry per ``ShadowArray.__matmul__`` call."""
+    calls = []
+    real = ShadowArray.__matmul__
+    monkeypatch.setattr(ShadowArray, "__matmul__",
+                        lambda s, o: calls.append(1) or real(s, o))
+    return calls
+
+
+class TestTileGemmAcc:
+    @pytest.mark.parametrize("cells", ["full", "interior", "boundary",
+                                       "all-as-cells"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_real_arrays_bit_identical_to_the_loop(self, cells, dtype):
+        n, b = 3, 5
+        rng = np.random.default_rng(16)
+        mats = [rng.standard_normal((n * b, n * b)).astype(dtype)
+                for _ in range(3)]
+        want = [m.copy() for m in mats]
+        subset = _cell_sets(n)[cells]
+        tile_gemm_acc(*(to_block_grid(m, b) for m in mats), subset)
+        _loop_gemm_acc(*(to_block_grid(m, b) for m in want),
+                       subset or _cell_sets(n)["all-as-cells"])
+        for got, ref in zip(mats, want):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_real_blocks_accumulate_in_place(self):
+        c, a, b = (to_block_grid(np.ones((4, 4)), 2) for _ in range(3))
+        before = [blk for row in c for blk in row]
+        tile_gemm_acc(c, a, b)
+        assert all(x is y for x, y in zip(before,
+                                          (blk for row in c for blk in row)))
+        assert np.array_equal(c[1][0], np.full((2, 2), 3.0))
+
+    def test_mismatched_grids_rejected(self):
+        c, a, b = _shadow_tile(3)
+        with pytest.raises(PartitionError):
+            tile_gemm_acc(c, a[:2], b)
+        b[1] = b[1][:2]
+        with pytest.raises(PartitionError):
+            tile_gemm_acc(c, a, b)
+
+    @given(st.integers(2, 6), st.sampled_from("cab"), st.data())
+    def test_one_wrong_shaped_shadow_block_still_raises(self, n, side, data):
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(
+            st.integers(0, n - 1))
+        for cells in (None, [(i, j) for i in range(n) for j in range(n)]):
+            grids = dict(zip("cab", _shadow_tile(n)))
+            grids[side][x][y] = ShadowArray((4, 5))
+            with pytest.raises((ValueError, TypeError)):
+                tile_gemm_acc(grids["c"], grids["a"], grids["b"], cells)
+        grids = dict(zip("cab", _shadow_tile(n)))
+        grids[side][x][y] = ShadowArray((4,))    # not 2-D
+        with pytest.raises((ValueError, TypeError)):
+            tile_gemm_acc(grids["c"], grids["a"], grids["b"])
+
+    def test_wrong_block_outside_the_cells_is_not_touched(self):
+        """Same reach as the loop: the tuned variant's interior round
+        runs while the boundary slots still hold ``None``."""
+        c, a, b = _shadow_tile(3)
+        a[2][0] = None
+        b[0][2] = ShadowArray((7, 7))
+        tile_gemm_acc(c, a, b, _cell_sets(3)["interior"])
+
+    def test_shadow_tile_checks_each_distinct_triple_once(self, matmul_calls):
+        tile_gemm_acc(*_shadow_tile(6))
+        assert len(matmul_calls) == 1
+
+    def test_full_intern_pool_changes_nothing(self, monkeypatch,
+                                              matmul_calls):
+        """Blocks the pool no longer shares are distinct objects, so
+        every triple is checked — same results, same errors."""
+        from repro.util import shadow
+
+        full = {i: None for i in range(shadow._POOL_CAP)}
+        monkeypatch.setattr(shadow, "_INTERN", full)
+        monkeypatch.setattr(shadow, "_GETITEM_CACHE", dict(full))
+        n = 4
+        base = ShadowArray((n * 4, n * 4))
+        generic = [[block_view(base, i, j, 4) for j in range(n)]
+                   for i in range(n)]
+        assert generic[0][0] is not generic[0][1]      # really un-interned
+        c = [list(row) for row in generic]
+        tile_gemm_acc(c, generic, generic)
+        assert len(matmul_calls) == n * n
+        assert all(c[i][j] is generic[i][j]
+                   for i in range(n) for j in range(n))
+        for side in range(3):
+            grids = [[list(row) for row in generic] for _ in range(3)]
+            grids[side][n - 1][1] = ShadowArray((4, 5))
+            with pytest.raises((ValueError, TypeError)):
+                tile_gemm_acc(*grids)
+        assert len(shadow._INTERN) == shadow._POOL_CAP
+
+
+class TestShadowBlockGrid:
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4))
+    def test_equals_the_generic_path_cell_by_cell(self, rows, cols, b):
+        a = ShadowArray((rows * b, cols * b), np.float64)
+        grid = to_block_grid(a, b)
+        assert len(grid) == rows
+        for i, row in enumerate(grid):
+            assert len(row) == cols
+            for j, blk in enumerate(row):
+                ref = block_view(a, i, j, b)
+                assert (blk.shape, blk.dtype) == (ref.shape, ref.dtype)
+                assert blk.__class__ is ShadowArray
+
+    def test_rows_are_distinct_lists(self):
+        grid = to_block_grid(ShadowArray((8, 8)), 4)
+        assert grid[0] is not grid[1]
+        grid[0][0] = None
+        assert grid[1][0] is not None
+        grid[1] = grid[1][1:] + [grid[1][0]]       # pointer swap
+        assert len(grid[0]) == len(grid[1]) == 2
+
+    def test_still_rejects_nondivisible_and_non_2d(self):
+        with pytest.raises(PartitionError):
+            to_block_grid(ShadowArray((10, 8)), 4)
+        with pytest.raises(PartitionError):
+            to_block_grid(ShadowArray((8, 10)), 4)
+        with pytest.raises(ValueError):
+            to_block_grid(ShadowArray((8,)), 4)

@@ -99,6 +99,81 @@ class TestIndexingParity:
             s[0:2, :] = ShadowArray((3, 4))
 
 
+class TestIndexMemo:
+    """Slices memoize by their fields, so Python 3.11 (unhashable
+    slices) and 3.12 (hashable) take the same path."""
+
+    @pytest.fixture
+    def slice_length_calls(self, monkeypatch):
+        from repro.util import shadow
+
+        calls = []
+        real = shadow._slice_length
+        monkeypatch.setattr(
+            shadow, "_slice_length",
+            lambda s, dim: calls.append((s, dim)) or real(s, dim))
+        monkeypatch.setattr(shadow, "_GETITEM_CACHE", {})
+        return calls
+
+    @pytest.mark.parametrize("make_key", [
+        lambda: (slice(4, 8), slice(0, 4)),          # a block
+        lambda: (slice(4, 8), slice(None)),          # a strip
+        lambda: slice(2, 10, 3),
+        lambda: (slice(0, 6), 2),
+        lambda: 5,
+        lambda: (1, -1),
+    ], ids=["block", "strip", "stepped", "slice-int", "int", "int-int"])
+    def test_second_identical_access_validates_nothing(
+            self, slice_length_calls, make_key):
+        a = ShadowArray((12, 12), np.float32)
+        first = a[make_key()]
+        assert len(slice_length_calls) == 2      # validated once, per axis
+        # a fresh but equal key object, as every call site builds one
+        assert a[make_key()] is first
+        assert len(slice_length_calls) == 2
+        assert first.shape == np.zeros((12, 12))[make_key()].shape
+
+    def test_a_hit_needs_the_same_shape_dtype_and_key(
+            self, slice_length_calls):
+        a = ShadowArray((12, 12), np.float32)
+        a[4:8, 0:4]
+        for other, key in [
+                (ShadowArray((12, 16), np.float32), (slice(4, 8), slice(0, 4))),
+                (ShadowArray((12, 12), np.float64), (slice(4, 8), slice(0, 4))),
+                (a, (slice(4, 8), slice(0, 4, 2))),
+                (a, (slice(4, 8), slice(None, 4))),
+        ]:
+            before = len(slice_length_calls)
+            assert other[key].shape == \
+                np.zeros(other.shape)[key].shape
+            assert len(slice_length_calls) == before + 2
+
+    def test_invalid_indices_raise_every_time(self, slice_length_calls):
+        a = ShadowArray((4, 4))
+        a[0:2, 1]                                # populate the memo
+        for _ in range(2):
+            with pytest.raises(IndexError):
+                a[4]
+            with pytest.raises(IndexError):
+                a[0:2, -5]
+            with pytest.raises(TypeError):
+                a[::-1]
+            with pytest.raises(ValueError):
+                a[0:4:0]
+            with pytest.raises(TypeError):
+                a[[0, 1]]                        # unhashable index
+            with pytest.raises(TypeError):
+                a[(0, 2, None), 1]               # a tuple is not a slice
+
+    def test_memo_is_capped(self, monkeypatch):
+        from repro.util import shadow
+
+        full = {i: None for i in range(shadow._POOL_CAP)}
+        monkeypatch.setattr(shadow, "_GETITEM_CACHE", full)
+        assert ShadowArray((8, 8))[0:4, 0:4].shape == (4, 4)
+        assert len(full) == shadow._POOL_CAP
+
+
 class TestArithmeticParity:
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
     def test_matmul_shapes(self, m, k, n):
