@@ -50,10 +50,14 @@ Commands
                                    golden pipelines must stay
                                    bit-exact and the racy corpus must
                                    reproduce its predicted races
-``bench [--smoke --against ...]``  run the pinned performance suite,
-                                   write ``BENCH_<date>.json``, and
-                                   compare against the previous
-                                   snapshot (see docs/performance.md)
+``bench [--smoke --no-write ...]`` run the in-process smoke benches
+                                   and write ``BENCH_<date>.json`` with
+                                   the per-package code-line count and
+                                   its delta against the previous
+                                   snapshot; speed is measured by
+                                   ``bench/run.py`` and compared by
+                                   ``bench/compare.py`` (see
+                                   docs/performance.md)
 ``faults [--plan --process --socket ...]``
                                    fault-injection demo: crashes and
                                    drops are masked by recovery and
@@ -87,7 +91,7 @@ its contract for CI drivers):
 
 ``0``  success — no errors (warnings allowed unless ``--strict``)
 ``1``  findings — lint errors, corpus misses, failed shape checks,
-       benchmark regressions, or a plan whose validation failed
+       or a plan whose validation failed
 ``2``  usage — unknown program/target names, missing arguments
 """
 

@@ -1,4 +1,5 @@
-"""``repro bench`` — the pinned performance suite."""
+"""``repro bench`` — the in-process smoke tripwire and the
+``source_loc`` ledger (speed is measured by ``bench/``)."""
 
 from __future__ import annotations
 
@@ -7,16 +8,12 @@ import sys
 
 def configure(sub) -> None:
     bench_p = sub.add_parser(
-        "bench", help="run the pinned performance suite")
+        "bench", help="run the smoke benches and report the code-line "
+                      "trend (speed is measured by bench/run.py)")
     bench_p.add_argument("--out", default="benchmarks/out",
-                         help="directory for BENCH_<date>.json snapshots "
-                              "(default benchmarks/out)")
-    bench_p.add_argument("--against", default=None,
-                         help="snapshot to compare against (default: the "
-                              "newest BENCH_*.json in --out)")
-    bench_p.add_argument("--threshold", type=float, default=0.85,
-                         help="regression threshold on the primary metric "
-                              "ratio (default 0.85)")
+                         help="directory for BENCH_<date>.json snapshots; "
+                              "the code-line delta is taken against the "
+                              "newest one there (default benchmarks/out)")
     bench_p.add_argument("--smoke", action="store_true",
                          help="small sizes, <60 s — the CI tier-1 mode")
     bench_p.add_argument("--label", default="",
@@ -33,33 +30,34 @@ def configure(sub) -> None:
 
 def _cmd_bench(args) -> int:
     from ..perf import (
-        compare_benches,
+        BENCHES,
         find_previous,
         load_bench,
+        make_snapshot,
         render_report,
         run_suite,
+        source_loc_delta,
         write_bench,
     )
-    from ..perf.report import make_snapshot
 
-    try:
-        results = run_suite(smoke=args.smoke, only=args.only,
-                            repeats=args.repeats)
-    except KeyError as exc:
-        print(f"unknown benchmark {exc.args[0]!r}", file=sys.stderr)
+    unknown = [name for name in args.only or () if name not in BENCHES]
+    if unknown:
+        print(f"unknown benchmark {unknown[0]!r} "
+              f"(known: {', '.join(BENCHES)})", file=sys.stderr)
         return 2
+    results = run_suite(smoke=args.smoke, only=args.only,
+                        repeats=args.repeats)
     snapshot = make_snapshot(results, label=args.label, smoke=args.smoke)
 
-    previous_path = args.against or find_previous(args.out)
+    previous_path = find_previous(args.out)
     if previous_path is not None:
-        comparison = compare_benches(snapshot, load_bench(previous_path),
-                                     threshold=args.threshold)
-        comparison["against"] = str(previous_path)
-        snapshot["vs_baseline"] = comparison
+        snapshot["vs_baseline"] = {
+            "against": str(previous_path),
+            "source_loc_delta": source_loc_delta(
+                snapshot, load_bench(previous_path)),
+        }
     if not args.no_write:
         path = write_bench(snapshot, args.out)
         print(f"wrote {path}")
     print(render_report(snapshot))
-    if snapshot.get("vs_baseline", {}).get("regressions"):
-        return 1
     return 0

@@ -209,25 +209,33 @@ class Interp:
 
         The payload is the tuple ``(program_name, env, stack_frames)``
         — tuples pickle without per-instance key strings, which is
-        measurable at hop rates. :meth:`from_snapshot` also accepts the
-        pre-tuple ``{"program", "env", "stack"}`` dict payloads so
-        mixed-version worker pools keep interoperating.
+        measurable at hop rates.
         """
         return (self.program, self.env, [list(f) for f in self.stack])
 
     @classmethod
     def from_snapshot(cls, snap) -> "Interp":
-        interp = cls.__new__(cls)
-        if isinstance(snap, tuple):
+        """Rebuild the interpreter :meth:`agent_snapshot` froze; anything
+        but that 3-tuple is a :class:`ConfigurationError` naming what
+        arrived (a bare unpack would take a 3-key dict's *keys*)."""
+        if not isinstance(snap, tuple):
+            raise _bad_snapshot(type(snap).__name__)
+        try:
             program, env, stack = snap
-        else:  # legacy dict snapshot
-            program, env, stack = (
-                snap["program"], snap["env"], snap["stack"])
+        except ValueError:
+            raise _bad_snapshot(f"a {len(snap)}-tuple") from None
+        interp = cls.__new__(cls)
         interp.program = program
         interp.env = env
         interp.stack = [list(f) for f in stack]
         interp.tracer = None
         return interp
+
+
+def _bad_snapshot(arrived: str) -> ConfigurationError:
+    return ConfigurationError(
+        "continuation snapshot must be a (program, env, stack) tuple, "
+        f"got {arrived}")
 
 
 # Statement opcodes: exact class -> code, with an isinstance fallback so
@@ -294,10 +302,9 @@ class IRMessenger(Messenger):
     def resume(cls, snapshot, pending=None) -> "IRMessenger":
         """Rebuild a messenger from a continuation snapshot.
 
-        ``snapshot`` is what :meth:`Interp.agent_snapshot` produced
-        (tuple or legacy dict); ``pending`` is an IR action tuple to
-        re-perform first, as recorded in a
-        :class:`repro.resilience.checkpoint.ConsistentCut`.
+        ``snapshot`` is what :meth:`Interp.agent_snapshot` produced;
+        ``pending`` is an IR action tuple to re-perform first, as
+        recorded in a :class:`repro.resilience.checkpoint.ConsistentCut`.
         """
         messenger = cls.__new__(cls)
         messenger.interp = Interp.from_snapshot(snapshot)

@@ -1,23 +1,24 @@
-"""Performance harness: the pinned benchmark suite behind ``repro bench``.
+"""The smoke tripwire behind ``repro bench`` and the ``source_loc``
+ledger.
 
-The suite exists so the engine's speed is *held*, not just achieved
-once: every run writes a ``BENCH_<date>.json`` snapshot (wall time,
-event counts, events/sec per benchmark) and compares itself against a
-previous snapshot with a configurable regression threshold. The
-benchmarks are pinned — same workloads, same sizes, run after run — so
-two JSONs are always comparable.
-
-See :mod:`repro.perf.suite` for the benchmark definitions and
-:mod:`repro.perf.report` for snapshot I/O and comparison; the schema is
-documented in ``docs/performance.md``.
+``bench/`` (``python3 bench/run.py``, ``bench/compare.py``) is the
+repo's one instrument for speed. This package keeps the two jobs that
+instrument cannot do: four in-process, sub-second benches that tier 1
+runs so a broken engine or interpreter fails ``pytest``
+(:mod:`repro.perf.suite`), and the per-package code-line count written
+into every ``BENCH_<date>.json`` snapshot with its delta against the
+previous one (:mod:`repro.perf.report`; schema in
+``docs/performance.md``).
 """
 
 from .report import (
     SCHEMA,
-    compare_benches,
     find_previous,
     load_bench,
+    make_snapshot,
     render_report,
+    source_loc,
+    source_loc_delta,
     write_bench,
 )
 from .suite import BENCHES, run_suite
@@ -25,10 +26,12 @@ from .suite import BENCHES, run_suite
 __all__ = [
     "BENCHES",
     "SCHEMA",
-    "compare_benches",
     "find_previous",
     "load_bench",
+    "make_snapshot",
     "render_report",
     "run_suite",
+    "source_loc",
+    "source_loc_delta",
     "write_bench",
 ]

@@ -1,4 +1,4 @@
-"""Benchmark snapshot I/O, comparison, and the regression report.
+"""Smoke-bench snapshot I/O and the ``source_loc`` ledger.
 
 A snapshot is a ``BENCH_<date>.json`` file::
 
@@ -10,31 +10,28 @@ A snapshot is a ``BENCH_<date>.json`` file::
       "python": "3.11.9",
       "source_loc": {"analysis": ..., "fabric": ..., ..., "total": ...},
       "results": {
-        "des_micro": {"wall_s": ..., "events": ..., "events_per_sec": ...,
-                      "meta": {...}},
+        "table3_shadow": {"wall_s": ..., "events": ...,
+                          "events_per_sec": ..., "meta": {...}},
         ...
       },
       "vs_baseline": {            # present when a previous snapshot exists
-        "path": "BENCH_....json",
-        "threshold": 0.85,
-        "ratios": {
-          "des_micro": {"events_per_sec": 1.71, "wall_speedup": 1.69},
-          ...
-        },
-        "regressions": ["table3_shadow: wall_speedup 0.71 < 0.85"],
+        "against": "benchmarks/out/BENCH_....json",
         "source_loc_delta": {"fabric": -294, "serve": -144, "total": -438}
-      }
+      }                           # null: the previous one has no count
     }
 
-``source_loc`` is the economy trend ROADMAP item 2 asks for: code
-lines — physical lines holding at least one token that is neither a
-comment nor part of a docstring — per top-level package of ``repro``.
+``source_loc`` is the economy trend the ROADMAP asks for: code lines —
+physical lines holding at least one token that is neither a comment nor
+part of a docstring — per top-level package of ``repro``, and
+``source_loc_delta`` is its change since the previous snapshot (smoke
+or full: lines of code do not depend on the run size).
 
-Ratios are oriented so that **bigger is better** for both metrics:
-``events_per_sec`` is current/previous throughput, ``wall_speedup`` is
-previous/current wall time. A benchmark regresses when its primary
-metric (throughput when counted, wall speedup otherwise) falls below
-the threshold.
+Timings are recorded, never compared: two snapshots taken on different
+days differ by the host's speed, not the code's. "Did it get faster?"
+is answered by ``bench/compare.py`` over interleaved runs. The
+snapshots committed before that comparer existed carry extra
+``vs_baseline`` keys (``ratios``, ``threshold``, ``regressions``);
+:func:`load_bench` still reads them as the historical record.
 """
 
 from __future__ import annotations
@@ -52,11 +49,12 @@ from ..util.texttable import render_table
 
 __all__ = [
     "SCHEMA",
-    "compare_benches",
     "find_previous",
     "load_bench",
+    "make_snapshot",
     "render_report",
     "source_loc",
+    "source_loc_delta",
     "write_bench",
 ]
 
@@ -139,8 +137,9 @@ def load_bench(path) -> dict:
 
 
 def find_previous(out_dir, exclude=None) -> Path | None:
-    """Newest ``BENCH_*.json`` in ``out_dir``, preferring the dated
-    snapshots over the committed pre-change baseline when both exist."""
+    """Newest ``BENCH_*.json`` in ``out_dir``: by modification time,
+    then by name — a fresh checkout gives every committed snapshot the
+    same mtime, and the names sort by date."""
     out = Path(out_dir)
     if not out.is_dir():
         return None
@@ -151,78 +150,39 @@ def find_previous(out_dir, exclude=None) -> Path | None:
     ]
     if not candidates:
         return None
-    return max(candidates, key=lambda p: p.stat().st_mtime)
+    return max(candidates, key=lambda p: (p.stat().st_mtime, p.name))
 
 
-def compare_benches(current: dict, previous: dict,
-                    threshold: float = 0.85) -> dict:
-    """Ratio every shared benchmark; flag primary-metric regressions.
-
-    Smoke snapshots run different sizes than full ones — comparing the
-    two would report phantom regressions, so mismatched ``smoke`` flags
-    yield an empty comparison with an explanatory note.
-    """
-    out: dict = {"threshold": threshold, "ratios": {}, "regressions": []}
-    # lines of code do not depend on the run size: compared either way
+def source_loc_delta(current: dict, previous: dict) -> dict | None:
+    """Per-package change in code lines from ``previous`` to
+    ``current`` (unchanged packages omitted); None when either
+    snapshot predates the count."""
     loc, prev_loc = current.get("source_loc"), previous.get("source_loc")
-    if loc and prev_loc:
-        out["source_loc_delta"] = {
-            name: loc.get(name, 0) - prev_loc.get(name, 0)
-            for name in sorted(set(loc) | set(prev_loc))
-            if loc.get(name, 0) != prev_loc.get(name, 0)}
-    if bool(current.get("smoke")) != bool(previous.get("smoke")):
-        out["note"] = (
-            "smoke/full snapshots are not comparable; no ratios computed"
-        )
-        return out
-    for name, cur in current.get("results", {}).items():
-        prev = previous.get("results", {}).get(name)
-        if prev is None:
-            continue
-        entry: dict = {}
-        if cur.get("events_per_sec") and prev.get("events_per_sec"):
-            entry["events_per_sec"] = (
-                cur["events_per_sec"] / prev["events_per_sec"])
-        if cur.get("wall_s") and prev.get("wall_s"):
-            entry["wall_speedup"] = prev["wall_s"] / cur["wall_s"]
-        if not entry:
-            continue
-        out["ratios"][name] = entry
-        primary = ("events_per_sec" if "events_per_sec" in entry
-                   else "wall_speedup")
-        if entry[primary] < threshold:
-            out["regressions"].append(
-                f"{name}: {primary} {entry[primary]:.2f} < {threshold:.2f}"
-            )
-    return out
+    if not (loc and prev_loc):
+        return None
+    return {
+        name: loc.get(name, 0) - prev_loc.get(name, 0)
+        for name in sorted(set(loc) | set(prev_loc))
+        if loc.get(name, 0) != prev_loc.get(name, 0)}
 
 
 def render_report(snapshot: dict) -> str:
-    """Human-readable view of a snapshot and its baseline comparison."""
-    rows = []
-    comparison = snapshot.get("vs_baseline") or {}
-    ratios = comparison.get("ratios", {})
-    for name, res in snapshot.get("results", {}).items():
-        ratio = ratios.get(name, {})
-        rows.append([
-            name,
-            res.get("wall_s"),
-            res.get("events"),
-            res.get("events_per_sec"),
-            ratio.get("events_per_sec"),
-            ratio.get("wall_speedup"),
-        ])
-    headers = ["benchmark", "wall s", "events", "events/s",
-               "x ev/s", "x wall"]
+    """Human-readable view of a snapshot and its code-line trend."""
+    rows = [
+        [name, res.get("wall_s"), res.get("events"),
+         res.get("events_per_sec")]
+        for name, res in snapshot.get("results", {}).items()]
     title = "repro bench"
     if snapshot.get("label"):
         title += f" — {snapshot['label']}"
     if snapshot.get("smoke"):
         title += " (smoke)"
-    lines = [render_table(headers, rows, title=title)]
+    lines = [render_table(["benchmark", "wall s", "events", "events/s"],
+                          rows, title=title)]
+    baseline = snapshot.get("vs_baseline") or {}
     loc = snapshot.get("source_loc")
     if loc:
-        delta = comparison.get("source_loc_delta")
+        delta = baseline.get("source_loc_delta")
         if delta is None:
             trend = "no previous count"
         elif not delta:
@@ -232,17 +192,6 @@ def render_report(snapshot: dict) -> str:
                               in delta.items() if name != "total")
             trend = f"{delta.get('total', 0):+d} vs previous: {trend}"
         lines.append(f"\nsource code lines: {loc['total']} ({trend})")
-    if comparison:
-        against = comparison.get("against", "")
-        lines.append(f"\ncompared against: {against}")
-        if comparison.get("note"):
-            lines.append(f"note: {comparison['note']}")
-        regressions = comparison.get("regressions", [])
-        if regressions:
-            lines.append("REGRESSIONS (threshold "
-                         f"{comparison.get('threshold')}):")
-            lines.extend(f"  {r}" for r in regressions)
-        else:
-            lines.append(
-                f"no regressions at threshold {comparison.get('threshold')}")
+    if baseline:
+        lines.append(f"previous snapshot: {baseline.get('against', '')}")
     return "\n".join(lines)

@@ -1,37 +1,33 @@
-"""The pinned benchmark suite.
+"""The smoke tripwire: four in-process, sub-second benches.
+
+``bench/`` is where the repo measures speed (medians, host calibration,
+oracles, ``bench/compare.py``); ``pytest`` never runs it. These four
+exist so that a broken engine or interpreter — or one that silently
+became an order of magnitude slower — fails tier 1 and the CI
+"Performance smoke" step. None opens a socket, forks or fsyncs, and
+their numbers are not comparable across days (docs/performance.md).
 
 Each benchmark is a function ``fn(smoke: bool) -> dict`` registered in
-:data:`BENCHES`. The returned dict always carries ``wall_s``,
-``events`` (workload-specific unit: DES events, interpreter statements,
-pickle round-trips — or None when the workload cannot count), and
-``events_per_sec``; anything the benchmark wants to pin for later
+:data:`BENCHES`. The returned dict carries ``wall_s``, ``events``
+(workload-specific unit: DES events, interpreter statements, pickle
+round-trips) and ``events_per_sec``; anything worth keeping for later
 inspection goes under ``meta``.
 
-The workloads are deliberately frozen: changing a size or a loop shape
-makes every historical ``BENCH_*.json`` incomparable. Add new
-benchmarks instead of editing existing ones.
+The workloads are frozen: the committed ``benchmarks/out/BENCH_*.json``
+history was recorded at these sizes.
 
-Suite members
--------------
-``des_micro``          the DES kernel alone: timeouts, a contended
-                       resource, and a semaphore handshake
+Suite members (and the ``bench/`` metric that measures the same layer)
+----------------------------------------------------------------------
 ``table1_shadow``      the full Table 1 shadow-mode sweep (1-D NavP +
-                       ScaLAPACK, six matrix orders)
+                       ScaLAPACK, six matrix orders) — ``table_sweep``
+                       ``sweep_s``
 ``table3_shadow``      the full Table 3 shadow-mode sweep (2-D NavP,
-                       MPI Gentleman, SUMMA — the headline number)
-``interp_throughput``  navigational-IR statement dispatch, no fabric
-``pickle_roundtrip``   the hop payload: snapshot -> pickle -> restore
-``payload_roundtrip``  a *block-heavy* snapshot through the zero-copy
-                       codec (out-of-band buffers, no array copies)
-``wire_throughput``    multi-buffer frames through a real 127.0.0.1
-                       TCP pair at three payload sizes
-``wire_coalescing``    the same hop stream coalesced 8-per-frame
-                       versus one frame per hop
-``serve_throughput``   jobs through a warm serve pool versus per-job
-                       socket-fabric setup (the amortization claim)
-``serve_durability``   concurrent submits through the fsync'd
-                       write-ahead ledger versus in-memory admission
-                       (the group-commit overhead bound)
+                       MPI Gentleman, SUMMA) — ``table_sweep``
+                       ``sweep_s``, ``desim.events``
+``interp_throughput``  navigational-IR statement dispatch, no fabric —
+                       ``interp.ns_per_stmt``
+``pickle_roundtrip``   the hop payload: snapshot -> pickle -> restore —
+                       ``interp.snapshot_us``
 """
 
 from __future__ import annotations
@@ -51,79 +47,23 @@ def _bench(name: str):
     return deco
 
 
-def _sim_events(sim) -> int:
-    """Events a finished Simulator executed (works across engine versions)."""
-    return getattr(sim, "events_executed", None) or sim._seq
-
-
-def _fabric_event_delta():
-    """Snapshot the global DES event counter (None on old engines)."""
-    from ..fabric import desim
-    stats = getattr(desim, "PERF_STATS", None)
-    return stats["events"] if stats is not None else None
-
-
 # --------------------------------------------------------------------------
-# 1. DES microbenchmark
-# --------------------------------------------------------------------------
-
-@_bench("des_micro")
-def bench_des_micro(smoke: bool = False) -> dict:
-    """The simulation kernel alone, no fabric or machine model.
-
-    200 processes x 200 steps (60x60 under --smoke): every step is a
-    spread-out timeout, a pass through a capacity-4 resource, and a
-    producer/consumer semaphore handshake — the same primitive mix the
-    EP/EC protocols of Figures 13/15 generate.
-    """
-    from ..fabric.desim import Simulator, Timeout
-
-    procs, steps = (60, 60) if smoke else (200, 200)
-    sim = Simulator()
-    res = sim.resource(4, name="cpu")
-    sem = sim.semaphore(0, name="ep")
-
-    def worker(i):
-        for s in range(steps):
-            yield Timeout(0.001 * ((i + s) % 7))
-            yield res.acquire()
-            yield Timeout(0.0005)
-            res.release()
-            if i % 2 == 0:
-                sem.release()
-            else:
-                yield sem.acquire()
-
-    for i in range(procs):
-        sim.spawn(worker(i))
-    t0 = time.perf_counter()
-    end = sim.run()
-    wall = time.perf_counter() - t0
-    events = _sim_events(sim)
-    return {
-        "wall_s": wall,
-        "events": events,
-        "events_per_sec": events / wall,
-        "meta": {"procs": procs, "steps": steps, "virtual_end": end},
-    }
-
-
-# --------------------------------------------------------------------------
-# 2/3. Table shadow-mode sweeps
+# Table shadow-mode sweeps
 # --------------------------------------------------------------------------
 
 def _bench_table(builder, smoke_orders, smoke: bool) -> dict:
-    before = _fabric_event_delta()
+    from ..fabric.desim import PERF_STATS
+
+    before = PERF_STATS["events"]
     t0 = time.perf_counter()
     comparison = builder(orders=smoke_orders if smoke else None)
     wall = time.perf_counter() - t0
-    after = _fabric_event_delta()
-    events = (after - before) if before is not None else None
+    events = PERF_STATS["events"] - before
     cells = sum(len(row.cells) for row in comparison.rows)
     return {
         "wall_s": wall,
         "events": events,
-        "events_per_sec": events / wall if events else None,
+        "events_per_sec": events / wall,
         "meta": {"cells": cells, "rows": len(comparison.rows)},
     }
 
@@ -138,13 +78,13 @@ def bench_table1_shadow(smoke: bool = False) -> dict:
 @_bench("table3_shadow")
 def bench_table3_shadow(smoke: bool = False) -> dict:
     """Table 3 (2-D variants, 3x3 grid) rebuilt end to end in shadow
-    mode — the sweep whose wall time is the optimization headline."""
+    mode."""
     from ..perfmodel.tables import build_table3
     return _bench_table(build_table3, (1024,), smoke)
 
 
 # --------------------------------------------------------------------------
-# 4. Interpreter throughput
+# Interpreter throughput
 # --------------------------------------------------------------------------
 
 _INTERP_LOOP = 400          # iterations of the benchmark program's For
@@ -199,7 +139,7 @@ def bench_interp_throughput(smoke: bool = False) -> dict:
 
 
 # --------------------------------------------------------------------------
-# 5. Hop-payload pickle round-trip
+# Hop-payload pickle round-trip
 # --------------------------------------------------------------------------
 
 def _migration_program():
@@ -247,173 +187,25 @@ def bench_pickle_roundtrip(smoke: bool = False) -> dict:
 
 
 # --------------------------------------------------------------------------
-# 6/7/8. Data-plane benchmarks (zero-copy codec + wire)
-# --------------------------------------------------------------------------
-
-# Pinned workload shapes; the legacy-mode twins of these runs are
-# recorded by benchmarks/record_dataplane_baseline.py.
-_PAYLOAD_ORDER = 256
-_WIRE_SIZES = ((4096, 300), (65536, 150), (1 << 20, 40))
-_WIRE_SIZES_SMOKE = ((4096, 80), (65536, 40), (1 << 20, 10))
-_COALESCE_HOPS, _COALESCE_HOPS_SMOKE = 1600, 400
-_COALESCE_BATCH = 8
-
-
-@_bench("payload_roundtrip")
-def bench_payload_roundtrip(smoke: bool = False) -> dict:
-    """The large-block hop payload through the zero-copy codec: two
-    owned 256x256 float64 blocks plus a band view, encode + decode."""
-    from .wirebench import payload_roundtrip
-
-    reps = 60 if smoke else 600
-    res = payload_roundtrip(reps, order=_PAYLOAD_ORDER)
-    return {
-        "wall_s": res["wall_s"],
-        "events": reps,
-        "events_per_sec": res["roundtrips_per_sec"],
-        "meta": {"order": _PAYLOAD_ORDER,
-                 "snapshot_bytes": res["snapshot_bytes"]},
-    }
-
-
-@_bench("wire_throughput")
-def bench_wire_throughput(smoke: bool = False) -> dict:
-    """Block payloads through a real 127.0.0.1 TCP pair at three
-    payload sizes; ``events`` are *bytes* so ``events_per_sec`` is the
-    aggregate wire bandwidth including encode and decode."""
-    from .wirebench import socket_throughput
-
-    sizes = _WIRE_SIZES_SMOKE if smoke else _WIRE_SIZES
-    wall = 0.0
-    total = 0
-    per_size: dict = {}
-    for payload_bytes, frames in sizes:
-        res = socket_throughput(payload_bytes, frames)
-        wall += res["wall_s"]
-        total += payload_bytes * frames
-        per_size[str(payload_bytes)] = {
-            "frames_per_sec": res["frames_per_sec"],
-            "bytes_per_sec": res["bytes_per_sec"],
-        }
-    return {
-        "wall_s": wall,
-        "events": total,
-        "events_per_sec": total / wall,
-        "meta": {"per_size": per_size,
-                 "sizes": [list(s) for s in sizes]},
-    }
-
-
-@_bench("wire_coalescing")
-def bench_wire_coalescing(smoke: bool = False) -> dict:
-    """2-KiB hops through a TCP pair, 8 per frame; ``meta`` pins the
-    uncoalesced twin run so the frame-count reduction and speedup are
-    part of the snapshot."""
-    from .wirebench import coalescing_microbench
-
-    hops = _COALESCE_HOPS_SMOKE if smoke else _COALESCE_HOPS
-    res = coalescing_microbench(hops, coalesce=_COALESCE_BATCH,
-                                mode="coalesced")
-    solo = coalescing_microbench(hops, coalesce=_COALESCE_BATCH,
-                                 mode="uncoalesced")
-    return {
-        "wall_s": res["wall_s"],
-        "events": hops,
-        "events_per_sec": res["hops_per_sec"],
-        "meta": {
-            "coalesce": _COALESCE_BATCH,
-            "frames_coalesced": res["frames"],
-            "frames_uncoalesced": solo["frames"],
-            "frame_reduction": solo["frames"] / res["frames"],
-            "uncoalesced_hops_per_sec": solo["hops_per_sec"],
-            "speedup_vs_uncoalesced":
-                res["hops_per_sec"] / solo["hops_per_sec"],
-        },
-    }
-
-
-# --------------------------------------------------------------------------
-# 9. Serve-mode throughput
-# --------------------------------------------------------------------------
-
-_SERVE_JOBS, _SERVE_JOBS_SMOKE = (24, 4), (10, 2)   # (warm, per-job)
-
-
-@_bench("serve_throughput")
-def bench_serve_throughput(smoke: bool = False) -> dict:
-    """Submissions through one warm daemon versus cold socket-fabric
-    runs of the same g=2 workload; ``events`` are warm jobs completed,
-    and ``meta`` pins the amortized speedup and the breakeven point."""
-    from .servebench import serve_vs_perjob
-
-    warm, perjob = _SERVE_JOBS_SMOKE if smoke else _SERVE_JOBS
-    res = serve_vs_perjob(warm, perjob, pool_size=3 if smoke else 4)
-    return {
-        "wall_s": res["warm_wall_s"],
-        "events": warm,
-        "events_per_sec": warm / res["warm_wall_s"],
-        "meta": {
-            "pool_size": res["pool_size"],
-            "setup_s": res["setup_s"],
-            "warm_per_job_s": res["warm_per_job_s"],
-            "perjob_per_job_s": res["perjob_per_job_s"],
-            "speedup_vs_perjob": res["speedup_vs_perjob"],
-            "breakeven_jobs": res["breakeven_jobs"],
-        },
-    }
-
-
-_DURABILITY_JOBS, _DURABILITY_JOBS_SMOKE = 96, 24
-
-
-@_bench("serve_durability")
-def bench_serve_durability(smoke: bool = False) -> dict:
-    """Concurrent submits with the fsync'd ledger versus in-memory
-    admission on the identical path; ``events`` are durable submits
-    acknowledged, and ``meta`` pins the per-submit overhead and the
-    group-commit evidence (fsyncs < appends under concurrency)."""
-    from .servebench import serve_durability
-
-    jobs = _DURABILITY_JOBS_SMOKE if smoke else _DURABILITY_JOBS
-    res = serve_durability(jobs, threads=4 if smoke else 8)
-    return {
-        "wall_s": res["durable_wall_s"],
-        "events": res["jobs"],
-        "events_per_sec": res["durable_submits_per_sec"],
-        "meta": {
-            "threads": res["threads"],
-            "memory_submits_per_sec": res["memory_submits_per_sec"],
-            "overhead_per_submit_ms": res["overhead_per_submit_ms"],
-            "ledger_appends": res["ledger"]["appends"],
-            "ledger_fsyncs": res["ledger"]["fsyncs"],
-            "group_committed": res["ledger"]["group_committed"],
-        },
-    }
-
-
-# --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
 def run_suite(smoke: bool = False, only=None, repeats: int = 3) -> dict:
     """Run the pinned suite; returns ``{name: result_dict}``.
 
-    ``only`` restricts to a subset of benchmark names (unknown names
-    raise KeyError so typos fail loudly rather than silently skipping).
+    ``only`` restricts to a subset of benchmark names; an unknown name
+    raises KeyError before anything runs, so a typo fails loudly rather
+    than silently skipping.
 
     Each benchmark runs ``repeats`` times and keeps the fastest run —
     the workload is deterministic, so the minimum wall time is the
-    least-interference measurement and the one worth pinning.
+    least-interference measurement.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    names = list(BENCHES) if not only else list(only)
-    results: dict = {}
-    for name in names:
-        best = None
-        for _ in range(repeats):
-            res = BENCHES[name](smoke)
-            if best is None or res["wall_s"] < best["wall_s"]:
-                best = res
-        results[name] = best
-    return results
+    benches = {name: BENCHES[name] for name in (only or BENCHES)}
+    return {
+        name: min((fn(smoke) for _ in range(repeats)),
+                  key=lambda res: res["wall_s"])
+        for name, fn in benches.items()
+    }

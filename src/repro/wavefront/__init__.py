@@ -17,7 +17,7 @@ from .navp import (
     run_pipelined_wavefront,
     run_sequential_wavefront,
 )
-from .irprog import build_wavefront_ir, run_ir_wavefront
+from .irprog import build_wavefront_ir
 from .problem import (
     CELL_FLOPS,
     WavefrontCase,
@@ -37,7 +37,6 @@ __all__ = [
     "run_dsc_wavefront",
     "run_pipelined_wavefront",
     "build_wavefront_ir",
-    "run_ir_wavefront",
     "run_mpi_wavefront",
     "pipeline_time_model",
     "SequentialWavefront",

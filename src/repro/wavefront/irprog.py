@@ -34,7 +34,7 @@ from .navp import WavefrontResult, _gather, _layout
 from .problem import WavefrontCase, block_flops, solve_block
 
 __all__ = ["build_wavefront_ir", "build_wavefront_seq_ir",
-           "run_ir_wavefront", "run_wavefront_program", "WF_KERNEL"]
+           "run_wavefront_program", "WF_KERNEL"]
 
 V = ir.Var
 C = ir.Const
@@ -182,27 +182,3 @@ def run_wavefront_program(
         d=_gather(result, case, p), trace=result.trace,
         details={"pes": p, "carriers": case.nblocks})
 
-
-def run_ir_wavefront(
-    case: WavefrontCase,
-    p: int,
-    machine=None,
-    trace: bool = True,
-    fabric: str = "sim",
-) -> WavefrontResult:
-    """Run the IR pipeline; same layout/result contract as the
-    hand-written :func:`repro.wavefront.navp.run_pipelined_wavefront`."""
-    from ..navp.interp import IRMessenger
-
-    main, _carrier = build_wavefront_ir(p, case.nblocks, case.b)
-    fab = make_fabric(fabric, Grid1D(p),
-                      machine=machine if machine is not None
-                      else SUN_BLADE_100,
-                      trace=trace)
-    _layout(fab, case, p)
-    fab.inject((0,), IRMessenger(main.name))
-    result = fab.run()
-    return WavefrontResult(
-        "wavefront-ir-pipelined", case, result.time,
-        d=_gather(result, case, p), trace=result.trace,
-        details={"pes": p, "carriers": case.nblocks})

@@ -167,6 +167,19 @@ class TestContinuations:
         assert clone.program == "cont-data"
         assert np.array_equal(clone.env["arr"], np.arange(4.0))
 
+    @pytest.mark.parametrize("bad, arrived", [
+        ({"program": "cont-data", "env": {}, "stack": []}, "dict"),
+        (("cont-data", {}), "a 2-tuple"),
+        (None, "NoneType"),
+    ], ids=["dict", "2-tuple", "None"])
+    def test_malformed_snapshot_is_a_typed_error(self, bad, arrived):
+        """Only ``agent_snapshot``'s 3-tuple resumes; a 3-key dict in
+        particular must not unpack into its keys."""
+        with pytest.raises(ConfigurationError, match=f"got {arrived}"):
+            Interp.from_snapshot(bad)
+        with pytest.raises(ConfigurationError, match=f"got {arrived}"):
+            IRMessenger.resume(bad)
+
     def test_done_property(self):
         register("cont-empty", [])
         interp = Interp("cont-empty")

@@ -1,9 +1,11 @@
-"""The ``repro bench`` harness: smoke run, snapshot schema, regression
-detection, and the ``repro lint --all`` gate that shares the CI tier.
+"""``repro bench``: the smoke tripwire, the snapshot schema and its
+``source_loc`` ledger, the committed ``BENCH_*.json`` history, and the
+``repro lint --all`` gate that shares the CI tier.
 
-The smoke bench doubles as the tier-1 performance gate: it must finish
-well under 60 seconds and exit cleanly, so a broken engine (or a
-benchmark that silently ballooned) fails CI rather than landing.
+The smoke bench is tier 1's tripwire, not a measurement (``bench/`` is
+the instrument, and ``pytest`` never runs it): it must finish well
+under 60 seconds and exit cleanly, so a broken engine or interpreter
+(or a benchmark that silently ballooned) fails CI rather than landing.
 """
 
 import json
@@ -18,11 +20,11 @@ import pytest
 from repro.cli import main
 from repro.perf.report import (
     SCHEMA,
-    compare_benches,
     find_previous,
     load_bench,
     make_snapshot,
     render_report,
+    source_loc_delta,
     write_bench,
 )
 from repro.perf.suite import BENCHES, run_suite
@@ -39,98 +41,92 @@ class TestSmokeBench:
         written = list(tmp_path.glob("BENCH_*.json"))
         assert len(written) == 1
         out = capsys.readouterr().out
-        assert "des_micro" in out and "table3_shadow" in out
+        assert "interp_throughput" in out and "table3_shadow" in out
+        assert "regression" not in out.lower()  # no verdict it cannot give
 
         snap = json.loads(written[0].read_text())
         assert snap["schema"] == SCHEMA
         assert snap["smoke"] is True
-        assert set(snap["results"]) == set(BENCHES)
+        assert set(snap["results"]) == set(BENCHES) == {
+            "table1_shadow", "table3_shadow", "interp_throughput",
+            "pickle_roundtrip"}
         for name, res in snap["results"].items():
             assert res["wall_s"] > 0, name
-            # every benchmark that can count events reports a rate
-            if res["events"] is not None:
-                assert res["events_per_sec"] > 0, name
+            assert res["events"] > 0 and res["events_per_sec"] > 0, name
 
-    def test_unknown_benchmark_name_fails_loudly(self, tmp_path):
+    def test_unknown_benchmark_name_fails_loudly(self, tmp_path, capsys):
         rc = main(["bench", "--smoke", "--out", str(tmp_path),
-                   "--only", "nope"])
+                   "--only", "pickle_roundtrip", "nope"])
         assert rc == 2
+        assert "unknown benchmark 'nope'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("BENCH_*.json"))
         with pytest.raises(KeyError):
             run_suite(smoke=True, only=["nope"])
 
+    def test_a_failing_bench_is_not_reported_as_a_typo(
+            self, tmp_path, monkeypatch):
+        def broken(smoke):
+            raise KeyError("events")
+        monkeypatch.setitem(BENCHES, "pickle_roundtrip", broken)
+        with pytest.raises(KeyError, match="events"):
+            main(["bench", "--smoke", "--out", str(tmp_path),
+                  "--only", "pickle_roundtrip"])
+        assert not list(tmp_path.glob("BENCH_*.json"))
 
-class TestServeBench:
-    def test_warm_pool_beats_perjob_setup(self):
-        """The serve subsystem's economic claim, pinned: the amortized
-        per-job cost on a warm pool must beat spinning up a socket
-        fabric per run. The real gap is ~5-10x; 1.5x leaves room for a
-        loaded CI box without letting the claim silently rot."""
-        res = run_suite(smoke=True, only=["serve_throughput"],
-                        repeats=1)["serve_throughput"]
-        meta = res["meta"]
-        assert meta["speedup_vs_perjob"] > 1.5
-        assert meta["warm_per_job_s"] < meta["perjob_per_job_s"]
-        # a short queue pays off the pool spawn
-        assert meta["breakeven_jobs"] < 10
+    def test_suite_stays_in_process(self):
+        """The tripwire runs inside ``pytest``: nothing in ``repro.perf``
+        imports sockets, process control, the wire/payload codecs or the
+        serve daemon (``bench/`` exercises those layers, with oracles)."""
+        import ast
+        import re
 
-    def test_durable_submit_overhead_bounded(self):
-        """The durability claim, pinned: an fsync'd write-ahead ledger
-        must not make admission slow. Group commit batches concurrent
-        submitters onto shared fsyncs, so the real throughput is
-        thousands of submits/sec and the overhead well under a
-        millisecond; the floors (100/sec, 50 ms) only catch the ledger
-        degenerating into fsync-per-submit-per-retry territory on a
-        loaded CI box."""
-        res = run_suite(smoke=True, only=["serve_durability"],
-                        repeats=1)["serve_durability"]
-        meta = res["meta"]
-        assert res["events_per_sec"] > 100
-        assert meta["overhead_per_submit_ms"] < 50
-        # every submit was durably appended before acknowledgment
-        assert meta["ledger_appends"] >= res["events"]
+        import repro.perf
+
+        banned = re.compile(r"(^|\.)(socket|os|subprocess|multiprocessing|"
+                            r"threading|serve|wire|payload)(\.|$)")
+        for path in Path(repro.perf.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}"
+                             for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert not banned.search(name), (path.name, name)
 
 
 class TestComparison:
-    def _snap(self, ev_per_sec, wall, smoke=False):
-        return make_snapshot(
-            {"des_micro": {"wall_s": wall, "events": 1000,
-                           "events_per_sec": ev_per_sec, "meta": {}}},
-            smoke=smoke,
-        )
-
-    def test_regression_flagged_below_threshold(self):
-        prev = self._snap(1000.0, 1.0)
-        cur = self._snap(500.0, 2.0)
-        out = compare_benches(cur, prev, threshold=0.85)
-        assert out["ratios"]["des_micro"]["events_per_sec"] == 0.5
-        assert out["ratios"]["des_micro"]["wall_speedup"] == 0.5
-        assert out["regressions"] == [
-            "des_micro: events_per_sec 0.50 < 0.85"]
-
-    def test_improvement_not_flagged(self):
-        prev = self._snap(1000.0, 1.0)
-        cur = self._snap(1700.0, 0.6)
-        out = compare_benches(cur, prev)
-        assert out["regressions"] == []
-        assert out["ratios"]["des_micro"]["events_per_sec"] == 1.7
-
-    def test_smoke_vs_full_not_compared(self):
-        prev = self._snap(1000.0, 1.0, smoke=False)
-        cur = self._snap(10.0, 1.0, smoke=True)
-        out = compare_benches(cur, prev)
-        assert out["ratios"] == {}
-        assert out["regressions"] == []
-        assert "not comparable" in out["note"]
+    """Snapshot files. (Timings in two snapshots are never compared —
+    that is ``bench/compare.py`` over interleaved runs; the only
+    cross-snapshot number is the code-line delta, see TestSourceLoc.)"""
 
     def test_write_load_find_roundtrip(self, tmp_path):
-        old = write_bench(self._snap(1000.0, 1.0), tmp_path, date="2026-01-01")
-        new = write_bench(self._snap(1500.0, 0.7), tmp_path, date="2026-02-01")
+        old = write_bench(make_snapshot({}), tmp_path, date="2026-01-01")
+        new = write_bench(make_snapshot({}), tmp_path, date="2026-02-01")
         assert load_bench(new)["schema"] == SCHEMA
         assert find_previous(tmp_path, exclude=new) == old
+        # a fresh checkout gives every snapshot one mtime: names decide
+        os.utime(old, (1e9, 1e9))
+        os.utime(new, (1e9, 1e9))
+        assert find_previous(tmp_path) == new
         bogus = tmp_path / "BENCH_bogus.json"
         bogus.write_text('{"schema": "other/9"}')
         with pytest.raises(ValueError, match="not a repro-bench"):
             load_bench(bogus)
+
+    @pytest.mark.parametrize("name", [
+        "BENCH_2026-08-05_prechange.json", "BENCH_2026-08-05.json",
+        "BENCH_2026-08-06.json", "BENCH_2026-08-07_prechange.json",
+        "BENCH_2026-08-07.json", "BENCH_2026-09-30.json"])
+    def test_committed_history_still_loads(self, name):
+        """The history outlives the code that recorded it: benches,
+        ``vs_baseline`` keys and all, each file stays readable."""
+        snap = load_bench(Path("benchmarks/out") / name)
+        assert snap["results"] and snap["created"]
+        for res in snap["results"].values():
+            assert res["wall_s"] > 0
 
 
 class TestCommittedBaseline:
@@ -148,9 +144,10 @@ class TestCommittedBaseline:
 class TestDataPlaneBaseline:
     def test_committed_snapshot_meets_issue_targets(self):
         """The committed post-data-plane snapshot must hold the PR-7
-        headline against the committed legacy baseline: >=2x on the
+        headline against the committed pre-change baseline: >=2x on the
         large-block payload round-trip and the socket-pair bytes/sec
-        bench, and a >=3x frame reduction from hop coalescing."""
+        bench, and a >=3x frame reduction from hop coalescing. (The code
+        that measured the pre-change side is in git history only.)"""
         current = load_bench("benchmarks/out/BENCH_2026-08-07.json")
         assert current["vs_baseline"]["against"].endswith(
             "BENCH_2026-08-07_prechange.json")
@@ -161,22 +158,6 @@ class TestDataPlaneBaseline:
         assert current["vs_baseline"]["regressions"] == []
         meta = current["results"]["wire_coalescing"]["meta"]
         assert meta["frame_reduction"] >= 3.0
-
-    def test_legacy_modes_stay_runnable(self):
-        """The baseline is only honest if the legacy algorithms it
-        measured still execute — pin them with tiny workloads."""
-        from repro.perf.wirebench import (
-            coalescing_microbench,
-            payload_roundtrip,
-            socket_throughput,
-        )
-
-        legacy = payload_roundtrip(2, order=16, mode="legacy")
-        assert legacy["roundtrips_per_sec"] > 0
-        res = socket_throughput(1024, 4, mode="legacy")
-        assert res["frames_per_sec"] > 0
-        solo = coalescing_microbench(8, coalesce=4, mode="uncoalesced")
-        assert solo["frames"] == 8  # one frame per hop, by definition
 
 
 class TestLintGate:
@@ -216,20 +197,33 @@ class TestSourceLoc:
             n for name, n in loc.items() if name != "total")
         assert loc["fabric"] > loc["serve"] > 500
 
-    def test_delta_is_reported_across_smoke_and_full(self):
+    def _smoke_after(self, prev, tmp_path, capsys):
+        """``repro bench --smoke`` in a directory holding ``prev``:
+        returns (path of prev, the snapshot written, what was printed)."""
+        prev_path = write_bench(prev, tmp_path, date="2026-01-01")
+        assert main(["bench", "--smoke", "--out", str(tmp_path),
+                     "--only", "pickle_roundtrip", "--repeats", "1"]) == 0
+        (written,) = set(tmp_path.glob("BENCH_*.json")) - {prev_path}
+        return prev_path, load_bench(written), capsys.readouterr().out
+
+    def test_delta_is_reported_across_smoke_and_full(self, tmp_path, capsys):
         prev = make_snapshot({}, smoke=False)
-        cur = make_snapshot({}, smoke=True)
         prev["source_loc"]["fabric"] += 294
         prev["source_loc"]["total"] += 294
-        cur["vs_baseline"] = compare_benches(cur, prev)
-        assert cur["vs_baseline"]["source_loc_delta"] == {
-            "fabric": -294, "total": -294}
-        assert "(-294 vs previous: fabric -294)" in render_report(cur)
+        prev_path, cur, out = self._smoke_after(prev, tmp_path, capsys)
+        assert cur["smoke"] is True
+        assert cur["vs_baseline"] == {
+            "against": str(prev_path),
+            "source_loc_delta": {"fabric": -294, "total": -294}}
+        assert "(-294 vs previous: fabric -294)" in out
+        assert source_loc_delta(cur, cur) == {}
+        assert "(unchanged)" in render_report(
+            {**cur, "vs_baseline": {"source_loc_delta": {}}})
 
-    def test_snapshots_without_a_count_still_compare(self):
+    def test_snapshots_without_a_count_still_compare(self, tmp_path, capsys):
         prev = make_snapshot({})
         del prev["source_loc"]
-        cur = make_snapshot({})
-        cur["vs_baseline"] = compare_benches(cur, prev)
-        assert "source_loc_delta" not in cur["vs_baseline"]
-        assert "no previous count" in render_report(cur)
+        prev_path, cur, out = self._smoke_after(prev, tmp_path, capsys)
+        assert cur["vs_baseline"] == {"against": str(prev_path),
+                                      "source_loc_delta": None}
+        assert "no previous count" in out

@@ -398,6 +398,8 @@ class TestInProcessRestart:
             out = svc.submit({"program": "navp-2d-dsc", "g": 2,
                               "seed": 0, "ab": 4, "workers": 1})
             assert takeable == [None]   # invisible mid-append
+            # acknowledged => already on disk: the ack follows the append
+            assert out["job"] in replay_ledger(str(tmp_path / "wal")).jobs
             rec = svc.wait_job(out["job"], timeout=60.0)
             assert rec["state"] == "completed"
 

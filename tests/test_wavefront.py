@@ -100,6 +100,30 @@ class TestCorrectness:
         assert_allclose(result.d, case.reference())
 
 
+class TestIRTwins:
+    """The IR restatements are the hand-written stages, exactly: same
+    table bit-for-bit, same modeled time by ``float.hex`` — what lets
+    the analyses and the planner speak for both."""
+
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_ir_matches_hand_written(self, p):
+        from repro.wavefront.irprog import (
+            build_wavefront_ir,
+            build_wavefront_seq_ir,
+            run_wavefront_program,
+        )
+
+        case = WavefrontCase(n=48, b=4)
+        pipe, _carrier = build_wavefront_ir(p, case.nblocks, case.b)
+        seq = build_wavefront_seq_ir(p, case.nblocks, case.b)
+        for hand, ir_main in ((run_pipelined_wavefront, pipe),
+                              (run_dsc_wavefront, seq)):
+            want = hand(case, p, trace=False)
+            got = run_wavefront_program(ir_main.name, case, p, trace=False)
+            assert got.d.tobytes() == want.d.tobytes(), ir_main.name
+            assert got.time.hex() == want.time.hex(), ir_main.name
+
+
 class TestSynchronization:
     def test_events_make_injection_order_irrelevant(self):
         """The BDONE handshake is what enforces the dependence: inject
