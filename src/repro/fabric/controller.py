@@ -53,6 +53,8 @@ and checkpoint machinery replay identically over every transport.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import time
 from collections import defaultdict, deque
 
@@ -83,6 +85,7 @@ __all__ = [
     "freeze_task",
     "thaw_task",
     "reap_workers",
+    "exit_cause",
 ]
 
 
@@ -97,15 +100,11 @@ def reap_workers(procs, grace_s: float = 5.0) -> None:
     fabric/pool that forks workers, so a failed or rejected run cannot
     leave orphaned processes behind.
     """
-    import os
-    import signal as signal_mod
-    import time as time_mod
-
     procs = [p for p in procs if p is not None]
-    deadline = time_mod.monotonic() + grace_s
+    deadline = time.monotonic() + grace_s
     for p in procs:
         try:
-            p.join(timeout=max(0.0, deadline - time_mod.monotonic()))
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
         except (OSError, ValueError):  # pragma: no cover - already gone
             continue
     stragglers = [p for p in procs if p.is_alive()]
@@ -118,10 +117,26 @@ def reap_workers(procs, grace_s: float = 5.0) -> None:
         p.join(timeout=2.0)
         if p.is_alive() and p.pid is not None:
             try:
-                os.kill(p.pid, signal_mod.SIGKILL)
+                os.kill(p.pid, signal.SIGKILL)
             except OSError:  # pragma: no cover - raced its exit
                 pass
             p.join(timeout=2.0)
+
+
+def exit_cause(proc) -> str:
+    """How a lost worker's process ended, for the error message, the
+    ``respawn`` trace note and a job's failure reason. Read it before
+    replacing the worker: the replacement terminates a live one."""
+    code = proc.exitcode
+    if code is None:
+        return "heartbeat timeout, still running"
+    if code >= 0:
+        return f"exit code {code}"
+    try:
+        return f"killed by {signal.Signals(-code).name}"
+    except ValueError:  # pragma: no cover - a signal Python cannot name
+        return f"killed by signal {-code}"
+
 
 # Field offsets of a worker task record (see WorkerCore.execute).
 _ID, _CHILDREN, _SEQ, _AT, _INTERP, _HOPS = range(6)
@@ -275,6 +290,10 @@ class WorkerCore:
             self.seen.update(seen_in)
         elif op == "collect":
             self.emit_report(("vars", self.host, self.node_vars))
+        elif op == "sync":
+            # setup barrier: commands are FIFO per host, so every
+            # earlier one (the loads above all) is already applied
+            self.emit_report(("synced", self.host))
         elif op == "stop":
             return "stop"
         else:  # pragma: no cover - protocol is closed
@@ -400,15 +419,15 @@ class Supervisor:
             self._retired[host] += covered
         self.ckpt_state[host] = state
 
-    def authorize_respawn(self, host) -> int:
+    def authorize_respawn(self, host, how) -> int:
         """Check policy and budget; returns the restart ordinal."""
         if not self.recovery.enabled:
             raise ResilienceError(
-                f"worker {host} died and recovery is disabled")
+                f"worker {host} lost ({how}) and recovery is disabled")
         if self.restarts[host] >= self.max_restarts:
             raise ResilienceError(
-                f"worker {host} exhausted its respawn budget "
-                f"({self.max_restarts})")
+                f"worker {host} lost ({how}) with its respawn budget "
+                f"({self.max_restarts}) exhausted")
         self.restarts[host] += 1
         return self.restarts[host]
 
@@ -454,8 +473,8 @@ class Link:
     multiprocessing queues, phi-accrual heartbeats + EOF + generation
     fencing on fabric-owned sockets, the service monitor's
     ``respawned`` post on leased pool connections. A report the loop
-    does not own (transport stats, hop logs, barrier acks) never
-    leaves the link: it is consumed inside :meth:`receive`.
+    does not own (transport stats, hop logs) never leaves the link: it
+    is consumed inside :meth:`receive`.
     """
 
     def send(self, host, cmd: tuple) -> None:
@@ -466,7 +485,8 @@ class Link:
     def receive(self, timeout: float):
         """Block for the next event, at most one poll interval and
         never past ``timeout``: a worker report tuple, ``("lost",
-        host)`` once the host's worker is gone, or None for a tick."""
+        host, how)`` once the host's worker is gone (``how`` as
+        :func:`exit_cause` words it), or None for a tick."""
         raise NotImplementedError
 
     def replace(self, host) -> None:
@@ -499,7 +519,12 @@ class Controller:
     workers' ``(mid, hops)`` dedup makes the at-least-once replay
     exactly-once. Without one (plain mode) it is the same loop:
     nothing is journaled, workers ship hops peer to peer so none
-    arrives here, and a lost host is a :class:`FabricError`.
+    arrives here, and a lost host is a :class:`FabricError`. Those
+    peer channels are not ordered against this loop's own, so plain
+    mode — and only plain mode — ends seeding with a barrier: every
+    host acks a ``sync`` sent behind its loads before the entry
+    messengers are released. Supervised hops all detour through here,
+    FIFO per host behind the loads, and need none.
 
     ``note(place, actor, kind, text, src_place, nbytes)`` records a
     trace event; ``hint()`` is appended to a timeout message;
@@ -546,6 +571,7 @@ class Controller:
         self._collected: set = set()    # hosts whose vars are in
         self._collect_due: set = set()  # collect held behind a replay
         self._collecting = False
+        self._unsynced: set = set()     # hosts yet to ack the barrier
         self._commits: dict = {}        # ckpt id -> hosts committed
 
     # -- outbound ------------------------------------------------------
@@ -606,8 +632,15 @@ class Controller:
         else:
             for coord, node_vars in loads:
                 self._send(host_of[coord], ("load", coord, node_vars))
-            for signal in signals:
-                self._send(host_of[signal[0]], ("signal0", signal))
+            for initial in signals:
+                self._send(host_of[initial[0]], ("signal0", initial))
+            if self.sup is None:
+                # a peer's hop must not reach a host ahead of its loads
+                self._unsynced = set(range(self.n_hosts))
+                for h in range(self.n_hosts):
+                    self.link.send(h, ("sync",))
+                while self._unsynced:
+                    self._step()
             for mid, coord, program, env in entries:
                 self.known.add(mid)
                 self._forward(host_of[coord], (
@@ -660,7 +693,9 @@ class Controller:
             self._collected.add(msg[1])
             self.places.update(msg[2])
         elif op == "lost":
-            self._recover(msg[1])
+            self._recover(msg[1], msg[2])
+        elif op == "synced":
+            self._unsynced.discard(msg[1])
         elif op == "error":
             raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
         else:  # pragma: no cover - protocol is closed
@@ -670,6 +705,9 @@ class Controller:
         if self._collecting:
             missing = sorted(set(range(self.n_hosts)) - self._collected)
             what = f"collecting results, host(s) {missing} missing"
+        elif self._unsynced:
+            what = (f"seeding, host(s) {sorted(self._unsynced)} never "
+                    f"acknowledged their loads")
         else:
             what = f"{len(self.known - self.done)} messenger(s) unaccounted"
         respawns = sum(self.sup.restarts.values()) if self.sup else 0
@@ -750,16 +788,16 @@ class Controller:
             })
 
     # -- recovery ------------------------------------------------------
-    def _recover(self, h) -> None:
+    def _recover(self, h, how) -> None:
         """Bring ``h`` back: a fresh worker, its last committed state,
         then everything journaled since."""
         sup = self.sup
         if sup is None:
             raise FabricError(
-                f"{self.name}: worker {h} lost and this run has no "
-                f"supervision; pass supervise=True or a fault plan for "
-                f"recovery")
-        ordinal = sup.authorize_respawn(h)
+                f"{self.name}: worker {h} lost ({how}) and this run has "
+                f"no supervision; pass supervise=True or a fault plan "
+                f"for recovery")
+        ordinal = sup.authorize_respawn(h, how)
         FAULT_STATS["masked"] += 1
         self.link.replace(h)
         state, replay = sup.recovery_script(h)
@@ -770,8 +808,8 @@ class Controller:
         if self._collecting:
             self._ask_collect(h)
         self._note(h, "supervisor", "respawn",
-                   f"worker {h} respawned (restart {ordinal}, replay "
-                   f"{len(replay)} cmd(s))")
+                   f"worker {h} lost ({how}), respawned (restart "
+                   f"{ordinal}, replay {len(replay)} cmd(s))")
 
 
 class ControllerFabric(Link):

@@ -59,9 +59,11 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import signal
+import sys
 
 from . import payload as payload_mod
-from .controller import ControllerFabric, WorkerCore, reap_workers
+from .controller import (ControllerFabric, WorkerCore, exit_cause,
+                         reap_workers)
 
 __all__ = ["ProcessFabric"]
 
@@ -103,6 +105,7 @@ def _worker(host, coords, host_of, in_queue, host_queues, report_queue,
                 return
     except BaseException as exc:  # noqa: BLE001 - forwarded to controller
         report_queue.put(("error", host, f"{type(exc).__name__}: {exc}"))
+        sys.exit(1)  # exit code 0 is reserved for "took its `stop`"
 
 
 class ProcessFabric(ControllerFabric):
@@ -123,10 +126,14 @@ class ProcessFabric(ControllerFabric):
         # every queue exists before the first fork: plain-mode workers
         # inherit the whole table and write their peers directly
         self._queues = {h: self._ctx.Queue() for h in hosts}
+        # and every fork happens before the first `put`, which starts
+        # a queue feeder thread: bring-up never forks with threads alive
         for h in hosts:
-            self._spawn(h)
+            self._fork(h)
+        for h in hosts:
+            self._register(h)
 
-    def _spawn(self, h) -> None:
+    def _fork(self, h) -> None:
         worker = self._ctx.Process(
             target=_worker,
             args=(h, self._coords_of(h), self._host_of, self._queues[h],
@@ -135,6 +142,8 @@ class ProcessFabric(ControllerFabric):
             daemon=True, name=f"host{h}")
         worker.start()
         self._workers[h] = worker
+
+    def _register(self, h) -> None:
         self.send(h, ("register", list(self._programs.values())))
 
     def _close(self) -> None:
@@ -144,6 +153,17 @@ class ProcessFabric(ControllerFabric):
             except Exception:  # pragma: no cover - shutdown races
                 pass
         reap_workers(self._workers.values())
+        for h, q in self._queues.items():
+            q.close()  # the feeder thread exits once it has flushed
+            worker = self._workers.get(h)
+            if worker is not None and worker.exitcode == 0:
+                # it took its `stop`, so it read everything before it
+                # and the feeder has nothing left to block on
+                q.join_thread()
+            else:
+                # toward a dead worker the feeder may be wedged on a
+                # full pipe nobody reads; waiting for it would hang
+                q.cancel_join_thread()
 
     # -- the link verbs ------------------------------------------------
     def send(self, host, cmd) -> None:
@@ -155,7 +175,7 @@ class ProcessFabric(ControllerFabric):
         except queue_mod.Empty:
             for h, worker in self._workers.items():
                 if not worker.is_alive():
-                    return ("lost", h)
+                    return ("lost", h, exit_cause(worker))
             return None
         if msg[0] == "hoplog":
             self._note_hops(msg[2])
@@ -163,12 +183,17 @@ class ProcessFabric(ControllerFabric):
         return msg
 
     def replace(self, host) -> None:
+        """Mid-run, unlike :meth:`_open`, this forks with the other
+        hosts' queue feeder threads alive."""
         old = self._workers[host]
         if old.is_alive():  # pragma: no cover - defensive
             old.terminate()
         old.join(timeout=5.0)
+        self._queues[host].close()
+        self._queues[host].cancel_join_thread()
         self._queues[host] = self._ctx.Queue()
-        self._spawn(host)
+        self._fork(host)
+        self._register(host)
 
     def crash(self, host) -> bool:
         worker = self._workers[host]

@@ -71,9 +71,17 @@ recovery disabled are casualties, reported in the
 Plain mode (no plan, no supervision) skips the controller detour:
 workers learn each other's addresses at start-up and ship hops
 peer-to-peer, with the same credit-based flow control per connection.
-It is the same loop over the same link; only a setup barrier is added
-(see :meth:`SocketFabric.send`), because peer connections are not
-ordered against the controller's.
+It is the same loop over the same link; peer connections are not
+ordered against the controller's, which is why the loop ends plain
+seeding with a ``sync`` barrier.
+
+**Lifetime.** A run owns what it starts. Bring-up binds the listener,
+forks *every* worker and only then starts its first thread (the
+:class:`~repro.fabric.wire.Acceptor`), so the initial forks never copy
+a multi-threaded parent; teardown stops the workers, ends the accept
+thread, reaps the processes and joins the per-connection readers, so
+when ``run()`` returns — or raises — no thread of it is alive and
+nothing but the caller references the fabric.
 
 This module is the fabric's side of that loop — the
 :class:`~repro.fabric.controller.Link` verbs on
@@ -89,16 +97,16 @@ import multiprocessing as mp
 import os
 import queue
 import signal
-import socket as socket_mod
 import threading
 import time
 from collections import defaultdict
 
 from ..errors import FabricError
 from . import payload as payload_mod
-from .controller import ControllerFabric, WorkerCore, reap_workers
+from .controller import (ControllerFabric, WorkerCore, exit_cause,
+                         reap_workers)
 from .wire import (FRAME_CMD, FRAME_CREDIT, FRAME_HEARTBEAT, FRAME_HELLO,
-                   FRAME_REPORT, FRAME_RUN, FrameSocket, WireError,
+                   FRAME_REPORT, FRAME_RUN, Acceptor, FrameSocket, WireError,
                    connect_with_backoff, frame_nbytes, load_obj, send_obj)
 
 __all__ = ["SocketFabric", "PhiAccrualDetector", "WorkerSession"]
@@ -230,11 +238,8 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
     peers_out: dict = {}      # dst host -> (FrameSocket, credit semaphore)
 
     if not resilient:
-        peer_listener = socket_mod.socket(
-            socket_mod.AF_INET, socket_mod.SOCK_STREAM)
-        peer_listener.bind(("127.0.0.1", 0))
-        peer_listener.listen(16)
-        my_addr = peer_listener.getsockname()
+        peer_listener = Acceptor(("127.0.0.1", 0), 16)
+        my_addr = peer_listener.addr
 
     def enqueue(frame, tasks, wrap) -> None:
         """Count one inbound hop frame, then give each of its hops its
@@ -296,18 +301,8 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
             if frame.kind == FRAME_CREDIT:
                 credits.release()
 
-    def accept_loop():
-        while True:
-            try:
-                conn, _ = peer_listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=peer_reader,
-                             args=(FrameSocket(conn),),
-                             daemon=True).start()
-
     if peer_listener is not None:
-        threading.Thread(target=accept_loop, daemon=True).start()
+        peer_listener.start(peer_reader, f"peer-accept{host}")
 
     def get_peer(dst):
         entry = peers_out.get(dst)
@@ -398,11 +393,7 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
                 item = inbox.get()
                 tag = item[0]
                 if tag == "cmd":
-                    if item[1][0] == "sync":
-                        # setup barrier: by per-connection FIFO, every
-                        # earlier controller command is already applied
-                        session.report(("synced", host))
-                    elif core.handle(item[1]) == "stop":
+                    if core.handle(item[1]) == "stop":
                         break
                 elif tag == "crun":
                     took_from_mailbox()
@@ -423,6 +414,8 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
         if peer_listener is not None:
             peer_listener.close()
         for fs, _credits in peers_out.values():
+            fs.close()
+        for fs in credit_back.values():
             fs.close()
 
 
@@ -466,12 +459,7 @@ class SocketFabric(ControllerFabric):
         self._hello_evts: dict = {}             # (host, gen) -> Event
         self._reports: queue.Queue = queue.Queue()
         self._reg_lock = threading.Lock()
-        self._listener = None
-        self._addr = None
-        # plain mode: entry runs held until every host acks the setup
-        # barrier (None once released, and always in resilient mode)
-        self._held: list | None = None
-        self._unsynced: set = set()
+        self._listener: Acceptor | None = None
 
     # -- connection plumbing ------------------------------------------
     def _serve_conn(self, fs: FrameSocket) -> None:
@@ -514,24 +502,16 @@ class SocketFabric(ControllerFabric):
             elif frame.kind == FRAME_REPORT:
                 self._reports.put(load_obj(frame))
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed: shutdown
-            threading.Thread(target=self._serve_conn,
-                             args=(FrameSocket(conn),),
-                             daemon=True).start()
-
-    def _spawn(self, host) -> None:
+    def _fork(self, host) -> None:
+        """Start ``host``'s worker; it dials in and waits, if need be,
+        in the listener's backlog."""
         gen = self._gens[host]
-        evt = threading.Event()
-        self._hello_evts[(host, gen)] = evt
+        self._hello_evts[(host, gen)] = threading.Event()
         proc = self._ctx.Process(
             target=_sock_worker,
-            args=(host, self._coords_of(host), self._host_of, self._addr,
-                  gen, self.resilient, self.trace.enabled, self.window,
+            args=(host, self._coords_of(host), self._host_of,
+                  self._listener.addr, gen, self.resilient,
+                  self.trace.enabled, self.window,
                   self.heartbeat_s, self.hop_deadline_s,
                   (self._plan.seed or 0) * 31 + host,
                   self.coalesce, self.coalesce_delay_s),
@@ -539,43 +519,51 @@ class SocketFabric(ControllerFabric):
         )
         proc.start()
         self._procs[host] = proc
-        if not evt.wait(timeout=20.0):
+
+    def _greet(self, host) -> None:
+        """Await the hello of ``host``'s current worker, then install
+        the programs."""
+        key = (host, self._gens[host])
+        if not self._hello_evts[key].wait(timeout=20.0):
             raise FabricError(
                 f"socket worker {host} did not say hello within 20s")
+        del self._hello_evts[key]
         self.send(host, ("register", list(self._programs.values())))
 
     def _open(self) -> None:
-        self._listener = socket_mod.socket(
-            socket_mod.AF_INET, socket_mod.SOCK_STREAM)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(self.n_hosts + 4)
-        self._addr = self._listener.getsockname()
-        threading.Thread(target=self._accept_loop, daemon=True).start()
         hosts = range(self.n_hosts)
+        self._listener = Acceptor(("127.0.0.1", 0), self.n_hosts + 4)
+        # fork before threads: every worker starts from a
+        # single-threaded image of this process, and their hellos
+        # overlap instead of each waiting out the previous fork
         for h in hosts:
-            self._spawn(h)
+            self._fork(h)
+        self._listener.start(self._serve_conn, "socket-accept")
+        for h in hosts:
+            self._greet(h)
         if not self.resilient:
             peer_table = {h: self._peer_addrs[h] for h in hosts}
             for h in hosts:
                 self.send(h, ("peers", peer_table))
-            self._held = []
-            self._unsynced = set(hosts)
 
     def _close(self) -> None:
         """Tear the world down — also on exception paths, where a
-        worker may be wedged mid-protocol: every process must exit and
-        every 127.0.0.1 socket must close, or a failed run would leak
-        orphans into the caller's process table."""
+        worker may be wedged mid-protocol: every process must exit,
+        every 127.0.0.1 socket close and every thread this run started
+        end, or a failed run would leak orphans into the caller's
+        process table and a finished one its fabric (a parked thread
+        pins ``self``: the loaded blocks, the journal, the last
+        checkpoint of every host)."""
         for host in list(self._conns):
             self.send(host, ("stop",))
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
         reap_workers(self._procs.values())
         for fs in self._conns.values():
             fs.close()
+        if self._listener is not None:
+            self._listener.close()
+            # every peer was a child, and is reaped: each reader has
+            # seen (or is about to see) its EOF
+            self._listener.join_handlers()
         self._conns.clear()
         self._procs.clear()
 
@@ -586,24 +574,11 @@ class SocketFabric(ControllerFabric):
         A dead worker's connection may already be broken — that is not
         an error here (the heartbeat detector owns failure handling and
         the journal owns redelivery).
-
-        Plain mode holds the entry ``run`` commands back behind a setup
-        barrier: peer-to-peer RUN frames ride separate connections from
-        controller commands, so without it a hop could execute at a
-        worker before its loads arrived. The first held run sends
-        ``sync`` to every host (FIFO behind all their loads); the last
-        ``synced`` ack, seen by :meth:`receive`, releases the runs.
         """
         deadline = 0.0
-        if cmd[0] == "run" or cmd[0] == "runs":
-            if self._held is not None:
-                if not self._held:
-                    for h in range(self.n_hosts):
-                        self.send(h, ("sync",))
-                self._held.append((host, cmd))
-                return
-            if self.resilient and self.hop_deadline_s:
-                deadline = time.time() + self.hop_deadline_s
+        if (self.resilient and self.hop_deadline_s
+                and (cmd[0] == "run" or cmd[0] == "runs")):
+            deadline = time.time() + self.hop_deadline_s
         fs = self._conns.get(host)
         if fs is not None:
             try:
@@ -627,29 +602,28 @@ class SocketFabric(ControllerFabric):
             if now - began < 4 * _POLL_S:
                 for host, det in list(self._detectors.items()):
                     if det.phi(now) > self.phi_threshold:
-                        return ("lost", host)
+                        return ("lost", host, exit_cause(self._procs[host]))
             return None
         op = msg[0]
         if op == "gone":
             if msg[2] == self._gens[msg[1]]:    # not a replaced worker's
-                return ("lost", msg[1])
+                proc = self._procs[msg[1]]
+                # its socket closes a moment before it can be reaped
+                proc.join(timeout=1.0)
+                return ("lost", msg[1], exit_cause(proc))
         elif op == "stats":
             if self.trace.enabled:
                 self._note(msg[1], "transport", "transport", " ".join(
                     f"{k}={v}" for k, v in sorted(msg[2].items())))
         elif op == "hoplog":
             self._note_hops(msg[2])
-        elif op == "synced":
-            self._unsynced.discard(msg[1])
-            if not self._unsynced and self._held is not None:
-                held, self._held = self._held, None
-                for host, cmd in held:
-                    self.send(host, cmd)
         else:
             return msg
         return None
 
     def replace(self, host) -> None:
+        """Mid-run, unlike :meth:`_open`, this forks with the accept
+        and reader threads alive."""
         old = self._procs.get(host)
         self._gens[host] += 1  # stale sockets can't deliver from here on
         conn = self._conns.pop(host, None)
@@ -660,7 +634,8 @@ class SocketFabric(ControllerFabric):
             if old.is_alive():
                 old.terminate()
             old.join(timeout=5.0)
-        self._spawn(host)
+        self._fork(host)
+        self._greet(host)
 
     def crash(self, host) -> bool:
         proc = self._procs[host]

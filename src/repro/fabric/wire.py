@@ -47,8 +47,9 @@ threads may share one outbound connection) and an incremental receive
 buffer. It never interprets payloads; the codec glue every endpoint
 shares sits next to it: :func:`send_obj` / :func:`load_obj` run one
 object through :mod:`repro.fabric.payload` into / out of one
-multi-buffer frame, and :func:`connect_with_backoff` dials with
-jittered retries.
+multi-buffer frame, :func:`connect_with_backoff` dials with jittered
+retries, and :class:`Acceptor` is the one accept loop every listening
+endpoint runs — the one whose ``close()`` actually ends it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from . import payload as payload_mod
 __all__ = [
     "Frame",
     "FrameSocket",
+    "Acceptor",
     "WireError",
     "WireClosed",
     "encode_frame",
@@ -341,6 +343,87 @@ class FrameSocket:
             self.sock.close()
         except OSError:
             pass
+
+
+class Acceptor:
+    """A bound listening socket and the thread that accepts on it.
+
+    Binding and accepting are separate steps so an owner can fork its
+    workers in between — their connections wait in the kernel's backlog
+    — and never fork with a thread alive. :meth:`start` runs
+    ``handler(FrameSocket)`` on a daemon thread per accepted
+    connection. :meth:`close` *ends* the loop: closing a listening
+    socket from another thread does not wake a blocked ``accept()`` on
+    Linux, and a parked accept thread pins its owner (the handler is a
+    bound method) for the life of the process — so the socket is shut
+    down first, then closed, then the thread joined.
+    """
+
+    def __init__(self, addr, backlog: int):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # a restarted daemon must be able to rebind its old port while
+        # the previous session's accepted connections sit in TIME_WAIT
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            self.sock.bind(tuple(addr))
+            self.sock.listen(backlog)
+        except OSError:
+            self.sock.close()
+            raise
+        self.addr = self.sock.getsockname()
+        self._closing = False
+        self._thread = None
+        self._handlers: list = []   # live per-connection threads
+
+    def start(self, handler, name: str) -> None:
+        self._thread = threading.Thread(target=self._loop, args=(handler,),
+                                        daemon=True, name=name)
+        self._thread.start()
+
+    def _loop(self, handler) -> None:
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return  # shut down: close() is waiting for us
+            if self._closing:
+                conn.close()  # the wake-up connection of close()
+                return
+            thread = threading.Thread(target=handler,
+                                      args=(FrameSocket(conn),),
+                                      daemon=True)
+            # a long-lived daemon accepts thousands of clients: keep
+            # only the handlers still running
+            self._handlers = [t for t in self._handlers if t.is_alive()]
+            self._handlers.append(thread)
+            thread.start()
+
+    def close(self) -> None:
+        """Stop accepting, release the port and join the accept thread
+        (idempotent; never raises — it runs on failure paths)."""
+        if self._closing:
+            return
+        self._closing = True
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)  # wakes accept(): Linux
+        except OSError:
+            # BSD/macOS refuse to shut down a listening socket: wake
+            # accept() with a throwaway connection instead
+            try:
+                socket.create_connection(self.addr, timeout=1.0).close()
+            except OSError:
+                pass
+        self.sock.close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+
+    def join_handlers(self) -> None:
+        """Wait (5 s in all) for the per-connection threads to see
+        their peers gone — for an owner whose peers are all its own,
+        already reaped, children (call after :meth:`close`)."""
+        deadline = time.monotonic() + 5.0
+        for thread in self._handlers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 def connect_with_backoff(addr, seed=None) -> socket.socket:

@@ -26,7 +26,7 @@ import threading
 import time
 
 from ..errors import ServeError
-from ..fabric.controller import reap_workers
+from ..fabric.controller import exit_cause, reap_workers
 from ..fabric.socket import PhiAccrualDetector
 from ..fabric.wire import FRAME_CMD, WireError, send_obj
 
@@ -161,8 +161,11 @@ class WorkerPool:
                     out.append((w.wid, phi))
         return out
 
-    def respawn(self, wid: int) -> None:
-        """Replace a worker process in place (same slot, fresh gen).
+    def respawn(self, wid: int, eof: bool = False) -> str | None:
+        """Replace a worker process in place (same slot, fresh gen);
+        returns how the old one ended (:func:`~repro.fabric.controller.
+        exit_cause`). ``eof``: its connection closed, so it is on its
+        way out — worth a moment's wait for the exit code.
 
         The lease tag survives — the leasing job decides separately
         whether to recover onto the replacement or fail.
@@ -170,7 +173,7 @@ class WorkerPool:
         with self.lock:
             w = self.workers.get(wid)
             if w is None:
-                return
+                return None
             w.gen += 1          # the zombie's frames are stale from here
             if w.conn is not None:
                 w.conn.close()
@@ -180,11 +183,16 @@ class WorkerPool:
             old = w.proc
             w.respawns += 1
             self.total_respawns += 1
+        how = None
         if old is not None:
+            if eof:
+                old.join(timeout=1.0)
+            how = exit_cause(old)
             if old.is_alive():
                 old.terminate()
             reap_workers([old], grace_s=2.0)
         self._start(w)
+        return how
 
     def kill(self, wid: int) -> bool:
         """SIGKILL a worker process (chaos injection — a *real* crash,

@@ -8,8 +8,8 @@ process and socket fabrics run) over the pool's warm connections.
 * *send* tags the command with the job id — ``(op, jid, *rest)`` —
   and hands it to :meth:`WorkerPool.send` for the leased worker;
 * *receive* waits on the queue the service routes this job's reports
-  into; the failure monitor's ``("respawned", wid)`` post — the pool
-  has already forked the replacement — is the "host lost" event;
+  into; the failure monitor's ``("respawned", wid, how)`` post — the
+  pool has already forked the replacement — is the "host lost" event;
 * *replace* re-sends the job header and programs (the fresh worker's
   cache is empty); the loop then restores the last committed
   checkpoint and replays the journal.
@@ -94,7 +94,7 @@ class JobRun(threading.Thread, Link):
         except queue.Empty:
             return None
         if msg[0] == "respawned":
-            return ("lost", self.wids.index(msg[1]))
+            return ("lost", self.wids.index(msg[1]), msg[2])
         return msg
 
     def replace(self, host) -> None:

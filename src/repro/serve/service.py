@@ -10,7 +10,8 @@ in the system.
 
 Threads, and what each owns:
 
-* **accept loop** — hands each connection to a handler thread;
+* **accept loop** (a :class:`~repro.fabric.wire.Acceptor`) — hands
+  each connection to a handler thread;
 * **worker handlers** — heartbeats to the pool's detectors, job
   reports routed to the owning :class:`~repro.serve.scheduler.JobRun`,
   EOF turned into a death event;
@@ -33,15 +34,14 @@ from __future__ import annotations
 
 import os
 import queue as queue_mod
-import socket as socket_mod
 import threading
 import time
 
 from ..errors import AdmissionError, ServeError
 from ..fabric.factory import fabric_capabilities
 from ..fabric.wire import (FRAME_CMD, FRAME_HEARTBEAT, FRAME_HELLO,
-                           FRAME_REPORT, FrameSocket, WireError, load_obj,
-                           send_obj)
+                           FRAME_REPORT, Acceptor, FrameSocket, WireError,
+                           load_obj, send_obj)
 from ..resilience.checkpoint import DiskStore, MemoryStore
 from .catalog import REJECT_STATUSES, admission_verdict, program_names
 from .jobs import JobRecord, JobSpec, STATE_FAILED, STATE_RUNNING
@@ -113,7 +113,8 @@ class ServeService:
         self._stopping = False
         self._seq = 0
         self._t0 = time.monotonic()
-        self._listener = None
+        self._listener: Acceptor | None = None
+        self._loops: list = []          # dispatcher + monitor threads
         self.addr = None
 
     # -- lifecycle -----------------------------------------------------
@@ -127,17 +128,9 @@ class ServeService:
             self.store = DiskStore(os.path.join(self.state_dir, "ckpt"))
             self.ledger = JobLedger(os.path.join(self.state_dir, "wal"))
             self._recover(self.ledger.open())
-        self._listener = socket_mod.socket(socket_mod.AF_INET,
-                                           socket_mod.SOCK_STREAM)
-        # a restarted daemon must be able to rebind its old port while
-        # the previous session's accepted connections sit in TIME_WAIT
-        self._listener.setsockopt(socket_mod.SOL_SOCKET,
-                                  socket_mod.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", self.port))
-        self._listener.listen(64)
-        self.addr = self._listener.getsockname()
-        threading.Thread(target=self._accept_loop, daemon=True,
-                         name="serve-accept").start()
+        self._listener = Acceptor(("127.0.0.1", self.port), 64)
+        self.addr = self._listener.addr
+        self._listener.start(self._serve_conn, "serve-accept")
         self.pool = WorkerPool(self.addr, heartbeat_s=self.heartbeat_s,
                                phi_threshold=self.phi_threshold)
         try:
@@ -150,10 +143,13 @@ class ServeService:
             if self.ledger is not None:
                 self.ledger.close(drained=False)
             raise
-        threading.Thread(target=self._dispatch_loop, daemon=True,
-                         name="serve-dispatch").start()
-        threading.Thread(target=self._monitor_loop, daemon=True,
-                         name="serve-monitor").start()
+        self._loops = [
+            threading.Thread(target=self._dispatch_loop, daemon=True,
+                             name="serve-dispatch"),
+            threading.Thread(target=self._monitor_loop, daemon=True,
+                             name="serve-monitor")]
+        for loop in self._loops:
+            loop.start()
         return self.addr
 
     def serve_forever(self) -> None:
@@ -207,39 +203,51 @@ class ServeService:
         turn a routine restart into failed jobs. A non-durable daemon
         keeps the old behaviour (pending jobs fail with "cancelled at
         shutdown" — there is nowhere for them to survive).
+
+        Only the first call tears down — and hears of it if the
+        teardown raises; a later or concurrent one waits for that to
+        end, outside ``_lock`` (a finishing job needs the lock to get
+        through :meth:`on_job_done`), and reports nothing cancelled.
         """
         preserve = (self.state_dir is not None
                     if preserve_pending is None else preserve_pending)
         with self._lock:
-            if self._stopping:
-                self._stopped_evt.wait()
-                return {"cancelled": 0, "drained": 0, "preserved": 0}
+            first = not self._stopping
             self._stopping = True
-            cancelled = []
-            preserved = len(self.queue) if preserve else 0
-            if not preserve:
-                cancelled = self.queue.cancel_all()
-                for rec in cancelled:
-                    rec.finish(STATE_FAILED, "cancelled at shutdown")
-                    self.failed += 1
-            runs = list(self.runs.values())
+            if first:
+                cancelled = []
+                preserved = len(self.queue) if preserve else 0
+                if not preserve:
+                    cancelled = self.queue.cancel_all()
+                    for rec in cancelled:
+                        rec.finish(STATE_FAILED, "cancelled at shutdown")
+                        self.failed += 1
+                runs = list(self.runs.values())
+        if not first:
+            self._stopped_evt.wait()
+            return {"cancelled": 0, "drained": 0, "preserved": 0}
         drained = 0
-        if drain:
-            for run in runs:
-                run.join(timeout=self.job_timeout_s + 10.0)
-                drained += 1
-        self._stop_evt.set()
-        self._dispatch_evt.set()
-        if self.pool is not None:
-            self.pool.stop_all()
-        if self._listener is not None:
+        try:
+            if drain:
+                for run in runs:
+                    run.join(timeout=self.job_timeout_s + 10.0)
+                    drained += 1
+            self._stop_evt.set()
+            self._dispatch_evt.set()
             try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        if self.ledger is not None:
-            self.ledger.close(drained=drain)
-        self._stopped_evt.set()
+                if self.pool is not None:
+                    self.pool.stop_all()
+            finally:
+                # whatever the pool did, the port and the ledger are
+                # released and no service thread outlives the service
+                if self._listener is not None:
+                    self._listener.close()
+                for loop in self._loops:
+                    loop.join(timeout=5.0)
+                if self.ledger is not None:
+                    self.ledger.close(drained=drain)
+        finally:
+            self._stopped_evt.set()
         return {"cancelled": len(cancelled), "drained": drained,
                 "preserved": preserved}
 
@@ -485,11 +493,13 @@ class ServeService:
     def _monitor_loop(self) -> None:
         while not self._stop_evt.is_set():
             dead: dict = {}
+            gone = None     # the worker whose connection hit EOF
             try:
                 kind, wid, gen = self._deaths.get(
                     timeout=max(self.heartbeat_s * 4, 0.05))
                 if kind == "gone":
                     dead[wid] = gen
+                    gone = wid
             except queue_mod.Empty:
                 pass
             for wid, _phi in self.pool.suspects():
@@ -501,7 +511,7 @@ class ServeService:
                     continue   # already replaced (recycle or races)
                 jid = self.pool.lease_of(wid)
                 try:
-                    self.pool.respawn(wid)
+                    how = self.pool.respawn(wid, eof=wid == gone)
                 except ServeError as exc:
                     if jid is not None:
                         run = self.runs.get(jid)
@@ -511,20 +521,10 @@ class ServeService:
                 if jid is not None:
                     run = self.runs.get(jid)
                     if run is not None:
-                        run.post(("respawned", wid))
+                        run.post(("respawned", wid, how))
                 self._dispatch_evt.set()
 
     # -- connections ---------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return   # listener closed: shutdown
-            threading.Thread(target=self._serve_conn,
-                             args=(FrameSocket(conn),),
-                             daemon=True).start()
-
     def _serve_conn(self, fs: FrameSocket) -> None:
         try:
             hello = fs.recv()

@@ -1,0 +1,136 @@
+"""Soak: many one-shot fabric runs in one process, on a busy machine.
+
+A script, not a tier-1 test (pytest does not collect it)::
+
+    PYTHONPATH=src python -X dev -X faulthandler tests/soak_fabrics.py
+
+Each of 25 rounds runs ``navp-2d-pipeline`` g=3 ab=128 folded onto 2
+hosts on the benchmark's five configurations (thread, process, process
++ checkpoints, socket, socket + checkpoints), then ``build_fig11(2)`` on
+``"process"`` with one host per PE — the shape whose first hop used to
+overtake the loads — all while two busy-loop children keep both cores
+contended. It exits 1 on any exception, a product not bit-equal to the
+sim fabric's, a worker process that survived its run, a thread count
+above the starting one, or resident memory still climbing by more than
+1 MB per run once the allocator is warm. Three bugs would each have
+tripped it: the listener thread that pinned every ``SocketFabric``
+(+5–10 MB and +1 thread per run), the plain-mode load/hop race on
+``ProcessFabric`` (1 run in 15 under load), and any teardown that
+forgets a child. It is the seed of ROADMAP item 1's soak rig, not all
+of it.
+"""
+
+from __future__ import annotations
+
+import gc
+import multiprocessing as mp
+import os
+import sys
+import threading
+import time
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # fork after BLAS init
+
+import numpy as np
+
+from repro.fabric.factory import make_fabric
+from repro.fabric.hosts import cyclic_hosts
+from repro.fabric.topology import Grid2D
+from repro.matmul.ir2d import build_fig11, run_ir2d_suite
+from repro.navp.interp import IRMessenger
+from repro.serve import build_job_suite
+from repro.util.validation import random_matrix
+
+ROUNDS, WARM_ROUNDS, BUDGET_MB_PER_RUN = 25, 8, 1.0
+CONFIGS = [("thread", {}), ("process", {}),
+           ("process", {"checkpoint_every": 8}), ("socket", {}),
+           ("socket", {"checkpoint_every": 8})]
+
+
+def _spin() -> None:
+    while True:
+        pass
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmRSS in /proc/self/status")
+
+
+def _pipeline(kind, options, seed):
+    """One benchmark-shaped run; returns its product."""
+    suite, _a, _b = build_job_suite("navp-2d-pipeline", 3, seed, 128)
+    topology = Grid2D(3)
+    fabric = make_fabric(kind, topology, trace=False,
+                         hosts=cyclic_hosts(topology, 2), **options)
+    for coord, node_vars in suite.layout.items():
+        fabric.load(coord, **node_vars)
+    for coord, event, args, count in suite.initial_signals:
+        fabric.signal_initial(coord, event, *args, count=count)
+    fabric.inject((0, 0), IRMessenger(suite.entry.name))
+    places = fabric.run().places
+    c = np.empty((3 * 128, 3 * 128))
+    for (i, j), node_vars in places.items():
+        c[i * 128:(i + 1) * 128, j * 128:(j + 1) * 128] = node_vars["C"]
+    return c
+
+
+def main() -> int:
+    burners = [mp.get_context("fork").Process(target=_spin, daemon=True)
+               for _ in range(2)]
+    for burner in burners:
+        burner.start()
+    failures = []
+    try:
+        references = {seed: _pipeline("sim", {}, seed) for seed in range(4)}
+        a, b = random_matrix(16, 1), random_matrix(16, 2)
+        fig11_ref, _res = run_ir2d_suite(build_fig11(2, a, b), "sim")
+        threads = threading.active_count()
+        rss = []
+        t0 = time.monotonic()
+        for r in range(ROUNDS):
+            for kind, options in CONFIGS:
+                c = _pipeline(kind, options, r % 4)
+                if not np.array_equal(c, references[r % 4]):
+                    failures.append(f"round {r}: {kind} {options} product "
+                                    f"differs from the sim fabric's")
+            c, _res = run_ir2d_suite(build_fig11(2, a, b), "process")
+            if not np.array_equal(c, fig11_ref):
+                failures.append(f"round {r}: fig11 on process differs")
+            strays = [p.name for p in mp.active_children()
+                      if p not in burners]
+            if strays:
+                failures.append(f"round {r}: surviving children {strays}")
+            gc.collect()
+            rss.append(_rss_mb())
+        runs = len(CONFIGS) + 1
+        if threading.active_count() > threads:
+            names = [t.name for t in threading.enumerate()]
+            failures.append(f"{len(names)} threads, started with "
+                            f"{threads}: {names[:8]} ...")
+        slope = np.polyfit(range(ROUNDS - WARM_ROUNDS),
+                           rss[WARM_ROUNDS:], 1)[0] / runs
+        if slope > BUDGET_MB_PER_RUN:
+            failures.append(f"resident memory climbs {slope:.2f} MB/run "
+                            f"(rounds {WARM_ROUNDS}..{ROUNDS}: "
+                            f"{[round(x) for x in rss[WARM_ROUNDS:]]})")
+        print(f"soak: {ROUNDS} rounds x {runs} runs in "
+              f"{time.monotonic() - t0:.0f} s, RSS {rss[0]:.0f} -> "
+              f"{rss[-1]:.0f} MB ({slope:+.2f} MB/run warm), "
+              f"{threading.active_count()} thread(s), "
+              f"{len(failures)} failure(s)")
+    finally:
+        for burner in burners:
+            burner.terminate()
+        for burner in burners:
+            burner.join(timeout=5.0)
+    for failure in failures:
+        print("FAIL:", failure, file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,9 +46,9 @@ class ScriptedLink(Link):
     then queued commands, like a real worker's main loop), then hands
     out the oldest report. When the ``lose=(h, k)``-th event is due,
     host ``h`` is destroyed instead — core and inbox gone — and
-    ``("lost", h)`` is delivered; with ``stale="dropped"`` the reports
-    it had already emitted vanish too (a fenced-off socket), with
-    ``"kept"`` they still arrive (a shared report queue).
+    ``("lost", h, how)`` is delivered; with ``stale="dropped"`` the
+    reports it had already emitted vanish too (a fenced-off socket),
+    with ``"kept"`` they still arrive (a shared report queue).
     """
 
     def __init__(self, host_of, lose=None, stale="kept"):
@@ -106,7 +106,7 @@ class ScriptedLink(Link):
             if self.stale == "dropped":
                 self.reports = deque(
                     r for r in self.reports if r[0] != host)
-            return ("lost", host)
+            return ("lost", host, "scripted loss")
         return self.reports.popleft()[1]
 
 

@@ -8,10 +8,12 @@ jittered_delays`` (bounds and reproducibility), and
 ``Supervisor.authorize_respawn`` (budget exhaustion).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ResilienceError
-from repro.fabric.controller import CreditGate, Supervisor
+from repro.fabric.controller import CreditGate, Supervisor, exit_cause
 from repro.resilience.recovery import RecoveryPolicy
 
 
@@ -88,25 +90,33 @@ class TestJitteredDelays:
         assert RecoveryPolicy(max_retries=0).jittered_delays(1) == []
 
 
+@pytest.mark.parametrize("exitcode, how", [
+    (-9, "killed by SIGKILL"), (-11, "killed by SIGSEGV"),
+    (1, "exit code 1"), (0, "exit code 0"),
+    (None, "heartbeat timeout, still running")])
+def test_exit_cause_words_an_exit_code(exitcode, how):
+    assert exit_cause(SimpleNamespace(exitcode=exitcode)) == how
+
+
 class TestRespawnBudget:
     def test_budget_exhaustion_raises(self):
         sup = Supervisor(RecoveryPolicy(), max_restarts=2)
-        assert sup.authorize_respawn(0) == 1
-        assert sup.authorize_respawn(0) == 2
+        assert sup.authorize_respawn(0, "exit code 1") == 1
+        assert sup.authorize_respawn(0, "exit code 1") == 2
         with pytest.raises(ResilienceError, match="exhausted"):
-            sup.authorize_respawn(0)
+            sup.authorize_respawn(0, "exit code 1")
 
     def test_budget_is_per_host(self):
         sup = Supervisor(RecoveryPolicy(), max_restarts=1)
-        assert sup.authorize_respawn(0) == 1
-        assert sup.authorize_respawn(1) == 1     # other host unaffected
+        assert sup.authorize_respawn(0, "exit code 1") == 1
+        assert sup.authorize_respawn(1, "exit code 1") == 1   # unaffected
         with pytest.raises(ResilienceError):
-            sup.authorize_respawn(0)
+            sup.authorize_respawn(0, "exit code 1")
 
     def test_disabled_recovery_refuses_any_respawn(self):
         sup = Supervisor(RecoveryPolicy(enabled=False), max_restarts=5)
         with pytest.raises(ResilienceError, match="disabled"):
-            sup.authorize_respawn(0)
+            sup.authorize_respawn(0, "exit code 1")
 
     def test_checkpoint_truncates_replay(self):
         """The recovery script replays only journal entries newer than

@@ -11,7 +11,9 @@ Each test pins a behaviour one of the old per-fabric loops lacked:
   ``is_alive()`` instead of waiting out the whole timeout;
 * a dropped hop with recovery off is named in the process fabric's
   ``DeadlockError`` and listed in ``fabric.lost``, as on the socket
-  fabric.
+  fabric;
+* a lost worker says how it died — the signal or the exit code — in
+  the error and in the ``respawn`` trace note.
 """
 
 import time
@@ -19,11 +21,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, FabricError
+from repro.errors import DeadlockError, FabricError, ResilienceError
 from repro.fabric import Grid1D, Grid2D, make_fabric
 from repro.matmul.ir2d import build_fig11
 from repro.navp import ir
-from repro.resilience import FaultPlan, MessageFault
+from repro.resilience import Crash, FaultPlan, MessageFault
 from repro.util.validation import random_matrix
 
 V, C = ir.Var, ir.Const
@@ -32,7 +34,8 @@ V, C = ir.Var, ir.Const
 def _matmul(kind, **kw):
     a, b = random_matrix(16, 220), random_matrix(16, 221)
     suite = build_fig11(2, a, b)
-    fabric = make_fabric(kind, Grid2D(2), timeout=60.0, trace=False, **kw)
+    kw.setdefault("trace", False)
+    fabric = make_fabric(kind, Grid2D(2), timeout=60.0, **kw)
     for coord, node_vars in suite.layout.items():
         fabric.load(coord, **node_vars)
     for coord, event, args, count in suite.initial_signals:
@@ -85,6 +88,19 @@ def test_plain_process_run_notices_a_killed_worker():
     with pytest.raises(FabricError, match="worker 1 lost.*no supervision"):
         fabric.run()
     assert time.monotonic() - t0 < 5.0
+
+
+@pytest.mark.parametrize("kind", ["process", "socket"])
+def test_a_crashed_worker_says_how_it_died(kind):
+    plan = FaultPlan(faults=(Crash(place=1, at_hop=2),))
+    with pytest.raises(ResilienceError,
+                       match=r"worker 1 lost \(killed by SIGKILL\)"):
+        _matmul(kind, faults=plan, max_restarts=0).run()
+    result = _matmul(kind, faults=plan, trace=True).run()
+    notes = [e.note for e in result.trace.recoveries()
+             if e.kind == "respawn"]
+    assert len(notes) == 1
+    assert "worker 1 lost (killed by SIGKILL), respawned" in notes[0]
 
 
 def test_process_deadlock_names_the_dropped_messenger():

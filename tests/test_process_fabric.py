@@ -5,13 +5,19 @@ heavier end-to-end coverage of transformed programs on processes lives
 in test_transform_chain.py and the real_processes example.
 """
 
+import queue
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, FabricError
-from repro.fabric import Grid1D
+from repro.fabric import Grid1D, Grid2D
 from repro.fabric.process import ProcessFabric
+from repro.matmul.ir2d import build_fig11, run_ir2d_suite
 from repro.navp import ir
+from repro.util.validation import random_matrix
 
 V = ir.Var
 C = ir.Const
@@ -132,3 +138,58 @@ class TestFailureModes:
         fabric = ProcessFabric(Grid1D(1))
         with pytest.raises(FabricError):
             fabric.run()
+
+
+class LaggingLoads(ProcessFabric):
+    """A link whose commands to every host but 0 trail behind: each
+    rides a per-host forwarder thread (FIFO per host, as the
+    :class:`~repro.fabric.controller.Link` contract demands) that takes
+    50 ms over every ``load``. It is what a busy machine does to the
+    per-queue feeder threads once in a while, done every time."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lagging: dict = {}
+
+    def _forward(self, host, cmds) -> None:
+        while True:
+            cmd = cmds.get()
+            if cmd[0] == "load":
+                time.sleep(0.05)
+            super().send(host, cmd)
+            if cmd[0] == "stop":
+                return
+
+    def send(self, host, cmd) -> None:
+        if host == 0:
+            return super().send(host, cmd)
+        if host not in self._lagging:
+            self._lagging[host] = queue.Queue()
+            threading.Thread(target=self._forward, daemon=True,
+                             args=(host, self._lagging[host])).start()
+        self._lagging[host].put(cmd)
+
+
+class TestSetupBarrier:
+    def test_a_hop_cannot_overtake_the_loads(self):
+        """Plain-mode workers write their peers' queues directly, and
+        nothing orders worker 0's first hop against the controller's
+        loads to the *other* hosts. Without the controller's ``sync``
+        barrier this fails every time with ``node variable 'Arow'
+        absent at this PE``; the same race is what made
+        ``[build_fig15]`` flake 1 in 5 under load."""
+        a, b = random_matrix(16, 230), random_matrix(16, 231)
+        reference, _res = run_ir2d_suite(build_fig11(2, a, b), "sim")
+        suite = build_fig11(2, a, b)
+        fabric = LaggingLoads(Grid2D(2), timeout=60.0)
+        for coord, node_vars in suite.layout.items():
+            fabric.load(coord, **node_vars)
+        for coord, event, args, count in suite.initial_signals:
+            fabric.signal_initial(coord, event, *args, count=count)
+        fabric.inject((0, 0), suite.entry.name)
+        places = fabric.run().places
+        ab = 16 // 2
+        c = np.empty_like(reference)
+        for (i, j), node_vars in places.items():
+            c[i * ab:(i + 1) * ab, j * ab:(j + 1) * ab] = node_vars["C"]
+        assert np.array_equal(c, reference)

@@ -14,6 +14,7 @@ Scale stays modest per job (g=2..3, tiny blocks): the point is the
 import hashlib
 import json
 import multiprocessing as mp
+import threading
 import time
 from contextlib import contextmanager
 
@@ -133,6 +134,33 @@ class TestSigkillRecovery:
         raise AssertionError(
             "no attempt recovered: every kill raced job completion")
 
+    def test_a_lost_worker_says_how_it_died(self):
+        """With no respawn budget the kill fails the job — and the
+        reason names the signal, not just "lost"."""
+        with serving(pool_size=2, chaos=True, max_restarts=0,
+                     mc_admission=False) as service:
+            with ServeClient(service.addr) as client:
+                for _attempt in range(8):
+                    jid = client.submit("navp-2d-dsc", g=3, seed=7,
+                                        ab=6, workers=2)
+                    try:
+                        client.kill_worker()   # prefers a leased one
+                    except ServeError:
+                        pass
+                    record = client.wait(jid, timeout=60.0)
+                    if record["state"] == "failed":
+                        assert "lost (killed by SIGKILL)" in \
+                            record["reason"], record
+                        # let the failed job's workers be recycled
+                        # before the daemon goes down under them
+                        deadline = time.monotonic() + 20.0
+                        while client.status()["pool"]["free"] < 2:
+                            assert time.monotonic() < deadline
+                            time.sleep(0.02)
+                        return
+        raise AssertionError(
+            "no attempt failed: every kill raced job completion")
+
 
 class TestAdmissionControl:
     def test_queue_depth_bound(self):
@@ -222,6 +250,40 @@ class TestProtocolEdges:
                          if service.jobs[j].reason
                          == "cancelled at shutdown"]
             assert len(cancelled) == summary["cancelled"]
+        _assert_no_children()
+
+    def test_second_shutdown_returns_after_a_failed_first(self):
+        """ROADMAP 1(a): the first shutdown's exception is its
+        caller's; a later one must not wait — holding the service lock
+        a finishing job needs — for an event nobody will set."""
+        service = ServeService(pool_size=1, heartbeat_s=0.02,
+                               mc_admission=False)
+        service.start()
+        stop_all = service.pool.stop_all
+
+        def failing_once():
+            service.pool.stop_all = stop_all
+            raise RuntimeError("injected pool failure")
+
+        service.pool.stop_all = failing_once
+        try:
+            service.submit({"program": "navp-2d-dsc", "workers": 1})
+            deadline = time.monotonic() + 10.0
+            while not service.runs and not service.completed:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            runs = list(service.runs.values())
+            with pytest.raises(RuntimeError, match="injected"):
+                service.shutdown(drain=False)
+            second = threading.Thread(target=service.shutdown, daemon=True)
+            second.start()
+            second.join(timeout=1.0)
+            assert not second.is_alive()
+            for run in runs:    # through on_job_done, not parked in it
+                run.join(timeout=30.0)
+                assert not run.is_alive()
+        finally:
+            stop_all()
         _assert_no_children()
 
 
