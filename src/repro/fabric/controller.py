@@ -289,7 +289,11 @@ class WorkerCore:
             self.ready.extend(thaw_task(s) for s in ready_in)
             self.seen.update(seen_in)
         elif op == "collect":
-            self.emit_report(("vars", self.host, self.node_vars))
+            names, held = cmd[1], self.node_vars
+            if names is not None:   # None asks for every node variable
+                held = {coord: {n: here[n] for n in names if n in here}
+                        for coord, here in held.items()}
+            self.emit_report(("vars", self.host, held))
         elif op == "sync":
             # setup barrier: commands are FIFO per host, so every
             # earlier one (the loads above all) is already applied
@@ -526,6 +530,11 @@ class Controller:
     messengers are released. Supervised hops all detour through here,
     FIFO per host behind the loads, and need none.
 
+    ``collect`` names the node variables the run's caller will read —
+    a reply carries what was asked for: each host answers with those
+    (the ones a PE holds) and nothing else; ``None`` asks for every
+    node variable.
+
     ``note(place, actor, kind, text, src_place, nbytes)`` records a
     trace event; ``hint()`` is appended to a timeout message;
     ``on_cut(cid, bundle)`` receives, once every host has committed
@@ -542,7 +551,7 @@ class Controller:
                  runtime: PlanRuntime | None = None,
                  window=math.inf, coalesce: int = 1,
                  checkpoint_every: int | None = None,
-                 note=None, hint=None, on_cut=None):
+                 note=None, hint=None, on_cut=None, collect=None):
         self.link = link
         self.name = name
         self.n_hosts = n_hosts
@@ -564,6 +573,7 @@ class Controller:
         self.note = note
         self.hint = hint
         self.on_cut = on_cut
+        self.collect = collect          # node variables run() returns
         self.known: set = set()
         self.done: set = set()
         self.places: dict = {}
@@ -606,14 +616,15 @@ class Controller:
             self._collect_due.add(h)    # asked again as credits return
         else:
             self._collect_due.discard(h)
-            self.link.send(h, ("collect",))
+            self.link.send(h, ("collect", self.collect))
 
     # -- the run -------------------------------------------------------
     def run(self, loads=(), signals=(), entries=(), resume=None) -> dict:
         """Seed the hosts — ``loads`` ``(coord, vars)``, ``signals``
         ``(coord, name, args, count)``, ``entries`` ``(mid, coord,
         program, env)``, or a ``resume`` bundle instead of all three —
-        and drive to completion; returns ``{coord: node vars}``."""
+        and drive to completion; returns ``{coord: node vars}``, the
+        variables ``collect`` named."""
         host_of = self.host_of
         self._t0 = time.perf_counter()
         self._deadline = time.monotonic() + self.timeout
@@ -882,7 +893,8 @@ class ControllerFabric(Link):
             window=self.window or math.inf, coalesce=self.coalesce,
             checkpoint_every=self._checkpoint_every,
             note=self._note if self.trace.enabled else None,
-            hint=lambda: self._mc_hint(self.window))
+            hint=lambda: self._mc_hint(self.window),
+            collect=None)   # FabricResult.places is every node variable
         self.lost = ctl.lost
         entries = []
         for coord, name, env in self._initial:

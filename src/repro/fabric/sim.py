@@ -466,8 +466,7 @@ class SimFabric:
         interp = getattr(messenger, "interp", None)
         if interp is None:
             return None
-        program, env, stack = interp.agent_snapshot()
-        return (program, dict(env), stack)
+        return interp.agent_snapshot()   # a fresh env dict, live vars only
 
     def _on_lost(self, messenger, reason: str) -> None:
         resil = self._resil

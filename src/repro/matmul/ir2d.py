@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import FabricError
 from ..fabric.factory import make_fabric
 from ..fabric.topology import Grid2D
 from ..machine.spec import MachineSpec
@@ -36,7 +37,7 @@ from ..navp import ir
 from ..util.validation import random_matrix
 
 __all__ = ["IR2DSuite", "build_fig11", "build_fig13", "build_fig15",
-           "run_ir2d_suite"]
+           "run_ir2d_suite", "assemble_product"]
 
 V = ir.Var
 C = ir.Const
@@ -354,10 +355,23 @@ def run_ir2d_suite(
         fabric.signal_initial(coord, event, *args, count=count)
     fabric.inject((0, 0), IRMessenger(suite.entry.name))
     result = fabric.run()
+    return assemble_product(suite, result.places), result
 
-    sample = next(iter(suite.layout.values()))["C"]
+
+def assemble_product(suite: IR2DSuite, places: dict) -> np.ndarray:
+    """The product matrix from the ``C`` block every PE holds after a
+    run — ``places`` is ``{coord: node vars}`` as a fabric or a
+    controller returns it. A PE without one is a :class:`FabricError`
+    naming it, not a ``KeyError`` from the middle of the copy loop."""
+    g = suite.g
+    for coord in ((i, j) for i in range(g) for j in range(g)):
+        if "C" not in places.get(coord, ()):
+            raise FabricError(
+                f"PE {coord} holds no node variable 'C' after "
+                f"{suite.entry.name}: the product cannot be assembled")
+    sample = places[(0, 0)]["C"]
     ab = sample.shape[0]
     c = np.empty((g * ab, g * ab), dtype=sample.dtype)
-    for (i, j), node_vars in result.places.items():
+    for (i, j), node_vars in places.items():
         c[i * ab : (i + 1) * ab, j * ab : (j + 1) * ab] = node_vars["C"]
-    return c, result
+    return c

@@ -209,9 +209,23 @@ class Interp:
 
         The payload is the tuple ``(program_name, env, stack_frames)``
         — tuples pickle without per-instance key strings, which is
-        measurable at hop rates.
+        measurable at hop rates. ``env`` holds the agent variables that
+        are *live* here (:mod:`repro.analysis.liveness`) and no others:
+        what the rest of the program never reads stays behind. The top
+        frame is the continuation's position; the frames under it are
+        determined by its path.
         """
-        return (self.program, self.env, [list(f) for f in self.stack])
+        stack = self.stack
+        env = self.env
+        if env and stack:
+            top = stack[-1]
+            live = _live_cached(ir.get_program(self.program))[top[0], top[1]]
+            # all of it live is the common case, and a C-speed copy
+            env = env.copy() if env.keys() <= live else {
+                var: val for var, val in env.items() if var in live}
+        else:
+            env = {}    # nothing to restrict: no table needed
+        return (self.program, env, [list(f) for f in stack])
 
     @classmethod
     def from_snapshot(cls, snap) -> "Interp":
@@ -277,6 +291,18 @@ def _body_cached(prog: ir.Program, path: tuple) -> tuple:
     if body is None:
         body = cache[path] = ir.body_at(prog, path)
     return body
+
+
+def _live_cached(prog: ir.Program) -> dict:
+    """The program's live-variable table, solved on first use and kept
+    on the Program object like the body cache above."""
+    table = prog.__dict__.get("_live_cache")
+    if table is None:
+        # repro.analysis imports this package, so not at module level
+        from ..analysis.liveness import live_in
+        table = live_in(prog)
+        object.__setattr__(prog, "_live_cache", table)
+    return table
 
 
 class IRMessenger(Messenger):

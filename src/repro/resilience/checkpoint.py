@@ -31,6 +31,7 @@ import copy
 import hashlib
 import os
 import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -147,6 +148,12 @@ class DiskStore(CheckpointStore):
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._index_path = os.path.join(root, "index")
+        # the index, read once (lazily, so a restarted daemon sees its
+        # predecessor's keys) and kept in step by `save`: key -> None
+        # in save order. Re-reading the file per save is O(jobs) on a
+        # running job's controller thread.
+        self._known: dict | None = None
+        self._index_lock = threading.Lock()
 
     def _path(self, key: str) -> str:
         digest = hashlib.sha1(key.encode()).hexdigest()
@@ -169,11 +176,14 @@ class DiskStore(CheckpointStore):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)  # atomic: a crash never leaves a torn file
-        if key not in self.keys():
-            with open(self._index_path, "a") as fh:
-                fh.write(key + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+        with self._index_lock:
+            known = self._read_index()
+            if key not in known:
+                with open(self._index_path, "a") as fh:
+                    fh.write(key + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                known[key] = None
         self._sync_dir()
 
     def load(self, key: str) -> Any:
@@ -184,10 +194,18 @@ class DiskStore(CheckpointStore):
             return pickle.load(fh)
 
     def keys(self) -> list:
-        if not os.path.exists(self._index_path):
-            return []
-        with open(self._index_path) as fh:
-            return [line.rstrip("\n") for line in fh if line.strip()]
+        with self._index_lock:
+            return list(self._read_index())
+
+    def _read_index(self) -> dict:
+        """The known keys (call with ``_index_lock`` held)."""
+        if self._known is None:
+            lines: list = []
+            if os.path.exists(self._index_path):
+                with open(self._index_path) as fh:
+                    lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            self._known = dict.fromkeys(lines)
+        return self._known
 
 
 def restore_cut(fabric, cut: ConsistentCut) -> list:

@@ -42,6 +42,7 @@ import numpy as np
 from ..fabric.controller import Controller, Link, Supervisor
 from ..fabric.hosts import cyclic_hosts, resolve_hosts
 from ..fabric.topology import Grid2D
+from ..matmul.ir2d import assemble_product
 from ..resilience.recovery import RecoveryPolicy
 from .catalog import build_job_suite
 from .jobs import JobRecord, STATE_COMPLETED, STATE_FAILED
@@ -134,6 +135,7 @@ class JobRun(threading.Thread, Link):
             window=service.window, coalesce=service.coalesce,
             checkpoint_every=service.checkpoint_every,
             on_cut=self._persist_cut if self.store is not None else None,
+            collect=("C",),     # the one node variable assembled below
         ).run(suite.layout.items(), suite.initial_signals,
               [(f"{jid}/m0", (0, 0), suite.entry.name, {})],
               resume=self.bundle)
@@ -141,12 +143,7 @@ class JobRun(threading.Thread, Link):
             self.send(h, ("endjob",))
 
         # -- assemble + verify -----------------------------------------
-        sample = next(iter(suite.layout.values()))["C"]
-        ab = sample.shape[0]
-        g = spec.g
-        c = np.empty((g * ab, g * ab), dtype=sample.dtype)
-        for (i, j), node_vars in places.items():
-            c[i * ab:(i + 1) * ab, j * ab:(j + 1) * ab] = node_vars["C"]
+        c = assemble_product(suite, places)
         digest = hashlib.sha256(c.tobytes()).hexdigest()
         return digest, bool(np.allclose(c, a @ b))
 

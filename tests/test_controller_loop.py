@@ -225,6 +225,45 @@ def test_exhausted_budget_fails_the_drive(job):
                 [("m0", (0, 0), job.suite.entry.name, {})])
 
 
+# -- a missing output ---------------------------------------------------------------
+
+def suite_without_c_at(coord, g=2):
+    """A do-nothing tour over a layout that omits ``C`` at ``coord``."""
+    from repro.matmul.ir2d import IR2DSuite
+    from repro.navp import ir
+
+    entry = ir.register_program(ir.Program("tour-without-c", (
+        ir.For("i", ir.Const(g), (ir.For("j", ir.Const(g), (
+            ir.HopStmt((ir.Var("i"), ir.Var("j"))),)),)),)), replace=True)
+    layout = {(i, j): {"C": np.zeros((AB, AB)), "A": np.ones((AB, AB))}
+              for i in range(g) for j in range(g)}
+    del layout[coord]["C"]
+    return IR2DSuite("no-c", g, entry, layout, programs=(entry,))
+
+
+def test_a_missing_output_is_a_typed_error():
+    """`collect` by name: a PE that does not hold ``C`` replies without
+    it, and the assembly says which PE, which variable, which program
+    — not ``KeyError: 'C'``."""
+    from repro.errors import FabricError
+    from repro.matmul.ir2d import assemble_product
+
+    suite = suite_without_c_at((1, 0))
+    topology = Grid2D(2)
+    host_of = resolve_hosts(topology, cyclic_hosts(topology, 2))
+    places = Controller(
+        ScriptedLink(host_of), "scripted", 2, host_of, 5.0,
+        sup=Supervisor(RecoveryPolicy(), 0), collect=("C",),
+    ).run(suite.layout.items(), (),
+          [("m0", (0, 0), suite.entry.name, {})])
+    assert places[(1, 0)] == {}                  # asked for, not held
+    assert set(places[(0, 0)]) == {"C"}          # and nothing unasked
+    with pytest.raises(FabricError,
+                       match=r"PE \(1, 0\) holds no node variable 'C' "
+                             r"after tour-without-c"):
+        assemble_product(suite, places)
+
+
 # -- keep it one loop --------------------------------------------------------------
 
 def _callers(name: str) -> set:

@@ -159,13 +159,20 @@ class TestContinuations:
         assert run(False) == run(True)
 
     def test_snapshot_contains_only_data(self):
-        register("cont-data", [ir.Assign("x", C(1))])
-        interp = Interp("cont-data", env={"arr": np.arange(4.0)})
+        """A snapshot is plain picklable data, and carries what the
+        rest of the program reads: ``arr`` is stored later, ``spent``
+        is never read again and stays behind."""
+        register("cont-data", [ir.Assign("x", C(1)),
+                               ir.NodeSet("out", (), V("arr"))])
+        interp = Interp("cont-data", env={"arr": np.arange(4.0),
+                                          "spent": np.arange(9.0)})
         snap = interp.agent_snapshot()
         blob = pickle.dumps(snap)
         clone = Interp.from_snapshot(pickle.loads(blob))
         assert clone.program == "cont-data"
         assert np.array_equal(clone.env["arr"], np.arange(4.0))
+        assert set(clone.env) == {"arr"}
+        assert set(interp.env) == {"arr", "spent"}  # the sender keeps its own
 
     @pytest.mark.parametrize("bad, arrived", [
         ({"program": "cont-data", "env": {}, "stack": []}, "dict"),

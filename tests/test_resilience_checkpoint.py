@@ -95,6 +95,42 @@ class TestStores:
         assert DiskStore(str(tmp_path / "ckpts")).load("cut:1").time == 1.0
 
 
+    def test_disk_store_reads_its_index_once(self, tmp_path, monkeypatch):
+        """`save` used to re-parse the whole index (one line per job,
+        never pruned) per cut: O(jobs) on a running job's controller
+        thread. The key set is loaded once per store, from the file."""
+        import builtins
+
+        root = str(tmp_path / "ckpts")
+        DiskStore(root).save("from-a-previous-daemon", 0)
+        index = tmp_path / "ckpts" / "index"
+        reads = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file) == str(index) and "r" in mode:
+                reads.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        store = DiskStore(root)
+        keys = [f"cut:job-{n}" for n in range(300)]
+        for n, key in enumerate(keys):
+            store.save(key, n)
+        assert len(reads) <= 1
+        monkeypatch.undo()
+
+        everything = ["from-a-previous-daemon"] + keys
+        assert store.keys() == everything
+        assert DiskStore(root).keys() == everything    # save order, on disk
+        before = index.read_bytes()
+        assert before == "".join(k + "\n" for k in everything).encode()
+        store.save(keys[7], "newer")                  # an existing key
+        DiskStore(root).save(keys[8], "newer")        # ... via a fresh store
+        assert index.read_bytes() == before
+        assert store.load(keys[7]) == "newer"
+
+
 class TestScheduledCuts:
     def test_cut_captures_mid_flight_messenger(self):
         fabric = _build(MemoryStore())

@@ -100,6 +100,27 @@ class TestHundredJobsTwoTenants:
             assert set(status["tenants_running"]) <= {"alice", "bob"}
 
 
+class TestMissingOutput:
+    def test_a_pe_without_c_fails_the_job_with_a_typed_reason(
+            self, monkeypatch):
+        """The job's failure reason names the PE, the variable and the
+        program; it used to be ``KeyError: 'C'``."""
+        from tests.test_controller_loop import suite_without_c_at
+
+        suite = suite_without_c_at((1, 1))
+        monkeypatch.setattr(
+            "repro.serve.scheduler.build_job_suite",
+            lambda program, g, seed, ab: (suite, None, None))
+        with serving(pool_size=2, mc_admission=False) as service:
+            with ServeClient(service.addr) as client:
+                jid = client.submit("navp-2d-dsc", g=2, workers=2)
+                record = client.wait(jid, timeout=30.0)
+        assert record["state"] == "failed"
+        assert record["reason"].startswith(
+            "FabricError: PE (1, 1) holds no node variable 'C' after "
+            "tour-without-c"), record["reason"]
+
+
 class TestSigkillRecovery:
     def test_checkpoint_restart_completes_the_job(self):
         """Kill the worker leased to a running job; the job must
