@@ -1,8 +1,8 @@
 """The controller: one driver loop over a four-verb transport link.
 
-:class:`~repro.fabric.process.ProcessFabric` (workers behind
-multiprocessing queues), :class:`~repro.fabric.socket.SocketFabric`
-(workers behind real TCP) and the job service's
+:class:`~repro.fabric.process.ProcessFabric` (workers behind pre-fork
+socketpairs), :class:`~repro.fabric.socket.SocketFabric` (workers
+behind real TCP) and the job service's
 :class:`~repro.serve.scheduler.JobRun` (leased warm-pool workers) are
 all *controller fabrics*: a supervisor injects IR messengers, routes
 cross-host hops, journals traffic for replay, and collects the final
@@ -42,12 +42,14 @@ loop, and the network underneath is a detail:
     checkpoint states and marks, the respawn budget; per-destination
     credit windows with hop coalescing; and one shared interpretation
     of message faults, so a plan's drop/duplicate/delay specs mean the
-    same thing on a multiprocessing queue and on a TCP frame.
+    same thing over a socketpair and over TCP.
 
 The command vocabulary between controller and worker is shared too
 (``register`` / ``load`` / ``signal0`` / ``run`` / ``runs`` / ``ckpt``
 / ``restore`` / ``collect`` / ``stop``), which is what lets the journal
-and checkpoint machinery replay identically over every transport.
+and checkpoint machinery replay identically over every transport — and
+so are the codec and the frame format (:mod:`repro.fabric.wire`): every
+link moves its commands and reports as the same multi-buffer frames.
 """
 
 from __future__ import annotations
@@ -398,16 +400,20 @@ class Supervisor:
     def note_forward(self) -> None:
         self.forwards_since_ckpt += 1
 
-    def begin_checkpoint(self, hosts) -> int:
-        """Open a coordinated checkpoint; returns its id. The caller
-        sends the ``("ckpt", id)`` marker to every host."""
+    def begin_checkpoint(self, unsent: dict) -> int:
+        """Open a coordinated checkpoint over the hosts of ``unsent``
+        (``{host: journal entries not yet sent}``); returns its id. The
+        caller sends the ``("ckpt", id)`` marker to every host."""
         self._ckpt_seq += 1
         # marks are positions in the host's whole journal, not lengths
         # of what is left of it: a cut may open before an earlier one
-        # has committed (and truncated)
+        # has committed (and truncated). The mark stops before the
+        # journal's unsent tail — hops the credit gate still holds
+        # reach the host behind the marker, so its state reply cannot
+        # cover them and the commit must not retire them
         self._ckpt_marks[self._ckpt_seq] = {
-            h: self._retired[h] + len(self.ledger.entries(h))
-            for h in hosts}
+            h: self._retired[h] + len(self.ledger.entries(h)) - held
+            for h, held in unsent.items()}
         self.forwards_since_ckpt = 0
         return self._ckpt_seq
 
@@ -474,7 +480,7 @@ class Link:
 
     Hosts are the job-local indices ``0 .. n_hosts-1``. Liveness and
     the poll interval belong to the link — ``Process.is_alive()`` on
-    multiprocessing queues, phi-accrual heartbeats + EOF + generation
+    pre-fork socketpairs, phi-accrual heartbeats + EOF + generation
     fencing on fabric-owned sockets, the service monitor's
     ``respawned`` post on leased pool connections. A report the loop
     does not own (transport stats, hop logs) never leaves the link: it
@@ -750,7 +756,8 @@ class Controller:
         sup.note_forward()
         if (self.checkpoint_every is not None
                 and sup.forwards_since_ckpt >= self.checkpoint_every):
-            cid = sup.begin_checkpoint(range(self.n_hosts))
+            cid = sup.begin_checkpoint(
+                {h: len(self.gate.pending[h]) for h in range(self.n_hosts)})
             for h in range(self.n_hosts):
                 self.link.send(h, ("ckpt", cid))
 

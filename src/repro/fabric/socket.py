@@ -107,7 +107,8 @@ from .controller import (ControllerFabric, WorkerCore, exit_cause,
                          reap_workers)
 from .wire import (FRAME_CMD, FRAME_CREDIT, FRAME_HEARTBEAT, FRAME_HELLO,
                    FRAME_REPORT, FRAME_RUN, Acceptor, FrameSocket, WireError,
-                   connect_with_backoff, frame_nbytes, load_obj, send_obj)
+                   connect_with_backoff, frame_nbytes, load_obj, send_obj,
+                   send_or_drop)
 
 __all__ = ["SocketFabric", "PhiAccrualDetector", "WorkerSession"]
 
@@ -573,7 +574,7 @@ class SocketFabric(ControllerFabric):
 
         A dead worker's connection may already be broken — that is not
         an error here (the heartbeat detector owns failure handling and
-        the journal owns redelivery).
+        the journal owns redelivery); a frame over the wire's bounds is.
         """
         deadline = 0.0
         if (self.resilient and self.hop_deadline_s
@@ -581,11 +582,8 @@ class SocketFabric(ControllerFabric):
             deadline = time.time() + self.hop_deadline_s
         fs = self._conns.get(host)
         if fs is not None:
-            try:
-                send_obj(fs, FRAME_CMD, cmd, gen=self._gens[host],
+            send_or_drop(fs, FRAME_CMD, cmd, host, gen=self._gens[host],
                          deadline=deadline)
-            except WireError:
-                pass
 
     def receive(self, timeout):
         """Failure detection is heartbeat-based, and EOF counts as

@@ -1,6 +1,7 @@
-"""Framed wire protocol for the socket fabric.
+"""Framed wire protocol of every controller fabric.
 
-Every message on a socket-fabric TCP connection is one *frame*. Since
+Every message on a socket-fabric TCP connection, a serve-pool
+connection or a process-fabric socketpair is one *frame*. Since
 VERSION 2, a frame is multi-buffer: the pickle stream travels as the
 *payload* and each out-of-band block buffer produced by
 :mod:`repro.fabric.payload` travels as its own segment, described by a
@@ -47,7 +48,9 @@ threads may share one outbound connection) and an incremental receive
 buffer. It never interprets payloads; the codec glue every endpoint
 shares sits next to it: :func:`send_obj` / :func:`load_obj` run one
 object through :mod:`repro.fabric.payload` into / out of one
-multi-buffer frame, :func:`connect_with_backoff` dials with jittered
+multi-buffer frame, :func:`send_or_drop` is the send of an endpoint
+that leaves dead peers to its failure detector (but never an
+oversized frame unsaid), :func:`connect_with_backoff` dials with jittered
 retries, and :class:`Acceptor` is the one accept loop every listening
 endpoint runs — the one whose ``close()`` actually ends it.
 """
@@ -73,6 +76,7 @@ __all__ = [
     "frame_nbytes",
     "connect_with_backoff",
     "send_obj",
+    "send_or_drop",
     "load_obj",
     "FRAME_CMD",
     "FRAME_REPORT",
@@ -139,9 +143,7 @@ def _check_sizes(payload, buffers) -> int:
         raise WireError(
             f"frame carries {len(buffers)} buffers "
             f"(bound {MAX_BUFFERS})")
-    total = HEADER.size + _LEN.size * len(buffers) + len(payload)
-    for b in buffers:
-        total += b.nbytes if isinstance(b, memoryview) else len(b)
+    total = frame_nbytes(payload, buffers)
     if total - HEADER.size > MAX_FRAME:
         raise WireError(
             f"frame of {total - HEADER.size} bytes exceeds the "
@@ -181,7 +183,8 @@ def frame_nbytes(payload, buffers=()) -> int:
 
 
 class FrameSocket:
-    """A connected TCP socket speaking whole (multi-buffer) frames.
+    """A connected stream socket (TCP, or a unix socketpair) speaking
+    whole (multi-buffer) frames.
 
     ``send`` is serialized by a lock (the controller's forwarder and
     heartbeat/credit paths share outbound connections); ``recv`` is
@@ -195,7 +198,7 @@ class FrameSocket:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
-            pass  # not TCP (e.g. a unix socketpair in tests)
+            pass  # not TCP (a process fabric's unix socketpair)
         self.sock = sock
         self._send_lock = threading.Lock()
         self._buf = bytearray()
@@ -334,11 +337,16 @@ class FrameSocket:
             buffers.append(view)
         return Frame(kind, gen, deadline, payload, buffers)
 
-    def close(self) -> None:
+    def close(self, reader: threading.Thread | None = None) -> None:
+        """Shut down, then close. Pass the thread that reads this
+        socket as ``reader`` to have it joined in between: woken by the
+        shutdown, it ends before its descriptor can be reused."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        if reader is not None:
+            reader.join(timeout=5.0)
         try:
             self.sock.close()
         except OSError:
@@ -448,6 +456,22 @@ def send_obj(fs: FrameSocket, kind: int, obj, gen: int = 0,
     frame, buffers = payload_mod.encode(obj)
     return fs.send(kind, frame, gen=gen, deadline=deadline,
                    buffers=buffers)
+
+
+def send_or_drop(fs, kind, obj, host, op=None, gen=0, deadline=0.0) -> int:
+    """:func:`send_obj` toward (or from) ``host``, where a closed peer
+    is not the sender's business: returns 0 (a dead worker is its
+    failure detector's to notice, and the journal owns redelivery). A
+    frame the bounds refuse is — a :class:`FabricError` naming host,
+    command (``op``, default ``obj[0]``), size and bound, never a
+    silent drop."""
+    try:
+        return send_obj(fs, kind, obj, gen=gen, deadline=deadline)
+    except WireClosed:
+        return 0
+    except WireError as exc:
+        raise FabricError(f"host {host}: {op or obj[0]!r} frame refused: "
+                          f"{exc}") from None
 
 
 def load_obj(frame: Frame):

@@ -28,7 +28,7 @@ import time
 from ..errors import ServeError
 from ..fabric.controller import exit_cause, reap_workers
 from ..fabric.socket import PhiAccrualDetector
-from ..fabric.wire import FRAME_CMD, WireError, send_obj
+from ..fabric.wire import FRAME_CMD, WireError, send_obj, send_or_drop
 
 __all__ = ["PoolWorker", "WorkerPool"]
 
@@ -113,16 +113,14 @@ class WorkerPool:
     # -- frames --------------------------------------------------------
     def send(self, wid: int, cmd) -> int:
         """Frame one command to a worker; 0 if it is gone (failure
-        handling belongs to the detector + journal, not the sender)."""
+        handling belongs to the detector + journal, not the sender). A
+        command over the wire's bounds is a :class:`FabricError`."""
         with self.lock:
             w = self.workers.get(wid)
             fs, gen = (w.conn, w.gen) if w is not None else (None, 0)
         if fs is None:
             return 0
-        try:
-            return send_obj(fs, FRAME_CMD, cmd, gen=gen)
-        except WireError:
-            return 0
+        return send_or_drop(fs, FRAME_CMD, cmd, wid, gen=gen)
 
     def ship(self, wid: int, programs) -> None:
         """Register programs on a worker, skipping its warm cache."""

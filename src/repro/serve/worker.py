@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from ..fabric.controller import WorkerCore
 from ..fabric.socket import WorkerSession
-from ..fabric.wire import WireError
+from ..fabric.wire import FRAME_REPORT, send_or_drop
 from ..navp import ir
 
 __all__ = ["pool_worker_main"]
@@ -50,10 +50,9 @@ def pool_worker_main(wid, ctl_addr, gen, heartbeat_s, backoff_seed):
         lambda text: tagged(("error", current["host"], text)))
 
     def emit_report(msg):
-        try:
-            session.report(tagged(msg))
-        except WireError:
-            pass  # daemon gone; the main loop will see the eof
+        # daemon gone: dropped, the main loop will see the eof
+        send_or_drop(session.ctl, FRAME_REPORT, tagged(msg),
+                     current["host"], op=msg[0], gen=session.gen)
 
     def emit_hop(dst_host, payload):
         emit_report(("hop", current["host"], dst_host, payload))

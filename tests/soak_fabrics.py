@@ -6,18 +6,21 @@ A script, not a tier-1 test (pytest does not collect it)::
 
 Each of 25 rounds runs ``navp-2d-pipeline`` g=3 ab=128 folded onto 2
 hosts on the benchmark's five configurations (thread, process, process
-+ checkpoints, socket, socket + checkpoints), then ``build_fig11(2)`` on
-``"process"`` with one host per PE — the shape whose first hop used to
-overtake the loads — all while two busy-loop children keep both cores
-contended. It exits 1 on any exception, a product not bit-equal to the
-sim fabric's, a worker process that survived its run, a thread count
-above the starting one, or resident memory still climbing by more than
-1 MB per run once the allocator is warm. Three bugs would each have
-tripped it: the listener thread that pinned every ``SocketFabric``
-(+5–10 MB and +1 thread per run), the plain-mode load/hop race on
-``ProcessFabric`` (1 run in 15 under load), and any teardown that
-forgets a child. It is the seed of ROADMAP item 1's soak rig, not all
-of it.
++ checkpoints, socket, socket + checkpoints) and on ``process`` +
+checkpoints with one worker SIGKILLed mid-run (a different host and hop
+every round, so ``replace()`` forks with reader threads alive and
+brings a fresh socketpair up), then ``build_fig11(2)`` on ``"process"``
+with one host per PE — the shape whose first hop used to overtake the
+loads — all while two busy-loop children keep both cores contended. It
+exits 1 on any exception, a product not bit-equal to the sim fabric's,
+a worker process that survived its run, a thread count above the
+starting one, open file descriptors above the first round's, or
+resident memory still climbing by more than 1 MB per run once the
+allocator is warm. Three bugs would each have tripped it: the listener
+thread that pinned every ``SocketFabric`` (+5–10 MB and +1 thread per
+run), the plain-mode load/hop race on ``ProcessFabric`` (1 run in 15
+under load), and any teardown that forgets a child or a socket. It is
+the seed of ROADMAP item 1's soak rig, not all of it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.fabric.hosts import cyclic_hosts
 from repro.fabric.topology import Grid2D
 from repro.matmul.ir2d import build_fig11, run_ir2d_suite
 from repro.navp.interp import IRMessenger
+from repro.resilience.faults import Crash, FaultPlan
 from repro.serve import build_job_suite
 from repro.util.validation import random_matrix
 
@@ -45,6 +49,14 @@ ROUNDS, WARM_ROUNDS, BUDGET_MB_PER_RUN = 25, 8, 1.0
 CONFIGS = [("thread", {}), ("process", {}),
            ("process", {"checkpoint_every": 8}), ("socket", {}),
            ("socket", {"checkpoint_every": 8})]
+HOPS = 24   # cross-host hops of one run: every crash below comes due
+
+
+def _crashing(r: int) -> tuple:
+    """Round ``r``'s recovery config: host ``r % 2`` SIGKILLed at a hop
+    that walks the whole run over the rounds."""
+    plan = FaultPlan([Crash(r % 2, at_hop=1 + 7 * r % (HOPS - 1))])
+    return "process", {"checkpoint_every": 8, "faults": plan}
 
 
 def _spin() -> None:
@@ -60,8 +72,13 @@ def _rss_mb() -> float:
     raise RuntimeError("no VmRSS in /proc/self/status")
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
 def _pipeline(kind, options, seed):
-    """One benchmark-shaped run; returns its product."""
+    """One benchmark-shaped run; returns its product and how many
+    workers it respawned."""
     suite, _a, _b = build_job_suite("navp-2d-pipeline", 3, seed, 128)
     topology = Grid2D(3)
     fabric = make_fabric(kind, topology, trace=False,
@@ -75,7 +92,7 @@ def _pipeline(kind, options, seed):
     c = np.empty((3 * 128, 3 * 128))
     for (i, j), node_vars in places.items():
         c[i * 128:(i + 1) * 128, j * 128:(j + 1) * 128] = node_vars["C"]
-    return c
+    return c, sum(getattr(fabric, "restarts", {}).values())
 
 
 def main() -> int:
@@ -85,18 +102,22 @@ def main() -> int:
         burner.start()
     failures = []
     try:
-        references = {seed: _pipeline("sim", {}, seed) for seed in range(4)}
+        references = {seed: _pipeline("sim", {}, seed)[0]
+                      for seed in range(4)}
         a, b = random_matrix(16, 1), random_matrix(16, 2)
         fig11_ref, _res = run_ir2d_suite(build_fig11(2, a, b), "sim")
         threads = threading.active_count()
-        rss = []
+        rss, fds = [], []
         t0 = time.monotonic()
         for r in range(ROUNDS):
-            for kind, options in CONFIGS:
-                c = _pipeline(kind, options, r % 4)
+            for kind, options in CONFIGS + [_crashing(r)]:
+                c, respawns = _pipeline(kind, options, r % 4)
                 if not np.array_equal(c, references[r % 4]):
                     failures.append(f"round {r}: {kind} {options} product "
                                     f"differs from the sim fabric's")
+                if respawns != bool(options.get("faults")):
+                    failures.append(f"round {r}: {kind} {options} "
+                                    f"respawned {respawns} worker(s)")
             c, _res = run_ir2d_suite(build_fig11(2, a, b), "process")
             if not np.array_equal(c, fig11_ref):
                 failures.append(f"round {r}: fig11 on process differs")
@@ -106,11 +127,14 @@ def main() -> int:
                 failures.append(f"round {r}: surviving children {strays}")
             gc.collect()
             rss.append(_rss_mb())
-        runs = len(CONFIGS) + 1
+            fds.append(_open_fds())
+        runs = len(CONFIGS) + 2
         if threading.active_count() > threads:
             names = [t.name for t in threading.enumerate()]
             failures.append(f"{len(names)} threads, started with "
                             f"{threads}: {names[:8]} ...")
+        if max(fds) > fds[0]:
+            failures.append(f"open descriptors climb: {fds}")
         slope = np.polyfit(range(ROUNDS - WARM_ROUNDS),
                            rss[WARM_ROUNDS:], 1)[0] / runs
         if slope > BUDGET_MB_PER_RUN:
@@ -121,6 +145,7 @@ def main() -> int:
               f"{time.monotonic() - t0:.0f} s, RSS {rss[0]:.0f} -> "
               f"{rss[-1]:.0f} MB ({slope:+.2f} MB/run warm), "
               f"{threading.active_count()} thread(s), "
+              f"{fds[0]} -> {fds[-1]} fds, "
               f"{len(failures)} failure(s)")
     finally:
         for burner in burners:

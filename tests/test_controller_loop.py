@@ -205,6 +205,24 @@ def test_every_crash_point_recovers_bit_identical(job, clean, stale, every):
             assert ctl.known == ctl.done, where
 
 
+@pytest.mark.parametrize("stale", ["kept", "dropped"])
+def test_a_cut_never_overtakes_hops_held_at_the_gate(stale):
+    """g=3 on 2 hosts fills the credit window (2), so cuts open while
+    hops sit journaled but unsent at the gate. A marker that covered
+    them retired hops the host never saw: losing it after that cut
+    deadlocked (from event 41) or returned a wrong product (later)."""
+    job = Job("mpi-gentleman", 3, 2)
+    digest, _ctl, link = job.drive(every=4)
+    events = link.received
+    assert events > 100       # long enough to cut many times
+    for k in range(1, events + 1):
+        for h in range(job.hosts):
+            got, ctl, _link = job.drive(lose=(h, k), stale=stale, every=4)
+            where = f"host {h} lost at event {k} ({stale})"
+            assert got == digest, where
+            assert ctl.known == ctl.done, where
+
+
 def test_resume_from_every_cut(job, clean):
     """A fresh controller over fresh workers, started from any
     committed cut bundle, finishes with the same digest."""

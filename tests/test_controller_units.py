@@ -123,12 +123,23 @@ class TestRespawnBudget:
         the committed checkpoint."""
         sup = Supervisor(RecoveryPolicy(), max_restarts=1)
         sup.journal(0, ("run", "old"))
-        cid = sup.begin_checkpoint([0])
+        cid = sup.begin_checkpoint({0: 0})
         sup.commit_checkpoint(0, cid, {"state": 1})
         sup.journal(0, ("run", "new"))
         state, replay = sup.recovery_script(0)
         assert state == {"state": 1}
         assert replay == [("run", "new")]
+
+    def test_a_cut_does_not_retire_what_the_gate_still_holds(self):
+        """Journaled, still queued at a full credit gate: the hop
+        reaches the host behind the marker, so the host's state reply
+        does not hold it and the commit must leave it to replay."""
+        sup = Supervisor(RecoveryPolicy(), max_restarts=1)
+        sup.journal(0, ("run", "sent"))
+        sup.journal(0, ("run", "held"))
+        cid = sup.begin_checkpoint({0: 1})
+        sup.commit_checkpoint(0, cid, "s")
+        assert sup.recovery_script(0) == ("s", [("run", "held")])
 
     def test_overlapping_cuts_truncate_by_position(self):
         """A cut may open before the previous one commits (a fast
@@ -137,9 +148,9 @@ class TestRespawnBudget:
         newer one retire entries forwarded after its marker."""
         sup = Supervisor(RecoveryPolicy(), max_restarts=1)
         sup.journal(0, ("run", "a"))
-        first = sup.begin_checkpoint([0])
+        first = sup.begin_checkpoint({0: 0})
         sup.journal(0, ("run", "b"))
-        second = sup.begin_checkpoint([0])
+        second = sup.begin_checkpoint({0: 0})
         sup.journal(0, ("run", "c"))
         sup.commit_checkpoint(0, first, "s1")
         assert sup.recovery_script(0) == ("s1", [("run", "b"),
@@ -150,9 +161,9 @@ class TestRespawnBudget:
     def test_a_stale_commit_is_ignored(self):
         sup = Supervisor(RecoveryPolicy(), max_restarts=1)
         sup.journal(0, ("run", "a"))
-        first = sup.begin_checkpoint([0])
+        first = sup.begin_checkpoint({0: 0})
         sup.journal(0, ("run", "b"))
-        second = sup.begin_checkpoint([0])
+        second = sup.begin_checkpoint({0: 0})
         sup.commit_checkpoint(0, second, "s2")
         sup.commit_checkpoint(0, first, "s1")    # older state, too late
         assert sup.recovery_script(0) == ("s2", [])

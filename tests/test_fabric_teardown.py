@@ -19,15 +19,17 @@ itself, resident memory), and bring-up forks before it starts threads.
 
 import gc
 import multiprocessing as mp
+import os
 import threading
 import time
 import weakref
 from multiprocessing.context import ForkProcess
 
+import numpy as np
 import pytest
 
 from repro.errors import FabricError
-from repro.fabric import Grid1D, Grid2D, make_fabric
+from repro.fabric import Grid1D, Grid2D, make_fabric, wire
 from repro.fabric.hosts import cyclic_hosts
 from repro.navp import ir
 from repro.serve import ServeService, build_job_suite
@@ -104,31 +106,125 @@ def _pipeline(kind, ab=8, **options):
     return fabric
 
 
-def _bad_hop(bad_hop_program):
-    fabric = make_fabric("socket", Grid1D(2), trace=False, timeout=30.0)
+def _bad_hop(kind, bad_hop_program):
+    fabric = make_fabric(kind, Grid1D(2), trace=False, timeout=30.0)
     fabric.inject((0,), bad_hop_program.name)
     return fabric
 
 
-@pytest.mark.parametrize("case", ["plain", "checkpointing", "failing"])
-def test_socket_run_leaves_no_thread_and_no_fabric(case, bad_hop_program):
+def _one_run(kind, case, bad_hop_program, ab=8) -> weakref.ref:
+    """One ``plain`` / ``checkpointing`` / ``failing`` run; returns a
+    weak reference to its fabric."""
+    if case == "failing":
+        fabric = _bad_hop(kind, bad_hop_program)
+        with pytest.raises(FabricError):
+            fabric.run()
+    else:
+        fabric = _pipeline(kind, ab=ab, **(
+            {"checkpoint_every": 8} if case == "checkpointing" else {}))
+        fabric.run()
+    return weakref.ref(fabric)
+
+
+def _kinds(*cases):
+    """Each case on both worker-process fabrics; a socket case keeps
+    its bare name as its id."""
+    return [pytest.param(kind, case,
+                         id=case if kind == "socket" else f"{case}-{kind}")
+            for kind in ("socket", "process") for case in cases]
+
+
+@pytest.mark.parametrize("kind,case",
+                         _kinds("plain", "checkpointing", "failing"))
+def test_socket_run_leaves_no_thread_and_no_fabric(kind, case,
+                                                   bad_hop_program):
     """A thread parked on a bound method of the fabric — an accept
     loop nobody woke, a reader nobody joined — keeps the whole run
     alive: its loaded blocks, its journal, its checkpoints."""
     threads = threading.active_count()
-    if case == "failing":
-        fabric = _bad_hop(bad_hop_program)
-        with pytest.raises(FabricError):
-            fabric.run()
-    else:
-        fabric = _pipeline("socket", **(
-            {"checkpoint_every": 8} if case == "checkpointing" else {}))
-        fabric.run()
+    ref = _one_run(kind, case, bad_hop_program)
     assert threading.active_count() == threads
-    ref = weakref.ref(fabric)
-    del fabric
     gc.collect()
     assert ref() is None
+    _assert_no_children()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_runs_leave_no_descriptor(bad_hop_program):
+    """Every socketpair, connection, listener and sentinel pipe a run
+    opens is closed by the time it returns — ten plain and ten
+    checkpointing runs of each fabric, and a failing run of each."""
+    _one_run("process", "plain", bad_hop_program)   # warm up imports
+    _one_run("socket", "plain", bad_hop_program)
+    gc.collect()
+    before = _open_fds()
+    for kind in ("process", "socket"):
+        for case in ["plain"] * 10 + ["checkpointing"] * 10 + ["failing"]:
+            _one_run(kind, case, bad_hop_program)
+    gc.collect()
+    assert _open_fds() == before
+
+
+def _socket_inodes(pid) -> set:
+    out = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:     # closed since the listing
+            continue
+        if target.startswith("socket:"):
+            out.add(target)
+    return out
+
+
+@pytest.mark.parametrize("options,held",
+                         [({}, 1 + 2), ({"supervise": True}, 1)],
+                         ids=["plain", "resilient"])
+def test_a_process_worker_holds_only_its_own_sockets(options, held):
+    """Its control end, plus one peer end per other host in plain
+    mode: every other end the fork copied is closed before the worker
+    reads its first command, so EOF and EPIPE mean what they say."""
+    fabric = make_fabric("process", Grid1D(3), trace=False, timeout=30.0,
+                         **options)
+    inherited = _socket_inodes(os.getpid())   # sockets of this process
+    fabric._open()
+    try:
+        for h in range(3):
+            fabric.send(h, ("sync",))
+        synced = set()
+        deadline = time.monotonic() + 10.0
+        while len(synced) < 3:    # every worker is past its start-up
+            assert time.monotonic() < deadline, f"synced: {synced}"
+            msg = fabric.receive(1.0)
+            if msg is not None and msg[0] == "synced":
+                synced.add(msg[1])
+        for worker in fabric._workers.values():
+            own = _socket_inodes(worker.pid) - inherited
+            assert len(own) == held, (worker.name, own)
+    finally:
+        fabric._close()
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("kind", ["process", "socket"])
+def test_an_oversized_load_fails_the_run(kind, monkeypatch):
+    """A load over the frame bound used to vanish into the sender's
+    ``except WireError`` — the run "succeeded" with the variable absent
+    at its PE. Now the run fails at once, saying where and how big."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 1 << 20)
+    fabric = make_fabric(kind, Grid1D(2), trace=False, timeout=30.0)
+    fabric.load((1,), big=np.zeros(300_000))     # 2.4 MB
+    fabric.inject((0,), ir.register_program(
+        ir.Program("teardown-noop", body=()), replace=True).name)
+    t0 = time.monotonic()
+    with pytest.raises(FabricError,
+                       match=r"host 1: 'load' frame refused: frame of "
+                             r"\d+ bytes exceeds the 1048576-byte bound"):
+        fabric.run()
+    assert time.monotonic() - t0 < 5.0
     _assert_no_children()
 
 
@@ -140,18 +236,17 @@ def _rss_mb() -> float:
     raise AssertionError("no VmRSS in /proc/self/status")
 
 
-@pytest.mark.parametrize("options", [{}, {"checkpoint_every": 8}],
-                         ids=["plain", "checkpointing"])
-def test_socket_runs_do_not_accumulate_memory(options):
+@pytest.mark.parametrize("kind,case", _kinds("plain", "checkpointing"))
+def test_socket_runs_do_not_accumulate_memory(kind, case):
     """The benchmark's shape (3.5 MB of blocks per run). With the
-    listener leak every run stayed resident: +55 MB plain, +100 MB
-    checkpointing over these ten."""
-    _pipeline("socket", ab=128, **options).run()     # warm the allocator
+    listener leak every socket run stayed resident: +55 MB plain,
+    +100 MB checkpointing over these ten."""
+    _one_run(kind, case, None, ab=128)     # warm the allocator
     gc.collect()
     before = _rss_mb()
     after = []
     for _ in range(10):
-        _pipeline("socket", ab=128, **options).run()
+        _one_run(kind, case, None, ab=128)
         gc.collect()
         after.append(_rss_mb())
     # the allocator's own run-to-run swing is a few MB: a leak is in

@@ -144,8 +144,10 @@ class LaggingLoads(ProcessFabric):
     """A link whose commands to every host but 0 trail behind: each
     rides a per-host forwarder thread (FIFO per host, as the
     :class:`~repro.fabric.controller.Link` contract demands) that takes
-    50 ms over every ``load``. It is what a busy machine does to the
-    per-queue feeder threads once in a while, done every time."""
+    50 ms over every ``load``. It is what a busy machine does to a
+    big load's trip through a socketpair once in a while — while a
+    peer's small hop to the same worker slips through its own pair —
+    done every time."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -172,7 +174,7 @@ class LaggingLoads(ProcessFabric):
 
 class TestSetupBarrier:
     def test_a_hop_cannot_overtake_the_loads(self):
-        """Plain-mode workers write their peers' queues directly, and
+        """Plain-mode workers write their peers' sockets directly, and
         nothing orders worker 0's first hop against the controller's
         loads to the *other* hosts. Without the controller's ``sync``
         barrier this fails every time with ``node variable 'Arow'

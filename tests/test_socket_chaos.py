@@ -1,11 +1,13 @@
-"""Chaos soak: the socket fabric converges under randomized faults.
+"""Chaos soak: both worker-process fabrics converge under randomized faults.
 
 Each seed derives a deterministic :meth:`FaultPlan.random` mix — a real
 ``SIGKILL``, wire-level frame drops, a duplicated frame — and runs the
-IR wavefront pipeline over real TCP under it. The run must still
-converge to the golden answer within the respawn budget: crashes are
-detected by heartbeat loss, the journal replays the destroyed state,
-``(mid, hop)`` dedup masks the duplicates, and drops are retransmitted.
+IR wavefront pipeline under it, over real TCP (``socket``) and over
+pre-fork socketpairs (``process``). The run must still converge to the
+golden answer within the respawn budget: crashes are detected (heartbeat
+loss; a dead process), the journal replays the destroyed state on a
+fresh worker, ``(mid, hop)`` dedup masks the duplicates, and drops are
+retransmitted.
 
 Fault specs that never come due on a given run (a drop ordinal beyond
 the hop count, a crash after completion) are intentionally inert —
@@ -15,8 +17,7 @@ the sweep asserts convergence, not that every fault fired.
 import numpy as np
 import pytest
 
-from repro.fabric import Grid1D
-from repro.fabric.socket import SocketFabric
+from repro.fabric import Grid1D, make_fabric
 from repro.navp.interp import IRMessenger
 from repro.resilience.faults import FaultPlan
 from repro.wavefront.irprog import build_wavefront_ir
@@ -28,26 +29,29 @@ MAX_RESTARTS = 2
 CI_SEEDS = (7, 23, 101, 404)
 
 
-def _chaos_run(seed: int):
+def _chaos_run(seed: int, kind: str = "socket"):
     case = WavefrontCase(n=16, b=4)
     main, _carrier = build_wavefront_ir(P, case.nblocks, case.b)
     plan = FaultPlan.random(seed, places=P, crashes=1, drops=2,
                             duplicates=1, dup_kind="hop", horizon=0.3)
-    fabric = SocketFabric(Grid1D(P), timeout=90.0, faults=plan,
-                          checkpoint_every=4,
-                          max_restarts=MAX_RESTARTS, trace=True)
+    fabric = make_fabric(kind, Grid1D(P), timeout=90.0, faults=plan,
+                         checkpoint_every=4, max_restarts=MAX_RESTARTS,
+                         trace=True)
     _layout(fabric, case, P)
     fabric.inject((0,), IRMessenger(main.name))
     result = fabric.run()
     return case, fabric, result
 
 
-@pytest.mark.parametrize("seed", CI_SEEDS)
-def test_wavefront_converges_under_chaos(seed):
-    case, fabric, result = _chaos_run(seed)
+@pytest.mark.parametrize("kind,seed", [
+    pytest.param(kind, seed,
+                 id=str(seed) if kind == "socket" else f"{seed}-{kind}")
+    for kind in ("socket", "process") for seed in CI_SEEDS])
+def test_wavefront_converges_under_chaos(kind, seed):
+    case, fabric, result = _chaos_run(seed, kind)
     d = _gather(result, case, P)
     assert np.allclose(d, case.reference()), (
-        f"seed {seed}: wavefront diverged from golden under faults")
+        f"{kind} seed {seed}: wavefront diverged from golden under faults")
     assert sum(fabric.restarts.values()) <= MAX_RESTARTS * P
     assert not fabric.lost, "recovery was on; nothing may be lost"
 

@@ -7,8 +7,8 @@ Two layers:
 * the IR suites — the Table 3 NavP program (fig 11) and the Gentleman
   schedule restated as carriers — run on *all four* fabrics, and must
   produce bit-identical matrices and identical logical-transfer counts
-  whether the hop is a virtual-time event, a queue put, a pickled
-  mp.Queue message, or a length-prefixed TCP frame.
+  whether the hop is a virtual-time event, a queue put, or a
+  length-prefixed wire frame over a unix socketpair or TCP.
 """
 
 import numpy as np

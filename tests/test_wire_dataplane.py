@@ -6,7 +6,8 @@ Bottom-up property coverage of the PR-7 data plane:
   in-band threshold, view-only byte accounting, zero-copy aliasing;
 * multi-buffer frames over :class:`repro.fabric.wire.FrameSocket` —
   dribbled 1-byte delivery, truncated buffer tables, version skew
-  (a VERSION-1 peer is refused loudly), bound enforcement;
+  (a VERSION-1 peer is refused loudly), bound enforcement — on the
+  senders too: a closed peer is a drop, an oversized frame an error;
 * hop coalescing end to end — a burst workload's frame count drops by
   the batch factor while results and per-hop accounting are unchanged,
   and a fault-plan chaos run over coalesced frames still converges to
@@ -20,7 +21,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.fabric import Grid1D, payload
+from repro.errors import FabricError
+from repro.fabric import Grid1D, payload, wire
 from repro.fabric.socket import SocketFabric
 from repro.fabric.wire import (
     FRAME_CMD,
@@ -276,6 +278,45 @@ class TestMultiBufferWire:
         finally:
             left.close()
             right.close()
+
+
+class TestSendOrDrop:
+    """The senders that leave a dead peer to the failure detector must
+    not leave an oversized frame to nobody."""
+
+    def _pool(self):
+        from repro.serve.pool import PoolWorker, WorkerPool
+
+        pool = WorkerPool(("127.0.0.1", 0))
+        left, right = _pair()
+        pool.workers[3] = PoolWorker(3)
+        pool.workers[3].conn = left
+        return pool, left, right
+
+    def test_pool_send_refuses_an_oversized_command(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME", 1 << 20)
+        pool, left, right = self._pool()
+        try:
+            with pytest.raises(FabricError,
+                               match=r"host 3: 'load' frame refused: "
+                                     r"frame of \d+ bytes exceeds the "
+                                     r"1048576-byte bound"):
+                pool.send(3, ("load", "j1", (0, 0),
+                              {"A": np.zeros(300_000)}))
+            # nothing reached the wire: the next frame is intact
+            assert pool.send(3, ("stop",)) > 0
+            assert wire.load_obj(right.recv()) == ("stop",)
+        finally:
+            left.close()
+            right.close()
+
+    def test_pool_send_drops_toward_a_closed_worker(self):
+        pool, left, right = self._pool()
+        right.close()
+        try:
+            assert pool.send(3, ("load", "j1", (0, 0), {})) == 0
+        finally:
+            left.close()
 
 
 def _register_burst(n_children: int):
