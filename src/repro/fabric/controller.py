@@ -25,8 +25,10 @@ loop, and the network underneath is a detail:
     The setup-side base class of the two fabrics — host resolution,
     fault-plan wiring, ``load``/``signal_initial``/``inject``
     collection (IR messengers only: a live generator frame cannot be
-    pickled; an IR continuation can) and the thin ``run()`` that opens
-    the link, drives the loop and wraps the result.
+    pickled; an IR continuation can), each host's setup — handed to its
+    worker in the fork image, never sent — and the thin ``run()`` that
+    opens the link, drives the loop, collects the variables the
+    programs write and wraps the result.
 
 :class:`WorkerCore`
     The execution engine of one worker host: node variables, event
@@ -50,6 +52,10 @@ The command vocabulary between controller and worker is shared too
 and checkpoint machinery replay identically over every transport — and
 so are the codec and the frame format (:mod:`repro.fabric.wire`): every
 link moves its commands and reports as the same multi-buffer frames.
+A forked fabric worker applies its ``register`` / ``load`` /
+``signal0`` commands from its fork image (:meth:`WorkerCore.seed`)
+before it reads a frame; only the job service's warm pool, which
+outlives any one job, receives them on the wire.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import signal
 import time
 from collections import defaultdict, deque
 
+from ..analysis.visitor import walk_stmts
 from ..errors import (ConfigurationError, DeadlockError, FabricError,
                       MigrationError, ResilienceError)
 from ..machine.presets import SUN_BLADE_100
@@ -247,6 +254,18 @@ class WorkerCore:
                               f"a distributed fabric")
 
     # -- command protocol ----------------------------------------------
+    def seed(self, setup) -> None:
+        """Apply the setup commands a forked worker finds in its image,
+        holding afterwards exactly what the wire would have delivered:
+        each command goes through the payload codec first, as its own
+        frame would have, so a block of
+        :data:`~repro.fabric.payload.OOB_THRESHOLD` bytes or more stays
+        shared with the parent (copy on write) and a strided view
+        becomes contiguous — kernels and cuts never see strided
+        operands."""
+        for cmd in setup:
+            self.handle(payload_mod.decode(*payload_mod.encode(cmd)))
+
     def handle(self, cmd) -> str | None:
         """Apply one controller command; returns ``"stop"`` to exit."""
         op = cmd[0]
@@ -296,10 +315,6 @@ class WorkerCore:
                 held = {coord: {n: here[n] for n in names if n in here}
                         for coord, here in held.items()}
             self.emit_report(("vars", self.host, held))
-        elif op == "sync":
-            # setup barrier: commands are FIFO per host, so every
-            # earlier one (the loads above all) is already applied
-            self.emit_report(("synced", self.host))
         elif op == "stop":
             return "stop"
         else:  # pragma: no cover - protocol is closed
@@ -500,9 +515,11 @@ class Link:
         raise NotImplementedError
 
     def replace(self, host) -> None:
-        """Put a fresh worker — programs registered, node state empty
-        — behind ``host``; whatever the old one still sends is fenced
-        off."""
+        """Put a fresh worker behind ``host`` in the state that precedes
+        every journaled command — a fabric's forks from the same setup
+        image as the first, a pool worker starts with the programs
+        registered and empty node state; whatever the old one still
+        sends is fenced off."""
         raise NotImplementedError
 
     def crash(self, host) -> bool:
@@ -529,12 +546,11 @@ class Controller:
     workers' ``(mid, hops)`` dedup makes the at-least-once replay
     exactly-once. Without one (plain mode) it is the same loop:
     nothing is journaled, workers ship hops peer to peer so none
-    arrives here, and a lost host is a :class:`FabricError`. Those
-    peer channels are not ordered against this loop's own, so plain
-    mode — and only plain mode — ends seeding with a barrier: every
-    host acks a ``sync`` sent behind its loads before the entry
-    messengers are released. Supervised hops all detour through here,
-    FIFO per host behind the loads, and need none.
+    arrives here, and a lost host is a :class:`FabricError`. Plain
+    mode is only ever run by the fabrics, whose workers hold their
+    setup before they read a frame, so a peer's hop has no setup frame
+    to overtake; whatever ``run`` is given to seed it sends FIFO per
+    host ahead of the entry messengers.
 
     ``collect`` names the node variables the run's caller will read —
     a reply carries what was asked for: each host answers with those
@@ -587,7 +603,6 @@ class Controller:
         self._collected: set = set()    # hosts whose vars are in
         self._collect_due: set = set()  # collect held behind a replay
         self._collecting = False
-        self._unsynced: set = set()     # hosts yet to ack the barrier
         self._commits: dict = {}        # ckpt id -> hosts committed
 
     # -- outbound ------------------------------------------------------
@@ -651,13 +666,6 @@ class Controller:
                 self._send(host_of[coord], ("load", coord, node_vars))
             for initial in signals:
                 self._send(host_of[initial[0]], ("signal0", initial))
-            if self.sup is None:
-                # a peer's hop must not reach a host ahead of its loads
-                self._unsynced = set(range(self.n_hosts))
-                for h in range(self.n_hosts):
-                    self.link.send(h, ("sync",))
-                while self._unsynced:
-                    self._step()
             for mid, coord, program, env in entries:
                 self.known.add(mid)
                 self._forward(host_of[coord], (
@@ -711,8 +719,6 @@ class Controller:
             self.places.update(msg[2])
         elif op == "lost":
             self._recover(msg[1], msg[2])
-        elif op == "synced":
-            self._unsynced.discard(msg[1])
         elif op == "error":
             raise FabricError(f"worker {msg[1]} failed: {msg[2]}")
         else:  # pragma: no cover - protocol is closed
@@ -722,9 +728,6 @@ class Controller:
         if self._collecting:
             missing = sorted(set(range(self.n_hosts)) - self._collected)
             what = f"collecting results, host(s) {missing} missing"
-        elif self._unsynced:
-            what = (f"seeding, host(s) {sorted(self._unsynced)} never "
-                    f"acknowledged their loads")
         else:
             what = f"{len(self.known - self.done)} messenger(s) unaccounted"
         respawns = sum(self.sup.restarts.values()) if self.sup else 0
@@ -842,6 +845,16 @@ class ControllerFabric(Link):
     the four verbs plus ``_open`` / ``_close`` (fork and reap the
     workers), and :meth:`run` drives the shared :class:`Controller`
     over it.
+
+    The setup never crosses the wire. :meth:`_setup` is a host's
+    ``register`` / ``load`` / ``signal0`` commands, each fork (the
+    first and every ``replace``) passes it to the worker, and the
+    worker applies it with :meth:`WorkerCore.seed` before it reads a
+    frame — so only entry continuations, hops, cuts and results move.
+    Collect asks for the node variables some ``NodeSet`` of the
+    injection closure can write; IR values are immutable (kernels
+    return new values, ``NodeSet`` is the only node write), so every
+    other variable still is the object :meth:`load` was given.
     """
 
     #: flow control toward a worker (the socket fabric overrides both)
@@ -891,6 +904,9 @@ class ControllerFabric(Link):
         if not self._initial:
             raise FabricError("no messengers injected")
         self._t0 = time.perf_counter()
+        written = {stmt.name for program in self._programs.values()
+                   for _path, stmt in walk_stmts(program.body)
+                   if isinstance(stmt, ir.NodeSet)}
         ctl = Controller(
             self, f"{self.kind} fabric", self.n_hosts, self._host_of,
             self.timeout,
@@ -901,7 +917,7 @@ class ControllerFabric(Link):
             checkpoint_every=self._checkpoint_every,
             note=self._note if self.trace.enabled else None,
             hint=lambda: self._mc_hint(self.window),
-            collect=None)   # FabricResult.places is every node variable
+            collect=tuple(sorted(written)))
         self.lost = ctl.lost
         entries = []
         for coord, name, env in self._initial:
@@ -911,17 +927,27 @@ class ControllerFabric(Link):
             # opening inside the try: a spawn failure midway must not
             # leave the already-started workers orphaned
             self._open()
-            places = ctl.run(
-                [(c, self._loads[c]) for c in self.topology.coords
-                 if self._loads[c]],
-                self._signals, entries)
+            collected = ctl.run((), (), entries)
         finally:
             self._close()
+        # every node variable, as on sim: the loads under what was written
+        places = {c: {**self._loads.get(c, {}), **collected.get(c, {})}
+                  for c in self.topology.coords}
         return FabricResult(time=time.perf_counter() - self._t0,
                             trace=self.trace, places=places)
 
     def _coords_of(self, host) -> list:
         return [c for c in self.topology.coords if self._host_of[c] == host]
+
+    def _setup(self, host) -> list:
+        """What ``host``'s worker holds before its first frame: the
+        programs, its PEs' loads and its initial signals, as the
+        commands the wire would have carried."""
+        return ([("register", list(self._programs.values()))]
+                + [("load", c, self._loads[c]) for c in self._coords_of(host)
+                   if self._loads.get(c)]
+                + [("signal0", s) for s in self._signals
+                   if self._host_of[s[0]] == host])
 
     def _note(self, place, actor, kind, text, src=None, nbytes=0) -> None:
         now = time.perf_counter() - self._t0
@@ -994,22 +1020,19 @@ class ControllerFabric(Link):
             (self.topology.normalize(coord), name, dict(env or {})))
 
     def _collect_referenced(self, program: ir.Program) -> None:
-        """Pull in programs reachable through Inject statements."""
-
-        def walk(body):
-            for stmt in body:
-                if isinstance(stmt, ir.InjectStmt):
-                    if stmt.program not in self._programs:
-                        child = ir.get_program(stmt.program)
-                        self._programs[stmt.program] = child
-                        walk(child.body)
-                elif isinstance(stmt, ir.For):
-                    walk(stmt.body)
-                elif isinstance(stmt, ir.If):
-                    walk(stmt.then)
-                    walk(stmt.orelse)
-
-        walk(program.body)
+        """Pull in programs reachable through Inject statements. A
+        worklist, not a recursive closure: a closure that refers to
+        itself is a reference cycle, and one that also captures
+        ``self`` keeps the whole fabric alive until the cyclic
+        collector runs."""
+        todo = [program]
+        while todo:
+            for _path, stmt in walk_stmts(todo.pop().body):
+                if (isinstance(stmt, ir.InjectStmt)
+                        and stmt.program not in self._programs):
+                    child = ir.get_program(stmt.program)
+                    self._programs[stmt.program] = child
+                    todo.append(child)
 
     def _mc_hint(self, window: int | None = None) -> str:
         """Model-checker verdict suffix for a DeadlockError message.

@@ -7,7 +7,11 @@ never leave their process; when an IR messenger hops, its continuation
 shipped to the destination process, exactly the MESSENGERS discipline
 ("the state of the computation is moved on each hop, the code is not
 moved"). Programs are installed into every worker once at start-up,
-like compiled messenger code loaded by each daemon.
+like compiled messenger code loaded by each daemon — and, like the
+paper's DSC starting point, the data is already distributed when the
+run begins: each worker is forked with its host's setup (programs,
+loads, initial signals) in its image and applies it before it reads a
+frame, so the wire carries only agent state, cuts and results.
 
 Only IR messengers run here: CPython cannot pickle a live generator
 frame, and the IR interpreter's explicit continuation is the honest
@@ -33,9 +37,9 @@ or generation.
   so two workers shipping each other large frames cannot deadlock.
 * Liveness is ``Process.is_alive()``, checked whenever the reports run
   dry, so a dying worker's last reports — its error, above all — are
-  read first; ``SIGKILL`` crashes one; a new pair + fork + ``register``
-  replaces one, after its old control end is closed (which fences off
-  whatever the dead worker left unread).
+  read first; ``SIGKILL`` crashes one; a new pair + a fork from the same
+  setup image replaces one, after its old control end is closed (which
+  fences off whatever the dead worker left unread).
 
 Resilient mode
 --------------
@@ -58,14 +62,17 @@ completes:
   entries forwarded after the marker (every inter-host message passes
   through the journal, which is what makes the per-host cut globally
   consistent);
-* a dead worker is respawned on a fresh pair, re-registered, restored
-  from its last checkpoint, and replayed from the journal.
+* a dead worker is respawned on a fresh pair from the same setup image,
+  restored from its last checkpoint, and replayed from the journal.
 
 Losing a worker therefore loses only the work since its last
 checkpoint, and that work is re-executed deterministically. Without a
-checkpoint the journal reaches back to start-up and replay simply
-re-runs the host's history. Crash specs name *host* indices and fire
-on wall-clock time or on the global forwarded-hop count.
+checkpoint the journal reaches back to the first entry continuation
+and replay over the setup image simply re-runs the host's history (a
+``restore`` replaces node variables and event counts wholesale, so
+the image cannot leak into a restored host). Crash specs name *host*
+indices and fire on wall-clock time or on the global forwarded-hop
+count.
 """
 
 from __future__ import annotations
@@ -110,16 +117,19 @@ class _Inbox(queue.SimpleQueue):
                 self.put(eof)
 
 
-def _worker(host, coords, host_of, ctl, peers, ends, resilient, tracing):
+def _worker(host, coords, host_of, ctl, peers, ends, resilient, tracing,
+            setup):
     """One host process around a :class:`WorkerCore`.
 
     ``ctl`` and ``peers`` (``{dst host: socket}``, plain mode only) are
     this host's ends of the fabric's socketpairs; every other one of
-    ``ends`` the fork copied is closed first. Plain mode ships hops to
-    its peers directly and (when tracing) keeps a local hop log shipped
-    with the collect reply — deterministic, unlike racing per-hop
-    reports against the peers' completion reports. Resilient mode
-    emits every hop to the controller.
+    ``ends`` the fork copied is closed first. ``setup`` — programs,
+    loads, initial signals — came with the fork and is applied before
+    the first frame is read. Plain mode ships hops to its peers
+    directly and (when tracing) keeps a local hop log shipped with the
+    collect reply — deterministic, unlike racing per-hop reports
+    against the peers' completion reports. Resilient mode emits every
+    hop to the controller.
     """
     for sock in ends:
         if sock is not ctl and sock not in peers.values():
@@ -151,6 +161,7 @@ def _worker(host, coords, host_of, ctl, peers, ends, resilient, tracing):
     core = WorkerCore(host, coords, host_of, emit_hop, emit_report,
                       dedup=resilient)
     try:
+        core.seed(setup)
         while True:
             if core.ready:
                 core.step()
@@ -196,24 +207,20 @@ class ProcessFabric(ControllerFabric):
             for sock in theirs:
                 sock.close()
         for h in hosts:
-            self._attach(h)
+            self._readers[h] = self._reports.read(self._ctl[h])
 
     def _fork(self, h, ctl, peers, theirs=()) -> None:
-        """Fork ``h``'s worker on its ends ``ctl`` and ``peers``; it
-        closes the rest: the controller's ends and ``theirs``."""
+        """Fork ``h``'s worker, with its setup, on its ends ``ctl`` and
+        ``peers``; it closes the rest: the controller's ends and
+        ``theirs``."""
         ends = [fs.sock for fs in self._ctl.values()] + list(theirs)
         worker = self._ctx.Process(
             target=_worker,
             args=(h, self._coords_of(h), self._host_of, ctl, peers, ends,
-                  self.resilient, self.trace.enabled),
+                  self.resilient, self.trace.enabled, self._setup(h)),
             daemon=True, name=f"host{h}")
         worker.start()
         self._workers[h] = worker
-
-    def _attach(self, h) -> None:
-        """Read ``h``'s reports, then install the programs."""
-        self._readers[h] = self._reports.read(self._ctl[h])
-        self.send(h, ("register", list(self._programs.values())))
 
     def _close(self) -> None:
         for h in self._ctl:
@@ -246,7 +253,9 @@ class ProcessFabric(ControllerFabric):
     def replace(self, host) -> None:
         """Mid-run, unlike :meth:`_open`, this forks with the other
         hosts' reader threads alive. The old worker is dead: that is
-        how :meth:`receive` came to report it lost."""
+        how :meth:`receive` came to report it lost. The new one starts
+        from the same setup image as the first; the controller's
+        ``restore`` and journal replay bring it up to date."""
         self._workers[host].join(timeout=5.0)
         # closing the old end fences off whatever the dead worker left
         self._ctl[host].close(self._readers[host])
@@ -254,7 +263,7 @@ class ProcessFabric(ControllerFabric):
         self._ctl[host] = FrameSocket(ours)
         with theirs:
             self._fork(host, theirs, {})
-        self._attach(host)
+        self._readers[host] = self._reports.read(self._ctl[host])
 
     def crash(self, host) -> bool:
         worker = self._workers[host]

@@ -196,7 +196,13 @@ class _Ctx:
 
 @dataclass
 class FabricResult:
-    """Outcome of a fabric run."""
+    """Outcome of a fabric run.
+
+    ``places`` maps every PE coordinate to all of its node variables
+    after the run. On every fabric a variable the run never wrote is
+    the very object that was loaded; the process and socket fabrics
+    ship back only what some ``NodeSet`` of the programs can write.
+    """
 
     time: float
     trace: TraceLog

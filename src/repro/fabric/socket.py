@@ -60,7 +60,8 @@ surfaced via :meth:`~repro.fabric.trace.TraceLog.deadline_misses`.
 (:class:`~repro.fabric.controller.Controller`), which journals them
 per destination, takes quiescent per-host checkpoints, and — on
 heartbeat loss — has this fabric replace the worker (generation bump,
-fork, hello, ``register``), restores its last checkpoint, and replays
+a fork from the same setup image, hello), restores its last
+checkpoint, and replays
 the journal; ``(messenger id, hop count)`` dedup in the worker makes
 the at-least-once replay exactly-once. ``FaultPlan`` message faults
 act on the frames the controller forwards (really dropped,
@@ -71,9 +72,11 @@ recovery disabled are casualties, reported in the
 Plain mode (no plan, no supervision) skips the controller detour:
 workers learn each other's addresses at start-up and ship hops
 peer-to-peer, with the same credit-based flow control per connection.
-It is the same loop over the same link; peer connections are not
-ordered against the controller's, which is why the loop ends plain
-seeding with a ``sync`` barrier.
+It is the same loop over the same link. Peer connections are not
+ordered against the controller's, and need not be: a worker is forked
+with its setup (programs, loads, initial signals) and applies it
+before it reads a frame, so no peer's hop can overtake a setup frame —
+there is none.
 
 **Lifetime.** A run owns what it starts. Bring-up binds the listener,
 forks *every* worker and only then starts its first thread (the
@@ -214,9 +217,11 @@ class WorkerSession:
 
 def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
                  window, heartbeat_s, hop_deadline_s, backoff_seed,
-                 coalesce, coalesce_delay_s):
+                 coalesce, coalesce_delay_s, setup):
     """One host process: a :class:`WorkerCore` behind TCP.
 
+    ``setup`` (programs, loads, initial signals) came with the fork and
+    is applied once the hello is out, before the first command is read.
     Controller commands arrive as CMD frames on the controller
     connection; peer continuations (plain mode) as RUN frames on
     accepted peer connections, each frame carrying a *batch* of one or
@@ -324,7 +329,9 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
             session.report(("stats", host, dict(stats)))
             if hop_log:
                 session.report(("hoplog", host, hop_log))
-        n = session.report(msg)
+        # a reply over the wire's bounds fails the run, naming itself
+        n = send_or_drop(session.ctl, FRAME_REPORT, msg, host,
+                         gen=session.gen)
         if msg[0] == "hop":
             stats["frames_out"] += 1
             stats["bytes_out"] += n
@@ -383,6 +390,7 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
                       dedup=resilient)
     try:
         with session:
+            core.seed(setup)
             while True:
                 if core.ready:
                     core.step()
@@ -504,8 +512,8 @@ class SocketFabric(ControllerFabric):
                 self._reports.put(load_obj(frame))
 
     def _fork(self, host) -> None:
-        """Start ``host``'s worker; it dials in and waits, if need be,
-        in the listener's backlog."""
+        """Start ``host``'s worker with its setup; it dials in and
+        waits, if need be, in the listener's backlog."""
         gen = self._gens[host]
         self._hello_evts[(host, gen)] = threading.Event()
         proc = self._ctx.Process(
@@ -515,21 +523,19 @@ class SocketFabric(ControllerFabric):
                   self.trace.enabled, self.window,
                   self.heartbeat_s, self.hop_deadline_s,
                   (self._plan.seed or 0) * 31 + host,
-                  self.coalesce, self.coalesce_delay_s),
+                  self.coalesce, self.coalesce_delay_s, self._setup(host)),
             daemon=True, name=f"sockhost{host}",
         )
         proc.start()
         self._procs[host] = proc
 
     def _greet(self, host) -> None:
-        """Await the hello of ``host``'s current worker, then install
-        the programs."""
+        """Await the hello of ``host``'s current worker."""
         key = (host, self._gens[host])
         if not self._hello_evts[key].wait(timeout=20.0):
             raise FabricError(
                 f"socket worker {host} did not say hello within 20s")
         del self._hello_evts[key]
-        self.send(host, ("register", list(self._programs.values())))
 
     def _open(self) -> None:
         hosts = range(self.n_hosts)
@@ -621,7 +627,8 @@ class SocketFabric(ControllerFabric):
 
     def replace(self, host) -> None:
         """Mid-run, unlike :meth:`_open`, this forks with the accept
-        and reader threads alive."""
+        and reader threads alive — from the same setup image as the
+        first worker; ``restore`` and journal replay follow."""
         old = self._procs.get(host)
         self._gens[host] += 1  # stale sockets can't deliver from here on
         conn = self._conns.pop(host, None)

@@ -38,7 +38,14 @@ KERNELS: dict = {}
 
 
 def register_kernel(name: str, fn, flops=None) -> None:
-    """Add a kernel; ``flops`` defaults to zero cost."""
+    """Add a kernel; ``flops`` defaults to zero cost.
+
+    ``fn`` must return a new value and leave its arguments untouched:
+    IR values are immutable. The process and socket fabrics rely on it
+    — they collect only the node variables a ``NodeSet`` can write and
+    return every other one as the object that was loaded — and
+    ``tests/test_fabric_setup.py`` calls every kernel the package
+    registers on real operands to check it."""
     if name in KERNELS:
         raise ConfigurationError(f"kernel {name!r} already registered")
     KERNELS[name] = Kernel(name, fn, flops or (lambda *a: 0.0))

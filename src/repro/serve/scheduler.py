@@ -105,7 +105,7 @@ class JobRun(threading.Thread, Link):
     def _send_header(self, host) -> None:
         # One FIFO connection per worker carries header, programs,
         # loads and runs in order, and cross-host hops all detour
-        # through the controller — so no setup barrier is needed.
+        # through the controller, so no hop can overtake the loads.
         pool = self.service.pool
         pool.send(self.wids[host], self._headers[host])
         pool.ship(self.wids[host], self._programs)

@@ -6,21 +6,26 @@ A script, not a tier-1 test (pytest does not collect it)::
 
 Each of 25 rounds runs ``navp-2d-pipeline`` g=3 ab=128 folded onto 2
 hosts on the benchmark's five configurations (thread, process, process
-+ checkpoints, socket, socket + checkpoints) and on ``process`` +
-checkpoints with one worker SIGKILLed mid-run (a different host and hop
-every round, so ``replace()`` forks with reader threads alive and
-brings a fresh socketpair up), then ``build_fig11(2)`` on ``"process"``
-with one host per PE — the shape whose first hop used to overtake the
-loads — all while two busy-loop children keep both cores contended. It
-exits 1 on any exception, a product not bit-equal to the sim fabric's,
-a worker process that survived its run, a thread count above the
-starting one, open file descriptors above the first round's, or
-resident memory still climbing by more than 1 MB per run once the
-allocator is warm. Three bugs would each have tripped it: the listener
-thread that pinned every ``SocketFabric`` (+5–10 MB and +1 thread per
-run), the plain-mode load/hop race on ``ProcessFabric`` (1 run in 15
-under load), and any teardown that forgets a child or a socket. It is
-the seed of ROADMAP item 1's soak rig, not all of it.
++ checkpoints, socket, socket + checkpoints) and on ``process`` and
+``socket`` + checkpoints with one worker SIGKILLed mid-run (a different
+host and hop every round, so ``replace()`` forks a worker from the
+setup in the fork image with reader threads alive), then
+``build_fig11(2)`` on ``"process"`` with one host per PE — the shape
+whose first hop used to overtake the loads, before the setup was in
+the fork image — all while two busy-loop children keep both cores
+contended. The cyclic collector is off during the rounds (one
+``gc.collect()`` closes each). It exits 1 on any exception, a product
+not bit-equal to the sim fabric's, a fabric still alive after its run
+(it must die by reference counting), a worker process that survived
+its run, a thread count above the starting one, open file descriptors
+above the first round's, or resident memory still climbing by more
+than 1 MB per run once the allocator is warm. Four bugs would each have
+tripped it: the listener thread that pinned every ``SocketFabric``
+(+5–10 MB and +1 thread per run), the plain-mode load/hop race on
+``ProcessFabric`` (1 run in 15 under load), a recursive closure that
+kept every process and socket fabric alive until a full collection,
+and any teardown that forgets a child or a socket. It is the seed of
+ROADMAP item 1's soak rig, not all of it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # fork after BLAS init
 
@@ -52,11 +58,12 @@ CONFIGS = [("thread", {}), ("process", {}),
 HOPS = 24   # cross-host hops of one run: every crash below comes due
 
 
-def _crashing(r: int) -> tuple:
-    """Round ``r``'s recovery config: host ``r % 2`` SIGKILLed at a hop
-    that walks the whole run over the rounds."""
+def _crashing(r: int) -> list:
+    """Round ``r``'s recovery configs: host ``r % 2`` SIGKILLed at a
+    hop that walks the whole run over the rounds, on both fabrics."""
     plan = FaultPlan([Crash(r % 2, at_hop=1 + 7 * r % (HOPS - 1))])
-    return "process", {"checkpoint_every": 8, "faults": plan}
+    return [(kind, {"checkpoint_every": 8, "faults": plan})
+            for kind in ("process", "socket")]
 
 
 def _spin() -> None:
@@ -77,8 +84,8 @@ def _open_fds() -> int:
 
 
 def _pipeline(kind, options, seed):
-    """One benchmark-shaped run; returns its product and how many
-    workers it respawned."""
+    """One benchmark-shaped run; returns its product, how many workers
+    it respawned and a weak reference to its fabric."""
     suite, _a, _b = build_job_suite("navp-2d-pipeline", 3, seed, 128)
     topology = Grid2D(3)
     fabric = make_fabric(kind, topology, trace=False,
@@ -92,7 +99,8 @@ def _pipeline(kind, options, seed):
     c = np.empty((3 * 128, 3 * 128))
     for (i, j), node_vars in places.items():
         c[i * 128:(i + 1) * 128, j * 128:(j + 1) * 128] = node_vars["C"]
-    return c, sum(getattr(fabric, "restarts", {}).values())
+    return (c, sum(getattr(fabric, "restarts", {}).values()),
+            weakref.ref(fabric))
 
 
 def main() -> int:
@@ -109,15 +117,19 @@ def main() -> int:
         threads = threading.active_count()
         rss, fds = [], []
         t0 = time.monotonic()
+        gc.disable()    # a fabric must die by reference counting alone
         for r in range(ROUNDS):
-            for kind, options in CONFIGS + [_crashing(r)]:
-                c, respawns = _pipeline(kind, options, r % 4)
+            for kind, options in CONFIGS + _crashing(r):
+                c, respawns, ref = _pipeline(kind, options, r % 4)
                 if not np.array_equal(c, references[r % 4]):
                     failures.append(f"round {r}: {kind} {options} product "
                                     f"differs from the sim fabric's")
                 if respawns != bool(options.get("faults")):
                     failures.append(f"round {r}: {kind} {options} "
                                     f"respawned {respawns} worker(s)")
+                if ref() is not None:
+                    failures.append(f"round {r}: {kind} {options} fabric "
+                                    f"outlived its run")
             c, _res = run_ir2d_suite(build_fig11(2, a, b), "process")
             if not np.array_equal(c, fig11_ref):
                 failures.append(f"round {r}: fig11 on process differs")
@@ -128,7 +140,7 @@ def main() -> int:
             gc.collect()
             rss.append(_rss_mb())
             fds.append(_open_fds())
-        runs = len(CONFIGS) + 2
+        runs = len(CONFIGS) + 3
         if threading.active_count() > threads:
             names = [t.name for t in threading.enumerate()]
             failures.append(f"{len(names)} threads, started with "
@@ -148,6 +160,7 @@ def main() -> int:
               f"{fds[0]} -> {fds[-1]} fds, "
               f"{len(failures)} failure(s)")
     finally:
+        gc.enable()
         for burner in burners:
             burner.terminate()
         for burner in burners:

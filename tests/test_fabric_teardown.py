@@ -140,12 +140,18 @@ def test_socket_run_leaves_no_thread_and_no_fabric(kind, case,
                                                    bad_hop_program):
     """A thread parked on a bound method of the fabric — an accept
     loop nobody woke, a reader nobody joined — keeps the whole run
-    alive: its loaded blocks, its journal, its checkpoints."""
+    alive: its loaded blocks, its journal, its checkpoints. So does a
+    reference cycle through the fabric (a recursive closure capturing
+    ``self`` was one) until the cyclic collector happens to run: the
+    fabric must die by reference counting alone."""
     threads = threading.active_count()
-    ref = _one_run(kind, case, bad_hop_program)
-    assert threading.active_count() == threads
-    gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        ref = _one_run(kind, case, bad_hop_program)
+        assert threading.active_count() == threads
+        assert ref() is None
+    finally:
+        gc.enable()
     _assert_no_children()
 
 
@@ -193,14 +199,14 @@ def test_a_process_worker_holds_only_its_own_sockets(options, held):
     fabric._open()
     try:
         for h in range(3):
-            fabric.send(h, ("sync",))
-        synced = set()
+            fabric.send(h, ("collect", ()))
+        answered = set()
         deadline = time.monotonic() + 10.0
-        while len(synced) < 3:    # every worker is past its start-up
-            assert time.monotonic() < deadline, f"synced: {synced}"
+        while len(answered) < 3:  # every worker is past its start-up
+            assert time.monotonic() < deadline, f"answered: {answered}"
             msg = fabric.receive(1.0)
-            if msg is not None and msg[0] == "synced":
-                synced.add(msg[1])
+            if msg is not None and msg[0] == "vars":
+                answered.add(msg[1])
         for worker in fabric._workers.values():
             own = _socket_inodes(worker.pid) - inherited
             assert len(own) == held, (worker.name, own)
@@ -210,21 +216,44 @@ def test_a_process_worker_holds_only_its_own_sockets(options, held):
 
 
 @pytest.mark.parametrize("kind", ["process", "socket"])
-def test_an_oversized_load_fails_the_run(kind, monkeypatch):
-    """A load over the frame bound used to vanish into the sender's
-    ``except WireError`` — the run "succeeded" with the variable absent
-    at its PE. Now the run fails at once, saying where and how big."""
+def test_an_oversized_reply_fails_the_run(kind, monkeypatch):
+    """A frame over the bound used to vanish into the sender's ``except
+    WireError`` — the run "succeeded" with the variable absent at its
+    PE. Loads no longer cross the wire, but a written variable still
+    does, in the ``vars`` reply: the run fails at once, saying where,
+    what and how big."""
     monkeypatch.setattr(wire, "MAX_FRAME", 1 << 20)
     fabric = make_fabric(kind, Grid1D(2), trace=False, timeout=30.0)
     fabric.load((1,), big=np.zeros(300_000))     # 2.4 MB
-    fabric.inject((0,), ir.register_program(
-        ir.Program("teardown-noop", body=()), replace=True).name)
+    fabric.inject((1,), ir.register_program(ir.Program(
+        "teardown-write-big",
+        body=(ir.NodeSet("out", (), ir.NodeGet("big")),)),
+        replace=True).name)
     t0 = time.monotonic()
     with pytest.raises(FabricError,
-                       match=r"host 1: 'load' frame refused: frame of "
+                       match=r"host 1: 'vars' frame refused: frame of "
                              r"\d+ bytes exceeds the 1048576-byte bound"):
         fabric.run()
     assert time.monotonic() - t0 < 5.0
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("kind", ["process", "socket"])
+def test_a_load_over_the_frame_bound_simply_works(kind, monkeypatch):
+    """A load rides the fork image, not a frame: the wire's bound does
+    not apply to it, and the worker holds every byte."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 1 << 20)
+    big = np.arange(300_000.0)                   # 2.4 MB
+    fabric = make_fabric(kind, Grid1D(2), trace=False, timeout=30.0)
+    fabric.load((1,), big=big)
+    fabric.inject((1,), ir.register_program(ir.Program(
+        "teardown-read-big",
+        body=(ir.NodeSet("last", (),
+                         ir.Index(ir.NodeGet("big"), (C(299_999),))),)),
+        replace=True).name)
+    places = fabric.run().places
+    assert places[(1,)]["last"] == 299_999.0
+    assert places[(1,)]["big"] is big            # never written: the load
     _assert_no_children()
 
 

@@ -144,10 +144,10 @@ class LaggingLoads(ProcessFabric):
     """A link whose commands to every host but 0 trail behind: each
     rides a per-host forwarder thread (FIFO per host, as the
     :class:`~repro.fabric.controller.Link` contract demands) that takes
-    50 ms over every ``load``. It is what a busy machine does to a
-    big load's trip through a socketpair once in a while — while a
-    peer's small hop to the same worker slips through its own pair —
-    done every time."""
+    50 ms over every command but ``stop``. It is what a busy machine
+    does to a big frame's trip through a socketpair once in a while —
+    while a peer's small hop to the same worker slips through its own
+    pair — done every time."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -156,7 +156,7 @@ class LaggingLoads(ProcessFabric):
     def _forward(self, host, cmds) -> None:
         while True:
             cmd = cmds.get()
-            if cmd[0] == "load":
+            if cmd[0] != "stop":
                 time.sleep(0.05)
             super().send(host, cmd)
             if cmd[0] == "stop":
@@ -176,10 +176,13 @@ class TestSetupBarrier:
     def test_a_hop_cannot_overtake_the_loads(self):
         """Plain-mode workers write their peers' sockets directly, and
         nothing orders worker 0's first hop against the controller's
-        loads to the *other* hosts. Without the controller's ``sync``
-        barrier this fails every time with ``node variable 'Arow'
-        absent at this PE``; the same race is what made
-        ``[build_fig15]`` flake 1 in 5 under load."""
+        commands to the *other* hosts. When the loads were such
+        commands, this failed every time with ``node variable 'Arow'
+        absent at this PE`` unless a ``sync`` barrier closed seeding;
+        the same race is what made ``[build_fig15]`` flake 1 in 5 under
+        load. Now every worker holds its loads before it reads a frame,
+        and however late the controller's commands arrive, the product
+        is right."""
         a, b = random_matrix(16, 230), random_matrix(16, 231)
         reference, _res = run_ir2d_suite(build_fig11(2, a, b), "sim")
         suite = build_fig11(2, a, b)

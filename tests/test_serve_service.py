@@ -188,7 +188,16 @@ class TestAdmissionControl:
         with serving(pool_size=1, max_depth=1, tenant_cap=50,
                      mc_admission=False) as service:
             with ServeClient(service.addr) as client:
-                first = client.submit("navp-2d-dsc", workers=1)
+                # big enough to still hold the one worker when the
+                # third submit arrives
+                first = client.submit("navp-2d-dsc", g=3, ab=128,
+                                      workers=1)
+                # the queue holds one job: until the dispatcher has
+                # taken the first, the second would itself be refused
+                deadline = time.monotonic() + 30.0
+                while client.status(first)["state"] == "pending":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.002)
                 client.submit("navp-2d-dsc", workers=1)   # pending
                 with pytest.raises(AdmissionError, match="queue full"):
                     client.submit("navp-2d-dsc", workers=1)
