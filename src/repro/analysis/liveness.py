@@ -32,11 +32,12 @@ live set at the top frame's ``(path, pc)`` is the live set of the
 whole continuation.
 
 :func:`live_in` solves every point of a program at once. Its one
-runtime consumer, :meth:`repro.navp.interp.Interp.agent_snapshot`,
-memoizes the table on the :class:`~repro.navp.ir.Program` object like
-the interpreter's body cache: a warm pool worker pays once per program
-for its lifetime, and a process that never snapshots a continuation of
-the program pays nothing.
+runtime caller, :func:`repro.navp.interp.live_table`, memoizes the
+table on the :class:`~repro.navp.ir.Program` object like the
+interpreter's body cache: a warm pool worker pays once per program for
+its lifetime, a process that never snapshots a continuation of the
+program pays nothing, and a controller fabric solves its programs'
+tables before it forks, so no forked worker solves one.
 """
 
 from __future__ import annotations

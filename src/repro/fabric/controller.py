@@ -54,8 +54,10 @@ so are the codec and the frame format (:mod:`repro.fabric.wire`): every
 link moves its commands and reports as the same multi-buffer frames.
 A forked fabric worker applies its ``register`` / ``load`` /
 ``signal0`` commands from its fork image (:meth:`WorkerCore.seed`)
-before it reads a frame; only the job service's warm pool, which
-outlives any one job, receives them on the wire.
+before it reads a frame — liveness tables solved and loads contiguous
+in the parent, once — and its cuts carry only the node variables the
+run can write; only the job service's warm pool, which outlives any
+one job, receives setup on the wire and cuts whole.
 """
 
 from __future__ import annotations
@@ -66,12 +68,14 @@ import signal
 import time
 from collections import defaultdict, deque
 
+import numpy as np
+
 from ..analysis.visitor import walk_stmts
 from ..errors import (ConfigurationError, DeadlockError, FabricError,
                       MigrationError, ResilienceError)
 from ..machine.presets import SUN_BLADE_100
 from ..navp import ir
-from ..navp.interp import Interp
+from ..navp.interp import Interp, live_table
 from ..navp.kernels import get_kernel
 from ..navp.messenger import Messenger
 from ..resilience.faults import STATS as FAULT_STATS
@@ -159,6 +163,16 @@ def freeze_task(task: list) -> tuple:
 def thaw_task(snap) -> list:
     return [snap[0], snap[1], snap[2], tuple(snap[3]),
             Interp.from_snapshot(snap[4]), snap[5]]
+
+
+def _wire_form(value):
+    """``value`` as a frame would deliver it. A C-contiguous array is
+    that already and stays the very object; anything else — a strided
+    view above all, which kernels and cuts would otherwise meet as is —
+    takes one payload-codec round trip."""
+    if isinstance(value, np.ndarray) and value.flags.c_contiguous:
+        return value
+    return payload_mod.decode(*payload_mod.encode(value))
 
 
 class WorkerCore:
@@ -256,15 +270,20 @@ class WorkerCore:
     # -- command protocol ----------------------------------------------
     def seed(self, setup) -> None:
         """Apply the setup commands a forked worker finds in its image,
-        holding afterwards exactly what the wire would have delivered:
-        each command goes through the payload codec first, as its own
-        frame would have, so a block of
-        :data:`~repro.fabric.payload.OOB_THRESHOLD` bytes or more stays
-        shared with the parent (copy on write) and a strided view
-        becomes contiguous — kernels and cuts never see strided
-        operands."""
+        as they are. :meth:`ControllerFabric.run` put them in the form a
+        frame would deliver before the fork — liveness tables solved,
+        strided loads made contiguous — so the worker aliases the
+        parent's blocks copy on write and redoes none of that work."""
         for cmd in setup:
-            self.handle(payload_mod.decode(*payload_mod.encode(cmd)))
+            self.handle(cmd)
+
+    def _held(self, names) -> dict:
+        """This host's node variables named in ``names`` (the ones each
+        PE holds), or every one of them for None."""
+        if names is None:
+            return self.node_vars
+        return {coord: {n: here[n] for n in names if n in here}
+                for coord, here in self.node_vars.items()}
 
     def handle(self, cmd) -> str | None:
         """Apply one controller command; returns ``"stop"`` to exit."""
@@ -289,7 +308,7 @@ class WorkerCore:
             # quiescent here: `ready` drained before the command was
             # read, so the cut never splits a continuation
             state = (
-                self.node_vars,
+                self._held(cmd[2]),
                 dict(self.event_counts),
                 [(key, [freeze_task(t) for t in waiters])
                  for key, waiters in self.event_waiters.items() if waiters],
@@ -299,8 +318,10 @@ class WorkerCore:
             self.emit_report(("ckpt", self.host, cmd[1], state))
         elif op == "restore":
             vars_in, counts_in, waiters_in, ready_in, seen_in = cmd[1]
+            # an overlay: a cut may carry only the variables the run
+            # can write, and the rest are still this host's setup
             for coord, values in vars_in.items():
-                self.node_vars[coord] = dict(values)
+                self.node_vars[coord].update(values)
             self.event_counts.clear()
             self.event_counts.update(counts_in)
             self.event_waiters.clear()
@@ -310,11 +331,7 @@ class WorkerCore:
             self.ready.extend(thaw_task(s) for s in ready_in)
             self.seen.update(seen_in)
         elif op == "collect":
-            names, held = cmd[1], self.node_vars
-            if names is not None:   # None asks for every node variable
-                held = {coord: {n: here[n] for n in names if n in here}
-                        for coord, here in held.items()}
-            self.emit_report(("vars", self.host, held))
+            self.emit_report(("vars", self.host, self._held(cmd[1])))
         elif op == "stop":
             return "stop"
         else:  # pragma: no cover - protocol is closed
@@ -418,7 +435,7 @@ class Supervisor:
     def begin_checkpoint(self, unsent: dict) -> int:
         """Open a coordinated checkpoint over the hosts of ``unsent``
         (``{host: journal entries not yet sent}``); returns its id. The
-        caller sends the ``("ckpt", id)`` marker to every host."""
+        caller sends the ``("ckpt", id, names)`` marker to every host."""
         self._ckpt_seq += 1
         # marks are positions in the host's whole journal, not lengths
         # of what is left of it: a cut may open before an earlier one
@@ -555,7 +572,11 @@ class Controller:
     ``collect`` names the node variables the run's caller will read —
     a reply carries what was asked for: each host answers with those
     (the ones a PE holds) and nothing else; ``None`` asks for every
-    node variable.
+    node variable. ``cut`` names the node variables a checkpoint
+    carries, the same way. A cut that leaves variables out is sound
+    only where a replaced host starts from a setup that already holds
+    them, as a fabric's fork image does: ``restore`` lays the cut over
+    what the host holds.
 
     ``note(place, actor, kind, text, src_place, nbytes)`` records a
     trace event; ``hint()`` is appended to a timeout message;
@@ -573,7 +594,8 @@ class Controller:
                  runtime: PlanRuntime | None = None,
                  window=math.inf, coalesce: int = 1,
                  checkpoint_every: int | None = None,
-                 note=None, hint=None, on_cut=None, collect=None):
+                 note=None, hint=None, on_cut=None, collect=None,
+                 cut=None):
         self.link = link
         self.name = name
         self.n_hosts = n_hosts
@@ -596,6 +618,7 @@ class Controller:
         self.hint = hint
         self.on_cut = on_cut
         self.collect = collect          # node variables run() returns
+        self.cut = cut                  # node variables a cut carries
         self.known: set = set()
         self.done: set = set()
         self.places: dict = {}
@@ -762,7 +785,7 @@ class Controller:
             cid = sup.begin_checkpoint(
                 {h: len(self.gate.pending[h]) for h in range(self.n_hosts)})
             for h in range(self.n_hosts):
-                self.link.send(h, ("ckpt", cid))
+                self.link.send(h, ("ckpt", cid, self.cut))
 
     def _inject_fault(self, verdict, spec, src, dst, task) -> bool:
         """Act out a non-deliver verdict; False: the hop is gone."""
@@ -851,10 +874,18 @@ class ControllerFabric(Link):
     first and every ``replace``) passes it to the worker, and the
     worker applies it with :meth:`WorkerCore.seed` before it reads a
     frame — so only entry continuations, hops, cuts and results move.
-    Collect asks for the node variables some ``NodeSet`` of the
-    injection closure can write; IR values are immutable (kernels
-    return new values, ``NodeSet`` is the only node write), so every
-    other variable still is the object :meth:`load` was given.
+    Whatever a worker would otherwise redo, :meth:`run` does once
+    before the first fork: it solves every program's liveness table
+    (:func:`~repro.navp.interp.live_table`) and puts every load in the
+    form a frame would deliver — a C-contiguous array stays the object
+    given, anything else becomes its contiguous codec round trip.
+
+    Collect and every cut ask for the node variables some ``NodeSet``
+    of the injection closure can write. IR values are immutable
+    (kernels return new values, ``NodeSet`` is the only node write), so
+    every other variable still is the load: in ``places`` and in the
+    image a replacement worker forks with, under the cut its
+    ``restore`` lays over it.
     """
 
     #: flow control toward a worker (the socket fabric overrides both)
@@ -895,7 +926,7 @@ class ControllerFabric(Link):
         self._max_restarts = max_restarts
         self.resilient = bool(self._plan) or bool(supervise) or (
             checkpoint_every is not None)
-        self._sup = Supervisor(self._recovery, max_restarts)
+        self._sup: Supervisor | None = None     # the last run's
         self.lost: list = []   # messengers destroyed by drops, no recovery
         self._t0 = 0.0
 
@@ -904,9 +935,19 @@ class ControllerFabric(Link):
         if not self._initial:
             raise FabricError("no messengers injected")
         self._t0 = time.perf_counter()
-        written = {stmt.name for program in self._programs.values()
-                   for _path, stmt in walk_stmts(program.body)
-                   if isinstance(stmt, ir.NodeSet)}
+        written = tuple(sorted({
+            stmt.name for program in self._programs.values()
+            for _path, stmt in walk_stmts(program.body)
+            if isinstance(stmt, ir.NodeSet)}))
+        # done once, here, for every worker: the fork image carries it
+        # to the first one and to each replacement
+        for program in self._programs.values():
+            live_table(program)
+        for node_vars in self._loads.values():
+            for name, value in node_vars.items():
+                node_vars[name] = _wire_form(value)
+        # a run's journal, cuts and restart counts are its own
+        self._sup = Supervisor(self._recovery, self._max_restarts)
         ctl = Controller(
             self, f"{self.kind} fabric", self.n_hosts, self._host_of,
             self.timeout,
@@ -917,7 +958,7 @@ class ControllerFabric(Link):
             checkpoint_every=self._checkpoint_every,
             note=self._note if self.trace.enabled else None,
             hint=lambda: self._mc_hint(self.window),
-            collect=tuple(sorted(written)))
+            collect=written, cut=written)
         self.lost = ctl.lost
         entries = []
         for coord, name, env in self._initial:
@@ -963,8 +1004,9 @@ class ControllerFabric(Link):
 
     @property
     def restarts(self) -> dict:
-        """Respawn count per worker host (populated by resilient runs)."""
-        return self._sup.restarts
+        """Respawn count per worker host in the last run (populated by
+        resilient runs)."""
+        return self._sup.restarts if self._sup is not None else {}
 
     def _resolve_host(self, spec_place):
         """Fault-spec places name worker *hosts* on this fabric (an

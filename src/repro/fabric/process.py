@@ -56,23 +56,29 @@ completes:
   made is discarded at the destination, while its *new* hops (ones the
   dead original never made) carry unseen keys and proceed;
 * on a ``ckpt`` marker a worker replies — at task-queue quiescence, so
-  no continuation is ever split by the cut — with its full state
-  (node variables, event counts, parked waiters, ready tasks, seen
-  keys); the controller then truncates that host's journal to the
-  entries forwarded after the marker (every inter-host message passes
-  through the journal, which is what makes the per-host cut globally
-  consistent);
+  no continuation is ever split by the cut — with its state (the node
+  variables the run can write, event counts, parked waiters, ready
+  tasks, seen keys); the controller then truncates that host's journal
+  to the entries forwarded after the marker (every inter-host message
+  passes through the journal, which is what makes the per-host cut
+  globally consistent);
 * a dead worker is respawned on a fresh pair from the same setup image,
   restored from its last checkpoint, and replayed from the journal.
 
 Losing a worker therefore loses only the work since its last
 checkpoint, and that work is re-executed deterministically. Without a
 checkpoint the journal reaches back to the first entry continuation
-and replay over the setup image simply re-runs the host's history (a
-``restore`` replaces node variables and event counts wholesale, so
-the image cannot leak into a restored host). Crash specs name *host*
+and replay over the setup image simply re-runs the host's history.
+With one, ``restore`` lays the cut's variables over the image (whose
+other variables are still the loads, since only a ``NodeSet`` writes
+one) and replaces the event counts wholesale. Crash specs name *host*
 indices and fire on wall-clock time or on the global forwarded-hop
 count.
+
+The image is prepared once, in the parent, before the first fork:
+every program's liveness table is solved and every load is in the form
+a frame would deliver, so neither the first worker nor a replacement
+solves a table or copies a load.
 """
 
 from __future__ import annotations

@@ -200,8 +200,11 @@ class FabricResult:
 
     ``places`` maps every PE coordinate to all of its node variables
     after the run. On every fabric a variable the run never wrote is
-    the very object that was loaded; the process and socket fabrics
-    ship back only what some ``NodeSet`` of the programs can write.
+    what was loaded: the very object, except that the process and
+    socket fabrics hand any load but a C-contiguous array back as the
+    codec copy their workers were forked with (a strided view comes
+    back contiguous). Those two ship back only what some ``NodeSet`` of
+    the programs can write.
     """
 
     time: float

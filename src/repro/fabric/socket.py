@@ -466,7 +466,7 @@ class SocketFabric(ControllerFabric):
         self._peer_addrs: dict = {}             # host -> (ip, port)
         self._detectors: dict = {}              # host -> PhiAccrualDetector
         self._hello_evts: dict = {}             # (host, gen) -> Event
-        self._reports: queue.Queue = queue.Queue()
+        self._reports: queue.Queue | None = None    # this run's reports
         self._reg_lock = threading.Lock()
         self._listener: Acceptor | None = None
 
@@ -539,6 +539,11 @@ class SocketFabric(ControllerFabric):
 
     def _open(self) -> None:
         hosts = range(self.n_hosts)
+        # a run's own: the last run's readers queued an EOF per worker
+        # ("gone" in a generation this run's workers may reuse), and
+        # its detectors went silent when those workers stopped
+        self._reports = queue.Queue()
+        self._detectors = {}
         self._listener = Acceptor(("127.0.0.1", 0), self.n_hosts + 4)
         # fork before threads: every worker starts from a
         # single-threaded image of this process, and their hellos

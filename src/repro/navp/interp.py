@@ -31,7 +31,7 @@ from . import ir
 from .kernels import get_kernel
 from .messenger import Messenger
 
-__all__ = ["Interp", "IRMessenger", "run_ir_on_fabric"]
+__all__ = ["Interp", "IRMessenger", "live_table", "run_ir_on_fabric"]
 
 
 class Interp:
@@ -219,7 +219,7 @@ class Interp:
         env = self.env
         if env and stack:
             top = stack[-1]
-            live = _live_cached(ir.get_program(self.program))[top[0], top[1]]
+            live = live_table(ir.get_program(self.program))[top[0], top[1]]
             # all of it live is the common case, and a C-speed copy
             env = env.copy() if env.keys() <= live else {
                 var: val for var, val in env.items() if var in live}
@@ -293,9 +293,11 @@ def _body_cached(prog: ir.Program, path: tuple) -> tuple:
     return body
 
 
-def _live_cached(prog: ir.Program) -> dict:
-    """The program's live-variable table, solved on first use and kept
-    on the Program object like the body cache above."""
+def live_table(prog: ir.Program) -> dict:
+    """The program's live-variable table
+    (:func:`repro.analysis.liveness.live_in`), solved on first use and
+    kept on the Program object like the body cache above — so a process
+    forked after the first call inherits it instead of solving again."""
     table = prog.__dict__.get("_live_cache")
     if table is None:
         # repro.analysis imports this package, so not at module level

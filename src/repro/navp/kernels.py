@@ -42,8 +42,8 @@ def register_kernel(name: str, fn, flops=None) -> None:
 
     ``fn`` must return a new value and leave its arguments untouched:
     IR values are immutable. The process and socket fabrics rely on it
-    — they collect only the node variables a ``NodeSet`` can write and
-    return every other one as the object that was loaded — and
+    — they collect and checkpoint only the node variables a ``NodeSet``
+    can write, and take every other one from the loads — and
     ``tests/test_fabric_setup.py`` calls every kernel the package
     registers on real operands to check it."""
     if name in KERNELS:

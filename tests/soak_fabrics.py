@@ -9,23 +9,26 @@ hosts on the benchmark's five configurations (thread, process, process
 + checkpoints, socket, socket + checkpoints) and on ``process`` and
 ``socket`` + checkpoints with one worker SIGKILLed mid-run (a different
 host and hop every round, so ``replace()`` forks a worker from the
-setup in the fork image with reader threads alive), then
-``build_fig11(2)`` on ``"process"`` with one host per PE — the shape
-whose first hop used to overtake the loads, before the setup was in
-the fork image — all while two busy-loop children keep both cores
-contended. The cyclic collector is off during the rounds (one
-``gc.collect()`` closes each). It exits 1 on any exception, a product
-not bit-equal to the sim fabric's, a fabric still alive after its run
-(it must die by reference counting), a worker process that survived
-its run, a thread count above the starting one, open file descriptors
-above the first round's, or resident memory still climbing by more
-than 1 MB per run once the allocator is warm. Four bugs would each have
-tripped it: the listener thread that pinned every ``SocketFabric``
-(+5–10 MB and +1 thread per run), the plain-mode load/hop race on
-``ProcessFabric`` (1 run in 15 under load), a recursive closure that
-kept every process and socket fabric alive until a full collection,
-and any teardown that forgets a child or a socket. It is the seed of
-ROADMAP item 1's soak rig, not all of it.
+setup in the fork image with reader threads alive), each of those two
+fabric objects run twice, then ``build_fig11(2)`` on ``"process"`` with
+one host per PE — the shape whose first hop used to overtake the loads,
+before the setup was in the fork image — all while two busy-loop
+children keep both cores contended: ten runs a round. The cyclic
+collector is off during the rounds (one ``gc.collect()`` closes each).
+It exits 1 on any exception, a product not bit-equal to the sim
+fabric's, a run whose restarts are not exactly the one its crash
+caused, a fabric still alive after its runs (it must die by reference
+counting), a worker process that survived its run, a thread count above
+the starting one, open file descriptors above the first round's, or
+resident memory still climbing by more than 1 MB per run once the
+allocator is warm. Five bugs would each have tripped it: the listener
+thread that pinned every ``SocketFabric`` (+5–10 MB and +1 thread per
+run), the plain-mode load/hop race on ``ProcessFabric`` (1 run in 15
+under load), a recursive closure that kept every process and socket
+fabric alive until a full collection, a supervisor that outlived its
+run (a second run restored the first one's cuts, or spent its respawn
+budget), and any teardown that forgets a child or a socket. It is the
+seed of ROADMAP item 1's soak rig, not all of it.
 """
 
 from __future__ import annotations
@@ -83,9 +86,10 @@ def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-def _pipeline(kind, options, seed):
-    """One benchmark-shaped run; returns its product, how many workers
-    it respawned and a weak reference to its fabric."""
+def _pipeline(kind, options, seed, runs=1):
+    """``runs`` benchmark-shaped runs of one fabric object; returns
+    ``[(product, restarts per host), ...]``, one per run, and a weak
+    reference to the fabric."""
     suite, _a, _b = build_job_suite("navp-2d-pipeline", 3, seed, 128)
     topology = Grid2D(3)
     fabric = make_fabric(kind, topology, trace=False,
@@ -95,12 +99,14 @@ def _pipeline(kind, options, seed):
     for coord, event, args, count in suite.initial_signals:
         fabric.signal_initial(coord, event, *args, count=count)
     fabric.inject((0, 0), IRMessenger(suite.entry.name))
-    places = fabric.run().places
-    c = np.empty((3 * 128, 3 * 128))
-    for (i, j), node_vars in places.items():
-        c[i * 128:(i + 1) * 128, j * 128:(j + 1) * 128] = node_vars["C"]
-    return (c, sum(getattr(fabric, "restarts", {}).values()),
-            weakref.ref(fabric))
+    results = []
+    for _ in range(runs):
+        places = fabric.run().places
+        c = np.empty((3 * 128, 3 * 128))
+        for (i, j), node_vars in places.items():
+            c[i * 128:(i + 1) * 128, j * 128:(j + 1) * 128] = node_vars["C"]
+        results.append((c, dict(getattr(fabric, "restarts", {}))))
+    return results, weakref.ref(fabric)
 
 
 def main() -> int:
@@ -110,7 +116,7 @@ def main() -> int:
         burner.start()
     failures = []
     try:
-        references = {seed: _pipeline("sim", {}, seed)[0]
+        references = {seed: _pipeline("sim", {}, seed)[0][0][0]
                       for seed in range(4)}
         a, b = random_matrix(16, 1), random_matrix(16, 2)
         fig11_ref, _res = run_ir2d_suite(build_fig11(2, a, b), "sim")
@@ -120,13 +126,19 @@ def main() -> int:
         gc.disable()    # a fabric must die by reference counting alone
         for r in range(ROUNDS):
             for kind, options in CONFIGS + _crashing(r):
-                c, respawns, ref = _pipeline(kind, options, r % 4)
-                if not np.array_equal(c, references[r % 4]):
-                    failures.append(f"round {r}: {kind} {options} product "
-                                    f"differs from the sim fabric's")
-                if respawns != bool(options.get("faults")):
-                    failures.append(f"round {r}: {kind} {options} "
-                                    f"respawned {respawns} worker(s)")
+                # a crashing fabric object runs twice: the second run
+                # must inherit nothing of the first one's recovery
+                crashing = "faults" in options
+                results, ref = _pipeline(kind, options, r % 4,
+                                         runs=2 if crashing else 1)
+                for n, (c, restarts) in enumerate(results, 1):
+                    if not np.array_equal(c, references[r % 4]):
+                        failures.append(f"round {r}: {kind} {options} run "
+                                        f"{n}: product differs from the "
+                                        f"sim fabric's")
+                    if restarts != ({r % 2: 1} if crashing else {}):
+                        failures.append(f"round {r}: {kind} {options} run "
+                                        f"{n}: restarts {restarts}")
                 if ref() is not None:
                     failures.append(f"round {r}: {kind} {options} fabric "
                                     f"outlived its run")
@@ -140,7 +152,7 @@ def main() -> int:
             gc.collect()
             rss.append(_rss_mb())
             fds.append(_open_fds())
-        runs = len(CONFIGS) + 3
+        runs = len(CONFIGS) + 2 * 2 + 1     # + fig11
         if threading.active_count() > threads:
             names = [t.name for t in threading.enumerate()]
             failures.append(f"{len(names)} threads, started with "

@@ -8,7 +8,9 @@ delivers their reports in one deterministic order, and "loses" host
 *h* when the *k*-th event is received. That turns crash testing from
 sampling (SIGKILL and see which interleaving the OS picks) into
 enumeration: every (*h*, *k*) of the run and collect phases, and a
-resume from every cut bundle.
+resume from every cut bundle. :class:`ImageLink` drives the same loop
+as a fabric does — hosts seeded from a setup image, cuts carrying only
+the written variables — under the same enumeration.
 
 Also here: the structural test that keeps it *one* loop.
 """
@@ -22,10 +24,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.visitor import walk_stmts
 from repro.fabric.controller import (Controller, Link, Supervisor,
                                      WorkerCore)
 from repro.fabric.hosts import cyclic_hosts, resolve_hosts
 from repro.fabric.topology import Grid2D
+from repro.navp import ir
 from repro.resilience.recovery import RecoveryPolicy
 from repro.serve import build_job_suite
 
@@ -110,6 +114,21 @@ class ScriptedLink(Link):
         return self.reports.popleft()[1]
 
 
+class ImageLink(ScriptedLink):
+    """A :class:`ScriptedLink` whose hosts start from a setup image, as
+    a fabric's forked workers do: every core — the first and each
+    replacement — is seeded with its own copy of its host's loads and
+    initial signals before it reads a command, and none is sent."""
+
+    def __init__(self, host_of, image, lose=None, stale="kept"):
+        self.image = image              # host -> setup commands
+        super().__init__(host_of, lose, stale)
+
+    def replace(self, host):
+        super().replace(host)
+        self.cores[host].seed(wire(self.image[host]))
+
+
 def assemble(places, g):
     c = np.empty((g * AB, g * AB))
     for (i, j), node_vars in places.items():
@@ -127,21 +146,43 @@ class Job:
         topology = Grid2D(g)
         self.host_of = resolve_hosts(topology,
                                      cyclic_hosts(topology, hosts))
+        #: what a fabric collects and cuts: the closure's NodeSet names
+        self.written = tuple(sorted({
+            stmt.name for program in self.suite.programs
+            for _path, stmt in walk_stmts(program.body)
+            if isinstance(stmt, ir.NodeSet)}))
+        #: each host's setup, as a fabric forks it
+        self.image = {h: [("load", c, node_vars)
+                          for c, node_vars in self.suite.layout.items()
+                          if self.host_of[c] == h]
+                      + [("signal0", s) for s in self.suite.initial_signals
+                         if self.host_of[s[0]] == h]
+                      for h in range(hosts)}
 
-    def controller(self, link, max_restarts=2, every=2, on_cut=None):
+    def controller(self, link, max_restarts=2, every=2, on_cut=None,
+                   names=None):
         return Controller(
             link, "scripted", self.hosts, self.host_of, 5.0,
             sup=Supervisor(RecoveryPolicy(), max_restarts),
-            window=2, coalesce=2, checkpoint_every=every, on_cut=on_cut)
+            window=2, coalesce=2, checkpoint_every=every, on_cut=on_cut,
+            collect=names, cut=names)
 
     def drive(self, lose=None, stale="kept", resume=None, every=2,
-              on_cut=None):
-        link = ScriptedLink(self.host_of, lose, stale)
-        ctl = self.controller(link, every=every, on_cut=on_cut)
-        places = ctl.run(self.suite.layout.items(),
-                         self.suite.initial_signals,
-                         [("m0", (0, 0), self.suite.entry.name, {})],
-                         resume=resume)
+              on_cut=None, image=False):
+        """Seed by command, or (``image``) drive as a fabric does: hosts
+        seeded from their image, collect and cuts by written name."""
+        entries = [("m0", (0, 0), self.suite.entry.name, {})]
+        if image:
+            link = ImageLink(self.host_of, self.image, lose, stale)
+            ctl = self.controller(link, every=every, on_cut=on_cut,
+                                  names=self.written)
+            places = ctl.run((), (), entries, resume=resume)
+        else:
+            link = ScriptedLink(self.host_of, lose, stale)
+            ctl = self.controller(link, every=every, on_cut=on_cut)
+            places = ctl.run(self.suite.layout.items(),
+                             self.suite.initial_signals, entries,
+                             resume=resume)
         digest = hashlib.sha256(
             assemble(places, self.g).tobytes()).hexdigest()
         return digest, ctl, link
@@ -206,6 +247,37 @@ def test_every_crash_point_recovers_bit_identical(job, clean, stale, every):
 
 
 @pytest.mark.parametrize("stale", ["kept", "dropped"])
+def test_every_crash_point_recovers_over_the_image(job, clean, stale):
+    """Drive as a fabric does: each host — a replacement too — starts
+    from its setup image, and a cut carries only the variables some
+    ``NodeSet`` of the closure writes. Losing each host at each event
+    index still reaches the same bits, because ``restore`` lays the cut
+    over the image: a replacement keeps the loads the cut left out."""
+    _digest, ctl, link = job.drive(image=True)
+    events, collect_at = link.received, link.collect_at
+    assert 15 < collect_at < events
+    # cuts were taken, and there were loads for them to leave out
+    assert ctl.sup.ckpt_state
+    assert {name for node_vars in job.suite.layout.values()
+            for name in node_vars} - set(job.written)
+    for node_vars, *_rest in ctl.sup.ckpt_state.values():
+        for held in node_vars.values():
+            assert set(held) <= set(job.written), set(held)
+    for k in range(1, events + 1):
+        for h in range(job.hosts):
+            digest, ctl, link = job.drive(lose=(h, k), stale=stale,
+                                          image=True)
+            where = f"host {h} lost at event {k} ({stale})"
+            assert digest == clean["digest"], where
+            assert dict(ctl.sup.restarts) == {h: 1}, where
+            assert ctl.known == ctl.done, where
+            for core in link.cores.values():    # the replacement too
+                for coord, held in core.node_vars.items():
+                    assert job.suite.layout[coord].keys() <= held.keys(), \
+                        f"{where}: {coord} lost a load"
+
+
+@pytest.mark.parametrize("stale", ["kept", "dropped"])
 def test_a_cut_never_overtakes_hops_held_at_the_gate(stale):
     """g=3 on 2 hosts fills the credit window (2), so cuts open while
     hops sit journaled but unsent at the gate. A marker that covered
@@ -248,7 +320,6 @@ def test_exhausted_budget_fails_the_drive(job):
 def suite_without_c_at(coord, g=2):
     """A do-nothing tour over a layout that omits ``C`` at ``coord``."""
     from repro.matmul.ir2d import IR2DSuite
-    from repro.navp import ir
 
     entry = ir.register_program(ir.Program("tour-without-c", (
         ir.For("i", ir.Const(g), (ir.For("j", ir.Const(g), (

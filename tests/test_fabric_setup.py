@@ -1,10 +1,11 @@
-"""A forked worker starts with its data; a run collects what it wrote.
+"""A forked worker starts with its data and redoes nothing the parent did.
 
 ``ProcessFabric`` and ``SocketFabric`` hand each worker its host's setup
 (programs, loads, initial signals) in the fork image instead of sending
-it, and collect only the node variables some ``NodeSet`` of the
-injection closure can write; every other variable of
-``FabricResult.places`` is the object that was loaded. Pinned here:
+it — liveness tables solved and loads in wire form, once, in the parent
+— and collect and checkpoint only the node variables some ``NodeSet``
+of the injection closure can write; every other variable of
+``FabricResult.places`` is the load. Pinned here:
 
 * the contract that makes the second half sound — no kernel mutates its
   arguments (IR values are immutable);
@@ -13,14 +14,21 @@ injection closure can write; every other variable of
 * ``places`` — every key and every value, not just ``C`` — is
   bit-identical to the sim fabric's for every catalog program;
 * a replacement worker, forked from the same image, recovers a crash
-  before the first committed cut and one after it.
+  before the first committed cut and after the first and the second;
+* a fabric run twice is right twice;
+* nothing twice: no worker solves a liveness table, a strided load is
+  made contiguous in the parent (a contiguous one is kept as given),
+  and a fabric cut carries the written variables alone — while a serve
+  cut, whose replacement has no image, stays whole.
 """
 
+import os
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from repro.analysis import liveness
 from repro.analysis.visitor import walk_stmts
 from repro.fabric import Grid2D, make_fabric
 from repro.fabric.controller import Supervisor
@@ -174,37 +182,134 @@ def test_every_variable_matches_the_sim_fabric(program, g, kind, mode):
 
 # -- recovery over the image -------------------------------------------------------
 
-@pytest.mark.parametrize("committed", [False, True],
-                         ids=["before-first-commit", "after-first-commit"])
+@pytest.mark.parametrize("commits", [0, 1, 2], ids=[
+    "before-first-commit", "after-first-commit", "after-second-commit"])
 @pytest.mark.parametrize("kind", ["process", "socket"])
-def test_a_replacement_forks_with_the_image(kind, committed, monkeypatch):
+def test_a_replacement_forks_with_the_image(kind, commits, monkeypatch):
     """Before the first commit a replacement has only its image and the
-    journal; after it, ``restore`` replaces the image's node variables
-    and event counts wholesale. Both finish with the sim product.
+    journal; after one, ``restore`` lays the cut — the written
+    variables alone — over the image's node variables and replaces its
+    event counts. Every case finishes with the sim product.
 
     Host 1 dies at the first forwarded hop (no cut is open yet), or the
-    moment its first cut commits."""
-    plan = None if committed else FaultPlan(
+    moment its first or its second cut commits."""
+    plan = None if commits else FaultPlan(
         faults=(Crash(place=1, at_hop=1),))
     fabric, _suite = _fabric(kind, "navp-2d-pipeline", 3, faults=plan,
                              checkpoint_every=8, trace=True)
-    if committed:
-        crashed = []
+    if commits:
+        committed, crashed = [], []
         commit = Supervisor.commit_checkpoint
 
         def commit_then_crash(sup, host, cid, state):
             commit(sup, host, cid, state)
             if host == 1 and not crashed:
-                crashed.append(fabric.crash(1))
+                committed.append(cid)
+                if len(committed) == commits:
+                    crashed.append(fabric.crash(1))
 
         monkeypatch.setattr(Supervisor, "commit_checkpoint",
                             commit_then_crash)
     result = fabric.run()
     assert fabric.restarts[1] == 1
-    # did host 1 have a committed cut to be restored from?
+    # how many cuts had host 1 committed when it was respawned? (a reply
+    # it sent before the SIGKILL landed may still commit one more)
     seen = [(event.kind, event.place) for event in result.trace.events]
-    assert (("checkpoint", 1) in seen[:seen.index(("respawn", 1))]
-            ) == committed
+    restored = seen[:seen.index(("respawn", 1))].count(("checkpoint", 1))
+    assert restored >= commits if commits else restored == 0
     _assert_bit_identical(result.places, _sim_places("navp-2d-pipeline", 3),
-                          f"{kind}, {'after' if committed else 'before'} "
-                          f"host 1's first commit")
+                          f"{kind}, host 1 lost after {commits} commit(s)")
+
+
+# -- a fabric run twice ------------------------------------------------------------
+
+@pytest.mark.parametrize("crash", [False, True], ids=["plain", "crashing"])
+@pytest.mark.parametrize("kind", ["process", "socket"])
+def test_a_fabric_run_twice_is_right_twice(kind, crash):
+    """Each run has its own supervisor, reports and failure detectors.
+    When they outlived the run, the second run restored the first one's
+    cuts (a wrong product on ``process``), counted its restarts against
+    the respawn budget, and read its workers' EOFs and silent
+    heartbeats as losses (``socket``)."""
+    options = ({"checkpoint_every": 4,
+                "faults": FaultPlan([Crash(1, at_hop=3)])} if crash else {})
+    fabric, _suite = _fabric(kind, "navp-2d-pipeline", 3, **options)
+    for run in (1, 2):
+        places = fabric.run().places
+        _assert_bit_identical(places, _sim_places("navp-2d-pipeline", 3),
+                              f"{kind}, run {run}")
+        assert dict(fabric.restarts) == ({1: 1} if crash else {}), run
+
+
+# -- nothing twice -----------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", ["process", "socket"])
+def test_no_worker_solves_a_liveness_table(kind, mode, monkeypatch):
+    """The parent solves every program's table before it forks; a
+    worker that solved one would fail its run here."""
+    parent, solved = os.getpid(), []
+    solve = liveness.live_in
+
+    def parent_only(program):
+        if os.getpid() != parent:
+            raise AssertionError(f"a worker solved {program.name}'s table")
+        solved.append(program.name)
+        return solve(program)
+
+    monkeypatch.setattr(liveness, "live_in", parent_only)
+    fabric, suite = _fabric(kind, "navp-2d-pipeline", 3, **MODES[mode])
+    for program in suite.programs:      # no table left by an earlier test
+        ir.get_program(program.name).__dict__.pop("_live_cache", None)
+    _assert_bit_identical(fabric.run().places,
+                          _sim_places("navp-2d-pipeline", 3), f"{kind}")
+    assert sorted(solved) == sorted(p.name for p in suite.programs)
+
+
+@pytest.mark.parametrize("kind", ["process", "socket"])
+def test_loads_are_in_wire_form_after_run(kind):
+    """A C-contiguous load stays the object given; any other load is
+    copied into its contiguous wire form once, in the parent."""
+    fabric, _suite = _fabric(kind, "navp-2d-pipeline", 3)
+    base = np.arange(64.0).reshape(8, 8)
+    strided, contiguous = base[:, ::2], base[2:4]
+    fabric.load((1, 1), S=strided, K=contiguous)
+    held = fabric.run().places[(1, 1)]
+    assert held["K"] is contiguous
+    assert held["S"] is not strided and held["S"].flags.c_contiguous
+    assert np.array_equal(held["S"], strided)
+
+
+@pytest.mark.parametrize("kind", ["process", "socket"])
+def test_a_fabric_cut_carries_only_the_written_variables(kind, monkeypatch):
+    states = []
+    commit = Supervisor.commit_checkpoint
+
+    def recording_commit(sup, host, cid, state):
+        states.append(state)
+        commit(sup, host, cid, state)
+
+    monkeypatch.setattr(Supervisor, "commit_checkpoint", recording_commit)
+    fabric, _suite = _fabric(kind, "navp-2d-pipeline", 3, checkpoint_every=4)
+    fabric.run()
+    assert states
+    for node_vars, *_rest in states:
+        for held in node_vars.values():
+            assert set(held) <= {"C", "Bslot"}, set(held)
+
+
+def test_a_serve_cut_still_carries_every_variable():
+    """A pool worker is not forked from the job's setup, so a serve cut
+    (and the bundle a restarted daemon resumes from) stays whole —
+    ``A`` and ``B`` included, although no hop of the job writes them."""
+    from repro.serve import ServeClient
+    from tests.test_serve_service import serving
+
+    with serving(pool_size=2, mc_admission=False) as service:
+        with ServeClient(service.addr) as client:
+            jid = client.submit("mpi-gentleman", g=3, ab=4, workers=2)
+            assert client.wait(jid, timeout=60.0)["state"] == "completed"
+        bundle = service.store.load(f"cut:{jid}")
+    for node_vars, *_rest in bundle["states"].values():
+        for held in node_vars.values():
+            assert {"A", "B", "C"} <= set(held), set(held)
