@@ -33,8 +33,8 @@ whole continuation.
 
 :func:`live_in` solves every point of a program at once. Its one
 runtime caller, :func:`repro.navp.interp.live_table`, memoizes the
-table on the :class:`~repro.navp.ir.Program` object like the
-interpreter's body cache: a warm pool worker pays once per program for
+table on the :class:`~repro.navp.ir.Program` object beside the
+program's compiled code: a warm pool worker pays once per program for
 its lifetime, a process that never snapshots a continuation of the
 program pays nothing, and a controller fabric solves its programs'
 tables before it forks, so no forked worker solves one.

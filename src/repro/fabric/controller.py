@@ -75,7 +75,7 @@ from ..errors import (ConfigurationError, DeadlockError, FabricError,
                       MigrationError, ResilienceError)
 from ..machine.presets import SUN_BLADE_100
 from ..navp import ir
-from ..navp.interp import Interp, live_table
+from ..navp.interp import Interp, code_table, live_table
 from ..navp.kernels import get_kernel
 from ..navp.messenger import Messenger
 from ..resilience.faults import STATS as FAULT_STATS
@@ -876,7 +876,8 @@ class ControllerFabric(Link):
     frame — so only entry continuations, hops, cuts and results move.
     Whatever a worker would otherwise redo, :meth:`run` does once
     before the first fork: it solves every program's liveness table
-    (:func:`~repro.navp.interp.live_table`) and puts every load in the
+    (:func:`~repro.navp.interp.live_table`), compiles every program
+    (:func:`~repro.navp.interp.code_table`) and puts every load in the
     form a frame would deliver — a C-contiguous array stays the object
     given, anything else becomes its contiguous codec round trip.
 
@@ -943,6 +944,7 @@ class ControllerFabric(Link):
         # to the first one and to each replacement
         for program in self._programs.values():
             live_table(program)
+            code_table(program)
         for node_vars in self._loads.values():
             for name, value in node_vars.items():
                 node_vars[name] = _wire_form(value)

@@ -86,9 +86,11 @@ def build_gentleman_ir(g: int, a=None, b=None, seed: int = 80,
             ir.For("r", C(g), (
                 ir.WaitStmt("EA", (V("r"),)),
                 ir.WaitStmt("EB", (V("r"),)),
+                # the keyed entry, not the whole slot dictionary: a
+                # later round's carrier may be writing another key
                 *_accumulate_c(
-                    ir.Index(ir.NodeGet("Aslot"), (V("r"),)),
-                    ir.Index(ir.NodeGet("Bslot"), (V("r"),)),
+                    ir.NodeGet("Aslot", (V("r"),)),
+                    ir.NodeGet("Bslot", (V("r"),)),
                 ),
             )),
         ),

@@ -5,6 +5,17 @@ name, a control stack of (path, pc, loop) frames addressing positions
 in the program tree, and the agent environment. All three are plain
 picklable data — this is what the process fabric ships on a hop.
 
+Each registered program is compiled once, at first use, into closures
+(:func:`code_table`): every statement list of the tree becomes a tuple
+of one callable per statement, keyed by its path, and every expression
+a callable with its ``Var``/``Const`` leaves folded into its parent. A
+continuation's ``(path, pc)`` therefore names a compiled step — the
+literal form of MESSENGERS' compiled resumption points — and
+:meth:`Interp.next_action` is a walk along those tuples. The code lives
+on the :class:`~repro.navp.ir.Program` beside its liveness table, holds
+no reference back to it, and never reaches a pickle: what moves is
+still only the continuation.
+
 The interpreter communicates with its host (an :class:`IRMessenger` on
 the sim/thread fabrics, or a worker loop on the process fabric) through
 :func:`Interp.next_action`: free statements (loops, assignments, node
@@ -24,6 +35,7 @@ Action tuples::
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from ..errors import ConfigurationError, FabricError
@@ -31,7 +43,8 @@ from . import ir
 from .kernels import get_kernel
 from .messenger import Messenger
 
-__all__ = ["Interp", "IRMessenger", "live_table", "run_ir_on_fabric"]
+__all__ = ["Interp", "IRMessenger", "code_table", "live_table",
+           "run_ir_on_fabric"]
 
 
 class Interp:
@@ -47,161 +60,57 @@ class Interp:
         # beyond a single identity test.
         self.tracer = None
 
-    # -- expression evaluation -----------------------------------------
     def eval(self, expr: ir.Expr, node_vars: dict) -> Any:
-        # Exact-type tests first (Const/Var dominate every workload);
-        # subclasses of the IR nodes fall through to isinstance below.
-        cls = expr.__class__
-        if cls is ir.Const:
-            return expr.value
-        if cls is ir.Var:
-            try:
-                return self.env[expr.name]
-            except KeyError:
-                raise FabricError(
-                    f"agent variable {expr.name!r} is unbound in "
-                    f"{self.program}"
-                ) from None
-        if cls is ir.Bin:
-            return ir._BIN_OPS[expr.op](
-                self.eval(expr.left, node_vars),
-                self.eval(expr.right, node_vars))
-        return self._eval_slow(expr, node_vars)
-
-    def _eval_slow(self, expr: ir.Expr, node_vars: dict) -> Any:
-        if isinstance(expr, ir.NodeGet):
-            key = self._key(expr.idx, node_vars)
-            store = node_vars.get(expr.name)
-            if store is None:
-                raise FabricError(
-                    f"node variable {expr.name!r} absent at this PE"
-                )
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.on_read(expr.name, key)
-            return store[key] if key is not None else store
-        if isinstance(expr, ir.Index):
-            base = self.eval(expr.base, node_vars)
-            key = self._key(expr.idx, node_vars)
-            return base[key]
-        if isinstance(expr, ir.Const):
-            return expr.value
-        if isinstance(expr, ir.Var):
-            try:
-                return self.env[expr.name]
-            except KeyError:
-                raise FabricError(
-                    f"agent variable {expr.name!r} is unbound in "
-                    f"{self.program}"
-                ) from None
-        if isinstance(expr, ir.Bin):
-            return ir._BIN_OPS[expr.op](
-                self.eval(expr.left, node_vars),
-                self.eval(expr.right, node_vars))
-        raise ConfigurationError(f"unknown expression {expr!r}")
-
-    def _key(self, idx: tuple, node_vars: dict):
-        if not idx:
-            return None
-        vals = tuple(self.eval(e, node_vars) for e in idx)
-        return vals[0] if len(vals) == 1 else vals
+        """Evaluate one expression here, compiled by the same compiler
+        as the program's statements."""
+        return _expr(expr, self.program)(self.env, node_vars, self.tracer)
 
     # -- control ------------------------------------------------------------
     @property
     def done(self) -> bool:
         return not self.stack
 
-    def _program(self) -> ir.Program:
-        return ir.get_program(self.program)
-
     def next_action(self, node_vars: dict):
-        """Advance to the next effect; None when the program finished."""
+        """Advance to the next effect; None when the program finished.
+
+        A step returns None (free statement: go on), a new frame (a
+        ``For``/``If`` entered a body) or the action tuple to report.
+        ``frame[1]`` is written whenever control leaves the frame.
+        """
         prog = ir.get_program(self.program)
+        code = code_table(prog)
         env = self.env
         stack = self.stack
-        evaluate = self.eval
         tracer = self.tracer
         while stack:
             frame = stack[-1]
             path, pc, loop = frame
-            body = _body_cached(prog, path)
-            if pc >= len(body):
+            body = code.get(path)
+            if body is None:
+                raise _no_body(prog, path)
+            n = len(body)
+            while True:
+                if pc < n:
+                    if tracer is not None:
+                        tracer.site = (path, pc)
+                    out = body[pc](env, node_vars, tracer)
+                    pc += 1
+                    if out is None:
+                        continue
+                    frame[1] = pc
+                    if out.__class__ is list:
+                        stack.append(out)
+                        break
+                    return out
                 if loop is not None:
                     var, count = loop
-                    env[var] += 1
-                    if env[var] < count:
-                        frame[1] = 0
+                    i = env[var] + 1
+                    env[var] = i
+                    if i < count:
+                        pc = 0
                         continue
                 stack.pop()
-                continue
-
-            stmt = body[pc]
-            code = _STMT_CODES.get(stmt.__class__)
-            if code is None:
-                code = _resolve_stmt(stmt.__class__)
-            if tracer is not None:
-                tracer.site = (path, pc)
-
-            if code == _ASSIGN:
-                env[stmt.var] = evaluate(stmt.expr, node_vars)
-                frame[1] = pc + 1
-                continue
-
-            if code == _FOR:
-                frame[1] = pc + 1
-                count = evaluate(stmt.count, node_vars)
-                if count > 0:
-                    env[stmt.var] = 0
-                    stack.append([path + (pc,), 0, (stmt.var, count)])
-                continue
-
-            if code == _IF:
-                frame[1] = pc + 1
-                if evaluate(stmt.cond, node_vars):
-                    target, branch = stmt.then, "then"
-                else:
-                    target, branch = stmt.orelse, "else"
-                if target:
-                    stack.append([path + ((pc, branch),), 0, None])
-                continue
-
-            if code == _NODESET:
-                key = self._key(stmt.idx, node_vars)
-                value = evaluate(stmt.expr, node_vars)
-                if key is None:
-                    node_vars[stmt.name] = value
-                else:
-                    node_vars.setdefault(stmt.name, {})[key] = value
-                if tracer is not None:
-                    tracer.on_write(stmt.name, key)
-                frame[1] = pc + 1
-                continue
-
-            # effectful statements: advance past, then report
-            frame[1] = pc + 1
-
-            if code == _HOP:
-                coord = tuple(evaluate(e, node_vars) for e in stmt.place)
-                return ("hop", coord)
-            if code == _COMPUTE:
-                argvals = tuple(
-                    evaluate(e, node_vars) for e in stmt.args)
-                return ("compute", stmt.kernel, argvals, stmt.out, stmt.kind)
-            if code == _WAIT:
-                args = tuple(evaluate(e, node_vars) for e in stmt.args)
-                return ("wait", stmt.event, args)
-            if code == _SIGNAL:
-                args = tuple(evaluate(e, node_vars) for e in stmt.args)
-                return ("signal", stmt.event, args,
-                        evaluate(stmt.count, node_vars))
-            if code == _INJECT:
-                child_env = {
-                    var: evaluate(e, node_vars)
-                    for var, e in stmt.bindings
-                }
-                return ("inject", stmt.program, child_env)
-
-            raise ConfigurationError(f"unknown statement {stmt!r}")
+                break
         return None
 
     def agent_snapshot(self) -> tuple:
@@ -252,52 +161,29 @@ def _bad_snapshot(arrived: str) -> ConfigurationError:
         f"got {arrived}")
 
 
-# Statement opcodes: exact class -> code, with an isinstance fallback so
-# IR subclasses dispatch like their base (resolved once, then cached).
-(_ASSIGN, _FOR, _IF, _NODESET, _HOP,
- _COMPUTE, _WAIT, _SIGNAL, _INJECT) = range(9)
-
-_STMT_CODES: dict = {
-    ir.Assign: _ASSIGN,
-    ir.For: _FOR,
-    ir.If: _IF,
-    ir.NodeSet: _NODESET,
-    ir.HopStmt: _HOP,
-    ir.ComputeStmt: _COMPUTE,
-    ir.WaitStmt: _WAIT,
-    ir.SignalStmt: _SIGNAL,
-    ir.InjectStmt: _INJECT,
-}
-
-_STMT_BASES = tuple(_STMT_CODES.items())
+def _no_body(prog: ir.Program, path) -> ConfigurationError:
+    ir.body_at(prog, path)      # names the bad step when there is one
+    return ConfigurationError(
+        f"path {path!r} addresses no statement list in {prog.name}")
 
 
-def _resolve_stmt(cls):
-    for base, code in _STMT_BASES:
-        if issubclass(cls, base):
-            _STMT_CODES[cls] = code
-            return code
-    return None
-
-
-def _body_cached(prog: ir.Program, path: tuple) -> tuple:
-    """``ir.body_at`` memoized on the Program object itself, so the
-    cache's lifetime (and invalidation) is simply the program's."""
-    cache = prog.__dict__.get("_body_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(prog, "_body_cache", cache)
-    body = cache.get(path)
-    if body is None:
-        body = cache[path] = ir.body_at(prog, path)
-    return body
+def code_table(prog: ir.Program) -> dict:
+    """The program compiled: ``{path: (step, ...)}`` for every
+    statement list, built on first use and kept on the Program beside
+    its liveness table — so a process forked after the first call
+    inherits it instead of compiling again."""
+    code = prog.__dict__.get("_code")
+    if code is None:
+        code = _compile(prog.name, prog.body)
+        object.__setattr__(prog, "_code", code)
+    return code
 
 
 def live_table(prog: ir.Program) -> dict:
     """The program's live-variable table
     (:func:`repro.analysis.liveness.live_in`), solved on first use and
-    kept on the Program object like the body cache above — so a process
-    forked after the first call inherits it instead of solving again."""
+    kept on the Program object like its code (:func:`code_table`), and
+    inherited the same way by a process forked after the first call."""
     table = prog.__dict__.get("_live_cache")
     if table is None:
         # repro.analysis imports this package, so not at module level
@@ -305,6 +191,291 @@ def live_table(prog: ir.Program) -> dict:
         table = live_in(prog)
         object.__setattr__(prog, "_live_cache", table)
     return table
+
+
+# --------------------------------------------------------------------------
+# the compiler
+#
+# An expression compiles to ``fn(env, node_vars, tracer) -> value``, a
+# statement to ``step(env, node_vars, tracer)`` returning what
+# next_action expects. Closures capture names, values and other
+# closures, never the Program. IR subclasses dispatch like their base,
+# and a node of no known kind compiles to a closure that raises when it
+# executes, so one in a branch never taken is harmless.
+# --------------------------------------------------------------------------
+
+_EXPR_KINDS = (ir.NodeGet, ir.Index, ir.Const, ir.Var, ir.Bin)
+_STMT_KINDS = (ir.Assign, ir.For, ir.If, ir.NodeSet, ir.HopStmt,
+               ir.ComputeStmt, ir.WaitStmt, ir.SignalStmt, ir.InjectStmt)
+
+
+def _kind(node, kinds):
+    for base in kinds:
+        if isinstance(node, base):
+            return base
+    return None
+
+
+def _unbound(name: str, program: str) -> FabricError:
+    return FabricError(
+        f"agent variable {name!r} is unbound in {program}")
+
+
+def _missing(names, env, program: str) -> FabricError:
+    """The error for the first of ``names`` (in evaluation order) that
+    ``env`` lacks."""
+    return _unbound(next(n for n in names if n not in env), program)
+
+
+def _absent(name: str) -> FabricError:
+    return FabricError(f"node variable {name!r} absent at this PE")
+
+
+def _compile(program: str, body) -> dict:
+    code: dict = {}
+    todo = [((), body)]
+    while todo:
+        path, stmts = todo.pop()
+        code[path] = tuple(_step(stmt, path, pc, program, todo)
+                           for pc, stmt in enumerate(stmts))
+    return code
+
+
+def _expr(expr, program: str):
+    kind = _kind(expr, _EXPR_KINDS)
+    if kind is ir.Const:
+        value = expr.value
+        return lambda env, nv, tr: value
+    if kind is ir.Var:
+        name = expr.name
+
+        def var(env, nv, tr):
+            try:
+                return env[name]
+            except KeyError:
+                raise _unbound(name, program) from None
+        return var
+    if kind is ir.Bin:
+        return _bin(expr, program)
+    if kind is ir.NodeGet:
+        return _node_get(expr, program)
+    if kind is ir.Index:
+        return _index(expr, program)
+
+    def unknown(env, nv, tr):
+        raise ConfigurationError(f"unknown expression {expr!r}")
+    return unknown
+
+
+def _bin(expr, program: str):
+    op = ir._BIN_OPS[expr.op]
+    left, right = expr.left, expr.right
+    lk = _kind(left, _EXPR_KINDS)
+    rk = _kind(right, _EXPR_KINDS)
+    if lk is ir.Var and rk is ir.Var:
+        a, b = left.name, right.name
+
+        def vv(env, nv, tr):
+            try:
+                x = env[a]
+                y = env[b]
+            except KeyError:
+                raise _missing((a, b), env, program) from None
+            return op(x, y)
+        return vv
+    if lk is ir.Var and rk is ir.Const:
+        a, b = left.name, right.value
+
+        def vc(env, nv, tr):
+            try:
+                x = env[a]
+            except KeyError:
+                raise _unbound(a, program) from None
+            return op(x, b)
+        return vc
+    lf = _expr(left, program)
+    if rk is ir.Const:
+        b = right.value
+        return lambda env, nv, tr: op(lf(env, nv, tr), b)
+    if rk is ir.Var:
+        b = right.name
+
+        def fv(env, nv, tr):
+            x = lf(env, nv, tr)
+            try:
+                y = env[b]
+            except KeyError:
+                raise _unbound(b, program) from None
+            return op(x, y)
+        return fv
+    rf = _expr(right, program)
+    return lambda env, nv, tr: op(lf(env, nv, tr), rf(env, nv, tr))
+
+
+def _key(idx: tuple, program: str):
+    """A node-variable or subscript key: None for ``()``, the value for
+    one index, a tuple for several."""
+    if not idx:
+        return None
+    if len(idx) == 1:
+        return _expr(idx[0], program)
+    return _tuple(idx, program)
+
+
+def _tuple(exprs, program: str):
+    if not exprs:
+        return lambda env, nv, tr: ()
+    if len(exprs) > 1 and all(_kind(e, _EXPR_KINDS) is ir.Var
+                              for e in exprs):
+        names = tuple(e.name for e in exprs)
+        get = itemgetter(*names)    # one C call builds the whole tuple
+
+        def all_vars(env, nv, tr):
+            try:
+                return get(env)
+            except KeyError:
+                raise _missing(names, env, program) from None
+        return all_vars
+    fns = tuple(_expr(e, program) for e in exprs)
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda env, nv, tr: (f(env, nv, tr),)
+    if len(fns) == 2:
+        f, g = fns
+        return lambda env, nv, tr: (f(env, nv, tr), g(env, nv, tr))
+    return lambda env, nv, tr: tuple([f(env, nv, tr) for f in fns])
+
+
+def _node_get(expr, program: str):
+    name = expr.name
+    keyf = _key(expr.idx, program)
+    if keyf is None:
+        def whole(env, nv, tr):
+            store = nv.get(name)
+            if store is None:
+                raise _absent(name)
+            if tr is not None:
+                tr.on_read(name, None)
+            return store
+        return whole
+
+    def entry(env, nv, tr):
+        key = keyf(env, nv, tr)
+        store = nv.get(name)
+        if store is None:
+            raise _absent(name)
+        if tr is not None:
+            tr.on_read(name, key)
+        return store[key] if key is not None else store
+    return entry
+
+
+def _index(expr, program: str):
+    basef = _expr(expr.base, program)
+    keyf = _key(expr.idx, program)
+    if keyf is None:
+        return lambda env, nv, tr: basef(env, nv, tr)[None]
+    return lambda env, nv, tr: basef(env, nv, tr)[keyf(env, nv, tr)]
+
+
+def _step(stmt, path: tuple, pc: int, program: str, todo: list):
+    kind = _kind(stmt, _STMT_KINDS)
+    if kind is ir.Assign:
+        var = stmt.var
+        f = _expr(stmt.expr, program)
+
+        def assign(env, nv, tr):
+            env[var] = f(env, nv, tr)
+        return assign
+
+    if kind is ir.For:
+        var = stmt.var
+        countf = _expr(stmt.count, program)
+        body_path = path + (pc,)
+        todo.append((body_path, stmt.body))
+
+        def loop(env, nv, tr):
+            count = countf(env, nv, tr)
+            if count > 0:
+                env[var] = 0
+                return [body_path, 0, (var, count)]
+            return None
+        return loop
+
+    if kind is ir.If:
+        condf = _expr(stmt.cond, program)
+        then_path = path + ((pc, "then"),)
+        else_path = path + ((pc, "else"),)
+        todo.extend(((then_path, stmt.then), (else_path, stmt.orelse)))
+        # an empty branch pushes no frame
+        then_path = then_path if stmt.then else None
+        else_path = else_path if stmt.orelse else None
+
+        def branch(env, nv, tr):
+            target = then_path if condf(env, nv, tr) else else_path
+            return None if target is None else [target, 0, None]
+        return branch
+
+    if kind is ir.NodeSet:
+        name = stmt.name
+        keyf = _key(stmt.idx, program)
+        valuef = _expr(stmt.expr, program)
+        if keyf is None:
+            def store_whole(env, nv, tr):
+                nv[name] = valuef(env, nv, tr)
+                if tr is not None:
+                    tr.on_write(name, None)
+            return store_whole
+
+        def store_entry(env, nv, tr):
+            key = keyf(env, nv, tr)
+            value = valuef(env, nv, tr)
+            if key is None:
+                nv[name] = value
+            else:
+                nv.setdefault(name, {})[key] = value
+            if tr is not None:
+                tr.on_write(name, key)
+        return store_entry
+
+    if kind is ir.HopStmt:
+        placef = _tuple(stmt.place, program)
+        return lambda env, nv, tr: ("hop", placef(env, nv, tr))
+
+    if kind is ir.ComputeStmt:
+        kernel, out, cost = stmt.kernel, stmt.out, stmt.kind
+        argsf = _tuple(stmt.args, program)
+        return lambda env, nv, tr: (
+            "compute", kernel, argsf(env, nv, tr), out, cost)
+
+    if kind is ir.WaitStmt:
+        event = stmt.event
+        if not stmt.args:
+            action = ("wait", event, ())
+            return lambda env, nv, tr: action
+        argsf = _tuple(stmt.args, program)
+        return lambda env, nv, tr: ("wait", event, argsf(env, nv, tr))
+
+    if kind is ir.SignalStmt:
+        event = stmt.event
+        if not stmt.args and _kind(stmt.count, _EXPR_KINDS) is ir.Const:
+            action = ("signal", event, (), stmt.count.value)
+            return lambda env, nv, tr: action
+        argsf = _tuple(stmt.args, program)
+        countf = _expr(stmt.count, program)
+        return lambda env, nv, tr: (
+            "signal", event, argsf(env, nv, tr), countf(env, nv, tr))
+
+    if kind is ir.InjectStmt:
+        child = stmt.program
+        bindings = tuple((var, _expr(e, program))
+                         for var, e in stmt.bindings)
+        return lambda env, nv, tr: (
+            "inject", child, {var: f(env, nv, tr) for var, f in bindings})
+
+    def unknown(env, nv, tr):
+        raise ConfigurationError(f"unknown statement {stmt!r}")
+    return unknown
 
 
 class IRMessenger(Messenger):

@@ -37,6 +37,7 @@ imports the same modules sees the same registry — code is not moved.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -76,14 +77,14 @@ class Var(Expr):
 
 
 _BIN_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
-    "//": lambda a, b: a // b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "%": operator.mod,
+    "//": operator.floordiv,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
 }
 
 
@@ -205,12 +206,20 @@ class SignalStmt(Stmt):
 
 @dataclass(frozen=True)
 class Program:
+    """A named program. The interpreter keeps per-process caches on
+    the instance (its compiled code and liveness table); a pickle
+    carries the three fields only, so a program pickles to the same
+    bytes before and after it runs."""
+
     name: str
     body: tuple
     params: tuple = ()  # agent variables expected at injection
 
     def __repr__(self) -> str:
         return f"Program({self.name}, params={list(self.params)})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.name, self.body, self.params))
 
 
 REGISTRY: dict = {}

@@ -6,6 +6,22 @@ import pytest
 
 from repro.machine import FAST_TEST_MACHINE, SUN_BLADE_100
 from repro.matmul import MatmulCase
+from repro.navp import ir, kernels
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _registry_hygiene():
+    """Each test module leaves the program registry and the kernel
+    table as it found them: programs a module registers (``lint
+    --all`` and the race pass walk every registered root) must not
+    change what a later module sees, whatever the file order."""
+    programs = dict(ir.REGISTRY)
+    table = dict(kernels.KERNELS)
+    yield
+    ir.REGISTRY.clear()
+    ir.REGISTRY.update(programs)
+    kernels.KERNELS.clear()
+    kernels.KERNELS.update(table)
 
 
 @pytest.fixture

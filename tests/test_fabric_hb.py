@@ -4,7 +4,8 @@ Unit tests pin each merge point of the NavP execution model — inject,
 hop, signal→wait, resource handoff — as an edge the vector clocks must
 (or, for primed tokens, must *not*) carry. Integration tests run real
 fabrics with ``race_check=True``: the racy corpus must be caught, the
-golden Figure-13 pipeline must come back clean, and a deadlocked run
+golden Figure-13 pipeline and the served Gentleman IR must come back
+clean under perturbed schedules, and a deadlocked run
 must explain itself with the static protocol prediction.
 """
 
@@ -15,9 +16,11 @@ from repro.errors import DeadlockError
 from repro.fabric.fuzz import run_corpus_case
 from repro.fabric.hb import HBTracker, RaceAccess
 from repro.fabric.sim import SimFabric
-from repro.fabric.topology import Grid1D, Grid2D
+from repro.fabric.topology import Grid1D
 from repro.machine import FAST_TEST_MACHINE
 from repro.navp.interp import IRMessenger
+
+from .record_interp_goldens import run_suite_race_checked
 
 
 def _meta(actor, write):
@@ -138,16 +141,16 @@ class TestFabricRuns:
         # Figure 13's full handshake (with its primed EC events) must
         # produce zero dynamic findings
         from repro.matmul.ir2d import build_fig13
-        suite = build_fig13(3)
-        fabric = SimFabric(Grid2D(3), machine=FAST_TEST_MACHINE,
-                           trace=False, race_check=True)
-        for coord, node_vars in suite.layout.items():
-            fabric.load(coord, **node_vars)
-        for coord, event, args, count in suite.initial_signals:
-            fabric.signal_initial(coord, event, *args, count=count)
-        fabric.inject((0, 0), IRMessenger(suite.entry.name))
-        fabric.run()
-        assert fabric.hb.races == []
+        assert run_suite_race_checked(build_fig13(3)) == []
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_served_gentleman_runs_clean(self, g):
+        # the ranker reads its round's keyed slot entry; reading the
+        # whole Aslot/Bslot dictionary raced the next round's carriers
+        from repro.serve import build_job_suite
+        suite, _a, _b = build_job_suite("mpi-gentleman", g, seed=0, ab=2)
+        for seed in (None, *range(8)):
+            assert run_suite_race_checked(suite, seed) == [], seed
 
     def test_deadlock_error_cites_static_prediction(self):
         case = next(c for c in CORPUS if c.name == "bad-unmatched-wait")
