@@ -12,8 +12,8 @@ loop, and the network underneath is a detail:
 :class:`Controller`
     The loop itself — seeding (or resuming from a cut bundle), the
     ``known <= done`` termination wait, journal + credit-gate routing
-    of forwarded hops, fault verdicts, checkpoint cadence and commit,
-    the recovery sequence, and the collect phase. Plain
+    of forwarded hops, acting out fault verdicts, checkpoint cadence
+    and commit, the recovery sequence, and the collect phase. Plain
     (unsupervised) mode is the same loop run without a
     :class:`Supervisor`.
 
@@ -38,13 +38,19 @@ loop, and the network underneath is a detail:
     host) and ``emit_report`` (a control message for the controller) —
     and feeds commands in through :meth:`~WorkerCore.handle`.
 
-:class:`Supervisor`, :class:`CreditGate`, :func:`hop_fault_verdict`
+:class:`Supervisor`, :class:`CreditGate`
     The loop's bookkeeping: the per-host
     :class:`~repro.resilience.recovery.ReplayLedger`, committed
     checkpoint states and marks, the respawn budget; per-destination
-    credit windows with hop coalescing; and one shared interpretation
-    of message faults, so a plan's drop/duplicate/delay specs mean the
-    same thing over a socketpair and over TCP.
+    credit windows with hop coalescing.
+
+Message faults are not decided here. Each forwarded hop asks the plan's
+one :meth:`~repro.resilience.faults.PlanRuntime.verdict` — the same one
+sim and thread ask — with its real source and destination host, and the
+loop only acts the outcome out: it forwards an extra copy of a
+duplicate, sleeps for a delay and drops a lost hop. A plan's
+drop/duplicate/delay specs therefore mean the same thing over a
+socketpair, over TCP, in virtual time and on threads.
 
 The command vocabulary between controller and worker is shared too
 (``register`` / ``load`` / ``signal0`` / ``run`` / ``runs`` / ``ckpt``
@@ -79,7 +85,7 @@ from ..navp.interp import Interp, code_table, live_table
 from ..navp.kernels import get_kernel
 from ..navp.messenger import Messenger
 from ..resilience.faults import STATS as FAULT_STATS
-from ..resilience.faults import FaultPlan, PlanRuntime
+from ..resilience.faults import DELIVER, FaultPlan, PlanRuntime
 from ..resilience.faults import ambient as ambient_faults
 from ..resilience.recovery import RecoveryPolicy, ReplayLedger
 from . import payload as payload_mod
@@ -94,7 +100,6 @@ __all__ = [
     "Link",
     "WorkerCore",
     "Supervisor",
-    "hop_fault_verdict",
     "freeze_task",
     "thaw_task",
     "reap_workers",
@@ -479,34 +484,6 @@ class Supervisor:
         return self.ckpt_state.get(host), self.ledger.entries(host)
 
 
-def hop_fault_verdict(runtime, dst_host, recovery_enabled: bool):
-    """Interpret the fault plan for one controller-forwarded hop frame.
-
-    Returns ``(verdict, spec)`` with verdict one of:
-
-    ``"deliver"``     no fault (spec is None)
-    ``"lost"``        dropped, recovery disabled — the continuation in
-                      the frame was the only copy
-    ``"retransmit"``  dropped but masked by retransmission
-    ``"duplicate"``   delivered twice (receiver-side dedup masks it)
-    ``"delay"``       delivered after ``spec.seconds`` (capped by the
-                      caller)
-
-    Counting happens in the runtime's per-spec matchers, so the same
-    plan fires at the same frames on every transport.
-    """
-    runtime.note_hop()
-    spec = runtime.message_action("hop", -1, dst_host) \
-        if runtime.plan.message_faults else None
-    if spec is None:
-        return "deliver", None
-    if spec.action == "drop":
-        return ("retransmit" if recovery_enabled else "lost"), spec
-    if spec.action == "duplicate":
-        return "duplicate", spec
-    return "delay", spec
-
-
 class Link:
     """The controller loop's only view of the transport: four verbs.
 
@@ -769,11 +746,13 @@ class Controller:
     def _route(self, src, dst, task) -> None:
         """Forward one cross-host hop a worker handed up."""
         sup = self.sup
-        if self.runtime is not None:
-            verdict, spec = hop_fault_verdict(self.runtime, dst,
-                                              sup.recovery.enabled)
-            if verdict != "deliver" and not self._inject_fault(
-                    verdict, spec, src, dst, task):
+        runtime = self.runtime
+        if runtime is not None:
+            runtime.note_hop()
+            verdict = runtime.verdict("hop", src, dst, None,
+                                      sup.recovery.enabled)
+            if verdict is not DELIVER and not self._act_out(
+                    verdict, src, dst, task):
                 return
         self._forward(dst, task)
         if self.note is not None:
@@ -787,31 +766,25 @@ class Controller:
             for h in range(self.n_hosts):
                 self.link.send(h, ("ckpt", cid, self.cut))
 
-    def _inject_fault(self, verdict, spec, src, dst, task) -> bool:
-        """Act out a non-deliver verdict; False: the hop is gone."""
+    def _act_out(self, verdict, src, dst, task) -> bool:
+        """Act out a fired verdict on a forwarded hop; False: it is
+        gone. A lost hop joins the casualty list (the continuation in it
+        was the only copy); a duplicate forwards an extra copy for the
+        workers' ``(mid, hops)`` dedup to discard; a delay sleeps, capped
+        at 0.1 s; a retransmit is delivered as is."""
         mid = task[0]
-        FAULT_STATS["fired"] += 1
-        if verdict == "lost":
-            FAULT_STATS["lost"] += 1
+        lost = verdict.outcome == "lost"
+        if lost:
             self.lost.append(mid)
-            if self.note is not None:
-                self.note(dst, mid, "fault", "hop dropped (lost)", src,
-                          payload_mod.encoded_nbytes(task))
-            return False  # the continuation in it was the only copy
-        FAULT_STATS["masked"] += 1
-        if verdict == "retransmit":
-            self._note(dst, mid, "fault", "hop dropped (retransmitting)",
-                       src)
-            self._note(dst, mid, "retry", "hop redelivered", src)
-        elif verdict == "duplicate":
-            self._note(dst, mid, "fault", "hop duplicated (dedup masks)",
-                       src)
+        if self.note is not None:
+            nbytes = payload_mod.encoded_nbytes(task) if lost else 0
+            for kind, note in verdict.events:
+                self.note(dst, mid, kind, note, src, nbytes)
+        if verdict.outcome == "dedup":
             self._forward(dst, task)  # the extra copy
-        else:
-            self._note(dst, mid, "fault", f"hop delayed {spec.seconds}s",
-                       src)
-            time.sleep(min(spec.seconds, 0.1))
-        return True
+        elif verdict.outcome == "delay":
+            time.sleep(min(verdict.spec.seconds, 0.1))
+        return not lost
 
     def _commit(self, h, cid, state) -> None:
         self.sup.commit_checkpoint(h, cid, state)
@@ -860,7 +833,8 @@ class ControllerFabric(Link):
     """Setup-side base class of the process and socket fabrics.
 
     Collects loads, initial signals, and injected IR programs until
-    :meth:`run`; resolves fault-spec places to worker hosts; and owns
+    :meth:`run`; gives a fault plan worker hosts as its index domain
+    (a spec's ``place``/``src``/``dst`` name a host); and owns
     the one capability check both fabrics need: only IR messengers may
     be injected, because these fabrics ship continuations between
     address spaces on every hop and a live generator frame cannot be
@@ -917,11 +891,8 @@ class ControllerFabric(Link):
         self._initial: list = []  # (coord, program_name, env)
         self._programs: dict = {}
         self._counter = 0
-        if faults is None:
-            faults, ambient_recovery = ambient_faults()
-            if faults is not None:
-                recovery = ambient_recovery
-        self._plan = faults if faults is not None else FaultPlan()
+        faults, recovery = ambient_faults(faults, recovery)
+        self._plan = faults or FaultPlan()
         self._recovery = RecoveryPolicy.coerce(recovery)
         self._checkpoint_every = checkpoint_every
         self._max_restarts = max_restarts
@@ -954,7 +925,7 @@ class ControllerFabric(Link):
             self, f"{self.kind} fabric", self.n_hosts, self._host_of,
             self.timeout,
             sup=self._sup if self.resilient else None,
-            runtime=(PlanRuntime(self._plan, self._resolve_host)
+            runtime=(PlanRuntime(self._plan, self.topology, self._host_of)
                      if self.resilient else None),
             window=self.window or math.inf, coalesce=self.coalesce,
             checkpoint_every=self._checkpoint_every,
@@ -1009,17 +980,6 @@ class ControllerFabric(Link):
         """Respawn count per worker host in the last run (populated by
         resilient runs)."""
         return self._sup.restarts if self._sup is not None else {}
-
-    def _resolve_host(self, spec_place):
-        """Fault-spec places name worker *hosts* on this fabric (an
-        index, or a PE coordinate mapped to its host)."""
-        if isinstance(spec_place, int):
-            return spec_place if 0 <= spec_place < self.n_hosts else None
-        try:
-            coord = self.topology.normalize(tuple(spec_place))
-        except Exception:
-            return None
-        return self._host_of.get(coord)
 
     # -- setup (collected, applied at run()) ---------------------------
     def load(self, coord, **node_vars) -> None:

@@ -16,6 +16,14 @@ Numerics always execute (see :class:`repro.fabric.effects.Compute`);
 load :class:`~repro.util.shadow.ShadowArray` node variables to simulate
 paper-scale problems in milliseconds.
 
+Under a fault plan every cross-host hop and send asks the plan's one
+:meth:`~repro.resilience.faults.PlanRuntime.verdict` and acts it out in
+virtual time: a delay is a ``Timeout``, a retransmit costs
+``retry_cost_s`` (zero by default, so masked faults keep golden times
+bit-exact), a ``twice`` send spawns a second delivery, a lost hop
+retires its messenger. Crashes and slow nodes stay this fabric's own:
+a transfer into a crashed PE is lost as a crash consequence.
+
 Hot-path notes: effects dispatch through a class-keyed handler table
 (exact type hit; subclasses resolve once and are cached), the dominant
 effect — an uncontended :class:`~repro.fabric.effects.Compute` — takes
@@ -37,7 +45,7 @@ from ..machine import cache_factors as compute_cache_factors
 from ..machine.presets import SUN_BLADE_100
 from ..machine.spec import MachineSpec
 from ..resilience.checkpoint import ConsistentCut, MemoryStore
-from ..resilience.faults import FaultPlan, PlanRuntime
+from ..resilience.faults import DELIVER, FaultPlan, PlanRuntime
 from ..resilience.faults import STATS as FAULT_STATS
 from ..resilience.faults import ambient as ambient_faults
 from ..resilience.recovery import RecoveryPolicy
@@ -58,6 +66,8 @@ class _MessengerLost(Exception):
     retires the messenger without failing the simulation — the paper's
     programs then deadlock on the events the dead messenger would have
     signaled, and :meth:`SimFabric._deadlock_hint` names the casualty.
+    The one argument is the crash that caused it, or None for a hop the
+    plan's verdict lost (the verdict counted and traced it).
     """
 
 
@@ -75,7 +85,8 @@ class _Resilience:
 
     def __init__(self, fabric: "SimFabric", plan: FaultPlan,
                  recovery, store):
-        self.runtime = PlanRuntime(plan, fabric._resolve_place)
+        self.runtime = PlanRuntime(
+            plan, fabric.topology, {p.coord: p.index for p in fabric.places})
         self.recovery = RecoveryPolicy.coerce(recovery)
         self.store = store if store is not None else MemoryStore()
         self.dead: set = set()        # place indices killed, unmasked
@@ -279,15 +290,11 @@ class SimFabric:
         # Resilience: explicit plan wins; otherwise the ambient
         # resilience.injected() context (which is how fault plans reach
         # the fabrics that table builders construct internally).
-        if faults is None:
-            faults, ambient_recovery = ambient_faults()
-            if faults is not None:
-                recovery = ambient_recovery
+        faults, recovery = ambient_faults(faults, recovery)
         self._resil: _Resilience | None = None
-        if (faults is not None and faults) or checkpoint_store is not None:
+        if faults or checkpoint_store is not None:
             self._resil = _Resilience(
-                self, faults if faults is not None else FaultPlan(),
-                recovery, checkpoint_store)
+                self, faults or FaultPlan(), recovery, checkpoint_store)
 
     # -- setup -------------------------------------------------------------
     def place(self, coord) -> SimPlace:
@@ -438,7 +445,7 @@ class SimFabric:
                 self._resil_boundary(messenger, eff)
                 value = yield from handler(self, messenger, eff)
             except _MessengerLost as lost:
-                self._on_lost(messenger, str(lost))
+                self._on_lost(messenger, lost.args[0])
                 return
 
     def _resil_boundary(self, messenger, eff) -> None:
@@ -477,11 +484,16 @@ class SimFabric:
             return None
         return interp.agent_snapshot()   # a fresh env dict, live vars only
 
-    def _on_lost(self, messenger, reason: str) -> None:
+    def _on_lost(self, messenger, reason: str | None) -> None:
+        """Retire a destroyed messenger. A crash casualty (``reason``)
+        is counted and traced here; a lost hop already was, by its
+        verdict (``reason`` None)."""
         resil = self._resil
         name = messenger._name
         resil.lost.append(name)
         resil.current.pop(name, None)
+        if reason is None:
+            return
         FAULT_STATS["lost"] += 1
         if self._tracing:
             now = self.sim.now
@@ -603,66 +615,48 @@ class SimFabric:
                     moved: int):
         """Fault hooks for one cross-host migration (resil is not None).
 
-        A dropped hop with recovery enabled is *retransmitted*: the
-        messenger still arrives, the fault is recorded in the trace,
-        and the retry charges ``retry_cost_s`` of virtual time per the
-        policy — zero by default, which is what keeps golden times
-        bit-exact. Without recovery the messenger is simply gone (the
-        carried continuation was the only copy).
+        A hop into a crashed PE is a crash consequence and is lost
+        here; anything else is the plan's verdict, acted out by
+        :meth:`_act_out`. A lost hop retires the messenger: the carried
+        continuation was the only copy.
         """
         runtime = resil.runtime
         runtime.note_hop()
-        now = self.sim.now
         if resil.dead and dst.index in resil.dead:
             if self._tracing:
+                now = self.sim.now
                 self.trace.record(
                     t0=now, t1=now, place=dst.index, actor=messenger._name,
                     kind="fault", note="hop into crashed PE",
                     src_place=place.index, nbytes=moved)
             raise _MessengerLost(f"hopped into crashed PE {dst.coord}")
-        spec = runtime.message_action("hop", place.index, dst.index)
-        if spec is None:
-            return
-        FAULT_STATS["fired"] += 1
-        if spec.action == "delay":
-            if self._tracing:
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=messenger._name,
-                    kind="fault", note=f"hop delayed {spec.seconds}s",
-                    src_place=place.index)
-            yield Timeout(spec.seconds)
-            return
-        if spec.action == "duplicate":
-            # a messenger cannot be duplicated: there is exactly one
-            # continuation; the dedup layer reports it masked
-            FAULT_STATS["masked"] += 1
-            if self._tracing:
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=messenger._name,
-                    kind="dedup", note="duplicate hop suppressed",
-                    src_place=place.index)
-            return
-        # drop
-        if not resil.recovery.enabled:
-            if self._tracing:
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=messenger._name,
-                    kind="fault", note="hop dropped (no recovery)",
-                    src_place=place.index, nbytes=moved)
-            raise _MessengerLost("hop dropped in the network")
-        FAULT_STATS["masked"] += 1
+        verdict = runtime.verdict("hop", place.index, dst.index, None,
+                                  resil.recovery.enabled)
+        if verdict is not DELIVER and not (yield from self._act_out(
+                verdict, messenger, place, dst, moved)):
+            raise _MessengerLost(None)
+
+    def _act_out(self, verdict, messenger, place: SimPlace, dst: SimPlace,
+                 nbytes: int):
+        """Record a fired verdict's events and charge its virtual time:
+        a delay its seconds, a retransmit ``retry_cost_s`` (zero by
+        default, which is what keeps golden times bit-exact). Returns
+        False when the transfer is lost."""
+        lost = verdict.outcome == "lost"
         if self._tracing:
-            self.trace.record(
-                t0=now, t1=now, place=dst.index, actor=messenger._name,
-                kind="fault", note="hop dropped (retransmitted)",
-                src_place=place.index)
-            self.trace.record(
-                t0=now, t1=now, place=dst.index, actor=messenger._name,
-                kind="retry", note="hop retransmit",
-                src_place=place.index)
-        cost = resil.recovery.retry_cost_s
-        if cost > 0:
-            yield Timeout(cost)
+            now = self.sim.now
+            for kind, note in verdict.events:
+                self.trace.record(
+                    t0=now, t1=now, place=dst.index, actor=messenger._name,
+                    kind=kind, note=note, src_place=place.index,
+                    nbytes=nbytes if lost else 0)
+        if verdict.outcome == "delay":
+            yield Timeout(verdict.spec.seconds)
+        elif verdict.outcome == "retransmit":
+            cost = self._resil.recovery.retry_cost_s
+            if cost > 0:
+                yield Timeout(cost)
+        return not lost
 
     def _eff_compute(self, messenger, eff):
         place = messenger._ctx.place
@@ -842,77 +836,29 @@ class SimFabric:
     def _send_faults(self, resil, messenger, place: SimPlace, dst: SimPlace,
                      eff, nbytes: int):
         """Fault hooks for one cross-host send. Returns False when the
-        message is genuinely lost (drop with recovery disabled)."""
-        now = self.sim.now
-        name = messenger._name
+        message is genuinely lost (into a crashed PE, or by a verdict);
+        a ``twice`` verdict spawns the second delivery here."""
         if resil.dead and dst.index in resil.dead:
             if self._tracing:
+                now = self.sim.now
                 self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=name,
+                    t0=now, t1=now, place=dst.index, actor=messenger._name,
                     kind="fault", note="send to crashed PE",
                     src_place=place.index, nbytes=nbytes)
             FAULT_STATS["fired"] += 1
             FAULT_STATS["lost"] += 1
             return False
-        spec = resil.runtime.message_action(
-            "send", place.index, dst.index, eff.tag)
-        if spec is None:
+        verdict = resil.runtime.verdict("send", place.index, dst.index,
+                                        eff.tag, resil.recovery.enabled)
+        if verdict is DELIVER:
             return True
-        FAULT_STATS["fired"] += 1
-        if spec.action == "delay":
-            if self._tracing:
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=name,
-                    kind="fault", note=f"send delayed {spec.seconds}s",
-                    src_place=place.index)
-            yield Timeout(spec.seconds)
-            return True
-        if spec.action == "duplicate":
-            if resil.recovery.enabled:
-                # the receiver's dedup layer discards the extra copy
-                FAULT_STATS["masked"] += 1
-                if self._tracing:
-                    self.trace.record(
-                        t0=now, t1=now, place=dst.index, actor=name,
-                        kind="fault", note="send duplicated",
-                        src_place=place.index)
-                    self.trace.record(
-                        t0=now, t1=now, place=dst.index, actor=name,
-                        kind="dedup", note="duplicate send discarded",
-                        src_place=place.index)
-                return True
-            # no recovery: the duplicate really arrives (after latency)
-            if self._tracing:
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=name,
-                    kind="fault", note="send duplicated (delivered twice)",
-                    src_place=place.index)
+        if not (yield from self._act_out(verdict, messenger, place, dst,
+                                         nbytes)):
+            return False
+        if verdict.outcome == "twice":
             extra = self._deliver_small(place, dst, eff.tag, eff.payload)
             self.sim.spawn(self._tracked(extra, place, dst, eff),
-                           name=f"{name}.dup")
-            return True
-        # drop
-        if not resil.recovery.enabled:
-            FAULT_STATS["lost"] += 1
-            if self._tracing:
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=name,
-                    kind="fault", note="send dropped (no recovery)",
-                    src_place=place.index, nbytes=nbytes)
-            return False
-        FAULT_STATS["masked"] += 1
-        if self._tracing:
-            self.trace.record(
-                t0=now, t1=now, place=dst.index, actor=name,
-                kind="fault", note="send dropped (retransmitted)",
-                src_place=place.index)
-            self.trace.record(
-                t0=now, t1=now, place=dst.index, actor=name,
-                kind="retry", note="send retransmit",
-                src_place=place.index)
-        cost = resil.recovery.retry_cost_s
-        if cost > 0:
-            yield Timeout(cost)
+                           name=f"{messenger._name}.dup")
         return True
 
     def _tracked(self, delivery, src: SimPlace, dst: SimPlace, eff):
@@ -995,22 +941,6 @@ class SimFabric:
             self.trace.record(
                 t0=now, t1=now, place=0, actor="snapshotter",
                 kind="checkpoint", note=label)
-
-    def _resolve_place(self, spec_place):
-        """Map a fault spec's place (index or coordinate) to a place
-        index of *this* fabric, or None when it names no place here —
-        such specs are inert, so one plan file can drive topologies of
-        different sizes."""
-        if isinstance(spec_place, int):
-            if 0 <= spec_place < len(self.places):
-                return spec_place
-            return None
-        try:
-            coord = self.topology.normalize(tuple(spec_place))
-        except Exception:
-            return None
-        place = self._by_coord.get(coord)
-        return place.index if place is not None else None
 
     def _deliver(self, src: SimPlace, dst: SimPlace, tag, payload,
                  wire: float, sender: str):

@@ -5,16 +5,22 @@ host may carry several logical nodes (see :mod:`repro.fabric.hosts`),
 its thread steps one ready messenger at a time, and a messenger runs
 until it hops to another host, blocks on an event, or finishes.
 Cross-host migration hands the messenger's driver to the destination
-host's ready queue — and, by default, also round-trips the agent
-variables through :mod:`pickle`, both to enforce the NavP rule that
-hopping state must be serializable (what actually crosses the network
-in MESSENGERS) and to record real payload sizes. Hops between
-co-hosted logical nodes are local pointer hand-overs.
+host's ready queue — and round-trips the agent variables through
+:mod:`pickle`, both to enforce the NavP rule that hopping state must be
+serializable (what actually crosses the network in MESSENGERS) and to
+record real payload sizes; a cross-host send's payload takes the same
+round trip. Hops between co-hosted logical nodes are local pointer
+hand-overs.
 
 Node variables and the event table of a logical node are touched only
 by its host's thread (every ``waitEvent``/``signalEvent`` is executed
 by a messenger *residing there*), so they need no locks; the ready
 queues and mailboxes are the only cross-thread structures.
+
+Under a fault plan every cross-host hop and send asks the plan's one
+:meth:`~repro.resilience.faults.PlanRuntime.verdict` and acts it out in
+wall-clock time: a delay or a retransmit is a real (capped) sleep, a
+``twice`` send is deposited twice, a lost hop retires its messenger.
 
 Time here is wall-clock time. On a multi-core host the numerics of
 concurrently-resident messengers genuinely overlap (NumPy releases the
@@ -36,8 +42,7 @@ from typing import Any
 from ..errors import DeadlockError, FabricError
 from ..machine.presets import SUN_BLADE_100
 from ..machine.spec import MachineSpec
-from ..resilience.faults import FaultPlan, PlanRuntime
-from ..resilience.faults import STATS as FAULT_STATS
+from ..resilience.faults import DELIVER, FaultPlan, PlanRuntime
 from ..resilience.faults import ambient as ambient_faults
 from ..resilience.recovery import RecoveryPolicy
 from . import effects as fx
@@ -152,7 +157,6 @@ class ThreadFabric:
         self,
         topology: Topology,
         machine: MachineSpec | None = None,
-        pickle_hops: bool = True,
         trace: bool = False,
         hosts=None,
         faults: FaultPlan | None = None,
@@ -160,7 +164,6 @@ class ThreadFabric:
     ):
         self.topology = topology
         self.machine = machine if machine is not None else SUN_BLADE_100
-        self.pickle_hops = pickle_hops
         self.trace = TraceLog(enabled=trace)
         self._trace_lock = threading.Lock()
         host_map = resolve_hosts(topology, hosts)
@@ -181,20 +184,16 @@ class ThreadFabric:
         self._t0 = 0.0
         self.hop_bytes_total = 0
         self.hop_count = 0
-        # Fault injection: this fabric interprets message faults
-        # (drop / duplicate / delay) on cross-host deliveries as real
-        # failed attempts, retried with real backoff sleeps under the
-        # recovery policy. Crash and slow-node specs are inert here —
+        # Fault injection: message faults act on cross-host deliveries
+        # (see _act_out). Crash and slow-node specs are inert here —
         # crashes belong to the process fabric (a thread cannot be
         # SIGKILLed meaningfully) and there is no modeled compute cost
         # to degrade. All hooks sit behind `self._runtime is None`.
-        if faults is None:
-            faults, ambient_recovery = ambient_faults()
-            if faults is not None:
-                recovery = ambient_recovery
-        if faults is not None and faults:
+        faults, recovery = ambient_faults(faults, recovery)
+        if faults:
             self._runtime: PlanRuntime | None = PlanRuntime(
-                faults, self._resolve_place)
+                faults, topology,
+                {p.coord: p.index for p in self.places})
             self._recovery = RecoveryPolicy.coerce(recovery)
             self._fault_lock = threading.Lock()
         else:
@@ -203,17 +202,6 @@ class ThreadFabric:
         self.lost: list[str] = []  # messengers destroyed by faults
         self._ir_roots: list = []  # (program, entry coord, env snapshot)
         self._primed: list = []    # (coord, event, args, count)
-
-    def _resolve_place(self, spec_place):
-        if isinstance(spec_place, int):
-            return (spec_place if 0 <= spec_place < len(self.places)
-                    else None)
-        try:
-            coord = self.topology.normalize(tuple(spec_place))
-        except Exception:
-            return None
-        place = self._by_coord.get(coord)
-        return place.index if place is not None else None
 
     # -- setup ---------------------------------------------------------
     def place(self, coord) -> ThreadPlace:
@@ -319,70 +307,40 @@ class ThreadFabric:
             self._failure = exc
         self._all_done.set()
 
-    def _transfer_fault(self, kind: str, actor: str, place, dst,
-                        tag, nbytes: int) -> int:
-        """Consult the fault plan for one cross-host transfer.
+    def _act_out(self, kind: str, actor: str, place, dst, tag,
+                 nbytes: int):
+        """The plan's verdict on one cross-host transfer, acted out.
 
-        Returns 0 when the transfer is lost (drop, recovery disabled),
-        1 to deliver normally (possibly after real retry backoff), or
-        2 to deliver twice (duplicate, recovery disabled). Matching is
-        serialized under a lock — the plan's counted matchers see one
-        global transfer order even though deliveries come from many PE
-        threads (which order that is stays scheduler-dependent: this
-        fabric demonstrates the mechanisms; determinism lives on the
+        Records the verdict's events, then sleeps for a delay (capped at
+        0.1 s) or for one real retransmit attempt (the policy's first
+        backoff, capped at 0.05 s); the caller drops a ``lost`` transfer
+        and deposits a ``twice`` send twice. Matching is serialized
+        under a lock — the plan's counted matchers see one global
+        transfer order even though deliveries come from many PE threads
+        (which order that is stays scheduler-dependent: this fabric
+        demonstrates the mechanisms; determinism lives on the
         virtual-time fabric).
         """
         with self._fault_lock:
             if kind == "hop":
                 self._runtime.note_hop()
-            spec = self._runtime.message_action(
-                kind, place.index, dst.index, tag)
-        if spec is None:
-            return 1
-        FAULT_STATS["fired"] += 1
+            verdict = self._runtime.verdict(
+                kind, place.index, dst.index, tag, self._recovery.enabled)
+        if verdict is DELIVER:
+            return verdict
         now = time.perf_counter() - self._t0
-        if spec.action == "delay":
+        lost = verdict.outcome == "lost"
+        for trace_kind, note in verdict.events:
             self._record(
                 t0=now, t1=now, place=dst.index, actor=actor,
-                kind="fault", note=f"{kind} delayed {spec.seconds}s",
-                src_place=place.index)
-            time.sleep(min(spec.seconds, 0.1))
-            return 1
-        if spec.action == "duplicate":
-            if kind == "hop" or self._recovery.enabled:
-                FAULT_STATS["masked"] += 1
-                self._record(
-                    t0=now, t1=now, place=dst.index, actor=actor,
-                    kind="dedup", note=f"duplicate {kind} discarded",
-                    src_place=place.index)
-                return 1
-            self._record(
-                t0=now, t1=now, place=dst.index, actor=actor,
-                kind="fault", note="send duplicated (delivered twice)",
-                src_place=place.index)
-            return 2
-        # drop
-        if not self._recovery.enabled:
-            FAULT_STATS["lost"] += 1
-            self._record(
-                t0=now, t1=now, place=dst.index, actor=actor,
-                kind="fault", note=f"{kind} dropped (no recovery)",
-                src_place=place.index, nbytes=nbytes)
-            return 0
-        FAULT_STATS["masked"] += 1
-        self._record(
-            t0=now, t1=now, place=dst.index, actor=actor,
-            kind="fault", note=f"{kind} dropped (retransmitting)",
-            src_place=place.index)
-        delays = self._recovery.delays()
-        backoff = delays[0] if delays else 0.0
-        time.sleep(min(backoff, 0.05))  # one real retransmit attempt
-        end = time.perf_counter() - self._t0
-        self._record(
-            t0=now, t1=end, place=dst.index, actor=actor,
-            kind="retry", note=f"{kind} retransmit",
-            src_place=place.index)
-        return 1
+                kind=trace_kind, note=note, src_place=place.index,
+                nbytes=nbytes if lost else 0)
+        if verdict.outcome == "delay":
+            time.sleep(min(verdict.spec.seconds, 0.1))
+        elif verdict.outcome == "retransmit":
+            delays = self._recovery.delays()
+            time.sleep(min(delays[0] if delays else 0.0, 0.05))
+        return verdict
 
     def _worker(self, ready: queue.Queue) -> None:
         while True:
@@ -430,7 +388,7 @@ class _Driver:
                 dst = fabric.place(eff.coord)
                 crosses_host = dst.host != place.host
                 nbytes = 0
-                if fabric.pickle_hops and crosses_host:
+                if crosses_host:
                     agent = {
                         k: v for k, v in vars(msgr).items()
                         if not k.startswith("_")
@@ -443,10 +401,9 @@ class _Driver:
                     # restore through pickle: what a real network delivers
                     for k, v in pickle.loads(blob).items():
                         setattr(msgr, k, v)
-                if crosses_host and fabric._runtime is not None:
-                    if not fabric._transfer_fault(
-                            "hop", msgr._name, place, dst, None, nbytes):
-                        # the hop was dropped with recovery disabled:
+                    if fabric._runtime is not None and fabric._act_out(
+                            "hop", msgr._name, place, dst, None,
+                            nbytes).outcome == "lost":
                         # the carried continuation was the only copy
                         fabric.lost.append(msgr._name)
                         fabric._finish_one()
@@ -498,20 +455,19 @@ class _Driver:
             if isinstance(eff, fx.Send):
                 dst = fabric.place(eff.dst)
                 payload = eff.payload
-                nbytes = 0
-                if fabric.pickle_hops and dst.host != place.host:
+                if dst.host != place.host:
                     blob = pickle.dumps(payload,
                                         protocol=pickle.HIGHEST_PROTOCOL)
-                    nbytes = len(blob)
                     payload = pickle.loads(blob)
-                if dst.host != place.host and fabric._runtime is not None:
-                    verdict = fabric._transfer_fault(
-                        "send", msgr._name, place, dst, eff.tag, nbytes)
-                    if not verdict:
-                        continue  # message lost (recovery disabled)
-                    if verdict == 2:  # duplicated, recovery disabled
-                        dst.mailbox.deposit(
-                            Message(place.coord, eff.tag, payload))
+                    if fabric._runtime is not None:
+                        outcome = fabric._act_out(
+                            "send", msgr._name, place, dst, eff.tag,
+                            len(blob)).outcome
+                        if outcome == "lost":
+                            continue
+                        if outcome == "twice":
+                            dst.mailbox.deposit(
+                                Message(place.coord, eff.tag, payload))
                 dst.mailbox.deposit(Message(place.coord, eff.tag, payload))
                 continue
 

@@ -17,7 +17,7 @@ A snapshot is a ``BENCH_<date>.json`` file::
       "vs_baseline": {            # present when a previous snapshot exists
         "against": "benchmarks/out/BENCH_....json",
         "source_loc_delta": {"fabric": -294, "serve": -144, "total": -438}
-      }                           # null: the previous one has no count
+      }
     }
 
 ``source_loc`` is the economy trend the ROADMAP asks for: code lines —
@@ -28,10 +28,9 @@ or full: lines of code do not depend on the run size).
 
 Timings are recorded, never compared: two snapshots taken on different
 days differ by the host's speed, not the code's. "Did it get faster?"
-is answered by ``bench/compare.py`` over interleaved runs. The
-snapshots committed before that comparer existed carry extra
-``vs_baseline`` keys (``ratios``, ``threshold``, ``regressions``);
-:func:`load_bench` still reads them as the historical record.
+is answered by ``bench/compare.py`` over interleaved runs. A snapshot
+without ``source_loc`` has nothing the trend can use, and
+:func:`load_bench` rejects it.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ import time
 import tokenize
 from pathlib import Path
 
+from ..errors import BenchSnapshotError
 from ..util.texttable import render_table
 
 __all__ = [
@@ -129,10 +129,14 @@ def write_bench(snapshot: dict, out_dir, date: str | None = None) -> Path:
 def load_bench(path) -> dict:
     snap = json.loads(Path(path).read_text())
     if snap.get("schema") != SCHEMA:
-        raise ValueError(
+        raise BenchSnapshotError(
             f"{path}: not a repro-bench snapshot "
             f"(schema={snap.get('schema')!r}, expected {SCHEMA!r})"
         )
+    if not snap.get("source_loc"):
+        raise BenchSnapshotError(
+            f"{path}: snapshot has no source_loc count to take the "
+            f"code-line trend against")
     return snap
 
 
@@ -153,13 +157,10 @@ def find_previous(out_dir, exclude=None) -> Path | None:
     return max(candidates, key=lambda p: (p.stat().st_mtime, p.name))
 
 
-def source_loc_delta(current: dict, previous: dict) -> dict | None:
+def source_loc_delta(current: dict, previous: dict) -> dict:
     """Per-package change in code lines from ``previous`` to
-    ``current`` (unchanged packages omitted); None when either
-    snapshot predates the count."""
-    loc, prev_loc = current.get("source_loc"), previous.get("source_loc")
-    if not (loc and prev_loc):
-        return None
+    ``current`` (unchanged packages omitted)."""
+    loc, prev_loc = current["source_loc"], previous["source_loc"]
     return {
         name: loc.get(name, 0) - prev_loc.get(name, 0)
         for name in sorted(set(loc) | set(prev_loc))
@@ -184,7 +185,7 @@ def render_report(snapshot: dict) -> str:
     if loc:
         delta = baseline.get("source_loc_delta")
         if delta is None:
-            trend = "no previous count"
+            trend = "no previous snapshot"
         elif not delta:
             trend = "unchanged"
         else:

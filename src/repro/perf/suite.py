@@ -13,8 +13,8 @@ Each benchmark is a function ``fn(smoke: bool) -> dict`` registered in
 round-trips) and ``events_per_sec``; anything worth keeping for later
 inspection goes under ``meta``.
 
-The workloads are frozen: the committed ``benchmarks/out/BENCH_*.json``
-history was recorded at these sizes.
+The workloads are frozen: the committed snapshot
+(``benchmarks/out/BENCH_2026-09-30.json``) was recorded at these sizes.
 
 Suite members (and the ``bench/`` metric that measures the same layer)
 ----------------------------------------------------------------------

@@ -24,10 +24,18 @@ Fault vocabulary
                        "send" = point-to-point messages)
 :class:`SlowNode`      degrade one PE's compute rate by a factor
 
+One meaning on every fabric: :meth:`PlanRuntime.verdict` is the only
+place a message fault is decided (deliver, delay, dedup, twice,
+retransmit or lost), counted in :data:`STATS` and named for the trace.
+The fabrics act the outcome out in their own clock and decide nothing.
+A spec's ``place``/``src``/``dst`` index the fabric's own domain
+(:func:`resolve_place`): PEs on sim and thread, worker hosts on process
+and socket.
+
 The ambient :func:`injected` context mirrors
-:func:`repro.fabric.desim.perturbed`: every ``SimFabric`` constructed
-inside the context interprets the plan, which is how fault injection
-reaches fabrics built deep inside the table builders.
+:func:`repro.fabric.desim.perturbed`: every fabric constructed inside
+the context interprets the plan, which is how fault injection reaches
+fabrics built deep inside the table builders.
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ import json
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
-from ..errors import FaultPlanError
+from ..errors import FaultPlanError, TopologyError
 
 __all__ = [
     "Crash",
@@ -46,8 +54,11 @@ __all__ = [
     "SlowNode",
     "FaultPlan",
     "PlanRuntime",
+    "Verdict",
+    "DELIVER",
     "injected",
     "ambient",
+    "resolve_place",
     "STATS",
 ]
 
@@ -298,7 +309,7 @@ _AMBIENT: dict = {"plan": None, "recovery": True}
 
 @contextmanager
 def injected(plan: FaultPlan, recovery: bool = True):
-    """Make every SimFabric built in this context interpret ``plan``.
+    """Make every fabric built in this context interpret ``plan``.
 
     Mirrors :func:`repro.fabric.desim.perturbed`: the table builders
     construct their fabrics internally, so this is how a fault plan
@@ -314,9 +325,81 @@ def injected(plan: FaultPlan, recovery: bool = True):
         _AMBIENT["plan"], _AMBIENT["recovery"] = prior
 
 
-def ambient() -> tuple:
-    """The (plan, recovery) pair installed by :func:`injected`, if any."""
-    return _AMBIENT["plan"], _AMBIENT["recovery"]
+def ambient(faults: FaultPlan | None = None, recovery=True) -> tuple:
+    """The ``(plan, recovery)`` pair a fabric built with ``faults`` and
+    ``recovery`` interprets: an explicit plan wins, otherwise the pair
+    :func:`injected` installed, if any."""
+    if faults is None and _AMBIENT["plan"] is not None:
+        return _AMBIENT["plan"], _AMBIENT["recovery"]
+    return faults, recovery
+
+
+def resolve_place(spec_place, topology, index_of: dict):
+    """Map a spec's place to the fabric's index domain, or None.
+
+    ``index_of`` maps each PE coordinate to the fabric's index: the PE
+    index on sim and thread, the worker host on process and socket. An
+    int names an index of that domain, a coordinate the index of its
+    PE. A spec naming a place the fabric does not have is inert, so one
+    plan file drives topologies of different sizes.
+    """
+    if isinstance(spec_place, int):
+        size = max(index_of.values()) + 1
+        return spec_place if 0 <= spec_place < size else None
+    try:
+        coord = topology.normalize(tuple(spec_place))
+    except TopologyError:
+        return None
+    return index_of.get(coord)
+
+
+# -- message-fault verdicts ----------------------------------------------
+
+class Verdict(NamedTuple):
+    """What happens to one cross-host transfer.
+
+    ``outcome`` is one of ``deliver``, ``delay`` (delivered after
+    ``spec.seconds``), ``dedup`` (a second copy the receiver's dedup
+    discards), ``twice`` (a send delivered twice, recovery off),
+    ``retransmit`` (dropped, then delivered again) and ``lost`` (dropped,
+    recovery off: the payload was the only copy). ``events`` are the
+    ``(trace kind, note)`` pairs the fabric records; the fault event of
+    a lost transfer carries its payload bytes.
+    """
+
+    outcome: str
+    spec: MessageFault | None = None
+    events: tuple = ()
+
+
+DELIVER = Verdict("deliver")
+
+# outcome: (STATS keys it increments, (trace kind, note) per event);
+# in a note, {k} is the transfer kind and {s} the delay's seconds
+_OUTCOMES = {
+    "delay": (("fired",),
+              (("fault", "{k} delayed {s}s"),)),
+    "dedup": (("fired", "masked"),
+              (("fault", "{k} duplicated"),
+               ("dedup", "duplicate {k} discarded"))),
+    "twice": (("fired",),
+              (("fault", "{k} duplicated (delivered twice)"),)),
+    "retransmit": (("fired", "masked"),
+                   (("fault", "{k} dropped (retransmitted)"),
+                    ("retry", "{k} retransmit"))),
+    "lost": (("fired", "lost"),
+             (("fault", "{k} dropped (lost)"),)),
+}
+
+
+def _outcome(action: str, kind: str, recovery_enabled: bool) -> str:
+    if action == "delay":
+        return "delay"
+    if action == "duplicate":
+        # a messenger has exactly one continuation: a second copy of a
+        # hop is always discarded; a second message only with recovery
+        return "dedup" if kind == "hop" or recovery_enabled else "twice"
+    return "retransmit" if recovery_enabled else "lost"
 
 
 # -- runtime interpretation ----------------------------------------------
@@ -324,17 +407,18 @@ def ambient() -> tuple:
 class PlanRuntime:
     """Per-fabric matcher: turns a plan into counted, deterministic hits.
 
-    ``resolve`` maps a spec's place (index or coordinate) to the
-    fabric's place index, or None when the spec does not name a place
-    of this fabric (such specs are inert — a plan written for a 3x3
-    grid may safely be applied to a 1-PE sequential run).
+    ``index_of`` is the fabric's index domain (see :func:`resolve_place`);
+    specs naming a place outside it are inert — a plan written for a
+    3x3 grid may safely be applied to a 1-PE sequential run.
     """
 
-    __slots__ = ("plan", "_mfs", "_mf_counts", "_crashes_time",
-                 "_crashes_hop", "_slow", "hops")
+    __slots__ = ("_mfs", "_mf_counts", "_crashes_time", "_crashes_hop",
+                 "_slow", "hops")
 
-    def __init__(self, plan: FaultPlan, resolve):
-        self.plan = plan
+    def __init__(self, plan: FaultPlan, topology, index_of: dict):
+        def resolve(spec_place):
+            return resolve_place(spec_place, topology, index_of)
+
         self.hops = 0  # cross-host messenger migrations seen
         mfs = []
         for spec in plan.message_faults:
@@ -393,6 +477,28 @@ class PlanRuntime:
             if fired and hit is None:
                 hit = spec
         return hit
+
+    def verdict(self, kind: str, src_index: int, dst_index: int, tag,
+                recovery_enabled: bool) -> Verdict:
+        """Judge one cross-host transfer; the one place a message fault
+        is decided, counted in :data:`STATS` and named for the trace.
+
+        A plan without message faults returns :data:`DELIVER` before
+        any matching. Every fabric acts the outcome out in its own
+        clock; none re-decides it.
+        """
+        if not self._mfs:
+            return DELIVER
+        spec = self.message_action(kind, src_index, dst_index, tag)
+        if spec is None:
+            return DELIVER
+        outcome = _outcome(spec.action, kind, recovery_enabled)
+        counters, templates = _OUTCOMES[outcome]
+        for key in counters:
+            STATS[key] += 1
+        return Verdict(outcome, spec, tuple(
+            (trace_kind, note.format(k=kind, s=spec.seconds))
+            for trace_kind, note in templates))
 
     def due_crashes(self, now: float) -> list:
         """Pop every crash whose time/hop trigger has been reached."""

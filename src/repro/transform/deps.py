@@ -47,12 +47,11 @@ from ..analysis.deps import (
     loop_diagnostics,
 )
 from ..analysis.races import race_diagnostics
-from ..analysis.visitor import uses_var  # noqa: F401  (re-export)
 from ..errors import AnalysisError, TransformError
 from ..navp import ir
 
 __all__ = ["check_loop_independent", "check_forward_carried",
-           "check_carries_read_only", "check_race_free", "uses_var"]
+           "check_carries_read_only", "check_race_free"]
 
 
 def _gate(report) -> None:

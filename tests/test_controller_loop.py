@@ -372,11 +372,17 @@ def _callers(name: str) -> set:
 
 @pytest.mark.parametrize("name", [
     "authorize_respawn", "recovery_script", "begin_checkpoint",
-    "commit_checkpoint", "hop_fault_verdict"])
+    "commit_checkpoint"])
 def test_the_loop_exists_once(name):
     """A second restatement of the controller loop has to call these;
     only fabric/controller.py may."""
     assert _callers(name) == {"fabric/controller.py"}
+
+
+def test_a_message_fault_is_decided_once():
+    """Matching a transfer against the plan is the verdict's job: a
+    fabric that calls ``message_action`` is deciding a fault itself."""
+    assert _callers("message_action") == {"resilience/faults.py"}
 
 
 def test_a_finished_controller_is_freed_without_the_cycle_collector(job):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FaultPlanError
+from repro.fabric import Grid1D
 from repro.resilience import (
     Crash,
     FaultPlan,
@@ -98,8 +99,8 @@ class TestPlanRuntime:
     @staticmethod
     def _runtime(*faults, places=4):
         plan = FaultPlan(faults=tuple(faults))
-        return PlanRuntime(
-            plan, lambda p: p if isinstance(p, int) and p < places else None)
+        return PlanRuntime(plan, Grid1D(places),
+                           {(i,): i for i in range(places)})
 
     def test_nth_fires_exactly_once(self):
         rt = self._runtime(MessageFault(action="drop", kind="hop", nth=3))

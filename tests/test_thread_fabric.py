@@ -29,7 +29,7 @@ class TestMigration:
         assert result.places[(2,)]["visited"] == [(1,), (2,), (0,), (2,)]
 
     def test_agent_vars_survive_pickling(self):
-        """Hops round-trip agent variables through pickle by default."""
+        """Cross-host hops round-trip agent variables through pickle."""
 
         class Carrier(Messenger):
             def __init__(self):
@@ -43,7 +43,7 @@ class TestMigration:
                 self.vars["mA"] = self.mA
                 self.vars["count"] = self.count
 
-        fabric = ThreadFabric(Grid1D(3), pickle_hops=True)
+        fabric = ThreadFabric(Grid1D(3))
         fabric.inject((0,), Carrier())
         result = fabric.run()
         assert np.array_equal(result.places[(2,)]["mA"],
@@ -61,24 +61,10 @@ class TestMigration:
             def main(self):
                 yield self.hop((1,))
 
-        fabric = ThreadFabric(Grid1D(2), pickle_hops=True)
+        fabric = ThreadFabric(Grid1D(2))
         fabric.inject((0,), Bad())
         with pytest.raises(FabricError):
             fabric.run(timeout=10.0)
-
-    def test_pickle_can_be_disabled(self):
-        class Bad(Messenger):
-            def __init__(self):
-                self.mf = lambda: 1
-
-            def main(self):
-                yield self.hop((1,))
-                self.vars["ok"] = self.mf()
-
-        fabric = ThreadFabric(Grid1D(2), pickle_hops=False)
-        fabric.inject((0,), Bad())
-        result = fabric.run()
-        assert result.places[(1,)]["ok"] == 1
 
 
 class TestEventsAndInjection:
@@ -193,7 +179,7 @@ class TestMessaging:
                 msg = yield fx.Recv(tag="p")
                 self.vars["got"] = msg.payload
 
-        fabric = ThreadFabric(Grid1D(2), pickle_hops=True)
+        fabric = ThreadFabric(Grid1D(2))
         fabric.inject((0,), Sender())
         fabric.inject((1,), Receiver())
         result = fabric.run()
