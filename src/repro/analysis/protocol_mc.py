@@ -179,27 +179,11 @@ def _merge_stats(stats: dict, res, pass_name: str) -> None:
         stats.get("total_transitions", 0) + res.transitions)
 
 
-def _thread_class_stats(roots, registry) -> dict | None:
-    """Thread-class census from the MHP machinery (best effort)."""
-    try:
-        from .mhp import build_mhp
-        classes: dict = {}
-        for name, _coord, _env in roots:
-            mhp = build_mhp(name, registry)
-            for tc in mhp.threads.values():
-                kind = "replicated" if tc.replicated else "singleton"
-                classes[tc.program] = kind
-        return classes
-    except Exception:
-        return None
-
-
 def model_check(roots, registry=None, *, entry=(0,), env=None,
                 initial_signals=(), places=None,
                 window: int | None = DEFAULT_WINDOW,
                 max_states: int = 500_000, deadline_s: float | None = 10.0,
-                check_gated: bool = True,
-                max_ops: int = 200_000) -> ModelCheckResult:
+                check_gated: bool = True) -> ModelCheckResult:
     """Model-check one root program (or a list of concurrent roots).
 
     ``roots`` is a program name (with ``entry``/``env`` applying to it)
@@ -225,8 +209,7 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
 
     try:
         pending0 = initial_pending(initial_signals, places)
-        traces, root_indices = extract_system(roots, registry,
-                                              max_ops=max_ops)
+        traces, root_indices = extract_system(roots, registry)
     except (AbstractionError, ValueError) as exc:
         return ModelCheckResult(
             label=label, status="UNSUPPORTED", deadlock_free=None,
@@ -237,9 +220,6 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
             gate_transparent=None, threads=0, stats=stats,
             detail=str(exc))
     threads = len(traces)
-    classes = _thread_class_stats(roots, registry)
-    if classes is not None:
-        stats["thread_classes"] = classes
 
     system = TraceSystem(traces, root_indices, pending0)
 

@@ -4,17 +4,20 @@ This module is the engine room of the protocol model checker
 (:mod:`repro.analysis.protocol_mc`). It does two things:
 
 **Trace extraction** (:func:`extract_system`): run each injected
-program through a *concrete abstract interpretation* of the IR — loop
-bounds, hop coordinates and event keys are evaluated exactly (every
-paper program has ``Const`` bounds and affine tours over concrete
-bindings), while kernel outputs and node reads become an opaque token.
-Each messenger flattens into a finite sequence of synchronization
-events: ``hop(src, dst)``, ``wait(key)``, ``signal(key, count)`` and
-``spawn(child)``, where a key is ``(host, event, args)``. Anything the
-abstraction cannot evaluate at a *control* position (an opaque loop
-bound, branch condition, hop coordinate or event argument) raises
-:class:`AbstractionError` — the checker reports the program as
-unsupported instead of guessing.
+program through the interpreter itself — the compiled code the fabrics
+run (:func:`repro.navp.interp.advance`) — over a node store whose every
+read is :data:`OPAQUE` and whose writes are dropped. Loop bounds, hop
+coordinates and event keys are evaluated exactly (every paper program
+has ``Const`` bounds and affine tours over concrete bindings), while
+kernel outputs and node data are the opaque token, which absorbs
+arithmetic, comparisons and subscripts. Each messenger flattens into a
+finite sequence of synchronization events: ``hop(src, dst)``,
+``wait(key)``, ``signal(key, count)`` and ``spawn(child)``, where a key
+is ``(host, event, args)``. An opaque value at a *control* position (a
+loop bound, branch condition, subscript, hop coordinate or event
+argument), or any error the interpreter raises, is an
+:class:`AbstractionError` naming the statement — the checker reports
+the program as unsupported instead of guessing.
 
 **State-space exploration** (:class:`Explorer`): exhaustive memoized
 DFS over the interleavings of those traces. A global state is the
@@ -83,6 +86,7 @@ from dataclasses import dataclass, field
 
 from ..errors import AnalysisError
 from ..navp import ir
+from ..navp.interp import advance
 
 __all__ = [
     "AbstractionError", "ThreadTrace", "Schedule", "ExploreResult",
@@ -94,12 +98,31 @@ class AbstractionError(AnalysisError):
     """The program escapes the checker's concrete abstraction."""
 
 
+def _absorb(self, *_other):
+    return OPAQUE
+
+
+def _refuse(what: str):
+    def refuse(self):
+        raise AbstractionError(f"{what} depends on runtime data")
+    return refuse
+
+
 class _Opaque:
-    """Unknown runtime value (kernel output, node data). Hashable so it
-    can sit inside env snapshots; any *control* use is rejected by the
-    extractor rather than guessed at."""
+    """Unknown runtime value (kernel output, node data). It absorbs the
+    IR's arithmetic, comparisons and subscripts, so a data position
+    computes through it; a *control* use — truth (a branch or a loop
+    bound) or an index — raises :class:`AbstractionError` rather than
+    guess. Hashable so it can sit inside env snapshots."""
 
     __slots__ = ()
+    __array_ufunc__ = None      # an ndarray operand defers to us
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _absorb
+    __mod__ = __rmod__ = __floordiv__ = __rfloordiv__ = _absorb
+    __eq__ = __ne__ = __lt__ = __gt__ = __getitem__ = _absorb
+    __hash__ = object.__hash__
+    __bool__ = _refuse("a branch or loop bound")
+    __index__ = _refuse("a subscript")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<opaque>"
@@ -174,8 +197,46 @@ class Schedule:
 
 
 # --------------------------------------------------------------------------
-# trace extraction
+# trace extraction: the interpreter over an opaque node store
 # --------------------------------------------------------------------------
+
+#: actions one extraction may take before the protocol counts as too
+#: large for explicit-state checking
+_MAX_OPS = 200_000
+
+
+class _Site:
+    """The tracer extraction runs the interpreter with: it keeps the
+    ``(path, pc)`` of the statement executing and ignores node access."""
+
+    __slots__ = ("site",)
+
+    def __init__(self):
+        self.site = ((), 0)
+
+    def on_read(self, name, key):
+        pass
+
+    on_write = on_read
+
+
+class _OpaqueStore:
+    """A node store whose every read is OPAQUE and every write dropped."""
+
+    __slots__ = ()
+
+    def get(self, name, default=None):
+        return OPAQUE
+
+    def setdefault(self, name, default=None):
+        return self
+
+    def __setitem__(self, key, value):
+        pass
+
+
+_NODES = _OpaqueStore()
+
 
 def _key_repr(key) -> str:
     host, event, args = key
@@ -183,188 +244,99 @@ def _key_repr(key) -> str:
     return f"{inner}@{host!r}"
 
 
-class _Extractor:
-    def __init__(self, registry, max_ops: int):
-        self.registry = registry
-        self.max_ops = max_ops
-        self.traces: list = []
-        self.counts: dict = {}
-        self.budget = max_ops
-
-    def _resolve(self, name: str) -> ir.Program:
-        try:
-            return self.registry[name]
-        except KeyError:
-            raise AbstractionError(
-                f"injected program {name!r} is not in the registry"
-            ) from None
-
-    def _label(self, program: str) -> str:
-        n = self.counts.get(program, 0)
-        self.counts[program] = n + 1
-        return program if n == 0 else f"{program}#{n}"
-
-    def run(self, program: str, entry: tuple, env: dict,
-            spawner: int | None) -> int:
-        """Extract one thread (recursing into injections); its index."""
-        index = len(self.traces)
-        self.traces.append(None)  # reserve the slot: children come after
-        prog = self._resolve(program)
-        label = self._label(program)
-        ops: list = []
-        place = tuple(entry)
-        env = dict(env)
-        stack: list = [[(), 0, None]]
-
-        def ev(expr):
-            return self._eval(expr, env, prog.name)
-
-        while stack:
-            self.budget -= 1
-            if self.budget < 0:
-                raise AbstractionError(
-                    f"{prog.name}: trace exceeds {self.max_ops} "
-                    f"synchronization-relevant steps; the protocol is "
-                    f"too large for explicit-state checking")
-            frame = stack[-1]
-            path, pc, loop = frame
-            body = ir.body_at(prog, path)
-            if pc >= len(body):
-                if loop is not None:
-                    var, count = loop
-                    env[var] += 1
-                    if env[var] < count:
-                        frame[1] = 0
-                        continue
-                stack.pop()
-                continue
-            stmt = body[pc]
-            spath = path + (pc,)
-            frame[1] = pc + 1
-            cls = stmt.__class__
-            if cls is ir.Assign:
-                env[stmt.var] = ev(stmt.expr)
-            elif cls is ir.For:
-                count = ev(stmt.count)
-                if count is OPAQUE or not isinstance(count, int):
-                    raise AbstractionError(
-                        f"{prog.name} @ {list(spath)!r}: loop bound "
-                        f"over {stmt.var!r} is not statically evaluable")
-                if count > 0:
-                    env[stmt.var] = 0
-                    stack.append([path + (pc,), 0, (stmt.var, count)])
-            elif cls is ir.If:
-                cond = ev(stmt.cond)
-                if cond is OPAQUE:
-                    raise AbstractionError(
-                        f"{prog.name} @ {list(spath)!r}: branch "
-                        f"condition depends on runtime data")
-                target = stmt.then if cond else stmt.orelse
-                if target:
-                    branch = "then" if cond else "else"
-                    stack.append([path + ((pc, branch),), 0, None])
-            elif cls is ir.ComputeStmt:
-                env[stmt.out] = OPAQUE
-            elif cls is ir.NodeSet:
-                pass  # data-plane only: no synchronization effect
-            elif cls is ir.HopStmt:
-                coord = tuple(ev(e) for e in stmt.place)
-                if any(c is OPAQUE for c in coord):
-                    raise AbstractionError(
-                        f"{prog.name} @ {list(spath)!r}: hop "
-                        f"destination depends on runtime data")
-                ops.append(("hop", place, coord, spath))
-                place = coord
-            elif cls is ir.WaitStmt:
-                key = self._event_key(stmt, place, ev, prog.name, spath)
-                ops.append(("wait", key, spath))
-            elif cls is ir.SignalStmt:
-                key = self._event_key(stmt, place, ev, prog.name, spath)
-                count = ev(stmt.count)
-                if count is OPAQUE or not isinstance(count, int):
-                    raise AbstractionError(
-                        f"{prog.name} @ {list(spath)!r}: signal count "
-                        f"is not statically evaluable")
-                if count > 0:
-                    ops.append(("signal", key, count, spath))
-            elif cls is ir.InjectStmt:
-                child_env = {var: ev(e) for var, e in stmt.bindings}
-                child = self.run(stmt.program, place, child_env, index)
-                ops.append(("spawn", child, place, spath))
-            else:
-                raise AbstractionError(
-                    f"{prog.name} @ {list(spath)!r}: statement of "
-                    f"unknown type {cls.__name__!r}")
-        self.traces[index] = ThreadTrace(
-            label=label, program=prog.name, ops=tuple(ops),
-            spawner=spawner)
-        return index
-
-    def _event_key(self, stmt, place, ev, name, spath):
-        args = tuple(ev(e) for e in stmt.args)
-        if any(a is OPAQUE for a in args):
-            raise AbstractionError(
-                f"{name} @ {list(spath)!r}: event key "
-                f"{stmt.event!r} depends on runtime data")
-        return (place, stmt.event, args)
-
-    def _eval(self, expr, env, name):
-        cls = expr.__class__
-        if cls is ir.Const:
-            return expr.value
-        if cls is ir.Var:
-            try:
-                return env[expr.name]
-            except KeyError:
-                raise AbstractionError(
-                    f"{name}: agent variable {expr.name!r} is unbound "
-                    f"during trace extraction") from None
-        if cls is ir.Bin:
-            a = self._eval(expr.left, env, name)
-            b = self._eval(expr.right, env, name)
-            if a is OPAQUE or b is OPAQUE:
-                return OPAQUE
-            try:
-                return ir._BIN_OPS[expr.op](a, b)
-            except Exception:
-                return OPAQUE
-        if cls is ir.Index:
-            base = self._eval(expr.base, env, name)
-            if base is OPAQUE:
-                return OPAQUE
-            try:
-                vals = tuple(self._eval(e, env, name) for e in expr.idx)
-                if any(v is OPAQUE for v in vals):
-                    return OPAQUE
-                key = vals[0] if len(vals) == 1 else vals
-                return base[key]
-            except Exception:
-                return OPAQUE
-        # NodeGet and anything unregistered: runtime data
-        return OPAQUE
+def _unsupported(prog: ir.Program, spath: tuple, what) -> AbstractionError:
+    return AbstractionError(f"{prog.name} @ {list(spath)!r}: {what}")
 
 
-def extract_system(roots, registry=None, max_ops: int = 200_000) -> list:
+def _concrete(values: tuple, prog, spath: tuple, what: str) -> tuple:
+    if any(v is OPAQUE for v in values):
+        raise _unsupported(prog, spath, f"{what} depends on runtime data")
+    return values
+
+
+def extract_system(roots, registry=None) -> tuple:
     """Extract traces for a system of concurrently injected roots.
 
     ``roots`` is a list of ``(program_name, entry_coord, env)`` tuples;
     every injected child becomes its own trace, in spawn pre-order.
-    Returns ``(traces, root_indices)``.
+    Each thread is the interpreter (:func:`repro.navp.interp.advance`)
+    run over an opaque node store, its programs taken from ``registry``;
+    any error it raises is an :class:`AbstractionError` naming the
+    statement. Returns ``(traces, root_indices)``.
     """
     if registry is None:
         registry = ir.REGISTRY
-    ex = _Extractor(registry, max_ops)
-    indices = [ex.run(name, tuple(entry), dict(env or {}), None)
+    traces: list = []
+    counts: dict = {}
+    budget = _MAX_OPS
+
+    def run(name: str, place: tuple, env: dict, spawner) -> int:
+        nonlocal budget
+        index = len(traces)
+        traces.append(None)  # reserve the slot: children come after
+        try:
+            prog = registry[name]
+        except KeyError:
+            raise AbstractionError(
+                f"injected program {name!r} is not in the registry"
+            ) from None
+        n = counts.get(name, 0)
+        counts[name] = n + 1
+        ops: list = []
+        stack: list = [[(), 0, None]]
+        tracer = _Site()
+        while True:
+            try:
+                action = advance(prog, stack, env, _NODES, tracer)
+            except Exception as exc:
+                path, pc = tracer.site
+                raise _unsupported(prog, path + (pc,), exc) from exc
+            if action is None:
+                break
+            budget -= 1
+            if budget < 0:
+                raise AbstractionError(
+                    f"{prog.name}: trace exceeds {_MAX_OPS} "
+                    f"synchronization-relevant steps; the protocol is "
+                    f"too large for explicit-state checking")
+            path, pc = tracer.site
+            spath = path + (pc,)
+            kind = action[0]
+            if kind == "compute":
+                env[action[3]] = OPAQUE
+            elif kind == "hop":
+                coord = _concrete(action[1], prog, spath, "hop destination")
+                ops.append(("hop", place, coord, spath))
+                place = coord
+            elif kind == "inject":
+                child = run(action[1], place, action[2], index)
+                ops.append(("spawn", child, place, spath))
+            else:
+                key = (place, action[1], _concrete(
+                    action[2], prog, spath, f"event key {action[1]!r}"))
+                if kind == "wait":
+                    ops.append(("wait", key, spath))
+                    continue
+                count = action[3]
+                if count is OPAQUE or not isinstance(count, int):
+                    raise _unsupported(prog, spath, "signal count is not "
+                                       "statically evaluable")
+                if count > 0:
+                    ops.append(("signal", key, count, spath))
+        traces[index] = ThreadTrace(
+            label=name if n == 0 else f"{name}#{n}", program=prog.name,
+            ops=tuple(ops), spawner=spawner)
+        return index
+
+    indices = [run(name, tuple(entry), dict(env or {}), None)
                for name, entry, env in roots]
-    return ex.traces, indices
+    return traces, indices
 
 
 def extract_traces(root: str, registry=None, entry=(0,),
-                   env: dict | None = None,
-                   max_ops: int = 200_000) -> list:
+                   env: dict | None = None) -> list:
     """Single-root sugar over :func:`extract_system`."""
-    traces, _ = extract_system([(root, entry, env or {})], registry,
-                               max_ops=max_ops)
+    traces, _ = extract_system([(root, entry, env or {})], registry)
     return traces
 
 

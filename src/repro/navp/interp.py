@@ -11,7 +11,9 @@ of one callable per statement, keyed by its path, and every expression
 a callable with its ``Var``/``Const`` leaves folded into its parent. A
 continuation's ``(path, pc)`` therefore names a compiled step — the
 literal form of MESSENGERS' compiled resumption points — and
-:meth:`Interp.next_action` is a walk along those tuples. The code lives
+:func:`advance` is a walk along those tuples, the one every caller
+shares: :meth:`Interp.next_action` and the model checker's trace
+extraction, which runs it over an opaque node store. The code lives
 on the :class:`~repro.navp.ir.Program` beside its liveness table, holds
 no reference back to it, and never reaches a pickle: what moves is
 still only the continuation.
@@ -43,7 +45,7 @@ from . import ir
 from .kernels import get_kernel
 from .messenger import Messenger
 
-__all__ = ["Interp", "IRMessenger", "code_table", "live_table",
+__all__ = ["Interp", "IRMessenger", "advance", "code_table", "live_table",
            "run_ir_on_fabric"]
 
 
@@ -71,47 +73,9 @@ class Interp:
         return not self.stack
 
     def next_action(self, node_vars: dict):
-        """Advance to the next effect; None when the program finished.
-
-        A step returns None (free statement: go on), a new frame (a
-        ``For``/``If`` entered a body) or the action tuple to report.
-        ``frame[1]`` is written whenever control leaves the frame.
-        """
-        prog = ir.get_program(self.program)
-        code = code_table(prog)
-        env = self.env
-        stack = self.stack
-        tracer = self.tracer
-        while stack:
-            frame = stack[-1]
-            path, pc, loop = frame
-            body = code.get(path)
-            if body is None:
-                raise _no_body(prog, path)
-            n = len(body)
-            while True:
-                if pc < n:
-                    if tracer is not None:
-                        tracer.site = (path, pc)
-                    out = body[pc](env, node_vars, tracer)
-                    pc += 1
-                    if out is None:
-                        continue
-                    frame[1] = pc
-                    if out.__class__ is list:
-                        stack.append(out)
-                        break
-                    return out
-                if loop is not None:
-                    var, count = loop
-                    i = env[var] + 1
-                    env[var] = i
-                    if i < count:
-                        pc = 0
-                        continue
-                stack.pop()
-                break
-        return None
+        """Advance to the next effect; None when the program finished."""
+        return advance(ir.get_program(self.program), self.stack, self.env,
+                       node_vars, self.tracer)
 
     def agent_snapshot(self) -> tuple:
         """What a hop must carry: the continuation as plain data.
@@ -153,6 +117,52 @@ class Interp:
         interp.stack = [list(f) for f in stack]
         interp.tracer = None
         return interp
+
+
+def advance(prog: ir.Program, stack: list, env: dict, node_vars,
+            tracer=None):
+    """Run ``prog``'s continuation ``stack`` over ``env`` to its next
+    action tuple; None when the program finished.
+
+    The walk every caller shares: :meth:`Interp.next_action`, and the
+    model checker's trace extraction (:mod:`repro.analysis.statespace`),
+    which passes an opaque node store. A step returns None (free
+    statement: go on), a new frame (a ``For``/``If`` entered a body) or
+    the action tuple to report. ``frame[1]`` is written whenever
+    control leaves the frame; a ``tracer`` has its ``site`` set to the
+    ``(path, pc)`` of each statement before it runs.
+    """
+    code = code_table(prog)
+    while stack:
+        frame = stack[-1]
+        path, pc, loop = frame
+        body = code.get(path)
+        if body is None:
+            raise _no_body(prog, path)
+        n = len(body)
+        while True:
+            if pc < n:
+                if tracer is not None:
+                    tracer.site = (path, pc)
+                out = body[pc](env, node_vars, tracer)
+                pc += 1
+                if out is None:
+                    continue
+                frame[1] = pc
+                if out.__class__ is list:
+                    stack.append(out)
+                    break
+                return out
+            if loop is not None:
+                var, count = loop
+                i = env[var] + 1
+                env[var] = i
+                if i < count:
+                    pc = 0
+                    continue
+            stack.pop()
+            break
+    return None
 
 
 def _bad_snapshot(arrived: str) -> ConfigurationError:

@@ -1,10 +1,13 @@
-"""Re-record tests/goldens/mc_explore.json from the current explorer.
+"""Re-record tests/goldens/mc_explore.json and mc_traces.json.
 
-Every exploration pass the model checker runs for the listed systems,
-field for field: the counters, the peaks and the full counterexample
-schedule. Run only after a *deliberate* change to the abstraction or
-the reduction; for pure performance work the goldens must not move
-(``tests/test_analysis_statespace.py`` compares them byte for byte).
+``mc_explore.json`` holds every exploration pass the model checker runs
+for the listed systems, field for field: the counters, the peaks and the
+full counterexample schedule. ``mc_traces.json`` holds every thread
+trace extracted for them: label, program, spawner and each op (statement
+path included) by ``repr``. Run only after a *deliberate* change to the
+abstraction or the reduction; for pure performance work the goldens
+must not move (``tests/test_analysis_statespace.py`` compares them byte
+for byte).
 Usage::
 
     PYTHONPATH=src python tests/record_mc_goldens.py
@@ -24,6 +27,7 @@ from repro.analysis.protocol_mc import DEFAULT_WINDOW, model_check
 from repro.navp import ir
 
 PATH = Path(__file__).parent / "goldens" / "mc_explore.json"
+TRACES_PATH = PATH.with_name("mc_traces.json")
 
 PAPER_ROOTS = ("mm-seq-3-dsc-phase", "wf-pipe-3x4b4", "gent-main-3",
                "fig11-main-3", "fig15-main-3")
@@ -46,12 +50,22 @@ def _peaks(peaks: dict) -> dict:
     return {repr(k): v for k, v in sorted(peaks.items())}
 
 
-def _passes(check) -> dict:
-    """Run ``check()`` and return every pass it explored, by name."""
+def _trace(trace) -> dict:
+    return {"label": trace.label, "program": trace.program,
+            "spawner": trace.spawner,
+            "ops": [repr(op) for op in trace.ops]}
+
+
+def _passes(check) -> tuple:
+    """Run ``check()``; return every pass it explored, by name, and the
+    traces it extracted."""
     passes: dict = {}
+    traces: list = []
     inner = statespace.Explorer.explore
 
     def explore(self):
+        if not passes:
+            traces.extend(_trace(t) for t in self.system.traces)
         res = inner(self)
         passes[_pass_name(self)] = {
             "complete": res.complete,
@@ -72,33 +86,37 @@ def _passes(check) -> dict:
         status = check().status
     finally:
         statespace.Explorer.explore = inner
-    return {"status": status, "passes": passes}
+    return {"status": status, "passes": passes}, traces
 
 
-def record() -> dict:
+def record() -> tuple:
+    """``(explore goldens, trace goldens)``, both keyed by system."""
     from repro.matmul.irgentleman import build_gentleman_ir
     from repro.serve.catalog import admission_verdict
 
     seed_paper_programs(3)
     build_gentleman_ir(3)
     contexts = paper_mc_contexts(3)
-    out: dict = {}
+    explored, traces = {}, {}
     for name in PAPER_ROOTS:
         ctx = contexts.get(name, {})
         entry = ctx.get("entry", root_entry_coord(ir.get_program(name)))
-        out["paper/" + name] = _passes(lambda: model_check(
+        system = "paper/" + name
+        explored[system], traces[system] = _passes(lambda: model_check(
             name, entry=entry,
             initial_signals=ctx.get("initial_signals", ())))
     for program, g in VERDICT_SHAPES:   # uncached: every pass must run
-        out["verdict/%s/g%d" % (program, g)] = _passes(
+        system = "verdict/%s/g%d" % (program, g)
+        explored[system], traces[system] = _passes(
             lambda: admission_verdict.__wrapped__(program, g))
     for case in LIVENESS_CORPUS:
-        out["corpus/" + case.name] = _passes(lambda: model_check(
+        system = "corpus/" + case.name
+        explored[system], traces[system] = _passes(lambda: model_check(
             case.root, case.registry, entry=case.entry,
             places=case.places, initial_signals=case.initial_signals,
             window=case.window if case.window is not None
             else DEFAULT_WINDOW))
-    return out
+    return explored, traces
 
 
 def render(goldens: dict) -> str:
@@ -106,8 +124,11 @@ def render(goldens: dict) -> str:
 
 
 if __name__ == "__main__":
-    goldens = record()
+    goldens, traces = record()
     PATH.parent.mkdir(parents=True, exist_ok=True)
     PATH.write_text(render(goldens))
+    TRACES_PATH.write_text(render(traces))
     n = sum(len(v["passes"]) for v in goldens.values())
-    print(f"recorded {n} passes of {len(goldens)} systems -> {PATH}")
+    t = sum(len(v) for v in traces.values())
+    print(f"recorded {n} passes and {t} traces of {len(goldens)} "
+          f"systems -> {PATH}, {TRACES_PATH}")

@@ -1,9 +1,16 @@
 """The explicit-state engine: trace extraction and exploration."""
 
+import ast
+import operator
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.corpus import CORPUS
+from repro.analysis.protocol_mc import model_check
 from repro.analysis.statespace import (
     OPAQUE,
     AbstractionError,
@@ -103,6 +110,82 @@ class TestExtraction:
         reg = _reg(_prog("t", (ir.HopStmt((V("p"),)),), params=("p",)))
         (trace,) = extract_traces("t", reg, env={"p": 2})
         assert trace.ops[0][2] == (2,)
+
+
+class TestOneInterpreter:
+    """Extraction is the interpreter over an opaque node store."""
+
+    @pytest.mark.parametrize("op", (
+        operator.add, operator.sub, operator.mul, operator.mod,
+        operator.floordiv, operator.eq, operator.ne, operator.lt,
+        operator.gt))
+    def test_opaque_absorbs_arithmetic_and_comparison(self, op):
+        assert op(OPAQUE, 3) is OPAQUE
+        assert op(3, OPAQUE) is OPAQUE
+        assert op(OPAQUE, OPAQUE) is OPAQUE
+        assert op(np.arange(3), OPAQUE) is OPAQUE
+
+    def test_opaque_absorbs_subscripts_and_refuses_control(self):
+        assert OPAQUE[0] is OPAQUE and OPAQUE[OPAQUE, 1] is OPAQUE
+        assert {OPAQUE: 1}[OPAQUE] == 1     # hashable by identity
+        with pytest.raises(AbstractionError, match="branch or loop"):
+            bool(OPAQUE)
+        with pytest.raises(AbstractionError, match="subscript"):
+            operator.index(OPAQUE)
+        with pytest.raises(AbstractionError, match="subscript"):
+            (0, 1)[OPAQUE]
+
+    def test_opaque_branch_is_unsupported_at_its_statement(self):
+        reg = _reg(_prog("t", (
+            ir.ComputeStmt("copy", (C(1),), out="x"),
+            ir.If(ir.Bin("<", V("x"), C(2)),
+                  (ir.SignalStmt("E", (), C(1)),)),
+        )))
+        with pytest.raises(AbstractionError,
+                           match=r"t @ \[1\]: a branch or loop bound"):
+            extract_traces("t", reg)
+
+    def test_node_index_reading_an_unbound_variable_is_unsupported(self):
+        # the old extractor never evaluated node indices, so it called
+        # this VERIFIED; the interpreter raises here at run time
+        (case,) = (c for c in CORPUS if c.name == "bad-carried-flow")
+        res = model_check(case.root, case.registry)
+        assert res.status == "UNSUPPORTED"
+        assert "agent variable 'c' is unbound" in res.detail
+        assert res.detail.startswith("bad-carried-flow @ [0, 0]: ")
+        reg = _reg(_prog("w", (ir.NodeSet("D", (V("k"),), C(1)),)))
+        res = model_check("w", reg)
+        assert res.status == "UNSUPPORTED"
+        assert "agent variable 'k' is unbound" in res.detail
+
+    def test_interpreter_error_is_unsupported_not_a_crash(self):
+        reg = _reg(_prog("z", (
+            ir.ComputeStmt("copy", (ir.Bin("//", C(1), C(0)),), out="y"),
+            ir.SignalStmt("E", (), C(1)),
+        )))
+        res = model_check("z", reg)
+        assert res.status == "UNSUPPORTED"
+        assert res.detail == "z @ [0]: integer division or modulo by zero"
+
+    def test_node_data_flows_through_and_writes_are_dropped(self):
+        reg = _reg(_prog("t", (
+            ir.NodeSet("D", (C(0),), ir.NodeGet("D", (C(1),))),
+            ir.Assign("x", ir.Index(ir.NodeGet("D"), (C(0),))),
+            ir.SignalStmt("E", (), C(1)),
+        )))
+        (trace,) = extract_traces("t", reg)
+        assert trace.ops == (("signal", ((0,), "E", ()), 1, (2,)),)
+
+    def test_only_the_ir_and_its_interpreter_read_the_operator_table(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        readers = set()
+        for path in src.rglob("*.py"):
+            names = {getattr(node, field, None)
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     for field in ("attr", "id", "name")}
+            if "_BIN_OPS" in names:
+                readers.add(path.relative_to(src).as_posix())
+        assert readers == {"navp/ir.py", "navp/interp.py"}
 
 
 def _explore(registry, roots, **kw):
@@ -215,10 +298,13 @@ class TestSignalTotals:
 class TestParentGoldens:
     def test_every_pass_reproduces_byte_for_byte(self):
         # recorded at the commit before the worklist closure landed:
-        # counters, peaks and full counterexample schedules per pass
+        # counters, peaks and full counterexample schedules per pass;
+        # the traces at the commit before extraction ran the interpreter
         from . import record_mc_goldens as rec
 
-        assert rec.render(rec.record()) == rec.PATH.read_text()
+        explored, traces = rec.record()
+        assert rec.render(explored) == rec.PATH.read_text()
+        assert rec.render(traces) == rec.TRACES_PATH.read_text()
 
 
 # -- the worklist closure against a rescan-everything oracle -----------------
