@@ -42,11 +42,9 @@ def _cmd_run_on_fabric(args) -> int:
     import time as time_mod
     from contextlib import nullcontext
 
-    import numpy as np
-
     from ..fabric import fabric_capabilities
     from ..matmul import run_ir2d_suite
-    from ..serve.catalog import IR_CATALOG, build_job_suite
+    from ..serve.catalog import IR_CATALOG, build_job_suite, product_ok
 
     if args.variant not in IR_CATALOG:
         print(f"--fabric {args.fabric} needs an IR form; available for: "
@@ -71,12 +69,13 @@ def _cmd_run_on_fabric(args) -> int:
         context = nullcontext()
     g = args.geometry
     ab = max(args.n // g, 1)
-    suite, a, b = build_job_suite(args.variant, g, seed=220, ab=ab)
+    seed = 220
+    suite, a, b = build_job_suite(args.variant, g, seed=seed, ab=ab)
     t0 = time_mod.perf_counter()
     with context:
         c, result = run_ir2d_suite(suite, args.fabric, trace=True)
     wall = time_mod.perf_counter() - t0
-    ok = bool(np.allclose(c, a @ b))
+    ok = product_ok(a, b, c, seed)
     print(f"{args.variant} ({suite.name}) on the {args.fabric} fabric: "
           f"g={g} ab={ab}")
     print(f"  wall time      {wall:10.3f} s")

@@ -70,11 +70,12 @@ def _cmd_serve(args) -> int:
         extra = (f", state {args.state_dir}"
                  f"{' [recovering]' if recovered['unclean'] else ''}")
         if recovered["terminal"] or recovered["requeued"] \
-                or recovered["resumed"]:
+                or recovered["resumed"] or recovered["stale"]:
             print(f"repro serve: recovered {recovered['terminal']} "
                   f"finished, {recovered['requeued']} queued, "
                   f"{recovered['resumed']} in-flight job(s) from the "
-                  f"ledger", flush=True)
+                  f"ledger; {recovered['stale']} stale (other data "
+                  f"version) failed", flush=True)
     print(f"repro serve: listening on {host}:{port} "
           f"(pool {args.pool}, window {args.window}{extra})", flush=True)
     if args.addr_file:

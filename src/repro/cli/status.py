@@ -78,7 +78,8 @@ def _cmd_status(args) -> int:
               f"(session {rec['sessions'] + 1}"
               f"{', recovered from crash' if rec['unclean'] else ''}): "
               f"{rec['terminal']} finished / {rec['requeued']} queued / "
-              f"{rec['resumed']} in-flight recovered; ledger "
+              f"{rec['resumed']} in-flight recovered / {rec['stale']} "
+              f"stale failed; ledger "
               f"{led['appends']} append(s), {led['fsyncs']} fsync(s)")
     return 0
 

@@ -278,7 +278,9 @@ class WorkerCore:
         as they are. :meth:`ControllerFabric.run` put them in the form a
         frame would deliver before the fork — liveness tables solved,
         strided loads made contiguous — so the worker aliases the
-        parent's blocks copy on write and redoes none of that work."""
+        parent's blocks copy on write and redoes none of that work. A
+        serve pool worker seeds each job's core the same way, with the
+        loads it generates from the job header."""
         for cmd in setup:
             self.handle(cmd)
 

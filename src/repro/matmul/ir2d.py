@@ -37,7 +37,8 @@ from ..navp import ir
 from ..util.validation import random_matrix
 
 __all__ = ["IR2DSuite", "build_fig11", "build_fig13", "build_fig15",
-           "run_ir2d_suite", "assemble_product"]
+           "run_ir2d_suite", "assemble_product", "matrix_blocks",
+           "natural_layout", "antidiagonal_layout"]
 
 V = ir.Var
 C = ir.Const
@@ -67,48 +68,57 @@ class IR2DSuite:
     programs: tuple = ()
 
 
-def _split_blocks(matrix, g: int) -> dict:
-    ab = matrix.shape[0] // g
-    return {
-        (i, j): matrix[i * ab : (i + 1) * ab, j * ab : (j + 1) * ab]
-        for i in range(g)
-        for j in range(g)
-    }
+# A layout rule places blocks on PEs. It reads them from a *block
+# source*, ``block(matrix, i, j)`` -> the ``ab x ab`` block ``(i, j)`` of
+# ``"A"`` or ``"B"``, and lays out only the PEs in ``coords`` (all of
+# them by default), so a host can lay out just its own PEs from blocks
+# it generates itself (:func:`repro.serve.catalog.job_loads`).
 
-
-def _natural_layout(a, b, g: int) -> dict:
+def matrix_blocks(a, b, g: int):
+    """The block source over two whole matrices (blocks are views)."""
     ab = a.shape[0] // g
-    blocks_a = _split_blocks(a, g)
-    blocks_b = _split_blocks(b, g)
+    whole = {"A": a, "B": b}
+    return lambda matrix, i, j: whole[matrix][
+        i * ab : (i + 1) * ab, j * ab : (j + 1) * ab]
+
+
+def _coords(g: int, coords):
+    """``coords``, or every PE of the ``g x g`` grid."""
+    if coords is None:
+        return [(i, j) for i in range(g) for j in range(g)]
+    return coords
+
+
+def natural_layout(block, g: int, ab: int, coords=None,
+                   dtype=np.float64) -> dict:
+    """Figure 15 and Gentleman: ``A(i, j)``, ``B(i, j)`` and a zeroed
+    ``C`` on PE ``(i, j)``."""
     return {
         (i, j): {
-            "A": blocks_a[(i, j)],
-            "B": blocks_b[(i, j)],
-            "C": np.zeros((ab, ab), dtype=a.dtype),
+            "A": block("A", i, j),
+            "B": block("B", i, j),
+            "C": np.zeros((ab, ab), dtype=dtype),
         }
-        for i in range(g)
-        for j in range(g)
+        for i, j in _coords(g, coords)
     }
 
 
-def _antidiagonal_layout(a, b, g: int) -> dict:
+def antidiagonal_layout(block, g: int, ab: int, coords=None,
+                        dtype=np.float64) -> dict:
     """Figures 10/12: row dicts of A and column dicts of B on the
     anti-diagonal; zeroed C everywhere."""
-    ab = a.shape[0] // g
-    blocks_a = _split_blocks(a, g)
-    blocks_b = _split_blocks(b, g)
-    layout: dict = {
-        (i, j): {"C": np.zeros((ab, ab), dtype=a.dtype)}
-        for i in range(g)
-        for j in range(g)
-    }
-    for line in range(g):
-        row = g - 1 - line
-        layout[(row, line)]["Arow"] = {
-            k: blocks_a[(row, k)] for k in range(g)}
-        layout[(row, line)]["Bcol"] = {
-            k: blocks_b[(k, line)] for k in range(g)}
+    layout: dict = {}
+    for i, j in _coords(g, coords):
+        node = layout[(i, j)] = {"C": np.zeros((ab, ab), dtype=dtype)}
+        if i == g - 1 - j:
+            node["Arow"] = {k: block("A", i, k) for k in range(g)}
+            node["Bcol"] = {k: block("B", k, j) for k in range(g)}
     return layout
+
+
+def _matrix_layout(rule, a, b, g: int) -> dict:
+    """``rule`` over the blocks of two whole matrices."""
+    return rule(matrix_blocks(a, b, g), g, a.shape[0] // g, dtype=a.dtype)
 
 
 def _accumulate_c(a_expr: ir.Expr, b_expr: ir.Expr) -> tuple:
@@ -176,7 +186,7 @@ def build_fig11(g: int, a=None, b=None, seed: int = 50,
 
     return IR2DSuite(
         name="fig11", g=g, entry=entry,
-        layout=_antidiagonal_layout(a, b, g),
+        layout=_matrix_layout(antidiagonal_layout, a, b, g),
         programs=(entry, row_carrier, col_carrier),
     )
 
@@ -250,7 +260,7 @@ def build_fig13(g: int, a=None, b=None, seed: int = 60,
     )
     return IR2DSuite(
         name="fig13", g=g, entry=entry,
-        layout=_antidiagonal_layout(a, b, g),
+        layout=_matrix_layout(antidiagonal_layout, a, b, g),
         initial_signals=signals,
         programs=(entry, spawner, a_carrier, b_carrier),
     )
@@ -325,7 +335,7 @@ def build_fig15(g: int, a=None, b=None, seed: int = 70,
 
     return IR2DSuite(
         name="fig15", g=g, entry=entry,
-        layout=_natural_layout(a, b, g),
+        layout=_matrix_layout(natural_layout, a, b, g),
         programs=(entry, spawner, a_carrier, b_carrier),
     )
 

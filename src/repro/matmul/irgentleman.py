@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from ..navp import ir
 from ..util.validation import random_matrix
-from .ir2d import IR2DSuite, _accumulate_c, _natural_layout
+from .ir2d import IR2DSuite, _accumulate_c, _matrix_layout, natural_layout
 
 __all__ = ["build_gentleman_ir"]
 
@@ -117,6 +117,6 @@ def build_gentleman_ir(g: int, a=None, b=None, seed: int = 80,
 
     return IR2DSuite(
         name="gentleman-ir", g=g, entry=entry,
-        layout=_natural_layout(a, b, g),
+        layout=_matrix_layout(natural_layout, a, b, g),
         programs=(entry, ranker, a_carrier, b_carrier),
     )

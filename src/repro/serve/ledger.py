@@ -80,6 +80,7 @@ class ReplayedJob:
     wall_s: float | None = None
     restarts: int = 0
     last_cid: int | None = None     # last fully-committed checkpoint id
+    data_version: int | None = None  # catalog.DATA_VERSION at admission
 
     @property
     def terminal(self) -> bool:
@@ -136,9 +137,11 @@ def _apply(replay: LedgerReplay, record: dict) -> None:
     if kind == "admitted":
         job = replay.jobs.get(jid)
         if job is None or not job.terminal:
+            spec = dict(record["spec"])
             replay.jobs[jid] = ReplayedJob(
-                jid=jid, seq=int(record["seq"]), spec=dict(record["spec"]),
-                key=record.get("key"))
+                jid=jid, seq=int(record["seq"]), spec=spec,
+                key=spec.get("key"),
+                data_version=record.get("data_version"))
         replay.max_seq = max(replay.max_seq, int(record["seq"]))
         return
     job = replay.jobs.get(jid)
@@ -244,7 +247,7 @@ def replay_ledger(root: str) -> LedgerReplay:
 def _synthesize(job: ReplayedJob) -> list:
     """The minimal record sequence that replays to ``job``'s state."""
     out = [{"t": "admitted", "jid": job.jid, "seq": job.seq,
-            "spec": job.spec, "key": job.key}]
+            "spec": job.spec, "data_version": job.data_version}]
     if job.state == "running":
         out.append({"t": "dispatched", "jid": job.jid})
     if job.last_cid is not None:

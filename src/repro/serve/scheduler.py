@@ -14,6 +14,13 @@ process and socket fabrics run) over the pool's warm connections.
   cache is empty); the loop then restores the last committed
   checkpoint and replays the journal.
 
+No input crosses the wire: the ``("job", ...)`` header carries the
+job's ``(program, g, seed, ab)``, and each worker generates its own
+PEs' blocks from it (:func:`~repro.serve.catalog.job_loads`) — on a
+replacement too. The daemon generates A and B once more, for
+:func:`~repro.serve.catalog.product_ok`, the O(n²) check behind
+``record.ok``.
+
 Everything stateful is per-job — the
 :class:`~repro.fabric.controller.Supervisor` (journal, quiescent
 checkpoints, respawn budget) and the loop's credit gate — so
@@ -36,15 +43,14 @@ import hashlib
 import queue
 import threading
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from ..fabric.controller import Controller, Link, Supervisor
 from ..fabric.hosts import cyclic_hosts, resolve_hosts
 from ..fabric.topology import Grid2D
 from ..matmul.ir2d import assemble_product
 from ..resilience.recovery import RecoveryPolicy
-from .catalog import build_job_suite
+from .catalog import build_job_suite, product_ok
 from .jobs import JobRecord, STATE_COMPLETED, STATE_FAILED
 
 __all__ = ["JobRun"]
@@ -103,9 +109,10 @@ class JobRun(threading.Thread, Link):
         self._send_header(host)
 
     def _send_header(self, host) -> None:
-        # One FIFO connection per worker carries header, programs,
-        # loads and runs in order, and cross-host hops all detour
-        # through the controller, so no hop can overtake the loads.
+        # One FIFO connection per worker carries header, programs and
+        # runs in order, and cross-host hops all detour through the
+        # controller, so no hop can overtake the header the worker
+        # generates its loads from.
         pool = self.service.pool
         pool.send(self.wids[host], self._headers[host])
         pool.ship(self.wids[host], self._programs)
@@ -119,6 +126,9 @@ class JobRun(threading.Thread, Link):
 
         suite, a, b = build_job_suite(spec.program, spec.g, spec.seed,
                                       spec.ab)
+        # the workers generate their own blocks: hold no second copy of
+        # them here, only the A and B that Freivalds reads
+        suite = replace(suite, layout={})
         topology = Grid2D(spec.g)
         host_of = resolve_hosts(topology, cyclic_hosts(topology, len(hosts)))
         self._programs = suite.programs
@@ -126,7 +136,7 @@ class JobRun(threading.Thread, Link):
             self._headers[h] = (
                 "job", jid, h,
                 [c for c in topology.coords if host_of[c] == h],
-                dict(host_of))
+                dict(host_of), spec.program, spec.g, spec.seed, spec.ab)
             self._send_header(h)
 
         places = Controller(
@@ -136,7 +146,7 @@ class JobRun(threading.Thread, Link):
             checkpoint_every=service.checkpoint_every,
             on_cut=self._persist_cut if self.store is not None else None,
             collect=("C",),     # the one node variable assembled below
-        ).run(suite.layout.items(), suite.initial_signals,
+        ).run((), suite.initial_signals,
               [(f"{jid}/m0", (0, 0), suite.entry.name, {})],
               resume=self.bundle)
         for h in hosts:
@@ -145,7 +155,7 @@ class JobRun(threading.Thread, Link):
         # -- assemble + verify -----------------------------------------
         c = assemble_product(suite, places)
         digest = hashlib.sha256(c.tobytes()).hexdigest()
-        return digest, bool(np.allclose(c, a @ b))
+        return digest, product_ok(a, b, c, spec.seed)
 
     def _persist_cut(self, cid, bundle) -> None:
         """Every host committed checkpoint ``cid``: persist the resume

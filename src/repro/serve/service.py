@@ -43,7 +43,8 @@ from ..fabric.wire import (FRAME_CMD, FRAME_HEARTBEAT, FRAME_HELLO,
                            FRAME_REPORT, Acceptor, FrameSocket, WireError,
                            load_obj, send_obj)
 from ..resilience.checkpoint import DiskStore, MemoryStore
-from .catalog import REJECT_STATUSES, admission_verdict, program_names
+from .catalog import (DATA_VERSION, REJECT_STATUSES, admission_verdict,
+                      program_names)
 from .jobs import JobRecord, JobSpec, STATE_FAILED, STATE_RUNNING
 from .ledger import JobLedger, LedgerReplay
 from .pool import WorkerPool
@@ -93,8 +94,8 @@ class ServeService:
         self.store = MemoryStore(copy_payloads=False)
         self.idem: dict[str, str] = {}   # idempotency key -> jid
         self.recovery_summary = {"terminal": 0, "requeued": 0,
-                                 "resumed": 0, "unclean": False,
-                                 "sessions": 0}
+                                 "resumed": 0, "stale": 0,
+                                 "unclean": False, "sessions": 0}
 
         self.pool: WorkerPool | None = None
         self.queue = JobQueue(max_depth=max_depth, tenant_cap=tenant_cap)
@@ -161,7 +162,9 @@ class ServeService:
         lock needed: nothing else runs yet). Terminal jobs become
         answerable history; the rest go back on the queue — jobs a
         previous session had dispatched are flagged ``resumed`` so
-        dispatch hands them their persisted cut bundle."""
+        dispatch hands them their persisted cut bundle — unless they
+        were admitted under another data version: those are finished
+        ``failed`` (``stale``) and never run on this daemon's data."""
         summary = self.recovery_summary
         summary["unclean"] = not replay.clean_close
         summary["sessions"] = replay.sessions
@@ -183,6 +186,17 @@ class ServeService:
                 else:
                     self.completed += 1
                 summary["terminal"] += 1
+            elif job.data_version != DATA_VERSION:
+                found = (job.data_version if job.data_version is not None
+                         else "1 (unstamped)")
+                record.finish(
+                    STATE_FAILED,
+                    f"stale job data: admitted under data version "
+                    f"{found}, this daemon generates version "
+                    f"{DATA_VERSION}; resubmit to run it on that data")
+                self.failed += 1
+                self._ledger_done(record)
+                summary["stale"] += 1
             else:
                 record.resumed = job.state == STATE_RUNNING
                 requeue.append(record)
@@ -337,7 +351,7 @@ class ServeService:
         # unrecorded one
         self._ledger_append({"t": "admitted", "jid": record.jid,
                              "seq": record.seq, "spec": spec.to_dict(),
-                             "key": spec.key})
+                             "data_version": DATA_VERSION})
         with self._lock:
             record.durable = True
         self._dispatch_evt.set()
@@ -476,12 +490,15 @@ class ServeService:
                 self.failed += 1
             else:
                 self.completed += 1
+        self._ledger_done(record)
+        self._dispatch_evt.set()
+
+    def _ledger_done(self, record: JobRecord) -> None:
         self._ledger_append({
             "t": "done", "jid": record.jid, "state": record.state,
             "reason": record.reason, "digest": record.digest,
             "ok": record.ok, "wall_s": record.wall_s,
             "restarts": record.restarts})
-        self._dispatch_evt.set()
 
     def on_job_checkpoint(self, record: JobRecord, cid: int) -> None:
         """A JobRun fully committed checkpoint ``cid`` (every host

@@ -12,7 +12,9 @@ so a job lease costs a few small frames instead of world construction.
 
 Commands are job-tagged: a ``("job", jid, ...)`` header creates a
 fresh core for that job (node variables, event tables, dedup set —
-nothing leaks between jobs or tenants), and every subsequent
+nothing leaks between jobs or tenants) and seeds it with its PEs'
+blocks, generated here from the header's ``(program, g, seed, ab)``
+(:func:`seed_job`; no ``load`` frame is ever sent), and every subsequent
 data-plane command carries the jid. A command for any other jid is
 dropped — after a job ends (or this worker is re-leased following a
 controller-side failure), stale frames of the old job cannot touch
@@ -33,8 +35,18 @@ from ..fabric.controller import WorkerCore
 from ..fabric.socket import WorkerSession
 from ..fabric.wire import FRAME_REPORT, send_or_drop
 from ..navp import ir
+from .catalog import job_loads
 
-__all__ = ["pool_worker_main"]
+__all__ = ["pool_worker_main", "seed_job"]
+
+
+def seed_job(core: WorkerCore, program: str, g: int, seed: int,
+             ab: int) -> None:
+    """Seed a job's fresh core with the node variables of its PEs,
+    generated where they live — the way a forked fabric worker seeds
+    from its image (:meth:`WorkerCore.seed`)."""
+    core.seed([("load", coord, node_vars) for coord, node_vars in
+               job_loads(program, g, seed, ab, list(core.node_vars)).items()])
 
 
 def pool_worker_main(wid, ctl_addr, gen, heartbeat_s, backoff_seed):
@@ -74,12 +86,13 @@ def pool_worker_main(wid, ctl_addr, gen, heartbeat_s, backoff_seed):
                     ir.register_program(program, replace=True)
                 continue
             if op == "job":
-                _, jid, host, coords, host_of = cmd
+                _, jid, host, coords, host_of, *shape = cmd
                 current["jid"] = jid
                 current["host"] = host
                 current["core"] = WorkerCore(
                     host, [tuple(c) for c in coords], dict(host_of),
                     emit_hop, emit_report, dedup=True)
+                seed_job(current["core"], *shape)
                 continue
             # everything below is job-tagged: (op, jid, ...)
             if cmd[1] != current["jid"] or core is None:
@@ -92,6 +105,6 @@ def pool_worker_main(wid, ctl_addr, gen, heartbeat_s, backoff_seed):
                     emit_report(("credit", current["host"]))
                     core.handle(("run", task))
             else:
-                # load / signal0 / ckpt / restore / collect: the core's
+                # signal0 / ckpt / restore / collect: the core's
                 # own command once the job tag is stripped
                 core.handle((op,) + cmd[2:])

@@ -5,7 +5,10 @@ Each catalog program runs once at g=2, ab=64 on two in-process
 :class:`~repro.fabric.controller.Controller` configured the way
 :class:`~repro.serve.scheduler.JobRun` configures it (supervised, so
 every cross-host hop detours through the controller; ``collect`` asks
-for ``C``). The :class:`CountingLink` between them is the wire: every
+for ``C``; no loads — each host generates its own blocks with
+:func:`~repro.serve.worker.seed_job`, as a pool worker does from its
+job header, so the ``load`` row is zero). The :class:`CountingLink`
+between them is the wire: every
 command and every report crosses the real payload codec, is sized as
 the codec sizes it *when it is sent*, and arrives as a decoded copy —
 an in-process link that passed references would size a continuation
@@ -40,6 +43,7 @@ from repro.fabric.topology import Grid2D
 from repro.matmul.ir2d import assemble_product
 from repro.resilience.recovery import RecoveryPolicy
 from repro.serve import build_job_suite, program_names
+from repro.serve.worker import seed_job
 
 G, AB, SEED, HOSTS = 2, 64, 3, 2
 GOLDEN = Path(__file__).parent / "goldens" / "bytes_budget.json"
@@ -110,11 +114,13 @@ def drive(program: str):
     topology = Grid2D(G)
     host_of = resolve_hosts(topology, cyclic_hosts(topology, HOSTS))
     link = CountingLink(host_of)
+    for core in link.cores.values():
+        seed_job(core, program, G, SEED, AB)
     places = Controller(
         link, f"budget {program}", HOSTS, host_of, 10.0,
         sup=Supervisor(RecoveryPolicy(), 0), window=32, coalesce=8,
         collect=("C",),
-    ).run(suite.layout.items(), suite.initial_signals,
+    ).run((), suite.initial_signals,
           [("m0", (0, 0), suite.entry.name, {})])
     c = assemble_product(suite, places)
     return link, hashlib.sha256(c.tobytes()).hexdigest()
@@ -125,7 +131,8 @@ def budget(program: str) -> dict:
     tallies = {"load": link.sent, "hop": link.received,
                "vars": link.received}
     return {row: dict(zip(("messages", "bytes", "largest"),
-                          tallies[row][row])) for row in ROWS}
+                          tallies[row].get(row, (0, 0, 0))))
+            for row in ROWS}
 
 
 def table() -> dict:

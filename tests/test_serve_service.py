@@ -104,13 +104,20 @@ class TestMissingOutput:
     def test_a_pe_without_c_fails_the_job_with_a_typed_reason(
             self, monkeypatch):
         """The job's failure reason names the PE, the variable and the
-        program; it used to be ``KeyError: 'C'``."""
+        program; it used to be ``KeyError: 'C'``. The workers generate
+        their own data, so it is their ``job_loads`` that leaves ``C``
+        out at (1, 1) — patched before the pool forks — while the
+        daemon runs the do-nothing tour over it."""
         from tests.test_controller_loop import suite_without_c_at
 
         suite = suite_without_c_at((1, 1))
         monkeypatch.setattr(
             "repro.serve.scheduler.build_job_suite",
             lambda program, g, seed, ab: (suite, None, None))
+        monkeypatch.setattr(
+            "repro.serve.worker.job_loads",
+            lambda program, g, seed, ab, coords: {
+                c: suite.layout[c] for c in coords})
         with serving(pool_size=2, mc_admission=False) as service:
             with ServeClient(service.addr) as client:
                 jid = client.submit("navp-2d-dsc", g=2, workers=2)
