@@ -7,11 +7,13 @@ The package provides, from the bottom up:
 * :mod:`repro.machine` — a cluster model calibrated to the paper's SUN
   Blade 100 testbed (flop rate, 100 Mb/s Ethernet, paging, block-LRU
   cache behaviour);
-* :mod:`repro.fabric` — three interchangeable executors for
+* :mod:`repro.fabric` — four interchangeable executors for
   navigational programs: a deterministic virtual-time discrete-event
   simulator (``SimFabric``), real daemon threads (``ThreadFabric``),
-  and real OS processes with pickled-state migration
-  (``ProcessFabric``);
+  real OS processes exchanging messenger state as
+  :mod:`~repro.fabric.wire` frames over socketpairs
+  (``ProcessFabric``), and the same processes behind real TCP
+  (``SocketFabric``);
 * :mod:`repro.navp` — the NavP programming model: self-migrating
   messengers with ``hop``/``inject``/agent variables/node variables/
   events, plus the navigational IR and its interpreter;
@@ -25,7 +27,7 @@ The package provides, from the bottom up:
 * :mod:`repro.perfmodel` — regeneration of every table and figure in
   the paper's evaluation, next to the published numbers;
 * :mod:`repro.resilience` — deterministic fault injection, consistent
-  checkpoints, and crash recovery across all three fabrics (see
+  checkpoints, and crash recovery across all four fabrics (see
   ``docs/resilience.md``).
 
 Quick start::

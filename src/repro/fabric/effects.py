@@ -7,8 +7,11 @@ the same algorithm code run on:
 
 * :class:`repro.fabric.sim.SimFabric` — virtual time, calibrated costs;
 * :class:`repro.fabric.threads.ThreadFabric` — real threads, wall clock;
-* :class:`repro.fabric.process.ProcessFabric` — real OS processes with
-  pickled-state migration (IR messengers).
+* :class:`repro.fabric.process.ProcessFabric` — real OS processes
+  shipping messenger state as :mod:`~repro.fabric.wire` frames over
+  socketpairs (IR messengers);
+* :class:`repro.fabric.socket.SocketFabric` — the same workers behind
+  real TCP, with heartbeats, generations and recovery (IR messengers).
 
 Effects and their NavP reading:
 

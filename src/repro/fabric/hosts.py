@@ -7,10 +7,11 @@ is also how the paper's fine-granularity presentations (``N == P``)
 run on real clusters: the logical network is the algorithm's, the
 physical one the machine room's.
 
-All three fabrics accept a ``hosts`` argument: a dict mapping each
+All four fabrics accept a ``hosts`` argument: a dict mapping each
 topology coordinate to a physical host index, or a callable
 ``coord -> host``. Logical nodes of one host share its CPU and NICs
-(sim), its daemon thread (threads), or its OS process (processes);
+(sim), its daemon thread (threads), or its OS process (process and
+socket);
 hops and sends between co-hosted nodes cost only the local switch
 time.
 """

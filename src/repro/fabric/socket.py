@@ -59,15 +59,18 @@ surfaced via :meth:`~repro.fabric.trace.TraceLog.deadline_misses`.
 ``checkpoint_every``), hops route through the shared controller loop
 (:class:`~repro.fabric.controller.Controller`), which journals them
 per destination, takes quiescent per-host checkpoints, and — on
-heartbeat loss — has this fabric replace the worker (generation bump,
-a fork from the same setup image, hello), restores its last
-checkpoint, and replays
-the journal; ``(messenger id, hop count)`` dedup in the worker makes
-the at-least-once replay exactly-once. ``FaultPlan`` message faults
-act on the frames the controller forwards (really dropped,
-duplicated, delayed) and crashes are real ``SIGKILL``\\ s. Drops with
-recovery disabled are casualties, reported in the
-:class:`~repro.errors.DeadlockError` like ThreadFabric's.
+heartbeat loss — has this fabric replace the worker, restores its last
+checkpoint, and replays the journal. Detection, fencing and the
+replacement are one :class:`WorkerSet`, the controller end the job
+service's pool is built on too: the lost worker's generation is
+retired (a bump, its connection closed, a still-running worker
+``SIGKILL``\\ ed and reaped at once), then a fork from the same setup
+image says hello in the next one. ``(messenger id, hop count)`` dedup
+in the worker makes the at-least-once replay exactly-once.
+``FaultPlan`` message faults act on the frames the controller forwards
+(really dropped, duplicated, delayed) and crashes are real
+``SIGKILL``\\ s. Drops with recovery disabled are casualties, reported
+in the :class:`~repro.errors.DeadlockError` like ThreadFabric's.
 
 Plain mode (no plan, no supervision) skips the controller detour:
 workers learn each other's addresses at start-up and ship hops
@@ -88,18 +91,16 @@ nothing but the caller references the fabric.
 
 This module is the fabric's side of that loop — the
 :class:`~repro.fabric.controller.Link` verbs on
-:class:`SocketFabric` — plus the worker process and
-:class:`WorkerSession`, the worker end of a control connection that
-the job service's pool workers share.
+:class:`SocketFabric` — plus both ends of a supervised worker that the
+job service's pool shares: :class:`WorkerSession` in the worker
+process, :class:`WorkerSet` in the controller.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing as mp
-import os
 import queue
-import signal
 import threading
 import time
 from collections import defaultdict
@@ -113,9 +114,12 @@ from .wire import (FRAME_CMD, FRAME_CREDIT, FRAME_HEARTBEAT, FRAME_HELLO,
                    connect_with_backoff, frame_nbytes, load_obj, send_obj,
                    send_or_drop)
 
-__all__ = ["SocketFabric", "PhiAccrualDetector", "WorkerSession"]
+__all__ = ["SocketFabric", "PhiAccrualDetector", "WorkerSession",
+           "WorkerSet"]
 
-_POLL_S = 0.05  # the controller's wait for the next report
+_POLL_S = 0.05          # the controller's wait for the next report
+_PHI_THRESHOLD = 12.0   # the suspicion at which a silent worker is lost
+_HELLO_TIMEOUT_S = 20.0  # a forked worker's time to dial in, say hello
 
 
 class PhiAccrualDetector:
@@ -215,9 +219,9 @@ class WorkerSession:
         return isinstance(exc, Exception)
 
 
-def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
+def _sock_worker(host, coords, host_of, ctl_addr, resilient, tracing,
                  window, heartbeat_s, hop_deadline_s, backoff_seed,
-                 coalesce, coalesce_delay_s, setup):
+                 coalesce, coalesce_delay_s, setup, *, gen):
     """One host process: a :class:`WorkerCore` behind TCP.
 
     ``setup`` (programs, loads, initial signals) came with the fork and
@@ -429,8 +433,190 @@ def _sock_worker(host, coords, host_of, ctl_addr, gen, resilient, tracing,
 
 
 # ----------------------------------------------------------------------
-# Controller side: the link
+# Controller side: the supervised worker set, and the link
 # ----------------------------------------------------------------------
+
+class _Slot:
+    """One supervised worker: its generation and, while that generation
+    lives, its process, connection, detector and hello event."""
+
+    __slots__ = ("gen", "proc", "conn", "detector", "hello")
+
+    def __init__(self):
+        self.gen = 0
+        self.proc = self.conn = self.detector = self.hello = None
+
+
+class WorkerSet:
+    """The controller end of supervised TCP workers, one slot per key
+    (a fabric's host, the pool's worker id): fork, hello, generation
+    fence, heartbeat suspicion, retirement, teardown.
+
+    What to do about a lost worker stays with the caller; this only
+    detects it (:meth:`suspects`, ``on_gone``) and ends its generation
+    (:meth:`retire`). ``lock`` guards the slots, and a caller may hold
+    it over its own tables of the same keys.
+    """
+
+    def __init__(self, heartbeat_s: float):
+        self.heartbeat_s = heartbeat_s
+        self.slots: dict = {}           # key -> _Slot
+        self.lock = threading.RLock()
+        self.stale_frames = 0           # dropped stale-generation frames
+        self._ctx = mp.get_context("fork")
+
+    def fork(self, key, target, args, name, new: bool = False) -> None:
+        """Start ``target(*args, gen=...)`` as ``key``'s worker in the
+        slot's current generation — a ``new`` key's first, or the
+        replacement of a retired one; it dials in and waits, if need
+        be, in the listener's backlog. Does not block: :meth:`greet`
+        waits for its hello. A replacement for a key stopped since its
+        retirement is a :class:`FabricError`: nothing would stop it."""
+        with self.lock:
+            if new:
+                self.slots[key] = _Slot()
+            slot = self.slots.get(key)
+            if slot is None:
+                raise FabricError(f"{name}: worker {key!r} is stopped")
+            slot.hello = threading.Event()
+        proc = self._ctx.Process(target=target, args=args,
+                                 kwargs={"gen": slot.gen}, daemon=True,
+                                 name=name)
+        proc.start()
+        slot.proc = proc
+
+    def greet(self, key) -> None:
+        """Wait for the hello of ``key``'s current worker."""
+        slot = self.slots.get(key)
+        if slot is None:
+            raise FabricError(f"worker {key!r} stopped before its hello")
+        if not slot.hello.wait(timeout=_HELLO_TIMEOUT_S):
+            raise FabricError(f"{slot.proc.name} did not say hello within "
+                              f"{_HELLO_TIMEOUT_S:.0f}s")
+
+    def serve(self, fs: FrameSocket, key, gen, on_report, on_gone) -> None:
+        """Attach ``fs``, whose hello named ``key`` in generation
+        ``gen``, and pump its frames: heartbeats to the slot's
+        detector, each decoded report to ``on_report``; at EOF,
+        ``("gone", key, gen)`` to ``on_gone``. A hello or frame of a
+        generation other than the slot's is dropped and counted — a
+        replaced worker's socket cannot deliver."""
+        with self.lock:
+            slot = self.slots.get(key)
+            if slot is None or gen != slot.gen:
+                self.stale_frames += 1
+                fs.close()
+                return
+            slot.conn = fs
+            detector = slot.detector = PhiAccrualDetector(
+                time.monotonic(), self.heartbeat_s)
+            slot.hello.set()
+        while True:
+            try:
+                frame = fs.recv()
+            except WireError:
+                on_gone(("gone", key, gen))
+                return
+            if frame.gen != slot.gen:
+                with self.lock:
+                    self.stale_frames += 1
+            elif frame.kind == FRAME_HEARTBEAT:
+                detector.beat(time.monotonic())
+            elif frame.kind == FRAME_REPORT:
+                on_report(load_obj(frame))
+
+    def send(self, key, cmd, deadline: float = 0.0) -> int:
+        """Frame one command to ``key``'s worker; 0 if it is gone
+        (failure handling belongs to the detector and the journal, not
+        the sender). A command over the wire's bounds is a
+        :class:`FabricError`."""
+        with self.lock:
+            slot = self.slots.get(key)
+            fs, gen = (slot.conn, slot.gen) if slot else (None, 0)
+        if fs is None:
+            return 0
+        return send_or_drop(fs, FRAME_CMD, cmd, key, gen=gen,
+                            deadline=deadline)
+
+    def attached(self) -> set:
+        """The keys whose current worker has said hello."""
+        with self.lock:
+            return {key for key, slot in self.slots.items()
+                    if slot.conn is not None}
+
+    def suspects(self) -> list:
+        """``(key, gen)`` of every attached worker silent past the phi
+        threshold."""
+        now = time.monotonic()
+        with self.lock:
+            return [(key, slot.gen) for key, slot in self.slots.items()
+                    if slot.detector is not None
+                    and slot.detector.phi(now) > _PHI_THRESHOLD]
+
+    def retire(self, key, gen=None, eof: bool = False) -> str | None:
+        """End ``key``'s current generation — if it is ``gen``, when one
+        is given — and return how its worker ended
+        (:func:`~repro.fabric.controller.exit_cause`), or None when
+        there is none to end: no worker under supervision (none has
+        said hello, it is retired already, or it is being stopped).
+        The generation is bumped first, so nothing the old worker still
+        sends is delivered. ``eof``: its connection closed, so it is on
+        its way out and gets a moment to exit; a worker still running
+        after that, or condemned by heartbeat, is ``SIGKILL``\\ ed and
+        reaped at once — a stopped or wedged process heeds no gentler
+        signal."""
+        with self.lock:
+            slot = self.slots.get(key)
+            if (slot is None or slot.detector is None
+                    or gen not in (None, slot.gen)):
+                return None
+            slot.gen += 1
+            conn, slot.conn, slot.detector = slot.conn, None, None
+        if conn is not None:
+            conn.close()
+        proc = slot.proc
+        if eof:
+            # its socket closes a moment before it can be reaped
+            proc.join(timeout=1.0)
+        how = exit_cause(proc)
+        if proc.is_alive():
+            proc.kill()
+        proc.join(timeout=5.0)
+        return how
+
+    def kill(self, key) -> bool:
+        """``SIGKILL`` ``key``'s worker — a real crash, for the detector
+        to notice like any other; False when it is not running."""
+        slot = self.slots.get(key)
+        proc = slot.proc if slot is not None else None
+        if proc is None or not proc.is_alive():
+            return False
+        proc.kill()
+        return True
+
+    def stop(self, keys, send) -> None:
+        """Stop the workers of ``keys`` and forget their slots: a stop
+        command each, through the owner's ``send(key, cmd)`` verb, then
+        :func:`~repro.fabric.controller.reap_workers`' escalation for
+        any that does not exit, then their connections closed. Also on
+        exception paths, where a worker may be wedged mid-protocol:
+        every process exits."""
+        with self.lock:
+            # out of supervision first: a worker that exits on its stop
+            # command is not lost, and nothing may retire and replace it
+            keys = [key for key in keys if key in self.slots]
+            for key in keys:
+                self.slots[key].detector = None
+        for key in keys:
+            send(key, ("stop",))
+        with self.lock:
+            slots = [self.slots.pop(key) for key in keys
+                     if key in self.slots]
+        reap_workers([slot.proc for slot in slots])
+        for slot in slots:
+            if slot.conn is not None:
+                slot.conn.close()
+
 
 class SocketFabric(ControllerFabric):
     """TCP executor for IR messengers (see the module docstring)."""
@@ -442,7 +628,6 @@ class SocketFabric(ControllerFabric):
                  checkpoint_every: int | None = None, max_restarts: int = 2,
                  supervise: bool | None = None, trace: bool = False,
                  window: int = 32, heartbeat_s: float = 0.025,
-                 phi_threshold: float = 12.0,
                  hop_deadline_s: float | None = None,
                  coalesce: int = 8, coalesce_delay_s: float = 0.0005):
         super().__init__(topology, machine, timeout, hosts, faults,
@@ -452,23 +637,20 @@ class SocketFabric(ControllerFabric):
             raise FabricError("flow-control window must be >= 1")
         if coalesce < 1:
             raise FabricError("coalesce batch bound must be >= 1")
-        self._ctx = mp.get_context("fork")
         self.window = window
         self.heartbeat_s = heartbeat_s
-        self.phi_threshold = phi_threshold
         self.hop_deadline_s = hop_deadline_s
         self.coalesce = min(coalesce, window)
         self.coalesce_delay_s = coalesce_delay_s
-        self.stale_frames = 0           # dropped stale-generation frames
-        self._gens: dict = defaultdict(int)     # host -> generation
-        self._conns: dict = {}                  # host -> FrameSocket
-        self._procs: dict = {}                  # host -> Process
+        self.workers = WorkerSet(heartbeat_s)   # one slot per host
         self._peer_addrs: dict = {}             # host -> (ip, port)
-        self._detectors: dict = {}              # host -> PhiAccrualDetector
-        self._hello_evts: dict = {}             # (host, gen) -> Event
         self._reports: queue.Queue | None = None    # this run's reports
-        self._reg_lock = threading.Lock()
         self._listener: Acceptor | None = None
+
+    @property
+    def stale_frames(self) -> int:
+        """Frames (and hellos) of replaced workers dropped so far."""
+        return self.workers.stale_frames
 
     # -- connection plumbing ------------------------------------------
     def _serve_conn(self, fs: FrameSocket) -> None:
@@ -482,77 +664,35 @@ class SocketFabric(ControllerFabric):
             fs.close()
             return
         _tag, host, peer_addr = load_obj(hello)
-        with self._reg_lock:
-            if hello.gen != self._gens[host]:
-                self.stale_frames += 1  # a replaced worker's socket
-                fs.close()
-                return
-            self._conns[host] = fs
-            if peer_addr is not None:
-                self._peer_addrs[host] = tuple(peer_addr)
-            self._detectors[host] = PhiAccrualDetector(
-                time.monotonic(), self.heartbeat_s)
-            evt = self._hello_evts.get((host, hello.gen))
-            if evt is not None:
-                evt.set()
-        while True:
-            try:
-                frame = fs.recv()
-            except WireError:
-                self._reports.put(("gone", host, hello.gen))
-                return
-            if frame.gen != self._gens[host]:
-                self.stale_frames += 1
-                continue
-            if frame.kind == FRAME_HEARTBEAT:
-                det = self._detectors.get(host)
-                if det is not None:
-                    det.beat(time.monotonic())
-            elif frame.kind == FRAME_REPORT:
-                self._reports.put(load_obj(frame))
+        if peer_addr is not None:   # plain mode, where none is replaced
+            self._peer_addrs[host] = tuple(peer_addr)
+        self.workers.serve(fs, host, hello.gen, self._reports.put,
+                           self._reports.put)
 
-    def _fork(self, host) -> None:
-        """Start ``host``'s worker with its setup; it dials in and
-        waits, if need be, in the listener's backlog."""
-        gen = self._gens[host]
-        self._hello_evts[(host, gen)] = threading.Event()
-        proc = self._ctx.Process(
-            target=_sock_worker,
-            args=(host, self._coords_of(host), self._host_of,
-                  self._listener.addr, gen, self.resilient,
-                  self.trace.enabled, self.window,
-                  self.heartbeat_s, self.hop_deadline_s,
-                  (self._plan.seed or 0) * 31 + host,
-                  self.coalesce, self.coalesce_delay_s, self._setup(host)),
-            daemon=True, name=f"sockhost{host}",
-        )
-        proc.start()
-        self._procs[host] = proc
-
-    def _greet(self, host) -> None:
-        """Await the hello of ``host``'s current worker."""
-        key = (host, self._gens[host])
-        if not self._hello_evts[key].wait(timeout=20.0):
-            raise FabricError(
-                f"socket worker {host} did not say hello within 20s")
-        del self._hello_evts[key]
+    def _fork(self, host, new: bool = False) -> None:
+        """Start ``host``'s worker with its setup."""
+        self.workers.fork(host, _sock_worker, (
+            host, self._coords_of(host), self._host_of,
+            self._listener.addr, self.resilient, self.trace.enabled,
+            self.window, self.heartbeat_s, self.hop_deadline_s,
+            (self._plan.seed or 0) * 31 + host,
+            self.coalesce, self.coalesce_delay_s, self._setup(host),
+        ), f"sockhost{host}", new)
 
     def _open(self) -> None:
         hosts = range(self.n_hosts)
         # a run's own: the last run's readers queued an EOF per worker
-        # ("gone" in a generation this run's workers may reuse), and
-        # its detectors went silent when those workers stopped
+        # ("gone" in a generation this run's workers may reuse)
         self._reports = queue.Queue()
-        self._detectors = {}
         self._listener = Acceptor(("127.0.0.1", 0), self.n_hosts + 4)
         # fork before threads: every worker starts from a
         # single-threaded image of this process, and their hellos
         # overlap instead of each waiting out the previous fork
         for h in hosts:
-            self._fork(h)
+            self._fork(h, new=True)
         self._listener.start(self._serve_conn, "socket-accept")
         for h in hosts:
-            self._greet(h)
+            self.workers.greet(h)
         if not self.resilient:
             peer_table = {h: self._peer_addrs[h] for h in hosts}
             for h in hosts:
@@ -566,18 +706,12 @@ class SocketFabric(ControllerFabric):
         process table and a finished one its fabric (a parked thread
         pins ``self``: the loaded blocks, the journal, the last
         checkpoint of every host)."""
-        for host in list(self._conns):
-            self.send(host, ("stop",))
-        reap_workers(self._procs.values())
-        for fs in self._conns.values():
-            fs.close()
+        self.workers.stop(list(self.workers.slots), self.send)
         if self._listener is not None:
             self._listener.close()
             # every peer was a child, and is reaped: each reader has
             # seen (or is about to see) its EOF
             self._listener.join_handlers()
-        self._conns.clear()
-        self._procs.clear()
 
     # -- the link verbs ------------------------------------------------
     def send(self, host, cmd) -> None:
@@ -591,10 +725,7 @@ class SocketFabric(ControllerFabric):
         if (self.resilient and self.hop_deadline_s
                 and (cmd[0] == "run" or cmd[0] == "runs")):
             deadline = time.time() + self.hop_deadline_s
-        fs = self._conns.get(host)
-        if fs is not None:
-            send_or_drop(fs, FRAME_CMD, cmd, host, gen=self._gens[host],
-                         deadline=deadline)
+        self.workers.send(host, cmd, deadline)
 
     def receive(self, timeout):
         """Failure detection is heartbeat-based, and EOF counts as
@@ -602,25 +733,20 @@ class SocketFabric(ControllerFabric):
         dying worker managed to report is read first — and never on a
         poll this process itself overslept: after a stall on this side
         the beats sit unread in the sockets and ``now`` is ahead of
-        them."""
+        them. A lost worker is retired on the spot, so it is fenced
+        off (and, if still running, killed) before ``replace``."""
         began = time.monotonic()
         try:
             msg = self._reports.get(timeout=min(timeout, _POLL_S))
         except queue.Empty:
-            now = time.monotonic()
-            if now - began < 4 * _POLL_S:
-                for host, det in list(self._detectors.items()):
-                    if det.phi(now) > self.phi_threshold:
-                        return ("lost", host, exit_cause(self._procs[host]))
+            if time.monotonic() - began < 4 * _POLL_S:
+                for host, gen in self.workers.suspects():
+                    return self._lost(host, gen, eof=False)
             return None
         op = msg[0]
         if op == "gone":
-            if msg[2] == self._gens[msg[1]]:    # not a replaced worker's
-                proc = self._procs[msg[1]]
-                # its socket closes a moment before it can be reaped
-                proc.join(timeout=1.0)
-                return ("lost", msg[1], exit_cause(proc))
-        elif op == "stats":
+            return self._lost(msg[1], msg[2], eof=True)
+        if op == "stats":
             if self.trace.enabled:
                 self._note(msg[1], "transport", "transport", " ".join(
                     f"{k}={v}" for k, v in sorted(msg[2].items())))
@@ -630,26 +756,17 @@ class SocketFabric(ControllerFabric):
             return msg
         return None
 
+    def _lost(self, host, gen, eof):
+        how = self.workers.retire(host, gen, eof)
+        return None if how is None else ("lost", host, how)
+
     def replace(self, host) -> None:
         """Mid-run, unlike :meth:`_open`, this forks with the accept
         and reader threads alive — from the same setup image as the
-        first worker; ``restore`` and journal replay follow."""
-        old = self._procs.get(host)
-        self._gens[host] += 1  # stale sockets can't deliver from here on
-        conn = self._conns.pop(host, None)
-        if conn is not None:
-            conn.close()
-        self._detectors.pop(host, None)
-        if old is not None:
-            if old.is_alive():
-                old.terminate()
-            old.join(timeout=5.0)
+        first worker, in the generation :meth:`receive` opened when it
+        retired the lost one; ``restore`` and journal replay follow."""
         self._fork(host)
-        self._greet(host)
+        self.workers.greet(host)
 
     def crash(self, host) -> bool:
-        proc = self._procs[host]
-        if not proc.is_alive():
-            return False
-        os.kill(proc.pid, signal.SIGKILL)
-        return True
+        return self.workers.kill(host)

@@ -32,16 +32,16 @@ protocol-deadlock gate).
 
 from __future__ import annotations
 
+import functools
 import os
 import queue as queue_mod
 import threading
 import time
 
-from ..errors import AdmissionError, ServeError
+from ..errors import AdmissionError, FabricError, ServeError
 from ..fabric.factory import fabric_capabilities
-from ..fabric.wire import (FRAME_CMD, FRAME_HEARTBEAT, FRAME_HELLO,
-                           FRAME_REPORT, Acceptor, FrameSocket, WireError,
-                           load_obj, send_obj)
+from ..fabric.wire import (FRAME_CMD, FRAME_HELLO, FRAME_REPORT, Acceptor,
+                           FrameSocket, WireError, load_obj, send_obj)
 from ..resilience.checkpoint import DiskStore, MemoryStore
 from .catalog import (DATA_VERSION, REJECT_STATUSES, admission_verdict,
                       program_names)
@@ -66,7 +66,7 @@ class ServeService:
 
     def __init__(self, pool_size: int = 4, port: int = 0,
                  window: int = 32, coalesce: int = 8,
-                 heartbeat_s: float = 0.025, phi_threshold: float = 12.0,
+                 heartbeat_s: float = 0.025,
                  max_depth: int = 64, tenant_cap: int = 8,
                  checkpoint_every: int | None = 8, max_restarts: int = 2,
                  job_timeout_s: float = 60.0, chaos: bool = False,
@@ -81,7 +81,6 @@ class ServeService:
         self.window = window
         self.coalesce = min(coalesce, window)
         self.heartbeat_s = heartbeat_s
-        self.phi_threshold = phi_threshold
         self.checkpoint_every = checkpoint_every
         self.max_restarts = max_restarts
         self.job_timeout_s = job_timeout_s
@@ -132,8 +131,7 @@ class ServeService:
         self._listener = Acceptor(("127.0.0.1", self.port), 64)
         self.addr = self._listener.addr
         self._listener.start(self._serve_conn, "serve-accept")
-        self.pool = WorkerPool(self.addr, heartbeat_s=self.heartbeat_s,
-                               phi_threshold=self.phi_threshold)
+        self.pool = WorkerPool(self.addr, heartbeat_s=self.heartbeat_s)
         try:
             for _ in range(self.pool_size):
                 self.pool.spawn()
@@ -299,7 +297,7 @@ class ServeService:
                     f"unknown program {spec.program!r}; runnable "
                     f"programs: {', '.join(program_names())}")
             with self._lock:
-                pool_total = len(self.pool.workers)
+                pool_total = len(self.pool.leases)
             if spec.workers > pool_total:
                 raise AdmissionError(
                     f"job wants {spec.workers} worker(s) but the pool "
@@ -418,15 +416,15 @@ class ServeService:
             raise ServeError("chaos verbs are disabled; start the "
                              "daemon with chaos enabled")
         with self.pool.lock:
-            candidates = sorted(
-                self.pool.workers.values(),
-                key=lambda w: (w.lease is None, w.wid))
+            leases = self.pool.leases
+            candidates = sorted(leases,
+                                key=lambda w: (leases[w] is None, w))
             if wid is not None:
-                candidates = [w for w in candidates if w.wid == wid]
+                candidates = [w for w in candidates if w == wid]
             if not candidates:
                 raise ServeError(f"no such worker to kill: {wid!r}")
-            target = candidates[0].wid
-        if not self.pool.kill(target):
+            target = candidates[0]
+        if not self.pool.workers.kill(target):
             raise ServeError(f"worker {target} is not running")
         return target
 
@@ -475,7 +473,7 @@ class ServeService:
             for wid in run.wids:
                 try:
                     self.pool.respawn(wid)
-                except ServeError:
+                except FabricError:
                     pass  # slot stays dead; resize can refill it
         with self._lock:
             self.pool.release(run.wids)
@@ -512,29 +510,27 @@ class ServeService:
             dead: dict = {}
             gone = None     # the worker whose connection hit EOF
             try:
-                kind, wid, gen = self._deaths.get(
+                _gone, gone, gen = self._deaths.get(
                     timeout=max(self.heartbeat_s * 4, 0.05))
-                if kind == "gone":
-                    dead[wid] = gen
-                    gone = wid
+                dead[gone] = gen
             except queue_mod.Empty:
                 pass
-            for wid, _phi in self.pool.suspects():
-                dead.setdefault(wid, self.pool.current_gen(wid))
+            for wid, gen in self.pool.workers.suspects():
+                dead.setdefault(wid, gen)
             for wid, gen in dead.items():
                 if self._stop_evt.is_set():
                     return
-                if self.pool.current_gen(wid) != gen:
-                    continue   # already replaced (recycle or races)
                 jid = self.pool.lease_of(wid)
                 try:
-                    how = self.pool.respawn(wid, eof=wid == gone)
-                except ServeError as exc:
+                    how = self.pool.respawn(wid, gen, eof=wid == gone)
+                except FabricError as exc:
                     if jid is not None:
                         run = self.runs.get(jid)
                         if run is not None:
                             run.post(("error", wid, str(exc)))
                     continue
+                if how is None:
+                    continue   # already replaced (recycle or races)
                 if jid is not None:
                     run = self.runs.get(jid)
                     if run is not None:
@@ -553,32 +549,16 @@ class ServeService:
             return
         tag = load_obj(hello)
         if tag[0] == "hello-worker":
-            self._serve_worker(fs, tag[1], hello.gen)
+            self.pool.workers.serve(fs, tag[1], hello.gen,
+                                    functools.partial(self._route, tag[1]),
+                                    self._deaths.put)
         elif tag[0] == "hello-client":
             self._serve_client(fs)
         else:
             fs.close()
 
-    def _serve_worker(self, fs: FrameSocket, wid: int, gen: int) -> None:
-        if not self.pool.attach(wid, gen, fs):
-            fs.close()   # stale generation: a replaced worker's socket
-            return
-        while True:
-            try:
-                frame = fs.recv()
-            except WireError:
-                self._deaths.put(("gone", wid, gen))
-                return
-            if frame.gen != self.pool.current_gen(wid):
-                self.pool.stale_frames += 1
-                continue
-            if frame.kind == FRAME_HEARTBEAT:
-                self.pool.beat(wid, gen)
-            elif frame.kind == FRAME_REPORT:
-                _tag, jid, msg = load_obj(frame)
-                self._route(wid, jid, msg)
-
-    def _route(self, wid: int, jid, msg) -> None:
+    def _route(self, wid: int, report) -> None:
+        _tag, jid, msg = report
         with self._lock:
             run = self.runs.get(jid) if jid is not None else None
         if run is None:

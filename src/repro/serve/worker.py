@@ -49,7 +49,7 @@ def seed_job(core: WorkerCore, program: str, g: int, seed: int,
                job_loads(program, g, seed, ab, list(core.node_vars)).items()])
 
 
-def pool_worker_main(wid, ctl_addr, gen, heartbeat_s, backoff_seed):
+def pool_worker_main(wid, ctl_addr, heartbeat_s, backoff_seed, *, gen):
     """Entry point of one pool worker process."""
     current = {"jid": None, "core": None, "host": None}
 

@@ -13,8 +13,13 @@ setup in the fork image with reader threads alive), each of those two
 fabric objects run twice, then ``build_fig11(2)`` on ``"process"`` with
 one host per PE — the shape whose first hop used to overtake the loads,
 before the setup was in the fork image — all while two busy-loop
-children keep both cores contended: ten runs a round. The cyclic
-collector is off during the rounds (one ``gc.collect()`` closes each).
+children keep both cores contended: ten runs a round. Every fifth round
+adds an eleventh: ``socket`` + checkpoints with one worker SIGSTOPped
+mid-run — alive and silent, so only its heartbeat detector condemns it,
+and the worker set must kill and reap it, not leak it — which puts a
+worker condemned while still alive under the surviving-child, thread
+and descriptor checks below. The cyclic collector is off during the
+rounds (one ``gc.collect()`` closes each).
 It exits 1 on any exception, a product not bit-equal to the sim
 fabric's, a run whose restarts are not exactly the one its crash
 caused, a fabric still alive after its runs (it must die by reference
@@ -36,6 +41,7 @@ from __future__ import annotations
 import gc
 import multiprocessing as mp
 import os
+import signal
 import sys
 import threading
 import time
@@ -69,6 +75,30 @@ def _crashing(r: int) -> list:
             for kind in ("process", "socket")]
 
 
+def _stopping(r: int) -> list:
+    """Every fifth round's extra config: host ``r % 2`` SIGSTOPped at
+    the ``1 + r % 7``-th hop the controller forwards to it."""
+    if r % 5:
+        return []
+    return [("socket", {"checkpoint_every": 8, "stop": (r % 2, 1 + r % 7)})]
+
+
+def _stop_at(fabric, victim, nth, stopped) -> None:
+    """SIGSTOP ``victim``'s worker as the ``nth`` hop is sent to it;
+    its pid goes to ``stopped``."""
+    send, sent = fabric.send, [0]
+
+    def sending(host, cmd):
+        if host == victim and cmd[0] in ("run", "runs") and not stopped:
+            sent[0] += 1
+            if sent[0] == nth:
+                stopped.append(fabric.workers.slots[victim].proc.pid)
+                os.kill(stopped[0], signal.SIGSTOP)
+        send(host, cmd)
+
+    fabric.send = sending
+
+
 def _spin() -> None:
     while True:
         pass
@@ -89,9 +119,12 @@ def _open_fds() -> int:
 def _pipeline(kind, options, seed, runs=1):
     """``runs`` benchmark-shaped runs of one fabric object; returns
     ``[(product, restarts per host), ...]``, one per run, and a weak
-    reference to the fabric."""
+    reference to the fabric. A ``stop`` option ``(host, nth)`` SIGSTOPs
+    that host's worker mid-run instead of configuring the fabric."""
     suite, _a, _b = build_job_suite("navp-2d-pipeline", 3, seed, 128)
     topology = Grid2D(3)
+    options = dict(options)
+    stop = options.pop("stop", None)
     fabric = make_fabric(kind, topology, trace=False,
                          hosts=cyclic_hosts(topology, 2), **options)
     for coord, node_vars in suite.layout.items():
@@ -99,13 +132,29 @@ def _pipeline(kind, options, seed, runs=1):
     for coord, event, args, count in suite.initial_signals:
         fabric.signal_initial(coord, event, *args, count=count)
     fabric.inject((0, 0), IRMessenger(suite.entry.name))
+    stopped: list = []
+    if stop is not None:
+        _stop_at(fabric, *stop, stopped)
     results = []
-    for _ in range(runs):
-        places = fabric.run().places
-        c = np.empty((3 * 128, 3 * 128))
-        for (i, j), node_vars in places.items():
-            c[i * 128:(i + 1) * 128, j * 128:(j + 1) * 128] = node_vars["C"]
-        results.append((c, dict(getattr(fabric, "restarts", {}))))
+    try:
+        for _ in range(runs):
+            places = fabric.run().places
+            c = np.empty((3 * 128, 3 * 128))
+            for (i, j), node_vars in places.items():
+                c[i * 128:(i + 1) * 128, j * 128:(j + 1) * 128] = \
+                    node_vars["C"]
+            results.append((c, dict(getattr(fabric, "restarts", {}))))
+    except BaseException:
+        for pid in stopped:     # a failed run must not leave it stopped
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        raise
+    finally:
+        fabric.__dict__.pop("send", None)   # the wrapper's cycle
+    if stop is not None and not stopped:
+        raise RuntimeError(f"host {stop[0]} never got hop {stop[1]}")
     return results, weakref.ref(fabric)
 
 
@@ -124,13 +173,16 @@ def main() -> int:
         rss, fds = [], []
         t0 = time.monotonic()
         gc.disable()    # a fabric must die by reference counting alone
+        n_runs = 0
         for r in range(ROUNDS):
-            for kind, options in CONFIGS + _crashing(r):
+            for kind, options in CONFIGS + _crashing(r) + _stopping(r):
                 # a crashing fabric object runs twice: the second run
                 # must inherit nothing of the first one's recovery
-                crashing = "faults" in options
-                results, ref = _pipeline(kind, options, r % 4,
-                                         runs=2 if crashing else 1)
+                crashing = "faults" in options or "stop" in options
+                results, ref = _pipeline(
+                    kind, options, r % 4,
+                    runs=2 if "faults" in options else 1)
+                n_runs += len(results)
                 for n, (c, restarts) in enumerate(results, 1):
                     if not np.array_equal(c, references[r % 4]):
                         failures.append(f"round {r}: {kind} {options} run "
@@ -143,16 +195,20 @@ def main() -> int:
                     failures.append(f"round {r}: {kind} {options} fabric "
                                     f"outlived its run")
             c, _res = run_ir2d_suite(build_fig11(2, a, b), "process")
+            n_runs += 1
             if not np.array_equal(c, fig11_ref):
                 failures.append(f"round {r}: fig11 on process differs")
-            strays = [p.name for p in mp.active_children()
-                      if p not in burners]
+            strays = [p for p in mp.active_children() if p not in burners]
             if strays:
-                failures.append(f"round {r}: surviving children {strays}")
+                failures.append(f"round {r}: surviving children "
+                                f"{[p.name for p in strays]}")
+            for stray in strays:    # stopped, it would hang the exit
+                stray.kill()
+                stray.join(timeout=5.0)
             gc.collect()
             rss.append(_rss_mb())
             fds.append(_open_fds())
-        runs = len(CONFIGS) + 2 * 2 + 1     # + fig11
+        runs = n_runs / ROUNDS
         if threading.active_count() > threads:
             names = [t.name for t in threading.enumerate()]
             failures.append(f"{len(names)} threads, started with "
@@ -165,7 +221,7 @@ def main() -> int:
             failures.append(f"resident memory climbs {slope:.2f} MB/run "
                             f"(rounds {WARM_ROUNDS}..{ROUNDS}: "
                             f"{[round(x) for x in rss[WARM_ROUNDS:]]})")
-        print(f"soak: {ROUNDS} rounds x {runs} runs in "
+        print(f"soak: {ROUNDS} rounds, {n_runs} runs in "
               f"{time.monotonic() - t0:.0f} s, RSS {rss[0]:.0f} -> "
               f"{rss[-1]:.0f} MB ({slope:+.2f} MB/run warm), "
               f"{threading.active_count()} thread(s), "

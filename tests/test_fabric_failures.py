@@ -13,9 +13,13 @@ Each test pins a behaviour one of the old per-fabric loops lacked:
   ``DeadlockError`` and listed in ``fabric.lost``, as on the socket
   fabric;
 * a lost worker says how it died — the signal or the exit code — in
-  the error and in the ``respawn`` trace note.
+  the error and in the ``respawn`` trace note;
+* a worker condemned by heartbeat loss while still alive (stopped, not
+  dead) is killed and reaped, not leaked past ``run()``.
 """
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -27,6 +31,7 @@ from repro.matmul.ir2d import build_fig11
 from repro.navp import ir
 from repro.resilience import Crash, FaultPlan, MessageFault
 from repro.util.validation import random_matrix
+from tests.test_fabric_teardown import _assert_no_children
 
 V, C = ir.Var, ir.Const
 
@@ -74,6 +79,37 @@ def test_worker_lost_after_the_last_done_is_recovered(kind):
     assert places.keys() == clean.keys()
     for coord in clean:   # bit-identical, not merely close
         assert np.array_equal(places[coord]["C"], clean[coord]["C"])
+
+
+def test_a_stopped_worker_is_killed_not_leaked():
+    """A SIGSTOPped worker keeps its socket open and stops beating, so
+    only its detector can condemn it — and a condemned worker is
+    SIGKILLed and reaped at once, not sent a SIGTERM it cannot act on
+    and left to outlive the run."""
+    clean = _matmul("socket", supervise=True).run().places
+    fabric = _matmul("socket", supervise=True)
+    send, stopped = fabric.send, []
+
+    def sending(host, cmd):
+        if not stopped and cmd[0] == "collect" and host == 1:
+            stopped.append(fabric.workers.slots[1].proc.pid)
+            os.kill(stopped[0], signal.SIGSTOP)
+        send(host, cmd)
+
+    fabric.send = sending
+    try:
+        places = fabric.run().places
+        assert stopped
+        assert dict(fabric.restarts) == {1: 1}
+        for coord in clean:   # bit-identical, not merely close
+            assert np.array_equal(places[coord]["C"], clean[coord]["C"])
+        _assert_no_children()
+    finally:
+        for pid in stopped:   # a red run must not leave it behind
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_plain_process_run_notices_a_killed_worker():

@@ -4,7 +4,8 @@ Three layers of coverage, bottom up:
 
 * the framed wire protocol (:mod:`repro.fabric.wire`) over a local
   socketpair — roundtrips, partial delivery, loud desync errors;
-* the phi-accrual failure detector as a pure unit;
+* the phi-accrual failure detector as a pure unit, and the generation
+  fence of :class:`~repro.fabric.socket.WorkerSet` over a socketpair;
 * the fabric itself — migration over TCP, generator rejection,
   credit-window backpressure bounding the receiver mailbox, soft
   hop deadlines, and SIGKILL recovery through heartbeat loss.
@@ -15,15 +16,19 @@ opens real sockets.
 
 import pickle
 import socket as socket_mod
+import threading
 import time
 
 import pytest
 
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric import Grid1D, make_fabric
-from repro.fabric.socket import PhiAccrualDetector, SocketFabric
+from repro.fabric.socket import (PhiAccrualDetector, SocketFabric,
+                                 WorkerSet, _Slot)
 from repro.fabric.wire import (
     FRAME_CMD,
+    FRAME_HEARTBEAT,
+    FRAME_REPORT,
     FRAME_RUN,
     HEADER,
     MAGIC,
@@ -34,6 +39,7 @@ from repro.fabric.wire import (
     WireError,
     encode_frame,
     frame_nbytes,
+    send_obj,
 )
 from repro.navp import ir
 from repro.navp.kernels import KERNELS, register_kernel
@@ -166,6 +172,78 @@ class TestPhiAccrual:
             det.beat(t)
         # the EWMA has learned the slow cadence: a 0.2s gap is normal
         assert det.phi(t + 0.2) < 2.0
+
+
+class _Exited:
+    """A worker process that has already exited cleanly."""
+
+    exitcode = 0
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return False
+
+
+class TestWorkerSet:
+    """The generation fence of the controller end the socket fabric
+    and the serve pool share, over a socketpair, with no fork."""
+
+    def _set(self, gen):
+        workers = WorkerSet(heartbeat_s=0.025)
+        slot = workers.slots[5] = _Slot()
+        slot.gen, slot.hello, slot.proc = gen, threading.Event(), _Exited()
+        return workers, slot
+
+    def _serve(self, workers, fs, gen, reports, gone):
+        pump = threading.Thread(target=workers.serve, daemon=True,
+                                args=(fs, 5, gen, reports.append,
+                                      gone.append))
+        pump.start()
+        return pump
+
+    def test_an_older_generation_never_reaches_on_report(self):
+        workers, slot = self._set(gen=1)        # one respawn ago
+        reports, gone = [], []
+        zombie, ours = _pair()
+        workers.serve(ours, 5, 0, reports.append, gone.append)
+        assert workers.stale_frames == 1        # its hello, refused
+        assert slot.conn is None and not slot.hello.is_set()
+        zombie.close()
+
+        worker, ours = _pair()
+        pump = self._serve(workers, ours, 1, reports, gone)
+        send_obj(worker, FRAME_REPORT, ("done", "stale"), gen=0)
+        worker.send(FRAME_HEARTBEAT, b"", gen=0)
+        send_obj(worker, FRAME_REPORT, ("done", "current"), gen=1)
+        worker.close()
+        pump.join(timeout=5.0)
+        assert not pump.is_alive()
+        assert reports == [("done", "current")]
+        assert workers.stale_frames == 3
+        assert gone == [("gone", 5, 1)]
+        assert slot.hello.is_set() and slot.conn is ours
+        ours.close()
+
+    def test_retire_fences_the_old_generation_off(self):
+        workers, slot = self._set(gen=0)
+        reports, gone = [], []
+        worker, ours = _pair()
+        pump = self._serve(workers, ours, 0, reports, gone)
+        send_obj(worker, FRAME_REPORT, ("done", "before"), gen=0)
+        deadline = time.monotonic() + 5.0
+        while not reports and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert workers.retire(5) == "exit code 0"
+        pump.join(timeout=5.0)                  # retire closed its end
+        assert not pump.is_alive()
+        assert slot.gen == 1 and slot.conn is None
+        assert gone == [("gone", 5, 0)]
+        assert workers.retire(5, gen=0) is None  # already retired
+        assert workers.send(5, ("stop",)) == 0   # nothing to send on
+        assert reports == [("done", "before")]
+        worker.close()
 
 
 class TestSocketMigration:

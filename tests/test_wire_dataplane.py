@@ -285,12 +285,13 @@ class TestSendOrDrop:
     not leave an oversized frame to nobody."""
 
     def _pool(self):
-        from repro.serve.pool import PoolWorker, WorkerPool
+        from repro.fabric.socket import _Slot
+        from repro.serve.pool import WorkerPool
 
         pool = WorkerPool(("127.0.0.1", 0))
         left, right = _pair()
-        pool.workers[3] = PoolWorker(3)
-        pool.workers[3].conn = left
+        pool.workers.slots[3] = _Slot()
+        pool.workers.slots[3].conn = left
         return pool, left, right
 
     def test_pool_send_refuses_an_oversized_command(self, monkeypatch):
