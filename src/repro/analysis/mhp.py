@@ -127,9 +127,6 @@ class MHPAnalysis:
         self._seg_of: dict[str, list] = {}   # program -> pos -> seg index
 
     # -- queries ------------------------------------------------------------
-    def segment_of(self, thread: str, pos: int) -> Segment:
-        return self.segments[thread][self._seg_of[thread][pos]]
-
     def ordered(self, a_thread: str, a_pos: int, b_thread: str, b_pos: int,
                 usable_events=frozenset()) -> bool:
         """Must (thread A, position a) happen before (B, b) — for a pair

@@ -33,11 +33,9 @@ from ..navp import ir
 __all__ = [
     "register_expr_type",
     "register_stmt_type",
-    "expr_children",
     "walk_expr",
     "map_expr",
     "uses_var",
-    "node_gets",
     "var_names",
     "normalize",
     "normalize_key",
@@ -213,11 +211,6 @@ register_stmt_type(
 # expression traversal
 # --------------------------------------------------------------------------
 
-def expr_children(expr: ir.Expr) -> tuple:
-    """Immediate sub-expressions of ``expr``."""
-    return tuple(_expr_rule(expr).children(expr))
-
-
 def walk_expr(expr: ir.Expr):
     """Yield ``expr`` and every sub-expression, pre-order."""
     yield expr
@@ -238,11 +231,6 @@ def uses_var(expr: ir.Expr, var: str) -> bool:
     """Does ``expr`` mention agent/loop variable ``var``?"""
     return any(isinstance(e, ir.Var) and e.name == var
                for e in walk_expr(expr))
-
-
-def node_gets(expr: ir.Expr) -> list:
-    """Every :class:`~repro.navp.ir.NodeGet` inside ``expr``, pre-order."""
-    return [e for e in walk_expr(expr) if isinstance(e, ir.NodeGet)]
 
 
 def var_names(expr: ir.Expr) -> set:

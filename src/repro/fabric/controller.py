@@ -10,7 +10,7 @@ node variables. Like the MESSENGERS daemon, there is exactly one such
 loop, and the network underneath is a detail:
 
 :class:`Controller`
-    The loop itself — seeding (or resuming from a cut bundle), the
+    The loop itself — injection (or resuming from a cut bundle), the
     ``known <= done`` termination wait, journal + credit-gate routing
     of forwarded hops, acting out fault verdicts, checkpoint cadence
     and commit, the recovery sequence, and the collect phase. Plain
@@ -58,12 +58,11 @@ The command vocabulary between controller and worker is shared too
 and checkpoint machinery replay identically over every transport — and
 so are the codec and the frame format (:mod:`repro.fabric.wire`): every
 link moves its commands and reports as the same multi-buffer frames.
-A forked fabric worker applies its ``register`` / ``load`` /
-``signal0`` commands from its fork image (:meth:`WorkerCore.seed`)
-before it reads a frame — liveness tables solved and loads contiguous
-in the parent, once — and its cuts carry only the node variables the
-run can write; only the job service's warm pool, which outlives any
-one job, receives setup on the wire and cuts whole.
+No setup crosses a link. Every worker applies its ``register`` /
+``load`` / ``signal0`` commands itself (:meth:`WorkerCore.seed`) before
+it reads a frame: a forked fabric worker from its fork image, a serve
+pool worker from the job header. So every cut carries only the node
+variables the run can write (:func:`written_names`).
 """
 
 from __future__ import annotations
@@ -104,6 +103,8 @@ __all__ = [
     "thaw_task",
     "reap_workers",
     "exit_cause",
+    "written_names",
+    "mc_hint",
 ]
 
 
@@ -154,6 +155,34 @@ def exit_cause(proc) -> str:
         return f"killed by {signal.Signals(-code).name}"
     except ValueError:  # pragma: no cover - a signal Python cannot name
         return f"killed by signal {-code}"
+
+
+def written_names(programs) -> tuple:
+    """The node variables some ``NodeSet`` of ``programs`` (an injection
+    closure) can write, sorted: what a run collects and a cut carries.
+    IR values are immutable — kernels return new values and ``NodeSet``
+    is the only node write — so every other variable is still the
+    host's setup."""
+    return tuple(sorted({
+        stmt.name for program in programs
+        for _path, stmt in walk_stmts(program.body)
+        if isinstance(stmt, ir.NodeSet)}))
+
+
+def mc_hint(roots, signals, programs, window) -> str:
+    """The model checker's verdict on a timed-out run, as a suffix for
+    its :class:`DeadlockError`: ``roots`` ``(program name, coord,
+    env)`` and ``signals`` as the run injected and seeded them, over
+    the closure ``programs`` it shipped — not whatever the registry
+    holds now — under the credit ``window``. ``""`` when there is
+    nothing useful to say; never raises, so the hint cannot mask the
+    timeout it annotates."""
+    from ..analysis.protocol_mc import runtime_deadlock_hint
+
+    hint = runtime_deadlock_hint(
+        roots, signals, registry={p.name: p for p in programs},
+        window=window)
+    return "\n" + hint if hint else ""
 
 
 # Field offsets of a worker task record (see WorkerCore.execute).
@@ -274,21 +303,20 @@ class WorkerCore:
 
     # -- command protocol ----------------------------------------------
     def seed(self, setup) -> None:
-        """Apply the setup commands a forked worker finds in its image,
-        as they are. :meth:`ControllerFabric.run` put them in the form a
-        frame would deliver before the fork — liveness tables solved,
-        strided loads made contiguous — so the worker aliases the
-        parent's blocks copy on write and redoes none of that work. A
-        serve pool worker seeds each job's core the same way, with the
-        loads it generates from the job header."""
+        """Apply a host's setup commands — ``register``, ``load`` and
+        ``signal0`` — before its first frame. A forked fabric worker
+        finds them in its image, put by :meth:`ControllerFabric.run` in
+        the form a frame would deliver (liveness tables solved, strided
+        loads made contiguous), so it aliases the parent's blocks copy
+        on write and redoes none of that work. A serve pool worker
+        seeds each job's core from the job header
+        (:func:`~repro.serve.worker.seed_job`)."""
         for cmd in setup:
             self.handle(cmd)
 
     def _held(self, names) -> dict:
         """This host's node variables named in ``names`` (the ones each
-        PE holds), or every one of them for None."""
-        if names is None:
-            return self.node_vars
+        PE holds)."""
         return {coord: {n: here[n] for n in names if n in here}
                 for coord, here in self.node_vars.items()}
 
@@ -512,10 +540,10 @@ class Link:
 
     def replace(self, host) -> None:
         """Put a fresh worker behind ``host`` in the state that precedes
-        every journaled command — a fabric's forks from the same setup
-        image as the first, a pool worker starts with the programs
-        registered and empty node state; whatever the old one still
-        sends is fenced off."""
+        every journaled command: its whole setup, seeded before the
+        first frame — a fabric's forks from the same setup image as the
+        first, a pool worker seeds from the job header again. Whatever
+        the old one still sends is fenced off."""
         raise NotImplementedError
 
     def crash(self, host) -> bool:
@@ -542,20 +570,20 @@ class Controller:
     workers' ``(mid, hops)`` dedup makes the at-least-once replay
     exactly-once. Without one (plain mode) it is the same loop:
     nothing is journaled, workers ship hops peer to peer so none
-    arrives here, and a lost host is a :class:`FabricError`. Plain
-    mode is only ever run by the fabrics, whose workers hold their
-    setup before they read a frame, so a peer's hop has no setup frame
-    to overtake; whatever ``run`` is given to seed it sends FIFO per
-    host ahead of the entry messengers.
+    arrives here, and a lost host is a :class:`FabricError`.
 
-    ``collect`` names the node variables the run's caller will read —
-    a reply carries what was asked for: each host answers with those
-    (the ones a PE holds) and nothing else; ``None`` asks for every
-    node variable. ``cut`` names the node variables a checkpoint
-    carries, the same way. A cut that leaves variables out is sound
-    only where a replaced host starts from a setup that already holds
-    them, as a fabric's fork image does: ``restore`` lays the cut over
-    what the host holds.
+    The loop sends no setup. Every worker — the first and each
+    replacement — holds its programs, loads and initial signals before
+    it reads a frame (:meth:`WorkerCore.seed`), so ``run`` only injects
+    the entry messengers, or resumes from a cut bundle, and a peer's
+    hop has no setup frame to overtake.
+
+    ``collect`` names the node variables the run's caller will read,
+    and ``cut`` the ones a checkpoint carries: each host answers with
+    those (the ones a PE holds) and nothing else. A cut may leave out
+    what no ``NodeSet`` writes (:func:`written_names`), because a
+    replaced host starts from its setup again and ``restore`` lays the
+    cut over it.
 
     ``note(place, actor, kind, text, src_place, nbytes)`` records a
     trace event; ``hint()`` is appended to a timeout message;
@@ -573,8 +601,7 @@ class Controller:
                  runtime: PlanRuntime | None = None,
                  window=math.inf, coalesce: int = 1,
                  checkpoint_every: int | None = None,
-                 note=None, hint=None, on_cut=None, collect=None,
-                 cut=None):
+                 note=None, hint=None, on_cut=None, collect, cut):
         self.link = link
         self.name = name
         self.n_hosts = n_hosts
@@ -608,12 +635,6 @@ class Controller:
         self._commits: dict = {}        # ckpt id -> hosts committed
 
     # -- outbound ------------------------------------------------------
-    def _send(self, h, cmd) -> None:
-        """Journal + deliver one setup command."""
-        if self.sup is not None:
-            self.sup.journal(h, cmd)
-        self.link.send(h, cmd)
-
     def _forward(self, h, task) -> None:
         """Journal one continuation, then queue it at the gate."""
         if self.sup is not None:
@@ -642,12 +663,10 @@ class Controller:
             self.link.send(h, ("collect", self.collect))
 
     # -- the run -------------------------------------------------------
-    def run(self, loads=(), signals=(), entries=(), resume=None) -> dict:
-        """Seed the hosts — ``loads`` ``(coord, vars)``, ``signals``
-        ``(coord, name, args, count)``, ``entries`` ``(mid, coord,
-        program, env)``, or a ``resume`` bundle instead of all three —
-        and drive to completion; returns ``{coord: node vars}``, the
-        variables ``collect`` named."""
+    def run(self, entries, resume=None) -> dict:
+        """Inject ``entries`` ``(mid, coord, program, env)``, or resume
+        from a cut bundle instead, and drive to completion; returns
+        ``{coord: node vars}``, the variables ``collect`` named."""
         host_of = self.host_of
         self._t0 = time.perf_counter()
         self._deadline = time.monotonic() + self.timeout
@@ -664,10 +683,6 @@ class Controller:
             for h, cmds in resume["journal"].items():
                 self._replay(h, cmds, journal=True)
         else:
-            for coord, node_vars in loads:
-                self._send(host_of[coord], ("load", coord, node_vars))
-            for initial in signals:
-                self._send(host_of[initial[0]], ("signal0", initial))
             for mid, coord, program, env in entries:
                 self.known.add(mid)
                 self._forward(host_of[coord], (
@@ -857,12 +872,10 @@ class ControllerFabric(Link):
     form a frame would deliver — a C-contiguous array stays the object
     given, anything else becomes its contiguous codec round trip.
 
-    Collect and every cut ask for the node variables some ``NodeSet``
-    of the injection closure can write. IR values are immutable
-    (kernels return new values, ``NodeSet`` is the only node write), so
-    every other variable still is the load: in ``places`` and in the
-    image a replacement worker forks with, under the cut its
-    ``restore`` lays over it.
+    Collect and every cut ask for the closure's
+    :func:`written_names`; every other variable still is the load: in
+    ``places`` and in the image a replacement worker forks with, under
+    the cut its ``restore`` lays over it.
     """
 
     #: flow control toward a worker (the socket fabric overrides both)
@@ -909,10 +922,7 @@ class ControllerFabric(Link):
         if not self._initial:
             raise FabricError("no messengers injected")
         self._t0 = time.perf_counter()
-        written = tuple(sorted({
-            stmt.name for program in self._programs.values()
-            for _path, stmt in walk_stmts(program.body)
-            if isinstance(stmt, ir.NodeSet)}))
+        written = written_names(self._programs.values())
         # done once, here, for every worker: the fork image carries it
         # to the first one and to each replacement
         for program in self._programs.values():
@@ -932,7 +942,9 @@ class ControllerFabric(Link):
             window=self.window or math.inf, coalesce=self.coalesce,
             checkpoint_every=self._checkpoint_every,
             note=self._note if self.trace.enabled else None,
-            hint=lambda: self._mc_hint(self.window),
+            hint=lambda: mc_hint(
+                [(name, coord, env) for coord, name, env in self._initial],
+                self._signals, self._programs.values(), self.window),
             collect=written, cut=written)
         self.lost = ctl.lost
         entries = []
@@ -943,7 +955,7 @@ class ControllerFabric(Link):
             # opening inside the try: a spawn failure midway must not
             # leave the already-started workers orphaned
             self._open()
-            collected = ctl.run((), (), entries)
+            collected = ctl.run(entries)
         finally:
             self._close()
         # every node variable, as on sim: the loads under what was written
@@ -1039,26 +1051,6 @@ class ControllerFabric(Link):
                     child = ir.get_program(stmt.program)
                     self._programs[stmt.program] = child
                     todo.append(child)
-
-    def _mc_hint(self, window: int | None = None) -> str:
-        """Model-checker verdict suffix for a DeadlockError message.
-
-        ``self._programs`` already holds the exact injection closure
-        this run shipped to the workers, so the post-mortem checks what
-        actually ran — not whatever the global registry holds now.
-        Returns ``""`` when there is nothing useful to say; never
-        raises (the hint must not mask the deadlock it annotates).
-        """
-        try:
-            from ..analysis.protocol_mc import runtime_deadlock_hint
-            roots = [(name, coord, env)
-                     for coord, name, env in self._initial]
-            hint = runtime_deadlock_hint(roots, self._signals,
-                                         registry=self._programs,
-                                         window=window)
-        except Exception:  # pragma: no cover — defensive
-            hint = None
-        return "\n" + hint if hint else ""
 
     # -- identity ------------------------------------------------------
     kind = "distributed"  # overridden: "process" / "socket"

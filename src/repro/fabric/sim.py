@@ -822,17 +822,6 @@ class SimFabric:
 
     _EFFECT_BASES = tuple(_EFFECTS.items())
 
-    def _perform(self, messenger, eff):
-        """Dispatch one effect (kept as the documented seam for tests)."""
-        handler = self._EFFECTS.get(eff.__class__)
-        if handler is None:
-            handler = self._resolve_effect(eff.__class__)
-            if handler is None:
-                raise FabricError(
-                    f"unknown effect {eff!r} from messenger "
-                    f"{messenger._name}")
-        return (yield from handler(self, messenger, eff))
-
     def _send_faults(self, resil, messenger, place: SimPlace, dst: SimPlace,
                      eff, nbytes: int):
         """Fault hooks for one cross-host send. Returns False when the

@@ -1,14 +1,13 @@
 """Navigational Programming runtime: messengers, IR, interpreters."""
 
 from . import ir, kernels
-from .interp import Interp, IRMessenger, run_ir_on_fabric
+from .interp import Interp, IRMessenger
 from .messenger import Messenger
 
 __all__ = [
     "Messenger",
     "Interp",
     "IRMessenger",
-    "run_ir_on_fabric",
     "ir",
     "kernels",
 ]

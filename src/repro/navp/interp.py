@@ -45,8 +45,7 @@ from . import ir
 from .kernels import get_kernel
 from .messenger import Messenger
 
-__all__ = ["Interp", "IRMessenger", "advance", "code_table", "live_table",
-           "run_ir_on_fabric"]
+__all__ = ["Interp", "IRMessenger", "advance", "code_table", "live_table"]
 
 
 class Interp:
@@ -553,10 +552,3 @@ class IRMessenger(Messenger):
             else:  # pragma: no cover - next_action is exhaustive
                 raise ConfigurationError(f"unknown action {action!r}")
             action = interp.next_action(self.vars)
-
-
-def run_ir_on_fabric(fabric, program: str, env: dict | None = None,
-                     at=(0,)):
-    """Inject an IR program at a place and run the fabric to completion."""
-    fabric.inject(at, IRMessenger(program, env))
-    return fabric.run()

@@ -9,8 +9,7 @@ The subsystem has three layers, each usable alone:
   snapshots and Chandy–Lamport-style :class:`ConsistentCut` capture,
   with in-memory and on-disk stores.
 * :mod:`repro.resilience.recovery` — :class:`RecoveryPolicy`
-  (retry/backoff), :class:`DedupFilter` (exactly-once from
-  at-least-once), :class:`ReplayLedger` (respawn replay).
+  (retry/backoff) and :class:`ReplayLedger` (respawn replay).
 
 See ``docs/resilience.md`` for the fault-plan schema, the snapshot
 protocol, and the recovery guarantees per fabric.
@@ -34,7 +33,7 @@ from .checkpoint import (
     restore_cut,
     resume_from_cut,
 )
-from .recovery import DedupFilter, RecoveryPolicy, ReplayLedger
+from .recovery import RecoveryPolicy, ReplayLedger
 
 __all__ = [
     "Crash",
@@ -52,6 +51,5 @@ __all__ = [
     "restore_cut",
     "resume_from_cut",
     "RecoveryPolicy",
-    "DedupFilter",
     "ReplayLedger",
 ]

@@ -1,4 +1,4 @@
-"""Recovery policy: retries, backoff, dedup, and replay ledgers.
+"""Recovery policy: retries, backoff, and replay ledgers.
 
 The pieces the fabrics share when they mask faults:
 
@@ -7,11 +7,6 @@ The pieces the fabrics share when they mask faults:
   default so golden tables stay bit-exact under masked faults); on the
   thread/process fabrics ``backoff_s``/``backoff_factor`` are real
   sleeps between redelivery attempts.
-* :class:`DedupFilter` — at-least-once delivery (retries, duplicated
-  messages, replay after respawn) is turned back into exactly-once
-  processing by keying every transfer with a ``(messenger, sequence)``
-  pair and dropping the ones already seen. Thread-safe: the thread and
-  process fabrics consult it from delivery threads.
 * :class:`ReplayLedger` — the controller-side journal of everything
   sent to each failure domain since its last checkpoint, so a respawned
   worker can be replayed deterministically.
@@ -19,12 +14,11 @@ The pieces the fabrics share when they mask faults:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
-__all__ = ["RecoveryPolicy", "DedupFilter", "ReplayLedger"]
+__all__ = ["RecoveryPolicy", "ReplayLedger"]
 
 
 @dataclass(frozen=True)
@@ -78,42 +72,14 @@ class RecoveryPolicy:
             f"recovery must be a RecoveryPolicy or bool, got {value!r}")
 
 
-class DedupFilter:
-    """Record delivery keys; report whether each is the first sighting."""
-
-    __slots__ = ("_seen", "_lock", "duplicates")
-
-    def __init__(self):
-        self._seen: set = set()
-        self._lock = threading.Lock()
-        self.duplicates = 0
-
-    def first(self, key) -> bool:
-        """True exactly once per key; later sightings count as dups."""
-        with self._lock:
-            if key in self._seen:
-                self.duplicates += 1
-                return False
-            self._seen.add(key)
-            return True
-
-    def forget(self, key) -> None:
-        with self._lock:
-            self._seen.discard(key)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._seen)
-
-
 class ReplayLedger:
     """Per-domain journal of deliveries since the last checkpoint.
 
-    The process-fabric controller appends every payload it routes to a
-    worker; on respawn it replays the journal into the fresh queue (the
-    worker's :class:`DedupFilter` — rebuilt from the checkpoint — keeps
-    replayed-but-already-processed work from running twice). ``clear``
-    is called when a checkpoint covering the domain lands.
+    The controller appends every command it routes to a worker host; on
+    respawn it replays the journal to the fresh worker, whose ``(mid,
+    hops)`` delivery dedup — rebuilt from the checkpoint — keeps
+    replayed-but-already-processed work from running twice. A commit
+    truncates the entries its checkpoint covers (:meth:`truncate`).
     """
 
     __slots__ = ("_entries",)
@@ -127,18 +93,9 @@ class ReplayLedger:
     def entries(self, domain) -> list:
         return list(self._entries.get(domain, ()))
 
-    def clear(self, domain) -> None:
-        self._entries.pop(domain, None)
-
     def truncate(self, domain, n: int) -> None:
         """Drop the first ``n`` entries — the ones a just-committed
         checkpoint now covers — keeping everything journaled since."""
         kept = self._entries.get(domain)
         if kept is not None:
             del kept[:n]
-
-    def domains(self) -> list:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._entries.values())

@@ -14,10 +14,15 @@ process and socket fabrics run) over the pool's warm connections.
   cache is empty); the loop then restores the last committed
   checkpoint and replays the journal.
 
-No input crosses the wire: the ``("job", ...)`` header carries the
-job's ``(program, g, seed, ab)``, and each worker generates its own
-PEs' blocks from it (:func:`~repro.serve.catalog.job_loads`) — on a
-replacement too. The daemon generates A and B once more, for
+No setup crosses the wire. The ``("job", ...)`` header carries the
+host's initial signals and the job's ``(program, g, seed, ab)``, and
+each worker seeds its core from it before the first command
+(:func:`~repro.serve.worker.seed_job`): the signals, and its own PEs'
+blocks (:func:`~repro.serve.catalog.job_loads`) — on a replacement and
+a resumed job too, just as a forked fabric worker seeds from its
+image. So a cut carries only the variables the closure writes
+(:func:`~repro.fabric.controller.written_names`), never the A and B
+blocks. The daemon generates A and B once more, for
 :func:`~repro.serve.catalog.product_ok`, the O(n²) check behind
 ``record.ok``.
 
@@ -31,10 +36,13 @@ or timeout never touches another's.
 Durable daemons extend the same machinery across a *daemon* crash:
 every fully-committed coordinated checkpoint reaches
 :meth:`JobRun._persist_cut` as the loop's resume bundle and is saved
-to the service's checkpoint store under ``cut:{jid}``. A restarted
-daemon hands the bundle back via ``bundle=`` and the loop resumes
-from it instead of seeding; the workers' (mid, hops) dedup makes the
-cross-restart replay exactly-once too.
+to the service's checkpoint store under ``cut:{jid}``: per host, the
+written variables, event counts and messenger state, plus the journal
+suffix past the cut. A restarted daemon hands the bundle back via
+``bundle=``; the workers seed from their headers as ever, and the loop
+restores every host from the bundle instead of injecting the entry.
+The workers' (mid, hops) dedup makes the cross-restart replay
+exactly-once too.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ import threading
 import time
 from dataclasses import replace
 
-from ..fabric.controller import Controller, Link, Supervisor
+from ..fabric.controller import (Controller, Link, Supervisor, mc_hint,
+                                 written_names)
 from ..fabric.hosts import cyclic_hosts, resolve_hosts
 from ..fabric.topology import Grid2D
 from ..matmul.ir2d import assemble_product
@@ -136,7 +145,9 @@ class JobRun(threading.Thread, Link):
             self._headers[h] = (
                 "job", jid, h,
                 [c for c in topology.coords if host_of[c] == h],
-                dict(host_of), spec.program, spec.g, spec.seed, spec.ab)
+                dict(host_of),
+                [s for s in suite.initial_signals if host_of[s[0]] == h],
+                spec.program, spec.g, spec.seed, spec.ab)
             self._send_header(h)
 
         places = Controller(
@@ -144,10 +155,13 @@ class JobRun(threading.Thread, Link):
             sup=Supervisor(RecoveryPolicy(), service.max_restarts),
             window=service.window, coalesce=service.coalesce,
             checkpoint_every=service.checkpoint_every,
+            hint=lambda: mc_hint([(suite.entry.name, (0, 0), {})],
+                                 suite.initial_signals, suite.programs,
+                                 service.window),
             on_cut=self._persist_cut if self.store is not None else None,
             collect=("C",),     # the one node variable assembled below
-        ).run((), suite.initial_signals,
-              [(f"{jid}/m0", (0, 0), suite.entry.name, {})],
+            cut=written_names(suite.programs),
+        ).run([(f"{jid}/m0", (0, 0), suite.entry.name, {})],
               resume=self.bundle)
         for h in hosts:
             self.send(h, ("endjob",))

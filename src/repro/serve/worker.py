@@ -12,10 +12,13 @@ so a job lease costs a few small frames instead of world construction.
 
 Commands are job-tagged: a ``("job", jid, ...)`` header creates a
 fresh core for that job (node variables, event tables, dedup set —
-nothing leaks between jobs or tenants) and seeds it with its PEs'
-blocks, generated here from the header's ``(program, g, seed, ab)``
-(:func:`seed_job`; no ``load`` frame is ever sent), and every subsequent
-data-plane command carries the jid. A command for any other jid is
+nothing leaks between jobs or tenants) and seeds it with the job's
+whole setup on this host (:func:`seed_job`): its PEs' blocks, generated
+here from the header's ``(program, g, seed, ab)``, and the header's
+initial signals. No ``load`` or ``signal0`` frame is ever sent, so a
+leased worker, a replacement and a resumed job all start as a forked
+fabric worker does. Every subsequent data-plane command carries the
+jid. A command for any other jid is
 dropped — after a job ends (or this worker is re-leased following a
 controller-side failure), stale frames of the old job cannot touch
 the new one. ``("register", programs)`` is deliberately *not*
@@ -40,13 +43,16 @@ from .catalog import job_loads
 __all__ = ["pool_worker_main", "seed_job"]
 
 
-def seed_job(core: WorkerCore, program: str, g: int, seed: int,
+def seed_job(core: WorkerCore, signals, program: str, g: int, seed: int,
              ab: int) -> None:
-    """Seed a job's fresh core with the node variables of its PEs,
-    generated where they live — the way a forked fabric worker seeds
-    from its image (:meth:`WorkerCore.seed`)."""
+    """Seed a job's fresh core with everything its host holds before the
+    first command — its PEs' blocks, generated where they live, and its
+    initial ``signals`` ``(coord, name, args, count)`` — the way a
+    forked fabric worker seeds from its image (:meth:`WorkerCore.seed`).
+    The arguments are the tail of the job header."""
     core.seed([("load", coord, node_vars) for coord, node_vars in
-               job_loads(program, g, seed, ab, list(core.node_vars)).items()])
+               job_loads(program, g, seed, ab, list(core.node_vars)).items()]
+              + [("signal0", initial) for initial in signals])
 
 
 def pool_worker_main(wid, ctl_addr, heartbeat_s, backoff_seed, *, gen):
@@ -86,13 +92,13 @@ def pool_worker_main(wid, ctl_addr, heartbeat_s, backoff_seed, *, gen):
                     ir.register_program(program, replace=True)
                 continue
             if op == "job":
-                _, jid, host, coords, host_of, *shape = cmd
+                _, jid, host, coords, host_of, *setup = cmd
                 current["jid"] = jid
                 current["host"] = host
                 current["core"] = WorkerCore(
                     host, [tuple(c) for c in coords], dict(host_of),
                     emit_hop, emit_report, dedup=True)
-                seed_job(current["core"], *shape)
+                seed_job(current["core"], *setup)
                 continue
             # everything below is job-tagged: (op, jid, ...)
             if cmd[1] != current["jid"] or core is None:
@@ -105,6 +111,6 @@ def pool_worker_main(wid, ctl_addr, heartbeat_s, backoff_seed, *, gen):
                     emit_report(("credit", current["host"]))
                     core.handle(("run", task))
             else:
-                # signal0 / ckpt / restore / collect: the core's
-                # own command once the job tag is stripped
+                # ckpt / restore / collect: the core's own command
+                # once the job tag is stripped
                 core.handle((op,) + cmd[2:])

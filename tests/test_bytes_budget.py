@@ -5,10 +5,12 @@ Each catalog program runs once at g=2, ab=64 on two in-process
 :class:`~repro.fabric.controller.Controller` configured the way
 :class:`~repro.serve.scheduler.JobRun` configures it (supervised, so
 every cross-host hop detours through the controller; ``collect`` asks
-for ``C``; no loads — each host generates its own blocks with
+for ``C``, a cut every 8 forwards carries the closure's
+:func:`~repro.fabric.controller.written_names`; no setup is sent —
+each host seeds its own blocks and initial signals with
 :func:`~repro.serve.worker.seed_job`, as a pool worker does from its
-job header, so the ``load`` row is zero). The :class:`CountingLink`
-between them is the wire: every
+job header, so the ``load`` row is zero; the ``ckpt`` row is the cut
+replies). The :class:`CountingLink` between them is the wire: every
 command and every report crosses the real payload codec, is sized as
 the codec sizes it *when it is sent*, and arrives as a decoded copy —
 an in-process link that passed references would size a continuation
@@ -37,7 +39,7 @@ import pytest
 
 from repro.fabric import payload
 from repro.fabric.controller import (Controller, Link, Supervisor,
-                                     WorkerCore)
+                                     WorkerCore, written_names)
 from repro.fabric.hosts import cyclic_hosts, resolve_hosts
 from repro.fabric.topology import Grid2D
 from repro.matmul.ir2d import assemble_product
@@ -48,7 +50,7 @@ from repro.serve.worker import seed_job
 G, AB, SEED, HOSTS = 2, 64, 3, 2
 GOLDEN = Path(__file__).parent / "goldens" / "bytes_budget.json"
 #: the rows pinned per program: commands sent / reports received
-ROWS = ("load", "hop", "vars")
+ROWS = ("load", "hop", "vars", "ckpt")
 
 
 def cross(obj):
@@ -114,14 +116,15 @@ def drive(program: str):
     topology = Grid2D(G)
     host_of = resolve_hosts(topology, cyclic_hosts(topology, HOSTS))
     link = CountingLink(host_of)
-    for core in link.cores.values():
-        seed_job(core, program, G, SEED, AB)
+    for h, core in link.cores.items():
+        seed_job(core, [s for s in suite.initial_signals
+                        if host_of[s[0]] == h], program, G, SEED, AB)
     places = Controller(
         link, f"budget {program}", HOSTS, host_of, 10.0,
         sup=Supervisor(RecoveryPolicy(), 0), window=32, coalesce=8,
-        collect=("C",),
-    ).run((), suite.initial_signals,
-          [("m0", (0, 0), suite.entry.name, {})])
+        checkpoint_every=8, collect=("C",),
+        cut=written_names(suite.programs),
+    ).run([("m0", (0, 0), suite.entry.name, {})])
     c = assemble_product(suite, places)
     return link, hashlib.sha256(c.tobytes()).hexdigest()
 
@@ -129,7 +132,7 @@ def drive(program: str):
 def budget(program: str) -> dict:
     link, _digest = drive(program)
     tallies = {"load": link.sent, "hop": link.received,
-               "vars": link.received}
+               "vars": link.received, "ckpt": link.received}
     return {row: dict(zip(("messages", "bytes", "largest"),
                           tallies[row].get(row, (0, 0, 0))))
             for row in ROWS}

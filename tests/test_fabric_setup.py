@@ -18,8 +18,8 @@ of the injection closure can write; every other variable of
 * a fabric run twice is right twice;
 * nothing twice: no worker solves a liveness table, a strided load is
   made contiguous in the parent (a contiguous one is kept as given),
-  and a fabric cut carries the written variables alone — while a serve
-  cut, whose replacement has no image, stays whole.
+  and a cut carries the written variables alone — a fabric's, and a
+  served job's, whose pool worker seeds from the job header.
 """
 
 import os
@@ -298,10 +298,11 @@ def test_a_fabric_cut_carries_only_the_written_variables(kind, monkeypatch):
             assert set(held) <= {"C", "Bslot"}, set(held)
 
 
-def test_a_serve_cut_still_carries_every_variable():
-    """A pool worker is not forked from the job's setup, so a serve cut
-    (and the bundle a restarted daemon resumes from) stays whole —
-    ``A`` and ``B`` included, although no hop of the job writes them."""
+def test_a_serve_cut_carries_only_the_written_variables():
+    """A pool worker seeds its whole setup from the job header, so a
+    serve cut (and the bundle a restarted daemon resumes from) carries
+    what the closure writes and leaves out ``A`` and ``B``, which no
+    hop of the job writes."""
     from repro.serve import ServeClient
     from tests.test_serve_service import serving
 
@@ -312,4 +313,5 @@ def test_a_serve_cut_still_carries_every_variable():
         bundle = service.store.load(f"cut:{jid}")
     for node_vars, *_rest in bundle["states"].values():
         for held in node_vars.values():
-            assert {"A", "B", "C"} <= set(held), set(held)
+            assert "C" in held and set(held) <= {"Aslot", "Bslot", "C"}, \
+                set(held)

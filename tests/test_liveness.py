@@ -276,10 +276,12 @@ def test_wavefront_hops_fit_a_small_message():
     _layout(loads, case, 4)
     host_of = resolve_hosts(Grid1D(4), None)
     link = CountingLink(host_of)
+    for coord, node_vars in loads.items():
+        link.cores[host_of[coord]].seed([("load", coord, node_vars)])
     places = Controller(
         link, "wavefront", 4, host_of, 10.0,
-        sup=Supervisor(RecoveryPolicy(), 0), collect=("D",),
-    ).run(loads.items(), (), [("m0", (0,), main.name, {})])
+        sup=Supervisor(RecoveryPolicy(), 0), collect=("D",), cut=("D",),
+    ).run([("m0", (0,), main.name, {})])
     assert all(len(places[(c,)]["D"]) == case.nblocks for c in range(4))
     hops, _nbytes, largest = link.received["hop"]
     assert hops == 3 * case.nblocks
@@ -402,19 +404,17 @@ def test_catalog_cut_and_replay_stay_on_the_sim_digest(program, g):
     that overtakes hops queued at a *full* gate is ROADMAP 1(f))."""
     from repro.fabric.controller import Controller, Supervisor
     from repro.resilience.recovery import RecoveryPolicy
-    from tests.test_controller_loop import Job, ScriptedLink, assemble
+    from tests.test_controller_loop import Job, assemble
 
     job = Job(program, g, 2)
 
     def drive(lose=None):
-        link = ScriptedLink(job.host_of, lose)
+        link = job.link(lose)
         ctl = Controller(
             link, "liveness", job.hosts, job.host_of, 5.0,
             sup=Supervisor(RecoveryPolicy(), 1), window=32, coalesce=8,
-            checkpoint_every=4)
-        places = ctl.run(job.suite.layout.items(),
-                         job.suite.initial_signals,
-                         [("m0", (0, 0), job.suite.entry.name, {})])
+            checkpoint_every=4, collect=job.written, cut=job.written)
+        places = ctl.run([("m0", (0, 0), job.suite.entry.name, {})])
         return (hashlib.sha256(assemble(places, g).tobytes()).hexdigest(),
                 ctl, link)
 

@@ -292,6 +292,7 @@ class TestRuntimeHints:
 
     def test_controller_hint_uses_shipped_closure(self):
         from repro.fabric import Grid1D
+        from repro.fabric.controller import mc_hint
         from repro.fabric.socket import SocketFabric
 
         ir.register_program(ir.Program("mc-hint-stuck", (
@@ -299,7 +300,12 @@ class TestRuntimeHints:
         ), ()), replace=True)
         fabric = SocketFabric(Grid1D(2))
         fabric.inject((0,), "mc-hint-stuck")
-        hint = fabric._mc_hint(window=fabric.window)
+        ir.register_program(ir.Program("mc-hint-stuck", (), ()),
+                            replace=True)
+        hint = mc_hint([(name, coord, env)
+                        for coord, name, env in fabric._initial],
+                       fabric._signals, fabric._programs.values(),
+                       fabric.window)
         assert "reachable in the program itself" in hint
 
     def test_hint_is_silent_without_roots(self):

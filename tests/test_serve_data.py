@@ -2,7 +2,7 @@
 
 * Blocks are born where they live: the hosts' ``job_loads`` are, bit for
   bit, the layout ``build_job_suite`` gives the sim oracle, and no
-  ``load`` frame crosses the pool wire.
+  setup — ``load`` or ``signal0`` — frame crosses the pool wire.
 * ``ok`` is Freivalds' check: it accepts every served product and
   rejects swapped blocks, a missing k-term and one element off by 1.0.
 * The digest stays exact: served digests equal the sim digests.
@@ -130,7 +130,9 @@ class TestServed:
             self, monkeypatch):
         """Each catalog program served at g=2 and g=3 (bar the Figure 15
         g=3 deadlock admission refuses): ``ok`` by Freivalds, the sim
-        digest bit for bit, and not one ``load`` frame on the wire."""
+        digest bit for bit, and not one setup frame on the wire: every
+        worker seeds its blocks and initial signals from the job
+        header (Figure 13 has initial ``EC`` signals to seed)."""
         ops = []
         send = WorkerPool.send
 
@@ -155,7 +157,7 @@ class TestServed:
             assert record["ok"] is True, shape
             assert record["digest"] == _sim_digest(*shape), shape
         assert {"job", "run"} <= set(ops)
-        assert "load" not in ops
+        assert not {"load", "signal0"} & set(ops), set(ops)
 
 
 def _segment(records) -> str:

@@ -411,6 +411,35 @@ class TestInProcessRestart:
                 svc.submit({"program": "navp-2d-dsc", "workers": 1,
                             "key": "K", "seed": 2})
 
+    def test_a_job_resumes_from_its_last_cut(self, tmp_path):
+        """The daemon died after a job's last committed cut and before
+        its ``done`` record: session 2 resumes it from the bundle. The
+        workers seed from the job header, the bundle — the written
+        variables only — is restored over that, and the digest is the
+        one session 1 computed."""
+        spec = {"program": "mpi-gentleman", "g": 3, "seed": 4, "ab": 4,
+                "workers": 2}
+        with durable_serving(tmp_path, pool_size=2) as svc:
+            jid = svc.submit(dict(spec))["job"]
+            first = svc.wait_job(jid, timeout=60.0)
+            assert first["state"] == "completed"
+            svc.shutdown(drain=True)
+        for segment in (tmp_path / "wal").iterdir():
+            kept = [line for line in segment.read_text().splitlines()
+                    if json.loads(line)["t"] != "done"]
+            segment.write_text("".join(line + "\n" for line in kept))
+
+        with durable_serving(tmp_path, pool_size=2) as svc2:
+            assert svc2.recovery_summary["resumed"] == 1
+            bundle = svc2.store.try_load(f"cut:{jid}")
+            again = svc2.wait_job(jid, timeout=60.0)
+        assert bundle is not None
+        for node_vars, *_rest in bundle["states"].values():
+            for held in node_vars.values():
+                assert not {"A", "B"} & set(held), set(held)
+        assert again["state"] == "completed" and again["ok"] is True
+        assert again["digest"] == first["digest"]
+
     def test_abandoned_jobs_rerun_to_golden(self, tmp_path):
         """Session 1 is torn down without draining (running + pending
         jobs abandoned); session 2 re-admits them from the ledger and

@@ -128,6 +128,23 @@ class TestMissingOutput:
             "tour-without-c"), record["reason"]
 
 
+class TestTimeout:
+    def test_a_timed_out_job_says_why(self):
+        """A served job's timeout carries the model checker's verdict on
+        the closure it ran, as every fabric's ``DeadlockError`` does —
+        not only "job jN timed out"."""
+        with serving(pool_size=1, mc_admission=False,
+                     job_timeout_s=0) as service:
+            with ServeClient(service.addr) as client:
+                jid = client.submit("navp-2d-dsc", g=2, workers=1)
+                record = client.wait(jid, timeout=30.0)
+        assert record["state"] == "failed"
+        reason = record["reason"]
+        assert reason.startswith(f"DeadlockError: job {jid} timed out"), \
+            reason
+        assert "protocol model checker" in reason, reason
+
+
 class TestSigkillRecovery:
     def test_checkpoint_restart_completes_the_job(self):
         """Kill the worker leased to a running job; the job must
