@@ -99,7 +99,7 @@ class JobRecord:
     reason: str = ""                      # failure reason, "" otherwise
     restarts: int = 0                     # worker respawns paid by this job
     digest: str | None = None             # sha256 of the C result bytes
-    ok: bool | None = None                # catalog.product_ok (Freivalds)
+    ok: bool | None = None                # catalog.shares_ok (Freivalds)
     wall_s: float | None = None
     submitted_s: float = 0.0              # monotonic, daemon-relative
     started_s: float | None = None

@@ -14,12 +14,13 @@ Commands are job-tagged: a ``("job", jid, ...)`` header creates a
 fresh core for that job (node variables, event tables, dedup set —
 nothing leaks between jobs or tenants) and seeds it with the job's
 whole setup on this host (:func:`seed_job`): its PEs' blocks, generated
-here from the header's ``(program, g, seed, ab)``, and the header's
-initial signals. No ``load`` or ``signal0`` frame is ever sent, so a
-leased worker, a replacement and a resumed job all start as a forked
-fabric worker does. Every subsequent data-plane command carries the
-jid. A command for any other jid is
-dropped — after a job ends (or this worker is re-leased following a
+here from the header's ``(program, g, seed, ab)`` together with their
+check shares (the daemon's Freivalds check reads those, not A or B),
+and the header's initial signals. No ``load`` or ``signal0`` frame is
+ever sent, so a leased worker, a replacement and a resumed job all
+start as a forked fabric worker does. Every subsequent data-plane
+command carries the jid. A command for any other jid is dropped —
+after a job ends (or this worker is re-leased following a
 controller-side failure), stale frames of the old job cannot touch
 the new one. ``("register", programs)`` is deliberately *not*
 job-tagged: the program registry is the worker-lifetime cache.
@@ -46,8 +47,10 @@ __all__ = ["pool_worker_main", "seed_job"]
 def seed_job(core: WorkerCore, signals, program: str, g: int, seed: int,
              ab: int) -> None:
     """Seed a job's fresh core with everything its host holds before the
-    first command — its PEs' blocks, generated where they live, and its
-    initial ``signals`` ``(coord, name, args, count)`` — the way a
+    first command — its PEs' blocks, generated where they live, with
+    the check share of each (:data:`~repro.serve.catalog.CHECK_SHARES`,
+    computed from the block just generated), and its initial
+    ``signals`` ``(coord, name, args, count)`` — the way a
     forked fabric worker seeds from its image (:meth:`WorkerCore.seed`).
     The arguments are the tail of the job header."""
     core.seed([("load", coord, node_vars) for coord, node_vars in

@@ -5,16 +5,17 @@ Each catalog program runs once at g=2, ab=64 on two in-process
 :class:`~repro.fabric.controller.Controller` configured the way
 :class:`~repro.serve.scheduler.JobRun` configures it (supervised, so
 every cross-host hop detours through the controller; ``collect`` asks
-for ``C``, a cut every 8 forwards carries the closure's
-:func:`~repro.fabric.controller.written_names`; no setup is sent —
-each host seeds its own blocks and initial signals with
-:func:`~repro.serve.worker.seed_job`, as a pool worker does from its
-job header, so the ``load`` row is zero; the ``ckpt`` row is the cut
-replies). The :class:`CountingLink` between them is the wire: every
-command and every report crosses the real payload codec, is sized as
-the codec sizes it *when it is sent*, and arrives as a decoded copy —
-an in-process link that passed references would size a continuation
-after its receiver had gone on mutating the environment they share.
+for ``C`` and the check shares, a cut every 8 forwards carries the
+closure's :func:`~repro.fabric.controller.written_names`; no setup is
+sent — each host seeds its own blocks, check shares and initial
+signals with :func:`~repro.serve.worker.seed_job`, as a pool worker
+does from its job header, so the ``load`` row is zero; the ``ckpt``
+row is the cut replies). The :class:`CountingLink` between them is the
+wire: every command and every report crosses the real payload codec,
+is sized as the codec sizes it *when it is sent*, and arrives as a
+decoded copy — an in-process link that passed references would size a
+continuation after its receiver had gone on mutating the environment
+they share.
 
 No sockets, no processes, no clocks: the counts are a function of the
 programs and the codec, so they are pinned in
@@ -45,6 +46,7 @@ from repro.fabric.topology import Grid2D
 from repro.matmul.ir2d import assemble_product
 from repro.resilience.recovery import RecoveryPolicy
 from repro.serve import build_job_suite, program_names
+from repro.serve.catalog import CHECK_SHARES
 from repro.serve.worker import seed_job
 
 G, AB, SEED, HOSTS = 2, 64, 3, 2
@@ -122,7 +124,7 @@ def drive(program: str):
     places = Controller(
         link, f"budget {program}", HOSTS, host_of, 10.0,
         sup=Supervisor(RecoveryPolicy(), 0), window=32, coalesce=8,
-        checkpoint_every=8, collect=("C",),
+        checkpoint_every=8, collect=("C", CHECK_SHARES),
         cut=written_names(suite.programs),
     ).run([("m0", (0, 0), suite.entry.name, {})])
     c = assemble_product(suite, places)
@@ -163,17 +165,19 @@ def test_a_job_ships_its_pinned_bytes(program):
 @pytest.mark.parametrize("program", program_names())
 def test_the_vars_reply_is_the_c_blocks_and_a_hop_is_one_block(program):
     """Independent of the golden file: a ``vars`` reply carries the
-    ``C`` blocks of its host's PEs and nothing else of their size, and
-    a continuation carries one block (Figure 11's row carrier: its one
-    row of ``G``) — never a spent kernel result on top."""
+    ``C`` blocks of its host's PEs and, beside the check shares (4 x
+    ``AB`` each, one per block of A and B), nothing else of their size,
+    and a continuation carries one block (Figure 11's row carrier: its
+    one row of ``G``) — never a spent kernel result on top."""
     block = AB * AB * 8
+    shares = 2 * G * G * 4 * AB * 8
     carried = G if program == "navp-2d-dsc" else 1
     link, _digest = drive(program)
     replies, nbytes, largest = link.received["vars"]
     assert replies == HOSTS
     per_host = G * G // HOSTS
     assert per_host * block < nbytes / replies <= largest
-    assert largest < per_host * block + 512
+    assert largest < per_host * block + shares + 512
     assert link.received["hop"][2] < carried * block + 512
 
 

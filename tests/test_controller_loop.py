@@ -13,7 +13,9 @@ replacement — is seeded before its first command, from its job header
 with :func:`~repro.serve.worker.seed_job` (the path a pool worker
 takes) or from a setup image of ``load`` / ``signal0`` commands (the
 path a forked fabric worker takes), and every cut carries only the
-written variables, as a served job's and a fabric run's do.
+written variables, as a served job's and a fabric run's do. A host
+seeded from its header holds its blocks' check shares too, so every
+recovered served drive is also ``ok`` by the daemon's check.
 
 Also here: the structural tests that keep it *one* loop, with one way
 to start a host.
@@ -35,6 +37,7 @@ from repro.fabric.topology import Grid2D
 from repro.navp import ir
 from repro.resilience.recovery import RecoveryPolicy
 from repro.serve import build_job_suite
+from repro.serve.catalog import CHECK_SHARES, shares_ok
 from repro.serve.worker import seed_job
 
 AB = 4
@@ -174,20 +177,23 @@ class Job:
             link, "scripted", self.hosts, self.host_of, 5.0,
             sup=Supervisor(RecoveryPolicy(), max_restarts),
             window=2, coalesce=2, checkpoint_every=every, on_cut=on_cut,
-            collect=self.written, cut=cut or self.written)
+            collect=self.written + (CHECK_SHARES,), cut=cut or self.written)
 
     def drive(self, lose=None, stale="kept", resume=None, every=2,
               on_cut=None, cut=None, image=False):
         """Hosts seeded from their headers, or (``image``) from their
         setup images; collect and cuts by written name (or cuts by
-        ``cut``)."""
+        ``cut``). A drive seeded from headers is also ``ok`` by the
+        check shares its hosts hold at the end, re-seeded by every
+        replacement."""
         link = self.link(lose, stale, image)
         ctl = self.controller(link, every=every, on_cut=on_cut, cut=cut)
         places = ctl.run([("m0", (0, 0), self.suite.entry.name, {})],
                          resume=resume)
-        digest = hashlib.sha256(
-            assemble(places, self.g).tobytes()).hexdigest()
-        return digest, ctl, link
+        c = assemble(places, self.g)
+        if not image:
+            assert shares_ok(c, places, self.g, self.shape[2])
+        return hashlib.sha256(c.tobytes()).hexdigest(), ctl, link
 
 
 @pytest.fixture(scope="module", params=SHAPES,

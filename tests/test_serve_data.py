@@ -4,7 +4,9 @@
   bit, the layout ``build_job_suite`` gives the sim oracle, and no
   setup — ``load`` or ``signal0`` — frame crosses the pool wire.
 * ``ok`` is Freivalds' check: it accepts every served product and
-  rejects swapped blocks, a missing k-term and one element off by 1.0.
+  rejects swapped blocks, a missing k-term and one element off by
+  1e-4. A served job's check reads the shares its hosts computed with
+  their blocks, each block's exactly once, and never A or B.
 * The digest stays exact: served digests equal the sim digests.
 * A ledger replayed across a data-version change never runs an old
   job on new data.
@@ -15,13 +17,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.visitor import stmt_exprs, walk_expr, walk_stmts
 from repro.fabric.hosts import cyclic_hosts, resolve_hosts
 from repro.fabric.topology import Grid2D
 from repro.matmul import run_ir2d_suite
+from repro.navp import ir
 from repro.serve import (JobLedger, ServeClient, build_job_suite,
                          program_names, replay_ledger)
-from repro.serve.catalog import (DATA_VERSION, IR_CATALOG, job_block,
-                                 job_loads, product_ok)
+from repro.serve.catalog import (CHECK_SHARES, DATA_VERSION, IR_CATALOG,
+                                 _check_vectors, job_block, job_loads,
+                                 job_suite, product_ok, shares_ok)
 from repro.serve.pool import WorkerPool
 from tests.test_serve_ledger import _adm, _done, durable_serving
 from tests.test_serve_service import _sim_digest, serving
@@ -47,8 +52,11 @@ class TestLoads:
     @pytest.mark.parametrize("program", program_names())
     def test_the_hosts_generate_exactly_the_suite_layout(self, program, g):
         """Under every lease width, the union of what each host
-        generates for its own PEs is the layout the sim oracle runs."""
-        suite, _a, _b = build_job_suite(program, g, 7, AB)
+        generates for its own PEs is the layout the sim oracle runs,
+        plus one check share of every block, summing to ``SᵀA`` and
+        ``BR``."""
+        suite, a, b = build_job_suite(program, g, 7, AB)
+        s, r = _check_vectors(7, g * AB)
         topology = Grid2D(g)
         for width in range(1, g * g + 1):
             host_of = resolve_hosts(topology, cyclic_hosts(topology, width))
@@ -59,8 +67,36 @@ class TestLoads:
                 assert set(loads) == set(mine)
                 union.update(loads)
             assert union.keys() == suite.layout.keys()
+            u, v = np.zeros((4, g * AB)), np.zeros((g * AB, 4))
+            held = []
             for coord, node_vars in union.items():
+                shares = node_vars.pop(CHECK_SHARES)
                 assert _same(node_vars, suite.layout[coord]), (width, coord)
+                for (matrix, i, j), share in shares.items():
+                    held.append((matrix, i, j))
+                    if matrix == "A":
+                        u[:, j * AB:(j + 1) * AB] += share
+                    else:
+                        v[i * AB:(i + 1) * AB] += share
+            assert sorted(held) == sorted(
+                (m, i, j) for m in "AB" for i in range(g) for j in range(g))
+            np.testing.assert_allclose(u, s.T @ a, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(v, b @ r, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("program", program_names())
+    def test_no_program_touches_the_check_shares(self, program):
+        """The shares stay the seed's: no program of the closure reads
+        or writes them, so no cut carries them."""
+        for g in (2, 3):
+            for prog in job_suite(program, g).programs:
+                for _path, stmt in walk_stmts(prog.body):
+                    assert not (isinstance(stmt, ir.NodeSet)
+                                and stmt.name == CHECK_SHARES), prog.name
+                    for expr in stmt_exprs(stmt):
+                        for node in walk_expr(expr):
+                            assert not (isinstance(node, ir.NodeGet)
+                                        and node.name == CHECK_SHARES), \
+                                prog.name
 
     @pytest.mark.parametrize("program", program_names())
     def test_the_catalog_names_the_builders_own_layout_rule(self, program):
@@ -125,6 +161,49 @@ class TestFreivalds:
         assert not product_ok(a, b, bad, seed)
 
 
+def _collected(program, g, seed, ab, c) -> dict:
+    """What a served job's daemon collects: each PE's ``C`` block and
+    the check shares its host seeded."""
+    loads = job_loads(program, g, seed, ab, list(Grid2D(g).coords))
+    return {(i, j): {"C": c[_blk(ab, i, j)],
+                     CHECK_SHARES: node_vars[CHECK_SHARES]}
+            for (i, j), node_vars in loads.items()}
+
+
+class TestDetectionPower:
+    """One rule for ``ok``: the shares a served job's hosts compute and
+    the whole-matrix :func:`product_ok` pass every sim product and
+    catch a single element off by 1e-4 on every seed."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("program", program_names())
+    def test_no_false_positive_and_1e_4_caught(self, program, g):
+        ab = 16
+        for seed in range(50):
+            suite, a, b = build_job_suite(program, g, seed, ab)
+            c, _result = run_ir2d_suite(suite, "sim")
+            places = _collected(program, g, seed, ab, c)
+            assert shares_ok(c, places, g, seed), seed
+            assert product_ok(a, b, c, seed), seed
+            p, q = np.random.default_rng(seed).integers(g * ab, size=2)
+            bad = c.copy()
+            bad[p, q] += 1e-4
+            assert not shares_ok(bad, places, g, seed), (seed, p, q)
+            assert not product_ok(a, b, bad, seed), (seed, p, q)
+
+    def test_1e_4_caught_at_serve_data_size(self):
+        """At g=2, ab=256 — ``serve_data``'s blocks — as well."""
+        g, ab = 2, 256
+        for seed in range(50):
+            suite, _a, _b = build_job_suite("navp-2d-pipeline", g, seed, ab)
+            c, _result = run_ir2d_suite(suite, "sim")
+            places = _collected("navp-2d-pipeline", g, seed, ab, c)
+            assert shares_ok(c, places, g, seed), seed
+            p, q = np.random.default_rng(seed).integers(g * ab, size=2)
+            c[p, q] += 1e-4
+            assert not shares_ok(c, places, g, seed), (seed, p, q)
+
+
 class TestServed:
     def test_every_program_is_ok_exact_and_ships_no_inputs(
             self, monkeypatch):
@@ -132,7 +211,9 @@ class TestServed:
         g=3 deadlock admission refuses): ``ok`` by Freivalds, the sim
         digest bit for bit, and not one setup frame on the wire: every
         worker seeds its blocks and initial signals from the job
-        header (Figure 13 has initial ``EC`` signals to seed)."""
+        header (Figure 13 has initial ``EC`` signals to seed). The
+        daemon never generates a block: ``job_block`` raises in it once
+        the pool has forked."""
         ops = []
         send = WorkerPool.send
 
@@ -140,11 +221,17 @@ class TestServed:
             ops.append(cmd[0])
             return send(self, wid, cmd)
 
+        def no_block_here(*args):
+            raise AssertionError(f"the daemon generated block {args}")
+
         monkeypatch.setattr(WorkerPool, "send", recording)
         shapes = [(p, g, 5 + g, AB) for g in (2, 3) for p in program_names()
                   if (p, g) != ("navp-2d-phase", 3)]
+        goldens = {shape: _sim_digest(*shape) for shape in shapes}
         with serving(pool_size=2, mc_admission=False,
                      tenant_cap=16) as service:
+            monkeypatch.setattr("repro.serve.catalog.job_block",
+                                no_block_here)
             with ServeClient(service.addr) as client:
                 jids = {shape: client.submit(shape[0], g=shape[1],
                                              seed=shape[2], ab=shape[3],
@@ -155,9 +242,44 @@ class TestServed:
         for shape, record in records.items():
             assert record["state"] == "completed", record
             assert record["ok"] is True, shape
-            assert record["digest"] == _sim_digest(*shape), shape
+            assert record["digest"] == goldens[shape], shape
         assert {"job", "run"} <= set(ops)
         assert not {"load", "signal0"} & set(ops), set(ops)
+
+
+class TestShareCoverage:
+    @pytest.mark.parametrize("fault", ["drop", "duplicate"])
+    def test_a_host_seed_that_loses_or_repeats_a_share_fails_the_job(
+            self, monkeypatch, fault):
+        """A host seeds one block's check share on no PE, or on two:
+        the job fails with a typed reason naming the block — never a
+        ``KeyError``, never ``ok``. Patched before the pool forks."""
+        key = ("B", 1, 0)
+
+        def faulty(program, g, seed, ab, coords):
+            loads = job_loads(program, g, seed, ab, coords)
+            for coord, node_vars in loads.items():
+                if key in node_vars[CHECK_SHARES]:
+                    share = node_vars[CHECK_SHARES][key]
+                    if fault == "drop":
+                        del node_vars[CHECK_SHARES][key]
+                    else:
+                        other = next(c for c in loads if c != coord)
+                        loads[other][CHECK_SHARES][key] = share
+            return loads
+
+        monkeypatch.setattr("repro.serve.worker.job_loads", faulty)
+        with serving(pool_size=2, mc_admission=False) as service:
+            with ServeClient(service.addr) as client:
+                jid = client.submit("mpi-gentleman", g=2, seed=1, ab=AB,
+                                    workers=2)
+                record = client.wait(jid, timeout=30.0)
+        assert record["state"] == "failed", record
+        if fault == "drop":
+            want = "VerificationError: block B(1, 0) has no check share"
+        else:
+            want = "VerificationError: block B(1, 0) has a check share on PE"
+        assert record["reason"].startswith(want), record["reason"]
 
 
 def _segment(records) -> str:

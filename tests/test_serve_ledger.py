@@ -414,9 +414,13 @@ class TestInProcessRestart:
     def test_a_job_resumes_from_its_last_cut(self, tmp_path):
         """The daemon died after a job's last committed cut and before
         its ``done`` record: session 2 resumes it from the bundle. The
-        workers seed from the job header, the bundle — the written
-        variables only — is restored over that, and the digest is the
-        one session 1 computed."""
+        workers seed their blocks and check shares from the job
+        header, the bundle (the written variables only, no shares) is
+        restored over that, ``ok`` holds, and the digest is the one
+        session 1 computed, the sim digest."""
+        from repro.serve.catalog import CHECK_SHARES
+        from tests.test_serve_service import _sim_digest
+
         spec = {"program": "mpi-gentleman", "g": 3, "seed": 4, "ab": 4,
                 "workers": 2}
         with durable_serving(tmp_path, pool_size=2) as svc:
@@ -436,9 +440,11 @@ class TestInProcessRestart:
         assert bundle is not None
         for node_vars, *_rest in bundle["states"].values():
             for held in node_vars.values():
-                assert not {"A", "B"} & set(held), set(held)
+                assert not {"A", "B", CHECK_SHARES} & set(held), set(held)
+        assert first["ok"] is True
         assert again["state"] == "completed" and again["ok"] is True
-        assert again["digest"] == first["digest"]
+        assert again["digest"] == first["digest"] == _sim_digest(
+            "mpi-gentleman", 3, 4, 4)
 
     def test_abandoned_jobs_rerun_to_golden(self, tmp_path):
         """Session 1 is torn down without draining (running + pending

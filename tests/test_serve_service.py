@@ -107,13 +107,12 @@ class TestMissingOutput:
         program; it used to be ``KeyError: 'C'``. The workers generate
         their own data, so it is their ``job_loads`` that leaves ``C``
         out at (1, 1) — patched before the pool forks — while the
-        daemon runs the do-nothing tour over it."""
+        daemon's per-job builder gives the do-nothing tour over it."""
         from tests.test_controller_loop import suite_without_c_at
 
         suite = suite_without_c_at((1, 1))
-        monkeypatch.setattr(
-            "repro.serve.scheduler.build_job_suite",
-            lambda program, g, seed, ab: (suite, None, None))
+        monkeypatch.setattr("repro.serve.scheduler.job_suite",
+                            lambda program, g: suite)
         monkeypatch.setattr(
             "repro.serve.worker.job_loads",
             lambda program, g, seed, ab, coords: {
@@ -172,6 +171,7 @@ class TestSigkillRecovery:
                             pass   # finished + respawned under us
                     record = client.wait(jid, timeout=60.0)
                     assert record["state"] == "completed", record
+                    assert record["ok"] is True, record
                     assert record["digest"] == golden
                     if record["restarts"] > 0:
                         assert record["recovered"] is True
