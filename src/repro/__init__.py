@@ -38,6 +38,16 @@ Quick start::
     print(result.time)   # modeled seconds on the paper's cluster
 """
 
+import os
+
+# One BLAS thread per process unless the user chose a count: the fork
+# fabrics and the serve pool fork workers that inherit the parent's
+# BLAS threads, which oversubscribes the cores and was seen to hang an
+# unpinned process-fabric run at ab=256. Set before numpy loads below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .errors import (
     ConfigurationError,
     DeadlockError,

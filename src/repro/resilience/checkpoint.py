@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ResilienceError
+from ..util import durable
 
 __all__ = [
     "ConsistentCut",
@@ -101,33 +102,25 @@ class CheckpointStore:
 class MemoryStore(CheckpointStore):
     """In-memory store; the default for SimFabric and tests.
 
-    ``copy_payloads=True`` deep-copies on save *and* load so a restored
-    run cannot alias (and silently corrupt) the stored cut — the mode
-    rollback tests rely on. Reference mode is for crash *masking*,
-    where the fabric restores at the same instant it captured and
-    aliasing is exactly what keeps golden times intact.
+    Deep-copies on save *and* load so a restored run cannot alias (and
+    silently corrupt) the stored cut.
     """
 
-    def __init__(self, copy_payloads: bool = True):
-        self.copy_payloads = copy_payloads
-        self._data: dict = {}
-        self._order: list = []
+    def __init__(self):
+        self._data: dict = {}       # key -> payload, in first-save order
 
     def save(self, key: str, payload: Any) -> None:
-        if key not in self._data:
-            self._order.append(key)
-        self._data[key] = (copy.deepcopy(payload) if self.copy_payloads
-                           else payload)
+        self._data[key] = copy.deepcopy(payload)
 
     def load(self, key: str) -> Any:
         try:
             payload = self._data[key]
         except KeyError:
             raise ResilienceError(f"no checkpoint under key {key!r}")
-        return copy.deepcopy(payload) if self.copy_payloads else payload
+        return copy.deepcopy(payload)
 
     def keys(self) -> list:
-        return list(self._order)
+        return list(self._data)
 
 
 class DiskStore(CheckpointStore):
@@ -137,17 +130,20 @@ class DiskStore(CheckpointStore):
     plain-text ``index`` file preserves save order and the mapping back
     to human-readable keys.
 
-    ``save`` returns only after the bundle is fsync'd (file, then the
-    rename via a directory sync): callers write a record elsewhere —
-    the serve daemon's ``ckpt`` ledger line — advertising that this cut
-    exists, and that record must never outlive the bundle across a
-    power loss.
+    ``save`` returns only after the bundle is durable (file fsync,
+    rename, directory fsync: :func:`repro.util.durable.write_atomic`)
+    and, for a new key, its ``index`` line after it: callers write a
+    record elsewhere — the serve daemon's ``ckpt`` ledger line —
+    advertising that this cut exists, and that record must never
+    outlive the bundle across a power loss. The store creates its
+    ``index`` file, durably, when it is made.
     """
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(root, exist_ok=True)
+        durable.makedirs(root)
         self._index_path = os.path.join(root, "index")
+        durable.create(self._index_path).close()
         # the index, read once (lazily, so a restarted daemon sees its
         # predecessor's keys) and kept in step by `save`: key -> None
         # in save order. Re-reading the file per save is O(jobs) on a
@@ -159,32 +155,17 @@ class DiskStore(CheckpointStore):
         digest = hashlib.sha1(key.encode()).hexdigest()
         return os.path.join(self.root, digest + ".ckpt")
 
-    def _sync_dir(self) -> None:
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - fs without dir fsync
-            pass
-        finally:
-            os.close(fd)
-
     def save(self, key: str, payload: Any) -> None:
-        path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)  # atomic: a crash never leaves a torn file
+        durable.write_atomic(self._path(key), lambda fh: pickle.dump(
+            payload, fh, protocol=pickle.HIGHEST_PROTOCOL))
         with self._index_lock:
             known = self._read_index()
             if key not in known:
-                with open(self._index_path, "a") as fh:
+                with durable.create(self._index_path) as fh:
                     fh.write(key + "\n")
                     fh.flush()
-                    os.fsync(fh.fileno())
+                    durable.fsync(fh.fileno())
                 known[key] = None
-        self._sync_dir()
 
     def load(self, key: str) -> Any:
         path = self._path(key)
@@ -200,11 +181,9 @@ class DiskStore(CheckpointStore):
     def _read_index(self) -> dict:
         """The known keys (call with ``_index_lock`` held)."""
         if self._known is None:
-            lines: list = []
-            if os.path.exists(self._index_path):
-                with open(self._index_path) as fh:
-                    lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-            self._known = dict.fromkeys(lines)
+            with open(self._index_path, encoding="utf-8") as fh:
+                self._known = dict.fromkeys(ln.rstrip("\n") for ln in fh
+                                            if ln.strip())
         return self._known
 
 

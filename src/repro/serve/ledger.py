@@ -35,9 +35,17 @@ Design points, in the order a crash investigator would ask about them:
   synthetic segment holding the minimal transition sequence per job —
   ``replay(compacted) == replay(full)`` by construction, which the
   tests pin. Compaction is crash-safe: the replacement is written to a
-  temp file, fsync'd, renamed over the oldest closed segment, and only
-  then are the rest unlinked (re-applying a leftover segment's records
-  is idempotent).
+  temp file, fsync'd, renamed over the oldest closed segment and its
+  directory fsync'd, and only then are the rest unlinked (re-applying
+  a leftover segment's records is idempotent).
+
+* **One write path.** Segments are created, synced and replaced only
+  through :mod:`repro.util.durable`, so a new segment's directory
+  entry is durable before its first record is acknowledged.
+
+* **Fail-stop.** The first write or fsync error is remembered and
+  raised again by every later append: after a failed fsync the kernel
+  may have dropped the pages, and a retried fsync can report success.
 
 * **Clean close.** :meth:`close` appends a ``close`` record; a boot
   that replays a log whose last record is not a ``close`` knows the
@@ -52,6 +60,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..errors import LedgerError
+from ..util import durable
 
 __all__ = ["JobLedger", "LedgerReplay", "ReplayedJob", "replay_ledger",
            "TERMINAL_STATES"]
@@ -244,6 +253,10 @@ def replay_ledger(root: str) -> LedgerReplay:
     return replay
 
 
+def _line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+
+
 def _synthesize(job: ReplayedJob) -> list:
     """The minimal record sequence that replays to ``job``'s state."""
     out = [{"t": "admitted", "jid": job.jid, "seq": job.seq,
@@ -269,18 +282,18 @@ class JobLedger:
     commit batches concurrent callers onto shared fsyncs); ``close``
     appends the clean-close marker. Appends after ``close`` are
     dropped, not errors — teardown races (a job finishing while the
-    daemon exits) must not mask the real shutdown path.
+    daemon exits) must not mask the real shutdown path. After a write
+    or fsync error every append raises that error (fail-stop), and
+    ``close`` writes no marker.
     """
 
     def __init__(self, root: str, segment_max: int = 1024,
-                 fsync: bool = True, compact_segments: int = 4,
-                 _fsync_fn=None):
+                 fsync: bool = True, compact_segments: int = 4):
         self.root = root
         self.segment_max = max(1, segment_max)
         self.fsync = fsync
         self.compact_segments = compact_segments
-        self._fsync_fn = _fsync_fn if _fsync_fn is not None else os.fsync
-        os.makedirs(root, exist_ok=True)
+        durable.makedirs(root)
         self._lock = threading.Lock()        # file handle + counters
         self._sync_lock = threading.Lock()   # group-commit section
         self._fh = None
@@ -288,6 +301,7 @@ class JobLedger:
         self._seg_records = 0
         self._write_seq = 0
         self._synced_seq = 0
+        self._error: OSError | None = None   # the first write/fsync error
         # observability (read by stats()/the durability bench)
         self.appends = 0
         self.fsyncs = 0
@@ -313,28 +327,37 @@ class JobLedger:
         return replay
 
     def close(self, drained: bool = True) -> None:
-        """Append the clean-close marker and close the segment."""
-        self.append({"t": "close", "drained": bool(drained)})
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                self._fsync_fn(self._fh.fileno())
-                self.fsyncs += 1
-                self._fh.close()
-                self._fh = None
+        """Append the clean-close marker, make the segment durable and
+        close it. A failed ledger only closes its file."""
+        try:
+            if self._error is None:
+                self.append({"t": "close", "drained": bool(drained)})
+        finally:
+            with self._lock:
+                fh, self._fh = self._fh, None
+                if fh is not None:
+                    with fh:
+                        if self._error is None:
+                            fh.flush()
+                            self._sync(fh.fileno())
 
     # -- the write path ------------------------------------------------
     def append(self, record: dict) -> bool:
         """Write + fsync one record; False if the ledger is closed."""
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        line = _line(record)
         with self._lock:
+            self._raise_if_failed()
             if self._fh is None:
                 self.dropped_after_close += 1
                 return False
-            if self._seg_records >= self.segment_max:
-                self._rotate()
-            self._fh.write(line + "\n")
-            self._fh.flush()
+            try:
+                if self._seg_records >= self.segment_max:
+                    self._rotate()
+                self._fh.write(line)
+                self._fh.flush()
+            except OSError as exc:
+                self._error = self._error or exc
+                raise
             self._seg_records += 1
             self.appends += 1
             self._write_seq += 1
@@ -353,6 +376,9 @@ class JobLedger:
             if self._synced_seq >= my_seq:
                 return   # a concurrent committer covered us meanwhile
             with self._lock:
+                # a failed fsync is never retried: it may have lost
+                # our line and a second one could still say success
+                self._raise_if_failed()
                 if self._fh is None:          # closed under us: close fsynced
                     return
                 if self._synced_seq >= my_seq:
@@ -364,25 +390,36 @@ class JobLedger:
                 # file description alive for the sync
                 fd = os.dup(self._fh.fileno())
             try:
-                self._fsync_fn(fd)
+                self._sync(fd)
             finally:
                 os.close(fd)
-            self.fsyncs += 1
             with self._lock:
                 self._synced_seq = max(self._synced_seq, target)
 
+    def _sync(self, fd: int) -> None:
+        try:
+            durable.fsync(fd)
+        except OSError as exc:
+            self._error = self._error or exc
+            raise
+        self.fsyncs += 1
+
+    def _raise_if_failed(self) -> None:
+        if self._error is not None:
+            raise self._error.with_traceback(None)
+
     def _open_segment(self) -> None:
-        path = os.path.join(self.root, _SEGMENT_FMT.format(self._seg_index))
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = durable.create(
+            os.path.join(self.root, _SEGMENT_FMT.format(self._seg_index)))
         self._seg_records = 0
 
     def _rotate(self) -> None:
         """Called under ``_lock``: seal the current segment (fsync'd so
         nothing in a closed file is ever lost) and open the next."""
-        self._fh.flush()
-        self._fsync_fn(self._fh.fileno())
-        self.fsyncs += 1
-        self._fh.close()
+        fh, self._fh = self._fh, None
+        with fh:
+            fh.flush()
+            self._sync(fh.fileno())
         self._synced_seq = self._write_seq
         self._seg_index += 1
         self.rotations += 1
@@ -407,26 +444,18 @@ class JobLedger:
         return self._compact_paths(closed, replay)
 
     def _compact_paths(self, closed: list, replay: LedgerReplay) -> int:
-        records = []
-        for _ in range(replay.sessions):
-            records.append({"t": "open", "compacted": True})
-        jobs = sorted(replay.jobs.values(), key=lambda j: j.seq)
-        for job in jobs:
+        records = [{"t": "open", "compacted": True}
+                   for _ in range(replay.sessions)]
+        for job in sorted(replay.jobs.values(), key=lambda j: j.seq):
             records.extend(_synthesize(job))
         if replay.clean_close:
             records.append({"t": "close", "compacted": True})
-        tmp = os.path.join(self.root, "compact.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, separators=(",", ":"),
-                                    sort_keys=True) + "\n")
-            fh.flush()
-            self._fsync_fn(fh.fileno())
-        # atomic switch: the compacted file takes the oldest closed
-        # segment's name, then the rest go. A crash between the rename
-        # and an unlink leaves stale segments whose records re-apply
+        # the compacted file takes the oldest closed segment's name,
+        # durably, before the rest go. A crash between the rename and
+        # an unlink leaves stale segments whose records re-apply
         # idempotently on the next replay.
-        os.replace(tmp, closed[0])
+        durable.write_atomic(closed[0], lambda fh: fh.write(
+            "".join(map(_line, records)).encode("utf-8")))
         for path in closed[1:]:
             os.unlink(path)
         return len(records)

@@ -59,6 +59,15 @@ class JobQueue:
     def push(self, record: JobRecord) -> None:
         self._pending.append(record)
 
+    def discard(self, record: JobRecord) -> bool:
+        """Drop a pending record whose admission never became durable;
+        False if it is no longer pending (cancelled at shutdown)."""
+        try:
+            self._pending.remove(record)
+        except ValueError:
+            return False
+        return True
+
     def restore(self, records) -> None:
         """Boot-time re-admission of replayed jobs, ordered by their
         original admission sequence. Bypasses admit_reason: these jobs

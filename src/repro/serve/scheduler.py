@@ -72,14 +72,12 @@ __all__ = ["JobRun"]
 class JobRun(threading.Thread, Link):
     """Drive one leased job to completion (or failure)."""
 
-    def __init__(self, service, record: JobRecord, wids: list,
-                 store=None, bundle=None):
+    def __init__(self, service, record: JobRecord, wids: list):
         super().__init__(name=f"jobrun-{record.jid}", daemon=True)
         self.service = service
         self.record = record
         self.wids = list(wids)          # job-local host h -> wids[h]
-        self.store = store              # CheckpointStore for cut bundles
-        self.bundle = bundle            # resume bundle from a prior daemon
+        self.bundle = None              # resume bundle from a prior daemon
         self.reports: queue.Queue = queue.Queue()
         self._headers: dict = {}        # host -> its ("job", ...) header
         self._programs = ()
@@ -158,7 +156,7 @@ class JobRun(threading.Thread, Link):
             hint=lambda: mc_hint([(suite.entry.name, (0, 0), {})],
                                  suite.initial_signals, suite.programs,
                                  service.window),
-            on_cut=self._persist_cut if self.store is not None else None,
+            on_cut=self._persist_cut if service.store is not None else None,
             collect=("C", CHECK_SHARES),    # what is verified below
             cut=written_names(suite.programs),
         ).run([(f"{jid}/m0", (0, 0), suite.entry.name, {})],
@@ -174,5 +172,5 @@ class JobRun(threading.Thread, Link):
     def _persist_cut(self, cid, bundle) -> None:
         """Every host committed checkpoint ``cid``: persist the resume
         bundle a restarted daemon needs to continue this job."""
-        self.store.save(f"cut:{self.record.jid}", bundle)
+        self.service.store.save(f"cut:{self.record.jid}", bundle)
         self.service.on_job_checkpoint(self.record, cid)

@@ -42,7 +42,7 @@ from ..errors import AdmissionError, FabricError, ServeError
 from ..fabric.factory import fabric_capabilities
 from ..fabric.wire import (FRAME_CMD, FRAME_HELLO, FRAME_REPORT, Acceptor,
                            FrameSocket, WireError, load_obj, send_obj)
-from ..resilience.checkpoint import DiskStore, MemoryStore
+from ..resilience.checkpoint import DiskStore
 from .catalog import (DATA_VERSION, REJECT_STATUSES, admission_verdict,
                       program_names)
 from .jobs import JobRecord, JobSpec, STATE_FAILED, STATE_RUNNING
@@ -88,9 +88,10 @@ class ServeService:
         self.mc_admission = mc_admission
         self.state_dir = state_dir
 
-        # durable control plane (wired in start() when state_dir is set)
+        # durable control plane (wired in start() when state_dir is set);
+        # without it no cut is kept: nothing could ever read one back
         self.ledger: JobLedger | None = None
-        self.store = MemoryStore(copy_payloads=False)
+        self.store: DiskStore | None = None
         self.idem: dict[str, str] = {}   # idempotency key -> jid
         self.recovery_summary = {"terminal": 0, "requeued": 0,
                                  "resumed": 0, "stale": 0,
@@ -124,7 +125,6 @@ class ServeService:
         and every surviving job recovered *before* the listener binds,
         so no client can observe a half-recovered daemon."""
         if self.state_dir is not None:
-            os.makedirs(self.state_dir, exist_ok=True)
             self.store = DiskStore(os.path.join(self.state_dir, "ckpt"))
             self.ledger = JobLedger(os.path.join(self.state_dir, "wal"))
             self._recover(self.ledger.open())
@@ -346,19 +346,34 @@ class ServeService:
         # write-ahead: durable before the dispatcher may run the job
         # and before the client hears the jid, so a crash can neither
         # forget an acknowledged job nor replay a dispatch of an
-        # unrecorded one
-        self._ledger_append({"t": "admitted", "jid": record.jid,
-                             "seq": record.seq, "spec": spec.to_dict(),
-                             "data_version": DATA_VERSION})
+        # unrecorded one. A failed append (and, the ledger being
+        # fail-stop, every later one) refuses the submit.
+        if self.ledger is not None:
+            try:
+                self.ledger.append({"t": "admitted", "jid": record.jid,
+                                    "seq": record.seq,
+                                    "spec": spec.to_dict(),
+                                    "data_version": DATA_VERSION})
+            except OSError as exc:
+                reason = f"admission not durable: ledger write failed: {exc}"
+                with self._lock:
+                    if spec.key is not None:
+                        self.idem.pop(spec.key, None)
+                    if self.queue.discard(record):
+                        record.finish(STATE_FAILED, reason)
+                        self.failed += 1
+                raise ServeError(reason) from exc
         with self._lock:
             record.durable = True
         self._dispatch_evt.set()
         return {"job": record.jid, "state": record.state}
 
     def _ledger_append(self, entry: dict) -> None:
-        """Best-effort durable append: a ledger-less daemon and a disk
-        hiccup both degrade to in-memory-only state rather than taking
-        the control plane down mid-request."""
+        """Best-effort durable append for the records a crash may lose:
+        a lost ``dispatched`` means the job is requeued, a lost
+        ``ckpt`` that it restarts from scratch, and a lost ``done`` a
+        deterministic re-run to the same digest. Only ``admitted``
+        must be durable before the client hears of it (see submit)."""
         if self.ledger is not None:
             try:
                 self.ledger.append(entry)
@@ -451,7 +466,7 @@ class ServeService:
                     tenant = record.spec.tenant
                     self.running_of[tenant] = (
                         self.running_of.get(tenant, 0) + 1)
-                    run = JobRun(self, record, wids, store=self.store)
+                    run = JobRun(self, record, wids)
                     self.runs[record.jid] = run
                 if record.resumed:
                     # a previous daemon session had this job in flight;

@@ -1,8 +1,15 @@
 """The command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestParser:
@@ -72,3 +79,21 @@ class TestCommands:
         assert "Table 4" in out
         assert "reproduction checks passed" in out
         assert "FAILED" not in out
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("user", [None, "3"])
+    def test_the_package_pins_blas_unless_the_user_did(self, user):
+        """``python -m repro`` and ``repro serve`` both import the
+        package first, which pins every BLAS to one thread before numpy
+        loads; a count the user set wins."""
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        probe = ("import os, sys, repro; assert 'numpy' in sys.modules; "
+                 f"print(*(os.environ[v] for v in {_BLAS_VARS!r}))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True).stdout.split()
+        assert out == [user or "1", "1", "1"]

@@ -298,19 +298,21 @@ def test_a_fabric_cut_carries_only_the_written_variables(kind, monkeypatch):
             assert set(held) <= {"C", "Bslot"}, set(held)
 
 
-def test_a_serve_cut_carries_only_the_written_variables():
+def test_a_serve_cut_carries_only_the_written_variables(tmp_path):
     """A pool worker seeds its whole setup from the job header, so a
     serve cut (and the bundle a restarted daemon resumes from) carries
     what the closure writes and leaves out ``A`` and ``B``, which no
     hop of the job writes."""
+    from repro.resilience.checkpoint import DiskStore
     from repro.serve import ServeClient
     from tests.test_serve_service import serving
 
-    with serving(pool_size=2, mc_admission=False) as service:
+    with serving(pool_size=2, mc_admission=False,
+                 state_dir=str(tmp_path)) as service:
         with ServeClient(service.addr) as client:
             jid = client.submit("mpi-gentleman", g=3, ab=4, workers=2)
             assert client.wait(jid, timeout=60.0)["state"] == "completed"
-        bundle = service.store.load(f"cut:{jid}")
+    bundle = DiskStore(str(tmp_path / "ckpt")).load(f"cut:{jid}")
     for node_vars, *_rest in bundle["states"].values():
         for held in node_vars.values():
             assert "C" in held and set(held) <= {"Aslot", "Bslot", "C"}, \

@@ -9,6 +9,7 @@ The full out-of-process story — SIGKILL the daemon binary mid-stream,
 restart it, SIGTERM drain — lives in tests/test_serve_restart.py.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from repro.errors import AdmissionError, LedgerError, ServeError
 from repro.serve import JobLedger, ServeService, replay_ledger
 from repro.serve.client import _classify, resolve_addr
 from repro.serve.jobs import JobSpec
+from repro.util import durable
 
 
 def _adm(jid, seq, key=None, **spec):
@@ -215,7 +217,7 @@ class TestRotationAndCompaction:
 
 
 class TestGroupCommit:
-    def test_concurrent_appends_share_fsyncs(self, tmp_path):
+    def test_concurrent_appends_share_fsyncs(self, tmp_path, monkeypatch):
         """With a deliberately slow fsync, threads appending during
         another thread's fsync get covered by the next one — strictly
         fewer fsyncs than appends, every record still durable."""
@@ -226,7 +228,8 @@ class TestGroupCommit:
             os.fsync(fd)
             time.sleep(0.002)
 
-        led = JobLedger(str(tmp_path), _fsync_fn=slow_fsync)
+        monkeypatch.setattr(durable, "fsync", slow_fsync)
+        led = JobLedger(str(tmp_path))
         led.open()
 
         def worker(tid):
@@ -246,7 +249,7 @@ class TestGroupCommit:
         assert stats["group_committed"] > 0
         assert len(replay_ledger(str(tmp_path)).jobs) == 80
 
-    def test_group_commit_across_rotation(self, tmp_path):
+    def test_group_commit_across_rotation(self, tmp_path, monkeypatch):
         """Committers racing a rotation must not fsync a recycled fd
         (spurious EBADF, or syncing the wrong file) — the dup'd
         descriptor keeps the sealed segment alive for the straggler."""
@@ -254,8 +257,8 @@ class TestGroupCommit:
             os.fsync(fd)
             time.sleep(0.001)
 
-        led = JobLedger(str(tmp_path), segment_max=5,
-                        _fsync_fn=slow_fsync)
+        monkeypatch.setattr(durable, "fsync", slow_fsync)
+        led = JobLedger(str(tmp_path), segment_max=5)
         led.open()
 
         def worker(tid):
@@ -272,15 +275,70 @@ class TestGroupCommit:
         assert led.rotations > 0
         assert len(replay_ledger(str(tmp_path)).jobs) == 120
 
-    def test_fsync_disabled_never_syncs_in_append(self, tmp_path):
+    def test_fsync_disabled_never_syncs_in_append(self, tmp_path,
+                                                  monkeypatch):
         calls = []
-        led = JobLedger(str(tmp_path), fsync=False,
-                        _fsync_fn=lambda fd: calls.append(fd))
+        monkeypatch.setattr(durable, "fsync", calls.append)
+        led = JobLedger(str(tmp_path), fsync=False)
         led.open()
         led.append(_adm("j0", 0))
         assert calls == []          # append path skipped fsync entirely
         led.close()
         assert calls != []          # close still makes the tail durable
+
+
+class TestFailStop:
+    """The first write or fsync error is the ledger's last word: a
+    retried fsync can report success after the kernel dropped the
+    pages, so nothing after it may be acknowledged."""
+
+    def test_a_failed_fsync_fails_every_later_append(self, tmp_path,
+                                                     monkeypatch):
+        led = JobLedger(str(tmp_path))
+        led.open()
+        real = durable.fsync
+
+        def failing(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(durable, "fsync", failing)
+        with pytest.raises(OSError, match="injected"):
+            led.append(_adm("j0", 0))
+        monkeypatch.setattr(durable, "fsync", real)   # the disk "recovers"
+        with pytest.raises(OSError, match="injected"):
+            led.append(_adm("j1", 1))
+        led.close()
+        replay = replay_ledger(str(tmp_path))
+        assert replay.clean_close is False      # no marker after a failure
+        assert "j1" not in replay.jobs
+
+    def test_a_submit_is_acknowledged_only_once_durable(self, tmp_path,
+                                                        monkeypatch):
+        """An ``admitted`` append that fails refuses the submit, fails
+        its record and takes it off the queue; every later submit is
+        refused the same way, even once fsync works again."""
+        spec = {"program": "navp-2d-dsc", "g": 2, "seed": 0, "ab": 4,
+                "workers": 1, "key": "k0"}
+        with durable_serving(tmp_path, pool_size=1) as svc:
+            real = durable.fsync
+
+            def failing(fd):
+                raise OSError(errno.EIO, "injected fsync failure")
+
+            monkeypatch.setattr(durable, "fsync", failing)
+            with pytest.raises(ServeError, match="not durable"):
+                svc.submit(dict(spec))
+            monkeypatch.setattr(durable, "fsync", real)
+            assert len(svc.queue) == 0
+            [record] = svc.jobs.values()
+            assert record.state == "failed"
+            assert "injected" in record.reason
+            assert svc.failed == 1
+            with pytest.raises(ServeError, match="not durable"):
+                svc.submit(dict(spec, seed=1, key=None))
+            with pytest.raises(ServeError, match="not durable"):
+                svc.submit(dict(spec))          # the key was not kept
+            assert len(svc.queue) == 0 and svc.failed == 3
 
 
 class TestReplyClassification:

@@ -127,6 +127,33 @@ class TestMissingOutput:
             "tour-without-c"), record["reason"]
 
 
+class TestNoStateDir:
+    def test_a_daemon_without_a_state_dir_keeps_no_cuts(self,
+                                                         monkeypatch):
+        """Its jobs still checkpoint (the supervisor commits cuts to
+        recover a lost worker), but no bundle is kept: nothing could
+        ever read one back."""
+        from repro.fabric.controller import Supervisor
+
+        commits = []
+        commit = Supervisor.commit_checkpoint
+
+        def counting_commit(sup, host, cid, state):
+            commits.append(cid)
+            commit(sup, host, cid, state)
+
+        monkeypatch.setattr(Supervisor, "commit_checkpoint", counting_commit)
+        with serving(pool_size=2, mc_admission=False) as service:
+            with ServeClient(service.addr) as client:
+                for seed in range(3):
+                    jid = client.submit("mpi-gentleman", g=3, ab=4,
+                                        seed=seed, workers=2)
+                    record = client.wait(jid, timeout=60.0)
+                    assert record["state"] == "completed", record
+            assert service.store is None
+        assert commits
+
+
 class TestTimeout:
     def test_a_timed_out_job_says_why(self):
         """A served job's timeout carries the model checker's verdict on
