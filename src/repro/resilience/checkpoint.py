@@ -132,11 +132,11 @@ class DiskStore(CheckpointStore):
 
     ``save`` returns only after the bundle is durable (file fsync,
     rename, directory fsync: :func:`repro.util.durable.write_atomic`)
-    and, for a new key, its ``index`` line after it: callers write a
-    record elsewhere — the serve daemon's ``ckpt`` ledger line —
-    advertising that this cut exists, and that record must never
-    outlive the bundle across a power loss. The store creates its
-    ``index`` file, durably, when it is made.
+    and, for a new key, its ``index`` line after it: a bundle whose
+    save returned loads after a power loss. The serve daemon keeps a
+    job's last cut here under ``cut:{jid}`` and nowhere else, so a
+    restarted daemon resumes a job from this store alone. The store
+    creates its ``index`` file, durably, when it is made.
     """
 
     def __init__(self, root: str):

@@ -1,12 +1,14 @@
 """The durable job ledger: an append-only, fsync'd JSONL write-ahead log.
 
-Everything the serve daemon must not forget across a crash goes
-through here *before* the client hears about it: a job is admitted,
-dispatched, checkpoint-committed, and finished as ledger records, so a
-daemon restarted on the same ``--state-dir`` can replay the log and
-answer ``status``/``wait`` for every job it ever accepted — re-queue
-the ones that never ran, resume the ones that were mid-flight, and
-refuse to run a deduplicated idempotent resubmission twice.
+The ledger records which jobs exist and how each ended: a job is
+admitted, dispatched and finished as ledger records, written *before*
+the daemon acts on them, so a daemon restarted on the same
+``--state-dir`` can replay the log and answer ``status``/``wait`` for
+every job it ever accepted — re-queue the ones that never ran, resume
+the ones that were mid-flight, and refuse to run a deduplicated
+idempotent resubmission twice. How far a job got is not the ledger's
+business: its last cut bundle (``DiskStore``, key ``cut:{jid}``) is
+its checkpoint, and a resumed job loads it if one was saved.
 
 Design points, in the order a crash investigator would ask about them:
 
@@ -18,26 +20,28 @@ Design points, in the order a crash investigator would ask about them:
   without touching the disk. Under concurrency the fsync count is
   bounded by the batch count, not the record count.
 
+* **Segments + compaction.** Each daemon session appends to one
+  ``wal-NNNNNNNN.jsonl`` segment of its own, started at boot, so a
+  crashed session's torn tail ends a file no later session writes
+  to. When more than ``_COMPACT_SEGMENTS`` closed segments pile up,
+  :meth:`open` rewrites them into one synthetic segment holding the
+  minimal transition sequence per job — ``replay(compacted) ==
+  replay(full)`` by construction, which the tests pin. Compaction is crash-safe: the
+  replacement is written to a temp file, fsync'd, renamed over the
+  oldest closed segment and its directory fsync'd, and only then are
+  the rest unlinked. A leftover segment's records re-apply
+  idempotently: the first ``admitted`` record of a job wins, and no
+  later one resets it.
+
 * **Torn tails.** A crash mid-``write`` can leave a half line at the
   end of the segment a session was appending to when it died — the
   *last* segment, or one whose successor begins a new session's
   ``open`` record. Replay drops a non-JSON (or newline-less) final
   line in exactly those segments and counts it in ``torn_records``;
-  garbage anywhere else — interior lines, or the tail of a segment
-  sealed by an fsync'd rotation — is real corruption and raises
-  :class:`~repro.errors.LedgerError`. A WAL that silently skips
+  garbage anywhere else — interior lines, or the tail of a segment an
+  older daemon sealed by an fsync'd rotation — is real corruption and
+  raises :class:`~repro.errors.LedgerError`. A WAL that silently skips
   records is worse than none.
-
-* **Segments + compaction.** Records land in ``wal-NNNNNNNN.jsonl``
-  segments, rotated every ``segment_max`` records; each daemon boot
-  starts a fresh segment (so a torn tail is always in an old, closed
-  file). :meth:`compact` rewrites all closed segments into one
-  synthetic segment holding the minimal transition sequence per job —
-  ``replay(compacted) == replay(full)`` by construction, which the
-  tests pin. Compaction is crash-safe: the replacement is written to a
-  temp file, fsync'd, renamed over the oldest closed segment and its
-  directory fsync'd, and only then are the rest unlinked (re-applying
-  a leftover segment's records is idempotent).
 
 * **One write path.** Segments are created, synced and replaced only
   through :mod:`repro.util.durable`, so a new segment's directory
@@ -69,6 +73,10 @@ _SEGMENT_FMT = "wal-{:08d}.jsonl"
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".jsonl"
 
+#: :meth:`JobLedger.open` compacts when more closed segments than this
+#: are on disk.
+_COMPACT_SEGMENTS = 4
+
 #: Job states a ``done`` record may carry; a replayed job in one of
 #: these never runs again.
 TERMINAL_STATES = frozenset({"completed", "failed"})
@@ -88,7 +96,6 @@ class ReplayedJob:
     ok: bool | None = None
     wall_s: float | None = None
     restarts: int = 0
-    last_cid: int | None = None     # last fully-committed checkpoint id
     data_version: int | None = None  # catalog.DATA_VERSION at admission
 
     @property
@@ -105,7 +112,6 @@ class LedgerReplay:
     sessions: int = 0                          # open records seen
     records: int = 0                           # records applied
     torn_records: int = 0                      # dropped half-written tails
-    segments: int = 0
     max_seq: int = -1
 
     def by_key(self) -> dict:
@@ -131,7 +137,9 @@ def _segment_index(path: str) -> int:
 def _apply(replay: LedgerReplay, record: dict) -> None:
     """Fold one record into the replay state. Transitions are
     idempotent so re-applied records (compaction leftovers, duplicated
-    appends) converge to the same state."""
+    appends) converge to the same state: a job's first ``admitted``
+    record wins, so a leftover one cannot reset a job that a
+    compacted segment already shows dispatched."""
     kind = record.get("t")
     if kind == "open":
         replay.sessions += 1
@@ -144,8 +152,7 @@ def _apply(replay: LedgerReplay, record: dict) -> None:
     if jid is None:
         raise LedgerError(f"ledger record without a jid: {record!r}")
     if kind == "admitted":
-        job = replay.jobs.get(jid)
-        if job is None or not job.terminal:
+        if jid not in replay.jobs:
             spec = dict(record["spec"])
             replay.jobs[jid] = ReplayedJob(
                 jid=jid, seq=int(record["seq"]), spec=spec,
@@ -161,7 +168,7 @@ def _apply(replay: LedgerReplay, record: dict) -> None:
         if not job.terminal:
             job.state = "running"
     elif kind == "ckpt":
-        job.last_cid = int(record["cid"])
+        pass    # older daemons wrote one per committed cut; nothing reads it
     elif kind == "done":
         state = record["state"]
         if state not in TERMINAL_STATES:
@@ -220,21 +227,20 @@ def _replay_lines(replay: LedgerReplay, text: str, allow_torn: bool,
         replay.records += 1
 
 
-def _replay_segments(replay: LedgerReplay, paths: list,
-                     tail_open: bool) -> None:
+def _replay_segments(replay: LedgerReplay, paths: list) -> None:
     """Fold ``paths`` (in order) into ``replay``. A torn final line is
     tolerated only where a crash could have produced one: the last
-    segment given (``tail_open`` True when its successor is a live
-    session's segment) or a segment whose successor starts a new
-    session — every other segment was sealed by an fsync'd rotation,
-    so garbage at its end is real corruption and raises."""
+    segment given (its successor, if any, is the live session's) or a
+    segment whose successor starts a new session — every other segment was sealed by an older daemon's
+    fsync'd rotation, so garbage at its end is real corruption and
+    raises."""
     texts = []
     for path in paths:
         with open(path, encoding="utf-8", errors="replace") as fh:
             texts.append(fh.read())
     for n, (path, text) in enumerate(zip(paths, texts)):
-        allow = (tail_open if n == len(paths) - 1
-                 else _starts_new_session(texts[n + 1]))
+        allow = (n == len(paths) - 1
+                 or _starts_new_session(texts[n + 1]))
         _replay_lines(replay, text, allow_torn=allow, path=path)
 
 
@@ -243,13 +249,11 @@ def replay_ledger(root: str) -> LedgerReplay:
 
     Tolerates an empty or missing directory and a torn final line (a
     record interrupted by a crash mid-write) in the last segment or in
-    a segment a later session rotated away from; raises
+    a segment whose successor opens a new session; raises
     :class:`~repro.errors.LedgerError` on any other corruption.
     """
     replay = LedgerReplay()
-    paths = _segment_paths(root)
-    replay.segments = len(paths)
-    _replay_segments(replay, paths, tail_open=True)
+    _replay_segments(replay, _segment_paths(root))
     return replay
 
 
@@ -263,8 +267,6 @@ def _synthesize(job: ReplayedJob) -> list:
             "spec": job.spec, "data_version": job.data_version}]
     if job.state == "running":
         out.append({"t": "dispatched", "jid": job.jid})
-    if job.last_cid is not None:
-        out.append({"t": "ckpt", "jid": job.jid, "cid": job.last_cid})
     if job.terminal:
         out.append({"t": "done", "jid": job.jid, "state": job.state,
                     "reason": job.reason, "digest": job.digest,
@@ -274,31 +276,29 @@ def _synthesize(job: ReplayedJob) -> list:
 
 
 class JobLedger:
-    """Writer side of the WAL; one instance per daemon session.
+    """Writer side of the WAL; one instance, and one segment, per
+    daemon session.
 
-    ``open()`` replays what previous sessions left behind, starts a
-    fresh segment, and appends an ``open`` record; ``append`` is
-    thread-safe and returns only after the record is fsync'd (group
-    commit batches concurrent callers onto shared fsyncs); ``close``
-    appends the clean-close marker. Appends after ``close`` are
+    ``open()`` replays what previous sessions left behind, compacts
+    them if enough have piled up, starts the session's segment, and
+    appends an ``open`` record; ``append`` is thread-safe and returns
+    only after the record is fsync'd (group commit batches concurrent
+    callers onto shared fsyncs); ``close`` appends the clean-close
+    marker. Appends after ``close`` are
     dropped, not errors — teardown races (a job finishing while the
     daemon exits) must not mask the real shutdown path. After a write
     or fsync error every append raises that error (fail-stop), and
     ``close`` writes no marker.
     """
 
-    def __init__(self, root: str, segment_max: int = 1024,
-                 fsync: bool = True, compact_segments: int = 4):
+    def __init__(self, root: str, fsync: bool = True):
         self.root = root
-        self.segment_max = max(1, segment_max)
         self.fsync = fsync
-        self.compact_segments = compact_segments
         durable.makedirs(root)
         self._lock = threading.Lock()        # file handle + counters
         self._sync_lock = threading.Lock()   # group-commit section
         self._fh = None
-        self._seg_index = 0
-        self._seg_records = 0
+        self._path: str | None = None        # this session's segment
         self._write_seq = 0
         self._synced_seq = 0
         self._error: OSError | None = None   # the first write/fsync error
@@ -306,22 +306,23 @@ class JobLedger:
         self.appends = 0
         self.fsyncs = 0
         self.dropped_after_close = 0
-        self.rotations = 0
 
     # -- lifecycle -----------------------------------------------------
     def open(self) -> LedgerReplay:
-        """Replay prior sessions, maybe compact them, start a fresh
-        segment, and record the session open. Returns the replay."""
+        """Replay prior sessions, maybe compact them, start this
+        session's segment, and record the session open. Returns the
+        replay."""
         replay = replay_ledger(self.root)
         closed = _segment_paths(self.root)
-        if len(closed) > self.compact_segments:
+        if len(closed) > _COMPACT_SEGMENTS:
             self._compact_paths(closed, replay)
         with self._lock:
             if self._fh is not None:
                 raise LedgerError("ledger is already open")
             paths = _segment_paths(self.root)
-            self._seg_index = (_segment_index(paths[-1]) + 1) if paths else 0
-            self._open_segment()
+            index = (_segment_index(paths[-1]) + 1) if paths else 0
+            self._path = os.path.join(self.root, _SEGMENT_FMT.format(index))
+            self._fh = durable.create(self._path)
         self.append({"t": "open", "recovering": not replay.clean_close,
                      "session": replay.sessions + 1})
         return replay
@@ -351,14 +352,11 @@ class JobLedger:
                 self.dropped_after_close += 1
                 return False
             try:
-                if self._seg_records >= self.segment_max:
-                    self._rotate()
                 self._fh.write(line)
                 self._fh.flush()
             except OSError as exc:
                 self._error = self._error or exc
                 raise
-            self._seg_records += 1
             self.appends += 1
             self._write_seq += 1
             my_seq = self._write_seq
@@ -381,13 +379,11 @@ class JobLedger:
                 self._raise_if_failed()
                 if self._fh is None:          # closed under us: close fsynced
                     return
-                if self._synced_seq >= my_seq:
-                    return   # a rotate sealed (and fsync'd) our segment
                 target = self._write_seq
-                # fsync a dup, not the raw fd: a concurrent append may
-                # rotate, closing the segment's fd and recycling its
-                # number for the next segment — the dup keeps the open
-                # file description alive for the sync
+                # fsync a dup, not the raw fd: a concurrent close() may
+                # close the segment's fd, and a new file may then reuse
+                # its number — the dup keeps the open file description
+                # alive for the sync
                 fd = os.dup(self._fh.fileno())
             try:
                 self._sync(fd)
@@ -408,39 +404,20 @@ class JobLedger:
         if self._error is not None:
             raise self._error.with_traceback(None)
 
-    def _open_segment(self) -> None:
-        self._fh = durable.create(
-            os.path.join(self.root, _SEGMENT_FMT.format(self._seg_index)))
-        self._seg_records = 0
-
-    def _rotate(self) -> None:
-        """Called under ``_lock``: seal the current segment (fsync'd so
-        nothing in a closed file is ever lost) and open the next."""
-        fh, self._fh = self._fh, None
-        with fh:
-            fh.flush()
-            self._sync(fh.fileno())
-        self._synced_seq = self._write_seq
-        self._seg_index += 1
-        self.rotations += 1
-        self._open_segment()
-
     # -- compaction ----------------------------------------------------
     def compact(self) -> int:
         """Rewrite all *closed* segments into one synthetic segment;
         returns the number of records it holds. The live segment (the
         one this session appends to) is never touched."""
         with self._lock:
-            live = (os.path.join(self.root,
-                                 _SEGMENT_FMT.format(self._seg_index))
-                    if self._fh is not None else None)
+            live = self._path if self._fh is not None else None
         closed = [p for p in _segment_paths(self.root) if p != live]
         if not closed:
             return 0
         replay = LedgerReplay()
         # the last closed segment's successor is this session's live
         # one, which started with an ``open`` — its tail may be torn
-        _replay_segments(replay, closed, tail_open=True)
+        _replay_segments(replay, closed)
         return self._compact_paths(closed, replay)
 
     def _compact_paths(self, closed: list, replay: LedgerReplay) -> int:
@@ -468,6 +445,5 @@ class JobLedger:
                 "appends": self.appends,
                 "fsyncs": self.fsyncs,
                 "group_committed": self.appends - self.fsyncs,
-                "rotations": self.rotations,
                 "dropped_after_close": self.dropped_after_close,
             }

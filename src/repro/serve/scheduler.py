@@ -40,11 +40,12 @@ every fully-committed coordinated checkpoint reaches
 :meth:`JobRun._persist_cut` as the loop's resume bundle and is saved
 to the service's checkpoint store under ``cut:{jid}``: per host, the
 written variables, event counts and messenger state, plus the journal
-suffix past the cut. A restarted daemon hands the bundle back via
-``bundle=``; the workers seed from their headers as ever, and the loop
-restores every host from the bundle instead of injecting the entry.
-The workers' (mid, hops) dedup makes the cross-restart replay
-exactly-once too.
+suffix past the cut. The bundle is the job's only checkpoint; the
+ledger records no cuts. A restarted daemon hands the bundle back via
+``bundle=`` if one was saved (a job with none runs from scratch); the
+workers seed from their headers as ever, and the loop restores every
+host from the bundle instead of injecting the entry. The workers'
+(mid, hops) dedup makes the cross-restart replay exactly-once too.
 """
 
 from __future__ import annotations
@@ -173,4 +174,3 @@ class JobRun(threading.Thread, Link):
         """Every host committed checkpoint ``cid``: persist the resume
         bundle a restarted daemon needs to continue this job."""
         self.service.store.save(f"cut:{self.record.jid}", bundle)
-        self.service.on_job_checkpoint(self.record, cid)

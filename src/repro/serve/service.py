@@ -370,10 +370,10 @@ class ServeService:
 
     def _ledger_append(self, entry: dict) -> None:
         """Best-effort durable append for the records a crash may lose:
-        a lost ``dispatched`` means the job is requeued, a lost
-        ``ckpt`` that it restarts from scratch, and a lost ``done`` a
-        deterministic re-run to the same digest. Only ``admitted``
-        must be durable before the client hears of it (see submit)."""
+        a lost ``dispatched`` means the job is requeued and runs from
+        scratch, and a lost ``done`` a deterministic re-run to the
+        same digest. Only ``admitted`` must be durable before the
+        client hears of it (see submit)."""
         if self.ledger is not None:
             try:
                 self.ledger.append(entry)
@@ -512,12 +512,6 @@ class ServeService:
             "reason": record.reason, "digest": record.digest,
             "ok": record.ok, "wall_s": record.wall_s,
             "restarts": record.restarts})
-
-    def on_job_checkpoint(self, record: JobRecord, cid: int) -> None:
-        """A JobRun fully committed checkpoint ``cid`` (every host
-        answered the marker and the resume bundle is on disk); make the
-        fact durable so recovery knows a bundle exists."""
-        self._ledger_append({"t": "ckpt", "jid": record.jid, "cid": cid})
 
     # -- failure monitor -----------------------------------------------
     def _monitor_loop(self) -> None:

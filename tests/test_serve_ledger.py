@@ -1,7 +1,7 @@
 """The durable control plane, unit level: ledger edge cases (torn
-tails, rotation, compaction, group commit), replay semantics, the
-structured error-reply classification, the stale addr-file
-probe, and in-process daemon restarts on one state dir (terminal
+tails, compaction, ledgers older daemons left, group commit), replay
+semantics, the structured error-reply classification, the stale
+addr-file probe, and in-process daemon restarts on one state dir (terminal
 history recovered, idempotent submit deduped across the restart,
 abandoned jobs re-run to the same golden digest).
 
@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.errors import AdmissionError, LedgerError, ServeError
-from repro.serve import JobLedger, ServeService, replay_ledger
+from repro.serve import JobLedger, ServeService, ledger, replay_ledger
 from repro.serve.client import _classify, resolve_addr
 from repro.serve.jobs import JobSpec
 from repro.util import durable
@@ -41,6 +41,41 @@ def _done(jid, state="completed", **kw):
             "restarts": 0, **kw}
 
 
+def _segments(root):
+    return sorted(root.glob("wal-*.jsonl"))
+
+
+def _sessions(root, *sessions):
+    """Run one ledger session per list of records, each cleanly closed."""
+    for records in sessions:
+        led = JobLedger(str(root))
+        led.open()
+        for record in records:
+            led.append(record)
+        led.close()
+
+
+#: A ledger as a daemon that rotated every 3 records and wrote a
+#: ``ckpt`` record per committed cut left it: session 1 spans the
+#: first three segments, session 2 the last.
+_ROTATED = [
+    [{"t": "open", "recovering": False, "session": 1},
+     _adm("j0", 0, key="k0"), _adm("j1", 1)],
+    [{"t": "dispatched", "jid": "j0"}, {"t": "ckpt", "jid": "j0", "cid": 1},
+     _done("j0")],
+    [{"t": "dispatched", "jid": "j1"}, {"t": "ckpt", "jid": "j1", "cid": 4},
+     {"t": "close", "drained": False}],
+    [{"t": "open", "recovering": False, "session": 2}, _adm("j2", 2),
+     {"t": "close", "drained": True}],
+]
+
+
+def _write_rotated(root):
+    for n, records in enumerate(_ROTATED):
+        (root / f"wal-{n:08d}.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+
+
 class TestLedgerRoundtrip:
     def test_lifecycle_replay(self, tmp_path):
         led = JobLedger(str(tmp_path))
@@ -49,7 +84,6 @@ class TestLedgerRoundtrip:
         assert first.clean_close is True   # nothing to recover = clean
         led.append(_adm("j0", 0, key="k0"))
         led.append({"t": "dispatched", "jid": "j0"})
-        led.append({"t": "ckpt", "jid": "j0", "cid": 3})
         led.append(_adm("j1", 1))
         led.append(_done("j0"))
         led.close()
@@ -61,7 +95,7 @@ class TestLedgerRoundtrip:
         j0, j1 = replay.jobs["j0"], replay.jobs["j1"]
         assert j0.terminal and j0.state == "completed"
         assert j0.digest == "d" * 64 and j0.ok is True
-        assert j0.last_cid == 3 and j0.key == "k0"
+        assert j0.key == "k0"
         assert not j1.terminal and j1.state == "pending"
         assert replay.by_key() == {"k0": "j0"}
 
@@ -96,17 +130,12 @@ class TestLedgerRoundtrip:
 
 
 class TestTornTail:
-    def _segment(self, tmp_path):
-        paths = sorted(p for p in os.listdir(tmp_path)
-                       if p.startswith("wal-"))
-        return os.path.join(tmp_path, paths[-1])
-
     def test_torn_final_record_dropped(self, tmp_path):
         led = JobLedger(str(tmp_path))
         led.open()
         led.append(_adm("j0", 0))
         led.close()
-        with open(self._segment(tmp_path), "a", encoding="utf-8") as fh:
+        with open(_segments(tmp_path)[-1], "a", encoding="utf-8") as fh:
             fh.write('{"t":"admitted","jid":"j1","se')   # crash mid-write
         replay = replay_ledger(str(tmp_path))
         assert replay.torn_records == 1
@@ -119,7 +148,7 @@ class TestTornTail:
         led = JobLedger(str(tmp_path))
         led.open()
         led.append(_adm("j0", 0))
-        with open(self._segment(tmp_path), "a", encoding="utf-8") as fh:
+        with open(_segments(tmp_path)[-1], "a", encoding="utf-8") as fh:
             fh.write('{"t":"adm')    # session 1 died mid-append
         led2 = JobLedger(str(tmp_path))
         replay = led2.open()         # session 2 opens a NEW segment
@@ -131,20 +160,13 @@ class TestTornTail:
         assert set(replay.jobs) == {"j0", "j1"}
 
     def test_torn_tail_in_a_sealed_segment_raises(self, tmp_path):
-        """A rotated-away segment was fsync'd before its session moved
-        on — a half line at its end is corruption (the successor starts
-        with an ordinary record, not a new session's open), not a
-        forgivable crash tail."""
-        led = JobLedger(str(tmp_path), segment_max=2)
-        led.open()
-        for i in range(4):
-            led.append(_adm(f"j{i}", i))
-        led.close()
-        segs = sorted(p for p in os.listdir(tmp_path)
-                      if p.startswith("wal-"))
-        assert len(segs) >= 3
-        with open(os.path.join(tmp_path, segs[1]), "a",
-                  encoding="utf-8") as fh:
+        """A segment an older daemon rotated away from was fsync'd
+        before its session moved on — a half line at its end is
+        corruption (the successor starts with an ordinary record, not
+        a new session's open), not a forgivable crash tail."""
+        _write_rotated(tmp_path)
+        assert replay_ledger(str(tmp_path)).torn_records == 0
+        with open(_segments(tmp_path)[1], "a", encoding="utf-8") as fh:
             fh.write('{"t":"adm')
         with pytest.raises(LedgerError, match="sealed segment"):
             replay_ledger(str(tmp_path))
@@ -154,7 +176,7 @@ class TestTornTail:
         led.open()
         led.append(_adm("j0", 0))
         led.close()
-        with open(self._segment(tmp_path), "a", encoding="utf-8") as fh:
+        with open(_segments(tmp_path)[-1], "a", encoding="utf-8") as fh:
             fh.write("GARBAGE NOT JSON\n")
             fh.write(json.dumps(_adm("j1", 1)) + "\n")
         with pytest.raises(LedgerError, match="not a torn tail"):
@@ -162,33 +184,16 @@ class TestTornTail:
 
 
 class TestRotationAndCompaction:
-    def test_rotation_seals_segments(self, tmp_path):
-        led = JobLedger(str(tmp_path), segment_max=4)
-        led.open()
-        for i in range(10):
-            led.append(_adm(f"j{i}", i))
-        led.close()
-        assert led.rotations >= 2
-        assert replay_ledger(str(tmp_path)).segments >= 3
-        assert len(replay_ledger(str(tmp_path)).jobs) == 10
-
     def test_compaction_replays_identically(self, tmp_path):
-        # two sessions, rotation, a mixed population: terminal jobs,
-        # a pending one, a running one with a committed checkpoint
-        led = JobLedger(str(tmp_path), segment_max=3)
-        led.open()
-        for i in range(4):
-            led.append(_adm(f"j{i}", i, key=f"k{i}"))
-        led.append({"t": "dispatched", "jid": "j0"})
-        led.append(_done("j0"))
-        led.append({"t": "dispatched", "jid": "j1"})
-        led.append(_done("j1", state="failed", reason="boom", ok=False))
-        led.close()
-        led2 = JobLedger(str(tmp_path), segment_max=3)
-        led2.open()
-        led2.append({"t": "dispatched", "jid": "j2"})
-        led2.append({"t": "ckpt", "jid": "j2", "cid": 7})
-        led2.close()
+        # two sessions, a mixed population: terminal jobs, a pending
+        # one, a running one
+        _sessions(tmp_path,
+                  [*(_adm(f"j{i}", i, key=f"k{i}") for i in range(4)),
+                   {"t": "dispatched", "jid": "j0"}, _done("j0"),
+                   {"t": "dispatched", "jid": "j1"},
+                   _done("j1", state="failed", reason="boom", ok=False)],
+                  [{"t": "dispatched", "jid": "j2"}])
+        assert len(_segments(tmp_path)) == 2       # one per session
 
         full = replay_ledger(str(tmp_path))
         compactor = JobLedger(str(tmp_path))
@@ -198,22 +203,56 @@ class TestRotationAndCompaction:
         assert compacted.jobs == full.jobs          # the contract
         assert compacted.clean_close == full.clean_close
         assert compacted.sessions == full.sessions
-        assert compacted.segments == 1
+        assert len(_segments(tmp_path)) == 1
         assert wrote == compacted.records < full.records
 
-    def test_open_autocompacts_old_sessions(self, tmp_path):
-        for session in range(6):
-            led = JobLedger(str(tmp_path), compact_segments=3)
-            led.open()
-            led.append(_adm(f"j{session}", session))
-            led.close()
-        led = JobLedger(str(tmp_path), compact_segments=3)
+    def test_open_autocompacts_old_sessions(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ledger, "_COMPACT_SEGMENTS", 3)
+        _sessions(tmp_path, *([_adm(f"j{s}", s)] for s in range(6)))
+        led = JobLedger(str(tmp_path))
         replay = led.open()
         assert len(replay.jobs) == 6
         led.close()
-        # steady state: at most compact_segments closed + 1 live
-        assert replay_ledger(str(tmp_path)).segments <= 4
+        # steady state: at most _COMPACT_SEGMENTS closed + 1 live
+        assert len(_segments(tmp_path)) <= 4
         assert len(replay_ledger(str(tmp_path)).jobs) == 6
+
+    def test_a_leftover_admitted_record_resets_no_job(self, tmp_path):
+        """Compaction renames its output over the oldest segment, then
+        unlinks the rest with no directory fsync after: a power cut can
+        bring one back. The leftover's ``admitted`` for ``j0`` must not
+        reset the ``running`` state the compacted segment gives it, or
+        the job re-runs from scratch and ignores its bundle."""
+        _sessions(tmp_path, [_adm("j1", 1)], [_adm("j0", 0)],
+                  [{"t": "dispatched", "jid": "j0"}])
+        leftover = _segments(tmp_path)[1]
+        text = leftover.read_text()
+        JobLedger(str(tmp_path)).compact()
+        leftover.write_text(text)               # its unlink did not persist
+        assert len(_segments(tmp_path)) == 2
+        assert replay_ledger(str(tmp_path)).jobs["j0"].state == "running"
+
+    def test_an_older_rotated_ledger_replays_and_compacts(self, tmp_path):
+        """Segments as a rotating daemon left them, ``ckpt`` records
+        included, replay to the jobs the same transitions give today,
+        and compaction drops the ``ckpt`` records."""
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.mkdir()
+        _write_rotated(old)
+        _sessions(new, [r for seg in _ROTATED[:3] for r in seg
+                        if r["t"] in ("admitted", "dispatched", "done")],
+                  [_adm("j2", 2)])
+        replayed = replay_ledger(str(old))
+        assert replayed.jobs == replay_ledger(str(new)).jobs
+        assert {j: job.state for j, job in replayed.jobs.items()} == {
+            "j0": "completed", "j1": "running", "j2": "pending"}
+
+        JobLedger(str(old)).compact()
+        [segment] = _segments(old)
+        kinds = {json.loads(line)["t"]
+                 for line in segment.read_text().splitlines()}
+        assert kinds == {"open", "admitted", "dispatched", "done", "close"}
+        assert replay_ledger(str(old)).jobs == replayed.jobs
 
 
 class TestGroupCommit:
@@ -249,31 +288,47 @@ class TestGroupCommit:
         assert stats["group_committed"] > 0
         assert len(replay_ledger(str(tmp_path)).jobs) == 80
 
-    def test_group_commit_across_rotation(self, tmp_path, monkeypatch):
-        """Committers racing a rotation must not fsync a recycled fd
+    def test_group_commit_across_close(self, tmp_path, monkeypatch):
+        """Committers racing ``close()`` must not fsync a recycled fd
         (spurious EBADF, or syncing the wrong file) — the dup'd
-        descriptor keeps the sealed segment alive for the straggler."""
+        descriptor keeps the closed segment alive for the straggler.
+        Every append that returned True is on disk, the rest were
+        dropped, and the close marker is the last record."""
         def slow_fsync(fd):
             os.fsync(fd)
-            time.sleep(0.001)
+            time.sleep(0.002)
 
         monkeypatch.setattr(durable, "fsync", slow_fsync)
-        led = JobLedger(str(tmp_path), segment_max=5)
+        led = JobLedger(str(tmp_path))
         led.open()
+        kept, errors = [], []
 
         def worker(tid):
-            for i in range(20):
-                led.append(_adm(f"j{tid}-{i}", tid * 20 + i))
+            try:
+                for i in range(20):
+                    jid = f"j{tid}-{i}"
+                    if led.append(_adm(jid, tid * 20 + i)):
+                        kept.append(jid)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
 
         threads = [threading.Thread(target=worker, args=(t,))
                    for t in range(6)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 10.0
+        while len(kept) < 6 and time.monotonic() < deadline:
+            time.sleep(0.0005)
+        led.close()                 # mid-stream: most appends are to come
         for t in threads:
-            t.join()
-        led.close()
-        assert led.rotations > 0
-        assert len(replay_ledger(str(tmp_path)).jobs) == 120
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert errors == []
+        assert 0 < len(kept) < 120
+        assert led.stats()["dropped_after_close"] == 120 - len(kept)
+        replay = replay_ledger(str(tmp_path))
+        assert sorted(replay.jobs) == sorted(kept)
+        assert replay.clean_close is True
 
     def test_fsync_disabled_never_syncs_in_append(self, tmp_path,
                                                   monkeypatch):
@@ -503,6 +558,22 @@ class TestInProcessRestart:
         assert again["state"] == "completed" and again["ok"] is True
         assert again["digest"] == first["digest"] == _sim_digest(
             "mpi-gentleman", 3, 4, 4)
+
+    def test_a_cut_saves_its_bundle_and_no_ledger_record(self, tmp_path):
+        """The bundle is the job's checkpoint: a job that cut has one
+        under ``cut:{jid}``, and the WAL says only that the job was
+        admitted, dispatched and done."""
+        spec = {"program": "mpi-gentleman", "g": 3, "seed": 4, "ab": 4,
+                "workers": 2}
+        with durable_serving(tmp_path, pool_size=2) as svc:
+            jid = svc.submit(dict(spec))["job"]
+            assert svc.wait_job(jid, timeout=60.0)["state"] == "completed"
+            assert svc.store.try_load(f"cut:{jid}") is not None
+            svc.shutdown(drain=True)
+        [segment] = _segments(tmp_path / "wal")
+        kinds = [json.loads(line)["t"]
+                 for line in segment.read_text().splitlines()]
+        assert kinds == ["open", "admitted", "dispatched", "done", "close"]
 
     def test_abandoned_jobs_rerun_to_golden(self, tmp_path):
         """Session 1 is torn down without draining (running + pending
