@@ -28,12 +28,11 @@ Stores are pluggable: :class:`MemoryStore` for tests and the simulator,
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
 import pickle
-import threading
 from dataclasses import dataclass, field
 from typing import Any
+from urllib.parse import quote, unquote
 
 from ..errors import ResilienceError
 from ..util import durable
@@ -107,9 +106,10 @@ class MemoryStore(CheckpointStore):
     """
 
     def __init__(self):
-        self._data: dict = {}       # key -> payload, in first-save order
+        self._data: dict = {}       # key -> payload, in last-save order
 
     def save(self, key: str, payload: Any) -> None:
+        self._data.pop(key, None)
         self._data[key] = copy.deepcopy(payload)
 
     def load(self, key: str) -> Any:
@@ -124,48 +124,31 @@ class MemoryStore(CheckpointStore):
 
 
 class DiskStore(CheckpointStore):
-    """Pickle-per-checkpoint store under ``root``.
-
-    File names are SHA-1 of the key (keys may hold slashes/colons); a
-    plain-text ``index`` file preserves save order and the mapping back
-    to human-readable keys.
+    """One pickle file per key under ``root``: the key, percent-quoted
+    (keys hold colons and may hold slashes), plus ``.ckpt``.
 
     ``save`` returns only after the bundle is durable (file fsync,
-    rename, directory fsync: :func:`repro.util.durable.write_atomic`)
-    and, for a new key, its ``index`` line after it: a bundle whose
-    save returned loads after a power loss. The serve daemon keeps a
-    job's last cut here under ``cut:{jid}`` and nowhere else, so a
-    restarted daemon resumes a job from this store alone. The store
-    creates its ``index`` file, durably, when it is made.
+    rename, directory fsync: :func:`repro.util.durable.write_atomic`),
+    so a bundle whose save returned loads after a power loss, and a
+    crash mid-save leaves the old bundle or the new one. ``keys`` lists
+    the bundles in last-save order (modification time, then name). The
+    serve daemon keeps a job's last cut here under ``cut:{jid}`` and
+    nowhere else, so a restarted daemon resumes a job from this store
+    alone.
     """
+
+    _SUFFIX = ".ckpt"
 
     def __init__(self, root: str):
         self.root = root
         durable.makedirs(root)
-        self._index_path = os.path.join(root, "index")
-        durable.create(self._index_path).close()
-        # the index, read once (lazily, so a restarted daemon sees its
-        # predecessor's keys) and kept in step by `save`: key -> None
-        # in save order. Re-reading the file per save is O(jobs) on a
-        # running job's controller thread.
-        self._known: dict | None = None
-        self._index_lock = threading.Lock()
 
     def _path(self, key: str) -> str:
-        digest = hashlib.sha1(key.encode()).hexdigest()
-        return os.path.join(self.root, digest + ".ckpt")
+        return os.path.join(self.root, quote(key, safe="") + self._SUFFIX)
 
     def save(self, key: str, payload: Any) -> None:
         durable.write_atomic(self._path(key), lambda fh: pickle.dump(
             payload, fh, protocol=pickle.HIGHEST_PROTOCOL))
-        with self._index_lock:
-            known = self._read_index()
-            if key not in known:
-                with durable.create(self._index_path) as fh:
-                    fh.write(key + "\n")
-                    fh.flush()
-                    durable.fsync(fh.fileno())
-                known[key] = None
 
     def load(self, key: str) -> Any:
         path = self._path(key)
@@ -175,16 +158,11 @@ class DiskStore(CheckpointStore):
             return pickle.load(fh)
 
     def keys(self) -> list:
-        with self._index_lock:
-            return list(self._read_index())
-
-    def _read_index(self) -> dict:
-        """The known keys (call with ``_index_lock`` held)."""
-        if self._known is None:
-            with open(self._index_path, encoding="utf-8") as fh:
-                self._known = dict.fromkeys(ln.rstrip("\n") for ln in fh
-                                            if ln.strip())
-        return self._known
+        bundles = sorted(
+            (entry.stat().st_mtime_ns, entry.name)
+            for entry in os.scandir(self.root)
+            if entry.name.endswith(self._SUFFIX))
+        return [unquote(name[:-len(self._SUFFIX)]) for _, name in bundles]
 
 
 def restore_cut(fabric, cut: ConsistentCut) -> list:

@@ -29,11 +29,11 @@ worker processes and leases them to submitted jobs:
 :mod:`~repro.serve.ledger`
     The durable control plane: an append-only fsync'd JSONL
     write-ahead log of which jobs exist and how each ended (admitted,
-    dispatched, done), one segment per daemon session, with
-    compaction and torn-tail tolerance — what lets a daemon restarted
-    on the same ``--state-dir`` recover every job. A job's progress
-    is its last cut bundle in the checkpoint store, not a ledger
-    record.
+    dispatched, done), one file every daemon session appends to, whose
+    torn tail a boot drops and truncates — what lets a daemon
+    restarted on the same ``--state-dir`` recover every job. A job's
+    progress is its last cut bundle in the checkpoint store, one file
+    per cut key, not a ledger record.
 
 :mod:`~repro.serve.service` / :mod:`~repro.serve.client`
     The daemon (listener, dispatcher, failure monitor, control verbs)

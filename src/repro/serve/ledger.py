@@ -20,32 +20,30 @@ Design points, in the order a crash investigator would ask about them:
   without touching the disk. Under concurrency the fsync count is
   bounded by the batch count, not the record count.
 
-* **Segments + compaction.** Each daemon session appends to one
-  ``wal-NNNNNNNN.jsonl`` segment of its own, started at boot, so a
-  crashed session's torn tail ends a file no later session writes
-  to. When more than ``_COMPACT_SEGMENTS`` closed segments pile up,
-  :meth:`open` rewrites them into one synthetic segment holding the
-  minimal transition sequence per job — ``replay(compacted) ==
-  replay(full)`` by construction, which the tests pin. Compaction is crash-safe: the
-  replacement is written to a temp file, fsync'd, renamed over the
-  oldest closed segment and its directory fsync'd, and only then are
-  the rest unlinked. A leftover segment's records re-apply
-  idempotently: the first ``admitted`` record of a job wins, and no
-  later one resets it.
-
-* **Torn tails.** A crash mid-``write`` can leave a half line at the
-  end of the segment a session was appending to when it died — the
-  *last* segment, or one whose successor begins a new session's
-  ``open`` record. Replay drops a non-JSON (or newline-less) final
-  line in exactly those segments and counts it in ``torn_records``;
-  garbage anywhere else — interior lines, or the tail of a segment an
-  older daemon sealed by an fsync'd rotation — is real corruption and
-  raises :class:`~repro.errors.LedgerError`. A WAL that silently skips
+* **One file, repaired at boot.** Every daemon session appends to the
+  same ``wal-00000000.jsonl``. A crash mid-``write`` can leave a half
+  line at its end: replay drops a final line that has no newline,
+  even one that parses as JSON (its append never returned), and
+  counts it in ``torn_records``. :meth:`JobLedger.open` then cuts the
+  file back to just after its last newline, through
+  :func:`repro.util.durable.truncate`, before the session's first
+  append, so the file holds exactly the records the boot acted on.
+  Garbage anywhere else is real corruption and raises
+  :class:`~repro.errors.LedgerError`: a WAL that silently skips
   records is worse than none.
 
-* **One write path.** Segments are created, synced and replaced only
-  through :mod:`repro.util.durable`, so a new segment's directory
-  entry is durable before its first record is acknowledged.
+* **Older directories.** A daemon that started a segment per session
+  (or rotated within one) left several ``wal-NNNNNNNN.jsonl`` files.
+  Replay reads them in order and forgives a torn tail only at the end
+  of the last one or of one whose successor opens a new session: a
+  segment sealed by an fsync'd rotation ends cleanly. A new session
+  appends to the last segment. A job's first ``admitted`` record
+  wins, so a duplicate one an older daemon left behind cannot reset
+  a job.
+
+* **One write path.** The file is created, synced and truncated only
+  through :mod:`repro.util.durable`, so its directory entry is durable
+  before its first record is acknowledged.
 
 * **Fail-stop.** The first write or fsync error is remembered and
   raised again by every later append: after a failed fsync the kernel
@@ -72,10 +70,6 @@ __all__ = ["JobLedger", "LedgerReplay", "ReplayedJob", "replay_ledger",
 _SEGMENT_FMT = "wal-{:08d}.jsonl"
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".jsonl"
-
-#: :meth:`JobLedger.open` compacts when more closed segments than this
-#: are on disk.
-_COMPACT_SEGMENTS = 4
 
 #: Job states a ``done`` record may carry; a replayed job in one of
 #: these never runs again.
@@ -129,17 +123,12 @@ def _segment_paths(root: str) -> list:
             if n.startswith(_SEGMENT_PREFIX) and n.endswith(_SEGMENT_SUFFIX)]
 
 
-def _segment_index(path: str) -> int:
-    name = os.path.basename(path)
-    return int(name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
-
-
 def _apply(replay: LedgerReplay, record: dict) -> None:
     """Fold one record into the replay state. Transitions are
-    idempotent so re-applied records (compaction leftovers, duplicated
-    appends) converge to the same state: a job's first ``admitted``
-    record wins, so a leftover one cannot reset a job that a
-    compacted segment already shows dispatched."""
+    idempotent so re-applied records (duplicates an older daemon left
+    behind) converge to the same state: a job's first ``admitted``
+    record wins, so a leftover one cannot reset a job that a later
+    record shows dispatched."""
     kind = record.get("t")
     if kind == "open":
         replay.sessions += 1
@@ -202,38 +191,36 @@ def _starts_new_session(text: str) -> bool:
 def _replay_lines(replay: LedgerReplay, text: str, allow_torn: bool,
                   path: str) -> None:
     lines = text.split("\n")
-    # a complete file ends with "\n" -> final split element is ""
-    complete = lines and lines[-1] == ""
-    if complete:
-        lines.pop()
+    # what follows the last newline is torn, whatever it holds: its
+    # append never returned, and the next boot truncates it
+    tail = lines.pop()
     for i, line in enumerate(lines):
         if not line.strip():
             continue
-        torn_position = (i == len(lines) - 1) and not complete
         try:
             record = json.loads(line)
         except ValueError:
-            if torn_position and allow_torn:
-                replay.torn_records += 1   # crash mid-write: drop the tail
-                continue
-            what = ("torn tail in a sealed segment" if torn_position
-                    else "not a torn tail")
             raise LedgerError(
-                f"corrupt ledger record ({what}) in {path} "
+                f"corrupt ledger record (not a torn tail) in {path} "
                 f"line {i + 1}: {line[:80]!r}")
         if not isinstance(record, dict):
             raise LedgerError(f"ledger record is not an object: {line[:80]!r}")
         _apply(replay, record)
         replay.records += 1
+    if tail.strip():
+        if not allow_torn:
+            raise LedgerError(
+                f"corrupt ledger record (torn tail in a sealed segment) "
+                f"in {path} line {len(lines) + 1}: {tail[:80]!r}")
+        replay.torn_records += 1   # crash mid-write: drop the tail
 
 
 def _replay_segments(replay: LedgerReplay, paths: list) -> None:
     """Fold ``paths`` (in order) into ``replay``. A torn final line is
     tolerated only where a crash could have produced one: the last
-    segment given (its successor, if any, is the live session's) or a
-    segment whose successor starts a new session — every other segment was sealed by an older daemon's
-    fsync'd rotation, so garbage at its end is real corruption and
-    raises."""
+    segment or one whose successor starts a new session. Every other
+    segment was sealed by an older daemon's fsync'd rotation, so
+    garbage at its end is real corruption and raises."""
     texts = []
     for path in paths:
         with open(path, encoding="utf-8", errors="replace") as fh:
@@ -247,10 +234,10 @@ def _replay_segments(replay: LedgerReplay, paths: list) -> None:
 def replay_ledger(root: str) -> LedgerReplay:
     """Replay every segment under ``root`` into a :class:`LedgerReplay`.
 
-    Tolerates an empty or missing directory and a torn final line (a
-    record interrupted by a crash mid-write) in the last segment or in
-    a segment whose successor opens a new session; raises
-    :class:`~repro.errors.LedgerError` on any other corruption.
+    Tolerates an empty or missing directory, and drops a torn final
+    line (one with no newline: a record a crash interrupted) in the
+    last segment or in a segment whose successor opens a new session;
+    raises :class:`~repro.errors.LedgerError` on any other corruption.
     """
     replay = LedgerReplay()
     _replay_segments(replay, _segment_paths(root))
@@ -261,34 +248,18 @@ def _line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-def _synthesize(job: ReplayedJob) -> list:
-    """The minimal record sequence that replays to ``job``'s state."""
-    out = [{"t": "admitted", "jid": job.jid, "seq": job.seq,
-            "spec": job.spec, "data_version": job.data_version}]
-    if job.state == "running":
-        out.append({"t": "dispatched", "jid": job.jid})
-    if job.terminal:
-        out.append({"t": "done", "jid": job.jid, "state": job.state,
-                    "reason": job.reason, "digest": job.digest,
-                    "ok": job.ok, "wall_s": job.wall_s,
-                    "restarts": job.restarts})
-    return out
-
-
 class JobLedger:
-    """Writer side of the WAL; one instance, and one segment, per
-    daemon session.
+    """Writer side of the WAL; one instance per daemon session.
 
-    ``open()`` replays what previous sessions left behind, compacts
-    them if enough have piled up, starts the session's segment, and
-    appends an ``open`` record; ``append`` is thread-safe and returns
-    only after the record is fsync'd (group commit batches concurrent
-    callers onto shared fsyncs); ``close`` appends the clean-close
-    marker. Appends after ``close`` are
-    dropped, not errors — teardown races (a job finishing while the
-    daemon exits) must not mask the real shutdown path. After a write
-    or fsync error every append raises that error (fail-stop), and
-    ``close`` writes no marker.
+    ``open()`` replays what previous sessions left behind, cuts a torn
+    tail off the file it appends to, and appends an ``open`` record;
+    ``append`` is thread-safe and returns only after the record is
+    fsync'd (group commit batches concurrent callers onto shared
+    fsyncs); ``close`` appends the clean-close marker. Appends after
+    ``close`` are dropped, not errors — teardown races (a job finishing
+    while the daemon exits) must not mask the real shutdown path. After
+    a write or fsync error every append raises that error (fail-stop),
+    and ``close`` writes no marker.
     """
 
     def __init__(self, root: str, fsync: bool = True):
@@ -298,7 +269,6 @@ class JobLedger:
         self._lock = threading.Lock()        # file handle + counters
         self._sync_lock = threading.Lock()   # group-commit section
         self._fh = None
-        self._path: str | None = None        # this session's segment
         self._write_seq = 0
         self._synced_seq = 0
         self._error: OSError | None = None   # the first write/fsync error
@@ -309,20 +279,23 @@ class JobLedger:
 
     # -- lifecycle -----------------------------------------------------
     def open(self) -> LedgerReplay:
-        """Replay prior sessions, maybe compact them, start this
-        session's segment, and record the session open. Returns the
-        replay."""
+        """Replay prior sessions, cut the torn tail replay dropped off
+        the last segment, and record the session open there. Returns
+        the replay."""
         replay = replay_ledger(self.root)
-        closed = _segment_paths(self.root)
-        if len(closed) > _COMPACT_SEGMENTS:
-            self._compact_paths(closed, replay)
         with self._lock:
             if self._fh is not None:
                 raise LedgerError("ledger is already open")
             paths = _segment_paths(self.root)
-            index = (_segment_index(paths[-1]) + 1) if paths else 0
-            self._path = os.path.join(self.root, _SEGMENT_FMT.format(index))
-            self._fh = durable.create(self._path)
+            if paths:
+                path = paths[-1]
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                if data and not data.endswith(b"\n"):    # replay dropped it
+                    durable.truncate(path, data.rfind(b"\n") + 1)
+            else:
+                path = os.path.join(self.root, _SEGMENT_FMT.format(0))
+            self._fh = durable.create(path)
         self.append({"t": "open", "recovering": not replay.clean_close,
                      "session": replay.sessions + 1})
         return replay
@@ -404,44 +377,10 @@ class JobLedger:
         if self._error is not None:
             raise self._error.with_traceback(None)
 
-    # -- compaction ----------------------------------------------------
-    def compact(self) -> int:
-        """Rewrite all *closed* segments into one synthetic segment;
-        returns the number of records it holds. The live segment (the
-        one this session appends to) is never touched."""
-        with self._lock:
-            live = self._path if self._fh is not None else None
-        closed = [p for p in _segment_paths(self.root) if p != live]
-        if not closed:
-            return 0
-        replay = LedgerReplay()
-        # the last closed segment's successor is this session's live
-        # one, which started with an ``open`` — its tail may be torn
-        _replay_segments(replay, closed)
-        return self._compact_paths(closed, replay)
-
-    def _compact_paths(self, closed: list, replay: LedgerReplay) -> int:
-        records = [{"t": "open", "compacted": True}
-                   for _ in range(replay.sessions)]
-        for job in sorted(replay.jobs.values(), key=lambda j: j.seq):
-            records.extend(_synthesize(job))
-        if replay.clean_close:
-            records.append({"t": "close", "compacted": True})
-        # the compacted file takes the oldest closed segment's name,
-        # durably, before the rest go. A crash between the rename and
-        # an unlink leaves stale segments whose records re-apply
-        # idempotently on the next replay.
-        durable.write_atomic(closed[0], lambda fh: fh.write(
-            "".join(map(_line, records)).encode("utf-8")))
-        for path in closed[1:]:
-            os.unlink(path)
-        return len(records)
-
     # -- observability -------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
             return {
-                "segments": len(_segment_paths(self.root)),
                 "appends": self.appends,
                 "fsyncs": self.fsyncs,
                 "group_committed": self.appends - self.fsyncs,

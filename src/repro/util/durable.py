@@ -5,14 +5,15 @@ A write is durable only after an fsync of its file, and a new or
 renamed directory entry only after an fsync of its directory. The job
 ledger (:mod:`repro.serve.ledger`) and the cut store
 (:class:`~repro.resilience.checkpoint.DiskStore`) make their bytes
-durable through these five functions and no other call, so a test can
+durable through these six functions and no other call, so a test can
 replace this module's barriers with a fake that crashes around each one
 and rebuilds the directory as a power cut would leave it.
 """
 
 import os
 
-__all__ = ["create", "fsync", "makedirs", "sync_dir", "write_atomic"]
+__all__ = ["create", "fsync", "makedirs", "sync_dir", "truncate",
+           "write_atomic"]
 
 
 def fsync(fd: int) -> None:
@@ -48,6 +49,14 @@ def create(path: str):
         open(path, "a").close()
         sync_dir(os.path.dirname(os.path.abspath(path)))
     return open(path, "a", encoding="utf-8")
+
+
+def truncate(path: str, length: int) -> None:
+    """Cut file ``path`` back to its first ``length`` bytes, durably:
+    the shorter file is fsync'd before this returns."""
+    with open(path, "r+b") as fh:
+        fh.truncate(length)
+        fsync(fh.fileno())
 
 
 def write_atomic(path: str, dump) -> None:

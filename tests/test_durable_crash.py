@@ -6,19 +6,21 @@ call into the seam (nested ones included), cuts the power before or
 after the k-th, and rebuilds the directories as a power cut would leave
 them:
 
-* each file is cut back to its last fsynced length;
+* each file is put back to its bytes as of its last fsync (a truncate
+  that was never fsynced is undone);
 * each entry created or renamed since its directory's last
   ``sync_dir`` is undone (a rename over a name gives the old file
   back);
 * each unlink is kept, durable or not: the order that hurts most.
 
-The script drives a ledger through four sessions, each its own
-segment: sequential and concurrent group-commit appends, ``DiskStore``
-saves of a new key and of an existing one, a compaction of the closed
-segments while a session is live, clean closes and a last boot that
-compacts. For every crash point the rebuilt state must replay (a torn
-tail is the only damage replay may forgive), hold every append and
-save that returned, and replay to the same jobs after a compaction.
+The script drives a ledger through four sessions that all append to
+one file: sequential and concurrent group-commit appends, ``DiskStore``
+saves of a new key and of an existing one, clean closes, and a session
+that dies mid-append with half a line on disk, so the next boot
+truncates it. For every crash point the rebuilt state must replay (a
+torn tail is the only damage replay may forgive), hold every append and
+save that returned, and be one ledger file and one loadable bundle per
+saved key.
 """
 
 import os
@@ -26,7 +28,6 @@ import threading
 import time
 
 from repro.resilience.checkpoint import DiskStore
-from repro.serve import ledger
 from repro.serve.ledger import JobLedger, replay_ledger
 from repro.util import durable
 
@@ -149,8 +150,16 @@ class PowerCut:
             return result
         return call
 
+    def plant(self, path: str, data: bytes) -> None:
+        """Append ``data`` to ``path`` as a crash mid-write leaves it:
+        on disk, though no append returned."""
+        with open(path, "ab") as fh:
+            fh.write(data)
+        ino = os.stat(path).st_ino
+        self.durable_bytes[ino] = self._read(ino)
+
     def install(self, monkeypatch) -> None:
-        for name in ("create", "makedirs", "write_atomic"):
+        for name in ("create", "makedirs", "truncate", "write_atomic"):
             monkeypatch.setattr(durable, name, self.wrap(name))
         monkeypatch.setattr(durable, "fsync", self.fsync)
         monkeypatch.setattr(durable, "sync_dir", self.sync_dir)
@@ -166,9 +175,10 @@ class PowerCut:
             for name, ino in synced.items():
                 path = os.path.join(root, name)
                 data = self.durable_bytes[ino]
-                if now.get(name) == ino:
-                    os.truncate(path, len(data))
-                elif name in now and name in self.replaced[root]:
+                # rewritten, not cut to length: a file truncated since
+                # its last fsync is now shorter than its durable bytes
+                if now.get(name) == ino or (name in now
+                                            and name in self.replaced[root]):
                     with open(path, "wb") as fh:
                         fh.write(data)
         self.close()
@@ -253,29 +263,35 @@ class Script:
     def session(self) -> JobLedger:
         led = JobLedger(self.wal)
         self.ledgers.append(led)
-        led.open()                                   # a new segment
+        led.open()                                   # appends to wal-0
         return led
 
-    def run(self, fake: PowerCut, patch) -> None:
+    def die(self, fake: PowerCut, led: JobLedger, half: str) -> None:
+        """The session dies mid-append: no close record, and ``half``
+        of a line on disk."""
+        led._fh.close()
+        led._fh = None
+        fake.plant(os.path.join(self.wal, "wal-00000000.jsonl"),
+                   half.encode())
+
+    def run(self, fake: PowerCut) -> None:
         store = DiskStore(self.ckpt)
         led = self.session()
         self.append(led, _adm("j0", 0))
         self.concurrent(fake, led, [_adm(f"j{i}", i) for i in (1, 2, 3, 4)])
         led.close()
         led = self.session()
-        self.save(store, "cut:j1", 1)                # a new key: the index
+        self.save(store, "cut:j1", 1)                # a new key
         self.save(store, "cut:j1", 2)                # an existing key
-        self.save(store, "cut:j2", 1)                # a new key, old index
+        self.save(store, "cut:j2", 1)
         for jid in ("j0", "j1", "j2"):
             self.append(led, {"t": "dispatched", "jid": jid})
-        led.close()
-        led = self.session()
+        self.die(fake, led, '{"t":"done","jid":"j2","st')
+        led = self.session()                         # truncates the half
         self.append(led, _done("j0"))
-        led.compact()                                # the closed segments
         self.append(led, _done("j1", "failed"))
         led.close()
-        patch.setattr(ledger, "_COMPACT_SEGMENTS", 1)
-        led = self.session()                         # compacts at boot
+        led = self.session()
         self.append(led, _adm("j5", 5))
         self.append(led, {"t": "dispatched", "jid": "j3"})
         led.close()
@@ -298,7 +314,7 @@ def _drive(tmp_path, monkeypatch, crash_at):
     with monkeypatch.context() as patch:
         fake.install(patch)
         try:
-            script.run(fake, patch)
+            script.run(fake)
         except Crash:
             pass
         finally:
@@ -322,23 +338,28 @@ def _check(script: Script, label: str) -> None:
             assert (job.state, job.digest) == (
                 record["state"], record["digest"]), (label, record)
 
+    segments = [n for n in os.listdir(script.wal) if n.startswith("wal-")]
+    assert segments in ([], ["wal-00000000.jsonl"]), (label, segments)
+
     store = DiskStore(script.ckpt)
+    assert "index" not in os.listdir(script.ckpt), label
     for key, payloads in script.attempted.items():
         done = script.returned.get(key, 0)
         if done:
             assert store.load(key) in payloads[done - 1:], (label, key)
-    for key in store.keys():
-        store.load(key)             # the index names no missing bundle
-
-    JobLedger(script.wal).compact()
-    assert replay_ledger(script.wal).jobs == jobs, label
+    keys = store.keys()
+    assert set(keys) <= set(script.attempted), (label, keys)
+    for key in keys:
+        store.load(key)             # no temp file listed as a bundle
 
 
 def test_every_crash_point_of_the_durable_path(tmp_path, monkeypatch):
     fake, script = _drive(tmp_path / "clean", monkeypatch, None)
     assert not fake.cut
     _check(script, "no crash")
-    assert len(replay_ledger(script.wal).jobs) == 6
+    replay = replay_ledger(script.wal)
+    assert len(replay.jobs) == 6
+    assert (replay.sessions, replay.torn_records) == (4, 0)
     calls = fake.ops
     assert calls > 40
     points = 0
@@ -354,15 +375,17 @@ def test_every_crash_point_of_the_durable_path(tmp_path, monkeypatch):
 
 
 def test_the_seam_is_the_only_durable_write_path():
-    """The ledger and the cut store fsync, rename, make directories and
-    create files only through ``repro.util.durable``."""
+    """The ledger and the cut store fsync, rename, make directories,
+    create and truncate files only through ``repro.util.durable``, and
+    unlink nothing."""
     import ast
     import pathlib
 
     import repro.resilience.checkpoint as checkpoint
     import repro.serve.ledger as ledger
 
-    banned = {"fsync", "replace", "rename", "makedirs", "mkdir", "open"}
+    banned = {"fsync", "replace", "rename", "makedirs", "mkdir", "open",
+              "truncate", "ftruncate", "unlink", "remove"}
     for module in (ledger, checkpoint):
         tree = ast.parse(pathlib.Path(module.__file__).read_text("utf-8"))
         for node in ast.walk(tree):
@@ -374,6 +397,12 @@ def test_the_seam_is_the_only_durable_write_path():
                     and func.value.id == "os"):
                 raise AssertionError(f"{module.__name__} line "
                                      f"{node.lineno}: os.{func.attr}")
+            if (isinstance(func, ast.Attribute) and func.attr == "truncate"
+                    and not (isinstance(func.value, ast.Name)
+                             and func.value.id == "durable")):
+                raise AssertionError(f"{module.__name__} line "
+                                     f"{node.lineno}: .truncate(...) "
+                                     f"outside the seam")
             if isinstance(func, ast.Name) and func.id == "open":
                 modes = list(node.args[1:2]) + [
                     k.value for k in node.keywords if k.arg == "mode"]

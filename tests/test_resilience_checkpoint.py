@@ -61,7 +61,7 @@ class TestStores:
         cut = ConsistentCut(time=1.5, places={0: {"x": 1}}, label="t")
         store.save("cut:1", cut)
         store.save("cut:2", ConsistentCut(time=2.5))
-        # a fresh handle reads the same index and payloads
+        # a fresh handle lists the same keys and payloads
         again = DiskStore(str(tmp_path / "ckpts"))
         assert again.keys() == ["cut:1", "cut:2"]
         loaded = again.load("cut:1")
@@ -75,9 +75,10 @@ class TestStores:
             store.load("never-saved")
 
     def test_disk_store_save_is_fsynced(self, tmp_path, monkeypatch):
-        """save returns only after the bundle and index line are
-        fsync'd: the serve ledger writes a ``ckpt`` record advertising
-        the cut, and that record must never outlive it."""
+        """save returns only after the bundle is fsync'd, and its
+        directory entry with it: a served job's bundle is its only
+        checkpoint, so a save that returned must load after a power
+        loss."""
         import os
 
         synced = []
@@ -91,44 +92,34 @@ class TestStores:
                             counting_fsync)
         store = DiskStore(str(tmp_path / "ckpts"))
         store.save("cut:1", ConsistentCut(time=1.0))
-        assert len(synced) >= 2   # payload file + index append (+ dir)
+        assert len(synced) >= 2   # payload file + its directory
         assert DiskStore(str(tmp_path / "ckpts")).load("cut:1").time == 1.0
 
 
-    def test_disk_store_reads_its_index_once(self, tmp_path, monkeypatch):
-        """`save` used to re-parse the whole index (one line per job,
-        never pruned) per cut: O(jobs) on a running job's controller
-        thread. The key set is loaded once per store, from the file."""
-        import builtins
+    def test_a_resave_moves_the_key_last(self, tmp_path):
+        """Both stores mean the most recent save by ``latest()``: a key
+        saved again moves to the end of ``keys()``."""
+        import time
 
-        root = str(tmp_path / "ckpts")
-        DiskStore(root).save("from-a-previous-daemon", 0)
-        index = tmp_path / "ckpts" / "index"
-        reads = []
-        real_open = builtins.open
+        for store in (MemoryStore(), DiskStore(str(tmp_path / "ckpts"))):
+            store.save("a", 1)
+            store.save("b", 2)
+            time.sleep(0.05)        # past the file-timestamp granularity
+            store.save("a", 3)
+            assert store.keys() == ["b", "a"], type(store).__name__
+            assert store.latest() == 3
 
-        def counting_open(file, mode="r", *args, **kwargs):
-            if str(file) == str(index) and "r" in mode:
-                reads.append(mode)
-            return real_open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", counting_open)
-        store = DiskStore(root)
-        keys = [f"cut:job-{n}" for n in range(300)]
-        for n, key in enumerate(keys):
-            store.save(key, n)
-        assert len(reads) <= 1
-        monkeypatch.undo()
-
-        everything = ["from-a-previous-daemon"] + keys
-        assert store.keys() == everything
-        assert DiskStore(root).keys() == everything    # save order, on disk
-        before = index.read_bytes()
-        assert before == "".join(k + "\n" for k in everything).encode()
-        store.save(keys[7], "newer")                  # an existing key
-        DiskStore(root).save(keys[8], "newer")        # ... via a fresh store
-        assert index.read_bytes() == before
-        assert store.load(keys[7]) == "newer"
+    def test_disk_store_names_a_bundle_by_its_key(self, tmp_path):
+        """One file per key, named by the quoted key; no index, and a
+        temp file a crash left mid-save is not a key."""
+        root = tmp_path / "ckpts"
+        store = DiskStore(str(root))
+        store.save("cut:job/1", "x")
+        (root / "cut%3Ajob%2F2.ckpt.tmp").write_bytes(b"torn")
+        assert sorted(p.name for p in root.iterdir()) == [
+            "cut%3Ajob%2F1.ckpt", "cut%3Ajob%2F2.ckpt.tmp"]
+        assert DiskStore(str(root)).keys() == ["cut:job/1"]
+        assert store.try_load("cut:job/2") is None
 
 
 class TestScheduledCuts:

@@ -22,8 +22,8 @@ from repro.fabric.hosts import cyclic_hosts, resolve_hosts
 from repro.fabric.topology import Grid2D
 from repro.matmul import run_ir2d_suite
 from repro.navp import ir
-from repro.serve import (JobLedger, ServeClient, build_job_suite,
-                         program_names, replay_ledger)
+from repro.serve import (ServeClient, build_job_suite, program_names,
+                         replay_ledger)
 from repro.serve.catalog import (CHECK_SHARES, DATA_VERSION, IR_CATALOG,
                                  _check_vectors, job_block, job_loads,
                                  job_suite, product_ok, shares_ok)
@@ -327,7 +327,7 @@ class TestDataVersion:
         assert replay.jobs["j0"].state == "failed"
         assert replay.jobs["j1"].digest == "d" * 64
 
-    def test_admission_stamps_the_version_and_compaction_keeps_it(
+    def test_admission_stamps_the_version_and_a_restart_keeps_it(
             self, tmp_path):
         with durable_serving(tmp_path, pool_size=1) as svc:
             jid = svc.submit({"program": "navp-2d-dsc", "g": 2, "seed": 0,
@@ -336,5 +336,8 @@ class TestDataVersion:
             svc.shutdown(drain=True)
         wal = str(tmp_path / "wal")
         assert replay_ledger(wal).jobs[jid].data_version == DATA_VERSION
-        JobLedger(wal).compact()
+        with durable_serving(tmp_path, pool_size=1) as svc:
+            assert svc.recovery_summary["terminal"] == 1
+            assert svc.recovery_summary["stale"] == 0
+            svc.shutdown(drain=True)
         assert replay_ledger(wal).jobs[jid].data_version == DATA_VERSION

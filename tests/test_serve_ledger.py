@@ -1,5 +1,5 @@
 """The durable control plane, unit level: ledger edge cases (torn
-tails, compaction, ledgers older daemons left, group commit), replay
+tails a boot truncates, ledgers older daemons left, group commit), replay
 semantics, the structured error-reply classification, the stale
 addr-file probe, and in-process daemon restarts on one state dir (terminal
 history recovered, idempotent submit deduped across the restart,
@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.errors import AdmissionError, LedgerError, ServeError
-from repro.serve import JobLedger, ServeService, ledger, replay_ledger
+from repro.serve import JobLedger, ServeService, replay_ledger
 from repro.serve.client import _classify, resolve_addr
 from repro.serve.jobs import JobSpec
 from repro.util import durable
@@ -70,10 +70,14 @@ _ROTATED = [
 ]
 
 
-def _write_rotated(root):
-    for n, records in enumerate(_ROTATED):
+def _write_segments(root, segments):
+    for n, records in enumerate(segments):
         (root / f"wal-{n:08d}.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records))
+
+
+def _write_rotated(root):
+    _write_segments(root, _ROTATED)
 
 
 class TestLedgerRoundtrip:
@@ -144,20 +148,49 @@ class TestTornTail:
         # no — the close was complete; only the half record is dropped
         assert replay.clean_close is True
 
-    def test_torn_tail_in_an_old_segment_tolerated(self, tmp_path):
+    def test_a_boot_truncates_a_torn_tail_and_appends_after_it(
+            self, tmp_path):
         led = JobLedger(str(tmp_path))
         led.open()
         led.append(_adm("j0", 0))
         with open(_segments(tmp_path)[-1], "a", encoding="utf-8") as fh:
             fh.write('{"t":"adm')    # session 1 died mid-append
+        assert replay_ledger(str(tmp_path)).torn_records == 1
         led2 = JobLedger(str(tmp_path))
-        replay = led2.open()         # session 2 opens a NEW segment
+        replay = led2.open()         # cuts the half line, then appends
         assert replay.torn_records == 1
         led2.append(_adm("j1", 1))
         led2.close()
+        [segment] = _segments(tmp_path)
+        assert '{"t":"adm\n' not in segment.read_text()
+        replay = replay_ledger(str(tmp_path))
+        assert replay.torn_records == 0
+        assert replay.sessions == 2 and replay.clean_close is True
+        assert set(replay.jobs) == {"j0", "j1"}
+
+    def test_a_newline_less_final_line_is_not_a_record(self, tmp_path):
+        """A final line without its newline is torn even when it parses:
+        its append never returned. Replay drops it, and the next boot
+        truncates it, so the file holds the records that boot acted
+        on."""
+        led = JobLedger(str(tmp_path))
+        led.open()
+        led.append(_adm("j0", 0))
+        with open(_segments(tmp_path)[-1], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(_adm("j1", 1)))      # complete, no "\n"
         replay = replay_ledger(str(tmp_path))
         assert replay.torn_records == 1
-        assert set(replay.jobs) == {"j0", "j1"}
+        assert set(replay.jobs) == {"j0"}
+        led2 = JobLedger(str(tmp_path))
+        led2.open()
+        led2.close()
+        [segment] = _segments(tmp_path)
+        kinds = [json.loads(line)["t"]
+                 for line in segment.read_text().splitlines()]
+        assert kinds == ["open", "admitted", "open", "close"]
+        replay = replay_ledger(str(tmp_path))
+        assert replay.torn_records == 0
+        assert set(replay.jobs) == {"j0"}
 
     def test_torn_tail_in_a_sealed_segment_raises(self, tmp_path):
         """A segment an older daemon rotated away from was fsync'd
@@ -184,58 +217,34 @@ class TestTornTail:
 
 
 class TestRotationAndCompaction:
-    def test_compaction_replays_identically(self, tmp_path):
-        # two sessions, a mixed population: terminal jobs, a pending
-        # one, a running one
-        _sessions(tmp_path,
-                  [*(_adm(f"j{i}", i, key=f"k{i}") for i in range(4)),
-                   {"t": "dispatched", "jid": "j0"}, _done("j0"),
-                   {"t": "dispatched", "jid": "j1"},
-                   _done("j1", state="failed", reason="boom", ok=False)],
-                  [{"t": "dispatched", "jid": "j2"}])
-        assert len(_segments(tmp_path)) == 2       # one per session
-
-        full = replay_ledger(str(tmp_path))
-        compactor = JobLedger(str(tmp_path))
-        wrote = compactor.compact()
-        compacted = replay_ledger(str(tmp_path))
-
-        assert compacted.jobs == full.jobs          # the contract
-        assert compacted.clean_close == full.clean_close
-        assert compacted.sessions == full.sessions
-        assert len(_segments(tmp_path)) == 1
-        assert wrote == compacted.records < full.records
-
-    def test_open_autocompacts_old_sessions(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ledger, "_COMPACT_SEGMENTS", 3)
-        _sessions(tmp_path, *([_adm(f"j{s}", s)] for s in range(6)))
-        led = JobLedger(str(tmp_path))
-        replay = led.open()
-        assert len(replay.jobs) == 6
-        led.close()
-        # steady state: at most _COMPACT_SEGMENTS closed + 1 live
-        assert len(_segments(tmp_path)) <= 4
-        assert len(replay_ledger(str(tmp_path)).jobs) == 6
+    """Directories older daemons left: a segment per session, rotated
+    segments, and segments their compaction left behind."""
 
     def test_a_leftover_admitted_record_resets_no_job(self, tmp_path):
-        """Compaction renames its output over the oldest segment, then
-        unlinks the rest with no directory fsync after: a power cut can
-        bring one back. The leftover's ``admitted`` for ``j0`` must not
-        reset the ``running`` state the compacted segment gives it, or
-        the job re-runs from scratch and ignores its bundle."""
-        _sessions(tmp_path, [_adm("j1", 1)], [_adm("j0", 0)],
-                  [{"t": "dispatched", "jid": "j0"}])
-        leftover = _segments(tmp_path)[1]
-        text = leftover.read_text()
-        JobLedger(str(tmp_path)).compact()
-        leftover.write_text(text)               # its unlink did not persist
+        """An older daemon's compaction renamed its output over the
+        oldest segment, then unlinked the rest with no directory fsync
+        after: a power cut could bring one back. The leftover's
+        ``admitted`` for ``j0`` must not reset the ``running`` state the
+        compacted segment gives it, or the job re-runs from scratch and
+        ignores its bundle."""
+        _write_segments(tmp_path, [
+            [{"t": "open", "compacted": True},
+             {"t": "open", "compacted": True}, _adm("j1", 1),
+             _adm("j0", 0), {"t": "dispatched", "jid": "j0"},
+             {"t": "close", "compacted": True}],
+            [{"t": "open", "recovering": False, "session": 2},
+             _adm("j0", 0), {"t": "close", "drained": True}],
+        ])
+        assert replay_ledger(str(tmp_path)).jobs["j0"].state == "running"
+        _sessions(tmp_path, [])
         assert len(_segments(tmp_path)) == 2
         assert replay_ledger(str(tmp_path)).jobs["j0"].state == "running"
 
-    def test_an_older_rotated_ledger_replays_and_compacts(self, tmp_path):
+    def test_an_older_rotated_ledger_replays_and_the_next_session_appends_to_its_last_segment(
+            self, tmp_path):
         """Segments as a rotating daemon left them, ``ckpt`` records
         included, replay to the jobs the same transitions give today,
-        and compaction drops the ``ckpt`` records."""
+        and a new session appends to the last of them."""
         old, new = tmp_path / "old", tmp_path / "new"
         old.mkdir()
         _write_rotated(old)
@@ -247,12 +256,17 @@ class TestRotationAndCompaction:
         assert {j: job.state for j, job in replayed.jobs.items()} == {
             "j0": "completed", "j1": "running", "j2": "pending"}
 
-        JobLedger(str(old)).compact()
-        [segment] = _segments(old)
-        kinds = {json.loads(line)["t"]
-                 for line in segment.read_text().splitlines()}
-        assert kinds == {"open", "admitted", "dispatched", "done", "close"}
-        assert replay_ledger(str(old)).jobs == replayed.jobs
+        before = [seg.read_text() for seg in _segments(old)]
+        _sessions(old, [_adm("j3", 3)])
+        after = [seg.read_text() for seg in _segments(old)]
+        assert after[:-1] == before[:-1]
+        assert after[-1].startswith(before[-1])
+        kinds = [json.loads(line)["t"]
+                 for line in after[-1][len(before[-1]):].splitlines()]
+        assert kinds == ["open", "admitted", "close"]
+        replay = replay_ledger(str(old))
+        assert replay.sessions == 3 and replay.torn_records == 0
+        assert set(replay.jobs) == {"j0", "j1", "j2", "j3"}
 
 
 class TestGroupCommit:
