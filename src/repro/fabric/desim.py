@@ -443,20 +443,6 @@ class Simulator:
         if self._failure is None:
             self._failure = (process, exc)
 
-    def schedule_at(self, time: float, fn: Callable, arg=None) -> None:
-        """Schedule a plain callback at absolute virtual time ``time``.
-
-        The public face of :meth:`_schedule` for callers that think in
-        absolute simulation time — fault injection and coordinated
-        checkpoints are scheduled this way. Ties at ``time`` are broken
-        by the global sequence number like every other event, so
-        injected callbacks keep the simulation deterministic.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at past time {time} (now={self.now})")
-        self._schedule(time - self.now, fn, arg)
-
     # -- public API -------------------------------------------------------
     def resource(self, capacity: int = 1, name: str = "") -> Resource:
         return Resource(self, capacity, name)

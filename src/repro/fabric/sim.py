@@ -36,7 +36,6 @@ the event kwargs.
 from __future__ import annotations
 
 from collections import deque
-from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -44,7 +43,6 @@ from ..errors import FabricError, TopologyError
 from ..machine import cache_factors as compute_cache_factors
 from ..machine.presets import SUN_BLADE_100
 from ..machine.spec import MachineSpec
-from ..resilience.checkpoint import ConsistentCut, MemoryStore
 from ..resilience.faults import DELIVER, FaultPlan, PlanRuntime
 from ..resilience.faults import STATS as FAULT_STATS
 from ..resilience.faults import ambient as ambient_faults
@@ -72,30 +70,24 @@ class _MessengerLost(Exception):
 
 
 class _Resilience:
-    """Per-fabric fault/checkpoint state (absent => zero overhead).
+    """Per-fabric fault state (absent => zero overhead).
 
     ``SimFabric`` keeps ``self._resil is None`` unless a non-empty
-    fault plan or a checkpoint store is configured, and every hook in
-    the hot paths is guarded by that single identity test — an empty
-    plan runs byte-identically to a fabric built without resilience.
+    fault plan is configured, and every hook in the hot paths is
+    guarded by that single identity test — an empty plan runs
+    byte-identically to a fabric built without resilience. It keeps no
+    saved state: a run is a deterministic function of its inputs, so
+    replaying it from the start is its checkpoint.
     """
 
-    __slots__ = ("runtime", "recovery", "store", "dead", "lost",
-                 "current", "track", "channel", "chan_seq", "procs")
+    __slots__ = ("runtime", "recovery", "dead", "lost")
 
-    def __init__(self, fabric: "SimFabric", plan: FaultPlan,
-                 recovery, store):
+    def __init__(self, fabric: "SimFabric", plan: FaultPlan, recovery):
         self.runtime = PlanRuntime(
             plan, fabric.topology, {p.coord: p.index for p in fabric.places})
         self.recovery = RecoveryPolicy.coerce(recovery)
-        self.store = store if store is not None else MemoryStore()
         self.dead: set = set()        # place indices killed, unmasked
         self.lost: list = []          # messenger names destroyed by faults
-        self.current: dict = {}       # name -> (place, snap, messenger, eff)
-        self.track = False            # maintain `current` (snapshots armed)
-        self.channel: dict = {}       # in-flight sends: key -> (dst, Message)
-        self.chan_seq = 0
-        self.procs: dict = {}         # messenger name -> SimProcess
 
 
 class Message(NamedTuple):
@@ -247,7 +239,6 @@ class SimFabric:
         perturb_seed: int | None = None,
         faults: FaultPlan | None = None,
         recovery=True,
-        checkpoint_store=None,
     ):
         self.topology = topology
         self.machine = machine if machine is not None else SUN_BLADE_100
@@ -292,9 +283,8 @@ class SimFabric:
         # the fabrics that table builders construct internally).
         faults, recovery = ambient_faults(faults, recovery)
         self._resil: _Resilience | None = None
-        if faults or checkpoint_store is not None:
-            self._resil = _Resilience(
-                self, faults or FaultPlan(), recovery, checkpoint_store)
+        if faults:
+            self._resil = _Resilience(self, faults, recovery)
 
     # -- setup -------------------------------------------------------------
     def place(self, coord) -> SimPlace:
@@ -358,15 +348,7 @@ class SimFabric:
             if interp is not None:
                 from .hb import InterpTap
                 interp.tracer = InterpTap(hb, messenger, interp.program)
-        process = self.sim.spawn(self._driver(messenger), name=name,
-                                 delay=delay)
-        resil = self._resil
-        if resil is not None:
-            resil.procs[name] = process
-            if resil.track:
-                snap = self._boundary_snapshot(messenger)
-                if snap is not None:
-                    resil.current[name] = (place.index, snap, messenger, None)
+        self.sim.spawn(self._driver(messenger), name=name, delay=delay)
 
     def _deadlock_hint(self) -> str | None:
         """Extra DeadlockError text: fault casualties first (a deadlock
@@ -425,8 +407,6 @@ class SimFabric:
             try:
                 eff = gen.send(value)
             except StopIteration:
-                if resil is not None:
-                    resil.current.pop(messenger._name, None)
                 return
             handler = effects.get(eff.__class__)
             if handler is None:
@@ -438,17 +418,17 @@ class SimFabric:
             if resil is None:
                 value = yield from handler(self, messenger, eff)
                 continue
-            # Resilient path: effect boundaries are where crashes fire,
-            # where boundary snapshots are taken, and where a fault that
-            # destroyed this messenger (recovery disabled) retires it.
+            # Resilient path: effect boundaries are where crashes fire
+            # and where a fault that destroyed this messenger (recovery
+            # disabled) retires it.
             try:
-                self._resil_boundary(messenger, eff)
+                self._resil_boundary(messenger)
                 value = yield from handler(self, messenger, eff)
             except _MessengerLost as lost:
                 self._on_lost(messenger, lost.args[0])
                 return
 
-    def _resil_boundary(self, messenger, eff) -> None:
+    def _resil_boundary(self, messenger) -> None:
         """Run the per-effect resilience hooks (``_resil`` is not None).
 
         Crashes are *polled* here rather than heap-scheduled so an
@@ -465,33 +445,13 @@ class SimFabric:
         if resil.dead and messenger._ctx.place.index in resil.dead:
             raise _MessengerLost(
                 f"PE {messenger._ctx.place.coord} crashed")
-        if resil.track:
-            snap = self._boundary_snapshot(messenger)
-            if snap is not None:
-                resil.current[messenger._name] = (
-                    messenger._ctx.place.index, snap, messenger, eff)
-
-    def _boundary_snapshot(self, messenger):
-        """The messenger's continuation as plain data (IR only).
-
-        Generator messengers are not snapshottable — Python cannot
-        pickle a live generator frame — so cuts cover IR messengers,
-        whose continuation is always explicit (the same property the
-        process fabric relies on to ship hops between OS processes).
-        """
-        interp = getattr(messenger, "interp", None)
-        if interp is None:
-            return None
-        return interp.agent_snapshot()   # a fresh env dict, live vars only
 
     def _on_lost(self, messenger, reason: str | None) -> None:
         """Retire a destroyed messenger. A crash casualty (``reason``)
         is counted and traced here; a lost hop already was, by its
         verdict (``reason`` None)."""
-        resil = self._resil
         name = messenger._name
-        resil.lost.append(name)
-        resil.current.pop(name, None)
+        self._resil.lost.append(name)
         if reason is None:
             return
         FAULT_STATS["lost"] += 1
@@ -505,14 +465,13 @@ class SimFabric:
     def _fire_crash(self, spec, index: int) -> None:
         """One PE fails, fail-stop, at the current virtual instant.
 
-        With recovery enabled the crash is *masked*: the fabric
-        checkpoints the place and every resident messenger's boundary
-        continuation, then restores immediately — the
-        instantaneous-repair model, chosen so recovered runs keep the
-        exact virtual times of fault-free runs (the acceptance bar for
-        the golden tables). With recovery disabled the place's node
-        variables are wiped and resident/arriving messengers are
-        destroyed at their next effect boundary.
+        With recovery enabled the crash is *masked*: an instantaneous
+        repair that saves nothing and changes nothing, so recovered runs
+        keep the exact virtual times of fault-free runs (the acceptance
+        bar for the golden tables); the trace still records the repair
+        as checkpoint, fault, restore. With recovery disabled the
+        place's node variables are wiped and resident/arriving
+        messengers are destroyed at their next effect boundary.
         """
         resil = self._resil
         place = self.places[index]
@@ -520,32 +479,17 @@ class SimFabric:
         FAULT_STATS["fired"] += 1
         if resil.recovery.enabled:
             FAULT_STATS["masked"] += 1
-            survivors = {}
-            for name, (pindex, _snap, messenger, _eff) in (
-                    resil.current.items()):
-                if pindex == index:
-                    snap = self._boundary_snapshot(messenger)
-                    if snap is not None:
-                        survivors[name] = (pindex, snap, None)
-            cut = ConsistentCut(
-                time=now,
-                places={index: dict(place.vars)},
-                events={index: {key: sem.count
-                                for key, sem in place.events.items()}},
-                messengers=survivors,
-                label=f"crash@{place.coord}",
-            )
-            resil.store.save(f"crash:{now:.9f}:{index}", cut)
             if self._tracing:
+                label = f"crash@{place.coord}"
                 self.trace.record(
                     t0=now, t1=now, place=index, actor="fault-injector",
-                    kind="checkpoint", note=cut.label)
+                    kind="checkpoint", note=label)
                 self.trace.record(
                     t0=now, t1=now, place=index, actor="fault-injector",
                     kind="fault", note="crash (masked)")
                 self.trace.record(
                     t0=now, t1=now, place=index, actor="fault-injector",
-                    kind="restore", note=cut.label)
+                    kind="restore", note=label)
         else:
             resil.dead.add(index)
             place.vars.clear()
@@ -759,26 +703,20 @@ class SimFabric:
             if not deliver:
                 return None  # dropped with recovery disabled: lost
         if net.is_small(nbytes):
-            delivery = self._deliver_small(place, dst, eff.tag, eff.payload)
-            if resil is not None:
-                delivery = self._tracked(delivery, place, dst, eff)
-            sim.spawn(delivery, name=f"{name}.deliver")
+            sim.spawn(self._deliver_small(place, dst, eff.tag, eff.payload),
+                      name=f"{name}.deliver")
         elif not eff.blocking:
             # MPI_Isend: the whole transfer (including queueing for
             # this PE's outbound NIC) runs in the background
-            delivery = self._transfer(place, dst, eff.tag, eff.payload,
-                                      net.wire_time(nbytes), name)
-            if resil is not None:
-                delivery = self._tracked(delivery, place, dst, eff)
-            sim.spawn(delivery, name=f"{name}.isend")
+            sim.spawn(self._transfer(place, dst, eff.tag, eff.payload,
+                                     net.wire_time(nbytes), name),
+                      name=f"{name}.isend")
         else:
             wire = net.wire_time(nbytes)
             yield place.nic_out.acquire()
-            delivery = self._deliver(place, dst, eff.tag, eff.payload,
-                                     wire, name)
-            if resil is not None:
-                delivery = self._tracked(delivery, place, dst, eff)
-            sim.spawn(delivery, name=f"{name}.deliver")
+            sim.spawn(self._deliver(place, dst, eff.tag, eff.payload,
+                                    wire, name),
+                      name=f"{name}.deliver")
             yield Timeout(wire)
             place.nic_out.release()
         if self._tracing:
@@ -845,91 +783,10 @@ class SimFabric:
                                          nbytes)):
             return False
         if verdict.outcome == "twice":
-            extra = self._deliver_small(place, dst, eff.tag, eff.payload)
-            self.sim.spawn(self._tracked(extra, place, dst, eff),
-                           name=f"{messenger._name}.dup")
+            self.sim.spawn(
+                self._deliver_small(place, dst, eff.tag, eff.payload),
+                name=f"{messenger._name}.dup")
         return True
-
-    def _tracked(self, delivery, src: SimPlace, dst: SimPlace, eff):
-        """Run a delivery generator with its payload registered as
-        channel state, so a coordinated snapshot taken mid-flight
-        captures it (the Chandy–Lamport channel-recording step)."""
-        resil = self._resil
-        resil.chan_seq += 1
-        key = resil.chan_seq
-        resil.channel[key] = (
-            dst.index, Message(src.coord, eff.tag, eff.payload))
-        try:
-            yield from delivery
-        finally:
-            resil.channel.pop(key, None)
-
-    # -- coordinated snapshots ------------------------------------------
-    @property
-    def checkpoints(self):
-        """The checkpoint store (None until resilience is active)."""
-        return self._resil.store if self._resil is not None else None
-
-    def schedule_snapshot(self, at: float, label: str = "") -> None:
-        """Capture a :class:`ConsistentCut` at virtual time ``at``.
-
-        Must be called before messengers are injected when the fabric
-        was built without a fault plan or checkpoint store (the drivers
-        bind their resilience hooks at injection).
-        """
-        if self._resil is None:
-            if self._names:
-                raise FabricError(
-                    "schedule_snapshot() must be called before inject() "
-                    "on a fabric built without resilience")
-            self._resil = _Resilience(self, FaultPlan(), True, None)
-        self._resil.track = True
-        self.sim.schedule_at(at, self._capture_cut,
-                             label or f"t={at:.9f}")
-
-    def _capture_cut(self, label: str) -> None:
-        """Close a coordinated snapshot at the current virtual instant.
-
-        Virtual time is the free global barrier the Chandy–Lamport
-        protocol has to synthesize with markers on a real machine: all
-        place state is read at one instant, channel state comes from
-        the tracked in-flight deliveries, and each live IR messenger
-        contributes the boundary continuation recorded at its current
-        effect — with a pending-effect descriptor so the effect the cut
-        interrupted is re-performed on restore. A messenger parked in a
-        semaphore's waiter queue has consumed nothing, so recording it
-        as pending-wait is consistent with the captured event counts;
-        one whose wakeup is merely in flight has logically completed
-        the wait and is recorded as past it.
-        """
-        resil = self._resil
-        now = self.sim.now
-        cut = ConsistentCut(time=now, label=label)
-        for place in self.places:
-            cut.places[place.index] = deepcopy(place.vars)
-            cut.events[place.index] = {
-                key: sem.count for key, sem in place.events.items()}
-            cut.mailboxes[place.index] = deepcopy(
-                list(place.mailbox._pending))
-        cut.in_flight = deepcopy(list(resil.channel.values()))
-        for mname, (pindex, snap, messenger, eff) in resil.current.items():
-            pending = None
-            if eff is not None:
-                pending = getattr(messenger, "_last_action", None)
-                if eff.__class__ is fx.WaitEvent:
-                    sem = self.places[pindex].events.get(
-                        (eff.name, tuple(eff.args)))
-                    proc = resil.procs.get(mname)
-                    if not (sem is not None and proc is not None
-                            and proc in sem._waiters):
-                        pending = None  # wait already (logically) done
-            cut.messengers[mname] = (pindex, deepcopy(snap),
-                                     deepcopy(pending))
-        resil.store.save(f"cut:{now:.9f}:{label}", cut)
-        if self._tracing:
-            self.trace.record(
-                t0=now, t1=now, place=0, actor="snapshotter",
-                kind="checkpoint", note=label)
 
     def _deliver(self, src: SimPlace, dst: SimPlace, tag, payload,
                  wire: float, sender: str):

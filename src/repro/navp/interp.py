@@ -490,45 +490,19 @@ def _step(stmt, path: tuple, pc: int, program: str, todo: list):
 class IRMessenger(Messenger):
     """Runs an IR program as a messenger on the sim/thread fabrics.
 
-    ``_last_action`` always holds the IR action currently being
-    performed as plain data — what a coordinated snapshot records as
-    the cut's *pending effect* (the :class:`repro.fabric.effects`
-    object itself may close over a kernel and is not restorable).
-    ``_pending`` is set by :meth:`resume`: the one action a restored
-    continuation must re-perform before advancing, because its
-    snapshot was taken with the interpreter already past it.
+    Its continuation is always the interpreter's explicit
+    ``(program, env, stack)`` state (:meth:`Interp.agent_snapshot`),
+    which is what a hop ships between OS processes.
     """
-
-    _pending = None
-    _last_action = None
 
     def __init__(self, program: str, env: dict | None = None):
         self.name = program
         self.interp = Interp(program, env)
 
-    @classmethod
-    def resume(cls, snapshot, pending=None) -> "IRMessenger":
-        """Rebuild a messenger from a continuation snapshot.
-
-        ``snapshot`` is what :meth:`Interp.agent_snapshot` produced;
-        ``pending`` is an IR action tuple to re-perform first, as
-        recorded in a :class:`repro.resilience.checkpoint.ConsistentCut`.
-        """
-        messenger = cls.__new__(cls)
-        messenger.interp = Interp.from_snapshot(snapshot)
-        messenger.name = messenger.interp.program
-        messenger._pending = pending
-        return messenger
-
     def main(self):
         interp = self.interp
-        action = self._pending
-        if action is None:
-            action = interp.next_action(self.vars)
-        else:
-            self._pending = None
+        action = interp.next_action(self.vars)
         while action is not None:
-            self._last_action = action
             kind = action[0]
             if kind == "hop":
                 yield self.hop(action[1])

@@ -5,14 +5,14 @@ The subsystem has three layers, each usable alone:
 * :mod:`repro.resilience.faults` — declarative, seeded
   :class:`FaultPlan` (crash / drop / duplicate / delay / slow-node)
   with a JSON round trip and the ambient :func:`injected` context.
-* :mod:`repro.resilience.checkpoint` — hop-boundary messenger
-  snapshots and Chandy–Lamport-style :class:`ConsistentCut` capture,
-  with in-memory and on-disk stores.
+* :mod:`repro.resilience.checkpoint` — :class:`DiskStore`, the
+  durable store of the serve daemon's cut bundles.
 * :mod:`repro.resilience.recovery` — :class:`RecoveryPolicy`
   (retry/backoff) and :class:`ReplayLedger` (respawn replay).
 
-See ``docs/resilience.md`` for the fault-plan schema, the snapshot
-protocol, and the recovery guarantees per fabric.
+See ``docs/resilience.md`` for the fault-plan schema, the recovery
+guarantees per fabric, and the checkpoint protocol of the
+process/socket controller.
 """
 
 from .faults import (
@@ -25,14 +25,7 @@ from .faults import (
     ambient,
     injected,
 )
-from .checkpoint import (
-    CheckpointStore,
-    ConsistentCut,
-    DiskStore,
-    MemoryStore,
-    restore_cut,
-    resume_from_cut,
-)
+from .checkpoint import DiskStore
 from .recovery import RecoveryPolicy, ReplayLedger
 
 __all__ = [
@@ -44,12 +37,7 @@ __all__ = [
     "injected",
     "ambient",
     "STATS",
-    "ConsistentCut",
-    "CheckpointStore",
-    "MemoryStore",
     "DiskStore",
-    "restore_cut",
-    "resume_from_cut",
     "RecoveryPolicy",
     "ReplayLedger",
 ]

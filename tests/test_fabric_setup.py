@@ -148,7 +148,7 @@ def _sim_places(program, g):
 
 
 #: The Figure 15 g=3 handshake lets a wrong-k B-carrier take the one
-#: ``EC``/``EP[k]`` slot (ROADMAP item 8, a protocol bug older than this
+#: ``EC``/``EP[k]`` slot (ROADMAP item 1, a protocol bug older than this
 #: file): on real workers the k order differs from the sim fabric's, so
 #: ``Bslot`` ends holding another block and ``C`` is the same product
 #: summed in another order. Every other variable still matches bit for

@@ -184,8 +184,6 @@ class TestContinuations:
         particular must not unpack into its keys."""
         with pytest.raises(ConfigurationError, match=f"got {arrived}"):
             Interp.from_snapshot(bad)
-        with pytest.raises(ConfigurationError, match=f"got {arrived}"):
-            IRMessenger.resume(bad)
 
     def test_done_property(self):
         register("cont-empty", [])

@@ -7,6 +7,7 @@ timeline and every result stay bit-exact (compared through
 messengers and node state.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import DeadlockError
@@ -54,7 +55,6 @@ class TestMaskedFaults:
     def test_empty_plan_builds_no_resilience_state(self):
         fabric = SimFabric(Grid1D(2), faults=FaultPlan())
         assert fabric._resil is None
-        assert fabric.checkpoints is None
 
     def test_masked_drop_is_bit_exact(self):
         clean, marks = _run_tour()
@@ -84,6 +84,35 @@ class TestMaskedFaults:
         """The repair protocol is snapshot, then fail, then restore."""
         plan = FaultPlan(faults=(Crash(place=2, at_hop=2),))
         faulted, _marks = _run_tour(faults=plan)
+        events = [e.kind for e in faulted.trace.events
+                  if e.kind in ("checkpoint", "fault", "restore")]
+        assert events == ["checkpoint", "fault", "restore"]
+
+    def test_a_masked_crash_copies_no_node_state(self, monkeypatch):
+        """A masked crash is an instantaneous repair that saves
+        nothing: with a 512x512 block on every place and deepcopy
+        patched to raise, the run keeps the clean run's virtual time."""
+        import copy
+
+        blocks = {j: np.full((512, 512), float(j)) for j in range(4)}
+
+        def run(plan):
+            _register_tour()
+            fabric = SimFabric(Grid1D(4), trace=True, use_cache_model=False,
+                               faults=plan)
+            for j in range(4):
+                fabric.load((j,), chunk=10 ** j, block=blocks[j])
+            fabric.inject((0,), IRMessenger("resil-tour"))
+            return fabric.run()
+
+        clean = run(None)
+
+        def no_copy(*_args, **_kwargs):
+            raise AssertionError("a masked crash deep-copied state")
+
+        monkeypatch.setattr(copy, "deepcopy", no_copy)
+        faulted = run(FaultPlan(faults=(Crash(place=2, at_hop=2),)))
+        assert faulted.time.hex() == clean.time.hex()
         events = [e.kind for e in faulted.trace.events
                   if e.kind in ("checkpoint", "fault", "restore")]
         assert events == ["checkpoint", "fault", "restore"]
