@@ -50,14 +50,6 @@ Commands
                                    golden pipelines must stay
                                    bit-exact and the racy corpus must
                                    reproduce its predicted races
-``bench [--smoke --no-write ...]`` run the in-process smoke benches
-                                   and write ``BENCH_<date>.json`` with
-                                   the per-package code-line count and
-                                   its delta against the previous
-                                   snapshot; speed is measured by
-                                   ``bench/run.py`` and compared by
-                                   ``bench/compare.py`` (see
-                                   docs/performance.md)
 ``faults [--plan --process --socket ...]``
                                    fault-injection demo: crashes and
                                    drops are masked by recovery and
@@ -101,7 +93,6 @@ import argparse
 import sys
 
 from . import (
-    bench,
     datascan,
     faults,
     fuzz,
@@ -121,7 +112,7 @@ __all__ = ["main", "build_parser"]
 
 # registration order == ``repro --help`` listing order
 _MODULES = (variants, run, tables, staggering, wavefront, datascan,
-            plan, lint, fuzz, faults, bench, serve, submit, status)
+            plan, lint, fuzz, faults, serve, submit, status)
 
 
 def build_parser() -> argparse.ArgumentParser:

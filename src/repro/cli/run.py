@@ -42,24 +42,12 @@ def _cmd_run_on_fabric(args) -> int:
     import time as time_mod
     from contextlib import nullcontext
 
-    from ..fabric import fabric_capabilities
     from ..matmul import run_ir2d_suite
     from ..serve.catalog import IR_CATALOG, build_job_suite, product_ok
 
     if args.variant not in IR_CATALOG:
         print(f"--fabric {args.fabric} needs an IR form; available for: "
               f"{', '.join(sorted(IR_CATALOG))}", file=sys.stderr)
-        return 2
-    # validate the request against the fabric's capability set up
-    # front, instead of failing deep inside the run
-    needed = {"ir-inject"}
-    if args.faults:
-        needed.add("fault-injection")
-    missing = needed - fabric_capabilities(args.fabric)
-    if missing:
-        print(f"the {args.fabric} fabric cannot run this request; "
-              f"missing capabilities: {', '.join(sorted(missing))}",
-              file=sys.stderr)
         return 2
     if args.faults:
         from ..resilience import FaultPlan, injected

@@ -113,8 +113,3 @@ class TransformError(ReproError):
 class VerificationError(ReproError):
     """A computed result failed verification against the reference."""
 
-
-class BenchSnapshotError(ReproError, ValueError):
-    """A ``BENCH_<date>.json`` file is not a snapshot ``repro bench``
-    can take its code-line trend against (wrong schema, or no
-    ``source_loc``)."""

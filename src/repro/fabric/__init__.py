@@ -10,8 +10,7 @@ from .desim import (
     Trigger,
     perturbed,
 )
-from .factory import (FABRIC_CAPABILITIES, FABRIC_KINDS, FABRIC_REGISTRY,
-                      fabric_capabilities, make_fabric)
+from .factory import FABRIC_KINDS, FABRIC_REGISTRY, make_fabric
 from .hb import HBTracker, Race, RaceAccess
 from .hosts import block_hosts, cyclic_hosts, host_count, resolve_hosts
 from .process import ProcessFabric
@@ -29,10 +28,8 @@ __all__ = [
     "cyclic_hosts",
     "host_count",
     "resolve_hosts",
-    "FABRIC_CAPABILITIES",
     "FABRIC_KINDS",
     "FABRIC_REGISTRY",
-    "fabric_capabilities",
     "make_fabric",
     "ProcessFabric",
     "SocketFabric",

@@ -34,8 +34,8 @@ Fast-path design (the engine carries millions of events per table):
   ``isinstance`` fallback that caches its answer).
 
 The module-level :data:`PERF_STATS` counter accumulates executed events
-across simulators; ``repro bench`` reads it to compute events/sec for
-whole table sweeps.
+across simulators; ``bench/`` reads it to count the DES events of a
+whole table sweep, and ``tests/test_table_goldens.py`` pins that count.
 
 Schedule perturbation (the race-detection fuzzer's hook): the merge of
 the immediate deque and the heap is the *one* place the executed order

@@ -26,8 +26,7 @@ from .socket import SocketFabric
 from .threads import ThreadFabric
 from .topology import Topology
 
-__all__ = ["make_fabric", "fabric_capabilities", "FABRIC_KINDS",
-           "FABRIC_REGISTRY", "FABRIC_CAPABILITIES"]
+__all__ = ["make_fabric", "FABRIC_KINDS", "FABRIC_REGISTRY"]
 
 FABRIC_REGISTRY = {
     "sim": SimFabric,
@@ -37,46 +36,6 @@ FABRIC_REGISTRY = {
 }
 
 FABRIC_KINDS = tuple(FABRIC_REGISTRY)
-
-# What each kind can actually do, so callers (the serve daemon's
-# admission control, ``repro run``) can validate a request up front
-# instead of failing mid-run:
-#
-# ``ir-inject``         accepts navigational-IR messengers
-# ``generator-inject``  accepts plain generator messengers (whose state
-#                       cannot leave the address space)
-# ``fault-injection``   honours a declarative FaultPlan
-# ``checkpoint``        supports coordinated checkpoints and restore
-#                       (``checkpoint_every=`` on the distributed kinds)
-# ``respawn``           survives a worker SIGKILL by respawn + replay
-# ``real-transport``    bytes travel over real sockets (wire.py frames)
-# ``serve-pool``        workers can outlive one run, so a long-lived
-#                       job service can keep them warm (repro serve)
-FABRIC_CAPABILITIES = {
-    "sim": frozenset({"ir-inject", "generator-inject", "fault-injection",
-                      "checkpoint"}),
-    "thread": frozenset({"ir-inject", "generator-inject",
-                         "fault-injection"}),
-    "process": frozenset({"ir-inject", "fault-injection", "checkpoint",
-                          "respawn"}),
-    "socket": frozenset({"ir-inject", "fault-injection", "checkpoint",
-                         "respawn", "real-transport", "serve-pool"}),
-}
-assert set(FABRIC_CAPABILITIES) == set(FABRIC_REGISTRY)
-
-
-def fabric_capabilities(kind: str) -> frozenset:
-    """Capability set of a fabric kind (see the table above).
-
-    Raises :class:`~repro.errors.ConfigurationError` for unknown kinds,
-    like :func:`make_fabric`.
-    """
-    caps = FABRIC_CAPABILITIES.get(kind)
-    if caps is None:
-        raise ConfigurationError(
-            f"unknown fabric kind {kind!r}; expected one of {FABRIC_KINDS}"
-        )
-    return caps
 
 
 def make_fabric(

@@ -5,8 +5,8 @@ bulk is matrix blocks — numpy arrays (or views produced by
 :mod:`repro.util.blocks`) sitting in the agent environment. Classic
 pickling copies those blocks *into* the frame byte string: one copy at
 ``dumps``, another at ``loads``. At algorithmic-block hop rates that
-copy tax is the transport ceiling (``repro bench``'s
-``pickle_roundtrip``).
+copy tax is the transport ceiling (``bench/`` measures it as
+``payload.encode_us`` and ``payload.decode_us``).
 
 This codec splits a payload into
 

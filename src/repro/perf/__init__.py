@@ -1,37 +1,11 @@
-"""The smoke tripwire behind ``repro bench`` and the ``source_loc``
-ledger.
+"""The code-line count: :func:`~repro.perf.report.source_loc`.
 
-``bench/`` (``python3 bench/run.py``, ``bench/compare.py``) is the
-repo's one instrument for speed. This package keeps the two jobs that
-instrument cannot do: four in-process, sub-second benches that tier 1
-runs so a broken engine or interpreter fails ``pytest``
-(:mod:`repro.perf.suite`), and the per-package code-line count written
-into every ``BENCH_<date>.json`` snapshot with its delta against the
-previous one (:mod:`repro.perf.report`; schema in
-``docs/performance.md``).
+Speed is measured by ``bench/`` (``python3 bench/run.py``, compared by
+``bench/compare.py``) and correctness is pinned by tier 1; this package
+keeps only the per-package code-line count that CHANGES.md and
+ROADMAP.md quote for the code a change adds or removes.
 """
 
-from .report import (
-    SCHEMA,
-    find_previous,
-    load_bench,
-    make_snapshot,
-    render_report,
-    source_loc,
-    source_loc_delta,
-    write_bench,
-)
-from .suite import BENCHES, run_suite
+from .report import source_loc
 
-__all__ = [
-    "BENCHES",
-    "SCHEMA",
-    "find_previous",
-    "load_bench",
-    "make_snapshot",
-    "render_report",
-    "run_suite",
-    "source_loc",
-    "source_loc_delta",
-    "write_bench",
-]
+__all__ = ["source_loc"]

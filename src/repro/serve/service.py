@@ -39,7 +39,6 @@ import threading
 import time
 
 from ..errors import AdmissionError, FabricError, ServeError
-from ..fabric.factory import fabric_capabilities
 from ..fabric.wire import (FRAME_CMD, FRAME_HELLO, FRAME_REPORT, Acceptor,
                            FrameSocket, WireError, load_obj, send_obj)
 from ..resilience.checkpoint import DiskStore
@@ -53,13 +52,6 @@ from .scheduler import JobRun
 
 __all__ = ["ServeService"]
 
-#: Capabilities the pool substrate must offer for serve mode at all,
-#: plus the ones specific features lean on. The pool runs on the
-#: socket transport, so this always holds — but the query keeps the
-#: dependency honest and is the same check ``repro run`` uses.
-_REQUIRED_CAPS = frozenset({"ir-inject", "real-transport", "serve-pool",
-                            "checkpoint", "respawn"})
-
 
 class ServeService:
     """A long-lived multi-tenant job service over a warm worker pool."""
@@ -71,11 +63,6 @@ class ServeService:
                  checkpoint_every: int | None = 8, max_restarts: int = 2,
                  job_timeout_s: float = 60.0, chaos: bool = False,
                  mc_admission: bool = True, state_dir: str | None = None):
-        missing = _REQUIRED_CAPS - fabric_capabilities("socket")
-        if missing:  # pragma: no cover - the table satisfies this
-            raise ServeError(
-                f"socket fabric lacks capabilities required by serve: "
-                f"{', '.join(sorted(missing))}")
         self.pool_size = pool_size
         self.port = port
         self.window = window

@@ -52,7 +52,7 @@ def _tapped(run) -> list:
     return events
 
 
-def run_suite_race_checked(suite, perturb_seed=None) -> list:
+def race_checked_run(suite, perturb_seed=None) -> list:
     """One SimFabric run of a 2-D IR suite with the happens-before
     checker on; returns the races it found."""
     fabric = SimFabric(Grid2D(suite.g), machine=FAST_TEST_MACHINE,
@@ -84,7 +84,7 @@ def record() -> dict:
     for label, build in SUITES:
         suite = build(G)
         out["%s-g%d" % (label, G)] = _tapped(
-            lambda: run_suite_race_checked(suite))
+            lambda: race_checked_run(suite))
     out["wavefront"] = _tapped(run_wavefront_race_checked)
     return out
 

@@ -22,7 +22,7 @@ V = ir.Var
 C = ir.Const
 
 
-def run_suite(suite, layout, g, ab, fabric_cls=SimFabric, machine=None):
+def run_chain(suite, layout, g, ab, fabric_cls=SimFabric, machine=None):
     fabric = fabric_cls(Grid2D(g), machine=machine or FAST_TEST_MACHINE)
     for coord, node_vars in layout.items():
         fabric.load(coord, **node_vars)
@@ -106,7 +106,7 @@ class TestFullChain:
         a = random_matrix(g * ab, 63)
         b = random_matrix(g * ab, 64)
         spec = CarriedSpec(g=g)
-        c, _result = run_suite(chain.pipelined_2d,
+        c, _result = run_chain(chain.pipelined_2d,
                                layout_carried_antidiagonal(a, b, spec),
                                g, ab)
         assert_allclose(c, a @ b, what=f"derived fig13 g={g}")
@@ -118,7 +118,7 @@ class TestFullChain:
         a = random_matrix(g * ab, 65)
         b = random_matrix(g * ab, 66)
         spec = CarriedSpec(g=g)
-        c, _result = run_suite(chain.phased_2d,
+        c, _result = run_chain(chain.phased_2d,
                                layout_carried_natural(a, b, spec),
                                g, ab)
         assert_allclose(c, a @ b, what=f"derived fig15 g={g}")
@@ -129,7 +129,7 @@ class TestFullChain:
         a = random_matrix(3 * ab, 67)
         b = random_matrix(3 * ab, 68)
         spec = CarriedSpec(g=3)
-        c, _result = run_suite(chain.phased_2d,
+        c, _result = run_chain(chain.phased_2d,
                                layout_carried_natural(a, b, spec),
                                3, ab, fabric_cls=ThreadFabric)
         assert_allclose(c, a @ b)
@@ -141,7 +141,7 @@ class TestFullChain:
         a = random_matrix(3 * ab, 69)
         b = random_matrix(3 * ab, 70)
         spec = CarriedSpec(g=3)
-        _c, result = run_suite(chain.phased_2d,
+        _c, result = run_chain(chain.phased_2d,
                                layout_carried_natural(a, b, spec),
                                3, ab)
         actors = {e.actor for e in result.trace.of_kind("hop")}
@@ -196,7 +196,7 @@ class TestDerivedStructure:
         spec = CarriedSpec(g=g)
         a = random_matrix(g * ab, 73)
         b = random_matrix(g * ab, 74)
-        _c, derived = run_suite(chain.phased_2d,
+        _c, derived = run_chain(chain.phased_2d,
                                 layout_carried_natural(a, b, spec),
                                 g, ab, machine=SUN_BLADE_100)
         hand = build_fig15(g, a, b, ab=ab)

@@ -20,7 +20,7 @@ from repro.fabric.topology import Grid1D
 from repro.machine import FAST_TEST_MACHINE
 from repro.navp.interp import IRMessenger
 
-from .record_interp_goldens import run_suite_race_checked
+from .record_interp_goldens import race_checked_run
 
 
 def _meta(actor, write):
@@ -141,7 +141,7 @@ class TestFabricRuns:
         # Figure 13's full handshake (with its primed EC events) must
         # produce zero dynamic findings
         from repro.matmul.ir2d import build_fig13
-        assert run_suite_race_checked(build_fig13(3)) == []
+        assert race_checked_run(build_fig13(3)) == []
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_served_gentleman_runs_clean(self, g):
@@ -150,7 +150,7 @@ class TestFabricRuns:
         from repro.serve import build_job_suite
         suite, _a, _b = build_job_suite("mpi-gentleman", g, seed=0, ab=2)
         for seed in (None, *range(8)):
-            assert run_suite_race_checked(suite, seed) == [], seed
+            assert race_checked_run(suite, seed) == [], seed
 
     def test_deadlock_error_cites_static_prediction(self):
         case = next(c for c in CORPUS if c.name == "bad-unmatched-wait")
