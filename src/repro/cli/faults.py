@@ -34,7 +34,6 @@ def _cmd_faults(args) -> int:
 
     from ..matmul.ir2d import build_fig11, run_ir2d_suite
     from ..resilience import Crash, FaultPlan, injected
-    from ..resilience.faults import STATS
     from ..util.validation import random_matrix
 
     if args.plan:
@@ -56,13 +55,11 @@ def _cmd_faults(args) -> int:
     _c, clean = run_ir2d_suite(suite, "sim")
     print(f"\nclean virtual time        {clean.time:.6f} s")
 
-    for key in STATS:
-        STATS[key] = 0
-    with injected(plan, recovery=True):
+    with injected(plan, recovery=True) as counts:
         c, faulted = run_ir2d_suite(suite, "sim")
     exact = faulted.time == clean.time
     print(f"faulted, recovery on      {faulted.time:.6f} s  "
-          f"({STATS['fired']} fault(s) fired, {STATS['masked']} masked"
+          f"({counts['fired']} fault(s) fired, {counts['masked']} masked"
           f"{', BIT-EXACT vs clean' if exact else ''})")
     numeric_ok = bool(np.allclose(c, a @ b))
     print(f"result vs NumPy           "
@@ -72,13 +69,11 @@ def _cmd_faults(args) -> int:
     if args.no_recovery:
         from ..errors import DeadlockError
 
-        for key in STATS:
-            STATS[key] = 0
         try:
-            with injected(plan, recovery=False):
+            with injected(plan, recovery=False) as counts:
                 run_ir2d_suite(suite, "sim")
             print("faulted, recovery off     run completed "
-                  f"({STATS['lost']} messenger(s)/message(s) lost)")
+                  f"({counts['lost']} messenger(s)/message(s) lost)")
         except DeadlockError as exc:
             first = str(exc).splitlines()[0]
             print(f"faulted, recovery off     deadlock: {first}")

@@ -37,10 +37,28 @@ def configure(sub) -> None:
     run_p.set_defaults(handler=_cmd_run)
 
 
+def _fault_scope(args):
+    """The ``injected`` scope of ``--faults``; it yields the counts
+    :func:`_print_faults` reads (no plan: an inert scope)."""
+    from contextlib import nullcontext
+
+    if not args.faults:
+        return nullcontext()
+    from ..resilience import FaultPlan, injected
+
+    return injected(FaultPlan.from_file(args.faults),
+                    recovery=not args.no_recovery)
+
+
+def _print_faults(counts) -> None:
+    if counts is not None:
+        print(f"  faults         {counts['fired']} fired, "
+              f"{counts['masked']} masked, {counts['lost']} lost")
+
+
 def _cmd_run_on_fabric(args) -> int:
     """Run a variant's IR restatement on a real substrate."""
     import time as time_mod
-    from contextlib import nullcontext
 
     from ..matmul import run_ir2d_suite
     from ..serve.catalog import IR_CATALOG, build_job_suite, product_ok
@@ -49,18 +67,12 @@ def _cmd_run_on_fabric(args) -> int:
         print(f"--fabric {args.fabric} needs an IR form; available for: "
               f"{', '.join(sorted(IR_CATALOG))}", file=sys.stderr)
         return 2
-    if args.faults:
-        from ..resilience import FaultPlan, injected
-        context = injected(FaultPlan.from_file(args.faults),
-                           recovery=not args.no_recovery)
-    else:
-        context = nullcontext()
     g = args.geometry
     ab = max(args.n // g, 1)
     seed = 220
     suite, a, b = build_job_suite(args.variant, g, seed=seed, ab=ab)
     t0 = time_mod.perf_counter()
-    with context:
+    with _fault_scope(args) as counts:
         c, result = run_ir2d_suite(suite, args.fabric, trace=True)
     wall = time_mod.perf_counter() - t0
     ok = product_ok(a, b, c, seed)
@@ -76,6 +88,7 @@ def _cmd_run_on_fabric(args) -> int:
               f"{max(hwm.values())} frame(s) across "
               f"{len(transport)} worker(s)")
     print(f"  result vs NumPy {'correct' if ok else 'WRONG'}")
+    _print_faults(counts)
     return 0 if ok else 1
 
 
@@ -83,19 +96,7 @@ def _cmd_run(args) -> int:
     if args.fabric != "sim":
         return _cmd_run_on_fabric(args)
     case = MatmulCase(n=args.n, ab=args.ab, shadow=not args.real)
-    if args.faults:
-        from ..resilience import FaultPlan, injected
-        from ..resilience.faults import STATS
-
-        plan = FaultPlan.from_file(args.faults)
-        for key in STATS:
-            STATS[key] = 0
-        context = injected(plan, recovery=not args.no_recovery)
-    else:
-        from contextlib import nullcontext
-
-        context = nullcontext()
-    with context:
+    with _fault_scope(args) as counts:
         result = run_variant(args.variant, case, geometry=args.geometry,
                              trace=False)
     seq, thrash = sequential_time_model(args.n)
@@ -108,9 +109,5 @@ def _cmd_run(args) -> int:
     if args.real and result.c is not None:
         err = assert_allclose(result.c, case.reference())
         print(f"  verified vs NumPy (relative error {err:.2e})")
-    if args.faults:
-        from ..resilience.faults import STATS
-
-        print(f"  faults         {STATS['fired']} fired, "
-              f"{STATS['masked']} masked, {STATS['lost']} lost")
+    _print_faults(counts)
     return 0

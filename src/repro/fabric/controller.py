@@ -50,7 +50,10 @@ sim and thread ask — with its real source and destination host, and the
 loop only acts the outcome out: it forwards an extra copy of a
 duplicate, sleeps for a delay and drops a lost hop. A plan's
 drop/duplicate/delay specs therefore mean the same thing over a
-socketpair, over TCP, in virtual time and on threads.
+socketpair, over TCP, in virtual time and on threads. The two crash
+outcomes the loop meets itself — a worker SIGKILLed, a worker
+respawned — are counted and named by the same run's
+:meth:`~repro.resilience.faults.PlanRuntime.count`.
 
 The command vocabulary between controller and worker is shared too
 (``register`` / ``load`` / ``signal0`` / ``run`` / ``runs`` / ``ckpt``
@@ -83,9 +86,9 @@ from ..navp import ir
 from ..navp.interp import Interp, code_table, live_table
 from ..navp.kernels import get_kernel
 from ..navp.messenger import Messenger
-from ..resilience.faults import STATS as FAULT_STATS
 from ..resilience.faults import DELIVER, FaultPlan, PlanRuntime
 from ..resilience.faults import ambient as ambient_faults
+from ..resilience.faults import counts_of
 from ..resilience.recovery import RecoveryPolicy, ReplayLedger
 from . import payload as payload_mod
 from .hosts import host_count, resolve_hosts
@@ -709,9 +712,8 @@ class Controller:
             for _spec, h in runtime.due_crashes(
                     time.perf_counter() - self._t0):
                 if self.link.crash(h):
-                    FAULT_STATS["fired"] += 1
-                    self._note(h, "fault-injector", "fault",
-                               f"worker {h} SIGKILLed")
+                    for kind, text in runtime.count("sigkill", h=h):
+                        self._note(h, "fault-injector", kind, text)
         msg = self.link.receive(remaining)
         if msg is None:
             return
@@ -824,7 +826,9 @@ class Controller:
     # -- recovery ------------------------------------------------------
     def _recover(self, h, how) -> None:
         """Bring ``h`` back: a fresh worker, its last committed state,
-        then everything journaled since."""
+        then everything journaled since. The respawn counts as masked
+        only once all of that is sent: a replacement that fails to come
+        up fails the run uncounted."""
         sup = self.sup
         if sup is None:
             raise FabricError(
@@ -832,7 +836,6 @@ class Controller:
                 f"no supervision; pass supervise=True or a fault plan "
                 f"for recovery")
         ordinal = sup.authorize_respawn(h, how)
-        FAULT_STATS["masked"] += 1
         self.link.replace(h)
         state, replay = sup.recovery_script(h)
         if state is not None:
@@ -841,9 +844,11 @@ class Controller:
         self._replay(h, replay, journal=False)
         if self._collecting:
             self._ask_collect(h)
-        self._note(h, "supervisor", "respawn",
-                   f"worker {h} lost ({how}), respawned (restart "
-                   f"{ordinal}, replay {len(replay)} cmd(s))")
+        if self.runtime is not None:
+            for kind, text in self.runtime.count(
+                    "respawn", h=h, how=how, restart=ordinal,
+                    replay=len(replay)):
+                self._note(h, "supervisor", kind, text)
 
 
 class ControllerFabric(Link):
@@ -914,6 +919,7 @@ class ControllerFabric(Link):
         self.resilient = bool(self._plan) or bool(supervise) or (
             checkpoint_every is not None)
         self._sup: Supervisor | None = None     # the last run's
+        self._runtime: PlanRuntime | None = None  # the last run's
         self.lost: list = []   # messengers destroyed by drops, no recovery
         self._t0 = 0.0
 
@@ -931,14 +937,16 @@ class ControllerFabric(Link):
         for node_vars in self._loads.values():
             for name, value in node_vars.items():
                 node_vars[name] = _wire_form(value)
-        # a run's journal, cuts and restart counts are its own
+        # a run's journal, cuts, restart and fault counts are its own
         self._sup = Supervisor(self._recovery, self._max_restarts)
+        self._runtime = (PlanRuntime(self._plan, self.topology,
+                                     self._host_of)
+                         if self.resilient else None)
         ctl = Controller(
             self, f"{self.kind} fabric", self.n_hosts, self._host_of,
             self.timeout,
             sup=self._sup if self.resilient else None,
-            runtime=(PlanRuntime(self._plan, self.topology, self._host_of)
-                     if self.resilient else None),
+            runtime=self._runtime,
             window=self.window or math.inf, coalesce=self.coalesce,
             checkpoint_every=self._checkpoint_every,
             note=self._note if self.trace.enabled else None,
@@ -988,6 +996,12 @@ class ControllerFabric(Link):
         shipped with its collect reply."""
         for src, dst, nbytes, mid in hop_log:
             self._note(dst, mid, "hop", "hop", src, nbytes)
+
+    @property
+    def fault_counts(self) -> dict:
+        """The last run's fault counts (``fired``/``masked``/``lost``);
+        all zero for a run that was not resilient."""
+        return counts_of(self._runtime)
 
     @property
     def restarts(self) -> dict:

@@ -22,7 +22,10 @@ virtual time: a delay is a ``Timeout``, a retransmit costs
 ``retry_cost_s`` (zero by default, so masked faults keep golden times
 bit-exact), a ``twice`` send spawns a second delivery, a lost hop
 retires its messenger. Crashes and slow nodes stay this fabric's own:
-a transfer into a crashed PE is lost as a crash consequence.
+a transfer into a crashed PE is lost as a crash consequence. Every
+fault outcome, crash or message, is counted and named by the run's
+:meth:`~repro.resilience.faults.PlanRuntime.count`; this fabric only
+records the events it returns.
 
 Hot-path notes: effects dispatch through a class-keyed handler table
 (exact type hit; subclasses resolve once and are cached), the dominant
@@ -44,8 +47,8 @@ from ..machine import cache_factors as compute_cache_factors
 from ..machine.presets import SUN_BLADE_100
 from ..machine.spec import MachineSpec
 from ..resilience.faults import DELIVER, FaultPlan, PlanRuntime
-from ..resilience.faults import STATS as FAULT_STATS
 from ..resilience.faults import ambient as ambient_faults
+from ..resilience.faults import counts_of
 from ..resilience.recovery import RecoveryPolicy
 from . import effects as fx
 from .desim import Resource, Semaphore, Simulator, Timeout, Trigger
@@ -65,7 +68,7 @@ class _MessengerLost(Exception):
     programs then deadlock on the events the dead messenger would have
     signaled, and :meth:`SimFabric._deadlock_hint` names the casualty.
     The one argument is the crash that caused it, or None for a hop the
-    plan's verdict lost (the verdict counted and traced it).
+    plan's verdict lost (the verdict counted it).
     """
 
 
@@ -329,6 +332,12 @@ class SimFabric:
     def now(self) -> float:
         return self.sim.now
 
+    @property
+    def fault_counts(self) -> dict:
+        """This fabric's fault counts (``fired``/``masked``/``lost``);
+        all zero without a plan."""
+        return counts_of(self._resil and self._resil.runtime)
+
     # -- internals ------------------------------------------------------------
     def _unique_name(self, messenger) -> str:
         base = getattr(messenger, "name", None) or type(messenger).__name__
@@ -448,19 +457,25 @@ class SimFabric:
 
     def _on_lost(self, messenger, reason: str | None) -> None:
         """Retire a destroyed messenger. A crash casualty (``reason``)
-        is counted and traced here; a lost hop already was, by its
-        verdict (``reason`` None)."""
+        is counted here; a lost hop already was, by its verdict
+        (``reason`` None)."""
         name = messenger._name
         self._resil.lost.append(name)
-        if reason is None:
-            return
-        FAULT_STATS["lost"] += 1
+        if reason is not None:
+            self._record_faults(
+                self._resil.runtime.count("casualty", reason=reason),
+                messenger._ctx.place.index, name)
+
+    def _record_faults(self, events, place: int, actor: str,
+                       src_place=None, nbytes: int = 0) -> None:
+        """Trace a counted fault outcome's events at the current
+        virtual instant."""
         if self._tracing:
             now = self.sim.now
-            self.trace.record(
-                t0=now, t1=now, place=messenger._ctx.place.index,
-                actor=name, kind="fault", note=f"messenger lost: {reason}",
-            )
+            for kind, note in events:
+                self.trace.record(
+                    t0=now, t1=now, place=place, actor=actor, kind=kind,
+                    note=note, src_place=src_place, nbytes=nbytes)
 
     def _fire_crash(self, spec, index: int) -> None:
         """One PE fails, fail-stop, at the current virtual instant.
@@ -475,29 +490,13 @@ class SimFabric:
         """
         resil = self._resil
         place = self.places[index]
-        now = self.sim.now
-        FAULT_STATS["fired"] += 1
         if resil.recovery.enabled:
-            FAULT_STATS["masked"] += 1
-            if self._tracing:
-                label = f"crash@{place.coord}"
-                self.trace.record(
-                    t0=now, t1=now, place=index, actor="fault-injector",
-                    kind="checkpoint", note=label)
-                self.trace.record(
-                    t0=now, t1=now, place=index, actor="fault-injector",
-                    kind="fault", note="crash (masked)")
-                self.trace.record(
-                    t0=now, t1=now, place=index, actor="fault-injector",
-                    kind="restore", note=label)
+            events = resil.runtime.count("crash masked", coord=place.coord)
         else:
             resil.dead.add(index)
             place.vars.clear()
-            FAULT_STATS["lost"] += 1
-            if self._tracing:
-                self.trace.record(
-                    t0=now, t1=now, place=index, actor="fault-injector",
-                    kind="fault", note="crash (PE down, node vars lost)")
+            events = resil.runtime.count("crash down")
+        self._record_faults(events, index, "fault-injector")
 
     def _resolve_effect(self, cls):
         """Map an effect subclass to its base handler, once, then cache."""
@@ -567,12 +566,9 @@ class SimFabric:
         runtime = resil.runtime
         runtime.note_hop()
         if resil.dead and dst.index in resil.dead:
-            if self._tracing:
-                now = self.sim.now
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=messenger._name,
-                    kind="fault", note="hop into crashed PE",
-                    src_place=place.index, nbytes=moved)
+            self._record_faults(runtime.count("hop into crashed"),
+                                dst.index, messenger._name, place.index,
+                                moved)
             raise _MessengerLost(f"hopped into crashed PE {dst.coord}")
         verdict = runtime.verdict("hop", place.index, dst.index, None,
                                   resil.recovery.enabled)
@@ -587,13 +583,8 @@ class SimFabric:
         default, which is what keeps golden times bit-exact). Returns
         False when the transfer is lost."""
         lost = verdict.outcome == "lost"
-        if self._tracing:
-            now = self.sim.now
-            for kind, note in verdict.events:
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=messenger._name,
-                    kind=kind, note=note, src_place=place.index,
-                    nbytes=nbytes if lost else 0)
+        self._record_faults(verdict.events, dst.index, messenger._name,
+                            place.index, nbytes if lost else 0)
         if verdict.outcome == "delay":
             yield Timeout(verdict.spec.seconds)
         elif verdict.outcome == "retransmit":
@@ -766,14 +757,9 @@ class SimFabric:
         message is genuinely lost (into a crashed PE, or by a verdict);
         a ``twice`` verdict spawns the second delivery here."""
         if resil.dead and dst.index in resil.dead:
-            if self._tracing:
-                now = self.sim.now
-                self.trace.record(
-                    t0=now, t1=now, place=dst.index, actor=messenger._name,
-                    kind="fault", note="send to crashed PE",
-                    src_place=place.index, nbytes=nbytes)
-            FAULT_STATS["fired"] += 1
-            FAULT_STATS["lost"] += 1
+            self._record_faults(resil.runtime.count("send into crashed"),
+                                dst.index, messenger._name, place.index,
+                                nbytes)
             return False
         verdict = resil.runtime.verdict("send", place.index, dst.index,
                                         eff.tag, resil.recovery.enabled)

@@ -21,6 +21,8 @@ Under a fault plan every cross-host hop and send asks the plan's one
 :meth:`~repro.resilience.faults.PlanRuntime.verdict` and acts it out in
 wall-clock time: a delay or a retransmit is a real (capped) sleep, a
 ``twice`` send is deposited twice, a lost hop retires its messenger.
+The verdict counts the fault in the run's own counts
+(:attr:`ThreadFabric.fault_counts`).
 
 Time here is wall-clock time. On a multi-core host the numerics of
 concurrently-resident messengers genuinely overlap (NumPy releases the
@@ -44,6 +46,7 @@ from ..machine.presets import SUN_BLADE_100
 from ..machine.spec import MachineSpec
 from ..resilience.faults import DELIVER, FaultPlan, PlanRuntime
 from ..resilience.faults import ambient as ambient_faults
+from ..resilience.faults import counts_of
 from ..resilience.recovery import RecoveryPolicy
 from . import effects as fx
 from .hosts import resolve_hosts
@@ -275,6 +278,12 @@ class ThreadFabric:
             trace=self.trace,
             places={p.coord: p.vars for p in self.places},
         )
+
+    @property
+    def fault_counts(self) -> dict:
+        """This fabric's fault counts (``fired``/``masked``/``lost``);
+        all zero without a plan."""
+        return counts_of(self._runtime)
 
     # -- internals -----------------------------------------------------------
     def _record(self, **kw) -> None:

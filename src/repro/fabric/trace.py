@@ -29,8 +29,9 @@ class TraceEvent:
     ``"fault"`` (an injected fault fired; ``nbytes`` carries the
     payload only when it was genuinely lost), ``"retry"`` / ``"dedup"``
     (recovery masked a drop / discarded a duplicate), ``"checkpoint"``
-    / ``"restore"`` (snapshot protocol), and ``"respawn"`` (process
-    fabric worker replacement) events. The socket fabric adds
+    / ``"restore"`` (a masked crash's instant repair on sim; a
+    committed cut on the controller fabrics), and ``"respawn"``
+    (controller fabric worker replacement) events. The socket fabric adds
     zero-duration ``"transport"`` events — one per worker at collect
     time, ``note`` a space-separated ``key=value`` summary of its wire
     counters (``inbox_hwm``, ``window``, ``frames_in`` …) — queried via

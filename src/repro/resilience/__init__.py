@@ -4,7 +4,10 @@ The subsystem has three layers, each usable alone:
 
 * :mod:`repro.resilience.faults` — declarative, seeded
   :class:`FaultPlan` (crash / drop / duplicate / delay / slow-node)
-  with a JSON round trip and the ambient :func:`injected` context.
+  with a JSON round trip, the ambient :func:`injected` context, and
+  :class:`PlanRuntime`, which decides each message fault and counts
+  every fault outcome in the counts of the run that saw it (no tally
+  is process-wide; :func:`injected` yields the sum of its fabrics').
 * :mod:`repro.resilience.checkpoint` — :class:`DiskStore`, the
   durable store of the serve daemon's cut bundles.
 * :mod:`repro.resilience.recovery` — :class:`RecoveryPolicy`
@@ -21,7 +24,6 @@ from .faults import (
     MessageFault,
     PlanRuntime,
     SlowNode,
-    STATS,
     ambient,
     injected,
 )
@@ -36,7 +38,6 @@ __all__ = [
     "PlanRuntime",
     "injected",
     "ambient",
-    "STATS",
     "DiskStore",
     "RecoveryPolicy",
     "ReplayLedger",

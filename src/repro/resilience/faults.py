@@ -26,16 +26,25 @@ Fault vocabulary
 
 One meaning on every fabric: :meth:`PlanRuntime.verdict` is the only
 place a message fault is decided (deliver, delay, dedup, twice,
-retransmit or lost), counted in :data:`STATS` and named for the trace.
-The fabrics act the outcome out in their own clock and decide nothing.
-A spec's ``place``/``src``/``dst`` index the fabric's own domain
+retransmit or lost). Every fault outcome — the last five, and the
+crash outcomes a fabric meets (a masked crash, a PE down, a transfer
+into a crashed PE, a crash casualty, a worker SIGKILL, a respawn) — is
+one row of one table, counted by :meth:`PlanRuntime.count` in the
+run's own ``counts`` and named there for the trace. The fabrics act the outcome
+out in their own clock and decide nothing. A spec's
+``place``/``src``/``dst`` index the fabric's own domain
 (:func:`resolve_place`): PEs on sim and thread, worker hosts on process
 and socket.
+
+The counts belong to the run that saw the faults, as a MESSENGERS
+daemon fails and recovers per host: a fabric built with a plan exposes
+its own (``fault_counts``), and no tally is shared between runs.
 
 The ambient :func:`injected` context mirrors
 :func:`repro.fabric.desim.perturbed`: every fabric constructed inside
 the context interprets the plan, which is how fault injection reaches
-fabrics built deep inside the table builders.
+fabrics built deep inside the table builders; the context yields the
+summed counts of those fabrics' runs (a :class:`Tally`).
 """
 
 from __future__ import annotations
@@ -54,17 +63,19 @@ __all__ = [
     "SlowNode",
     "FaultPlan",
     "PlanRuntime",
+    "Tally",
     "Verdict",
     "DELIVER",
+    "COUNTERS",
     "injected",
     "ambient",
+    "counts_of",
     "resolve_place",
-    "STATS",
 ]
 
-# Fired/masked tallies across all fabrics (test + demo aid; reset around
-# a measured region, like desim.PERF_STATS).
-STATS = {"fired": 0, "masked": 0, "lost": 0}
+#: what a fault outcome can count: it fired, recovery masked it, or it
+#: lost a messenger, a message or a PE's node variables
+COUNTERS = ("fired", "masked", "lost")
 
 _ACTIONS = ("drop", "duplicate", "delay")
 _KINDS = ("any", "hop", "send")
@@ -304,25 +315,41 @@ class FaultPlan:
 
 # -- ambient plan (reaches fabrics built inside table builders) ----------
 
-_AMBIENT: dict = {"plan": None, "recovery": True}
+_AMBIENT: dict = {"plan": None, "recovery": True, "tally": None}
+
+
+class Tally:
+    """The summed counts of every run that interprets one
+    :func:`injected` plan, read live (``tally["fired"]``): a
+    :class:`PlanRuntime` built for the plan a scope installed joins that
+    scope's tally, so the sum is complete once the fabrics built in the
+    scope have run."""
+
+    def __init__(self):
+        self.runtimes: list = []
+
+    def __getitem__(self, key) -> int:
+        return sum(runtime.counts[key] for runtime in self.runtimes)
 
 
 @contextmanager
 def injected(plan: FaultPlan, recovery: bool = True):
-    """Make every fabric built in this context interpret ``plan``.
+    """Make every fabric built in this context interpret ``plan``, and
+    yield the :class:`Tally` of their fault counts.
 
     Mirrors :func:`repro.fabric.desim.perturbed`: the table builders
     construct their fabrics internally, so this is how a fault plan
-    reaches a whole golden sweep. ``recovery=False`` lets the injected
-    faults actually lose messengers and messages.
+    reaches a whole golden sweep, and how its counts come back.
+    ``recovery=False`` lets the injected faults actually lose
+    messengers and messages.
     """
-    prior = (_AMBIENT["plan"], _AMBIENT["recovery"])
-    _AMBIENT["plan"] = plan
-    _AMBIENT["recovery"] = recovery
+    prior = dict(_AMBIENT)
+    tally = Tally()
+    _AMBIENT.update(plan=plan, recovery=recovery, tally=tally)
     try:
-        yield
+        yield tally
     finally:
-        _AMBIENT["plan"], _AMBIENT["recovery"] = prior
+        _AMBIENT.update(prior)
 
 
 def ambient(faults: FaultPlan | None = None, recovery=True) -> tuple:
@@ -332,6 +359,14 @@ def ambient(faults: FaultPlan | None = None, recovery=True) -> tuple:
     if faults is None and _AMBIENT["plan"] is not None:
         return _AMBIENT["plan"], _AMBIENT["recovery"]
     return faults, recovery
+
+
+def counts_of(runtime: "PlanRuntime | None") -> dict:
+    """A copy of a run's fault counts; all zero for a run without a
+    plan (``runtime`` None)."""
+    if runtime is None:
+        return dict.fromkeys(COUNTERS, 0)
+    return dict(runtime.counts)
 
 
 def resolve_place(spec_place, topology, index_of: dict):
@@ -374,21 +409,33 @@ class Verdict(NamedTuple):
 
 DELIVER = Verdict("deliver")
 
-# outcome: (STATS keys it increments, (trace kind, note) per event);
-# in a note, {k} is the transfer kind and {s} the delay's seconds
+# Every fault outcome: (counters it increments, "trace kind: note" per
+# event). A note is formatted with the outcome's fields: {k} the
+# transfer kind, {s} a delay's seconds, {coord} the crashed PE, {reason}
+# why a messenger was lost, {h} a worker host, {how}, {restart} and
+# {replay} a respawn's cause, ordinal and replayed command count.
 _OUTCOMES = {
-    "delay": (("fired",),
-              (("fault", "{k} delayed {s}s"),)),
-    "dedup": (("fired", "masked"),
-              (("fault", "{k} duplicated"),
-               ("dedup", "duplicate {k} discarded"))),
-    "twice": (("fired",),
-              (("fault", "{k} duplicated (delivered twice)"),)),
-    "retransmit": (("fired", "masked"),
-                   (("fault", "{k} dropped (retransmitted)"),
-                    ("retry", "{k} retransmit"))),
-    "lost": (("fired", "lost"),
-             (("fault", "{k} dropped (lost)"),)),
+    # message faults, decided by PlanRuntime.verdict
+    "delay": (("fired",), "fault: {k} delayed {s}s"),
+    "dedup": (("fired", "masked"), "fault: {k} duplicated",
+              "dedup: duplicate {k} discarded"),
+    "twice": (("fired",), "fault: {k} duplicated (delivered twice)"),
+    "retransmit": (("fired", "masked"), "fault: {k} dropped (retransmitted)",
+                   "retry: {k} retransmit"),
+    "lost": (("fired", "lost"), "fault: {k} dropped (lost)"),
+    # a crash on sim: repaired at once with recovery on, else the PE is
+    # down and what reaches it is lost (a messenger then as a casualty)
+    "crash masked": (("fired", "masked"), "checkpoint: crash@{coord}",
+                     "fault: crash (masked)", "restore: crash@{coord}"),
+    "crash down": (("fired", "lost"),
+                   "fault: crash (PE down, node vars lost)"),
+    "hop into crashed": ((), "fault: hop into crashed PE"),
+    "send into crashed": (("fired", "lost"), "fault: send to crashed PE"),
+    "casualty": (("lost",), "fault: messenger lost: {reason}"),
+    # a crash on the controller fabrics: a real SIGKILL, then a respawn
+    "sigkill": (("fired",), "fault: worker {h} SIGKILLed"),
+    "respawn": (("masked",), "respawn: worker {h} lost ({how}), respawned "
+                "(restart {restart}, replay {replay} cmd(s))"),
 }
 
 
@@ -405,21 +452,28 @@ def _outcome(action: str, kind: str, recovery_enabled: bool) -> str:
 # -- runtime interpretation ----------------------------------------------
 
 class PlanRuntime:
-    """Per-fabric matcher: turns a plan into counted, deterministic hits.
+    """One run's plan: matches it into counted, deterministic hits and
+    counts the run's fault outcomes.
 
     ``index_of`` is the fabric's index domain (see :func:`resolve_place`);
     specs naming a place outside it are inert — a plan written for a
-    3x3 grid may safely be applied to a 1-PE sequential run.
+    3x3 grid may safely be applied to a 1-PE sequential run. ``counts``
+    is this run's alone; a runtime built for the plan an
+    :func:`injected` scope installed also joins that scope's
+    :class:`Tally`.
     """
 
     __slots__ = ("_mfs", "_mf_counts", "_crashes_time", "_crashes_hop",
-                 "_slow", "hops")
+                 "_slow", "hops", "counts")
 
     def __init__(self, plan: FaultPlan, topology, index_of: dict):
         def resolve(spec_place):
             return resolve_place(spec_place, topology, index_of)
 
         self.hops = 0  # cross-host messenger migrations seen
+        self.counts = dict.fromkeys(COUNTERS, 0)
+        if plan is _AMBIENT["plan"]:
+            _AMBIENT["tally"].runtimes.append(self)
         mfs = []
         for spec in plan.message_faults:
             src = None if spec.src is None else resolve(spec.src)
@@ -481,7 +535,7 @@ class PlanRuntime:
     def verdict(self, kind: str, src_index: int, dst_index: int, tag,
                 recovery_enabled: bool) -> Verdict:
         """Judge one cross-host transfer; the one place a message fault
-        is decided, counted in :data:`STATS` and named for the trace.
+        is decided, and counted by :meth:`count`.
 
         A plan without message faults returns :data:`DELIVER` before
         any matching. Every fabric acts the outcome out in its own
@@ -493,12 +547,18 @@ class PlanRuntime:
         if spec is None:
             return DELIVER
         outcome = _outcome(spec.action, kind, recovery_enabled)
-        counters, templates = _OUTCOMES[outcome]
+        return Verdict(outcome, spec,
+                       self.count(outcome, k=kind, s=spec.seconds))
+
+    def count(self, outcome: str, **fields) -> tuple:
+        """Count one fault outcome in this run's ``counts``; return its
+        ``(trace kind, note)`` events, the notes filled from
+        ``fields``. The one place a fault is counted and named."""
+        counters, *events = _OUTCOMES[outcome]
         for key in counters:
-            STATS[key] += 1
-        return Verdict(outcome, spec, tuple(
-            (trace_kind, note.format(k=kind, s=spec.seconds))
-            for trace_kind, note in templates))
+            self.counts[key] += 1
+        return tuple(tuple(event.format(**fields).split(": ", 1))
+                     for event in events)
 
     def due_crashes(self, now: float) -> list:
         """Pop every crash whose time/hop trigger has been reached."""

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.resilience import Crash, FaultPlan, MessageFault
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -79,6 +80,39 @@ class TestCommands:
         assert "Table 4" in out
         assert "reproduction checks passed" in out
         assert "FAILED" not in out
+
+
+class TestRunFaults:
+    """``repro run --faults``: every fault is counted by the run that saw
+    it, so one process can run a plan again and read the same line."""
+
+    @staticmethod
+    def _faults_line(args, capsys):
+        assert main(args) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.strip().startswith("faults ")]
+        assert len(lines) == 1, lines
+        return lines[0].split(None, 1)[1]
+
+    def test_a_plan_counts_the_same_on_every_run(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        FaultPlan(faults=(MessageFault(action="drop", kind="hop", nth=2),
+                          Crash(place=1, at_hop=1))).to_file(plan)
+        args = ["run", "navp-1d-dsc", "--faults", str(plan)]
+        first = self._faults_line(args, capsys)
+        assert first == "2 fired, 2 masked, 0 lost"
+        assert self._faults_line(args, capsys) == first
+        lost = self._faults_line(args + ["--no-recovery"], capsys)
+        assert int(lost.split(", ")[2].split()[0]) > 0, lost
+
+    def test_a_fabric_run_prints_its_faults(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        FaultPlan(faults=(MessageFault(action="drop", kind="hop",
+                                       nth=1),)).to_file(plan)
+        line = self._faults_line(
+            ["run", "navp-2d-dsc", "--fabric", "thread", "--n", "16",
+             "--geometry", "2", "--faults", str(plan)], capsys)
+        assert line == "1 fired, 1 masked, 0 lost"
 
 
 class TestBlasPin:

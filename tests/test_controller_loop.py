@@ -30,11 +30,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.errors import FabricError
 from repro.fabric.controller import (Controller, Link, Supervisor,
                                      WorkerCore, written_names)
 from repro.fabric.hosts import cyclic_hosts, resolve_hosts
 from repro.fabric.topology import Grid2D
 from repro.navp import ir
+from repro.resilience.faults import COUNTERS, FaultPlan, PlanRuntime
 from repro.resilience.recovery import RecoveryPolicy
 from repro.serve import build_job_suite
 from repro.serve.catalog import CHECK_SHARES, shares_ok
@@ -172,10 +174,10 @@ class Job:
                             lose, stale)
 
     def controller(self, link, max_restarts=2, every=2, on_cut=None,
-                   cut=None):
+                   cut=None, runtime=None):
         return Controller(
             link, "scripted", self.hosts, self.host_of, 5.0,
-            sup=Supervisor(RecoveryPolicy(), max_restarts),
+            sup=Supervisor(RecoveryPolicy(), max_restarts), runtime=runtime,
             window=2, coalesce=2, checkpoint_every=every, on_cut=on_cut,
             collect=self.written + (CHECK_SHARES,), cut=cut or self.written)
 
@@ -375,7 +377,6 @@ def test_a_missing_output_is_a_typed_error():
     """`collect` by name: a PE that does not hold ``C`` replies without
     it, and the assembly says which PE, which variable, which program
     — not ``KeyError: 'C'``."""
-    from repro.errors import FabricError
     from repro.matmul.ir2d import assemble_product
 
     suite = suite_without_c_at((1, 0))
@@ -397,6 +398,29 @@ def test_a_missing_output_is_a_typed_error():
                        match=r"PE \(1, 0\) holds no node variable 'C' "
                              r"after tour-without-c"):
         assemble_product(suite, places)
+
+
+def test_a_respawn_counts_once_its_replacement_is_up(job):
+    """A replacement that never comes up (a pool's hello timeout is a
+    ``FabricError``) fails the run and masks nothing; the same loss with
+    a replacement that does come up counts one masked respawn."""
+    def hello_timeout(host):
+        raise FabricError(f"worker {host}: no hello within 5 s")
+
+    for fails in (False, True):
+        link = job.link(lose=(1, 5))
+        if fails:
+            link.replace = hello_timeout
+        runtime = PlanRuntime(FaultPlan(), Grid2D(job.g), job.host_of)
+        ctl = job.controller(link, runtime=runtime)
+        entries = [("m0", (0, 0), job.suite.entry.name, {})]
+        if fails:
+            with pytest.raises(FabricError, match="no hello"):
+                ctl.run(entries)
+        else:
+            ctl.run(entries)
+        assert runtime.counts == {"fired": 0, "masked": int(not fails),
+                                  "lost": 0}
 
 
 # -- keep it one loop --------------------------------------------------------------
@@ -429,6 +453,25 @@ def test_a_message_fault_is_decided_once():
     """Matching a transfer against the plan is the verdict's job: a
     fabric that calls ``message_action`` is deciding a fault itself."""
     assert _callers("message_action") == {"resilience/faults.py"}
+
+
+def test_a_fault_is_counted_in_one_place():
+    """Only the outcome table's ``PlanRuntime.count`` adds to a fault
+    counter: a fabric that writes ``counts["fired"]`` (or any other
+    counter) is keeping its own tally."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    writers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(
+                           node, ast.AugAssign) else [])
+            for target in targets:
+                if (isinstance(target, ast.Subscript)
+                        and isinstance(target.slice, ast.Constant)
+                        and target.slice.value in COUNTERS):
+                    writers.add(path.relative_to(src).as_posix())
+    assert writers == set(), writers
 
 
 def test_a_host_starts_one_way():

@@ -6,7 +6,7 @@ the Table 3 NavP program on a 2x2 grid folded onto two hosts, and runs it
 on sim, thread, process and socket. Each send row injects the same fault
 into one point-to-point message between two PEs, on sim and thread (IR
 has no sends, so the controller fabrics have none to fault). Per row
-every fabric must report the same ``faults.STATS`` deltas and the same
+every fabric must report the same fault counts (``fault_counts``) and the same
 set of ``(kind, note)`` fault, retry and dedup trace events. A masked
 row must also still compute the right product.
 
@@ -26,7 +26,6 @@ from repro.matmul.ir2d import assemble_product, build_fig11
 from repro.navp import Messenger
 from repro.navp.interp import IRMessenger
 from repro.resilience import FaultPlan, MessageFault
-from repro.resilience.faults import STATS
 from repro.util.validation import random_matrix
 
 LOST_TIMEOUT = 2.0      # a lost transfer strands the run: wait this long
@@ -43,16 +42,15 @@ def _plan(action, kind, **where):
 
 
 def _observe(fabric, run, lost: bool):
-    """Run; return the STATS deltas, the fault/retry/dedup events and
-    the result (None when the run was stranded)."""
-    before = dict(STATS)
+    """Run; return the run's fault counts, the fault/retry/dedup events
+    and the result (None when the run was stranded)."""
     result = None
     try:
         result = run()
     except DeadlockError:
         if not lost:
             raise
-    delta = {key: STATS[key] - before[key] for key in STATS}
+    delta = fabric.fault_counts
     events = {(e.kind, e.note) for e in fabric.trace.events
               if e.kind in ("fault", "retry", "dedup")}
     return delta, events, result

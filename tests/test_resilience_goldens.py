@@ -5,7 +5,8 @@ This runs the same four table builders as ``test_table_goldens.py``,
 but inside an ambient ``injected(...)`` context whose plan crashes a
 node and drops hops in every fabric the builders construct. With
 recovery enabled the faults are *masked*: they fire (asserted via the
-global STATS counters) yet no golden cell moves by a single bit.
+counts the ``injected`` scope yields) yet no golden cell moves by a
+single bit.
 """
 
 import json
@@ -15,7 +16,6 @@ import pytest
 
 from repro.perfmodel import tables
 from repro.resilience import Crash, FaultPlan, MessageFault, injected
-from repro.resilience.faults import STATS
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "table_times.json"
 
@@ -45,13 +45,11 @@ def goldens():
 @pytest.mark.parametrize("table", sorted(_BUILDERS))
 def test_table_times_bit_identical_under_faults(table, goldens):
     recorded = goldens[table]
-    for key in STATS:
-        STATS[key] = 0
-    with injected(_PLAN, recovery=True):
+    with injected(_PLAN, recovery=True) as counts:
         comparison = _BUILDERS[table]()
-    assert STATS["fired"] > 0, "plan never fired — injection not reaching " \
+    assert counts["fired"] > 0, "plan never fired — injection not reaching " \
         "the builders' fabrics"
-    assert STATS["lost"] == 0
+    assert counts["lost"] == 0
     seen = {}
     for row in comparison.rows:
         prefix = f"n{row.n}/ab{row.ab}"

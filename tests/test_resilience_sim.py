@@ -16,7 +16,6 @@ from repro.fabric import effects as fx
 from repro.navp import Messenger, ir
 from repro.navp.interp import IRMessenger
 from repro.resilience import Crash, FaultPlan, MessageFault, SlowNode
-from repro.resilience.faults import STATS
 from repro.resilience.recovery import RecoveryPolicy
 
 V = ir.Var
@@ -43,12 +42,8 @@ def _run_tour(**fabric_kw):
     fabric.inject((0,), IRMessenger("resil-tour"))
     result = fabric.run()
     marks = [result.places[(j,)].get("mark") for j in range(4)]
+    _run_tour.counts = fabric.fault_counts   # the last tour's
     return result, marks
-
-
-def _reset_stats():
-    for key in STATS:
-        STATS[key] = 0
 
 
 class TestMaskedFaults:
@@ -59,20 +54,18 @@ class TestMaskedFaults:
     def test_masked_drop_is_bit_exact(self):
         clean, marks = _run_tour()
         assert marks == [1, 11, 111, 1111]
-        _reset_stats()
         plan = FaultPlan(faults=(
             MessageFault(action="drop", kind="hop", nth=2),))
         faulted, fmarks = _run_tour(faults=plan)
         assert fmarks == marks
         assert faulted.time.hex() == clean.time.hex()
-        assert STATS == {"fired": 1, "masked": 1, "lost": 0}
+        assert _run_tour.counts == {"fired": 1, "masked": 1, "lost": 0}
         assert len(faulted.trace.faults()) == 1
         kinds = [e.kind for e in faulted.trace.recoveries()]
         assert "retry" in kinds
 
     def test_masked_crash_is_bit_exact_and_checkpointed(self):
         clean, marks = _run_tour()
-        _reset_stats()
         plan = FaultPlan(faults=(Crash(place=2, at_hop=2),))
         faulted, fmarks = _run_tour(faults=plan)
         assert fmarks == marks
@@ -119,7 +112,6 @@ class TestMaskedFaults:
 
     def test_masked_duplicate_is_deduplicated(self):
         clean, marks = _run_tour()
-        _reset_stats()
         plan = FaultPlan(faults=(
             MessageFault(action="duplicate", kind="hop", nth=2),))
         faulted, fmarks = _run_tour(faults=plan)
@@ -180,14 +172,13 @@ class TestMaskedFaults:
 
 class TestUnmaskedFaults:
     def test_dropped_hop_destroys_the_messenger(self):
-        _reset_stats()
         plan = FaultPlan(faults=(
             MessageFault(action="drop", kind="hop", nth=3),))
         result, marks = _run_tour(faults=plan, recovery=False)
         # the first HopStmt is co-hosted (not a transfer), so nth=3 is
         # the leg into place 3: three legs done, then lost in flight
         assert marks == [1, 11, 111, None]
-        assert STATS["lost"] == 1
+        assert _run_tour.counts["lost"] == 1
         assert result.trace.lost_bytes() > 0
 
     def test_deadlock_report_names_the_casualty(self):

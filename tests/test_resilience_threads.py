@@ -1,6 +1,8 @@
 """Hop-delivery failure paths on the wall-clock thread fabric, and the
 trace ledger's accounting under message loss."""
 
+import threading
+
 import pytest
 
 from repro.errors import DeadlockError
@@ -9,7 +11,6 @@ from repro.fabric.threads import ThreadFabric
 from repro.navp import ir
 from repro.navp.interp import IRMessenger
 from repro.resilience import FaultPlan, MessageFault
-from repro.resilience.faults import STATS
 
 V = ir.Var
 C = ir.Const
@@ -36,32 +37,26 @@ def _run(plan=None, recovery=True):
     return fabric, result, marks
 
 
-def _reset_stats():
-    for key in STATS:
-        STATS[key] = 0
-
-
 class TestHopFailurePaths:
     def test_masked_drop_is_retried_to_success(self):
-        _reset_stats()
         plan = FaultPlan(faults=(
             MessageFault(action="drop", kind="hop", nth=1),))
         fabric, result, marks = _run(plan)
         assert marks == [1, 2, 3]
         assert fabric.lost == []
-        assert STATS["fired"] == 1 and STATS["masked"] == 1
+        counts = fabric.fault_counts
+        assert counts["fired"] == 1 and counts["masked"] == 1
         assert len(result.trace.faults()) == 1
         assert [e.kind for e in result.trace.recoveries()] == ["retry"]
 
     def test_unmasked_drop_destroys_the_messenger(self):
-        _reset_stats()
         plan = FaultPlan(faults=(
             MessageFault(action="drop", kind="hop", nth=2),))
         fabric, result, marks = _run(plan, recovery=False)
         # completed through place 1, lost on the hop into place 2
         assert marks == [1, 2, None]
         assert fabric.lost == ["thr-tour"]
-        assert STATS["lost"] == 1
+        assert fabric.fault_counts["lost"] == 1
 
     def test_deadlock_report_names_casualties(self):
         ir.register_program(ir.Program("thr-producer", (
@@ -86,6 +81,40 @@ class TestHopFailurePaths:
     def test_empty_plan_has_no_runtime(self):
         fabric = ThreadFabric(Grid1D(2), faults=FaultPlan())
         assert fabric._runtime is None
+
+
+class TestRunsCountTheirOwnFaults:
+    PLANS = {
+        "delays": FaultPlan(faults=(MessageFault(
+            action="delay", kind="hop", every=1, seconds=0.001),)),
+        "drop": FaultPlan(faults=(
+            MessageFault(action="drop", kind="hop", nth=1),)),
+    }
+
+    def test_concurrent_runs_report_their_solo_counts(self):
+        """Two fault-plan runs at once, on two Python threads, five
+        times each: every run reports exactly what it reports alone."""
+        _register_tour()
+        solo = {name: _run(plan)[0].fault_counts
+                for name, plan in self.PLANS.items()}
+        assert solo == {"delays": {"fired": 2, "masked": 0, "lost": 0},
+                        "drop": {"fired": 1, "masked": 1, "lost": 0}}
+        start = threading.Barrier(len(self.PLANS))
+        seen = {name: [] for name in self.PLANS}
+
+        def runs(name):
+            start.wait()
+            for _ in range(5):
+                seen[name].append(_run(self.PLANS[name])[0].fault_counts)
+
+        threads = [threading.Thread(target=runs, args=(name,))
+                   for name in self.PLANS]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert seen == {name: [counts] * 5 for name, counts in solo.items()}
 
 
 class TestLedgerAccountingUnderLoss:
