@@ -93,7 +93,6 @@ import argparse
 import sys
 
 from . import (
-    datascan,
     faults,
     fuzz,
     lint,
@@ -111,8 +110,8 @@ from . import (
 __all__ = ["main", "build_parser"]
 
 # registration order == ``repro --help`` listing order
-_MODULES = (variants, run, tables, staggering, wavefront, datascan,
-            plan, lint, fuzz, faults, serve, submit, status)
+_MODULES = (variants, run, tables, staggering, wavefront, plan, lint,
+            fuzz, faults, serve, submit, status)
 
 
 def build_parser() -> argparse.ArgumentParser:

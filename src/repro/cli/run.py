@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+from ..errors import DeadlockError, ResilienceError
 from ..matmul import MatmulCase, run_variant, sequential_time_model, variant_names
 from ..util.validation import assert_allclose
 
@@ -37,23 +38,43 @@ def configure(sub) -> None:
     run_p.set_defaults(handler=_cmd_run)
 
 
-def _fault_scope(args):
-    """The ``injected`` scope of ``--faults``; it yields the counts
-    :func:`_print_faults` reads (no plan: an inert scope)."""
-    from contextlib import nullcontext
-
-    if not args.faults:
-        return nullcontext()
-    from ..resilience import FaultPlan, injected
-
-    return injected(FaultPlan.from_file(args.faults),
-                    recovery=not args.no_recovery)
-
-
 def _print_faults(counts) -> None:
     if counts is not None:
         print(f"  faults         {counts['fired']} fired, "
               f"{counts['masked']} masked, {counts['lost']} lost")
+
+
+def _faulted(args, run):
+    """Call ``run()`` under the ``--faults`` plan and return ``(value,
+    counts)``; ``counts`` is what :func:`_print_faults` reads (None
+    without a plan). Return None for a run an unmasked fault broke — it
+    lost messengers, or raised DeadlockError or ResilienceError — after
+    printing one line naming the crashed PE or worker, then the faults
+    line."""
+    from contextlib import nullcontext
+
+    from ..resilience import FaultPlan, injected
+
+    plan = FaultPlan.from_file(args.faults) if args.faults else None
+    value = error = None
+    with (nullcontext() if plan is None else
+          injected(plan, recovery=not args.no_recovery)) as counts:
+        try:
+            value = run()
+        except (DeadlockError, ResilienceError) as exc:
+            error = exc
+    if error is None and (counts is None or counts["lost"] == 0):
+        return value, counts
+    if isinstance(error, ResilienceError) or not (plan and plan.crashes):
+        cause = (str(error).splitlines()[0] if error is not None
+                 else "a dropped transfer lost its only copy")
+    else:
+        cause = "crash of " + ", ".join(
+            f"PE {s.place if isinstance(s.place, int) else tuple(s.place)}"
+            for s in plan.crashes) + " not masked"
+    print(f"{args.variant}: failed, no product: {cause}")
+    _print_faults(counts)
+    return None
 
 
 def _cmd_run_on_fabric(args) -> int:
@@ -72,9 +93,12 @@ def _cmd_run_on_fabric(args) -> int:
     seed = 220
     suite, a, b = build_job_suite(args.variant, g, seed=seed, ab=ab)
     t0 = time_mod.perf_counter()
-    with _fault_scope(args) as counts:
-        c, result = run_ir2d_suite(suite, args.fabric, trace=True)
+    ran = _faulted(args, lambda: run_ir2d_suite(suite, args.fabric,
+                                                trace=True))
     wall = time_mod.perf_counter() - t0
+    if ran is None:
+        return 1
+    (c, result), counts = ran
     ok = product_ok(a, b, c, seed)
     print(f"{args.variant} ({suite.name}) on the {args.fabric} fabric: "
           f"g={g} ab={ab}")
@@ -96,9 +120,11 @@ def _cmd_run(args) -> int:
     if args.fabric != "sim":
         return _cmd_run_on_fabric(args)
     case = MatmulCase(n=args.n, ab=args.ab, shadow=not args.real)
-    with _fault_scope(args) as counts:
-        result = run_variant(args.variant, case, geometry=args.geometry,
-                             trace=False)
+    ran = _faulted(args, lambda: run_variant(
+        args.variant, case, geometry=args.geometry, trace=False))
+    if ran is None:
+        return 1
+    result, counts = ran
     seq, thrash = sequential_time_model(args.n)
     baseline = seq / thrash
     print(f"{args.variant}: n={args.n} ab={args.ab} "

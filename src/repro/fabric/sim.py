@@ -412,30 +412,33 @@ class SimFabric:
         effects = self._EFFECTS
         resil = self._resil
         value = None
-        while True:
-            try:
-                eff = gen.send(value)
-            except StopIteration:
-                return
-            handler = effects.get(eff.__class__)
-            if handler is None:
-                handler = self._resolve_effect(eff.__class__)
+        try:
+            # Resilient path: a messenger never runs on a crashed PE —
+            # it is retired before its generator is first resumed, at
+            # every effect boundary (where crashes fire), and after
+            # every handler returns.
+            if resil is not None:
+                self._check_alive(messenger)
+            while True:
+                try:
+                    eff = gen.send(value)
+                except StopIteration:
+                    return
+                handler = effects.get(eff.__class__)
                 if handler is None:
-                    raise FabricError(
-                        f"unknown effect {eff!r} from messenger "
-                        f"{messenger._name}")
-            if resil is None:
-                value = yield from handler(self, messenger, eff)
-                continue
-            # Resilient path: effect boundaries are where crashes fire
-            # and where a fault that destroyed this messenger (recovery
-            # disabled) retires it.
-            try:
+                    handler = self._resolve_effect(eff.__class__)
+                    if handler is None:
+                        raise FabricError(
+                            f"unknown effect {eff!r} from messenger "
+                            f"{messenger._name}")
+                if resil is None:
+                    value = yield from handler(self, messenger, eff)
+                    continue
                 self._resil_boundary(messenger)
                 value = yield from handler(self, messenger, eff)
-            except _MessengerLost as lost:
-                self._on_lost(messenger, lost.args[0])
-                return
+                self._check_alive(messenger)
+        except _MessengerLost as lost:
+            self._on_lost(messenger, lost.args[0])
 
     def _resil_boundary(self, messenger) -> None:
         """Run the per-effect resilience hooks (``_resil`` is not None).
@@ -446,12 +449,17 @@ class SimFabric:
         property that keeps golden virtual times bit-exact under
         masked faults.
         """
-        resil = self._resil
-        runtime = resil.runtime
+        runtime = self._resil.runtime
         if runtime.pending_crashes():
             for spec, index in runtime.due_crashes(self.sim.now):
                 self._fire_crash(spec, index)
-        if resil.dead and messenger._ctx.place.index in resil.dead:
+        self._check_alive(messenger)
+
+    def _check_alive(self, messenger) -> None:
+        """Raise :class:`_MessengerLost` if the messenger's PE crashed
+        with recovery disabled (``_resil`` is not None)."""
+        dead = self._resil.dead
+        if dead and messenger._ctx.place.index in dead:
             raise _MessengerLost(
                 f"PE {messenger._ctx.place.coord} crashed")
 
@@ -485,8 +493,8 @@ class SimFabric:
         keep the exact virtual times of fault-free runs (the acceptance
         bar for the golden tables); the trace still records the repair
         as checkpoint, fault, restore. With recovery disabled the
-        place's node variables are wiped and resident/arriving
-        messengers are destroyed at their next effect boundary.
+        place's node variables are wiped, and resident and arriving
+        messengers are destroyed before they run another statement.
         """
         resil = self._resil
         place = self.places[index]

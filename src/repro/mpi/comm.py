@@ -7,7 +7,7 @@ provides exactly that surface:
 
 * a :class:`Comm` bound to one rank of a topology, whose methods build
   the corresponding fabric effects (``yield comm.send(...)``), plus
-  generator-based collectives used with ``yield from``;
+  the generator-based broadcast SUMMA uses (``yield from``);
 * :class:`RankProgram`, the messenger adapter that pins an SPMD rank
   function to its PE;
 * :func:`run_spmd`, which launches one rank per place of a topology on
@@ -75,7 +75,7 @@ class Comm:
                 note: str = "") -> fx.Compute:
         return fx.Compute(fn=fn, flops=flops, kind=kind, note=note)
 
-    # -- collectives (generators; use with ``yield from``) --------------
+    # -- collective (a generator; use with ``yield from``) --------------
     def bcast(self, group, root, tag, payload=None):
         """Linear broadcast of ``payload`` from ``root`` over ``group``.
 
@@ -93,96 +93,6 @@ class Comm:
                     yield self.send(peer, tag, payload)
             return payload
         msg = yield self.recv(src=root, tag=tag)
-        return msg.payload
-
-    def barrier(self, group, tag):
-        """Dissemination-free central barrier over ``group``.
-
-        The lowest-indexed member gathers a token from every other
-        member, then releases them all. O(P) messages — fine for the
-        paper's 3-9 PE grids.
-        """
-        group = sorted(self.topology.normalize(c) for c in group)
-        root = group[0]
-        if self.coord == root:
-            for _ in range(len(group) - 1):
-                yield self.recv(tag=("barrier-in", tag))
-            for peer in group[1:]:
-                yield self.send(peer, ("barrier-out", tag))
-        else:
-            yield self.send(root, ("barrier-in", tag))
-            yield self.recv(src=root, tag=("barrier-out", tag))
-
-    def gather(self, group, root, tag, payload):
-        """Collect one payload per member at ``root``.
-
-        Returns, at the root, a dict ``{coord: payload}`` over the
-        whole group (including the root's own contribution); None
-        elsewhere.
-        """
-        group = [self.topology.normalize(c) for c in group]
-        root = self.topology.normalize(root)
-        if root not in group:
-            raise ConfigurationError("gather root must be in the group")
-        if self.coord == root:
-            collected = {root: payload}
-            for _ in range(len(group) - 1):
-                msg = yield self.recv(tag=("gather", tag))
-                collected[msg.src] = msg.payload
-            return collected
-        yield self.send(root, ("gather", tag), payload)
-        return None
-
-    def scatter(self, group, root, tag, payloads=None):
-        """Distribute per-member payloads from ``root``.
-
-        At the root, ``payloads`` maps coordinates to values; every
-        member (root included) returns its own value.
-        """
-        group = [self.topology.normalize(c) for c in group]
-        root = self.topology.normalize(root)
-        if root not in group:
-            raise ConfigurationError("scatter root must be in the group")
-        if self.coord == root:
-            if payloads is None or set(payloads) != set(group):
-                raise ConfigurationError(
-                    "scatter needs one payload per group member")
-            for peer in group:
-                if peer != root:
-                    yield self.send(peer, ("scatter", tag), payloads[peer])
-            return payloads[root]
-        msg = yield self.recv(src=root, tag=("scatter", tag))
-        return msg.payload
-
-    def reduce(self, group, root, tag, value, op):
-        """Combine one value per member with ``op`` at ``root``.
-
-        ``op`` is a binary callable (e.g. ``operator.add``); returns the
-        reduction at the root, None elsewhere. Reduction order follows
-        arrival order — use associative/commutative operators.
-        """
-        collected = yield from self.gather(group, root, tag, value)
-        if collected is None:
-            return None
-        out = None
-        for coord in sorted(collected):
-            out = collected[coord] if out is None else op(out,
-                                                          collected[coord])
-        return out
-
-    def allreduce(self, group, tag, value, op):
-        """Reduce then broadcast: every member returns the result."""
-        group = [self.topology.normalize(c) for c in group]
-        root = sorted(group)[0]
-        result = yield from self.reduce(group, root, ("ar", tag), value, op)
-        result = yield from self.bcast(group, root, ("arb", tag), result)
-        return result
-
-    def sendrecv(self, dst, src, tag, payload):
-        """Simultaneous exchange, like ``MPI_Sendrecv`` (deadlock-free
-        here because sends are buffered)."""
-        yield self.send(dst, ("sr", tag), payload)
-        msg = yield self.recv(src=src, tag=("sr", tag))
         return msg.payload
 
 

@@ -68,12 +68,6 @@ class TestCommands:
         assert main(["figure1"]) == 0
         assert "all Figure 1 claims hold" in capsys.readouterr().out
 
-    def test_datascan(self, capsys):
-        assert main(["datascan", "--pes", "4", "--items", "20000"]) == 0
-        out = capsys.readouterr().out
-        assert "navp-scan" in out
-        assert "x over shipping" in out
-
     def test_report_quick(self, capsys):
         assert main(["report", "--quick"]) == 0
         out = capsys.readouterr().out
@@ -87,8 +81,8 @@ class TestRunFaults:
     it, so one process can run a plan again and read the same line."""
 
     @staticmethod
-    def _faults_line(args, capsys):
-        assert main(args) == 0
+    def _faults_line(args, capsys, code=0):
+        assert main(args) == code
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.strip().startswith("faults ")]
         assert len(lines) == 1, lines
@@ -102,7 +96,7 @@ class TestRunFaults:
         first = self._faults_line(args, capsys)
         assert first == "2 fired, 2 masked, 0 lost"
         assert self._faults_line(args, capsys) == first
-        lost = self._faults_line(args + ["--no-recovery"], capsys)
+        lost = self._faults_line(args + ["--no-recovery"], capsys, code=1)
         assert int(lost.split(", ")[2].split()[0]) > 0, lost
 
     def test_a_fabric_run_prints_its_faults(self, tmp_path, capsys):
@@ -113,6 +107,29 @@ class TestRunFaults:
             ["run", "navp-2d-dsc", "--fabric", "thread", "--n", "16",
              "--geometry", "2", "--faults", str(plan)], capsys)
         assert line == "1 fired, 1 masked, 0 lost"
+
+    @pytest.mark.parametrize("variant, extra, cause", [
+        ("mpi-gentleman", [], "crash of PE 1 not masked"),
+        ("navp-2d-dsc", [], "crash of PE 1 not masked"),
+        ("navp-2d-dsc", ["--fabric", "process", "--n", "16",
+                         "--geometry", "2"],
+         "worker 1 lost (killed by SIGKILL) and recovery is disabled"),
+    ], ids=["sim-mpi-gentleman", "sim-navp-2d-dsc", "process-navp-2d-dsc"])
+    def test_an_unmasked_crash_fails_the_run(self, variant, extra, cause,
+                                             tmp_path, capsys):
+        """A crash with recovery off leaves no product: one line names
+        the crashed PE or worker, then the faults line; no time, no
+        speedup, no traceback, exit 1."""
+        plan = tmp_path / "plan.json"
+        FaultPlan(faults=(Crash(place=1, at_time=0.0),)).to_file(plan)
+        assert main(["run", variant, "--faults", str(plan),
+                     "--no-recovery"] + extra) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == f"{variant}: failed, no product: {cause}"
+        assert lines[1].split()[0] == "faults" and len(lines) == 2
+        assert "Traceback" not in captured.out + captured.err
+        assert "speedup" not in captured.out
 
 
 class TestBlasPin:

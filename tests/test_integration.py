@@ -84,7 +84,6 @@ class TestPublicAPI:
     "quickstart.py",
     "transform_demo.py",
     "real_processes.py",
-    "data_aggregation.py",
     "wavefront_pipeline.py",
 ])
 def test_example_scripts_run(script):

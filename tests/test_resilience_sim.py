@@ -210,6 +210,38 @@ class TestUnmaskedFaults:
         assert marks[1] is None
 
 
+class TestNothingRunsOnACrashedPE:
+    """A crash with recovery off wipes the PE's node variables; a
+    messenger resident there is retired before its generator resumes
+    again, so no code of it ever reads a wiped variable."""
+
+    class _Waiter(Messenger):
+        # on PE 0: its first effect boundary fires the crash of PE 1
+        def main(self):
+            msg = yield fx.Recv(src=(1,), tag="a")
+            self.vars["got"] = msg.payload
+
+    class _Reader(Messenger):
+        # on PE 1: reads a node variable before its first effect
+        def main(self):
+            yield fx.Send(dst=(0,), tag="a", payload=self.vars["A"],
+                          nbytes=8)
+
+    def test_a_resident_messenger_is_retired_before_it_runs(self):
+        plan = FaultPlan(faults=(Crash(place=1, at_time=0.0),))
+        fabric = SimFabric(Grid1D(2), trace=True, use_cache_model=False,
+                           faults=plan, recovery=False)
+        fabric.load((1,), A=7)
+        fabric.inject((0,), self._Waiter())
+        fabric.inject((1,), self._Reader())
+        with pytest.raises(DeadlockError,
+                           match="recovery disabled: _Reader"):
+            fabric.run()
+        notes = [event.note for event in fabric.trace.faults()]
+        assert notes.count("messenger lost: PE (1,) crashed") == 1
+        assert fabric.fault_counts == {"fired": 1, "masked": 0, "lost": 2}
+
+
 class TestSendFaults:
     class _Sender(Messenger):
         def main(self):
