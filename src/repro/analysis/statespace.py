@@ -55,7 +55,25 @@ byte-identical, the concrete image of an
 :class:`~repro.analysis.mhp.ThreadClass` whose replication parameter
 never reaches a synchronization key — are interchangeable, so states
 are canonicalized by sorting their codes within each symmetry group
-before memoization.
+before memoization. A memo key is the canonical code vector packed
+into a byte string (one byte per thread when every code fits).
+
+Sleep sets (Godefroid, *Partial-Order Methods for the Verification of
+Concurrent Systems*, LNCS 1032, 1996) stop the DFS from walking every
+order of two branches that commute. Two branches are dependent only
+when both consume a token of the same contended key; a lazy retire
+commutes with every branch. After a branch is taken, the branches taken
+before it at the same state, and the ones that were already asleep,
+sleep in its subtree unless they depend on it: their successors there
+are states an earlier order of the same moves has reached. The memo
+stores each state's sleep set, in canonical thread positions so it
+survives the symmetry sort; a revisit takes only the branches that
+slept last time and are awake now, and keeps what slept both times.
+A pruned branch leads only to a state the DFS has already visited, so
+states, terminals, counterexamples and the lazy passes' exact peaks are
+what the unreduced DFS finds; only the transition counts fall. The
+deadlock test reads the enabled branches before sleep filtering. In
+the gated mode every pair is dependent and the sleep sets stay empty.
 
 Two credit regimes are modeled:
 
@@ -81,6 +99,7 @@ that maximizes one mailbox is always explored.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field
 
@@ -374,7 +393,8 @@ class TraceSystem:
     ``_SPAWN``), so every pass's explorer indexes lists instead of
     hashing tuple keys. ``waiter_of[key]`` is the one thread that ever
     waits on the key — the eager-wait rule — or -1 when the key is
-    contended (or never waited on).
+    contended (or never waited on). ``pack`` turns a code vector into
+    the byte-string memo key.
     """
 
     def __init__(self, traces, roots, initial_pending=None):
@@ -416,15 +436,24 @@ class TraceSystem:
             by_ops.setdefault((t.program, t.ops), []).append(i)
         self.sym_groups = tuple(tuple(g) for g in by_ops.values()
                                 if len(g) > 1)
+        # state keys are byte strings: one byte per thread code when
+        # every code fits, else two (four past 65 535)
+        top = max((len(row) for row in ops), default=0) * _PHASES + _PHASES
+        if top <= 0x100:
+            self.pack = bytes
+        else:
+            packer = struct.Struct("<%d%s" % (
+                len(ops), "H" if top <= 0x10000 else "I")).pack
+            self.pack = lambda codes: packer(*codes)
 
 
 class Explorer:
     """Memoized DFS over the interleavings of a :class:`TraceSystem`.
 
     ``window=None`` explores the ungated (infinite-credit) semantics
-    with eager singleton-stubborn moves; ``gated=True`` (requires a
-    finite ``window``) explores the socket credit semantics with full
-    branching. ``lazy_hosts`` makes retirement into those hosts a
+    with eager singleton-stubborn moves and sleep sets; ``gated=True``
+    (requires a finite ``window``) explores the socket credit semantics
+    with full branching. ``lazy_hosts`` makes retirement into those hosts a
     branch point (the exact-mailbox-peak passes). ``deadline`` is an
     absolute ``time.monotonic()`` instant: one budget for all the
     passes of a verdict.
@@ -468,15 +497,20 @@ class Explorer:
         return _DONE       # empty program: born finished
 
     def _canonical(self):
+        """The memo key of a state with symmetry groups: codes sorted
+        within each group (ties kept in thread order), and the two
+        permutations that sort applied, thread -> canonical position
+        and back, for carrying sleep masks across the canonicalization."""
         codes = self.codes
-        if not self.system.sym_groups:
-            return tuple(codes)
         arr = list(codes)
+        to_canon = list(range(len(codes)))
+        from_canon = list(to_canon)
         for group in self.system.sym_groups:
-            vals = sorted(arr[j] for j in group)
-            for j, v in zip(group, vals):
-                arr[j] = v
-        return tuple(arr)
+            for pos, j in zip(group, sorted(group, key=codes.__getitem__)):
+                arr[pos] = codes[j]
+                to_canon[j] = pos
+                from_canon[pos] = j
+        return self.system.pack(arr), to_canon, from_canon
 
     # -- transitions -------------------------------------------------------
 
@@ -605,10 +639,13 @@ class Explorer:
 
     def explore(self) -> ExploreResult:
         ops, codes, pending = self.ops, self.codes, self.pending
-        waiter_of, lazy = self.system.waiter_of, self.lazy
+        system, gated = self.system, self.gated
+        waiter_of = system.waiter_of
+        lazy, pack, sym = self.lazy, system.pack, system.sym_groups
         apply, transition = self._apply, self._transition
         bit = [1 << i for i in range(len(codes))]
-        seen: set = set()
+        seen: dict = {}          # canonical key -> its stored sleep mask
+        masks: dict = {}         # one object per distinct mask, shared
         states = branch_steps = eager_steps = naive = terminals = visits = 0
         deadlock = None
         undo_log: list = []      # undo records of the applied steps
@@ -617,7 +654,16 @@ class Explorer:
             while len(undo_log) > to_len:
                 self._revert(undo_log.pop())
 
-        def enter(wake, parked):
+        def permute(mask, perm):
+            # bit j of ``mask`` becomes bit ``perm[j]``
+            out = 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                out |= bit[perm[low.bit_length() - 1]]
+            return out
+
+        def enter(wake, parked, sleep):
             """Eager-close, memoize, enumerate.
 
             ``wake`` and ``parked`` are thread bitmasks: the threads
@@ -628,8 +674,11 @@ class Explorer:
             just those, in sweeps by ascending index — a woken thread
             joins this sweep if it is still ahead, the next if not —
             which is the order rescanning every thread until none
-            moves would take. Returns ``(parked, branches)``, or None
-            when the state was already visited / is settled.
+            moves would take. ``sleep`` is the sleep set the state is
+            entered with: branches whose successors an earlier order
+            of the same moves already reached. Returns ``(parked,
+            todo, sleep)`` — the branches to take and the sleep set to
+            hand on — or None when there is nothing to take.
             """
             nonlocal states, eager_steps, naive, terminals, visits, deadlock
             while wake:
@@ -672,38 +721,56 @@ class Explorer:
                         sweep |= bit[woken]
                     elif woken >= 0:
                         wake |= bit[woken]
-            key = self._canonical()
-            if key in seen:
-                return None
-            seen.add(key)
+            if sym:
+                key, to_canon, from_canon = self._canonical()
+            else:
+                key = pack(codes)
+            stored = seen.get(key)
+            if stored is not None:
+                # a revisit takes only what slept last time and is awake
+                # now; the stored mask keeps what slept both times
+                if sym:
+                    stored = permute(stored, from_canon)
+                todo = stored & ~sleep
+                if not todo:
+                    return None
+                sleep &= stored
+            mask = permute(sleep, to_canon) if sym else sleep
+            seen[key] = masks.setdefault(mask, mask)
+            if stored is not None:
+                return parked, todo, sleep
             states += 1
-            branches = []
+            enabled = 0
             rest = parked
             while rest:
                 low = rest & -rest
                 rest ^= low
-                i = low.bit_length() - 1
-                if transition(i) is not None:
-                    branches.append(i)
-            naive += len(branches)
-            if not branches:
+                if transition(low.bit_length() - 1) is not None:
+                    enabled |= low
+            if not enabled:
                 if self.live > 0:
                     if deadlock is None:
                         deadlock = self._schedule(undo_log)
                 else:
                     terminals += 1
                 return None
-            return parked, iter(branches)
+            naive += enabled.bit_count()
+            todo = enabled & ~sleep
+            return (parked, todo, sleep) if todo else None
 
-        # A frame is ``(base, parked, branches)``: the undo-log length
-        # and parked set at its state's entry (post eager closure) and
-        # the branches still to take. The mutable state equals the
-        # frame's state whenever its next branch is taken, and subtrees
-        # unwind back to ``base`` when they return. Gated exploration
-        # never closes eagerly and treats every thread as parked.
+        # A frame is ``[base, parked, todo, asleep]``: the undo-log length
+        # and parked set at its state's entry (post eager closure), the
+        # branches still to take, and the sleep set plus the branches
+        # already taken. The mutable state equals the frame's state
+        # whenever its next branch is taken, and subtrees unwind back to
+        # ``base`` when they return. A branch's child sleeps on what
+        # ``asleep`` holds that commutes with it: everything but a
+        # consume of the same contended key. Gated exploration never
+        # closes eagerly, treats every thread as parked and every pair
+        # of branches as dependent, so its sleep sets stay empty.
         everyone = (1 << len(codes)) - 1
-        first = enter(0, everyone) if self.gated else enter(everyone, 0)
-        frames = [] if first is None else [(len(undo_log), *first)]
+        first = enter(0, everyone, 0) if gated else enter(everyone, 0, 0)
+        frames = [] if first is None else [[len(undo_log), *first]]
         reason = ""
         ticks = 0
         while frames:
@@ -717,29 +784,48 @@ class Explorer:
                 reason = "verdict deadline exceeded"
                 break
             ticks += 1
-            base, parked, it = frames[-1]
-            i = next(it, None)
-            if i is None:
+            frame = frames[-1]
+            base, parked, todo, asleep = frame
+            if not todo:
                 frames.pop()
                 unwind(frames[-1][0] if frames else 0)
                 continue
+            low = todo & -todo
+            frame[2] = todo ^ low
+            i = low.bit_length() - 1
             kind = transition(i)
             if kind is None:
                 raise AnalysisError(
                     f"internal error: backtracking did not restore the "
                     f"enabled transition of thread {i}")
             code = codes[i]
-            undo_log.append(apply(i, kind, code, ops[i][code // _PHASES]))
+            op = ops[i][code // _PHASES]
+            if gated:
+                sleep = 0
+            else:
+                frame[3] = asleep | low
+                sleep = asleep
+                if kind == _CONSUME:
+                    # a sleeping thread is READY only at a contended wait
+                    rivals = asleep
+                    while rivals:
+                        other = rivals & -rivals
+                        rivals ^= other
+                        j = other.bit_length() - 1
+                        if codes[j] % _PHASES == _READY and \
+                                ops[j][codes[j] // _PHASES][1] == op[1]:
+                            sleep ^= other
+            undo_log.append(apply(i, kind, code, op))
             branch_steps += 1
-            wake = 0 if self.gated else bit[i]
-            sub = enter(wake, parked & ~wake)
+            wake = 0 if gated else low
+            sub = enter(wake, parked & ~wake, sleep)
             if sub is None:
                 unwind(base)
             else:
-                frames.append((len(undo_log), *sub))
+                frames.append([len(undo_log), *sub])
         # fully unwind so the explorer can be reused
         unwind(0)
-        hosts, edges = self.system.hosts, self.system.edges
+        hosts, edges = system.hosts, system.edges
         return ExploreResult(
             complete=not reason and (
                 deadlock is None or self.stop_on_deadlock),
@@ -750,6 +836,7 @@ class Explorer:
             inflight_peaks={e: v for e, v in
                             zip(edges, self.inflight_peaks) if v},
             reason=reason, closure_visits=visits)
+
 
 
 def signal_totals(traces, initial_pending=None) -> dict:

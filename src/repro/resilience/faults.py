@@ -424,13 +424,14 @@ _OUTCOMES = {
                    "retry: {k} retransmit"),
     "lost": (("fired", "lost"), "fault: {k} dropped (lost)"),
     # a crash on sim: repaired at once with recovery on, else the PE is
-    # down and what reaches it is lost (a messenger then as a casualty)
+    # down and what reaches it is lost (a messenger then as a casualty);
+    # only the crash fires, what reaches the down PE is its consequence
     "crash masked": (("fired", "masked"), "checkpoint: crash@{coord}",
                      "fault: crash (masked)", "restore: crash@{coord}"),
     "crash down": (("fired", "lost"),
                    "fault: crash (PE down, node vars lost)"),
     "hop into crashed": ((), "fault: hop into crashed PE"),
-    "send into crashed": (("fired", "lost"), "fault: send to crashed PE"),
+    "send into crashed": (("lost",), "fault: send to crashed PE"),
     "casualty": (("lost",), "fault: messenger lost: {reason}"),
     # a crash on the controller fabrics: a real SIGKILL, then a respawn
     "sigkill": (("fired",), "fault: worker {h} SIGKILLed"),

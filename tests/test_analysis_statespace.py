@@ -267,6 +267,23 @@ class TestExplorer:
         relaxed = _explore(reg, roots, window=2, gated=True)
         assert relaxed.deadlock is None and relaxed.complete
 
+    @pytest.mark.parametrize("tail", [60, 14_000])
+    def test_wide_codes_pack_into_wider_keys(self, tail):
+        # past 51 ops a thread's code no longer fits a byte (past 13 106
+        # ops, two): the memo keys widen and the search is unchanged
+        def system(n):
+            key = ((0,), "K", ())
+            racers = [ThreadTrace(f"r{i}", f"r{i}", (("wait", key, ()),) + (
+                ("signal", ((0,), f"S{i}", ()), 1, ()),) * n)
+                for i in range(2)]
+            return TraceSystem(racers, [0, 1], {key: 1})
+
+        narrow, wide = system(0), system(tail)
+        assert narrow.pack is bytes and wide.pack is not bytes
+        a, b = Explorer(narrow).explore(), Explorer(wide).explore()
+        assert (a.states, a.terminals, a.deadlock.blocked) == \
+            (b.states, b.terminals, b.deadlock.blocked)
+
     def test_state_cap_reports_incomplete(self):
         # distinct hoppers racing into a lazy host branch on retirement
         # order — enough states to trip a cap of 1
@@ -297,8 +314,9 @@ class TestSignalTotals:
 
 class TestParentGoldens:
     def test_every_pass_reproduces_byte_for_byte(self):
-        # recorded at the commit before the worklist closure landed:
-        # counters, peaks and full counterexample schedules per pass;
+        # states, terminals, peaks and full counterexample schedules
+        # per pass as recorded before the worklist closure landed, the
+        # transition counters as re-recorded when sleep sets landed;
         # the traces at the commit before extraction ran the interpreter
         from . import record_mc_goldens as rec
 

@@ -108,6 +108,17 @@ class TestRunFaults:
              "--geometry", "2", "--faults", str(plan)], capsys)
         assert line == "1 fired, 1 masked, 0 lost"
 
+    @pytest.mark.parametrize("variant", ["mpi-gentleman", "navp-2d-dsc"])
+    def test_only_the_injected_crash_fires(self, variant, tmp_path, capsys):
+        """A send into the crashed PE is lost, not fired: like a hop into
+        it, it is a consequence of the one fault the plan injected, so
+        the MPI baseline counts the same as the NavP program."""
+        plan = tmp_path / "plan.json"
+        FaultPlan(faults=(Crash(place=1, at_time=0.0),)).to_file(plan)
+        line = self._faults_line(["run", variant, "--faults", str(plan),
+                                  "--no-recovery"], capsys, code=1)
+        assert line == "1 fired, 0 masked, 6 lost"
+
     @pytest.mark.parametrize("variant, extra, cause", [
         ("mpi-gentleman", [], "crash of PE 1 not masked"),
         ("navp-2d-dsc", [], "crash of PE 1 not masked"),

@@ -1,0 +1,363 @@
+"""The explorer's reductions against a brute-force oracle.
+
+The explorer runs singleton-stubborn eager closures, symmetry
+canonicalization and sleep sets in one DFS loop. The oracles here use
+none of them:
+
+- ``_raw_reach`` walks every interleaving of single micro-steps
+  (send, retire, consume, signal, spawn) with plain memoization and
+  reports whether a deadlock is reachable and the maximum mailbox depth
+  of every host and in-flight count of every ``(src, dst)`` edge.
+- ``_closed_states`` counts the closed states a full-branching search
+  reaches: rescan every thread until no eager move is left, branch on
+  every enabled contended wait and lazy retire, canonicalize twins.
+
+Pass A must find a deadlock iff one is reachable and visit every closed
+state; each lazy pass must visit every closed state too, and its host's
+mailbox peak and the in-flight peaks of the edges into it must be the
+raw maxima.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.statespace import (
+    _PHASES,
+    _RETIRE,
+    Explorer,
+    ThreadTrace,
+    TraceSystem,
+)
+
+_HOSTS = ((0,), (1,), (2,))
+_KEYS = tuple((host, f"K{k}", ()) for k, host in enumerate(_HOSTS))
+
+_NOT_SPAWNED, _READY, _TRANSIT, _DONE = "nrtd"
+
+
+# -- the oracles -------------------------------------------------------------
+
+class _Semantics:
+    """Single-step semantics of a system of traces. A state is a tuple
+    of per-thread ``(pc, phase)`` pairs and a tuple of pending counts."""
+
+    def __init__(self, traces, roots, pending0):
+        self.traces = traces
+        self.keys = sorted({op[1] for t in traces for op in t.ops
+                            if op[0] in ("wait", "signal")} | set(pending0))
+        self.key_index = {k: i for i, k in enumerate(self.keys)}
+        waiters: dict = {}
+        for i, t in enumerate(traces):
+            for op in t.ops:
+                if op[0] == "wait":
+                    waiters.setdefault(op[1], set()).add(i)
+        self.owned = {k for k, w in waiters.items() if len(w) == 1}
+        groups: dict = {}
+        for i, t in enumerate(traces):
+            groups.setdefault((t.program, t.ops), []).append(i)
+        self.groups = [g for g in groups.values() if len(g) > 1]
+        codes = tuple(self._entry(i) if i in roots else (0, _NOT_SPAWNED)
+                      for i in range(len(traces)))
+        self.initial = (codes, tuple(pending0.get(k, 0) for k in self.keys))
+
+    def _entry(self, i):
+        return (0, _READY) if self.traces[i].ops else (0, _DONE)
+
+    def op(self, state, i):
+        pc, phase = state[0][i]
+        if phase in (_READY, _TRANSIT):
+            return self.traces[i].ops[pc]
+        return None
+
+    def enabled(self, state, i):
+        op = self.op(state, i)
+        if op is None:
+            return False
+        if op[0] == "wait" and state[0][i][1] == _READY:
+            return state[1][self.key_index[op[1]]] > 0
+        return True
+
+    def step(self, state, i):
+        codes, pending = list(state[0]), list(state[1])
+        pc, phase = codes[i]
+        op = self.traces[i].ops[pc]
+        if op[0] == "hop" and phase == _READY:
+            codes[i] = (pc, _TRANSIT)
+            return tuple(codes), state[1]
+        if op[0] == "wait":
+            pending[self.key_index[op[1]]] -= 1
+        elif op[0] == "signal":
+            pending[self.key_index[op[1]]] += op[2]
+        elif op[0] == "spawn":
+            codes[op[1]] = self._entry(op[1])
+        pc += 1
+        codes[i] = (pc, _READY if pc < len(self.traces[i].ops) else _DONE)
+        return tuple(codes), tuple(pending)
+
+    def live(self, state):
+        return any(phase in (_READY, _TRANSIT) for _pc, phase in state[0])
+
+    def canonical(self, state):
+        codes = list(state[0])
+        for group in self.groups:
+            for pos, code in zip(group, sorted(codes[j] for j in group)):
+                codes[pos] = code
+        return tuple(codes)
+
+
+def _raw_reach(traces, roots, pending0):
+    """``(deadlock reachable, max depth per host, max in-flight per
+    edge)`` over every reachable state of the unreduced semantics."""
+    sem = _Semantics(traces, roots, pending0)
+    seen = {sem.initial}
+    stack = [sem.initial]
+    deadlock = False
+    depth: dict = {}
+    inflight: dict = {}
+    while stack:
+        state = stack.pop()
+        here_depth: dict = {}
+        here_edges: dict = {}
+        for i, (_pc, phase) in enumerate(state[0]):
+            if phase == _TRANSIT:
+                _hop, src, dst, _path = sem.op(state, i)
+                here_depth[dst] = here_depth.get(dst, 0) + 1
+                here_edges[src, dst] = here_edges.get((src, dst), 0) + 1
+        for host, d in here_depth.items():
+            depth[host] = max(depth.get(host, 0), d)
+        for edge, d in here_edges.items():
+            inflight[edge] = max(inflight.get(edge, 0), d)
+        moved = False
+        for i in range(len(traces)):
+            if sem.enabled(state, i):
+                moved = True
+                nxt = sem.step(state, i)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if not moved and sem.live(state):
+            deadlock = True
+    return deadlock, depth, inflight
+
+
+def _closed_states(traces, roots, pending0, lazy=None):
+    """``(closed states, deadlock reachable)`` of a full-branching
+    search: eager moves by rescanning, every branch point taken."""
+    sem = _Semantics(traces, roots, pending0)
+
+    def branch_point(state, i):
+        op = sem.op(state, i)
+        if state[0][i][1] == _TRANSIT:
+            return op[2] == lazy
+        return op[0] == "wait" and op[1] not in sem.owned
+
+    def close(state):
+        moved = True
+        while moved:
+            moved = False
+            for i in range(len(traces)):
+                if sem.enabled(state, i) and not branch_point(state, i):
+                    state = sem.step(state, i)
+                    moved = True
+        return state
+
+    first = close(sem.initial)
+    seen = {sem.canonical(first)}
+    stack = [first]
+    deadlock = False
+    while stack:
+        state = stack.pop()
+        branches = [i for i in range(len(traces))
+                    if sem.enabled(state, i) and branch_point(state, i)]
+        if not branches and sem.live(state):
+            deadlock = True
+        for i in branches:
+            nxt = close(sem.step(state, i))
+            key = sem.canonical(nxt)
+            if key not in seen:
+                seen.add(key)
+                stack.append(nxt)
+    return len(seen), deadlock
+
+
+def _replays_to_a_deadlock(traces, roots, pending0, schedule) -> bool:
+    """Each step of ``schedule`` is enabled in turn under the unreduced
+    semantics, and nothing is enabled after the last while a thread is
+    live."""
+    sem = _Semantics(traces, roots, pending0)
+    label = {t.label: i for i, t in enumerate(traces)}
+    state = sem.initial
+    for who, _action, _detail in schedule.steps:
+        if not sem.enabled(state, label[who]):
+            return False
+        state = sem.step(state, label[who])
+    return sem.live(state) and not any(
+        sem.enabled(state, i) for i in range(len(traces)))
+
+
+# -- generated systems ------------------------------------------------------
+
+@st.composite
+def systems(draw):
+    """2-4 threads of at most 6 ops over 2-3 hosts and up to 3 keys,
+    each key primed with 0-2 tokens. A thread is a root (starting on a
+    drawn host), a child some earlier root or child injects, or a
+    byte-identical twin of an earlier root that injects nothing (so the
+    system has a symmetry group)."""
+    hosts = _HOSTS[:draw(st.integers(2, 3))]
+    keys = _KEYS[:draw(st.integers(1, 3))]
+    n = draw(st.integers(2, 4))
+    roles = [("root", draw(st.sampled_from(hosts)))]
+    for j in range(1, n):
+        role = draw(st.sampled_from(("root", "child", "twin")))
+        if role == "root":
+            roles.append(("root", draw(st.sampled_from(hosts))))
+        else:
+            candidates = [i for i in range(j) if roles[i][0] != "twin"]
+            roles.append((role, draw(st.sampled_from(candidates))))
+    children: dict = {}
+    for j, (role, of) in enumerate(roles):
+        if role == "child":
+            children.setdefault(of, []).append(j)
+    for j, (role, of) in enumerate(roles):
+        if role == "twin" and (roles[of][0] != "root" or of in children):
+            roles[j] = ("root", draw(st.sampled_from(hosts)))
+    op = st.one_of(
+        st.tuples(st.just("hop"), st.sampled_from(hosts)),
+        st.tuples(st.just("wait"), st.sampled_from(keys)),
+        st.tuples(st.just("signal"), st.sampled_from(keys),
+                  st.integers(1, 2)))
+    skeletons, spawn_at = [], {}
+    for i, (role, _of) in enumerate(roles):
+        if role == "twin":
+            skeletons.append(None)
+            continue
+        mine = children.get(i, [])
+        skeleton = draw(st.lists(op, max_size=6 - len(mine)))
+        for child in mine:
+            spawn_at[child] = draw(st.integers(0, len(skeleton)))
+        skeletons.append(skeleton)
+
+    start = [None] * n
+    traces = [None] * n
+    for i, (role, of) in enumerate(roles):
+        if role == "twin":
+            continue
+        if role == "root":
+            start[i] = of
+        place, ops = start[i], []
+        for at, step in enumerate(skeletons[i] + [None]):
+            for child in children.get(i, ()):
+                if spawn_at[child] == at:
+                    start[child] = place
+                    ops.append(("spawn", child, place, ()))
+            if step is None:
+                break
+            if step[0] == "hop":
+                ops.append(("hop", place, step[1], ()))
+                place = step[1]
+            else:
+                ops.append(step + ((),))
+        traces[i] = ThreadTrace(f"t{i}", f"p{i}", tuple(ops),
+                                of if role == "child" else None)
+    for i, (role, of) in enumerate(roles):
+        if role == "twin":
+            traces[i] = ThreadTrace(f"t{i}", traces[of].program,
+                                    traces[of].ops)
+    roots = [i for i, (role, _of) in enumerate(roles) if role != "child"]
+    pending0 = {key: draw(st.integers(0, 2)) for key in keys}
+    return traces, roots, pending0
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_every_state_deadlock_and_lazy_peak(self, system):
+        traces, roots, pending0 = system
+        compiled = TraceSystem(traces, roots, pending0)
+        deadlock, depth, inflight = _raw_reach(traces, roots, pending0)
+
+        # pass A as protocol_mc runs it: stops at the first deadlock,
+        # whose schedule replays under the unreduced semantics
+        first = Explorer(compiled).explore()
+        assert first.complete
+        assert (first.deadlock is not None) == deadlock
+        if deadlock:
+            assert _replays_to_a_deadlock(traces, roots, pending0,
+                                          first.deadlock)
+
+        # run to the end, pass A and every lazy pass visit every
+        # closed state the full-branching search reaches
+        full = Explorer(compiled, stop_on_deadlock=False).explore()
+        assert not full.reason
+        assert (full.states, full.deadlock is not None) == \
+            _closed_states(traces, roots, pending0)
+        for host in {op[2] for t in traces for op in t.ops
+                     if op[0] == "hop"}:
+            lazy = Explorer(compiled, lazy_hosts=frozenset([host]),
+                            stop_on_deadlock=False).explore()
+            assert not lazy.reason
+            assert lazy.states == \
+                _closed_states(traces, roots, pending0, host)[0]
+            assert lazy.peaks.get(host, 0) == depth.get(host, 0)
+            for edge, peak in inflight.items():
+                if edge[1] == host:
+                    assert lazy.inflight_peaks.get(edge, 0) == peak
+
+
+class TestSymmetricRevisit:
+    """Twins ``t0``, ``t1`` each hop three times into the lazy host, so
+    every retire is a branch. The DFS first reaches "one twin at pc 2,
+    the other at pc 1, both in transit" as ``t0`` at pc 2, with ``t0``'s
+    retire asleep; it reaches the same canonical state again as ``t1``
+    at pc 2, with ``t0`` (now at pc 1) asleep. Stored in canonical
+    positions, the mask says the *pc-2* twin slept, so the revisit must
+    take ``t1``'s retire: read in thread positions it would name ``t0``,
+    asleep both times, and take nothing."""
+
+    HOP = ("hop", (0,), (0,), ())
+    TRACES = [ThreadTrace("t0", "p", (HOP,) * 3),
+              ThreadTrace("t1", "p", (HOP,) * 3)]
+
+    def test_the_revisit_takes_the_branch_that_slept(self):
+        taken = []
+
+        class Logged(Explorer):
+            def _apply(self, i, kind, old, op):
+                if kind == _RETIRE:
+                    taken.append((tuple(c // _PHASES for c in self.codes),
+                                  i))
+                return super()._apply(i, kind, old, op)
+
+        system = TraceSystem(self.TRACES, [0, 1])
+        assert system.sym_groups == ((0, 1),)
+        res = Logged(system, lazy_hosts=frozenset([(0,)]),
+                     stop_on_deadlock=False).explore()
+        assert ((2, 1), 0) not in taken       # asleep at the first visit
+        assert taken.count(((1, 2), 1)) == 1  # taken at the revisit
+        assert (res.states, res.deadlock is not None) == _closed_states(
+            self.TRACES, [0, 1], {}, (0,))
+        deadlock, depth, inflight = _raw_reach(self.TRACES, [0, 1], {})
+        assert not deadlock
+        assert res.peaks == depth == {(0,): 2}
+        assert res.inflight_peaks == inflight == {((0,), (0,)): 2}
+
+
+class TestAllAsleepIsNotStuck:
+    """Two pairs of threads race for two tokens each of two keys, so no
+    schedule deadlocks. Consumes of different keys commute, so states
+    are reached where every enabled branch sleeps: an earlier order
+    covers them, and they must not read as deadlocks."""
+
+    K1, K2 = ((0,), "K1", ()), ((0,), "K2", ())
+    TRACES = [ThreadTrace(f"t{i}", f"p{i}", (("wait", key, ()),))
+              for i, key in enumerate((K1, K2, K1, K2))]
+
+    def test_no_deadlock_and_every_state(self):
+        pending0 = {self.K1: 2, self.K2: 2}
+        res = Explorer(TraceSystem(self.TRACES, [0, 1, 2, 3],
+                                   pending0)).explore()
+        assert not _raw_reach(self.TRACES, [0, 1, 2, 3], pending0)[0]
+        assert res.complete and res.deadlock is None
+        assert (res.states, False) == _closed_states(
+            self.TRACES, [0, 1, 2, 3], pending0)
