@@ -8,10 +8,15 @@ closure and explores the abstract state space in up to three passes:
   partial-order reduction.  Exact for deadlock-freedom and (via
   :func:`~repro.analysis.statespace.signal_totals`) for orphan tokens.
 * **Pass B (mailbox)** — one ungated pass per destination host with
-  retires into that host delayed (``lazy_hosts``).  Delaying a retire
-  is never *enabling* under ungated semantics, so the per-host mailbox
-  depth and per-``(src, dst)`` in-flight peaks these passes observe are
-  exact maxima over all schedules.
+  retires into that host delayed (``lazy_host``).  Delaying a retire
+  is never *enabling* under ungated semantics, so the host's mailbox
+  depth and the in-flight peaks of its in-edges a pass observes are
+  exact maxima over all schedules.  Each pass stops exploring where
+  the threads left to retire into the host cannot beat the peaks it
+  has found; its other hosts' and edges' peaks are lower bounds, so
+  the max-merge over all passes takes every edge's exact value from
+  its destination's pass.  Pass B runs only once Pass A has proved
+  deadlock-freedom, and is no deadlock search.
 * **Pass C (gated)** — full-branching exploration under the credit
   window (``emit_hop`` blocks the whole host when credits run out, the
   SocketFabric semantics).  Only run when some in-flight peak exceeds
@@ -283,15 +288,8 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
     inflight: dict = dict(res_a.inflight_peaks)
     capped = ""      # the first pass that ran out, and of what
     for host in dst_hosts:
-        res_b = explore(lazy_hosts=frozenset([host]))
+        res_b = explore(lazy_host=host)
         _merge_stats(stats, res_b, "mailbox@%s" % (host,))
-        if res_b.deadlock is not None:   # cannot happen: lazy ⊆ ungated
-            return result(
-                "DEADLOCK", deadlock_free=False, gated_deadlock_free=False,
-                counterexample=res_b.deadlock,
-                counterexample_regime="ungated",
-                detail="reachable deadlock (mailbox pass); schedule:\n%s"
-                       % res_b.deadlock.describe(limit=24))
         if not res_b.complete:
             capped = capped or "mailbox@%s pass capped: %s" % (
                 host, res_b.reason)

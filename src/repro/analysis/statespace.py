@@ -70,10 +70,10 @@ stores each state's sleep set, in canonical thread positions so it
 survives the symmetry sort; a revisit takes only the branches that
 slept last time and are awake now, and keeps what slept both times.
 A pruned branch leads only to a state the DFS has already visited, so
-states, terminals, counterexamples and the lazy passes' exact peaks are
-what the unreduced DFS finds; only the transition counts fall. The
-deadlock test reads the enabled branches before sleep filtering. In
-the gated mode every pair is dependent and the sleep sets stay empty.
+states, terminals and counterexamples are what the unreduced DFS finds;
+only the transition counts fall. The deadlock test reads the enabled
+branches before sleep filtering. In the gated mode every pair is
+dependent and the sleep sets stay empty.
 
 Two credit regimes are modeled:
 
@@ -95,6 +95,20 @@ everything else stays eager: delaying other hosts' retires or sends is
 never enabling under infinite-window semantics, and contended-key
 token allocation is still branched on, so the adversarial schedule
 that maximizes one mailbox is always explored.
+
+A mailbox pass is a branch-and-bound search. A thread adds at most 1 to
+a depth, so no descendant of a state can hold more hops to host ``h``
+than the threads, spawned or not, that have yet to retire their last
+hop into ``h`` (``rem_h``), nor more on an in-edge ``e`` than those yet
+to retire their last hop on ``e`` (``rem_e``). Both counts only fall
+along a path. A closed state where ``rem_h`` and every ``rem_e`` are
+within the peaks found so far is dropped before it is memoized. The
+peaks only grow, so a state that could still beat the final peaks is
+never dropped, and the sleep-set argument holds among those states:
+the pass's ``peaks[h]`` and the in-flight peaks of ``h``'s in-edges
+are exact. Every other peak a mailbox pass reports is a lower bound,
+and it is no deadlock search (it runs after pass A has proved
+deadlock-freedom).
 """
 
 from __future__ import annotations
@@ -365,7 +379,15 @@ def extract_traces(root: str, registry=None, entry=(0,),
 
 @dataclass
 class ExploreResult:
-    """One exploration pass over a system of traces."""
+    """One exploration pass over a system of traces.
+
+    ``complete`` is ``not reason``: the pass answered its question
+    without hitting a cap (stopping at the first deadlock counts as
+    an answer). In a mailbox pass (``lazy_host=h``) ``peaks[h]`` and
+    the ``inflight_peaks`` of the edges into ``h`` are exact; every
+    other peak is a lower bound, and ``states`` and ``terminals``
+    count only what the bound left to explore.
+    """
 
     complete: bool
     states: int
@@ -453,15 +475,15 @@ class Explorer:
     ``window=None`` explores the ungated (infinite-credit) semantics
     with eager singleton-stubborn moves and sleep sets; ``gated=True``
     (requires a finite ``window``) explores the socket credit semantics
-    with full branching. ``lazy_hosts`` makes retirement into those hosts a
-    branch point (the exact-mailbox-peak passes). ``deadline`` is an
-    absolute ``time.monotonic()`` instant: one budget for all the
-    passes of a verdict.
+    with full branching. ``lazy_host`` makes retirement into that host a
+    branch point and bounds the search by its peaks (a mailbox pass).
+    ``deadline`` is an absolute ``time.monotonic()`` instant: one budget
+    for all the passes of a verdict.
     """
 
     def __init__(self, system: TraceSystem, *,
                  window: int | None = None, gated: bool = False,
-                 lazy_hosts: frozenset = frozenset(),
+                 lazy_host: tuple | None = None,
                  max_states: int = 1_000_000,
                  deadline: float | None = None,
                  stop_on_deadlock: bool = True):
@@ -471,8 +493,10 @@ class Explorer:
         self.ops = system.ops
         self.window = window
         self.gated = gated
-        self.lazy_hosts = frozenset(lazy_hosts)
-        self.lazy = [host in self.lazy_hosts for host in system.hosts]
+        self.lazy_host = lazy_host
+        # the interned lazy host, -1 for none
+        self.lazy = -1 if lazy_host is None else \
+            system.hosts.index(lazy_host)
         self.max_states = max_states
         self.deadline = deadline
         self.stop_on_deadlock = stop_on_deadlock
@@ -487,6 +511,25 @@ class Explorer:
         self.blocked = [0] * len(system.hosts)
         self.peaks = [0] * len(system.hosts)
         self.inflight_peaks = [0] * len(system.edges)
+        # The mailbox bound (module docstring): rem[e] counts the threads
+        # yet to retire their last hop on in-edge e of the lazy host,
+        # rem[-1] those yet to retire their last hop into it, and
+        # drops[i][pc] the counters the retire of thread i's op pc ends.
+        self.in_edges = [e for e, (_src, dst) in enumerate(system.edges)
+                         if dst == lazy_host]
+        self.rem = [0] * (len(system.edges) + 1)
+        self.drops = []
+        for row in self.ops if self.lazy >= 0 else ():
+            marks, ended = [()] * len(row), set()
+            for pc in range(len(row) - 1, -1, -1):
+                kind, edge, _src, dst = row[pc]
+                if kind == _HOP and dst == self.lazy:
+                    marks[pc] = tuple(slot for slot in (edge, -1)
+                                      if slot not in ended)
+                    ended.update(marks[pc])
+            for slot in ended:
+                self.rem[slot] += 1
+            self.drops.append(marks)
 
     # -- state helpers -----------------------------------------------------
 
@@ -562,6 +605,9 @@ class Explorer:
             if kind == _RETIRE:
                 self.inflight[op[1]] -= 1
                 self.depth[op[3]] -= 1
+                if op[3] == self.lazy:
+                    for slot in self.drops[i][pc]:
+                        self.rem[slot] -= 1
             elif kind == _CONSUME:
                 self.pending[op[1]] -= 1
             elif op[0] == _SIGNAL:
@@ -588,6 +634,9 @@ class Explorer:
         elif kind == _RETIRE:
             self.inflight[op[1]] += 1
             self.depth[op[3]] += 1
+            if op[3] == self.lazy:
+                for slot in self.drops[i][old // _PHASES]:
+                    self.rem[slot] += 1
         elif kind == _CONSUME:
             self.pending[op[1]] += 1
         elif op[0] == _SIGNAL:
@@ -643,6 +692,8 @@ class Explorer:
         waiter_of = system.waiter_of
         lazy, pack, sym = self.lazy, system.pack, system.sym_groups
         apply, transition = self._apply, self._transition
+        rem, in_edges = self.rem, self.in_edges
+        peaks, inflight_peaks = self.peaks, self.inflight_peaks
         bit = [1 << i for i in range(len(codes))]
         seen: dict = {}          # canonical key -> its stored sleep mask
         masks: dict = {}         # one object per distinct mask, shared
@@ -678,7 +729,9 @@ class Explorer:
             entered with: branches whose successors an earlier order
             of the same moves already reached. Returns ``(parked,
             todo, sleep)`` — the branches to take and the sleep set to
-            hand on — or None when there is nothing to take.
+            hand on — or None when there is nothing to take, which in
+            a mailbox pass includes a closed state whose remaining
+            threads cannot beat the host and in-edge peaks found so far.
             """
             nonlocal states, eager_steps, naive, terminals, visits, deadlock
             while wake:
@@ -695,7 +748,7 @@ class Explorer:
                     op = ops[i][code // _PHASES]
                     woken = -1
                     if phase == _TRANSIT:
-                        if lazy[op[3]]:
+                        if op[3] == lazy:
                             parked |= low
                             continue
                         kind = _RETIRE
@@ -721,6 +774,9 @@ class Explorer:
                         sweep |= bit[woken]
                     elif woken >= 0:
                         wake |= bit[woken]
+            if lazy >= 0 and rem[-1] <= peaks[lazy] and all(
+                    rem[e] <= inflight_peaks[e] for e in in_edges):
+                return None
             if sym:
                 key, to_canon, from_canon = self._canonical()
             else:
@@ -827,8 +883,7 @@ class Explorer:
         unwind(0)
         hosts, edges = system.hosts, system.edges
         return ExploreResult(
-            complete=not reason and (
-                deadlock is None or self.stop_on_deadlock),
+            complete=not reason,
             states=states, transitions=eager_steps + branch_steps,
             eager_steps=eager_steps, naive_transitions=naive,
             deadlock=deadlock, terminals=terminals,

@@ -84,7 +84,8 @@ its contract for CI drivers):
 ``0``  success — no errors (warnings allowed unless ``--strict``)
 ``1``  findings — lint errors, corpus misses, failed shape checks,
        or a plan whose validation failed
-``2``  usage — unknown program/target names, missing arguments
+``2``  usage — unknown program/target names, missing arguments,
+       ``run`` sizes that do not divide (``--n``, ``--ab``, ``--geometry``)
 """
 
 from __future__ import annotations

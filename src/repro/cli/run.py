@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from ..errors import DeadlockError, ResilienceError
+from ..errors import DeadlockError, PartitionError, ResilienceError
 from ..matmul import MatmulCase, run_variant, sequential_time_model, variant_names
 from ..util.validation import assert_allclose
 
@@ -119,9 +119,13 @@ def _cmd_run_on_fabric(args) -> int:
 def _cmd_run(args) -> int:
     if args.fabric != "sim":
         return _cmd_run_on_fabric(args)
-    case = MatmulCase(n=args.n, ab=args.ab, shadow=not args.real)
-    ran = _faulted(args, lambda: run_variant(
-        args.variant, case, geometry=args.geometry, trace=False))
+    try:
+        case = MatmulCase(n=args.n, ab=args.ab, shadow=not args.real)
+        ran = _faulted(args, lambda: run_variant(
+            args.variant, case, geometry=args.geometry, trace=False))
+    except PartitionError as exc:   # --n, --ab and --geometry disagree
+        print(f"{args.variant}: {exc}", file=sys.stderr)
+        return 2
     if ran is None:
         return 1
     result, counts = ran

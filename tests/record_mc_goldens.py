@@ -12,11 +12,20 @@ for byte).
 A change to the reduction that keeps its soundness argument — a pruned
 branch only reaches a state the DFS has already visited — may move only
 ``transitions``, ``eager_steps`` and ``naive_transitions``. In every
-pass ``complete``, ``states``, ``terminals``, ``peaks``,
+``interleave`` pass ``complete``, ``states``, ``terminals``, ``peaks``,
 ``inflight_peaks`` and ``deadlock`` (the full schedule) must come out
 byte-identical, ``mc_traces.json`` must not move, and a ``gated`` pass
 (full branching) must not move at all. The sleep sets moved the
 transition total of all passes from 91 028 to 37 744 this way.
+
+A ``mailbox@h`` pass answers one question, the peaks of ``h``'s
+mailbox and of its in-edges, and stops where no descendant can beat
+them. Its ``complete``, ``deadlock``, ``peaks[h]`` and the
+``inflight_peaks`` of the edges into ``h`` must come out byte-identical;
+its ``states``, ``terminals``, transition counters and the peaks of
+other hosts and edges (lower bounds there) may move. The bound moved
+the states of all passes from 4 600 to 1 369 and their transitions from
+37 744 to 20 631 this way.
 
 Usage::
 
@@ -50,9 +59,8 @@ VERDICT_SHAPES = (("navp-2d-dsc", 2), ("navp-2d-dsc", 3),
 def _pass_name(explorer) -> str:
     if explorer.gated:
         return "gated"
-    if explorer.lazy_hosts:
-        (host,) = explorer.lazy_hosts
-        return "mailbox@%s" % (host,)
+    if explorer.lazy_host is not None:
+        return "mailbox@%s" % (explorer.lazy_host,)
     return "interleave"
 
 

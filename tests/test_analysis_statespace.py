@@ -23,6 +23,8 @@ from repro.analysis.statespace import (
 )
 from repro.navp import ir
 
+from .test_statespace_oracle import _idle
+
 V = ir.Var
 C = ir.Const
 
@@ -242,7 +244,7 @@ class TestExplorer:
         reg = _reg(*progs)
         roots = [(p.name, (0,), {}) for p in progs]
         eager = _explore(reg, roots)
-        lazy = _explore(reg, roots, lazy_hosts=frozenset({(1,)}))
+        lazy = _explore(reg, roots, lazy_host=(1,))
         assert lazy.peaks.get((1,)) == 3
         # the eager pass retires immediately — it underestimates
         assert eager.peaks.get((1,), 0) <= lazy.peaks[(1,)]
@@ -286,18 +288,61 @@ class TestExplorer:
 
     def test_state_cap_reports_incomplete(self):
         # distinct hoppers racing into a lazy host branch on retirement
-        # order — enough states to trip a cap of 1
+        # order — enough states to trip a cap of 1 (idle threads keep
+        # the mailbox bound from cutting them)
         progs = [_prog(f"cap{i}", (ir.HopStmt((C(0),)),
                                    ir.SignalStmt(f"S{i}", (), C(1))))
                  for i in range(3)]
         reg = _reg(*progs)
         traces, indices = extract_system(
             [(p.name, (1,), {}) for p in progs], reg)
-        res = Explorer(TraceSystem(traces, indices),
-                       lazy_hosts=frozenset({(0,)}),
+        res = Explorer(TraceSystem(traces + _idle((0,), 4), indices),
+                       lazy_host=(0,),
                        max_states=1).explore()
         assert not res.complete
         assert res.reason
+
+
+class TestMailboxBound:
+    """A mailbox pass stops where no descendant can beat the peaks it has
+    found. Unbounded, every mailbox pass of ``navp-2d-pipeline`` g=3 ran
+    past 500 000 states; hosts (2, 0) and (1, 1), run to the end, took
+    1 867 751 and 1 867 782 states and found the peaks pinned here.
+    Bounded, the nine take about 2 000 states together."""
+
+    # host -> (mailbox peak, in-flight peak of each in-edge)
+    PEAKS = {
+        (0, 0): (6, {((2, 0), (0, 0)): 3, ((0, 2), (0, 0)): 3}),
+        (0, 1): (6, {((2, 1), (0, 1)): 3, ((0, 0), (0, 1)): 3}),
+        (0, 2): (6, {((1, 1), (0, 2)): 1, ((0, 2), (0, 2)): 6}),
+        (1, 0): (6, {((0, 0), (1, 0)): 3, ((1, 2), (1, 0)): 3}),
+        (1, 1): (6, {((2, 0), (1, 1)): 1, ((1, 1), (1, 1)): 6}),
+        (1, 2): (6, {((1, 1), (1, 2)): 3, ((0, 2), (1, 2)): 3}),
+        (2, 0): (6, {((0, 0), (2, 0)): 1, ((2, 0), (2, 0)): 6}),
+        (2, 1): (6, {((2, 0), (2, 1)): 3, ((1, 1), (2, 1)): 3}),
+        (2, 2): (6, {((2, 1), (2, 2)): 3, ((1, 2), (2, 2)): 3}),
+    }
+
+    def test_pipeline_g3_mailbox_passes_finish(self):
+        from repro.analysis.protocol_mc import initial_pending
+        from repro.serve.catalog import job_suite
+
+        suite = job_suite("navp-2d-pipeline", 3)
+        traces, roots = extract_system(
+            [(suite.entry.name, (0, 0), {})],
+            {p.name: p for p in suite.programs})
+        system = TraceSystem(traces, roots,
+                             initial_pending(suite.initial_signals))
+        got = {}
+        for host in self.PEAKS:
+            res = Explorer(system, lazy_host=host,
+                           max_states=20_000).explore()
+            assert res.complete, (host, res.reason)
+            got[host] = (res.peaks.get(host, 0),
+                         {e: v for e, v in res.inflight_peaks.items()
+                          if e[1] == host})
+        assert got == self.PEAKS
+        assert max(peak for peak, _edges in got.values()) == 6
 
 
 class TestSignalTotals:
@@ -316,8 +361,10 @@ class TestParentGoldens:
     def test_every_pass_reproduces_byte_for_byte(self):
         # states, terminals, peaks and full counterexample schedules
         # per pass as recorded before the worklist closure landed, the
-        # transition counters as re-recorded when sleep sets landed;
-        # the traces at the commit before extraction ran the interpreter
+        # transition counters as re-recorded when sleep sets landed, the
+        # mailbox passes as re-recorded when their bound landed (host
+        # and in-edge peaks unchanged); the traces at the commit before
+        # extraction ran the interpreter
         from . import record_mc_goldens as rec
 
         explored, traces = rec.record()
@@ -442,10 +489,13 @@ class TestWorklistClosure:
            st.sampled_from((None,) + _HOSTS))
     def test_takes_the_rescan_oracles_steps_in_order(self, threads, lazy):
         # the sentinel thread never finishes, so the first DFS descent
-        # ends in a recorded deadlock whose schedule is every step taken
+        # ends in a recorded deadlock whose schedule is every step taken;
+        # idle threads keep a lazy pass's bound from cutting the descent
         traces, roots = _build_system(threads)
+        if lazy is not None:
+            traces += _idle(lazy, len(threads) + 1)
         res = Explorer(TraceSystem(traces, roots),
-                       lazy_hosts=frozenset([lazy])).explore()
+                       lazy_host=lazy).explore()
         assert [(label, action) for label, action, _detail
                 in res.deadlock.steps] == _first_descent(traces, roots, lazy)
         assert res.closure_visits <= len(traces) + 2 * res.transitions
@@ -463,7 +513,7 @@ class TestWorklistClosure:
             {p.name: p for p in suite.programs})
         system = TraceSystem(traces, roots,
                              initial_pending(suite.initial_signals))
-        for lazy in (frozenset(), frozenset([(0, 0)])):
-            res = Explorer(system, lazy_hosts=lazy).explore()
+        for lazy in (None, (0, 0)):
+            res = Explorer(system, lazy_host=lazy).explore()
             assert res.complete
             assert 0 < res.closure_visits <= 3 * res.transitions

@@ -47,6 +47,19 @@ class TestCommands:
         assert code == 0
         assert "verified vs NumPy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, constraint", [
+        (["--n", "16", "--geometry", "2"],
+         "algorithmic block order 128 does not divide matrix order 16"),
+        (["--n", "16", "--ab", "8", "--geometry", "3"],
+         "grid order 3 does not divide matrix order 16"),
+    ], ids=["ab", "geometry"])
+    def test_run_sizes_that_do_not_divide_are_a_usage_error(
+            self, argv, constraint, capsys):
+        assert main(["run", "navp-2d-dsc"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"navp-2d-dsc: {constraint}\n"
+
     def test_table2(self, capsys):
         assert main(["table", "2"]) == 0
         out = capsys.readouterr().out
