@@ -25,7 +25,6 @@ from ..navp import ir
 from .deps import carried_write_diagnostics, loop_diagnostics
 from .diagnostics import DiagnosticReport
 from .locality import LayoutSpec, check_locality, key_home
-from .protocol import protocol_diagnostics
 from .races import race_diagnostics
 
 __all__ = ["CorpusCase", "CORPUS", "RACY_CORPUS", "LIVENESS_CORPUS",
@@ -42,8 +41,7 @@ class CorpusCase:
     check:
         ``"loop"`` (:func:`~repro.analysis.deps.loop_diagnostics`),
         ``"carries"`` (:func:`carried_write_diagnostics`),
-        ``"locality"`` (:func:`check_locality`), ``"protocol"``
-        (:func:`protocol_diagnostics`), ``"races"``
+        ``"locality"`` (:func:`check_locality`), ``"races"``
         (:func:`~repro.analysis.races.race_diagnostics`) or
         ``"protocol_mc"``
         (:func:`~repro.analysis.protocol_mc.mc_diagnostics`).
@@ -137,7 +135,7 @@ def _case_remote_access() -> CorpusCase:
 
 def _case_unmatched_wait() -> CorpusCase:
     # main injects a waiter on "go", but nothing in the closure ever
-    # signals it: a guaranteed deadlock
+    # signals it: every schedule deadlocks
     waiter = ir.Program("bad-waiter", (
         ir.WaitStmt("go"),
         ir.NodeSet("out", (C(0),), C(1)),
@@ -147,9 +145,9 @@ def _case_unmatched_wait() -> CorpusCase:
         ir.InjectStmt(waiter.name),
     ))
     return CorpusCase(
-        name=main.name, category="unmatched-wait",
+        name=main.name, category="protocol-deadlock",
         registry={waiter.name: waiter, main.name: main},
-        root=main.name, check="protocol")
+        root=main.name, check="protocol_mc")
 
 
 def _case_signal_cycle() -> CorpusCase:
@@ -169,9 +167,9 @@ def _case_signal_cycle() -> CorpusCase:
         ir.InjectStmt(w2.name),
     ))
     return CorpusCase(
-        name=main.name, category="signal-cycle",
+        name=main.name, category="protocol-deadlock",
         registry={w1.name: w1, w2.name: w2, main.name: main},
-        root=main.name, check="protocol")
+        root=main.name, check="protocol_mc")
 
 
 def _case_carried_flow() -> CorpusCase:
@@ -459,7 +457,7 @@ def _case_token_steal() -> CorpusCase:
     # starve. Which racer registers its wait first is a pure
     # same-instant tie — exactly what coalesced batch delivery and the
     # schedule fuzzer reorder — so the deadlock is reachable but not
-    # inevitable, and the structural checker cannot decide it.
+    # inevitable: only exploring the interleavings decides it.
     racer = ir.Program("bad-steal-racer", (
         ir.WaitStmt("GO"),
         ir.If(ir.Bin("==", V("role"), C(0)), (
@@ -482,10 +480,10 @@ def _case_token_steal() -> CorpusCase:
 def _case_hidden_cycle() -> CorpusCase:
     # A wait/signal cycle laundered through injection: each waiter
     # would spawn the program that signals the *other* waiter's event,
-    # so neither signal is ever performed. Structurally both signal
-    # sites look unguarded (they are the first statement of their own
-    # program), hence no signal-cycle finding — but every schedule
-    # deadlocks, which the model checker proves.
+    # so neither signal is ever performed. Both signal sites look
+    # unguarded (each is the first statement of its own program), so
+    # no wait-before-signal cycle shows in any one program — but every
+    # schedule deadlocks, which the model checker proves.
     sa = ir.Program("bad-hidden-sa", (ir.SignalStmt("A"),))
     sb = ir.Program("bad-hidden-sb", (ir.SignalStmt("B"),))
     w1 = ir.Program("bad-hidden-w1", (
@@ -529,11 +527,10 @@ def _case_orphan_leak() -> CorpusCase:
 
 def _case_mc_clean() -> CorpusCase:
     # A fig13-style primed handshake: EP and EC alternate, with EC
-    # primed once at setup. The structural checker sees a fully
-    # guarded signal cycle (its warning is unavoidable without
-    # counting tokens); the model checker explores the space under the
-    # primed token and proves every schedule terminates with EC back
-    # in its rest state.
+    # primed once at setup. Every signal follows a wait, a cycle only
+    # the primed token starts; the model checker explores the space
+    # under that token and proves every schedule terminates with EC
+    # back in its rest state.
     producer = ir.Program("good-hs-producer", (
         ir.For("i", C(3), (
             ir.WaitStmt("EC"),
@@ -551,7 +548,7 @@ def _case_mc_clean() -> CorpusCase:
         ir.InjectStmt(consumer.name),
     ))
     return CorpusCase(
-        name=main.name, category="signal-cycle",
+        name=main.name, category="protocol-deadlock",
         registry={p.name: p for p in (producer, consumer, main)},
         root=main.name, check="protocol_mc",
         expect_clean=True, initial_signals=(("EC", (), 1),))
@@ -596,8 +593,6 @@ def run_case(case: CorpusCase) -> DiagnosticReport:
         return carried_write_diagnostics(root, case.loop, case.carried)
     if case.check == "locality":
         return check_locality(root, case.layout, registry=case.registry)
-    if case.check == "protocol":
-        return protocol_diagnostics(root, registry=case.registry)
     if case.check == "races":
         return race_diagnostics(root, registry=case.registry,
                                 primed=case.primed)

@@ -14,10 +14,10 @@ Severities:
     The program is illegal under the checked condition (a transform
     would refuse it; ``repro lint`` exits non-zero).
 ``warning``
-    Suspicious but not provably wrong (e.g. a signal cycle whose
-    liveness depends on initial event counts supplied by the fabric).
+    Suspicious but not provably wrong (e.g. an injected program the
+    registry lacks, or signal tokens the model checker finds left over).
 ``info``
-    Observations that need context to judge (e.g. protocol findings on
+    Observations that need context to judge (e.g. an unmatched wait in
     a lone component program whose peers are injected elsewhere).
 """
 
@@ -44,7 +44,8 @@ class Diagnostic:
     category:
         A stable machine-readable tag (``"write-collision"``,
         ``"stale-carry"``, ``"remote-access"``, ``"unmatched-wait"``,
-        ``"signal-cycle"``, ...); tests and the corpus assert on this.
+        ``"protocol-deadlock"``, ...); tests and the corpus assert on
+        this.
     program:
         Name of the program the finding is about.
     path:

@@ -12,11 +12,15 @@ bindings
     program (``Assign``/``ComputeStmt`` output, a ``For`` binding) or
     be a declared parameter; anything else is a guaranteed ``KeyError``
     at run time.
-protocol
-    Wait/signal matching and cycle detection
-    (:mod:`repro.analysis.protocol`), run once per *root* — a program
-    no other registry program injects — over its injection closure, so
-    component carriers are judged in the context that launches them.
+closure
+    Two cheap wait/signal facts of the injection closure
+    (:func:`~repro.analysis.mhp.build_mhp`), run once per *root* — a
+    program no other registry program injects — so component carriers
+    are judged in the context that launches them: a wait on an event
+    no program of the closure ever signals (``unmatched-wait``), and an
+    injected name the registry lacks (``unknown-program``). Whether
+    the handshakes can deadlock or leak tokens is decided exactly by
+    the protocol model checker (``repro lint --protocol-mc``).
 locality
     Hop-locality proof (:mod:`repro.analysis.locality`), for programs
     with a known :class:`~repro.analysis.locality.LayoutSpec`.
@@ -32,9 +36,10 @@ from __future__ import annotations
 
 from ..navp import ir
 from . import visitor
-from .diagnostics import Diagnostic, DiagnosticReport, error
+from .diagnostics import (Diagnostic, DiagnosticReport, ERROR, INFO, WARNING,
+                          error)
 from .locality import LayoutSpec, check_locality, fixed_home, key_home
-from .protocol import protocol_diagnostics
+from .mhp import build_mhp
 from .summary import summarize
 
 __all__ = ["lint_program", "lint_registry", "seed_paper_programs",
@@ -97,6 +102,35 @@ def _binding_diagnostics(program: ir.Program) -> DiagnosticReport:
     return report
 
 
+def _closure_diagnostics(root: ir.Program, registry) -> DiagnosticReport:
+    """Unmatched waits and unregistered programs in ``root``'s closure."""
+    mhp = build_mhp(root, registry)
+    report = DiagnosticReport()
+    for name in sorted(mhp.missing):
+        report.append(Diagnostic(
+            WARNING, "unknown-program", root.name, (),
+            f"{root.name}: the injection closure references "
+            f"program {name!r} which is not registered"))
+    # A closure of one program that injects nothing is a component
+    # viewed out of context: its peers live in some other entry
+    # point's closure, so an unmatched wait is expected there. (A root
+    # whose injects merely fail to resolve is still an entry point.)
+    severity = INFO if len(mhp.summaries) == 1 and not mhp.missing \
+        else ERROR
+    signalled = {s.signal[0] for summaries in mhp.summaries.values()
+                 for s in summaries if s.signal is not None}
+    for name, summaries in mhp.summaries.items():
+        for s in summaries:
+            if s.wait is not None and s.wait[0] not in signalled:
+                report.append(Diagnostic(
+                    severity, "unmatched-wait", name, s.path,
+                    f"{name}: waits on event {s.wait[0]!r} which no "
+                    f"program in the injection closure of "
+                    f"{root.name!r} ever signals; the messenger would "
+                    f"block forever"))
+    return report
+
+
 def _injected_names(registry) -> set:
     """Every program name injected by some program in the registry."""
     out: set = set()
@@ -112,7 +146,7 @@ def lint_program(program: ir.Program, registry=None,
                  protocol_root: bool = True) -> DiagnosticReport:
     """All lint passes for one program.
 
-    ``protocol_root`` False suppresses the protocol pass — used when
+    ``protocol_root`` False suppresses the closure pass — used when
     the program is known to be injected by another registry program,
     whose closure already covers it.
     """
@@ -124,7 +158,7 @@ def lint_program(program: ir.Program, registry=None,
         return report  # unknown nodes make further analysis moot
     report.extend(_binding_diagnostics(program))
     if protocol_root:
-        report.extend(protocol_diagnostics(program, registry))
+        report.extend(_closure_diagnostics(program, registry))
     if layout is not None:
         report.extend(check_locality(program, layout, registry))
     return report

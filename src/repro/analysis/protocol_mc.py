@@ -139,7 +139,7 @@ class ModelCheckResult:
             return ("%s: statically proven deadlock-free;%s %d threads, "
                     "%d states explored (POR %.1fx)" % (
                         self.label, extra, self.threads,
-                        self.stats.get("states", 0),
+                        self.stats.get("total_states", 0),
                         self.stats.get("reduction_factor", 1.0)))
         return "%s: %s — %s" % (self.label, self.status, self.detail)
 
@@ -480,7 +480,7 @@ def runtime_deadlock_hint(roots, primed=(), *, registry=None,
             return ("protocol model checker: statically proven "
                     "deadlock-free (%d states) — suspect the fabric or "
                     "fault layer, not the program"
-                    % res.stats.get("states", 0))
+                    % res.stats.get("total_states", 0))
         if res.status == "DEADLOCK" and res.counterexample is not None:
             return ("protocol model checker: this deadlock is reachable "
                     "in the program itself; schedule:\n%s"

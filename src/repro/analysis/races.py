@@ -55,7 +55,6 @@ from . import visitor
 from .diagnostics import Diagnostic, DiagnosticReport, ERROR
 from .distance import keys_never_equal
 from .mhp import MHPAnalysis, build_mhp
-from .protocol import _sccs, analyze_protocol
 
 __all__ = ["StaticAccess", "StaticRace", "RaceAnalysis",
            "analyze_races", "race_diagnostics"]
@@ -171,6 +170,77 @@ def _signal_sites(analysis: MHPAnalysis) -> dict:
                 sites.setdefault(event, []).append(
                     (name, visitor.normalize_key(args), s.pos, s.path))
     return sites
+
+
+def _sccs(nodes, edges) -> list:
+    """Tarjan's strongly connected components."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    out: list = []
+    counter = [0]
+
+    def strongconnect(v):
+        index[v] = low[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        on_stack.add(v)
+        for w in edges.get(v, ()):
+            if w not in index:
+                strongconnect(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            out.append(comp)
+
+    for v in nodes:
+        if v not in index:
+            strongconnect(v)
+    return out
+
+
+def _cyclic_events(analysis: MHPAnalysis) -> set:
+    """Events in a signal cycle that no unguarded signal breaks.
+
+    A signal of ``E`` is *guarded* by ``W`` when a wait on ``W`` comes
+    before it in pre-order in the same program; the edge ``W -> E``
+    says ``E`` is signalled only after ``W`` was. A strongly connected
+    component of that graph with no unguarded signal of any member can
+    only make progress from tokens the closure itself never produces
+    (Figure 13's primed ``EC``), so "the wait consumed that signal" is
+    not the only possibility for its events.
+    """
+    events: set = set()
+    sourced: set = set()
+    edges: dict = {}
+    for summaries in analysis.summaries.values():
+        waited: set = set()
+        for s in summaries:
+            if s.wait is not None:
+                waited.add(s.wait[0])
+                events.add(s.wait[0])
+            if s.signal is not None:
+                event = s.signal[0]
+                events.add(event)
+                if not waited:
+                    sourced.add(event)
+                for g in waited:
+                    edges.setdefault(g, set()).add(event)
+    cyclic: set = set()
+    for comp in _sccs(sorted(events), edges):
+        if len(comp) > 1 or comp[0] in edges.get(comp[0], ()):
+            if not sourced.intersection(comp):
+                cyclic.update(comp)
+    return cyclic
 
 
 class _Checker:
@@ -303,17 +373,7 @@ def analyze_races(root: ir.Program, registry=None,
     mhp = build_mhp(root, registry)
     accesses = _collect_accesses(mhp)
     sites = _signal_sites(mhp)
-
-    protocol = analyze_protocol(root, registry)
-    edges: dict = {}
-    for s in protocol.signals:
-        for g in s.guards:
-            edges.setdefault(g, set()).add(s.event)
-    cyclic: set = set()
-    for comp in _sccs(sorted(protocol.events), edges):
-        if len(comp) > 1 or comp[0] in edges.get(comp[0], ()):
-            if not any(e in protocol.sourced for e in comp):
-                cyclic.update(comp)
+    cyclic = _cyclic_events(mhp)
     usable = frozenset(
         event for event, site_list in sites.items()
         if len(site_list) == 1

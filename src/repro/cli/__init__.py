@@ -39,9 +39,11 @@ Commands
 ``lint [PROGRAMS...] [--all --json]``
                                    statically analyze registered IR
                                    programs (dependences, hop
-                                   locality, wait/signal protocol;
+                                   locality, unmatched waits;
                                    ``--races`` adds the static
-                                   data-race analysis, ``--loop VAR``
+                                   data-race analysis,
+                                   ``--protocol-mc`` the protocol
+                                   model checker, ``--loop VAR``
                                    the loop dependence vectors,
                                    ``--json`` a machine-readable
                                    report)

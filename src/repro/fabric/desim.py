@@ -418,8 +418,8 @@ class Simulator:
         self._alive = 0
         self.events_executed = 0
         # Callable returning extra text for DeadlockError (or None);
-        # SimFabric points this at the static protocol analyzer so a
-        # deadlock names the wait/signal cycle that predicted it.
+        # SimFabric points this at the protocol model checker so a
+        # deadlock names a schedule that reaches it in the program.
         self.deadlock_hint: Callable | None = None
         if perturb_seed is None and _PERTURB["seed"] is not None:
             n = _PERTURB["count"]

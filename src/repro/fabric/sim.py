@@ -362,11 +362,11 @@ class SimFabric:
     def _deadlock_hint(self) -> str | None:
         """Extra DeadlockError text: fault casualties first (a deadlock
         under injected faults is usually *caused* by the lost
-        messengers), then what the static wait/signal protocol pass
-        predicted for the injected IR programs, then the protocol
-        model checker's verdict — a VERIFIED program that deadlocked
+        messengers), then the protocol model checker's verdict on the
+        injected IR programs — a reachable schedule when the program
+        itself deadlocks, while a VERIFIED program that deadlocked
         anyway points the finger at the fabric or fault layer (lazy
-        imports — the fabric stays usable without the analysis
+        import — the fabric stays usable without the analysis
         package)."""
         resil = self._resil
         fault_note = None
@@ -376,36 +376,15 @@ class SimFabric:
                 "disabled: " + ", ".join(resil.lost))
         if not self._ir_roots:
             return fault_note
-        notes = []
-        try:
-            from ..analysis.protocol import protocol_diagnostics
-            from ..navp import ir
-        except Exception:  # pragma: no cover — analysis always ships
-            return fault_note
-        lines = []
-        for root in dict.fromkeys(n for n, _c, _e in self._ir_roots):
-            try:
-                report = protocol_diagnostics(ir.get_program(root))
-            except Exception:
-                continue
-            for diag in report:
-                if diag.category in ("signal-cycle", "unmatched-wait"):
-                    lines.append(f"  [{diag.category}] {diag}")
-        if lines:
-            notes.append(
-                "static protocol analysis of the injected programs "
-                "predicted:\n" + "\n".join(lines))
         try:
             from ..analysis.protocol_mc import runtime_deadlock_hint
             verdict = runtime_deadlock_hint(self._ir_roots, self._primed,
                                             window=None)
         except Exception:  # pragma: no cover — hint must never raise
             verdict = None
-        if verdict:
-            notes.append(verdict)
-        if not notes:
+        if not verdict:
             return fault_note
-        return "\n".join(([fault_note] if fault_note else []) + notes)
+        return "\n".join(([fault_note] if fault_note else []) + [verdict])
 
     def _driver(self, messenger):
         gen = messenger.main()

@@ -69,8 +69,7 @@ class TestPaperProgramsLintClean:
         names = sorted(n for n in ir.REGISTRY
                        if not n.startswith("random-prog"))
         report = lint_registry(names, layouts=layouts)
-        assert {d.category for d in report.warnings} \
-            <= {"signal-cycle"}
+        assert report.warnings == [], report.render()
 
     def test_cli_lint_all_exits_zero(self, capsys):
         assert main(["lint", "--all"]) == 0
@@ -89,7 +88,8 @@ class TestCorpus:
     def test_categories_cover_the_required_classes(self):
         assert {c.category for c in CORPUS} >= {
             "write-collision", "stale-carry", "remote-access",
-            "unmatched-wait", "signal-cycle",
+            "carried-dependence", "data-race", "protocol-deadlock",
+            "credit-deadlock", "orphan-signal",
         }
 
     def test_corpus_programs_stay_out_of_the_registry(self):

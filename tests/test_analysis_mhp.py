@@ -126,3 +126,46 @@ class TestOrdered:
         # signal edge, and the carrier has neither
         pos = _pos(analysis, "mhp-carrier", "z")
         assert not analysis.ordered("mhp-carrier", pos, "mhp-carrier", pos)
+
+
+class TestUsableEvents:
+    """Which events the race pass lets carry signal→wait edges: a single
+    signal site, not primed, and not in a signal cycle that no
+    unguarded signal breaks."""
+
+    @staticmethod
+    def _cycle(with_source: bool):
+        w1 = ir.Program("ue-w1", (ir.WaitStmt("A"), ir.SignalStmt("B")))
+        w2 = ir.Program("ue-w2", (ir.WaitStmt("B"), ir.SignalStmt("A")))
+        body = [ir.InjectStmt(w1.name), ir.InjectStmt(w2.name)]
+        if with_source:
+            body.insert(0, ir.SignalStmt("A"))
+        root = ir.Program("ue-cycle", tuple(body))
+        return root, {p.name: p for p in (root, w1, w2)}
+
+    @pytest.mark.parametrize("name, usable", [
+        ("fig11-main-3", ["EP"]),
+        ("fig13-main-3", []),
+        ("fig15-main-3", ["EP"]),
+        ("mm-seq-3-dsc-phase-2d-k", []),
+        ("mm-seq-3-dsc-phase-2d-k-phase", []),
+        ("wf-pipe-3x4b4", []),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(v) or "none")
+    def test_paper_roots(self, name, usable):
+        from repro.analysis.lint import seed_paper_programs
+        from repro.analysis.races import analyze_races
+
+        seed_paper_programs(3)
+        got = analyze_races(ir.get_program(name)).usable_events
+        assert sorted(got) == usable
+
+    @pytest.mark.parametrize("with_source, usable", [
+        (False, []),     # each signal waits on the other: a closed cycle
+        (True, ["B"]),   # the unguarded signal A opens it; A has 2 sites
+    ], ids=["closed", "sourced"])
+    def test_two_waiter_cycle(self, with_source, usable):
+        from repro.analysis.races import analyze_races
+
+        root, registry = self._cycle(with_source)
+        got = analyze_races(root, registry=registry).usable_events
+        assert sorted(got) == usable

@@ -6,7 +6,7 @@ hop, signal→wait, resource handoff — as an edge the vector clocks must
 fabrics with ``race_check=True``: the racy corpus must be caught, the
 golden Figure-13 pipeline and the served Gentleman IR must come back
 clean under perturbed schedules, and a deadlocked run
-must explain itself with the static protocol prediction.
+must explain itself with the model checker's reachable schedule.
 """
 
 import pytest
@@ -161,5 +161,5 @@ class TestFabricRuns:
             with pytest.raises(DeadlockError) as exc:
                 fabric.run()
         message = str(exc.value)
-        assert "static protocol analysis" in message
-        assert "unmatched-wait" in message
+        assert "reachable in the program itself" in message
+        assert "go@(0,) (never signaled)" in message

@@ -128,6 +128,16 @@ class TestPaperProgramsVerified:
         res = model_check("gent-main-3", entry=(0, 0))
         assert res.stats["reduction_factor"] > 2.0
 
+    def test_summaries_count_every_pass(self, paper):
+        # pass A alone is 1 state of fig11's 4; the one-line verdicts
+        # quote the whole verdict, as the planner's stats do
+        total = PINNED["fig11-main-3"][1]
+        res = model_check("fig11-main-3", entry=(0, 0))
+        assert res.stats["states"] < total
+        assert f"{total} states explored" in res.summary()
+        hint = runtime_deadlock_hint([("fig11-main-3", (0, 0), {})])
+        assert f"deadlock-free ({total} states)" in hint
+
 
 class TestVerdictDeadline:
     def test_deadline_budgets_the_whole_verdict(self, monkeypatch):
@@ -346,6 +356,25 @@ class TestLintCLI:
         assert mc["wf-pipe-3x4b4"]["status"] == "VERIFIED"
         assert mc["wf-pipe-3x4b4"]["stats"]["total_states"] == PINNED[
             "wf-pipe-3x4b4"][1]
+
+    def test_state_cap_is_the_only_bound(self, paper, monkeypatch,
+                                         capsys):
+        # no wall-clock deadline: the verdict may not depend on how
+        # busy the host is
+        from repro.analysis import protocol_mc
+        from repro.cli import main
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["deadline_s"], kwargs["max_states"]))
+            return model_check(*args, **kwargs)
+
+        monkeypatch.setattr(protocol_mc, "model_check", spy)
+        assert main(["lint", "fig11-main-3", "--protocol-mc",
+                     "--mc-states", "1234"]) == 0
+        capsys.readouterr()
+        assert seen == [(None, 1234)]
 
     def test_fig15_fails_lint_with_counterexample(self, paper, capsys):
         from repro.cli import main
