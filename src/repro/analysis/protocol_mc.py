@@ -187,8 +187,8 @@ def _merge_stats(stats: dict, res, pass_name: str) -> None:
 def model_check(roots, registry=None, *, entry=(0,), env=None,
                 initial_signals=(), places=None,
                 window: int | None = DEFAULT_WINDOW,
-                max_states: int = 500_000, deadline_s: float | None = 10.0,
-                check_gated: bool = True) -> ModelCheckResult:
+                max_states: int = 500_000,
+                deadline_s: float | None = 10.0) -> ModelCheckResult:
     """Model-check one root program (or a list of concurrent roots).
 
     ``roots`` is a program name (with ``entry``/``env`` applying to it)
@@ -312,27 +312,25 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
         bounded=bounded, gate_transparent=transparent)
 
     # -- Pass C: gated semantics, only when the gate can engage ------------
-    gated_free: bool | None = True if window is None else None
-    if window is not None:
-        if transparent:
-            gated_free = True       # gate never engages: Pass A transfers
-        elif check_gated:
-            res_c = explore(window=window, gated=True)
-            _merge_stats(stats, res_c, "gated")
-            if res_c.deadlock is not None:
-                return result(
-                    "CREDIT-DEADLOCK", deadlock_free=True,
-                    gated_deadlock_free=False,
-                    counterexample=res_c.deadlock,
-                    counterexample_regime="gated",
-                    detail="deadlock only under the credit window "
-                           "(window=%d): socket backpressure starvation; "
-                           "schedule:\n%s"
-                           % (window, res_c.deadlock.describe(limit=24)),
-                    **mail)
-            gated_free = True if res_c.complete else None
-            if not res_c.complete:
-                capped = capped or "gated pass capped: %s" % res_c.reason
+    # no window, or a gate that never engages: Pass A transfers
+    gated_free: bool | None = True
+    if window is not None and not transparent:
+        res_c = explore(window=window)
+        _merge_stats(stats, res_c, "gated")
+        if res_c.deadlock is not None:
+            return result(
+                "CREDIT-DEADLOCK", deadlock_free=True,
+                gated_deadlock_free=False,
+                counterexample=res_c.deadlock,
+                counterexample_regime="gated",
+                detail="deadlock only under the credit window "
+                       "(window=%d): socket backpressure starvation; "
+                       "schedule:\n%s"
+                       % (window, res_c.deadlock.describe(limit=24)),
+                **mail)
+        if not res_c.complete:
+            gated_free = None
+            capped = capped or "gated pass capped: %s" % res_c.reason
 
     if leaks:
         msg = ", ".join("%s leaks %d token(s) beyond its primed %d"
@@ -344,7 +342,7 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
     if not mailbox_exact or gated_free is None:
         return result("INCONCLUSIVE", deadlock_free=True,
                       gated_deadlock_free=gated_free,
-                      detail=capped or "gated pass not run", **mail)
+                      detail=capped, **mail)
     return result("VERIFIED", deadlock_free=True,
                   gated_deadlock_free=gated_free, **mail)
 
@@ -407,10 +405,13 @@ def mc_diagnostics(root, registry=None, result=None,
             % res.detail))
         return report
     if res.status == "INCONCLUSIVE":
+        advice = ("raise repro lint --mc-states to push through"
+                  if "state cap" in res.detail
+                  else "the verdict deadline ran out, not the state cap")
         report.append(warning(
             "state-space-cap", name, (),
-            "protocol model checker gave up: %s "
-            "(raise max_states/deadline_s to push through)" % res.detail))
+            "protocol model checker gave up: %s (%s)"
+            % (res.detail, advice)))
         return report
     if res.status == "DEADLOCK":
         report.append(error("protocol-deadlock", name, (), res.detail))
@@ -474,8 +475,7 @@ def runtime_deadlock_hint(roots, primed=(), *, registry=None,
             return None
         res = model_check(
             roots, registry, initial_signals=tuple(primed), window=window,
-            max_states=max_states, deadline_s=deadline_s,
-            check_gated=window is not None)
+            max_states=max_states, deadline_s=deadline_s)
         if res.status == "VERIFIED":
             return ("protocol model checker: statically proven "
                     "deadlock-free (%d states) — suspect the fabric or "

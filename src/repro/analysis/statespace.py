@@ -79,7 +79,7 @@ Two credit regimes are modeled:
 
 * ``window=None`` — the sim/thread/process-fabric semantics: sends are
   never gated. Peaks of the per-host mailbox depth are still tracked.
-* ``gated=True`` with a finite window — the socket-fabric semantics:
+* a finite ``window`` — the socket-fabric semantics:
   a send toward ``dst`` requires ``in_flight(src, dst) < window``;
   a messenger that commits to a full-window hop *blocks its entire
   host* (the single-threaded worker sits in ``emit_hop``), freezing
@@ -382,14 +382,13 @@ class ExploreResult:
     """One exploration pass over a system of traces.
 
     ``complete`` is ``not reason``: the pass answered its question
-    without hitting a cap (stopping at the first deadlock counts as
-    an answer). In a mailbox pass (``lazy_host=h``) ``peaks[h]`` and
+    without hitting a cap (stopping at the first deadlock is an
+    answer). In a mailbox pass (``lazy_host=h``) ``peaks[h]`` and
     the ``inflight_peaks`` of the edges into ``h`` are exact; every
     other peak is a lower bound, and ``states`` and ``terminals``
     count only what the bound left to explore.
     """
 
-    complete: bool
     states: int
     transitions: int
     eager_steps: int
@@ -400,6 +399,10 @@ class ExploreResult:
     inflight_peaks: dict       # (src, dst) -> max in-flight hops
     reason: str = ""           # why the pass stopped early, if it did
     closure_visits: int = 0    # thread probes made by the eager closure
+
+    @property
+    def complete(self) -> bool:
+        return not self.reason
 
     @property
     def reduction_factor(self) -> float:
@@ -473,33 +476,29 @@ class Explorer:
     """Memoized DFS over the interleavings of a :class:`TraceSystem`.
 
     ``window=None`` explores the ungated (infinite-credit) semantics
-    with eager singleton-stubborn moves and sleep sets; ``gated=True``
-    (requires a finite ``window``) explores the socket credit semantics
-    with full branching. ``lazy_host`` makes retirement into that host a
-    branch point and bounds the search by its peaks (a mailbox pass).
+    with eager singleton-stubborn moves and sleep sets; a finite
+    ``window`` explores the socket credit semantics with full
+    branching. ``lazy_host`` makes retirement into that host a branch
+    point and bounds the search by its peaks (a mailbox pass).
     ``deadline`` is an absolute ``time.monotonic()`` instant: one budget
-    for all the passes of a verdict.
+    for all the passes of a verdict. The search stops at the first
+    deadlock.
     """
 
     def __init__(self, system: TraceSystem, *,
-                 window: int | None = None, gated: bool = False,
+                 window: int | None = None,
                  lazy_host: tuple | None = None,
                  max_states: int = 1_000_000,
-                 deadline: float | None = None,
-                 stop_on_deadlock: bool = True):
-        if gated and window is None:
-            raise ValueError("gated exploration needs a finite window")
+                 deadline: float | None = None):
         self.system = system
         self.ops = system.ops
         self.window = window
-        self.gated = gated
         self.lazy_host = lazy_host
         # the interned lazy host, -1 for none
         self.lazy = -1 if lazy_host is None else \
             system.hosts.index(lazy_host)
         self.max_states = max_states
         self.deadline = deadline
-        self.stop_on_deadlock = stop_on_deadlock
 
         self.codes = [_NOT_SPAWNED] * len(self.ops)
         self.live = 0
@@ -564,20 +563,21 @@ class Explorer:
         if phase == _NOT_SPAWNED or phase == _DONE:
             return None
         op = self.ops[i][code // _PHASES]
+        # only a finite window ever blocks a host
         if phase == _TRANSIT:
-            if self.gated and self.blocked[op[3]]:
+            if self.blocked[op[3]]:
                 return None  # destination worker is stuck in emit_hop
             return _RETIRE
         if phase == _BLOCKED:
             return _UNBLOCK if self.inflight[op[1]] < self.window else None
         # READY
-        if self.gated and self.blocked[op[2]]:
+        if self.blocked[op[2]]:
             return None  # a co-located messenger blocked the worker
         kind = op[0]
         if kind == _HOP:
             if self.window is None or self.inflight[op[1]] < self.window:
                 return _SEND
-            return _BLOCK if self.gated else None
+            return _BLOCK
         if kind == _WAIT:
             return _CONSUME if self.pending[op[1]] > 0 else None
         return _STEP  # signal / spawn
@@ -688,7 +688,7 @@ class Explorer:
 
     def explore(self) -> ExploreResult:
         ops, codes, pending = self.ops, self.codes, self.pending
-        system, gated = self.system, self.gated
+        system, gated = self.system, self.window is not None
         waiter_of = system.waiter_of
         lazy, pack, sym = self.lazy, system.pack, system.sym_groups
         apply, transition = self._apply, self._transition
@@ -830,7 +830,7 @@ class Explorer:
         reason = ""
         ticks = 0
         while frames:
-            if deadlock is not None and self.stop_on_deadlock:
+            if deadlock is not None:
                 break
             if states > self.max_states:
                 reason = f"state cap {self.max_states} exceeded"
@@ -883,7 +883,6 @@ class Explorer:
         unwind(0)
         hosts, edges = system.hosts, system.edges
         return ExploreResult(
-            complete=not reason,
             states=states, transitions=eager_steps + branch_steps,
             eager_steps=eager_steps, naive_transitions=naive,
             deadlock=deadlock, terminals=terminals,

@@ -9,7 +9,8 @@ Exit codes (the contract CI drivers rely on):
     at least one error diagnostic (or warning with ``--strict``), or a
     corpus defect the analyses missed.
 ``2``
-    usage: unknown program names, or nothing to lint.
+    usage: unknown program names, nothing to lint, or an
+    ``--mc-states`` below 1.
 
 ``--json`` replaces the human-readable listing with one JSON object::
 
@@ -166,6 +167,10 @@ def _cmd_lint(args) -> int:
     from ..navp import ir
     from ..viz.irprint import format_diagnostic
 
+    if args.mc_states < 1:
+        print(f"--mc-states must be at least 1, got {args.mc_states}",
+              file=sys.stderr)
+        return 2
     if args.corpus:
         return _cmd_corpus(args)
 

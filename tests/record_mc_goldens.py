@@ -57,7 +57,7 @@ VERDICT_SHAPES = (("navp-2d-dsc", 2), ("navp-2d-dsc", 3),
 
 
 def _pass_name(explorer) -> str:
-    if explorer.gated:
+    if explorer.window is not None:
         return "gated"
     if explorer.lazy_host is not None:
         return "mailbox@%s" % (explorer.lazy_host,)

@@ -262,11 +262,11 @@ class TestExplorer:
                  ("g-qx", (1,), {}), ("g-qx", (1,), {})]
         ungated = _explore(reg, roots)
         assert ungated.deadlock is None and ungated.complete
-        gated = _explore(reg, roots, window=1, gated=True)
+        gated = _explore(reg, roots, window=1)
         assert gated.deadlock is not None
         assert "credit window exhausted" in gated.deadlock.describe()
         # a window of 2 admits both hops at once: no starvation
-        relaxed = _explore(reg, roots, window=2, gated=True)
+        relaxed = _explore(reg, roots, window=2)
         assert relaxed.deadlock is None and relaxed.complete
 
     @pytest.mark.parametrize("tail", [60, 14_000])

@@ -25,6 +25,7 @@ from repro.analysis.lint import (
 )
 from repro.analysis.protocol_mc import (
     DEFAULT_WINDOW,
+    mc_diagnostics,
     model_check,
     runtime_deadlock_hint,
 )
@@ -179,6 +180,18 @@ class TestVerdictDeadline:
         assert res.status == "INCONCLUSIVE"
         assert res.detail.startswith("interleaving pass capped: ")
         assert list(res.stats["passes"]) == ["interleave"]
+
+    def test_deadline_advice_names_the_deadline(self, paper):
+        ctx = paper["fig13-main-3"]
+        res = model_check("fig13-main-3", entry=ctx["entry"],
+                          initial_signals=ctx["initial_signals"],
+                          deadline_s=0.0)
+        assert res.detail == ("interleaving pass capped: "
+                              "verdict deadline exceeded")
+        (diag,) = mc_diagnostics("fig13-main-3", result=res)
+        assert diag.category == "state-space-cap"
+        assert diag.message.endswith(
+            "(the verdict deadline ran out, not the state cap)")
 
 
 class TestFig15Finding:
@@ -375,6 +388,28 @@ class TestLintCLI:
                      "--mc-states", "1234"]) == 0
         capsys.readouterr()
         assert seen == [(None, 1234)]
+
+    def test_capped_advice_names_the_lint_bound(self, paper, capsys):
+        from repro.cli import main
+
+        assert main(["lint", "fig13-main-3", "--protocol-mc",
+                     "--mc-states", "1000"]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if "state-space-cap" in line]
+        assert line.endswith("interleaving pass capped: state cap 1000 "
+                             "exceeded (raise repro lint --mc-states to "
+                             "push through)")
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_mc_states_below_one_is_a_usage_error(self, paper, cap,
+                                                   capsys):
+        from repro.cli import main
+
+        assert main(["lint", "fig13-main-3", "--protocol-mc",
+                     "--mc-states", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--mc-states must be at least 1, got {cap}\n"
 
     def test_fig15_fails_lint_with_counterexample(self, paper, capsys):
         from repro.cli import main
