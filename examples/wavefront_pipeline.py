@@ -7,7 +7,9 @@ D[i][j] = w[i][j] + min(D[i-1][j], D[i][j-1]) — and shows:
 
 * DSC works unchanged (a single thread preserves program order);
 * pipelining needs the events the paper warns about ("synchronization
-  may be necessary"): carrier R waits for BDONE(R-1) at every PE;
+  may be necessary"): keyed pipelining derives one carrier per row
+  from the DSC program, and carrier R waits for bottom-done(R-1) at
+  every PE;
 * phase shifting is impossible here, and the transformation framework
   *refuses it mechanically* — carrier R's first block depends on
   carrier R-1's block at the same PE.

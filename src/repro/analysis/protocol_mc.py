@@ -264,7 +264,7 @@ def model_check(roots, registry=None, *, entry=(0,), env=None,
     # consume that exact key (more signals than waits: a count
     # mismatch).  Leftovers on keys no thread ever waits on are the
     # usual terminal completion markers (e.g. the last wavefront row's
-    # BDONE) — the structural checker already owns fully-unwaited
+    # bottom-done) — the structural checker already owns fully-unwaited
     # events, so those stay informational here.
     totals = signal_totals(traces, pending0)
     waited_keys = {op[1] for t in traces for op in t.ops

@@ -27,8 +27,8 @@ program). A candidate is *cleared* — proven ordered or proven disjoint
   region and side B in wait(E2)…signal(E1): the two-event token
   protocol of the B-slot producer/consumer handshake;
 * **keyed handshake** (R6) — within one replicated class, the reader
-  waits on exactly the entry it reads (``wait BDONE(r-1)`` then read
-  ``bottom[r-1]``) and every signal of that event follows a write of
+  waits on exactly the entry it reads (``wait bottom-done(r-1)`` then
+  read ``bottom[r-1]``) and every signal of that event follows a write of
   the entry named by its arguments, with the write key pinning the
   instance — the wavefront pipeline's chain dependence.
 

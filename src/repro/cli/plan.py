@@ -6,7 +6,8 @@ affine dependence analyses veto the illegal ones, score the survivors
 with the calibrated analytic model on a machine preset, apply the
 winners, and validate the emitted IR bit-for-bit against the
 sequential program on SimFabric. Exit status is 1 when no legal plan
-exists or when validation fails, 0 on a validated plan.
+exists or when validation fails, 2 for a ``--geometry`` below 1, 0 on
+a validated plan.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ def _cmd_plan(args) -> int:
     from ..errors import TransformError
     from ..plan import make_plan, plan_to_dict, render_plan
 
+    if args.geometry is not None and args.geometry < 1:
+        print(f"--geometry must be at least 1, got {args.geometry}",
+              file=sys.stderr)
+        return 2
     machine = get_preset(args.machine)
     try:
         plan = make_plan(args.target, machine, geometry=args.geometry,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 def configure(sub) -> None:
     wf_p = sub.add_parser("wavefront", help="the wavefront extension")
@@ -12,6 +14,7 @@ def configure(sub) -> None:
 
 
 def _cmd_wavefront(args) -> int:
+    from ..errors import PartitionError
     from ..wavefront import (
         WavefrontCase,
         run_dsc_wavefront,
@@ -19,10 +22,14 @@ def _cmd_wavefront(args) -> int:
         run_sequential_wavefront,
     )
 
-    case = WavefrontCase(n=args.n, b=args.block, shadow=True)
-    seq = run_sequential_wavefront(case, trace=False).time
-    dsc = run_dsc_wavefront(case, args.pes, trace=False).time
-    pipe = run_pipelined_wavefront(case, args.pes, trace=False).time
+    try:
+        case = WavefrontCase(n=args.n, b=args.block, shadow=True)
+        seq = run_sequential_wavefront(case, trace=False).time
+        dsc = run_dsc_wavefront(case, args.pes, trace=False).time
+        pipe = run_pipelined_wavefront(case, args.pes, trace=False).time
+    except PartitionError as exc:   # --n, --block and --pes disagree
+        print(f"wavefront: {exc}", file=sys.stderr)
+        return 2
     print(f"wavefront n={args.n} block={args.block} on {args.pes} PEs")
     print(f"  sequential {seq:8.3f} s")
     print(f"  DSC        {dsc:8.3f} s  (speedup {seq / dsc:.2f})")

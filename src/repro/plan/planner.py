@@ -254,6 +254,7 @@ def _plan_wavefront(target: PlanTarget, machine: MachineSpec, p: int,
             "planner: wavefront unexpectedly has independent rows")
     suite = keyed_pipeline(seq, KeyedPipelineSpec(
         outer=pbest.subject,
+        main_name=f"{seq.name}-kpipe",
         carrier_name=f"plan-wf-carrier-{p}x{nblocks}b{b}",
         inject_at=(C(0),),
     ))
@@ -272,7 +273,7 @@ def _plan_wavefront(target: PlanTarget, machine: MachineSpec, p: int,
 
 def _validate_wavefront(seq: ir.Program, suite, p: int, nblocks: int,
                         b: int, fabric: str = "sim") -> dict:
-    from ..wavefront.irprog import run_wavefront_program
+    from ..wavefront.navp import run_wavefront_program
     from ..wavefront.problem import WavefrontCase
 
     check_race_free(suite.main)

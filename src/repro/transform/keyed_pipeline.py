@@ -50,6 +50,7 @@ __all__ = ["KeyedPipelineSpec", "keyed_pipeline"]
 @dataclass(frozen=True)
 class KeyedPipelineSpec:
     outer: str                  # loop variable becoming the carrier index
+    main_name: str              # name for the generated main program
     carrier_name: str           # name for the generated carrier program
     inject_at: tuple            # coordinate exprs of the injection PE
 
@@ -130,7 +131,7 @@ def keyed_pipeline(program: ir.Program,
         params=(spec.outer,),
     )
     main = ir.Program(
-        name=f"{program.name}-kpipe",
+        name=spec.main_name,
         body=(
             ir.HopStmt(spec.inject_at),
             ir.For(spec.outer, outer_loop.count, (

@@ -7,17 +7,15 @@ case study never enters.
 """
 
 from .mpi import run_mpi_wavefront, wavefront_rank
+from .irprog import build_wavefront_ir
 from .navp import (
-    DSCWavefront,
-    RowCarrierWavefront,
-    SequentialWavefront,
     WavefrontResult,
     pipeline_time_model,
     run_dsc_wavefront,
     run_pipelined_wavefront,
     run_sequential_wavefront,
+    run_wavefront_program,
 )
-from .irprog import build_wavefront_ir
 from .problem import (
     CELL_FLOPS,
     WavefrontCase,
@@ -37,10 +35,8 @@ __all__ = [
     "run_dsc_wavefront",
     "run_pipelined_wavefront",
     "build_wavefront_ir",
+    "run_wavefront_program",
     "run_mpi_wavefront",
     "pipeline_time_model",
-    "SequentialWavefront",
-    "DSCWavefront",
-    "RowCarrierWavefront",
     "wavefront_rank",
 ]

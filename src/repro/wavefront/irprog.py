@@ -1,40 +1,35 @@
-"""The pipelined wavefront as navigational IR (analyzable form).
+"""The wavefront stages as navigational IR — the only form they have.
 
-:mod:`repro.wavefront.navp` builds the pipelined stage from hand-written
-messenger classes; this module states the same program in the IR so the
-static analyses — protocol, locality, and especially the race detector
-(:mod:`repro.analysis.races`) — can reason about it. The carrier is the
-Figure-7 shape with the chain dependence the paper warns about made
-explicit:
+Every stage is one registered program over the column-strip layout of
+:mod:`repro.wavefront.navp`, and each follows mechanically from the
+one before it:
 
-* carrier ``mr`` tours the column strips west-to-east;
-* at each PE, row 0 starts from the boundary (no ``top``); every other
-  row first waits ``BDONE(mr-1)`` and reads the bottom boundary row its
-  predecessor published in ``bottom[mr-1]``;
-* it solves its block (one ``wf_block`` kernel call returning
-  ``(block, bottom row, right edge)``), publishes ``D[mr]`` and
-  ``bottom[mr]``, carries the right edge east in an agent variable, and
-  signals ``BDONE(mr)``.
-
-The ``bottom[mr-1]`` read against the ``bottom[mr]`` write of the next
-carrier instance is exactly the pair the race analyzer must prove
-ordered — the wait/signal keyed handshake does it — while dropping the
-``WaitStmt`` makes the same pair a reported race (the analyzer's
-regression tests do precisely that edit).
+* :func:`build_wavefront_solo_ir` — the sequential stage: one PE fills
+  the table block row by block row, with no hops;
+* :func:`build_wavefront_seq_ir` — DSC: one thread sweeps each row of
+  blocks west to east over ``p`` PEs, carrying the right edge of the
+  block it just solved in an agent variable and reading the bottom
+  boundary row its previous sweep published in ``bottom[r-1]``;
+* :func:`build_wavefront_ir` — the pipelined stage, *derived* from the
+  DSC program by keyed pipelining
+  (:mod:`repro.transform.keyed_pipeline`): the row loop becomes one
+  carrier per block row, and the ``bottom[r-1]`` read — a forward
+  carried flow dependence of distance ``+1`` — gets a
+  ``wait bottom-done(r-1)`` before it and a ``signal bottom-done(r)``
+  after the ``bottom[r]`` write. That handshake is the
+  synchronization the paper's Section 2 says pipelining may need; the
+  race detector (:mod:`repro.analysis.races`) proves it orders the
+  pair, and dropping the wait makes the pair a reported race.
 """
 
 from __future__ import annotations
 
-from ..fabric.factory import make_fabric
-from ..fabric.topology import Grid1D
-from ..machine.presets import SUN_BLADE_100
 from ..navp import ir
 from ..navp.kernels import KERNELS, register_kernel
-from .navp import WavefrontResult, _gather, _layout
-from .problem import WavefrontCase, block_flops, solve_block
+from .problem import block_flops, solve_block
 
 __all__ = ["build_wavefront_ir", "build_wavefront_seq_ir",
-           "run_wavefront_program", "WF_KERNEL"]
+           "build_wavefront_solo_ir", "WF_KERNEL"]
 
 V = ir.Var
 C = ir.Const
@@ -55,130 +50,71 @@ if WF_KERNEL not in KERNELS:  # idempotent under re-import
     register_kernel(WF_KERNEL, _wf_block, _wf_block_flops)
 
 
-def build_wavefront_ir(p: int, nblocks: int, b: int):
-    """Register and return ``(main, carrier)`` for a ``p``-PE pipeline.
+def _visit(b: int) -> tuple:
+    """Solve this PE's block of row ``r``: read ``bottom[r-1]`` (row 0
+    starts from the boundary), publish ``D[r]`` and ``bottom[r]``, and
+    carry the right edge on in ``medge``."""
+    prev = ir.Bin("-", V("r"), C(1))
+    return (
+        ir.If(
+            ir.Bin("<", C(0), V("r")),
+            then=(ir.Assign("top", ir.NodeGet("bottom", (prev,))),),
+            orelse=(ir.Assign("top", C(None)),),
+        ),
+        ir.ComputeStmt(
+            WF_KERNEL,
+            (ir.NodeGet("W"), V("top"), V("medge"), V("r"), C(b)),
+            out="res"),
+        ir.NodeSet("D", (V("r"),), ir.Index(V("res"), (C(0),))),
+        ir.NodeSet("bottom", (V("r"),), ir.Index(V("res"), (C(1),))),
+        ir.Assign("medge", ir.Index(V("res"), (C(2),))),
+    )
 
-    Names carry the instance shape (``wf-pipe-3x4b16``) so differently
-    sized builds coexist in the registry.
-    """
-    tag = f"{p}x{nblocks}b{b}"
-    prev = ir.Bin("-", V("mr"), C(1))
-    carrier = ir.register_program(ir.Program(
-        f"wf-carrier-{tag}",
+
+def build_wavefront_solo_ir(nblocks: int, b: int) -> ir.Program:
+    """The sequential stage: the whole table on the PE it starts on."""
+    return ir.register_program(ir.Program(
+        f"wf-solo-{nblocks}b{b}",
         (
-            ir.Assign("medge", C(None)),
-            ir.For("c", C(p), (
-                ir.HopStmt((V("c"),)),
-                ir.If(
-                    ir.Bin("<", C(0), V("mr")),
-                    then=(
-                        ir.WaitStmt("BDONE", (prev,)),
-                        ir.Assign("top", ir.NodeGet("bottom", (prev,))),
-                    ),
-                    orelse=(
-                        ir.Assign("top", C(None)),
-                    ),
-                ),
-                ir.ComputeStmt(
-                    WF_KERNEL,
-                    (ir.NodeGet("W"), V("top"), V("medge"),
-                     V("mr"), C(b)),
-                    out="res"),
-                ir.NodeSet("D", (V("mr"),),
-                           ir.Index(V("res"), (C(0),))),
-                ir.NodeSet("bottom", (V("mr"),),
-                           ir.Index(V("res"), (C(1),))),
-                ir.Assign("medge", ir.Index(V("res"), (C(2),))),
-                ir.SignalStmt("BDONE", (V("mr"),)),
-            )),
-        ),
-        params=("mr",),
-    ))
-    main = ir.register_program(ir.Program(
-        f"wf-pipe-{tag}",
-        (
-            ir.HopStmt((C(0),)),
-            ir.For("r", C(nblocks), (
-                ir.InjectStmt(carrier.name, (("mr", V("r")),)),
-            )),
+            ir.For("r", C(nblocks),
+                   (ir.Assign("medge", C(None)),) + _visit(b)),
         ),
     ))
-    return main, carrier
 
 
 def build_wavefront_seq_ir(p: int, nblocks: int, b: int) -> ir.Program:
-    """The *sequential* wavefront in the IR: one thread touring rows.
+    """The DSC stage: one thread touring each row of blocks.
 
-    This is the Figure-6-shaped starting point the planner and the
-    keyed-pipelining transformation work from: a single messenger
-    sweeps each row of blocks west to east, reading the bottom
-    boundary row its previous sweep published in ``bottom[r-1]`` — the
-    forward carried dependence (distance ``+1`` over ``r``) that the
-    affine engine solves and keyed pipelining turns into the Figure-7
-    wait/signal handshake. Running it on any fabric gives the golden
-    answer the transformed suite must reproduce bit-identically.
+    This is the Figure-6-shaped starting point the planner and keyed
+    pipelining work from. Running it on any fabric gives the golden
+    answer the pipelined suite must reproduce bit-identically.
     """
-    tag = f"{p}x{nblocks}b{b}"
-    prev = ir.Bin("-", V("r"), C(1))
     return ir.register_program(ir.Program(
-        f"wf-seq-{tag}",
+        f"wf-seq-{p}x{nblocks}b{b}",
         (
             ir.For("r", C(nblocks), (
                 ir.Assign("medge", C(None)),
-                ir.For("c", C(p), (
-                    ir.HopStmt((V("c"),)),
-                    ir.If(
-                        ir.Bin("<", C(0), V("r")),
-                        then=(
-                            ir.Assign("top",
-                                      ir.NodeGet("bottom", (prev,))),
-                        ),
-                        orelse=(
-                            ir.Assign("top", C(None)),
-                        ),
-                    ),
-                    ir.ComputeStmt(
-                        WF_KERNEL,
-                        (ir.NodeGet("W"), V("top"), V("medge"),
-                         V("r"), C(b)),
-                        out="res"),
-                    ir.NodeSet("D", (V("r"),),
-                               ir.Index(V("res"), (C(0),))),
-                    ir.NodeSet("bottom", (V("r"),),
-                               ir.Index(V("res"), (C(1),))),
-                    ir.Assign("medge", ir.Index(V("res"), (C(2),))),
-                )),
+                ir.For("c", C(p), (ir.HopStmt((V("c"),)),) + _visit(b)),
             )),
         ),
     ))
 
 
-def run_wavefront_program(
-    main_name: str,
-    case: WavefrontCase,
-    p: int,
-    machine=None,
-    trace: bool = True,
-    fabric: str = "sim",
-    label: str | None = None,
-) -> WavefrontResult:
-    """Run any registered wavefront program against the strip layout.
+def build_wavefront_ir(p: int, nblocks: int, b: int):
+    """Register and return ``(main, carrier)`` for a ``p``-PE pipeline.
 
-    Works for the sequential IR, the hand-built pipeline and the
-    keyed-pipelining output alike — which is what lets tests and the
-    planner compare their ``d`` fields bit-for-bit.
+    Keyed pipelining of :func:`build_wavefront_seq_ir`, registered as
+    ``wf-pipe-{tag}`` and ``wf-carrier-{tag}`` (``tag`` is the instance
+    shape, e.g. ``3x4b16``) so differently sized builds coexist.
     """
-    from ..navp.interp import IRMessenger
+    from ..transform.keyed_pipeline import KeyedPipelineSpec, keyed_pipeline
 
-    fab = make_fabric(fabric, Grid1D(p),
-                      machine=machine if machine is not None
-                      else SUN_BLADE_100,
-                      trace=trace)
-    _layout(fab, case, p)
-    fab.inject((0,), IRMessenger(main_name))
-    result = fab.run()
-    return WavefrontResult(
-        label or f"wavefront-ir:{main_name}", case, result.time,
-        d=_gather(result, case, p), trace=result.trace,
-        details={"pes": p, "carriers": case.nblocks})
-
+    tag = f"{p}x{nblocks}b{b}"
+    suite = keyed_pipeline(build_wavefront_seq_ir(p, nblocks, b),
+                           KeyedPipelineSpec(
+                               outer="r",
+                               main_name=f"wf-pipe-{tag}",
+                               carrier_name=f"wf-carrier-{tag}",
+                               inject_at=(C(0),),
+                           ))
+    return suite.main, suite.carrier

@@ -1,16 +1,19 @@
 """NavP derivation of the wavefront solver: sequential, DSC, pipelined.
 
-The incremental chain, exactly as the paper's method prescribes:
+The incremental chain, exactly as the paper's method prescribes, with
+each stage one IR program (:mod:`repro.wavefront.irprog`) run through
+the one runner, :func:`run_wavefront_program`:
 
 1. **Sequential** — one PE fills the table block row by block row.
 2. **DSC** — column strips of weights distributed over the chain; one
-   messenger traverses block rows west-to-east, carrying the right-edge
+   thread traverses block rows west-to-east, carrying the right-edge
    column of the block it just solved (its agent variable). No events:
    a single thread cannot outrun its own writes.
-3. **Pipelined** — one carrier per block row, injected in order. The
-   carriers now race: carrier R needs the bottom row that carrier R-1
-   writes at each PE, so a per-node event ``BDONE(R-1)`` guards the
-   compute — the synchronization Section 2 warns becomes necessary.
+3. **Pipelined** — keyed pipelining of the DSC program: one carrier
+   per block row, injected in order. The carriers now race: carrier R
+   needs the bottom row that carrier R-1 writes at each PE, so a
+   per-node event ``bottom-done(R-1)`` guards the read — the
+   synchronization Section 2 warns becomes necessary.
 
 There is deliberately **no phase-shifted stage**: carrier R's first
 block (R, 0) already depends on carrier R-1's block (R-1, 0), so no
@@ -30,12 +33,17 @@ from ..fabric.topology import Grid1D
 from ..fabric.trace import TraceLog
 from ..machine.presets import SUN_BLADE_100
 from ..machine.spec import MachineSpec
-from ..navp.messenger import Messenger
 from ..util.blocks import check_divides
-from .problem import WavefrontCase, block_flops, solve_block
+from .irprog import (
+    build_wavefront_ir,
+    build_wavefront_seq_ir,
+    build_wavefront_solo_ir,
+)
+from .problem import WavefrontCase, block_flops
 
 __all__ = [
     "WavefrontResult",
+    "run_wavefront_program",
     "run_sequential_wavefront",
     "run_dsc_wavefront",
     "run_pipelined_wavefront",
@@ -79,101 +87,34 @@ def _gather(result, case: WavefrontCase, p: int):
     return out
 
 
-class _BlockRowVisit:
-    """Shared per-visit logic: solve this PE's block of row R."""
+def run_wavefront_program(
+    main_name: str,
+    case: WavefrontCase,
+    p: int,
+    machine: MachineSpec | None = None,
+    trace: bool = True,
+    fabric: str = "sim",
+    label: str | None = None,
+) -> WavefrontResult:
+    """Run a registered wavefront program against the strip layout.
 
-    @staticmethod
-    def compute(messenger, r: int, medge, flops: float):
-        w = messenger.vars["W"]
-        d_store = messenger.vars["D"]
-        bottom = messenger.vars["bottom"]
-        b = messenger._wf_case.b
+    Every stage runs through here — which is what lets tests and the
+    planner compare their ``d`` fields bit-for-bit.
+    """
+    from ..navp.interp import IRMessenger
 
-        def visit(w=w, d_store=d_store, bottom=bottom, r=r, medge=medge):
-            top = bottom.get(r - 1)
-            block = solve_block(w[r * b : (r + 1) * b, :], top=top,
-                                left=medge)
-            d_store[r] = block
-            bottom[r] = block[-1, :]
-            return block[:, -1]  # the right edge, to carry east
-
-        return messenger.compute(visit, flops=flops,
-                                 note=f"block ({r},{messenger.here[0]})")
-
-
-class SequentialWavefront(Messenger):
-    """Whole table on one PE, block rows in order."""
-
-    def __init__(self, case: WavefrontCase):
-        self._wf_case = case
-
-    def main(self):
-        case = self._wf_case
-        flops = block_flops(case.b, case.n)
-        for r in range(case.nblocks):
-            yield _BlockRowVisit.compute(self, r, None, flops)
-
-
-class DSCWavefront(Messenger):
-    """Figure-5 analogue: one thread chases the column strips."""
-
-    def __init__(self, case: WavefrontCase, p: int):
-        self._wf_case = case
-        self._p = p
-        self.medge = None  # agent variable: the carried right edge
-
-    def main(self):
-        case, p = self._wf_case, self._p
-        flops = block_flops(case.b, case.n // p)
-        for r in range(case.nblocks):
-            self.medge = None  # each row starts at the global left edge
-            for c in range(p):
-                yield self.hop((c,))
-                self.medge = yield _BlockRowVisit.compute(
-                    self, r, self.medge, flops)
-
-
-class RowCarrierWavefront(Messenger):
-    """Figure-7 analogue: one carrier per block row, event-guarded."""
-
-    def __init__(self, r: int, case: WavefrontCase, p: int):
-        self.r = r
-        self._wf_case = case
-        self._p = p
-        self.medge = None
-
-    def main(self):
-        case, p, r = self._wf_case, self._p, self.r
-        flops = block_flops(case.b, case.n // p)
-        for c in range(p):
-            yield self.hop((c,))
-            if r > 0:
-                # the dependence the paper warns about: wait until the
-                # previous carrier finished this PE's block of row r-1
-                yield self.wait_event("BDONE", r - 1)
-            self.medge = yield _BlockRowVisit.compute(
-                self, r, self.medge, flops)
-            yield self.signal_event("BDONE", r)
-
-
-class _Injector(Messenger):
-    def __init__(self, carriers):
-        self._carriers = carriers
-
-    def main(self):
-        yield self.hop((0,))
-        for carrier in self._carriers:
-            yield self.inject(carrier)
-
-
-def _run(case, p, machine, trace, fabric_kind, build):
-    machine = machine if machine is not None else SUN_BLADE_100
     check_divides(case.n, p, "PE count")
-    fabric = make_fabric(fabric_kind, Grid1D(p), machine=machine,
-                         trace=trace)
-    _layout(fabric, case, p)
-    build(fabric)
-    return fabric.run()
+    fab = make_fabric(fabric, Grid1D(p),
+                      machine=machine if machine is not None
+                      else SUN_BLADE_100,
+                      trace=trace)
+    _layout(fab, case, p)
+    fab.inject((0,), IRMessenger(main_name))
+    result = fab.run()
+    return WavefrontResult(
+        label or f"wavefront-ir:{main_name}", case, result.time,
+        d=_gather(result, case, p), trace=result.trace,
+        details={"pes": p, "carriers": case.nblocks})
 
 
 def run_sequential_wavefront(
@@ -182,10 +123,11 @@ def run_sequential_wavefront(
     trace: bool = True,
     fabric: str = "sim",
 ) -> WavefrontResult:
-    result = _run(case, 1, machine, trace, fabric,
-                  lambda fab: fab.inject((0,), SequentialWavefront(case)))
-    return WavefrontResult("wavefront-sequential", case, result.time,
-                           d=_gather(result, case, 1), trace=result.trace)
+    main = build_wavefront_solo_ir(case.nblocks, case.b)
+    result = run_wavefront_program(main.name, case, 1, machine, trace,
+                                   fabric, "wavefront-sequential")
+    result.details = {}
+    return result
 
 
 def run_dsc_wavefront(
@@ -195,11 +137,11 @@ def run_dsc_wavefront(
     trace: bool = True,
     fabric: str = "sim",
 ) -> WavefrontResult:
-    result = _run(case, p, machine, trace, fabric,
-                  lambda fab: fab.inject((0,), DSCWavefront(case, p)))
-    return WavefrontResult("wavefront-dsc", case, result.time,
-                           d=_gather(result, case, p), trace=result.trace,
-                           details={"pes": p})
+    main = build_wavefront_seq_ir(p, case.nblocks, case.b)
+    result = run_wavefront_program(main.name, case, p, machine, trace,
+                                   fabric, "wavefront-dsc")
+    result.details = {"pes": p}
+    return result
 
 
 def run_pipelined_wavefront(
@@ -209,13 +151,9 @@ def run_pipelined_wavefront(
     trace: bool = True,
     fabric: str = "sim",
 ) -> WavefrontResult:
-    carriers = [RowCarrierWavefront(r, case, p)
-                for r in range(case.nblocks)]
-    result = _run(case, p, machine, trace, fabric,
-                  lambda fab: fab.inject((0,), _Injector(carriers)))
-    return WavefrontResult("wavefront-pipelined", case, result.time,
-                           d=_gather(result, case, p), trace=result.trace,
-                           details={"pes": p, "carriers": len(carriers)})
+    main, _carrier = build_wavefront_ir(p, case.nblocks, case.b)
+    return run_wavefront_program(main.name, case, p, machine, trace,
+                                 fabric, "wavefront-pipelined")
 
 
 def pipeline_time_model(case: WavefrontCase, p: int,

@@ -16,7 +16,7 @@ a chain of PEs holding column strips. Block (R, C) depends on
 (R, C-1) — whose right edge the carrier itself brings along. So:
 
 * DSC needs no events (one thread, program order);
-* pipelined carriers need a per-node event ``BDONE(R-1)`` before
+* pipelined carriers need a per-node event ``bottom-done(R-1)`` before
   computing block (R, C) — the paper's "synchronization may be
   necessary" made concrete;
 * phase shifting is *illegal*: carrier R cannot enter the pipeline at

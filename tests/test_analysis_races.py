@@ -16,6 +16,9 @@ from repro.cli import main
 from repro.errors import TransformError
 from repro.navp import ir
 from repro.transform.deps import check_race_free
+from repro.wavefront.irprog import build_wavefront_ir
+
+from .test_wavefront import drop_waits
 
 V = ir.Var
 C = ir.Const
@@ -80,36 +83,11 @@ class TestPaperProgramsClean:
 
 
 def _wavefront_registry(drop_wait: bool):
-    """The pipelined wavefront carrier, optionally minus its wait."""
-    prev = ir.Bin("-", V("mr"), C(1))
-    then = (ir.Assign("top", ir.NodeGet("bottom", (prev,))),)
-    if not drop_wait:
-        then = (ir.WaitStmt("BDONE", (prev,)),) + then
-    carrier = ir.Program("wf-edit-carrier", (
-        ir.Assign("medge", C(None)),
-        ir.For("c", C(3), (
-            ir.HopStmt((V("c"),)),
-            ir.If(ir.Bin("<", C(0), V("mr")),
-                  then=then,
-                  orelse=(ir.Assign("top", C(None)),)),
-            ir.ComputeStmt(
-                "wf_block",
-                (ir.NodeGet("W"), V("top"), V("medge"), V("mr"), C(4)),
-                out="res"),
-            ir.NodeSet("D", (V("mr"),), ir.Index(V("res"), (C(0),))),
-            ir.NodeSet("bottom", (V("mr"),),
-                       ir.Index(V("res"), (C(1),))),
-            ir.Assign("medge", ir.Index(V("res"), (C(2),))),
-            ir.SignalStmt("BDONE", (V("mr"),)),
-        )),
-    ), params=("mr",))
-    pipe = ir.Program("wf-edit-pipe", (
-        ir.HopStmt((C(0),)),
-        ir.For("r", C(4), (
-            ir.InjectStmt(carrier.name, (("mr", V("r")),)),
-        )),
-    ))
-    return {carrier.name: carrier, pipe.name: pipe}, pipe.name
+    """The derived pipelined wavefront, optionally minus its wait."""
+    main, carrier = build_wavefront_ir(3, 4, 4)
+    if drop_wait:
+        carrier = drop_waits(carrier, carrier.name)
+    return {carrier.name: carrier, main.name: main}, main.name
 
 
 class TestWavefrontChain:

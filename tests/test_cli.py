@@ -77,6 +77,34 @@ class TestCommands:
         assert code == 0
         assert "pipelined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, constraint", [
+        (["--pes", "3"], "PE count 3 does not divide matrix order 4096"),
+        (["--block", "100"],
+         "block order 100 does not divide matrix order 4096"),
+        (["--pes", "0"], "orders must be positive, got n=4096, "
+                         "PE count=0"),
+        (["--n", "0"], "orders must be positive, got n=0, "
+                       "block order=64"),
+        (["--block", "0"], "orders must be positive, got n=4096, "
+                           "block order=0"),
+    ], ids=["pes", "block", "pes0", "n0", "block0"])
+    def test_wavefront_sizes_that_do_not_divide_are_a_usage_error(
+            self, argv, constraint, capsys):
+        assert main(["wavefront"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wavefront: {constraint}\n"
+
+    @pytest.mark.parametrize("target", ["navp-wavefront", "navp-matmul"])
+    @pytest.mark.parametrize("geometry", [0, -1, -2])
+    def test_plan_geometry_below_one_is_a_usage_error(
+            self, target, geometry, capsys):
+        assert main(["plan", target, "--geometry", str(geometry)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"--geometry must be at least 1, got {geometry}\n")
+
     def test_figure1(self, capsys):
         assert main(["figure1"]) == 0
         assert "all Figure 1 claims hold" in capsys.readouterr().out

@@ -252,7 +252,7 @@ class TestShippedPrograms:
 
 def test_wavefront_carrier_carries_its_edge_not_its_block():
     _main, carrier = build_wavefront_ir(4, 8, 64)
-    assert carried(carrier) == [{"medge", "mr", "c"}]
+    assert carried(carrier) == [{"medge", "r", "c"}]
 
 
 def test_wavefront_hops_fit_a_small_message():

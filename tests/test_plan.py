@@ -141,7 +141,7 @@ class TestEmittedIRProperties:
     @pytest.mark.parametrize("fabric",
                              ["sim", "thread", "process", "socket"])
     def test_wavefront_ir_bitwise_on_every_fabric(self, fabric):
-        from repro.wavefront.irprog import run_wavefront_program
+        from repro.wavefront.navp import run_wavefront_program
         from repro.wavefront.problem import WavefrontCase, reference_solve
 
         plan = make_plan("navp-wavefront", get_preset("fast-test"),
@@ -170,7 +170,8 @@ class TestKeyedPipelineGate:
         with pytest.raises(TransformError,
                            match="not a forward flow dependence"):
             keyed_pipeline(prog, KeyedPipelineSpec(
-                outer="i", carrier_name="kp-backward-carrier",
+                outer="i", main_name="kp-backward-kpipe",
+                carrier_name="kp-backward-carrier",
                 inject_at=(C(0),)))
 
     def test_varying_distance_refused(self):
@@ -185,7 +186,8 @@ class TestKeyedPipelineGate:
         with pytest.raises(TransformError,
                            match="not a forward flow"):
             keyed_pipeline(prog, KeyedPipelineSpec(
-                outer="i", carrier_name="kp-varying-carrier",
+                outer="i", main_name="kp-varying-kpipe",
+                carrier_name="kp-varying-carrier",
                 inject_at=(C(0),)))
 
     def test_unknown_target_is_a_transform_error(self, sun):

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import visitor
 from repro.errors import DeadlockError, TransformError
 from repro.machine import FAST_TEST_MACHINE
 from repro.navp import ir
+from repro.navp.interp import IRMessenger
 from repro.transform import check_loop_independent
 from repro.util.validation import assert_allclose
 from repro.wavefront import (
     WavefrontCase,
+    build_wavefront_ir,
     pipeline_time_model,
     reference_solve,
     run_dsc_wavefront,
@@ -100,83 +103,88 @@ class TestCorrectness:
         assert_allclose(result.d, case.reference())
 
 
-class TestIRTwins:
-    """The IR restatements are the hand-written stages, exactly: same
-    table bit-for-bit, same modeled time by ``float.hex`` — what lets
-    the analyses and the planner speak for both."""
+class TestPinnedStages:
+    """Every stage at n=48, b=4: modeled times by ``float.hex``, and
+    the three tables bit-for-bit equal."""
 
-    @pytest.mark.parametrize("p", [1, 3, 4])
-    def test_ir_matches_hand_written(self, p):
-        from repro.wavefront.irprog import (
-            build_wavefront_ir,
-            build_wavefront_seq_ir,
-            run_wavefront_program,
-        )
+    SEQUENTIAL = "0x1.07119ce075f6ep-13"
+    DSC_PIPE = {1: ("0x1.7f3150dae3e6dp-12", "0x1.43cea93f290aep-9"),
+                3: ("0x1.1fe954f3775b9p-5", "0x1.2798d9e83e428p-8"),
+                4: ("0x1.823727e521577p-5", "0x1.6a719c8c9320fp-8")}
 
+    @pytest.mark.parametrize("p", sorted(DSC_PIPE))
+    def test_modeled_times_pinned(self, p):
         case = WavefrontCase(n=48, b=4)
-        pipe, _carrier = build_wavefront_ir(p, case.nblocks, case.b)
-        seq = build_wavefront_seq_ir(p, case.nblocks, case.b)
-        for hand, ir_main in ((run_pipelined_wavefront, pipe),
-                              (run_dsc_wavefront, seq)):
-            want = hand(case, p, trace=False)
-            got = run_wavefront_program(ir_main.name, case, p, trace=False)
-            assert got.d.tobytes() == want.d.tobytes(), ir_main.name
-            assert got.time.hex() == want.time.hex(), ir_main.name
+        seq = run_sequential_wavefront(case, trace=False)
+        dsc = run_dsc_wavefront(case, p, trace=False)
+        pipe = run_pipelined_wavefront(case, p, trace=False)
+        assert seq.time.hex() == self.SEQUENTIAL
+        assert (dsc.time.hex(), pipe.time.hex()) == self.DSC_PIPE[p]
+        assert pipe.d.tobytes() == dsc.d.tobytes() == seq.d.tobytes()
+
+
+def drop_waits(program: ir.Program, name: str) -> ir.Program:
+    """``program`` minus every wait, named ``name`` (not registered)."""
+    def strip(body):
+        out = []
+        for stmt in body:
+            if isinstance(stmt, ir.WaitStmt):
+                continue
+            rule = visitor.try_stmt_rule(stmt)
+            bodies = rule.bodies(stmt)
+            if bodies:
+                stmt = rule.rebuild(stmt, rule.exprs(stmt),
+                                    tuple(strip(sub) for _, sub in bodies))
+            out.append(stmt)
+        return tuple(out)
+
+    return ir.Program(name, strip(program.body), program.params)
 
 
 class TestSynchronization:
-    def test_events_make_injection_order_irrelevant(self):
-        """The BDONE handshake is what enforces the dependence: inject
-        the carriers in REVERSE row order. With events the result is
-        still exact (carriers wait for their predecessors); stripping
-        the events corrupts the table (rows compute against missing
-        top boundaries)."""
+    """The derived carrier's ``bottom-done`` handshake is what enforces
+    the dependence."""
+
+    def _run(self, case, carrier, rows):
+        """Inject one ``carrier`` per entry of ``rows``, in that order,
+        on 3 PEs whose stores hold stale (zero) bottom rows."""
         from repro.fabric import Grid1D, SimFabric
-        from repro.wavefront.navp import (
-            RowCarrierWavefront,
-            _BlockRowVisit,
-            _Injector,
-            _gather,
-            _layout,
-        )
-        from repro.wavefront.problem import block_flops
+        from repro.wavefront.navp import _gather, _layout
 
-        class RacyCarrier(RowCarrierWavefront):
-            def main(self):  # identical tour, no wait_event
-                case, p, r = self._wf_case, self._p, self.r
-                flops = block_flops(case.b, case.n // p)
-                for c in range(p):
-                    yield self.hop((c,))
-                    self.medge = yield _BlockRowVisit.compute(
-                        self, r, self.medge, flops)
-                    yield self.signal_event("BDONE", r)
-
-        case = WavefrontCase(n=24, b=4)
-
-        def run_reversed(carrier_cls):
-            fabric = SimFabric(Grid1D(3), machine=FAST_TEST_MACHINE)
-            _layout(fabric, case, 3)
-            carriers = [carrier_cls(r, case, 3)
-                        for r in reversed(range(case.nblocks))]
-            fabric.inject((0,), _Injector(carriers))
-            return _gather(fabric.run(), case, 3)
-
-        guarded = run_reversed(RowCarrierWavefront)
-        assert np.allclose(guarded, case.reference())
-        racy = run_reversed(RacyCarrier)
-        assert not np.allclose(racy, case.reference())
-
-    def test_deadlock_if_prior_row_missing(self):
-        """A lone carrier for row 1 waits forever on BDONE(0)."""
-        from repro.fabric import Grid1D, SimFabric
-        from repro.wavefront.navp import RowCarrierWavefront, _layout
-
-        case = WavefrontCase(n=12, b=4)
+        main = ir.register_program(ir.Program(
+            f"{carrier.name}-rows-{'-'.join(map(str, rows))}",
+            (ir.HopStmt((C(0),)),) + tuple(
+                ir.InjectStmt(carrier.name, (("r", C(r)),))
+                for r in rows)), replace=True)
         fabric = SimFabric(Grid1D(3), machine=FAST_TEST_MACHINE)
         _layout(fabric, case, 3)
-        fabric.inject((0,), RowCarrierWavefront(1, case, 3))
+        for c in range(3):
+            fabric.load((c,), bottom={
+                r: np.zeros(case.n // 3) for r in range(case.nblocks)})
+        fabric.inject((0,), IRMessenger(main.name))
+        return _gather(fabric.run(), case, 3)
+
+    def test_events_make_injection_order_irrelevant(self):
+        """Inject the carriers in REVERSE row order over stale bottom
+        rows. With the wait the result is still exact (carriers wait
+        for their predecessors); without it the table is corrupt (rows
+        compute against the stale top boundaries)."""
+        case = WavefrontCase(n=24, b=4)
+        _main, carrier = build_wavefront_ir(3, case.nblocks, case.b)
+        racy = ir.register_program(
+            drop_waits(carrier, "wf-racy-carrier"), replace=True)
+        rows = tuple(reversed(range(case.nblocks)))
+        guarded = self._run(case, carrier, rows)
+        assert np.allclose(guarded, case.reference())
+        unguarded = self._run(case, racy, rows)
+        assert not np.allclose(unguarded, case.reference())
+
+    def test_deadlock_if_prior_row_missing(self):
+        """A lone carrier for row 1 waits forever on bottom-done(0)."""
+        case = WavefrontCase(n=12, b=4)
+        _main, carrier = build_wavefront_ir(3, case.nblocks, case.b)
         with pytest.raises(DeadlockError):
-            fabric.run()
+            self._run(case, carrier, (1,))
 
 
 class TestTimingShape:
