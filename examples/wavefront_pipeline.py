@@ -7,21 +7,27 @@ D[i][j] = w[i][j] + min(D[i-1][j], D[i][j-1]) — and shows:
 
 * DSC works unchanged (a single thread preserves program order);
 * pipelining needs the events the paper warns about ("synchronization
-  may be necessary"): keyed pipelining derives one carrier per row
-  from the DSC program, and carrier R waits for bottom-done(R-1) at
-  every PE;
+  may be necessary"): the pipelining transformation derives one
+  carrier per row from the DSC program, and because row R reads the
+  bottom boundary row R-1 published, it puts a wait for
+  bottom-done(R-1) before that read and a signal of bottom-done(R)
+  after the write — the example prints the derived carrier;
 * phase shifting is impossible here, and the transformation framework
-  *refuses it mechanically* — carrier R's first block depends on
-  carrier R-1's block at the same PE.
+  *refuses it mechanically*: reordering a carrier's tour over the PEs
+  needs the tour's stops to be independent, but each stop reads the
+  right edge (``medge``) the previous stop carried over, and every
+  stop writes the same D[R] and bottom[R] entries.
 
 Run:  python examples/wavefront_pipeline.py
 """
 
 from repro.errors import TransformError
 from repro.navp import ir
-from repro.transform import check_loop_independent
+from repro.transform import PhaseShiftSpec, PipelinedSuite, phase_shift
+from repro.viz.irprint import format_program
 from repro.wavefront import (
     WavefrontCase,
+    build_wavefront_ir,
     pipeline_time_model,
     run_dsc_wavefront,
     run_mpi_wavefront,
@@ -63,24 +69,27 @@ def main() -> None:
         print(f"{p:4d} {dsc:8.2f} {pipe:10.2f} {model:11.2f} "
               f"{seq / pipe:8.2f} {r_blocks * p / (r_blocks + p - 1):12.2f}")
 
-    # -- the mechanical refusal ---------------------------------------------
-    wavefront_ir = ir.register_program(ir.Program("wavefront-demo-ir", (
-        ir.For("r", Cn(8), (
-            ir.For("c", Cn(8), (
-                ir.ComputeStmt("copy", (
-                    ir.NodeGet("D", (ir.Bin("-", V("r"), Cn(1)), V("c"))),),
-                    out="up"),
-                ir.NodeSet("D", (V("r"), V("c")), V("up")),
-            )),
-        )),
-    )), replace=True)
-    print("\nasking the transformation framework to pipeline the row loop:")
+    # -- the derived synchronization and the mechanical refusal -----------
+    main_ir, carrier = build_wavefront_ir(4, case.nblocks, case.b)
+    print("\nthe carrier pipelining derived from the DSC program "
+          "(note the bottom-done wait and signal):")
+    derived = format_program(carrier)
+    print(derived)
+    assert "waitEvent(bottom-done" in derived
+    assert "signalEvent(bottom-done" in derived
+    pes = Cn(4)
+    print("\nasking the transformation framework to phase-shift the "
+          "carriers' tour:")
     try:
-        check_loop_independent(wavefront_ir, "r")
+        phase_shift(PipelinedSuite(main_ir, carrier), PhaseShiftSpec(
+            start_place=(ir.Bin("%", V("r"), pes),),
+            schedule=ir.Bin("%", ir.Bin("+", V("r"), V("c")), pes),
+            tour="c",
+        ))
     except TransformError as exc:
         print(f"  refused, as it must: {exc}")
-    print("(the hand derivation adds the BDONE events instead; phase "
-          "shifting stays impossible)")
+    else:
+        raise SystemExit("phase shifting the wavefront was not refused")
 
 
 if __name__ == "__main__":

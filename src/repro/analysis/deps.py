@@ -23,8 +23,8 @@ what matters:
   reordering or distribution;
 * a **read aliasing another iteration's write** — the ``D[r-1, c]``
   wavefront case solves to distance ``+1``: illegal to distribute
-  blindly, but exactly the *forward* carried dependence that keyed
-  pipelining (:mod:`repro.transform.keyed_pipeline`) legalizes with a
+  blindly, but exactly the *forward* carried dependence that
+  pipelining (:mod:`repro.transform.pipeline`) legalizes with a
   wait/signal handshake;
 * an **agent variable read at or before its first in-iteration
   definition** carries a value between iterations (the loop cannot be

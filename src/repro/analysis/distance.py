@@ -18,7 +18,7 @@ and if so, *which* iteration pairs. The answer is a
   for ``d < 0``) — every aliasing pair satisfies
   ``i_dst = i_src + d``. The wavefront read ``bottom[r-1]`` against the
   write ``bottom[r]`` is ``+1``: a *forward* carried dependence, which
-  is exactly what legalizes keyed pipelining (the carrier for ``r``
+  is exactly what lets pipelining add a handshake (the carrier for ``r``
   waits on the entry ``r-1`` published one pipeline stage earlier).
 * direction ``*`` — a dependence may exist at unknown distances: the
   conservative fallback for non-affine keys, mismatched arities, or

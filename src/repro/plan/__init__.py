@@ -19,7 +19,9 @@ On the paper's inputs it rediscovers the paper's answers: the matmul
 plan is DSC over ``mj`` carrying the A row, pipelining over ``mi``,
 reverse-staggered phase shifting; the wavefront plan rejects plain
 pipelining (carried flow dependence, distance +1 over ``r``) and
-produces the R6-keyed wait/signal schedule instead.
+produces the R6-keyed wait/signal schedule instead — both through the
+one transformation, :func:`repro.transform.pipeline.pipelining`, which
+adds a handshake only where a dependence needs one.
 """
 
 from .candidates import Candidate, dsc_candidates, pipeline_candidates

@@ -19,6 +19,8 @@ paper narrates in prose ("the j-loop is chosen because ...").
   to prove the iterations independent; when it instead solves a
   carried flow dependence with an exact positive distance, the keyed
   (wait/signal) variant is proposed — the wavefront's R6 schedule.
+  Both are applied by :func:`repro.transform.pipeline.pipelining`,
+  which derives the handshake from the same dependences.
 * :func:`phase_candidates` proposes the two staggering schedules for
   phase shifting and scores them by their communication-phase count
   (:func:`~repro.matmul.staggering.phases_for_scheme`): reverse
@@ -153,7 +155,7 @@ def pipeline_candidates(program: ir.Program) -> list:
         check_loop_independent(program, v)
     except TransformError as plain_exc:
         try:
-            forward = check_forward_carried(program, v)
+            forward = check_forward_carried(program, v).carried
         except TransformError as keyed_exc:
             return [
                 Candidate("pipeline", v, False, str(plain_exc)),

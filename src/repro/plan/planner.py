@@ -134,14 +134,38 @@ def _stage(target: PlanTarget, name: str, programs, chosen: str,
     )
 
 
+def _pipeline_stage(target: PlanTarget, program: ir.Program,
+                    main_name: str, carrier_name: str,
+                    machine: MachineSpec, p: int,
+                    carried_bytes: int) -> tuple:
+    """Split the outer loop into carriers injected at node(0).
+
+    The stage is named after the winning candidate (``pipeline`` or
+    ``keyed-pipeline``); either way :func:`pipelining` derives it,
+    adding the handshake only where a dependence needs one.
+    """
+    from ..transform.pipeline import PipelineSpec, pipelining
+
+    pcands = pipeline_candidates(program)
+    pbest = _pick(pcands, "pipeline")
+    suite = pipelining(program, PipelineSpec(
+        outer=pbest.subject,
+        main_name=main_name,
+        carrier_name=carrier_name,
+        inject_at=(C(0),),
+    ))
+    return suite, _stage(target, pbest.transform,
+                         [suite.main, suite.carrier], pbest.detail,
+                         pcands, machine, p, carried_bytes)
+
+
 # -- matmul -----------------------------------------------------------------
 
 def _plan_matmul(target: PlanTarget, machine: MachineSpec, nb: int,
                  validate: bool) -> Plan:
     from ..transform.dsc import dsc
-    from ..transform.examples import _as_navp, sequential_program
+    from ..transform.examples import sequential_program
     from ..transform.phase_shift import PhaseShiftSpec, phase_shift
-    from ..transform.pipeline import PipelineSpec, pipelining
 
     if target.n % nb != 0:
         raise TransformError(
@@ -161,23 +185,14 @@ def _plan_matmul(target: PlanTarget, machine: MachineSpec, nb: int,
     cands = dsc_candidates(seq)
     best = _pick(cands, "dsc")
     dsc_prog = dsc(seq, best.spec)
-    dsc_prog = ir.register_program(
-        ir.Program(dsc_prog.name, _as_navp(dsc_prog.body),
-                   dsc_prog.params), replace=True)
     stages.append(_stage(target, "dsc", [dsc_prog], best.detail, cands,
                          machine, nb, carried))
 
-    # -- pipelining: split the outer loop into carriers -------------------
-    pcands = pipeline_candidates(dsc_prog)
-    pbest = _pick(pcands, "pipeline")
-    outer = pbest.subject
-    suite = pipelining(dsc_prog, PipelineSpec(
-        outer=outer,
-        carrier_name=f"plan-mm-rowcarrier-{nb}",
-        inject_at=(C(0),),
-    ))
-    stages.append(_stage(target, "pipeline", [suite.main, suite.carrier],
-                         pbest.detail, pcands, machine, nb, carried))
+    suite, stage = _pipeline_stage(
+        target, dsc_prog, f"{dsc_prog.name}-pipe",
+        f"plan-mm-rowcarrier-{nb}", machine, nb, carried)
+    stages.append(stage)
+    outer = suite.carrier.params[0]
 
     # -- phase shifting: which staggering schedule? -----------------------
     tour = best.spec.loop
@@ -230,7 +245,6 @@ def _validate_matmul(seq: ir.Program, phased, nb: int,
 
 def _plan_wavefront(target: PlanTarget, machine: MachineSpec, p: int,
                     validate: bool) -> Plan:
-    from ..transform.keyed_pipeline import KeyedPipelineSpec, keyed_pipeline
     from ..wavefront.irprog import build_wavefront_seq_ir
 
     nblocks = target.n // target.ab
@@ -247,20 +261,10 @@ def _plan_wavefront(target: PlanTarget, machine: MachineSpec, p: int,
         "one messenger sweeps every row of blocks west to east",
         [], machine, p, carried)]
 
-    pcands = pipeline_candidates(seq)
-    pbest = _pick(pcands, "pipeline")
-    if pbest.transform != "keyed-pipeline":  # pragma: no cover
-        raise TransformError(
-            "planner: wavefront unexpectedly has independent rows")
-    suite = keyed_pipeline(seq, KeyedPipelineSpec(
-        outer=pbest.subject,
-        main_name=f"{seq.name}-kpipe",
-        carrier_name=f"plan-wf-carrier-{p}x{nblocks}b{b}",
-        inject_at=(C(0),),
-    ))
-    stages.append(_stage(
-        target, "keyed-pipeline", [suite.main, suite.carrier],
-        pbest.detail, pcands, machine, p, carried))
+    suite, stage = _pipeline_stage(
+        target, seq, f"{seq.name}-kpipe",
+        f"plan-wf-carrier-{p}x{nblocks}b{b}", machine, p, carried)
+    stages.append(stage)
 
     validation = {"ran": False}
     if validate:

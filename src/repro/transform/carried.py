@@ -73,10 +73,6 @@ class CarriedSuite:
         return (self.main, self.a_carrier, self.b_carrier)
 
 
-def _sub_everywhere(body: tuple, old: ir.Expr, new: ir.Expr) -> tuple:
-    return substitute_expr(body, old, new)
-
-
 def pipeline_carried(suite: SecondDimSuite,
                      spec: CarriedSpec) -> CarriedSuite:
     """Split the carried dimension into pipelined per-k carriers."""
@@ -104,7 +100,7 @@ def pipeline_carried(suite: SecondDimSuite,
     # one carrier per k: the loop body becomes the visit body, with the
     # loop variable now the carrier's parameter and the dropped-copy
     # reads redirected to the hand-off slot
-    term = _sub_everywhere(kloop.body, V(k), V(mk))
+    term = substitute_expr(kloop.body, V(k), V(mk))
 
     def to_slot(expr: ir.Expr) -> ir.Expr:
         if (isinstance(expr, ir.Index)
@@ -129,8 +125,8 @@ def pipeline_carried(suite: SecondDimSuite,
                          ir.Index(pickup.expr, (V(mk),)))
     a_body = (a_pickup,
               ir.For(tour.var, tour.count,
-                     _sub_everywhere(visit, ir.Index(V(pickup.var),
-                                                     (V(mk),)),
+                     substitute_expr(visit, ir.Index(V(pickup.var),
+                                                    (V(mk),)),
                                      V(pickup.var))),)
     a_carrier = ir.register_program(ir.Program(
         f"{row.name}-k", a_body, (spec.row_var, mk)), replace=True)

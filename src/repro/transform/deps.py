@@ -25,10 +25,10 @@ expressions into a distance/direction vector
   modulus, or overlapping keys at nonzero distance all fail);
 * a read aliasing another iteration's write is a carried flow/anti
   dependence with a solved distance. ``D[r-1, c]`` against ``D[r, c]``
-  solves to distance ``+1``: illegal for plain pipelining — but a
+  solves to distance ``+1``: iterations are not independent — but a
   *forward* (all-positive, exact) carried dependence is precisely what
-  :func:`check_forward_carried` certifies so keyed pipelining can turn
-  it into a wait/signal handshake;
+  :func:`check_forward_carried` certifies so pipelining can turn it
+  into a wait/signal handshake;
 * no agent variable may be read at or before its first in-iteration
   definition (the value would carry between iterations); the DSC
   accumulator pattern, re-initialized before accumulating, passes.
@@ -69,8 +69,8 @@ def check_loop_independent(program: ir.Program, loop_var: str) -> None:
     _gate(report)
 
 
-def check_forward_carried(program: ir.Program, loop_var: str) -> tuple:
-    """The keyed-pipelining legality condition.
+def check_forward_carried(program: ir.Program, loop_var: str):
+    """The pipelining legality condition.
 
     Concurrent per-iteration messengers can be ordered by a wait/signal
     handshake only when every carried dependence of the loop is a node
@@ -82,14 +82,15 @@ def check_forward_carried(program: ir.Program, loop_var: str) -> tuple:
     carry, or a distance the affine solver could not pin — has no such
     handshake and is refused.
 
-    Returns the carried flow dependences (possibly empty), which tell
-    the transformation *where* the waits and signals go.
+    Returns the loop's :class:`~repro.analysis.deps.LoopAnalysis`. Its
+    ``carried`` dependences, all forward flow ones, tell the
+    transformation *where* the waits and signals go; they are ``()``
+    exactly when :func:`check_loop_independent` passes.
     """
     try:
         analysis = analyze_loop(program, loop_var)
     except AnalysisError as exc:
         raise TransformError(str(exc)) from exc
-    forward = []
     for dep in analysis.carried:
         ok = (dep.space == "node" and dep.kind == FLOW
               and dep.vector is not None and dep.vector.exact
@@ -101,10 +102,9 @@ def check_forward_carried(program: ir.Program, loop_var: str) -> tuple:
             raise TransformError(
                 f"{program.name}: carried {dep.kind} dependence on "
                 f"{dep.var!r} is not a forward flow dependence with an "
-                f"exact distance ({what}); keyed pipelining cannot "
+                f"exact distance ({what}); pipelining cannot "
                 f"order it with a wait/signal handshake")
-        forward.append(dep)
-    return tuple(forward)
+    return analysis
 
 
 def check_carries_read_only(program: ir.Program, loop_var: str,

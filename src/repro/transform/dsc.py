@@ -13,7 +13,9 @@ Mechanics, exactly as the paper applies them to matrix multiplication:
 3. data the computation must *carry* (the current row of A) moves into
    an agent variable, loaded at a pickup point (``if mj == 0``), and
    every remaining reference to it is rewritten from the node access to
-   the agent variable.
+   the agent variable;
+4. every compute statement becomes a NavP compute: the thread now runs
+   where its data lives.
 
 A dependence check guards step 3 — carried node variables must be
 read-only inside the loop, decided by the static analyzer
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis import visitor
 from ..errors import TransformError
 from ..navp import ir
 from .deps import check_carries_read_only
@@ -57,6 +60,22 @@ class DSCSpec:
     place: tuple
     carries: dict = field(default_factory=dict)
     pickup_cond: ir.Expr = ir.Const(True)
+
+
+def _as_navp(body: tuple) -> tuple:
+    """Recast every compute kind in ``body`` to ``"navp"``."""
+    out = []
+    for stmt in body:
+        if isinstance(stmt, ir.ComputeStmt):
+            stmt = ir.ComputeStmt(stmt.kernel, stmt.args, stmt.out, "navp")
+        else:
+            rule = visitor.try_stmt_rule(stmt)
+            bodies = rule.bodies(stmt)
+            if bodies:
+                stmt = rule.rebuild(stmt, rule.exprs(stmt), tuple(
+                    _as_navp(sub) for _label, sub in bodies))
+        out.append(stmt)
+    return tuple(out)
 
 
 def dsc(program: ir.Program, spec: DSCSpec,
@@ -91,5 +110,6 @@ def dsc(program: ir.Program, spec: DSCSpec,
 
     new_loop = ir.For(loop.var, loop.count, prologue + body)
     out = replace_at(program, path, new_loop)
-    out = ir.Program(name or f"{program.name}-dsc", out.body, out.params)
+    out = ir.Program(name or f"{program.name}-dsc", _as_navp(out.body),
+                     out.params)
     return ir.register_program(out, replace=True)

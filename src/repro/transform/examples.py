@@ -130,14 +130,11 @@ def derive_chain(nb: int) -> TransformChain:
         carries={"mA": ir.NodeGet("A", (V("mi"),))},
         pickup_cond=ir.Bin("==", V("mj"), C(0)),
     ))
-    # after the rewrite, the compute kind is NavP
-    dsc_prog = ir.register_program(
-        ir.Program(dsc_prog.name, _as_navp(dsc_prog.body), dsc_prog.params),
-        replace=True)
 
     # Figure 7: one RowCarrier per row, injected in order at node(0).
     pipelined = pipelining(dsc_prog, PipelineSpec(
         outer="mi",
+        main_name=f"{dsc_prog.name}-pipe",
         carrier_name=f"mm-rowcarrier-{nb}",
         inject_at=(C(0),),
     ))
@@ -156,23 +153,6 @@ def derive_chain(nb: int) -> TransformChain:
     ))
     return TransformChain(nb=nb, sequential=seq, dsc=dsc_prog,
                           pipelined=pipelined, phased=phased)
-
-
-def _as_navp(body: tuple) -> tuple:
-    """Recast compute kinds from 'sequential' to 'navp' after DSC."""
-    out = []
-    for stmt in body:
-        if isinstance(stmt, ir.ComputeStmt):
-            out.append(ir.ComputeStmt(stmt.kernel, stmt.args, stmt.out,
-                                      "navp"))
-        elif isinstance(stmt, ir.For):
-            out.append(ir.For(stmt.var, stmt.count, _as_navp(stmt.body)))
-        elif isinstance(stmt, ir.If):
-            out.append(ir.If(stmt.cond, _as_navp(stmt.then),
-                             _as_navp(stmt.orelse)))
-        else:
-            out.append(stmt)
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from ..errors import TransformError
 from ..navp import ir
 from .deps import check_loop_independent
 from .pipeline import PipelinedSuite
-from .rewrite import collect, find_unique_loop, map_stmt_exprs
+from .rewrite import collect, find_unique_loop, map_expr, map_stmt_exprs
 
 __all__ = ["SecondDimSpec", "SecondDimSuite", "second_dim",
            "layout_second_dim"]
@@ -130,6 +130,10 @@ def second_dim(suite: PipelinedSuite, spec: SecondDimSpec) -> SecondDimSuite:
         )
     if len(tour.body[0].place) != 1:
         raise TransformError("the carrier must currently tour a 1-D chain")
+    # (2) re-homes the main's injections: refuse before registering
+    if not collect(suite.main.body,
+                   lambda s: isinstance(s, ir.InjectStmt)):
+        raise TransformError("the phase-shifted main has no injections")
     sigma = tour.body[0].place[0]
     dropped = f"{spec.ship_var}drop"
 
@@ -148,7 +152,11 @@ def second_dim(suite: PipelinedSuite, spec: SecondDimSpec) -> SecondDimSuite:
         f"{carrier.name}-2d", row_body, carrier.params), replace=True)
 
     # (3) the producer: the consumer's schedule with the roles swapped.
-    producer_sigma = _swap_vars(sigma, spec.row_var, spec.tour_var)
+    swap = {spec.row_var: ir.Var(spec.tour_var),
+            spec.tour_var: ir.Var(spec.row_var)}
+    producer_sigma = map_expr(
+        lambda e: swap.get(e.name, e) if isinstance(e, ir.Var) else e,
+        sigma)
     col_carrier = ir.register_program(ir.Program(
         f"{carrier.name}-colcarrier",
         body=(
@@ -163,7 +171,6 @@ def second_dim(suite: PipelinedSuite, spec: SecondDimSpec) -> SecondDimSuite:
     ), replace=True)
 
     # (2) the injector: walk the homes, inject both carriers locally.
-    inject_stmts = _injections(suite.main)
     line = "ml"
     data_row = ir.Bin("%", ir.Bin("-", ir.Const(g - 1), ir.Var(line)),
                       ir.Const(g))
@@ -179,49 +186,8 @@ def second_dim(suite: PipelinedSuite, spec: SecondDimSpec) -> SecondDimSuite:
             )),
         ),
     ), replace=True)
-    if not inject_stmts:
-        raise TransformError("the phase-shifted main has no injections")
     return SecondDimSuite(main=main, row_carrier=row_carrier,
                           col_carrier=col_carrier)
-
-
-def _swap_vars(expr: ir.Expr, a: str, b: str) -> ir.Expr:
-    """Rename ``a``<->``b`` throughout an expression."""
-    if isinstance(expr, ir.Var):
-        if expr.name == a:
-            return ir.Var(b)
-        if expr.name == b:
-            return ir.Var(a)
-        return expr
-    if isinstance(expr, ir.Const):
-        return expr
-    if isinstance(expr, ir.Bin):
-        return ir.Bin(expr.op, _swap_vars(expr.left, a, b),
-                      _swap_vars(expr.right, a, b))
-    if isinstance(expr, ir.NodeGet):
-        return ir.NodeGet(expr.name,
-                          tuple(_swap_vars(e, a, b) for e in expr.idx))
-    if isinstance(expr, ir.Index):
-        return ir.Index(_swap_vars(expr.base, a, b),
-                        tuple(_swap_vars(e, a, b) for e in expr.idx))
-    raise TransformError(f"unknown expression {expr!r}")
-
-
-def _injections(program: ir.Program) -> list:
-    out = []
-
-    def walk(body):
-        for stmt in body:
-            if isinstance(stmt, ir.InjectStmt):
-                out.append(stmt)
-            elif isinstance(stmt, ir.For):
-                walk(stmt.body)
-            elif isinstance(stmt, ir.If):
-                walk(stmt.then)
-                walk(stmt.orelse)
-
-    walk(program.body)
-    return out
 
 
 def layout_second_dim(a, b, spec: SecondDimSpec) -> dict:

@@ -11,8 +11,8 @@ one before it:
   block it just solved in an agent variable and reading the bottom
   boundary row its previous sweep published in ``bottom[r-1]``;
 * :func:`build_wavefront_ir` — the pipelined stage, *derived* from the
-  DSC program by keyed pipelining
-  (:mod:`repro.transform.keyed_pipeline`): the row loop becomes one
+  DSC program by pipelining
+  (:mod:`repro.transform.pipeline`): the row loop becomes one
   carrier per block row, and the ``bottom[r-1]`` read — a forward
   carried flow dependence of distance ``+1`` — gets a
   ``wait bottom-done(r-1)`` before it and a ``signal bottom-done(r)``
@@ -85,7 +85,7 @@ def build_wavefront_solo_ir(nblocks: int, b: int) -> ir.Program:
 def build_wavefront_seq_ir(p: int, nblocks: int, b: int) -> ir.Program:
     """The DSC stage: one thread touring each row of blocks.
 
-    This is the Figure-6-shaped starting point the planner and keyed
+    This is the Figure-6-shaped starting point the planner and
     pipelining work from. Running it on any fabric gives the golden
     answer the pipelined suite must reproduce bit-identically.
     """
@@ -103,18 +103,17 @@ def build_wavefront_seq_ir(p: int, nblocks: int, b: int) -> ir.Program:
 def build_wavefront_ir(p: int, nblocks: int, b: int):
     """Register and return ``(main, carrier)`` for a ``p``-PE pipeline.
 
-    Keyed pipelining of :func:`build_wavefront_seq_ir`, registered as
+    Pipelining of :func:`build_wavefront_seq_ir`, registered as
     ``wf-pipe-{tag}`` and ``wf-carrier-{tag}`` (``tag`` is the instance
     shape, e.g. ``3x4b16``) so differently sized builds coexist.
     """
-    from ..transform.keyed_pipeline import KeyedPipelineSpec, keyed_pipeline
+    from ..transform.pipeline import PipelineSpec, pipelining
 
     tag = f"{p}x{nblocks}b{b}"
-    suite = keyed_pipeline(build_wavefront_seq_ir(p, nblocks, b),
-                           KeyedPipelineSpec(
-                               outer="r",
-                               main_name=f"wf-pipe-{tag}",
-                               carrier_name=f"wf-carrier-{tag}",
-                               inject_at=(C(0),),
-                           ))
+    suite = pipelining(build_wavefront_seq_ir(p, nblocks, b), PipelineSpec(
+        outer="r",
+        main_name=f"wf-pipe-{tag}",
+        carrier_name=f"wf-carrier-{tag}",
+        inject_at=(C(0),),
+    ))
     return suite.main, suite.carrier

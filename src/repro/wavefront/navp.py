@@ -9,7 +9,7 @@ the one runner, :func:`run_wavefront_program`:
    thread traverses block rows west-to-east, carrying the right-edge
    column of the block it just solved (its agent variable). No events:
    a single thread cannot outrun its own writes.
-3. **Pipelined** — keyed pipelining of the DSC program: one carrier
+3. **Pipelined** — pipelining of the DSC program: one carrier
    per block row, injected in order. The carriers now race: carrier R
    needs the bottom row that carrier R-1 writes at each PE, so a
    per-node event ``bottom-done(R-1)`` guards the read — the

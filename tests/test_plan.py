@@ -11,7 +11,6 @@ from repro.machine.presets import get_preset
 from repro.navp import ir
 from repro.plan import make_plan, plan_to_dict, render_plan
 from repro.transform.deps import check_race_free
-from repro.transform.keyed_pipeline import KeyedPipelineSpec, keyed_pipeline
 
 GOLDENS = Path(__file__).parent / "goldens" / "plans"
 
@@ -156,40 +155,6 @@ class TestEmittedIRProperties:
 
 
 class TestKeyedPipelineGate:
-    def test_backward_dependence_refused(self):
-        prog = ir.Program("kp-backward", (
-            ir.For("i", C(4), (
-                ir.HopStmt((V("i"),)),
-                ir.ComputeStmt(
-                    "copy",
-                    (ir.NodeGet("X", (ir.Bin("+", V("i"), C(1)),)),),
-                    out="t"),
-                ir.NodeSet("X", (V("i"),), V("t")),
-            )),
-        ))
-        with pytest.raises(TransformError,
-                           match="not a forward flow dependence"):
-            keyed_pipeline(prog, KeyedPipelineSpec(
-                outer="i", main_name="kp-backward-kpipe",
-                carrier_name="kp-backward-carrier",
-                inject_at=(C(0),)))
-
-    def test_varying_distance_refused(self):
-        prog = ir.Program("kp-varying", (
-            ir.For("i", C(4), (
-                ir.HopStmt((V("i"),)),
-                ir.ComputeStmt("copy", (ir.NodeGet("X", (V("i"),)),),
-                               out="t"),
-                ir.NodeSet("X", (ir.Bin("*", C(2), V("i")),), V("t")),
-            )),
-        ))
-        with pytest.raises(TransformError,
-                           match="not a forward flow"):
-            keyed_pipeline(prog, KeyedPipelineSpec(
-                outer="i", main_name="kp-varying-kpipe",
-                carrier_name="kp-varying-carrier",
-                inject_at=(C(0),)))
-
     def test_unknown_target_is_a_transform_error(self, sun):
         with pytest.raises(TransformError, match="unknown plan target"):
             make_plan("no-such-target", sun)

@@ -140,3 +140,16 @@ class TestGuards:
                 PipelinedSuite(main=suite3.main,
                                carrier=suite3.row_carrier),
                 SecondDimSpec(g=3))
+
+    def test_main_without_injections_registers_nothing(self):
+        """The refusal comes before any program is registered."""
+        from repro.transform.pipeline import PipelinedSuite
+
+        carrier = derive_chain(3).phased.carrier
+        hop_only = ir.register_program(ir.Program(
+            "sd-hop-only-main", (ir.HopStmt((C(0),)),)), replace=True)
+        before = list(ir.REGISTRY)
+        with pytest.raises(TransformError, match="no injections"):
+            second_dim(PipelinedSuite(main=hop_only, carrier=carrier),
+                       SecondDimSpec(g=3))
+        assert list(ir.REGISTRY) == before

@@ -183,7 +183,8 @@ class TestPipelineStructure:
 
     def test_output_matches_figure7(self):
         suite = pipelining(self._dsc(tag="fig7"), PipelineSpec(
-            outer="mi", carrier_name="fig7-carrier", inject_at=(C(0),)))
+            outer="mi", main_name="fig7-pipe", carrier_name="fig7-carrier",
+            inject_at=(C(0),)))
         # main: hop(node(0)); do i: inject(RowCarrier(i))
         assert suite.main.body[0] == ir.HopStmt((C(0),))
         loop = suite.main.body[1]
@@ -205,7 +206,85 @@ class TestPipelineStructure:
         )), replace=True)
         with pytest.raises(TransformError):
             pipelining(flat, PipelineSpec(
-                outer="mi", carrier_name="pl-c", inject_at=(C(0),)))
+                outer="mi", main_name="pl-m", carrier_name="pl-c",
+                inject_at=(C(0),)))
+
+    def test_independent_carrier_has_no_handshake(self):
+        suite = pipelining(self._dsc(tag="nohs"), PipelineSpec(
+            outer="mi", main_name="nohs-pipe", carrier_name="nohs-carrier",
+            inject_at=(C(0),)))
+        assert not collect(suite.carrier.body, lambda s: isinstance(
+            s, (ir.WaitStmt, ir.SignalStmt)))
+        assert suite.carrier.body[0] == ir.Assign(
+            "mA", ir.NodeGet("A", (V("mi"),)))
+
+    def test_forward_carried_body_is_not_hoisted(self):
+        """The wavefront's shape: a body that is not a single inner
+        loop is kept as it is, and the forward flow dependence on
+        ``X[i-1]`` gets its wait and signal."""
+        prev = ir.Bin("-", V("i"), C(1))
+        visit = (
+            ir.If(ir.Bin("<", C(0), V("i")),
+                  then=(ir.Assign("top", ir.NodeGet("X", (prev,))),),
+                  orelse=(ir.Assign("top", C(0)),)),
+            ir.NodeSet("X", (V("i"),), V("top")),
+        )
+        prog = ir.register_program(ir.Program("pl-fwd", (
+            ir.For("i", C(4), (
+                ir.Assign("edge", C(None)),
+                ir.For("j", C(2), (ir.HopStmt((V("j"),)),) + visit),
+            )),
+        )), replace=True)
+        suite = pipelining(prog, PipelineSpec(
+            outer="i", main_name="pl-fwd-pipe",
+            carrier_name="pl-fwd-carrier", inject_at=(C(0),)))
+        body = suite.carrier.body
+        assert body[0] == ir.Assign("edge", C(None))
+        tour = body[1]
+        assert tour.body[0] == ir.HopStmt((V("j"),))
+        guard = tour.body[1]
+        assert guard.then == (
+            ir.WaitStmt("X-done", (prev,)),
+            ir.Assign("top", ir.NodeGet("X", (prev,))),
+        )
+        assert tour.body[2:] == (
+            ir.NodeSet("X", (V("i"),), V("top")),
+            ir.SignalStmt("X-done", (V("i"),)),
+        )
+
+    def test_backward_dependence_refused(self):
+        prog = ir.Program("kp-backward", (
+            ir.For("i", C(4), (
+                ir.HopStmt((V("i"),)),
+                ir.ComputeStmt(
+                    "copy",
+                    (ir.NodeGet("X", (ir.Bin("+", V("i"), C(1)),)),),
+                    out="t"),
+                ir.NodeSet("X", (V("i"),), V("t")),
+            )),
+        ))
+        with pytest.raises(TransformError,
+                           match="not a forward flow dependence"):
+            pipelining(prog, PipelineSpec(
+                outer="i", main_name="kp-backward-pipe",
+                carrier_name="kp-backward-carrier",
+                inject_at=(C(0),)))
+
+    def test_varying_distance_refused(self):
+        prog = ir.Program("kp-varying", (
+            ir.For("i", C(4), (
+                ir.HopStmt((V("i"),)),
+                ir.ComputeStmt("copy", (ir.NodeGet("X", (V("i"),)),),
+                               out="t"),
+                ir.NodeSet("X", (ir.Bin("*", C(2), V("i")),), V("t")),
+            )),
+        ))
+        with pytest.raises(TransformError,
+                           match="not a forward flow"):
+            pipelining(prog, PipelineSpec(
+                outer="i", main_name="kp-varying-pipe",
+                carrier_name="kp-varying-carrier",
+                inject_at=(C(0),)))
 
 
 class TestPhaseShiftStructure:
@@ -217,7 +296,8 @@ class TestPhaseShiftStructure:
             pickup_cond=ir.Bin("==", V("mj"), C(0)),
         ), name="fig9-dsc")
         suite = pipelining(program, PipelineSpec(
-            outer="mi", carrier_name="fig9-carrier", inject_at=(C(0),)))
+            outer="mi", main_name="fig9-dsc-pipe",
+            carrier_name="fig9-carrier", inject_at=(C(0),)))
         sched = ir.Bin("%", ir.Bin("+", ir.Bin("-", C(nb - 1), V("mi")),
                                    V("mj")), C(nb))
         shifted = phase_shift(suite, PhaseShiftSpec(

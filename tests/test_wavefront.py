@@ -187,6 +187,28 @@ class TestSynchronization:
             self._run(case, carrier, (1,))
 
 
+class TestDerivation:
+    def test_build_analyzes_the_row_loop_once(self):
+        """The legality check hands its loop analysis to the
+        transformation; nothing analyzes the row loop a second time."""
+        import sys
+
+        from repro.analysis.deps import analyze_loop
+
+        calls = []
+
+        def count(frame, event, _arg):
+            if event == "call" and frame.f_code is analyze_loop.__code__:
+                calls.append(frame.f_locals["loop_var"])
+
+        sys.setprofile(count)
+        try:
+            build_wavefront_ir(3, 4, 4)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["r"]
+
+
 class TestTimingShape:
     def test_pipeline_matches_fill_model(self):
         case = WavefrontCase(n=2048, b=64, shadow=True)
