@@ -205,7 +205,7 @@ def analyze_loop(program: ir.Program, loop_var: str) -> LoopAnalysis:
     (or more than one) loop over ``loop_var``.
     """
     path, loop = visitor.find_unique_loop(program, loop_var)
-    summaries = tuple(summarize_body(loop.body, base_path=path))
+    summaries = summarize_body(loop.body, base_path=path)
     bound = loop.count.value \
         if isinstance(loop.count, ir.Const) \
         and isinstance(loop.count.value, int) \

@@ -43,7 +43,7 @@ from .mhp import build_mhp
 from .summary import summarize
 
 __all__ = ["lint_program", "lint_registry", "seed_paper_programs",
-           "paper_layouts", "paper_mc_contexts", "root_entry_coord"]
+           "paper_layouts", "root_entry_coord"]
 
 
 def _structure_diagnostics(program: ir.Program) -> DiagnosticReport:
@@ -165,14 +165,20 @@ def lint_program(program: ir.Program, registry=None,
 
 
 def lint_registry(names=None, registry=None,
-                  layouts: dict | None = None) -> DiagnosticReport:
-    """Lint a set of registered programs (default: all of them)."""
+                  layouts: dict | None = None,
+                  injected: set | None = None) -> DiagnosticReport:
+    """Lint a set of registered programs (default: all of them).
+
+    ``injected`` is :func:`_injected_names` of ``registry`` when the
+    caller already has it.
+    """
     if registry is None:
         registry = ir.REGISTRY
     if names is None:
         names = sorted(registry)
     layouts = layouts or {}
-    injected = _injected_names(registry)
+    if injected is None:
+        injected = _injected_names(registry)
     report = DiagnosticReport()
     seen: set = set()
     for name in names:
@@ -220,25 +226,41 @@ def paper_layouts(nb: int = 3) -> dict:
     }
 
 
-def seed_paper_programs(g: int = 3) -> dict:
-    """Register every paper program family; return its layout specs.
+def seed_paper_programs(g: int = 3) -> tuple:
+    """Register every paper program family: ``(layouts, contexts)``.
 
     Derives the full 1-D and 2-D transformation chains and builds the
     Figure 11/13/15 IR suites, all of which register themselves in
-    :data:`repro.navp.ir.REGISTRY`. Imported lazily so that
-    :mod:`repro.analysis` itself never depends on
-    :mod:`repro.transform` at import time.
+    :data:`repro.navp.ir.REGISTRY`. ``layouts`` are the 1-D chain's
+    locality specs (:func:`paper_layouts`); ``contexts`` map each 2-D
+    root to the model-checking context its runner launches it in,
+    ``{"entry": (0, 0), "initial_signals": ...}`` — the suites'
+    declared setup-time signals (Figure 13 pre-signals ``EC``
+    everywhere, "EC(i,j) is signaled initially"). The 1-D chains and
+    the wavefront inject at ``(0,)`` with nothing primed, which is
+    :func:`root_entry_coord`'s default, so they have no entry here.
+    Imported lazily so that :mod:`repro.analysis` itself never depends
+    on :mod:`repro.transform` at import time.
     """
     from ..matmul.ir2d import build_fig11, build_fig13, build_fig15
     from ..transform.examples import derive_full_chain
     from ..wavefront.irprog import build_wavefront_ir
 
-    derive_full_chain(g)
-    build_fig11(g)
-    build_fig13(g)
-    build_fig15(g)
+    chain = derive_full_chain(g)
+    contexts: dict = {}
+    for build in (build_fig11, build_fig13, build_fig15):
+        suite = build(g)
+        contexts[suite.entry.name] = {
+            "entry": (0, 0),
+            "initial_signals": tuple(suite.initial_signals),
+        }
+    for suite in (chain.pipelined_2d, chain.phased_2d):
+        contexts[suite.main.name] = {
+            "entry": (0, 0),
+            "initial_signals": tuple(suite.initial_signals),
+        }
     build_wavefront_ir(g, 4, 4)
-    return paper_layouts(g)
+    return paper_layouts(g), contexts
 
 
 def root_entry_coord(program: ir.Program) -> tuple:
@@ -258,31 +280,3 @@ def root_entry_coord(program: ir.Program) -> tuple:
                 coord.append(e.value)
             return (0,) * len(coord)
     return (0,)
-
-
-def paper_mc_contexts(g: int = 3) -> dict:
-    """Model-checking context per paper root: entry + primed signals.
-
-    Mirrors how the runners launch each family: 1-D chains and the
-    wavefront inject at ``(0,)`` with nothing primed; the Figure 11/13/
-    15 suites inject at ``(0, 0)`` with their declared setup-time
-    signals (Figure 13 pre-signals ``EC`` everywhere, "EC(i,j) is
-    signaled initially").
-    """
-    from ..matmul.ir2d import build_fig11, build_fig13, build_fig15
-    from ..transform.examples import derive_full_chain
-
-    contexts: dict = {}
-    for build in (build_fig11, build_fig13, build_fig15):
-        suite = build(g)
-        contexts[suite.entry.name] = {
-            "entry": (0, 0),
-            "initial_signals": tuple(suite.initial_signals),
-        }
-    chain = derive_full_chain(g)
-    for suite in (chain.pipelined_2d, chain.phased_2d):
-        contexts[suite.main.name] = {
-            "entry": (0, 0),
-            "initial_signals": tuple(suite.initial_signals),
-        }
-    return contexts

@@ -121,7 +121,7 @@ class MHPAnalysis:
     def __init__(self, root: str):
         self.root = root
         self.threads: dict[str, ThreadClass] = {}
-        self.summaries: dict[str, list] = {}
+        self.summaries: dict[str, tuple] = {}
         self.segments: dict[str, list] = {}
         self.missing: set = set()
         self._seg_of: dict[str, list] = {}   # program -> pos -> seg index

@@ -2,7 +2,7 @@
 waits on, signals, and where the messenger stands when it executes.
 
 This is the front end shared by the dependence, locality and protocol
-analyses. One walk over a program produces a flat list of
+analyses. One walk over a program produces a flat tuple of
 :class:`StmtSummary` records in pre-order (execution order for
 straight-line code), each carrying:
 
@@ -214,7 +214,7 @@ class _Walker:
 
 
 def summarize_body(body: tuple, entry_place=None,
-                   base_path: tuple = ()) -> list:
+                   base_path: tuple = ()) -> tuple:
     """Summaries for a bare statement tuple (see :func:`summarize`).
 
     ``base_path`` prefixes every summary's path, so a nested body (a
@@ -222,13 +222,24 @@ def summarize_body(body: tuple, entry_place=None,
     """
     walker = _Walker()
     walker.body(tuple(body), tuple(base_path), entry_place, (), ())
-    return walker.out
+    return tuple(walker.out)
 
 
-def summarize(program: ir.Program, entry_place=None) -> list:
-    """Pre-order :class:`StmtSummary` list for ``program``.
+def summarize(program: ir.Program, entry_place=None) -> tuple:
+    """Pre-order :class:`StmtSummary` tuple for ``program``.
 
     ``entry_place`` is the symbolic coordinate (tuple of Exprs) the
     messenger occupies when the program starts, or None for unknown.
+    With no entry place the summaries are computed once per Program
+    object and kept on it beside the interpreter's compiled code
+    (``Program.__dict__["_summaries"]``); every record is frozen, so
+    the analyses share one tuple. A pickle still carries only the
+    program's three fields.
     """
-    return summarize_body(program.body, entry_place)
+    if entry_place is not None:
+        return summarize_body(program.body, entry_place)
+    summaries = program.__dict__.get("_summaries")
+    if summaries is None:
+        summaries = summarize_body(program.body)
+        object.__setattr__(program, "_summaries", summaries)
+    return summaries

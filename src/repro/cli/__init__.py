@@ -8,8 +8,9 @@ writing a script.
 
 Each command lives in its own module under :mod:`repro.cli`; a module
 contributes a ``configure(sub)`` hook that registers its subparser(s)
-and binds a handler. :func:`build_parser` and :func:`main` stay
-importable from ``repro.cli`` exactly as before the split.
+and binds a handler, and :data:`COMMANDS` maps every command name to
+its module. :func:`main` builds only the subparsers of the command it
+runs; :func:`build_parser` builds them all.
 
 Commands
 --------
@@ -110,27 +111,55 @@ from . import (
     wavefront,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "COMMANDS"]
 
-# registration order == ``repro --help`` listing order
-_MODULES = (variants, run, tables, staggering, wavefront, plan, lint,
-            fuzz, faults, serve, submit, status)
+#: command name -> the module whose ``configure`` registers it;
+#: insertion order == ``repro --help`` listing order
+COMMANDS = {
+    "variants": variants,
+    "run": run,
+    "table": tables,
+    "figure1": tables,
+    "report": tables,
+    "staggering": staggering,
+    "wavefront": wavefront,
+    "plan": plan,
+    "lint": lint,
+    "fuzz-schedules": fuzz,
+    "faults": faults,
+    "serve": serve,
+    "submit": submit,
+    "status": status,
+    "shutdown": status,
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser(modules) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Incremental Parallelization Using "
                     "Navigational Programming' (ICPP 2005)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for module in _MODULES:
+    for module in modules:
         module.configure(sub)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command's subparser."""
+    return _parser(dict.fromkeys(COMMANDS.values()))
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. Only the module owning ``argv[0]`` configures
+    its subparsers; ``--help``, no arguments and an unknown command
+    get the full parser, so their output is unchanged."""
+    if argv is None:
+        argv = sys.argv[1:]
+    module = COMMANDS.get(argv[0]) if argv else None
+    parser = build_parser() if module is None else _parser((module,))
+    args = parser.parse_args(argv)
     return args.handler(args)
 
 

@@ -9,8 +9,8 @@ Exit codes (the contract CI drivers rely on):
     at least one error diagnostic (or warning with ``--strict``), or a
     corpus defect the analyses missed.
 ``2``
-    usage: unknown program names, nothing to lint, or an
-    ``--mc-states`` below 1.
+    usage: unknown program names, nothing to lint, a ``--g`` below 2,
+    or an ``--mc-states`` below 1.
 
 ``--json`` replaces the human-readable listing with one JSON object::
 
@@ -171,10 +171,13 @@ def _cmd_lint(args) -> int:
         print(f"--mc-states must be at least 1, got {args.mc_states}",
               file=sys.stderr)
         return 2
+    if args.g < 2:
+        print(f"--g must be at least 2, got {args.g}", file=sys.stderr)
+        return 2
     if args.corpus:
         return _cmd_corpus(args)
 
-    layouts = lint_mod.seed_paper_programs(args.g)
+    layouts, contexts = lint_mod.seed_paper_programs(args.g)
     if args.lint_all:
         names = sorted(ir.REGISTRY)
     elif args.programs:
@@ -190,40 +193,30 @@ def _cmd_lint(args) -> int:
               f"{', '.join(sorted(ir.REGISTRY))})", file=sys.stderr)
         return 2
 
-    report = lint_mod.lint_registry(names, layouts=layouts)
+    injected = lint_mod._injected_names(ir.REGISTRY)
+    roots = [name for name in names if name not in injected]
+    report = lint_mod.lint_registry(names, layouts=layouts,
+                                    injected=injected)
     if args.races:
-        from ..analysis.lint import _injected_names
         from ..analysis.races import race_diagnostics
 
-        injected = _injected_names(ir.REGISTRY)
-        extra = DiagnosticReport()
-        for name in names:
-            if name not in injected:  # roots carry their closures
-                extra.extend(race_diagnostics(ir.get_program(name)))
-        report.extend(extra)
+        for name in roots:  # roots carry their closures
+            report.extend(race_diagnostics(ir.get_program(name)))
     protocol_mc: dict = {}
     if args.protocol_mc:
-        from ..analysis.lint import _injected_names, paper_mc_contexts
-        from ..analysis.lint import root_entry_coord
         from ..analysis.protocol_mc import mc_diagnostics, model_check
 
-        contexts = paper_mc_contexts(args.g)
-        injected = _injected_names(ir.REGISTRY)
-        extra = DiagnosticReport()
-        for name in names:
-            if name in injected:  # roots carry their closures
-                continue
+        for name in roots:
             prog = ir.get_program(name)
             ctx = contexts.get(name, {})
             kwargs = dict(
-                entry=ctx.get("entry", root_entry_coord(prog)),
+                entry=ctx.get("entry", lint_mod.root_entry_coord(prog)),
                 initial_signals=ctx.get("initial_signals", ()),
                 max_states=args.mc_states,
                 deadline_s=None)
             res = model_check(name, **kwargs)
-            extra.extend(mc_diagnostics(prog, result=res, **kwargs))
+            report.extend(mc_diagnostics(prog, result=res, **kwargs))
             protocol_mc[name] = res.to_json()
-        report.extend(extra)
     loops: dict = {}
     if args.loop:
         extra = DiagnosticReport()

@@ -206,10 +206,12 @@ class SignalStmt(Stmt):
 
 @dataclass(frozen=True)
 class Program:
-    """A named program. The interpreter keeps per-process caches on
-    the instance (its compiled code and liveness table); a pickle
-    carries the three fields only, so a program pickles to the same
-    bytes before and after it runs."""
+    """A named program. Per-process caches live on the instance: the
+    interpreter's compiled code (``_code``) and liveness table
+    (``_live_cache``), and the analyses' statement summaries
+    (``_summaries``, :func:`repro.analysis.summary.summarize`). A
+    pickle carries the three fields only, so a program pickles to the
+    same bytes before and after it runs or is analyzed."""
 
     name: str
     body: tuple

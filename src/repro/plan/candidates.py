@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis import visitor
-from ..analysis.summary import summarize, summarize_body
+from ..analysis.summary import summarize
 from ..errors import TransformError
 from ..matmul.staggering import phases_for_scheme
 from ..navp import ir
@@ -70,14 +70,18 @@ def _key_repr(var: str, key: tuple) -> str:
 
 def dsc_candidates(program: ir.Program) -> list:
     """Propose DSC along every loop of ``program``."""
-    all_writes = [acc for s in summarize(program)
+    program_summaries = summarize(program)
+    all_writes = [acc for s in program_summaries
                   for acc in s.node_writes]
     out: list = []
     for path, loop in visitor.walk_stmts(program.body):
         if not isinstance(loop, ir.For):
             continue
         v = loop.var
-        summaries = summarize_body(loop.body, base_path=path)
+        # the loop body's statements: the program's, below the loop
+        summaries = [s for s in program_summaries
+                     if len(s.path) > len(path)
+                     and s.path[:len(path)] == path]
         bound_inside = {v}
         for s in summaries:
             bound_inside |= s.agent_defs

@@ -21,10 +21,13 @@ row carrier has been through
   carries in place"), and the consumer must see *its* slice
   (``EP`` keyed by k). The slot starts empty: the suite carries the
   initial ``EC`` signals Figure 13 prescribes.
-* :func:`phase_shift_carried` — Figure 13 -> 15. Pure reindexing
-  again: each carrier's tour is shifted by its own k origin
-  (``mj -> mj - mk``), the data distribution becomes the natural
-  layout, and the injector walks all the homes.
+* :func:`phase_shift_carried` — Figure 13 -> 15. Each carrier's tour
+  is shifted by its own k origin (``mj -> mj - mk``), the data
+  distribution becomes the natural layout, and the injector walks all
+  the homes. The shift makes the hand-off keyed: each PE receives one
+  slice per k, so the slot and its ``EP`` are keyed by k, ``EC`` goes,
+  and a turn event keyed by the tour step orders the accumulations
+  into ``C``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class CarriedSpec:
     carrier_k: str = "mk"    # the new carrier parameter
     slot: str = "Bslot"      # the per-PE hand-off slot
     ep: str = "EP"           # "slice present" (keyed by k)
-    ec: str = "EC"           # "slice consumed" (slot free)
+    ec: str = "EC"           # "slice consumed" (slot free; Figure 13)
     row_var: str = "mi"
     col_var: str = "mj"
 
@@ -195,14 +198,50 @@ def pipeline_carried(suite: SecondDimSuite,
 
 def phase_shift_carried(suite: CarriedSuite,
                         spec: CarriedSpec) -> CarriedSuite:
-    """Reindex every tour by its carrier's k origin (Figure 15)."""
-    g, mk = spec.g, spec.carrier_k
+    """Reindex every tour by its carrier's k origin (Figure 15), and
+    key the hand-off by k.
 
-    def reindex(program: ir.Program, tour_var: str,
-                name: str) -> ir.Program:
+    After the shift, B-carrier ``(mk, mj)`` is the only one that parks
+    slice ``mk`` at a PE of column ``mj``, so the slot is keyed by
+    ``mk`` and the "slot free" event ``EC`` goes: with one unkeyed slot
+    a B-carrier for the wrong k could take it and deadlock the suite.
+    The ``mj``-th visit of A-carrier ``(mi, mk)`` lands on PE
+    ``(mi, j)`` at step ``mj = (j + mi + mk - (g - 1)) mod g``, so each
+    PE sees exactly one A-carrier per step; a turn event ``ET`` keyed by
+    the step (primed at ``ET(0)`` on every PE) serializes their
+    accumulations into ``C`` in that order.
+    """
+    g, mk = spec.g, spec.carrier_k
+    turn = "ET"       # which tour step may accumulate into the PE's C
+    key = (V(mk),)
+
+    def keyed_slot(expr: ir.Expr) -> ir.Expr:
+        if isinstance(expr, ir.NodeGet) and expr.name == spec.slot:
+            return ir.NodeGet(spec.slot, key)
+        return expr
+
+    def a_visit(body: tuple) -> tuple:
+        step = V(spec.col_var)
+        out: list = []
+        for stmt in body:
+            if stmt == ir.SignalStmt(spec.ec):
+                stmt = ir.SignalStmt(turn, (ir.Bin("+", step, C(1)),))
+            out.append(map_stmt_exprs(keyed_slot, stmt))
+            if stmt == ir.WaitStmt(spec.ep, key):
+                out.append(ir.WaitStmt(turn, (step,)))
+        return tuple(out)
+
+    def b_visit(body: tuple) -> tuple:
+        return tuple(
+            ir.NodeSet(s.name, key, s.expr)
+            if isinstance(s, ir.NodeSet) and s.name == spec.slot else s
+            for s in body if s != ir.WaitStmt(spec.ec))
+
+    def reindex(program: ir.Program, tour_var: str, name: str,
+                visit) -> ir.Program:
         path, tour = find_unique_loop(program, tour_var)
         shifted = ir.Bin("-", V(tour_var), V(mk))
-        new_body = substitute_expr(tour.body, V(tour_var), shifted)
+        new_body = visit(substitute_expr(tour.body, V(tour_var), shifted))
         rebuilt = list(program.body)
         rebuilt[path[0]] = ir.For(tour.var, tour.count, new_body)
         return ir.register_program(
@@ -210,9 +249,9 @@ def phase_shift_carried(suite: CarriedSuite,
             replace=True)
 
     a_carrier = reindex(suite.a_carrier, spec.col_var,
-                        f"{suite.a_carrier.name}-phase")
+                        f"{suite.a_carrier.name}-phase", a_visit)
     b_carrier = reindex(suite.b_carrier, spec.row_var,
-                        f"{suite.b_carrier.name}-phase")
+                        f"{suite.b_carrier.name}-phase", b_visit)
 
     # natural layout: every (mi, mk) pair is injected at its own home
     main = ir.register_program(ir.Program(
@@ -229,9 +268,11 @@ def phase_shift_carried(suite: CarriedSuite,
             )),
         ),
     ), replace=True)
+    signals = tuple(
+        ((i, j), turn, (0,), 1) for i in range(g) for j in range(g)
+    )
     return CarriedSuite(main=main, a_carrier=a_carrier,
-                        b_carrier=b_carrier,
-                        initial_signals=suite.initial_signals)
+                        b_carrier=b_carrier, initial_signals=signals)
 
 
 # --------------------------------------------------------------------------

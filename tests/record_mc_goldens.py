@@ -37,11 +37,7 @@ from pathlib import Path
 
 from repro.analysis import statespace
 from repro.analysis.corpus import LIVENESS_CORPUS
-from repro.analysis.lint import (
-    paper_mc_contexts,
-    root_entry_coord,
-    seed_paper_programs,
-)
+from repro.analysis.lint import root_entry_coord, seed_paper_programs
 from repro.analysis.protocol_mc import DEFAULT_WINDOW, model_check
 from repro.navp import ir
 
@@ -112,9 +108,8 @@ def record() -> tuple:
     from repro.matmul.irgentleman import build_gentleman_ir
     from repro.serve.catalog import admission_verdict
 
-    seed_paper_programs(3)
+    _layouts, contexts = seed_paper_programs(3)
     build_gentleman_ir(3)
-    contexts = paper_mc_contexts(3)
     explored, traces = {}, {}
     for name in PAPER_ROOTS:
         ctx = contexts.get(name, {})

@@ -58,14 +58,14 @@ class TestPaperProgramsLintClean:
     """The tier-1 gate: zero errors across the whole paper registry."""
 
     def test_registry_has_no_errors(self):
-        layouts = seed_paper_programs(3)
+        layouts, _contexts = seed_paper_programs(3)
         names = sorted(n for n in ir.REGISTRY
                        if not n.startswith("random-prog"))
         report = lint_registry(names, layouts=layouts)
         assert report.errors == [], report.render()
 
     def test_expected_warnings_only(self):
-        layouts = seed_paper_programs(3)
+        layouts, _contexts = seed_paper_programs(3)
         names = sorted(n for n in ir.REGISTRY
                        if not n.startswith("random-prog"))
         report = lint_registry(names, layouts=layouts)
@@ -116,3 +116,53 @@ class TestCliSurface:
         assert main(["lint", "mm-seq-3-dsc", "--loop", "mi"]) == 0
         out = capsys.readouterr().out
         assert "1 program(s) linted: 0 error(s)" in out
+
+    @pytest.mark.parametrize("g", [1, 0, -1])
+    def test_grid_order_below_two_is_usage_error(self, g, capsys):
+        """Exit 1 means findings; a grid the chain cannot be derived
+        on is a usage error: exit 2, one line on stderr, no trace."""
+        assert main(["lint", "--all", "--g", str(g)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--g must be at least 2, got {g}\n"
+
+
+class TestEachFactOnce:
+    """One ``repro lint`` call derives the paper chain once and
+    summarizes each program body once per entry place."""
+
+    def test_races_summarize_each_program_once(self, monkeypatch, capsys):
+        from repro.analysis import deps, summary
+
+        inner = summary.summarize_body
+        calls: dict = {}
+        pinned: list = []   # keeps every body alive, so ids stay unique
+
+        def counting(body, entry_place=None, base_path=()):
+            pinned.append(body)
+            key = (id(body), entry_place)
+            calls[key] = calls.get(key, 0) + 1
+            return inner(body, entry_place, base_path)
+
+        monkeypatch.setattr(summary, "summarize_body", counting)
+        monkeypatch.setattr(deps, "summarize_body", counting)
+        main(["lint", "--all", "--races"])
+        capsys.readouterr()
+        assert calls and max(calls.values()) == 1
+
+    def test_protocol_mc_derives_the_chain_once(self, monkeypatch,
+                                                capsys):
+        from repro.transform import examples
+
+        inner = examples.derive_full_chain
+        calls: list = []
+
+        def counting(g):
+            calls.append(g)
+            return inner(g)
+
+        monkeypatch.setattr(examples, "derive_full_chain", counting)
+        assert main(["lint", "mm-seq-3-dsc-phase", "fig11-main-3",
+                     "--protocol-mc"]) == 0
+        capsys.readouterr()
+        assert calls == [3]

@@ -134,7 +134,7 @@ class TestInjectRecursion:
 
 class TestPaperLayouts:
     def test_every_chain_stage_proves_local(self):
-        layouts = seed_paper_programs(3)
+        layouts, _contexts = seed_paper_programs(3)
         assert set(layouts) == {"mm-seq-3", "mm-seq-3-dsc",
                                 "mm-seq-3-dsc-pipe",
                                 "mm-seq-3-dsc-phase"}

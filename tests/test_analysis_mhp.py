@@ -148,7 +148,7 @@ class TestUsableEvents:
         ("fig13-main-3", []),
         ("fig15-main-3", ["EP"]),
         ("mm-seq-3-dsc-phase-2d-k", []),
-        ("mm-seq-3-dsc-phase-2d-k-phase", []),
+        ("mm-seq-3-dsc-phase-2d-k-phase", ["EP"]),
         ("wf-pipe-3x4b4", []),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(v) or "none")
     def test_paper_roots(self, name, usable):

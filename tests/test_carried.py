@@ -1,5 +1,7 @@
 """The carried-dimension transformations: Figures 11 -> 13 -> 15."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,58 @@ class TestDerivedStructure:
                                    shifted), C(3))
         assert a_tour.body[0] == ir.HopStmt((V("mi"), sigma))
 
+    def test_fig15_handoff_is_keyed(self):
+        """After the shift each PE receives one B slice per k: the slot
+        and EP are keyed by mk, EC is gone, and a turn keyed by the
+        tour step (primed at ET(0)) orders the accumulations."""
+        chain = derive_full_chain(3)
+        suite = chain.phased_2d
+        a_visit = suite.a_carrier.body[1].body
+        assert a_visit[1:3] == (ir.WaitStmt("EP", (V("mk"),)),
+                                ir.WaitStmt("ET", (V("mj"),)))
+        assert a_visit[3].args[2] == ir.NodeGet("Bslot", (V("mk"),))
+        assert a_visit[-1] == ir.SignalStmt(
+            "ET", (ir.Bin("+", V("mj"), C(1)),))
+        b_visit = suite.b_carrier.body[1].body
+        assert [type(s).__name__ for s in b_visit] == [
+            "HopStmt", "NodeSet", "SignalStmt"]
+        assert b_visit[1] == ir.NodeSet("Bslot", (V("mk"),), V("mB"))
+        assert b_visit[2] == ir.SignalStmt("EP", (V("mk"),))
+        assert suite.initial_signals == tuple(
+            ((i, j), "ET", (0,), 1) for i in range(3) for j in range(3))
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_fig15_verified(self, g):
+        """The model checker proves the derived Figure 15 deadlock-free
+        in the context its runner launches it in."""
+        from repro.analysis.protocol_mc import model_check
+
+        suite = derive_full_chain(g).phased_2d
+        res = model_check(suite.main.name, entry=(0, 0),
+                          initial_signals=suite.initial_signals,
+                          deadline_s=None)
+        assert res.status == "VERIFIED", res.summary()
+
+    def test_fig15_schedule_independent(self):
+        """Threads and perturbed sim schedules give the sim's bits."""
+        g, ab = 3, 8
+        suite = derive_full_chain(g).phased_2d
+        a = random_matrix(g * ab, 75)
+        b = random_matrix(g * ab, 76)
+        spec = CarriedSpec(g=g)
+
+        def run(fabric_cls):  # a fresh layout: runs accumulate into C
+            c, _result = run_chain(suite, layout_carried_natural(a, b, spec),
+                                   g, ab, fabric_cls=fabric_cls)
+            return c
+
+        base = run(SimFabric)
+        assert_allclose(base, a @ b)
+        assert np.array_equal(run(ThreadFabric), base)
+        for seed in range(4):
+            perturbed = run(partial(SimFabric, perturb_seed=seed))
+            assert np.array_equal(perturbed, base), seed
+
     def test_slot_protocol_synthesized(self):
         chain = derive_full_chain(3)
         b_tour = chain.pipelined_2d.b_carrier.body[1]
@@ -188,7 +242,9 @@ class TestDerivedStructure:
 
     def test_timing_matches_handcoded_fig15(self):
         """The derived Figure 15 performs like the hand-written IR at
-        the same granularity on the calibrated machine."""
+        the same granularity on the calibrated machine (0.0290 s
+        against 0.0360 s at g=3, ab=64: its keyed hand-off never waits
+        for a slot to drain)."""
         from repro.matmul.ir2d import build_fig15, run_ir2d_suite
 
         g, ab = 3, 64

@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.resilience import Crash, FaultPlan, MessageFault
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -25,6 +26,43 @@ class TestParser:
     def test_table_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "5"])
+
+
+def _subcommands(parser) -> dict:
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestCommandTable:
+    """``main`` builds only the subparsers of the command it runs, found
+    through one name -> module table."""
+
+    def test_table_names_every_subcommand_in_listing_order(self):
+        assert list(COMMANDS) == list(_subcommands(build_parser()))
+        assert len(COMMANDS) == 15
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_exits_zero_and_matches_the_full_parser(
+            self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        full = _subcommands(build_parser())[command].format_help()
+        assert capsys.readouterr().out == full
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in COMMANDS)
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -18,11 +18,7 @@ import json
 import pytest
 
 from repro.analysis.corpus import LIVENESS_CORPUS
-from repro.analysis.lint import (
-    paper_mc_contexts,
-    root_entry_coord,
-    seed_paper_programs,
-)
+from repro.analysis.lint import root_entry_coord, seed_paper_programs
 from repro.analysis.protocol_mc import (
     DEFAULT_WINDOW,
     mc_diagnostics,
@@ -35,10 +31,10 @@ from repro.navp import ir
 
 @pytest.fixture(scope="module")
 def paper():
-    seed_paper_programs(3)
+    _layouts, contexts = seed_paper_programs(3)
     from repro.matmul.irgentleman import build_gentleman_ir
     build_gentleman_ir(3)
-    return paper_mc_contexts(3)
+    return contexts
 
 
 def _case(name):
